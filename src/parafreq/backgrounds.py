@@ -23,6 +23,12 @@ Supported families:
 * ``Cylinder(k, m)`` -- S^k_{sqrt(2k)} x R^m, a product shrinker; measure and
   spectrum factor over the two parts.
 
+``POINTWISE`` and ``CURVATURE_IDENTITY`` declare, once for the whole
+package, which backgrounds carry closed-form pointwise support (modes,
+geometry, quadrature) and which of those also carry the integral curvature
+identity.  Every other background is spectral only: its modes enumerate and
+evolve exactly, but nothing is evaluated at points.
+
 ``geometry_at`` returns the pointwise data every verifier needs: the tangent
 projector, the scalar second fundamental form (codimension one throughout,
 with A(X, Y) = sff(X, Y) * nu as a vector), Ricci, the pairing <H, A(.,.)>,
@@ -41,6 +47,8 @@ import numpy as np
 
 __all__ = [
     "Background",
+    "CURVATURE_IDENTITY",
+    "POINTWISE",
     "Plane",
     "Sphere",
     "Cylinder",
@@ -50,14 +58,10 @@ __all__ = [
     "kappa",
     "geometry_at",
     "quadrature",
+    "require_support",
     "total_mass",
     "unit_sphere_area",
 ]
-
-# backgrounds holding closed-form mode evaluation (pointwise operations)
-_EVAL_PLANE_MAX_N = 3
-_EVAL_SPHERE_MAX_N = 2
-
 
 class UnsupportedBackgroundError(ValueError):
     """Raised when a pointwise operation is asked of a spectral-only background."""
@@ -159,22 +163,28 @@ class Cylinder(Background):
 
 
 # ---------------------------------------------------------------------------
+# capabilities
+
+# closed-form modes, geometry and quadrature
+POINTWISE = frozenset({Plane(1), Plane(2), Plane(3), Sphere(1), Sphere(2), Cylinder(1, 1)})
+# mode Hessians wired for the integral curvature identity
+CURVATURE_IDENTITY = frozenset({Plane(1), Plane(2), Sphere(1), Sphere(2)})
+
+
+def require_support(bg: Background, supported: frozenset[Background], what: str) -> None:
+    """Raise ``UnsupportedBackgroundError`` unless ``bg`` is in ``supported``."""
+    if bg not in supported:
+        labels = ", ".join(sorted(b.label() for b in supported))
+        raise UnsupportedBackgroundError(f"{what} is not available on {bg.label()} (supported: {labels})")
+
+
+# ---------------------------------------------------------------------------
 # measure
 
 
 def unit_sphere_area(n: int) -> float:
     """Surface area of the unit n-sphere in R^{n+1}."""
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
-
-
-def measure_density(bg: Background) -> float:
-    """Constant Gaussian density factor (4 pi)^(-n/2) e^(-|y|^2/4) where it is constant.
-
-    Only meaningful as a standalone number on spheres (|y| = r there); used
-    internally for mass bookkeeping.
-    """
-    n = bg.n_total
-    return (4.0 * math.pi) ** (-n / 2.0)
 
 
 def total_mass(bg: Background) -> float:
@@ -254,19 +264,14 @@ def _require_on_surface(actual: float, expected: float, what: str) -> None:
 
 
 def geometry_at(bg: Background, point: np.ndarray) -> GeometryData:
-    """Closed-form geometry of the unit-scale background at ``point``.
-
-    Supported: Plane(n <= 3), Sphere(n in {1, 2}), Cylinder(1, 1) -- the same
-    families that carry closed-form modes.
-    """
+    """Closed-form geometry of the unit-scale background at ``point``; ``bg`` must be in ``POINTWISE``."""
+    require_support(bg, POINTWISE, "pointwise geometry")
     y = np.asarray(point, dtype=float)
     d = bg.ambient_dim
     if y.shape != (d,):
         raise ValueError(f"point has shape {y.shape}, background is ambient dim {d}")
 
     if isinstance(bg, Plane):
-        if bg.n > _EVAL_PLANE_MAX_N:
-            raise UnsupportedBackgroundError(f"pointwise geometry implemented for Plane(n<= {_EVAL_PLANE_MAX_N})")
         eye = np.eye(d)
         zero = np.zeros((d, d))
         return GeometryData(
@@ -281,8 +286,6 @@ def geometry_at(bg: Background, point: np.ndarray) -> GeometryData:
         )
 
     if isinstance(bg, Sphere):
-        if bg.n > _EVAL_SPHERE_MAX_N:
-            raise UnsupportedBackgroundError(f"pointwise geometry implemented for Sphere(n <= {_EVAL_SPHERE_MAX_N})")
         r = bg.radius
         _require_on_surface(float(np.linalg.norm(y)), r, "|y|")
         nu = y / r
@@ -299,28 +302,24 @@ def geometry_at(bg: Background, point: np.ndarray) -> GeometryData:
             sff=-proj / r,
         )
 
-    if isinstance(bg, Cylinder):
-        if (bg.k, bg.m) != (1, 1):
-            raise UnsupportedBackgroundError("pointwise geometry implemented for Cylinder(1, 1)")
-        r = bg.radius
-        circ = y[:2]
-        _require_on_surface(float(np.linalg.norm(circ)), r, "|y_circle|")
-        nu = np.array([circ[0] / r, circ[1] / r, 0.0])
-        tau = np.array([-circ[1] / r, circ[0] / r, 0.0])
-        proj = np.eye(3) - np.outer(nu, nu)
-        q_circ = np.outer(tau, tau)
-        return GeometryData(
-            ric=np.zeros((3, 3)),  # intrinsically flat product
-            shape_pairing=q_circ * (bg.k / bg.radius_squared),
-            h_norm=1.0 / r,
-            x_tan=np.array([0.0, 0.0, y[2]]),
-            x_perp=np.array([circ[0], circ[1], 0.0]),
-            tangent_projector=proj,
-            normal=nu,
-            sff=-q_circ / r,
-        )
-
-    raise TypeError(f"unknown background {bg!r}")
+    # Cylinder(1, 1)
+    r = bg.radius
+    circ = y[:2]
+    _require_on_surface(float(np.linalg.norm(circ)), r, "|y_circle|")
+    nu = np.array([circ[0] / r, circ[1] / r, 0.0])
+    tau = np.array([-circ[1] / r, circ[0] / r, 0.0])
+    proj = np.eye(3) - np.outer(nu, nu)
+    q_circ = np.outer(tau, tau)
+    return GeometryData(
+        ric=np.zeros((3, 3)),  # intrinsically flat product
+        shape_pairing=q_circ * (bg.k / bg.radius_squared),
+        h_norm=1.0 / r,
+        x_tan=np.array([0.0, 0.0, y[2]]),
+        x_perp=np.array([circ[0], circ[1], 0.0]),
+        tangent_projector=proj,
+        normal=nu,
+        sff=-q_circ / r,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +380,7 @@ def _tensor_product(
 
 
 def quadrature(bg: Background, resolution: int) -> QuadratureRule:
-    """Build the unit-scale rule for a supported background.
+    """Build the unit-scale rule for a background in ``POINTWISE``.
 
     Plane(n <= 3): tensor Gauss-Hermite, ``resolution`` nodes per axis
     (polynomial-exact to degree 2*resolution - 1 per axis).  Sphere(1) and
@@ -392,41 +391,36 @@ def quadrature(bg: Background, resolution: int) -> QuadratureRule:
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
 
+    require_support(bg, POINTWISE, "quadrature")
+
     if isinstance(bg, Plane):
-        if bg.n > _EVAL_PLANE_MAX_N:
-            raise UnsupportedBackgroundError(f"quadrature implemented for Plane(n <= {_EVAL_PLANE_MAX_N})")
         y, w = _gauss_gaussian_1d(resolution)
         pts, wts = y[:, None], w
         for _ in range(bg.n - 1):
             pts, wts = _tensor_product(pts, wts, y[:, None], w)
         return QuadratureRule(bg, resolution, pts, wts)
 
-    if isinstance(bg, Sphere):
-        if bg.n == 1:
-            pts, wts = _circle_rule(bg.radius, total_mass(bg), resolution)
-            return QuadratureRule(bg, resolution, pts, wts)
-        if bg.n == 2:
-            r = bg.radius
-            u, w_gl = np.polynomial.legendre.leggauss(resolution)
-            count = 2 * resolution
-            phi = 2.0 * math.pi * np.arange(count) / count
-            rho = measure_density(bg) * math.exp(-bg.n / 2.0)
-            sin_theta = np.sqrt(1.0 - u**2)
-            # outer product over (polar, longitude)
-            pts = np.empty((resolution * count, 3))
-            pts[:, 0] = r * np.repeat(sin_theta, count) * np.tile(np.cos(phi), resolution)
-            pts[:, 1] = r * np.repeat(sin_theta, count) * np.tile(np.sin(phi), resolution)
-            pts[:, 2] = r * np.repeat(u, count)
-            wts = rho * r**2 * np.repeat(w_gl, count) * (2.0 * math.pi / count)
-            return QuadratureRule(bg, resolution, pts, wts)
-        raise UnsupportedBackgroundError(f"quadrature implemented for Sphere(n <= {_EVAL_SPHERE_MAX_N})")
-
-    if isinstance(bg, Cylinder):
-        if (bg.k, bg.m) != (1, 1):
-            raise UnsupportedBackgroundError("quadrature implemented for Cylinder(1, 1)")
-        circle_pts, circle_w = _circle_rule(bg.radius, total_mass(Sphere(1)), resolution)
-        y, w = _gauss_gaussian_1d(resolution)
-        pts, wts = _tensor_product(circle_pts, circle_w, y[:, None], w)
+    if bg == Sphere(1):
+        pts, wts = _circle_rule(bg.radius, total_mass(bg), resolution)
         return QuadratureRule(bg, resolution, pts, wts)
 
-    raise TypeError(f"unknown background {bg!r}")
+    if bg == Sphere(2):
+        r = bg.radius
+        u, w_gl = np.polynomial.legendre.leggauss(resolution)
+        count = 2 * resolution
+        phi = 2.0 * math.pi * np.arange(count) / count
+        rho = (4.0 * math.pi) ** (-bg.n / 2.0) * math.exp(-bg.n / 2.0)
+        sin_theta = np.sqrt(1.0 - u**2)
+        # outer product over (polar, longitude)
+        pts = np.empty((resolution * count, 3))
+        pts[:, 0] = r * np.repeat(sin_theta, count) * np.tile(np.cos(phi), resolution)
+        pts[:, 1] = r * np.repeat(sin_theta, count) * np.tile(np.sin(phi), resolution)
+        pts[:, 2] = r * np.repeat(u, count)
+        wts = rho * r**2 * np.repeat(w_gl, count) * (2.0 * math.pi / count)
+        return QuadratureRule(bg, resolution, pts, wts)
+
+    # Cylinder(1, 1)
+    circle_pts, circle_w = _circle_rule(bg.radius, total_mass(Sphere(1)), resolution)
+    y, w = _gauss_gaussian_1d(resolution)
+    pts, wts = _tensor_product(circle_pts, circle_w, y[:, None], w)
+    return QuadratureRule(bg, resolution, pts, wts)

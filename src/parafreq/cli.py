@@ -9,9 +9,8 @@ and reported but never counted toward the exit code.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .scenario import (
     emit_report_json,
     emit_trace_csv,
     load_config,
+    parse_config,
     run_scenario,
 )
 
@@ -54,47 +54,47 @@ def _load_packaged_configs() -> list[ScenarioConfig]:
     configs = []
     for entry in sorted(suite.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".json"):
-            import json as _json
-
-            from .scenario import parse_config
-
-            doc = _json.loads(entry.read_text())
+            doc = json.loads(entry.read_text())
             configs.append(parse_config(doc, fallback_id=entry.name[: -len(".json")]))
     if not configs:
         raise ConfigError("<suite>", "no packaged scenario configs found")
     return configs
 
 
-def _apply_overrides(config: ScenarioConfig, resolution: int | None) -> ScenarioConfig:
-    if resolution is None:
-        return config
-    return dataclasses.replace(config, resolution=resolution)
+def _execute(configs: list[ScenarioConfig], out_dir: Path) -> tuple[list[RunOutput], int]:
+    """Run and emit each scenario in id order; returns the outputs and the number that raised.
 
-
-def _execute(configs: list[ScenarioConfig], out_dir: Path) -> list[RunOutput]:
+    A scenario that raises is reported on stderr and skipped, so the others
+    still write their files.
+    """
     seen: set[str] = set()
     for config in configs:
         if config.scenario_id in seen:
             raise ConfigError("scenario_id", f"duplicate scenario id {config.scenario_id!r} in batch")
         seen.add(config.scenario_id)
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = min(8, len(configs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outputs = list(pool.map(run_scenario, configs))
-    # deterministic emission order regardless of worker scheduling
-    for output in sorted(outputs, key=lambda o: o.config.scenario_id):
-        sid = output.config.scenario_id
+    outputs: list[RunOutput] = []
+    errors = 0
+    for config in sorted(configs, key=lambda c: c.scenario_id):
+        sid = config.scenario_id
+        try:
+            output = run_scenario(config)
+        except (ToleranceNotMetError, ValueError) as exc:
+            print(f"runtime error in {sid}: {exc}", file=sys.stderr)
+            errors += 1
+            continue
         emit_trace_csv(output, out_dir / f"{sid}.trace.csv")
         emit_report_json(output, out_dir / f"{sid}.report.json")
         emit_plot_script(output, out_dir / f"{sid}.plot.py")
-    return outputs
+        outputs.append(output)
+    return outputs, errors
 
 
 def _summarize(outputs: list[RunOutput], quiet: bool) -> int:
     lines: list[str] = []
     counts = {"pass": 0, "fail": 0, "inapplicable": 0}
     counted_failures = 0
-    for output in sorted(outputs, key=lambda o: o.config.scenario_id):
+    for output in outputs:
         sid = output.config.scenario_id
         for report in output.reports:
             counts[report.status] += 1
@@ -149,15 +149,17 @@ def main(argv: list[str] | None = None) -> int:
             configs = [load_config(p) for p in _collect_paths(args.targets)]
         else:
             configs = _load_packaged_configs()
-        configs = [_apply_overrides(c, args.resolution) for c in configs]
-        outputs = _execute(configs, Path(args.out))
+        if args.resolution is not None:
+            configs = [c.with_resolution(args.resolution) for c in configs]
+        outputs, errors = _execute(configs, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ToleranceNotMetError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    return _summarize(outputs, args.quiet)
+    code = _summarize(outputs, args.quiet)
+    return EXIT_ERROR if errors else code
 
 
 if __name__ == "__main__":

@@ -224,9 +224,6 @@ class Forcing:
     rate: Rate
     coupling: ScalarOnU | ModeMatrix
 
-    def rate_at(self, t: float) -> float:
-        return self.rate(t)
-
 
 # ---------------------------------------------------------------------------
 # trajectories
@@ -293,7 +290,7 @@ def _build_rhs(modes: tuple[Mode, ...], forcing: Forcing) -> Callable[[float, np
     mus = np.array([m.mu for m in modes], dtype=float)
     if isinstance(forcing.coupling, ScalarOnU):
         def rhs(t: float, a: np.ndarray) -> np.ndarray:
-            return -(mus / (-t)) * a + forcing.rate_at(t) * a
+            return -(mus / (-t)) * a + forcing.rate(t) * a
 
         return rhs
     coupling = forcing.coupling
@@ -303,7 +300,7 @@ def _build_rhs(modes: tuple[Mode, ...], forcing: Forcing) -> Callable[[float, np
 
     def rhs(t: float, a: np.ndarray) -> np.ndarray:
         out = -(mus / (-t)) * a
-        out[idx] += forcing.rate_at(t) * (w @ a[idx])
+        out[idx] += forcing.rate(t) * (w @ a[idx])
         return out
 
     return rhs
@@ -384,7 +381,7 @@ def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: Quadra
     from .backgrounds import geometry_at  # local import keeps module load light
 
     t = field.time
-    c = forcing.rate_at(t)
+    c = forcing.rate(t)
     coeffs = field.coeff_map
     pts = rule.points
     values = combination_values(field.background, coeffs, pts)

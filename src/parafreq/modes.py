@@ -26,9 +26,8 @@ planes; (degree, intra-degree label) on spheres, where for n = 1 label 0/1
 selects cos/sin and for n = 2 label j in 0..2k maps to azimuthal order
 m = j - k (negative m = sine branch); (degree, label, axial degrees...) on
 cylinders.  Enumeration sorts by (mu, index) with lexicographic tie-break.
-Backgrounds outside the closed-form table (Plane n > 3, Sphere n > 2, general
-cylinders) still enumerate their spectrum for coefficient-space work; only
-pointwise evaluation raises.
+Backgrounds outside ``backgrounds.POINTWISE`` still enumerate their spectrum
+for coefficient-space work; only pointwise evaluation raises.
 
 Orthonormality is exact in closed form and is re-verified against quadrature
 in the test suite (modes with mu <= 3 to 1e-9 at moderate resolution).
@@ -47,8 +46,9 @@ from .backgrounds import (
     Background,
     Cylinder,
     Plane,
+    POINTWISE,
     Sphere,
-    UnsupportedBackgroundError,
+    require_support,
     total_mass,
     unit_sphere_area,
 )
@@ -291,26 +291,18 @@ def _sphere2_mode_poly(bg: Sphere, k: int, j: int) -> AmbientPolynomial:
 
 
 def _mode_poly(bg: Background, mode: Mode) -> AmbientPolynomial:
+    require_support(bg, POINTWISE, "closed-form mode evaluation")
     idx = mode.index
     if isinstance(bg, Plane):
-        if bg.n > 3:
-            raise UnsupportedBackgroundError("closed-form modes implemented for Plane(n <= 3)")
         return _plane_mode_poly(bg, idx)
-    if isinstance(bg, Sphere):
-        if bg.n == 1:
-            return _circle_mode_poly(idx[0], idx[1], bg.radius, total_mass(bg), dim=2, axes=(0, 1))
-        if bg.n == 2:
-            return _sphere2_mode_poly(bg, idx[0], idx[1])
-        raise UnsupportedBackgroundError("closed-form modes implemented for Sphere(n <= 2)")
-    if isinstance(bg, Cylinder):
-        if (bg.k, bg.m) != (1, 1):
-            raise UnsupportedBackgroundError("closed-form modes implemented for Cylinder(1, 1)")
-        circle = _circle_mode_poly(idx[0], idx[1], bg.radius, total_mass(Sphere(1)), dim=3, axes=(0, 1))
-        axial = hermite_polynomial(idx[2], dim=3, axis=2).scale(
-            1.0 / math.sqrt(hermite_norm_squared(idx[2]))
-        )
-        return circle * axial
-    raise TypeError(f"unknown background {bg!r}")
+    if bg == Sphere(1):
+        return _circle_mode_poly(idx[0], idx[1], bg.radius, total_mass(bg), dim=2, axes=(0, 1))
+    if bg == Sphere(2):
+        return _sphere2_mode_poly(bg, idx[0], idx[1])
+    # Cylinder(1, 1)
+    circle = _circle_mode_poly(idx[0], idx[1], bg.radius, total_mass(Sphere(1)), dim=3, axes=(0, 1))
+    axial = hermite_polynomial(idx[2], dim=3, axis=2).scale(1.0 / math.sqrt(hermite_norm_squared(idx[2])))
+    return circle * axial
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
 from ._version import __version__
-from .backgrounds import Background, Cylinder, Plane, Sphere, kappa, quadrature
+from .backgrounds import CURVATURE_IDENTITY, POINTWISE, Background, Cylinder, Plane, Sphere, kappa, quadrature
 from .evolution import (
     CoefficientField,
     ConstantRate,
@@ -47,8 +48,8 @@ from .evolution import (
 from .frequency import FrequencyTrace, trace_from_trajectory
 from .modes import Mode, enumerate_modes, mode_from_index, mode_sort_key
 from .verifiers import (
-    NodeCheck,
     VerificationReport,
+    merge_reports,
     report_from_dict,
     standard_test_functions,
     verify_drift_bochner,
@@ -74,23 +75,28 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field}': {problem}")
 
 
-_CHECK_NAMES = (
-    "frequency_monotonicity",
-    "equality_case",
-    "harnack",
-    "harnack_printed",
-    "weighted_monotonicity",
-    "drift_bochner",
-    "drift_bochner_verbatim",
-    "general_bounds",
-    "general_harnack",
-    "eigenvalue_monotonicity",
-    "selfsimilar_scaling",
-    "quadrature_mass",
+# check name -> verifier.  Dispatch looks the verifier up here at call time,
+# so anything that rebinds the module-level callables reaches every check.
+_VERIFIERS = {
+    "frequency_monotonicity": verify_frequency_monotonicity,
+    "equality_case": verify_equality_case,
+    "harnack": verify_harnack,
+    "harnack_printed": verify_harnack_printed,
+    "weighted_monotonicity": verify_weighted_monotonicity,
+    "drift_bochner": verify_drift_bochner,
+    "drift_bochner_verbatim": verify_drift_bochner_verbatim,
+    "general_bounds": verify_general_bounds,
+    "general_harnack": verify_general_harnack,
+    "eigenvalue_monotonicity": verify_eigenvalue_monotonicity,
+    "selfsimilar_scaling": verify_selfsimilar_scaling,
+    "quadrature_mass": verify_quadrature_mass,
+}
+# checks whose verifier takes the quadrature resolution
+_RESOLUTION_CHECKS = frozenset(
+    {"weighted_monotonicity", "general_bounds", "selfsimilar_scaling", "quadrature_mass"}
 )
-
 # checks that evaluate modes or geometry pointwise and therefore need a
-# background from the closed-form table
+# background in backgrounds.POINTWISE
 _POINTWISE_CHECKS = frozenset(
     {"weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass"}
 )
@@ -168,6 +174,10 @@ class ScenarioConfig:
             "random_mixture": dict(self.random_mixture) if self.random_mixture is not None else None,
         }
 
+    def with_resolution(self, resolution: Any) -> ScenarioConfig:
+        """This config at another quadrature resolution, checked like the config field."""
+        return replace(self, resolution=_parse_resolution(resolution))
+
     def config_hash(self) -> str:
         doc = json.dumps(self.normalized(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(doc.encode("utf-8")).hexdigest()
@@ -177,21 +187,53 @@ def _mode_key(mode: Mode) -> str:
     return ",".join(str(i) for i in mode.index)
 
 
-def _parse_background(doc: Any) -> Background:
+def _number(value: Any, field: str, *, integer: bool = False, minimum: float | None = None) -> Any:
+    """A finite JSON number, integral when ``integer``; bools, strings and fractions never pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(field, f"must be a number, got {value!r}")
+    if not (integer and isinstance(value, numbers.Integral)):
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(field, "out of the floating-point range") from None
+        if not math.isfinite(value):
+            raise ConfigError(field, f"must be finite, got {value!r}")
+        if integer and not value.is_integer():
+            raise ConfigError(field, f"must be an integer, got {value!r}")
+    value = int(value) if integer else value
+    if minimum is not None and value < minimum:
+        raise ConfigError(field, f"must be >= {minimum}, got {value!r}")
+    return value
+
+
+def _numbers(values: Any, field: str) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(field, f"must be a list of numbers, got {values!r}")
+    return tuple(_number(v, field) for v in values)
+
+
+def _object(doc: Any, field: str, shape: str = "") -> Mapping:
     if not isinstance(doc, Mapping):
-        raise ConfigError("background", "must be an object with a 'kind'")
+        raise ConfigError(field, f"must be an object {shape}".rstrip())
+    return doc
+
+
+def _parse_resolution(value: Any) -> int:
+    return _number(value, "resolution", integer=True, minimum=2)
+
+
+def _parse_background(doc: Any) -> Background:
+    doc = _object(doc, "background", "with a 'kind'")
     kind = doc.get("kind")
-    try:
-        if kind == "plane":
-            return Plane(int(doc["n"]))
-        if kind == "sphere":
-            return Sphere(int(doc["n"]))
-        if kind == "cylinder":
-            return Cylinder(int(doc["k"]), int(doc["m"]))
-    except KeyError as exc:
-        raise ConfigError("background", f"missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("background", str(exc)) from exc
+    if kind == "plane":
+        return Plane(_number(doc.get("n"), "background.n", integer=True, minimum=1))
+    if kind == "sphere":
+        return Sphere(_number(doc.get("n"), "background.n", integer=True, minimum=1))
+    if kind == "cylinder":
+        return Cylinder(
+            _number(doc.get("k"), "background.k", integer=True, minimum=1),
+            _number(doc.get("m"), "background.m", integer=True, minimum=1),
+        )
     raise ConfigError("background.kind", f"unknown kind {kind!r}")
 
 
@@ -207,24 +249,22 @@ def _parse_mode(bg: Background, key: str) -> Mode:
 
 
 def _parse_rate(doc: Any) -> ConstantRate | SampledRate:
-    if not isinstance(doc, Mapping) or "type" not in doc:
-        raise ConfigError("forcing.rate", "must be an object with a 'type'")
-    if doc["type"] == "constant":
+    doc = _object(doc, "forcing.rate", "with a 'type'")
+    kind = doc.get("type")
+    if kind == "constant":
+        return ConstantRate(_number(doc.get("c0"), "forcing.rate.c0", minimum=0.0))
+    if kind == "sampled":
+        times = _numbers(doc.get("times"), "forcing.rate.times")
+        values = _numbers(doc.get("values"), "forcing.rate.values")
         try:
-            return ConstantRate(float(doc["c0"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("forcing.rate.c0", str(exc)) from exc
-    if doc["type"] == "sampled":
-        try:
-            return SampledRate(tuple(float(t) for t in doc["times"]), tuple(float(v) for v in doc["values"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return SampledRate(times, values)
+        except ValueError as exc:
             raise ConfigError("forcing.rate", str(exc)) from exc
-    raise ConfigError("forcing.rate.type", f"unknown type {doc['type']!r}")
+    raise ConfigError("forcing.rate.type", f"unknown type {kind!r}")
 
 
 def _parse_forcing(bg: Background, doc: Any) -> Forcing:
-    if not isinstance(doc, Mapping):
-        raise ConfigError("forcing", "must be an object")
+    doc = _object(doc, "forcing", "{rate, coupling}")
     rate = _parse_rate(doc.get("rate"))
     coupling_kind = doc.get("coupling")
     if coupling_kind == "scalar_on_u":
@@ -232,25 +272,15 @@ def _parse_forcing(bg: Background, doc: Any) -> Forcing:
     if coupling_kind == "mode_matrix":
         if "modes" not in doc or "matrix" not in doc:
             raise ConfigError("forcing", "mode_matrix coupling needs 'modes' and 'matrix'")
+        if not isinstance(doc["matrix"], (list, tuple)):
+            raise ConfigError("forcing.matrix", "must be a list of rows")
         modes = tuple(_parse_mode(bg, key) for key in doc["modes"])
+        matrix = tuple(_numbers(row, "forcing.matrix") for row in doc["matrix"])
         try:
-            matrix = tuple(tuple(float(x) for x in row) for row in doc["matrix"])
             return Forcing(rate, ModeMatrix(modes, matrix))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError("forcing.matrix", str(exc)) from exc
     raise ConfigError("forcing.coupling", f"unknown coupling {coupling_kind!r}")
-
-
-def _pointwise_supported(bg: Background) -> bool:
-    if isinstance(bg, Plane):
-        return bg.n <= 3
-    if isinstance(bg, Sphere):
-        return bg.n <= 2
-    return isinstance(bg, Cylinder) and (bg.k, bg.m) == (1, 1)
-
-
-def _bochner_supported(bg: Background) -> bool:
-    return (isinstance(bg, Plane) and bg.n <= 2) or (isinstance(bg, Sphere) and bg.n <= 2)
 
 
 def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
@@ -258,8 +288,7 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
 
     Raises ``ConfigError`` naming the offending field on any problem.
     """
-    if not isinstance(doc, Mapping):
-        raise ConfigError("<root>", "config must be a JSON object")
+    doc = _object(doc, "<root>")
     known_keys = {
         "scenario_id", "background", "initial_modes", "time", "kappa", "forcing",
         "resolution", "checks", "report_only", "tolerances", "rk_local_tol", "random_mixture",
@@ -273,33 +302,19 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
         raise ConfigError("scenario_id", "required (non-empty string)")
     bg = _parse_background(doc.get("background"))
 
-    time_doc = doc.get("time")
-    if not isinstance(time_doc, Mapping):
-        raise ConfigError("time", "must be an object {a, b, nodes}")
-    try:
-        a = float(time_doc["a"])
-        b = float(time_doc["b"])
-        count = int(time_doc["nodes"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("time", str(exc)) from exc
+    time_doc = _object(doc.get("time"), "time", "{a, b, nodes}")
+    a = _number(time_doc.get("a"), "time.a")
+    b = _number(time_doc.get("b"), "time.b")
+    count = _number(time_doc.get("nodes"), "time.nodes", integer=True, minimum=3)
     if not (a < b < 0.0):
         raise ConfigError("time", f"need a < b < 0, got a={a}, b={b}")
-    if count < 3:
-        raise ConfigError("time.nodes", f"need at least 3 nodes, got {count}")
     grid = TimeGrid.uniform(a, b, count)
 
-    modes_doc = doc.get("initial_modes", {})
-    if not isinstance(modes_doc, Mapping):
-        raise ConfigError("initial_modes", "must be an object mapping multi-index to amplitude")
+    modes_doc = _object(doc.get("initial_modes", {}), "initial_modes", "mapping multi-index to amplitude")
     coeffs: dict[Mode, float] = {}
     for key, amp in modes_doc.items():
         mode = _parse_mode(bg, str(key))
-        try:
-            value = float(amp)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("initial_modes", f"amplitude for {key!r} not a number") from exc
-        if not math.isfinite(value):
-            raise ConfigError("initial_modes", f"amplitude for {key!r} must be finite")
+        value = _number(amp, f"initial_modes.{key}")
         if mode in coeffs:
             raise ConfigError("initial_modes", f"duplicate mode {key!r}")
         coeffs[mode] = value
@@ -307,19 +322,13 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
     mixture_doc = doc.get("random_mixture")
     mixture: tuple[tuple[str, float], ...] | None = None
     if mixture_doc is not None:
-        if not isinstance(mixture_doc, Mapping):
-            raise ConfigError("random_mixture", "must be an object {seed, mu_cutoff, low, high}")
-        try:
-            seed = int(mixture_doc["seed"])
-            mu_cutoff = float(mixture_doc["mu_cutoff"])
-            low = float(mixture_doc["low"])
-            high = float(mixture_doc["high"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("random_mixture", str(exc)) from exc
+        mixture_doc = _object(mixture_doc, "random_mixture", "{seed, mu_cutoff, low, high}")
+        seed = _number(mixture_doc.get("seed"), "random_mixture.seed", integer=True, minimum=0)
+        mu_cutoff = _number(mixture_doc.get("mu_cutoff"), "random_mixture.mu_cutoff", minimum=0.0)
+        low = _number(mixture_doc.get("low"), "random_mixture.low")
+        high = _number(mixture_doc.get("high"), "random_mixture.high")
         if not (0.0 <= low <= high):
             raise ConfigError("random_mixture", f"need 0 <= low <= high, got low={low}, high={high}")
-        if mu_cutoff < 0.0:
-            raise ConfigError("random_mixture.mu_cutoff", "must be >= 0")
         mixture = (("seed", float(seed)), ("mu_cutoff", mu_cutoff), ("low", low), ("high", high))
         rng = np.random.default_rng(seed)
         for mode in enumerate_modes(bg, mu_cutoff):
@@ -330,42 +339,29 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
     if kappa_doc is None or kappa_doc == "background":
         kappa_value = kappa(bg)
     else:
-        try:
-            kappa_value = float(kappa_doc)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("kappa", "must be a number") from exc
-        if not math.isfinite(kappa_value) or kappa_value < 0.0:
-            raise ConfigError("kappa", f"must be finite and >= 0, got {kappa_value}")
+        kappa_value = _number(kappa_doc, "kappa", minimum=0.0)
 
     forcing = None
     if doc.get("forcing") is not None:
         forcing = _parse_forcing(bg, doc["forcing"])
 
-    resolution = doc.get("resolution", 24)
-    try:
-        resolution = int(resolution)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("resolution", "must be an integer") from exc
-    if resolution < 2:
-        raise ConfigError("resolution", f"must be >= 2, got {resolution}")
+    resolution = _parse_resolution(doc.get("resolution", 24))
 
     checks_doc = doc.get("checks")
     if not isinstance(checks_doc, (list, tuple)) or not checks_doc:
         raise ConfigError("checks", "must be a non-empty list of check names")
     checks: list[str] = []
     for name in checks_doc:
-        if name not in _CHECK_NAMES:
+        if name not in _VERIFIERS:
             raise ConfigError("checks", f"unknown check {name!r}")
         if name in checks:
             raise ConfigError("checks", f"duplicate check {name!r}")
         checks.append(name)
-    if any(c in _POINTWISE_CHECKS for c in checks) and not _pointwise_supported(bg):
+    if bg not in POINTWISE and any(c in _POINTWISE_CHECKS for c in checks):
         raise ConfigError("checks", f"pointwise checks are not available on {bg.label()}")
-    if any(c in _BOCHNER_CHECKS for c in checks) and not _bochner_supported(bg):
-        raise ConfigError(
-            "checks", f"curvature-identity checks support plane(n<=2) and sphere(n<=2); got {bg.label()}"
-        )
-    if forcing is not None and not _pointwise_supported(bg):
+    if bg not in CURVATURE_IDENTITY and any(c in _BOCHNER_CHECKS for c in checks):
+        raise ConfigError("checks", f"curvature-identity checks are not available on {bg.label()}")
+    if bg not in POINTWISE and forcing is not None:
         raise ConfigError("forcing", f"hypothesis certification needs pointwise geometry; got {bg.label()}")
 
     report_only_doc = doc.get("report_only", [])
@@ -377,26 +373,14 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
             raise ConfigError("report_only", f"{name!r} is not among the requested checks")
         report_only.add(name)
 
-    tolerances_doc = doc.get("tolerances", {})
-    if not isinstance(tolerances_doc, Mapping):
-        raise ConfigError("tolerances", "must be an object mapping check name to tolerance")
+    tolerances_doc = _object(doc.get("tolerances", {}), "tolerances", "mapping check name to tolerance")
     tolerances: list[tuple[str, float]] = []
     for name, value in tolerances_doc.items():
-        if name not in _CHECK_NAMES:
+        if name not in _VERIFIERS:
             raise ConfigError("tolerances", f"unknown check {name!r}")
-        try:
-            tol = float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("tolerances", f"tolerance for {name!r} not a number") from exc
-        if not (tol >= 0.0 and math.isfinite(tol)):
-            raise ConfigError("tolerances", f"tolerance for {name!r} must be finite and >= 0")
-        tolerances.append((name, tol))
+        tolerances.append((name, _number(value, f"tolerances.{name}", minimum=0.0)))
 
-    rk_local_tol = doc.get("rk_local_tol", 1e-8)
-    try:
-        rk_local_tol = float(rk_local_tol)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("rk_local_tol", "must be a number") from exc
+    rk_local_tol = _number(doc.get("rk_local_tol", 1e-8), "rk_local_tol")
     if not (0.0 < rk_local_tol < 1.0):
         raise ConfigError("rk_local_tol", f"must be in (0, 1), got {rk_local_tol}")
 
@@ -456,136 +440,34 @@ class RunOutput:
         )
 
 
-def _merge_nodes(
-    check_name: str,
-    reports: list[VerificationReport],
-) -> tuple[list[NodeCheck], float, tuple[str, ...]]:
-    nodes: list[NodeCheck] = []
-    notes: list[str] = []
-    tol = 0.0
-    for r in reports:
-        nodes.extend(r.nodes)
-        notes.extend(r.notes)
-        tol = max(tol, r.tolerance)
-    return nodes, tol, tuple(notes)
-
-
-def _run_weighted(config: ScenarioConfig, traj: Trajectory) -> VerificationReport:
-    # one report per scenario: fold every packaged test function into one node list
-    funcs = standard_test_functions(config.background)
-    tol = config.tolerance_for("weighted_monotonicity")
-    partial = []
-    for name, poly in sorted(funcs.items()):
-        kwargs = {"resolution": config.resolution, "scenario_id": config.scenario_id, "function_name": name}
-        if tol is not None:
-            kwargs["tolerance"] = tol
-        rep = verify_weighted_monotonicity(config.background, poly, config.grid, **kwargs)
-        relabeled = [NodeCheck(t=n.t, margin=n.margin, label=f"{name}:{n.label}") for n in rep.nodes]
-        partial.append(
-            VerificationReport(
-                check_name=rep.check_name, background=rep.background, scenario_id=rep.scenario_id,
-                nodes=tuple(relabeled), tolerance=rep.tolerance, min_margin=rep.min_margin,
-                status=rep.status, notes=(),
-            )
-        )
-    nodes, tol_merged, notes = _merge_nodes("weighted_monotonicity", partial)
-    min_margin = min(n.margin for n in nodes)
-    status = "pass" if min_margin >= -tol_merged else "fail"
-    return VerificationReport(
-        check_name="weighted_monotonicity",
-        background=config.background.label(),
-        scenario_id=config.scenario_id,
-        nodes=tuple(nodes),
-        tolerance=tol_merged,
-        min_margin=min_margin,
-        status=status,
-        notes=(f"test functions: {', '.join(sorted(funcs))}",),
-    )
-
-
-def _run_bochner(config: ScenarioConfig, traj: Trajectory, verbatim: bool) -> VerificationReport:
-    check = verify_drift_bochner_verbatim if verbatim else verify_drift_bochner
-    name = "drift_bochner_verbatim" if verbatim else "drift_bochner"
-    rule = quadrature(config.background, config.resolution)
+def _run_check(name: str, config: ScenarioConfig, traj: Trajectory) -> VerificationReport:
+    """Call the check's verifier with the arguments it takes; fold multi-run checks into one report."""
+    verify = _VERIFIERS[name]
+    bg = config.background
+    kwargs: dict[str, Any] = {"scenario_id": config.scenario_id}
+    if name in _RESOLUTION_CHECKS:
+        kwargs["resolution"] = config.resolution
     tol = config.tolerance_for(name)
-    kwargs = {"scenario_id": config.scenario_id}
     if tol is not None:
         kwargs["tolerance"] = tol
-    # identity is static per field; evaluate at both ends of the run
-    fields = [traj.fields[0]]
-    if len(traj.fields) > 1:
-        fields.append(traj.fields[-1])
-    partial = [check(config.background, f, rule, **kwargs) for f in fields]
-    nodes, tol_merged, notes = _merge_nodes(name, partial)
-    min_margin = min(n.margin for n in nodes)
-    status = "pass" if min_margin >= -tol_merged else "fail"
-    return VerificationReport(
-        check_name=name,
-        background=config.background.label(),
-        scenario_id=config.scenario_id,
-        nodes=tuple(nodes),
-        tolerance=tol_merged,
-        min_margin=min_margin,
-        status=status,
-        notes=notes,
-    )
-
-
-def _check_runners() -> dict[str, Callable[[ScenarioConfig, Trajectory], VerificationReport]]:
-    def simple(fn, name, **extra):
-        def run(config: ScenarioConfig, traj: Trajectory) -> VerificationReport:
-            tol = config.tolerance_for(name)
-            kwargs = {"scenario_id": config.scenario_id, **extra}
-            if tol is not None:
-                kwargs["tolerance"] = tol
-            return fn(traj, config.kappa_value, **kwargs)
-        return run
-
-    def eigen(config: ScenarioConfig, traj: Trajectory) -> VerificationReport:
-        tol = config.tolerance_for("eigenvalue_monotonicity")
-        kwargs = {"scenario_id": config.scenario_id}
-        if tol is not None:
-            kwargs["tolerance"] = tol
-        return verify_eigenvalue_monotonicity(config.background, config.grid, config.kappa_value, **kwargs)
-
-    def selfsim(config: ScenarioConfig, traj: Trajectory) -> VerificationReport:
-        tol = config.tolerance_for("selfsimilar_scaling")
-        kwargs = {"scenario_id": config.scenario_id, "resolution": config.resolution}
-        if tol is not None:
-            kwargs["tolerance"] = tol
-        return verify_selfsimilar_scaling(traj, **kwargs)
-
-    def mass(config: ScenarioConfig, traj: Trajectory) -> VerificationReport:
-        tol = config.tolerance_for("quadrature_mass")
-        kwargs = {"scenario_id": config.scenario_id, "resolution": config.resolution}
-        if tol is not None:
-            kwargs["tolerance"] = tol
-        return verify_quadrature_mass(config.background, **kwargs)
-
-    def bounds(config: ScenarioConfig, traj: Trajectory) -> VerificationReport:
-        tol = config.tolerance_for("general_bounds")
-        kwargs = {"scenario_id": config.scenario_id, "resolution": config.resolution}
-        if tol is not None:
-            kwargs["tolerance"] = tol
-        return verify_general_bounds(traj, config.kappa_value, **kwargs)
-
-    return {
-        "frequency_monotonicity": simple(verify_frequency_monotonicity, "frequency_monotonicity"),
-        "equality_case": simple(verify_equality_case, "equality_case"),
-        "harnack": simple(verify_harnack, "harnack"),
-        "harnack_printed": simple(verify_harnack_printed, "harnack_printed"),
-        "weighted_monotonicity": _run_weighted,
-        "drift_bochner": lambda c, t: _run_bochner(c, t, verbatim=False),
-        "drift_bochner_verbatim": lambda c, t: _run_bochner(c, t, verbatim=True),
-        "general_bounds": bounds,
-        "general_harnack": simple(verify_general_harnack, "general_harnack"),
-        "eigenvalue_monotonicity": eigen,
-        "selfsimilar_scaling": selfsim,
-        "quadrature_mass": mass,
-    }
-
-
-_RUNNERS = _check_runners()
+    if name == "weighted_monotonicity":
+        # one report per scenario: every packaged test function, folded
+        funcs = standard_test_functions(bg)
+        names = sorted(funcs)
+        parts = [verify(bg, funcs[f], config.grid, function_name=f, **kwargs) for f in names]
+        return merge_reports(bg, parts, label_prefixes=names, notes=(f"test functions: {', '.join(names)}",))
+    if name in _BOCHNER_CHECKS:
+        # the identity is static per field; evaluate it at both ends of the run
+        rule = quadrature(bg, config.resolution)
+        ends = (traj.fields[0], traj.fields[-1]) if len(traj.fields) > 1 else traj.fields
+        return merge_reports(bg, [verify(bg, f, rule, **kwargs) for f in ends])
+    if name == "eigenvalue_monotonicity":
+        return verify(bg, config.grid, config.kappa_value, **kwargs)
+    if name == "quadrature_mass":
+        return verify(bg, **kwargs)
+    if name == "selfsimilar_scaling":
+        return verify(traj, **kwargs)
+    return verify(traj, config.kappa_value, **kwargs)
 
 
 def run_scenario(config: ScenarioConfig) -> RunOutput:
@@ -598,7 +480,7 @@ def run_scenario(config: ScenarioConfig) -> RunOutput:
     else:
         traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
     trace = trace_from_trajectory(traj, config.kappa_value)
-    reports = tuple(_RUNNERS[name](config, traj) for name in config.checks)
+    reports = tuple(_run_check(name, config, traj) for name in config.checks)
     return RunOutput(config=config, trace=trace, reports=reports)
 
 

@@ -6,8 +6,8 @@ per-node margins on a concrete evolution and wraps them in a
 
 * Inequality checks report the raw slack of the bound, so the statement
   holds at a node iff its margin is nonnegative (up to tolerance).
-* Identity checks report ``-|residual|``, so the shared pass rule
-  ``min_margin >= -tolerance`` applies uniformly to both kinds.
+* Identity checks report ``-|residual|``, so the shared pass rule in
+  ``_report`` (no margin below minus the tolerance) applies to both kinds.
 
 Reports carry a three-state verdict.  ``inapplicable`` is reserved for runs
 the statement genuinely does not speak about (zero initial data, a forcing
@@ -34,15 +34,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backgrounds import (
+    CURVATURE_IDENTITY,
     Background,
     Cylinder,
     Plane,
     QuadratureRule,
     Sphere,
-    UnsupportedBackgroundError,
     geometry_at,
     kappa,
     quadrature,
+    require_support,
     total_mass,
 )
 from .evolution import CoefficientField, TimeGrid, Trajectory, forcing_bound_margin
@@ -78,7 +79,7 @@ class VerificationReport:
 
     ``min_margin`` is ``None`` exactly when the report is inapplicable;
     otherwise it is the minimum over node margins and the verdict is
-    ``pass`` iff ``min_margin >= -tolerance``.
+    ``pass`` iff it is at least minus the tolerance.
     """
 
     check_name: str
@@ -160,6 +161,32 @@ def _report(
         status=status,
         notes=notes,
     )
+
+
+def merge_reports(
+    bg: Background,
+    reports: list[VerificationReport],
+    *,
+    label_prefixes: list[str] | None = None,
+    notes: tuple[str, ...] | None = None,
+) -> VerificationReport:
+    """Fold several applicable runs of one check into one report.
+
+    Nodes keep their order, labelled ``<prefix>:<label>`` when prefixes are
+    given (one per report).  The tolerance is the largest of the parts, the
+    notes are theirs in order unless ``notes`` replaces them, and the verdict
+    comes from the same rule as every single-run report.
+    """
+    nodes: list[NodeCheck] = []
+    for i, r in enumerate(reports):
+        if label_prefixes is None:
+            nodes.extend(r.nodes)
+        else:
+            nodes.extend(NodeCheck(t=n.t, margin=n.margin, label=f"{label_prefixes[i]}:{n.label}") for n in r.nodes)
+    if notes is None:
+        notes = tuple(note for r in reports for note in r.notes)
+    first = reports[0]
+    return _report(first.check_name, bg, first.scenario_id, nodes, max(r.tolerance for r in reports), notes)
 
 
 def _is_zero_run(trace: FrequencyTrace) -> bool:
@@ -541,15 +568,6 @@ def _bochner_sides(bg: Background, f: CoefficientField, rule: QuadratureRule) ->
     return lhs, rhs_verbatim, rhs_corrected, grad_energy
 
 
-def _require_bochner_background(bg: Background) -> None:
-    # closed-form mode Hessians are wired for these geometries only
-    ok = (isinstance(bg, Plane) and bg.n <= 2) or (isinstance(bg, Sphere) and bg.n <= 2)
-    if not ok:
-        raise UnsupportedBackgroundError(
-            f"integral curvature identity supports plane(n<=2) and sphere(n<=2); got {bg.label()}"
-        )
-
-
 def verify_drift_bochner(
     bg: Background,
     f: CoefficientField,
@@ -575,7 +593,7 @@ def verify_drift_bochner(
     ``verify_drift_bochner_verbatim``; its residual is recorded here as a
     note for side-by-side comparison.
     """
-    _require_bochner_background(bg)
+    require_support(bg, CURVATURE_IDENTITY, "the integral curvature identity")
     lhs, rhs_a, rhs_b, grad_energy = _bochner_sides(bg, f, rule)
     margin = -abs(lhs - rhs_b)
     notes = (
@@ -602,7 +620,7 @@ def verify_drift_bochner_verbatim(
     note carries that reference value so reports are self-explanatory.
     Scenarios list this check as report-only.
     """
-    _require_bochner_background(bg)
+    require_support(bg, CURVATURE_IDENTITY, "the integral curvature identity")
     lhs, rhs_a, _, grad_energy = _bochner_sides(bg, f, rule)
     margin = -abs(lhs - rhs_a)
     expected = 0.0 if isinstance(bg, Plane) else grad_energy / (2.0 * (-f.time))

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from parafreq import (
+    CoefficientField,
+    ConfigError,
     Cylinder,
     Plane,
     Sphere,
@@ -15,10 +17,14 @@ from parafreq import (
     geometry_at,
     kappa,
     mode_function,
+    parse_config,
     quadrature,
     total_mass,
     unit_sphere_area,
+    verify_drift_bochner,
+    verify_drift_bochner_verbatim,
 )
+from parafreq.backgrounds import CURVATURE_IDENTITY, POINTWISE
 
 ALL_BACKGROUNDS = [Plane(1), Plane(2), Plane(3), Sphere(1), Sphere(2), Cylinder(1, 1)]
 
@@ -162,13 +168,74 @@ def test_off_surface_points_rejected():
 # supported ranges
 
 
-def test_unsupported_quadrature_ranges():
-    with pytest.raises(UnsupportedBackgroundError):
-        quadrature(Plane(4), 8)
-    with pytest.raises(UnsupportedBackgroundError):
-        quadrature(Sphere(3), 8)
-    with pytest.raises(UnsupportedBackgroundError):
-        quadrature(Cylinder(2, 1), 8)
+# (background, closed-form pointwise support, curvature identity)
+CAPABILITIES = [
+    (Plane(1), True, True),
+    (Plane(2), True, True),
+    (Plane(3), True, False),
+    (Plane(4), False, False),
+    (Sphere(1), True, True),
+    (Sphere(2), True, True),
+    (Sphere(3), False, False),
+    (Cylinder(1, 1), True, False),
+    (Cylinder(2, 1), False, False),
+    (Cylinder(1, 2), False, False),
+]
+
+
+@pytest.mark.parametrize(
+    "bg, pointwise, identity", CAPABILITIES, ids=[case[0].label() for case in CAPABILITIES]
+)
+def test_capability_declaration_gates_every_consumer(bg, pointwise, identity):
+    assert (bg in POINTWISE, bg in CURVATURE_IDENTITY) == (pointwise, identity)
+    mode = enumerate_modes(bg, 1.0)[1]
+    point = np.zeros(bg.ambient_dim)
+    if not isinstance(bg, Plane):
+        point[0] = bg.radius  # on the sphere factor
+
+    def allowed(call):
+        try:
+            call()
+        except UnsupportedBackgroundError:
+            return False
+        return True
+
+    assert allowed(lambda: quadrature(bg, 4)) == pointwise
+    assert allowed(lambda: geometry_at(bg, point)) == pointwise
+    assert allowed(lambda: mode_function(bg, mode)) == pointwise
+    if not identity:
+        field = CoefficientField.from_dict(bg, -1.0, {mode: 1.0})
+        for verify in (verify_drift_bochner, verify_drift_bochner_verbatim):
+            with pytest.raises(UnsupportedBackgroundError):
+                verify(bg, field, None)
+
+    if isinstance(bg, Plane):
+        bg_doc = {"kind": "plane", "n": bg.n}
+    elif isinstance(bg, Sphere):
+        bg_doc = {"kind": "sphere", "n": bg.n}
+    else:
+        bg_doc = {"kind": "cylinder", "k": bg.k, "m": bg.m}
+    base = {
+        "scenario_id": "capability",
+        "background": bg_doc,
+        "initial_modes": {",".join(map(str, mode.index)): 1.0},
+        "time": {"a": -1.0, "b": -0.5, "nodes": 5},
+    }
+
+    def accepted(**fields):
+        try:
+            parse_config(dict(base, **fields))
+        except ConfigError:
+            return False
+        return True
+
+    assert accepted(checks=["frequency_monotonicity", "harnack", "eigenvalue_monotonicity"])
+    for check in ("weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass"):
+        assert accepted(checks=[check]) == pointwise, check
+    for check in ("drift_bochner", "drift_bochner_verbatim"):
+        assert accepted(checks=[check]) == identity, check
+    forcing = {"rate": {"type": "constant", "c0": 0.1}, "coupling": "scalar_on_u"}
+    assert accepted(checks=["general_bounds"], forcing=forcing) == pointwise
 
 
 def test_degenerate_dimensions_rejected():

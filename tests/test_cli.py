@@ -93,6 +93,37 @@ def test_resolution_override_changes_provenance(tmp_path):
     assert doc["provenance"]["resolution"] == 17
 
 
+@pytest.mark.parametrize("value", ["1", "0", "-3"])
+def test_resolution_override_follows_the_config_rule(tmp_path, capsys, value):
+    cfg = _write(tmp_path, "ok.json", PASSING)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--resolution", value]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'resolution'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_runtime_error_spares_the_rest_of_the_batch(tmp_path, capsys):
+    # the stepped solver refuses grids ending this close to the singular time
+    broken = dict(
+        PASSING,
+        scenario_id="late-forced",
+        time={"a": -1.0, "b": -1e-4, "nodes": 21},
+        forcing={"rate": {"type": "constant", "c0": 0.5}, "coupling": "scalar_on_u"},
+        checks=["frequency_monotonicity"],
+    )
+    _write(tmp_path, "a.json", dict(PASSING, scenario_id="a"))
+    _write(tmp_path, "b.json", broken)
+    _write(tmp_path, "c.json", dict(PASSING, scenario_id="c"))
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "runtime error in late-forced:" in captured.err
+    assert "2 scenario(s)" in captured.out
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"{sid}{suffix}" for sid in ("a", "c") for suffix in (".plot.py", ".report.json", ".trace.csv")
+    ]
+
+
 def test_quiet_prints_only_failures_and_summary(tmp_path, capsys):
     cfg = _write(tmp_path, "ok.json", PASSING)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0

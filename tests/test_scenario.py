@@ -56,18 +56,27 @@ def test_background_validation():
     _expect_config_error(_doc(background={"kind": "torus"}), "background")
     _expect_config_error(_doc(background={"kind": "plane"}), "background")
     _expect_config_error(_doc(background={"kind": "cylinder", "k": 1}), "background")
+    _expect_config_error(_doc(background={"kind": "plane", "n": 1.7}), "background.n")
+    _expect_config_error(_doc(background={"kind": "sphere", "n": True}), "background.n")
 
 
 def test_time_grid_validation():
     _expect_config_error(_doc(time={"a": -0.5, "b": -1.0, "nodes": 5}), "time")
     _expect_config_error(_doc(time={"a": -1.0, "b": 0.5, "nodes": 5}), "time")
     _expect_config_error(_doc(time={"a": -1.0, "b": -0.5, "nodes": 2}), "time")
+    _expect_config_error(_doc(time={"a": -1.0, "b": -0.5, "nodes": 3.9}), "time.nodes")
+    _expect_config_error(_doc(time={"a": float("-inf"), "b": -0.5, "nodes": 5}), "time.a")
+    _expect_config_error(_doc(time={"a": "-1", "b": -0.5, "nodes": 5}), "time.a")
 
 
 def test_mode_and_amplitude_validation():
     _expect_config_error(_doc(initial_modes={"x": 1.0}), "initial_modes")
     _expect_config_error(_doc(initial_modes={"1,0": float("inf")}), "initial_modes")
     _expect_config_error(_doc(initial_modes={"9,0,0": 1.0}), "initial_modes")
+    _expect_config_error(_doc(initial_modes={"1,0": True}), "initial_modes")
+    mixture = {"seed": -1, "mu_cutoff": 1.0, "low": 0.2, "high": 1.0}
+    _expect_config_error(_doc(random_mixture=mixture), "random_mixture.seed")
+    _expect_config_error(_doc(random_mixture=dict(mixture, seed=2.5)), "random_mixture.seed")
 
 
 def test_check_list_validation():
@@ -77,19 +86,12 @@ def test_check_list_validation():
     _expect_config_error(_doc(report_only=["weighted_monotonicity"]), "report_only")
 
 
-def test_dimension_gates_on_pointwise_checks():
-    doc = _doc(background={"kind": "plane", "n": 4}, initial_modes={"1,0,0,0": 1.0})
-    doc["checks"] = ["quadrature_mass"]
-    _expect_config_error(doc, "checks")
-    doc["checks"] = ["frequency_monotonicity"]
-    parse_config(doc)  # spectral checks stay available in high dimension
-
-
 def test_kappa_validation():
     assert parse_config(_doc(kappa=0.5)).kappa_value == 0.5
     assert parse_config(_doc(kappa="background")).kappa_value == 0.5
     _expect_config_error(_doc(kappa=-0.1), "kappa")
     _expect_config_error(_doc(kappa="big"), "kappa")
+    _expect_config_error(_doc(kappa=float("nan")), "kappa")
 
 
 def test_forcing_validation():
