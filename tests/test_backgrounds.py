@@ -238,6 +238,15 @@ def test_capability_declaration_gates_every_consumer(bg, pointwise, identity):
     assert accepted(checks=["general_bounds"], forcing=forcing) == pointwise
 
 
+def test_unsupported_quadrature_ranges():
+    with pytest.raises(UnsupportedBackgroundError):
+        quadrature(Plane(4), 8)
+    with pytest.raises(UnsupportedBackgroundError):
+        quadrature(Sphere(3), 8)
+    with pytest.raises(UnsupportedBackgroundError):
+        quadrature(Cylinder(2, 1), 8)
+
+
 def test_degenerate_dimensions_rejected():
     with pytest.raises(ValueError):
         Plane(0)

@@ -86,6 +86,14 @@ def test_check_list_validation():
     _expect_config_error(_doc(report_only=["weighted_monotonicity"]), "report_only")
 
 
+def test_dimension_gates_on_pointwise_checks():
+    doc = _doc(background={"kind": "plane", "n": 4}, initial_modes={"1,0,0,0": 1.0})
+    doc["checks"] = ["quadrature_mass"]
+    _expect_config_error(doc, "checks")
+    doc["checks"] = ["frequency_monotonicity"]
+    parse_config(doc)  # spectral checks stay available in high dimension
+
+
 def test_kappa_validation():
     assert parse_config(_doc(kappa=0.5)).kappa_value == 0.5
     assert parse_config(_doc(kappa="background")).kappa_value == 0.5
