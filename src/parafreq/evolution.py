@@ -167,6 +167,10 @@ class ConstantRate:
     def __call__(self, t: float) -> float:
         return self.c0
 
+    def values_at(self, ts: np.ndarray) -> np.ndarray:
+        """C at every time in ``ts``, as one array."""
+        return np.full(len(ts), self.c0)
+
 
 @dataclass(frozen=True)
 class SampledRate:
@@ -187,6 +191,10 @@ class SampledRate:
 
     def __call__(self, t: float) -> float:
         return float(np.interp(t, self.times, self.values))
+
+    def values_at(self, ts: np.ndarray) -> np.ndarray:
+        """C at every time in ``ts``, as one array (the same interpolation as a call)."""
+        return np.interp(ts, self.times, self.values)
 
 
 Rate = ConstantRate | SampledRate

@@ -755,12 +755,11 @@ def verify_general_harnack(
         )
     ta, tb, ia, ib, ua = _harnack_endpoints(trace)
     rate = traj.forcing.rate if traj.forcing is not None else None
-    c_of = (lambda s: rate(s)) if rate is not None else (lambda s: 0.0)
     ma = (-ta) ** (1.0 + 2.0 * k)
 
     def bound_on(count: int) -> float:
         ts = np.linspace(ta, tb, count)
-        c = np.array([c_of(s) for s in ts])
+        c = rate.values_at(ts) if rate is not None else np.zeros(count)
         g = np.concatenate([[0.0], np.cumsum(0.5 * (c[1:] ** 2 + c[:-1] ** 2) * np.diff(ts))])
         integrand = (1.0 + c / 2.0) * (-ts) ** (-1.0 - 2.0 * k) * ((ua - 2.0 * ma) * np.exp(g) + 2.0 * ma)
         main = float(_trapz(integrand, ts))

@@ -128,6 +128,17 @@ def test_sampled_rate_matches_constant_rate():
             assert a == pytest.approx(b, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "rate",
+    [ConstantRate(0.5), SampledRate((-1.0, -0.8, -0.55), (0.2, 1.3, 0.0))],
+)
+def test_rate_values_at_equals_pointwise_calls(rate):
+    # the array path feeds the Harnack quadrature, whose reports are byte-compared
+    ts = np.concatenate([np.linspace(-1.2, -0.4, 1025), [-1.0, -0.8, -0.55]])
+    expected = np.array([rate(float(s)) for s in ts])
+    assert rate.values_at(ts).tobytes() == expected.tobytes()
+
+
 def test_mode_matrix_nilpotent_closed_form():
     # one-way coupling (3,) -> (1,) on the line admits an explicit solution:
     # a3(t) = A*(-t)^{3/2},  a1(t) = (-t)^{1/2} * (a1(t0)/(-t0)^{1/2}
