@@ -237,36 +237,47 @@ class Forcing:
 # trajectories
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Fields sampled on the nodes of a grid; method records how they were produced."""
+    """Amplitudes of one field on the nodes of a grid; method records how they were produced.
+
+    ``amplitudes`` is a C-contiguous float array of shape (nodes, modes):
+    row i holds the field at ``grid.nodes[i]``, columns follow ``modes``.
+    """
 
     grid: TimeGrid
-    fields: tuple[CoefficientField, ...]
+    background: Background
+    modes: tuple[Mode, ...]
+    amplitudes: np.ndarray
     method: str
     forcing: Forcing | None = None
 
     def __post_init__(self) -> None:
-        if len(self.fields) != len(self.grid.nodes):
-            raise ValueError("one field per grid node required")
-        bg = self.fields[0].background
-        for f, t in zip(self.fields, self.grid.nodes):
-            if f.background != bg:
-                raise ValueError("trajectory mixes backgrounds")
-            if f.time != t:
-                raise ValueError("field times must match grid nodes")
+        amps = np.ascontiguousarray(self.amplitudes, dtype=float)
+        if amps.shape != (len(self.grid.nodes), len(self.modes)):
+            raise ValueError(
+                f"amplitudes must have shape (nodes, modes) = {(len(self.grid.nodes), len(self.modes))}, "
+                f"got {amps.shape}"
+            )
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("non-finite amplitude in trajectory")
+        object.__setattr__(self, "amplitudes", amps)
+
+    def field_at(self, i: int) -> CoefficientField:
+        """Snapshot of the field at grid node ``i``."""
+        row = self.amplitudes[i].tolist()
+        return CoefficientField(self.background, self.grid.nodes[i], tuple(zip(self.modes, row)))
 
     @property
-    def background(self) -> Background:
-        return self.fields[0].background
+    def fields(self) -> tuple[CoefficientField, ...]:
+        """Every node's snapshot, built on each access (a view for callers, not for the package)."""
+        return tuple(self.field_at(i) for i in range(len(self.grid.nodes)))
 
-    @property
-    def modes(self) -> tuple[Mode, ...]:
-        return self.fields[0].modes
 
-    def coefficient_matrix(self) -> np.ndarray:
-        """(nodes, modes) amplitude array; columns follow self.modes order."""
-        return np.stack([f.amplitudes for f in self.fields], axis=0)
+def float_powers(bases: Sequence[float], exponents: Sequence[float]) -> np.ndarray:
+    """(len(bases), len(exponents)) array of ``base ** exponent``."""
+    # Python ** is libm pow; np.power can differ from it in the last ulp, which would change emitted bytes.
+    return np.array([[b**e for e in exponents] for b in bases], dtype=float)
 
 
 def evolve_exact(field: CoefficientField, t_target: float) -> CoefficientField:
@@ -279,8 +290,13 @@ def evolve_exact(field: CoefficientField, t_target: float) -> CoefficientField:
 
 
 def evolve_exact_trajectory(field: CoefficientField, grid: TimeGrid) -> Trajectory:
-    fields = tuple(evolve_exact(field, t) for t in grid.nodes)
-    return Trajectory(grid, fields, method="exact")
+    """``evolve_exact`` at every grid node, as one (nodes, modes) array."""
+    modes = field.modes
+    mus = sorted({m.mu for m in modes})
+    column = {mu: j for j, mu in enumerate(mus)}
+    powers = float_powers([(-t) / (-field.time) for t in grid.nodes], mus)
+    gathered = powers[:, [column[m.mu] for m in modes]]
+    return Trajectory(grid, field.background, modes, field.amplitudes * gathered, method="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +382,13 @@ def evolve_forced(
 
     modes = _union_modes(field, forcing)
     coeff = field.coeff_map
-    state = np.array([coeff.get(m, 0.0) for m in modes], dtype=float)
-    base = CoefficientField.from_dict(field.background, field.time, {m: a for m, a in zip(modes, state)})
+    amps = np.empty((len(grid.nodes), len(modes)))
+    amps[0] = [coeff.get(m, 0.0) for m in modes]
 
     rhs = _build_rhs(modes, forcing)
-    fields = [base]
-    for t0, t1 in zip(grid.nodes, grid.nodes[1:]):
-        state = _advance(rhs, t0, state, t1, local_tol, 0)
-        fields.append(base.with_amplitudes(t1, state))
-    return Trajectory(grid, tuple(fields), method="stepped_rk4", forcing=forcing)
+    for i, (t0, t1) in enumerate(zip(grid.nodes, grid.nodes[1:])):
+        amps[i + 1] = _advance(rhs, t0, amps[i], t1, local_tol, 0)
+    return Trajectory(grid, field.background, modes, amps, method="stepped_rk4", forcing=forcing)
 
 
 def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: QuadratureRule) -> float:

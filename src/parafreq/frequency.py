@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backgrounds import Background, QuadratureRule, geometry_at, kappa
-from .evolution import CoefficientField, Trajectory
+from .evolution import CoefficientField, Trajectory, float_powers
 from .modes import combination_gradients, combination_values, first_nonzero_eigenvalue
 
 __all__ = [
@@ -127,34 +127,49 @@ class TraceRow:
     cs_defect: float
 
 
-@dataclass(frozen=True)
-class FrequencyTrace:
-    kappa_used: float
-    rows: tuple[TraceRow, ...]
+_COLUMNS = ("t", "I", "D", "U", "N_raw", "cs_defect")
 
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows], dtype=float)
+
+@dataclass(frozen=True, eq=False)
+class FrequencyTrace:
+    """The functionals as columns, one entry per grid node."""
+
+    kappa_used: float
+    t: np.ndarray
+    I: np.ndarray
+    D: np.ndarray
+    U: np.ndarray
+    N_raw: np.ndarray
+    cs_defect: np.ndarray
 
     @property
-    def times(self) -> np.ndarray:
-        return self.column("t")
+    def rows(self) -> tuple[TraceRow, ...]:
+        """The columns as per-node records, built on each access (a view for callers, not for the package)."""
+        return tuple(TraceRow(*r) for r in zip(*(getattr(self, c).tolist() for c in _COLUMNS)))
 
 
 def trace_from_trajectory(traj: Trajectory, kappa_value: float | None = None) -> FrequencyTrace:
-    """Tabulate the functionals along a trajectory.
+    """Tabulate the functionals along a trajectory as row reductions of its amplitudes.
 
+    Each row equals what ``compute_I``, ``compute_D``, ``compute_N_raw``,
+    ``compute_U`` and ``cauchy_schwarz_defect`` give on that node's snapshot.
     Zero-field nodes keep I = D = cs_defect = 0 but carry U = N_raw = nan;
     verifiers treat such trajectories as inapplicable rather than failing.
     """
     k = kappa(traj.background) if kappa_value is None else float(kappa_value)
-    rows = []
-    for f in traj.fields:
-        i_val = compute_I(f)
-        if i_val == 0.0:
-            rows.append(TraceRow(f.time, 0.0, 0.0, math.nan, math.nan, 0.0))
-            continue
-        d_val = compute_D(f)
-        n_raw = (-f.time) * d_val / i_val
-        u_val = (-f.time) ** (2.0 * k) * n_raw
-        rows.append(TraceRow(f.time, i_val, d_val, u_val, n_raw, cauchy_schwarz_defect(f)))
-    return FrequencyTrace(k, tuple(rows))
+    t = traj.grid.as_array()
+    mt = -t
+    mus = np.array([m.mu for m in traj.modes], dtype=float)
+    sq = traj.amplitudes**2
+    c = -mus / mt[:, None]
+    i_val = np.sum(sq, axis=1)
+    d_val = -(2.0 / mt) * np.sum(mus * sq, axis=1)
+    cross = np.sum(c * sq, axis=1)
+    cs = i_val * np.sum(c**2 * sq, axis=1) - float_powers(cross.tolist(), [2.0])[:, 0]
+    zero = i_val == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_raw = np.where(zero, math.nan, mt * d_val / i_val)
+    u_val = float_powers(mt.tolist(), [2.0 * k])[:, 0] * n_raw
+    return FrequencyTrace(
+        k, t, i_val, np.where(zero, 0.0, d_val), u_val, n_raw, np.where(zero, 0.0, cs)
+    )

@@ -25,6 +25,7 @@ import json
 import math
 import numbers
 import os
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping
@@ -237,15 +238,25 @@ def _parse_background(doc: Any) -> Background:
     raise ConfigError("background.kind", f"unknown kind {kind!r}")
 
 
-def _parse_mode(bg: Background, key: str) -> Mode:
+def _parse_scenario_id(value: Any) -> str:
+    # the id names the output files, so it must stay one plain file name
+    if not isinstance(value, str) or value in ("", ".", "..") or any(c in value for c in "/\\\0"):
+        raise ConfigError(
+            "scenario_id", f"must be a non-empty file name without '/', '\\' or NUL, not '.' or '..'; got {value!r}"
+        )
+    return value
+
+
+_MODE_KEY = re.compile(r"[0-9]+(?:,[0-9]+)*")
+
+
+def _parse_mode(bg: Background, key: Any, field: str) -> Mode:
+    if not (isinstance(key, str) and _MODE_KEY.fullmatch(key)):
+        raise ConfigError(field, f"bad multi-index {key!r}: need ASCII digits joined by commas")
     try:
-        index = tuple(int(part) for part in key.split(","))
-    except ValueError as exc:
-        raise ConfigError("initial_modes", f"bad multi-index {key!r}") from exc
-    try:
-        return mode_from_index(bg, index)
+        return mode_from_index(bg, tuple(int(part) for part in key.split(",")))
     except (ValueError, KeyError) as exc:
-        raise ConfigError("initial_modes", f"invalid mode {key!r} for {bg.label()}: {exc}") from exc
+        raise ConfigError(field, f"invalid mode {key!r} for {bg.label()}: {exc}") from exc
 
 
 def _parse_rate(doc: Any) -> ConstantRate | SampledRate:
@@ -274,7 +285,9 @@ def _parse_forcing(bg: Background, doc: Any) -> Forcing:
             raise ConfigError("forcing", "mode_matrix coupling needs 'modes' and 'matrix'")
         if not isinstance(doc["matrix"], (list, tuple)):
             raise ConfigError("forcing.matrix", "must be a list of rows")
-        modes = tuple(_parse_mode(bg, key) for key in doc["modes"])
+        if not isinstance(doc["modes"], (list, tuple)):
+            raise ConfigError("forcing.modes", "must be a list of multi-index keys")
+        modes = tuple(_parse_mode(bg, key, "forcing.modes") for key in doc["modes"])
         matrix = tuple(_numbers(row, "forcing.matrix") for row in doc["matrix"])
         try:
             return Forcing(rate, ModeMatrix(modes, matrix))
@@ -297,9 +310,7 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
         if key not in known_keys:
             raise ConfigError(key, "unknown field")
 
-    scenario_id = str(doc.get("scenario_id") or fallback_id)
-    if not scenario_id:
-        raise ConfigError("scenario_id", "required (non-empty string)")
+    scenario_id = _parse_scenario_id(doc.get("scenario_id", fallback_id))
     bg = _parse_background(doc.get("background"))
 
     time_doc = _object(doc.get("time"), "time", "{a, b, nodes}")
@@ -313,7 +324,7 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
     modes_doc = _object(doc.get("initial_modes", {}), "initial_modes", "mapping multi-index to amplitude")
     coeffs: dict[Mode, float] = {}
     for key, amp in modes_doc.items():
-        mode = _parse_mode(bg, str(key))
+        mode = _parse_mode(bg, key, "initial_modes")
         value = _number(amp, f"initial_modes.{key}")
         if mode in coeffs:
             raise ConfigError("initial_modes", f"duplicate mode {key!r}")
@@ -459,7 +470,7 @@ def _run_check(name: str, config: ScenarioConfig, traj: Trajectory) -> Verificat
     if name in _BOCHNER_CHECKS:
         # the identity is static per field; evaluate it at both ends of the run
         rule = quadrature(bg, config.resolution)
-        ends = (traj.fields[0], traj.fields[-1]) if len(traj.fields) > 1 else traj.fields
+        ends = (traj.field_at(0), traj.field_at(-1))
         return merge_reports(bg, [verify(bg, f, rule, **kwargs) for f in ends])
     if name == "eigenvalue_monotonicity":
         return verify(bg, config.grid, config.kappa_value, **kwargs)
@@ -497,12 +508,10 @@ def _atomic_write(path: Path, text: str) -> None:
 def emit_trace_csv(output: RunOutput, path: str | Path) -> None:
     """Write the frequency trace; columns exactly t, I, D, U, N_raw, cs_defect."""
     lines = ["t,I,D,U,N_raw,cs_defect"]
-    for row in output.trace.rows:
-        lines.append(
-            ",".join(
-                f"{v:.17g}" for v in (row.t, row.I, row.D, row.U, row.N_raw, row.cs_defect)
-            )
-        )
+    trace = output.trace
+    columns = (trace.t, trace.I, trace.D, trace.U, trace.N_raw, trace.cs_defect)
+    for row in zip(*(c.tolist() for c in columns)):
+        lines.append(",".join(f"{v:.17g}" for v in row))
     _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 

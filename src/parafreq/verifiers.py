@@ -190,7 +190,7 @@ def merge_reports(
 
 
 def _is_zero_run(trace: FrequencyTrace) -> bool:
-    return all(row.I == 0.0 for row in trace.rows)
+    return bool(np.all(trace.I == 0.0))
 
 
 def _subsample(count: int, limit: int) -> np.ndarray:
@@ -233,8 +233,8 @@ def verify_frequency_monotonicity(
             "frequency_monotonicity", bg, scenario_id, [], 0.0,
             inapplicable_reason="zero initial data: frequency undefined",
         )
-    t = trace.times
-    u = trace.column("U")
+    t = trace.t
+    u = trace.U
     scale = max(1.0, float(np.max(np.abs(u))))
     tol = tolerance if tolerance is not None else 1e-9 * scale
     nodes: list[NodeCheck] = []
@@ -275,11 +275,11 @@ def verify_equality_case(
             "equality_case", bg, scenario_id, [], 0.0,
             inapplicable_reason="zero initial data: frequency undefined",
         )
-    t = trace.times
-    u = trace.column("U")
-    i_vals = trace.column("I")
-    d_vals = trace.column("D")
-    cs = trace.column("cs_defect")
+    t = trace.t
+    u = trace.U
+    i_vals = trace.I
+    d_vals = trace.D
+    cs = trace.cs_defect
     scale_u = max(1.0, float(np.max(np.abs(u))))
     trigger = tolerance * scale_u
     nodes: list[NodeCheck] = []
@@ -307,9 +307,7 @@ def verify_equality_case(
 
 
 def _harnack_endpoints(trace: FrequencyTrace) -> tuple[float, float, float, float, float]:
-    a = trace.rows[0]
-    b = trace.rows[-1]
-    return a.t, b.t, a.I, b.I, a.U
+    return float(trace.t[0]), float(trace.t[-1]), float(trace.I[0]), float(trace.I[-1]), float(trace.U[0])
 
 
 def verify_harnack(
@@ -681,9 +679,9 @@ def verify_general_bounds(
     notes: tuple[str, ...] = ()
     if traj.forcing is not None:
         rule = quadrature(bg, resolution)
-        sample = _subsample(len(traj.fields), hypothesis_samples)
+        sample = _subsample(len(traj.grid.nodes), hypothesis_samples)
         for idx in sample:
-            fld = traj.fields[int(idx)]
+            fld = traj.field_at(int(idx))
             m = forcing_bound_margin(fld, traj.forcing, rule)
             if m < -1e-12:
                 return _report(
@@ -694,9 +692,9 @@ def verify_general_bounds(
                 )
         notes = (f"forcing hypothesis certified at {len(sample)} sampled nodes",)
 
-    t = trace.times
-    u = trace.column("U")
-    log_i = np.log(trace.column("I"))
+    t = trace.t
+    u = trace.U
+    log_i = np.log(trace.I)
     rate = traj.forcing.rate if traj.forcing is not None else None
     c_of = (lambda s: rate(s)) if rate is not None else (lambda s: 0.0)
 
@@ -831,7 +829,7 @@ def verify_selfsimilar_scaling(
     frequency is not constant and no such form exists).
     """
     bg = traj.background
-    first = traj.fields[0]
+    first = traj.field_at(0)
     if first.is_zero:
         return _report(
             "selfsimilar_scaling", bg, scenario_id, [], 0.0,
@@ -855,12 +853,12 @@ def verify_selfsimilar_scaling(
             ref_idx = i
             break
     t_ref = float(t[ref_idx])
-    v_ref = combination_values(bg, traj.fields[ref_idx].coeff_map, pts)
+    v_ref = combination_values(bg, traj.field_at(ref_idx).coeff_map, pts)
     scale = max(1.0, float(np.max(np.abs(v_ref))))
     tol = tolerance if tolerance is not None else 1e-10 * scale
     nodes: list[NodeCheck] = []
     for i, ti in enumerate(t):
-        v = combination_values(bg, traj.fields[i].coeff_map, pts)
+        v = combination_values(bg, traj.field_at(i).coeff_map, pts)
         predicted = ((-float(ti)) / (-t_ref)) ** mu * v_ref
         residual = float(np.max(np.abs(v - predicted)))
         nodes.append(NodeCheck(t=float(ti), margin=-residual, label="sup-residual"))

@@ -1,13 +1,17 @@
 """Frequency functionals: spectral route, quadrature route, frozen values."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from parafreq import (
     CoefficientField,
+    ConstantRate,
     Cylinder,
+    Forcing,
+    ModeMatrix,
     Plane,
     Sphere,
     TimeGrid,
@@ -21,9 +25,11 @@ from parafreq import (
     compute_U,
     evolve_exact,
     evolve_exact_trajectory,
+    evolve_forced,
     first_nonzero_eigenvalue,
     lambda1,
     mode_from_index,
+    parse_config,
     quadrature,
     trace_from_trajectory,
 )
@@ -127,13 +133,86 @@ def test_trace_columns_and_values():
     grid = TimeGrid.uniform(-1.0, -0.25, 4)
     trace = trace_from_trajectory(evolve_exact_trajectory(f0, grid))
     assert trace.kappa_used == 0.0
-    assert list(trace.times) == list(grid.nodes)
+    assert list(trace.t) == list(grid.nodes)
     for row, t in zip(trace.rows, grid.nodes):
         assert row.I == pytest.approx((-t) ** 2.0, rel=1e-14)
         assert row.U == pytest.approx(-2.0, abs=1e-13)
         assert row.N_raw == pytest.approx(-2.0, abs=1e-13)
-    u_col = trace.column("U")
+    u_col = trace.U
     assert np.allclose(u_col, -2.0, atol=1e-13)
+
+
+def _mixture_trajectory():
+    # sphere(2): kappa = 1/2 and degrees 0..4 give five distinct eigenvalues
+    doc = {
+        "scenario_id": "mixture",
+        "background": {"kind": "sphere", "n": 2},
+        "random_mixture": {"seed": 3, "mu_cutoff": 5.0, "low": 0.1, "high": 1.0},
+        "time": {"a": -1.3, "b": -0.01, "nodes": 401},
+        "checks": ["harnack"],
+    }
+    cfg = parse_config(doc)
+    f0 = CoefficientField.from_dict(cfg.background, cfg.grid.a, dict(cfg.initial_modes))
+    assert len({m.mu for m in f0.modes}) >= 5
+    return f0, evolve_exact_trajectory(f0, cfg.grid)
+
+
+def _forced_trajectory():
+    bg = Sphere(2)
+    f0 = _field(bg, -1.0, {(1, 0): 1.0, (2, 1): -0.5, (3, 2): 0.25})
+    modes = tuple(mode_from_index(bg, idx) for idx in [(1, 0), (2, 1), (3, 2)])
+    coupling = ModeMatrix(modes, ((0.0, 0.3, 0.1), (-0.2, 0.0, 0.4), (0.5, -0.1, 0.0)))
+    grid = TimeGrid.uniform(-1.0, -0.2, 81)
+    return f0, evolve_forced(f0, grid, Forcing(ConstantRate(0.6), coupling), local_tol=1e-10)
+
+
+def _zero_trajectory():
+    f0 = CoefficientField.from_dict(Plane(1), -1.0, {})
+    return f0, evolve_exact_trajectory(f0, TimeGrid.uniform(-1.0, -0.5, 5))
+
+
+def _underflow_trajectory():
+    # I is subnormal at the first nodes and underflows to exactly 0 later on
+    f0 = _field(Plane(1), -1.0, {(20,): 1e-160})
+    return f0, evolve_exact_trajectory(f0, TimeGrid.uniform(-1.0, -0.5, 21))
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("make", [_mixture_trajectory, _forced_trajectory, _zero_trajectory, _underflow_trajectory])
+def test_trace_columns_equal_scalar_functionals_bit_for_bit(make):
+    _, traj = make()
+    assert traj.amplitudes.flags["C_CONTIGUOUS"]
+    trace = trace_from_trajectory(traj)
+    zero_rows = 0
+    for i, t in enumerate(traj.grid.nodes):
+        f = traj.field_at(i)
+        got = [trace.t[i], trace.I[i], trace.D[i], trace.U[i], trace.N_raw[i], trace.cs_defect[i]]
+        if compute_I(f) == 0.0:
+            zero_rows += 1
+            with pytest.raises(ZeroFieldError):
+                compute_U(f)
+            want = [t, 0.0, 0.0, math.nan, math.nan, 0.0]
+        else:
+            want = [t, compute_I(f), compute_D(f), compute_U(f), compute_N_raw(f), cauchy_schwarz_defect(f)]
+        assert [_bits(v) for v in got] == [_bits(v) for v in want], (i, got, want)
+    if make is _zero_trajectory:
+        assert zero_rows == len(traj.grid.nodes)
+    if make is _underflow_trajectory:
+        assert 0 < zero_rows < len(traj.grid.nodes)
+
+
+@pytest.mark.parametrize("make", [_mixture_trajectory, _zero_trajectory, _underflow_trajectory])
+def test_exact_trajectory_rows_equal_evolve_exact_bit_for_bit(make):
+    f0, traj = make()
+    assert traj.amplitudes.flags["C_CONTIGUOUS"]
+    assert traj.modes == f0.modes
+    for i, t in enumerate(traj.grid.nodes):
+        ref = evolve_exact(f0, t)
+        assert [_bits(a) for a in traj.amplitudes[i].tolist()] == [_bits(a) for _, a in ref.entries], i
+        assert traj.field_at(i) == ref
 
 
 def test_trace_kappa_override_rescales_u():

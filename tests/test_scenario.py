@@ -52,6 +52,12 @@ def test_unknown_fields_rejected():
     _expect_config_error(_doc(extra_knob=1), "extra_knob")
 
 
+def test_scenario_id_must_be_a_file_name():
+    for bad in ("../escaped", "a/b", "a\\b", "a\0b", ".", "..", "", 7, None, ["base"]):
+        _expect_config_error(_doc(scenario_id=bad), "scenario_id")
+    assert parse_config(_doc(scenario_id="ok.v2-x")).scenario_id == "ok.v2-x"
+
+
 def test_background_validation():
     _expect_config_error(_doc(background={"kind": "torus"}), "background")
     _expect_config_error(_doc(background={"kind": "plane"}), "background")
@@ -74,6 +80,10 @@ def test_mode_and_amplitude_validation():
     _expect_config_error(_doc(initial_modes={"1,0": float("inf")}), "initial_modes")
     _expect_config_error(_doc(initial_modes={"9,0,0": 1.0}), "initial_modes")
     _expect_config_error(_doc(initial_modes={"1,0": True}), "initial_modes")
+    line = {"kind": "plane", "n": 1}
+    for key in ("1_0", " +1", "+1", "1 ", "1,", ",1", "1,,0", "\u0661", "1\n"):
+        _expect_config_error(_doc(background=line, initial_modes={key: 1.0}), "initial_modes")
+    assert parse_config(_doc(background=line, initial_modes={"10": 1.0})).initial_modes[0][0].index == (10,)
     mixture = {"seed": -1, "mu_cutoff": 1.0, "low": 0.2, "high": 1.0}
     _expect_config_error(_doc(random_mixture=mixture), "random_mixture.seed")
     _expect_config_error(_doc(random_mixture=dict(mixture, seed=2.5)), "random_mixture.seed")
@@ -114,6 +124,10 @@ def test_forcing_validation():
     _expect_config_error(
         _doc(forcing={"rate": {"type": "constant", "c0": 0.1}, "coupling": "bogus"}), "forcing"
     )
+    matrix = {"rate": {"type": "constant", "c0": 0.1}, "coupling": "mode_matrix", "matrix": [[0.0]]}
+    for modes in (["1_0"], [" +1"], [1], "1"):
+        _expect_config_error(dict(doc, forcing=dict(matrix, modes=modes)), "forcing.modes")
+    assert parse_config(dict(doc, forcing=dict(matrix, modes=["1"]))).forcing.coupling.modes[0].index == (1,)
 
 
 def test_random_mixture_is_seed_deterministic():
