@@ -29,13 +29,15 @@ geometry, quadrature) and which of those also carry the integral curvature
 identity.  Every other background is spectral only: its modes enumerate and
 evolve exactly, but nothing is evaluated at points.
 
-``geometry_at`` returns the pointwise data every verifier needs: the tangent
-projector, the scalar second fundamental form (codimension one throughout,
-with A(X, Y) = sff(X, Y) * nu as a vector), Ricci, the pairing <H, A(.,.)>,
-and the tangential/normal split of the position vector.  The curvature bound
-sup <H, A> = kappa / (-t) along the flow reduces at unit scale to the largest
-eigenvalue of the shape pairing, which is 0 on planes and 1/2 on spheres and
-cylinders (n/(2n) resp. k/(2k)).
+Each ``QuadratureRule`` carries, as arrays over its nodes built once in
+closed form, the geometry every verifier needs: the tangent projector, the
+scalar second fundamental form (codimension one throughout, with
+A(X, Y) = sff(X, Y) * nu as a vector), Ricci, the pairing <H, A(.,.)>, the
+unit normal and the tangential part of the position vector.  The curvature
+bound sup <H, A> = kappa / (-t) along the flow reduces at unit scale to the
+largest eigenvalue of the shape pairing, which is 0 on planes and 1/2 on
+spheres and cylinders (n/(2n) resp. k/(2k)).  ``geometry_at`` gives the same
+data at one point; it is the oracle the tests hold the rule arrays to.
 """
 
 from __future__ import annotations
@@ -251,12 +253,6 @@ class GeometryData:
     normal: np.ndarray | None
     sff: np.ndarray
 
-    @property
-    def mean_curvature_vector(self) -> np.ndarray:
-        if self.normal is None:
-            return np.zeros_like(self.x_tan)
-        return float(np.trace(self.sff)) * self.normal
-
 
 def _require_on_surface(actual: float, expected: float, what: str) -> None:
     if abs(actual - expected) > 1e-9 * max(1.0, abs(expected)):
@@ -264,7 +260,10 @@ def _require_on_surface(actual: float, expected: float, what: str) -> None:
 
 
 def geometry_at(bg: Background, point: np.ndarray) -> GeometryData:
-    """Closed-form geometry of the unit-scale background at ``point``; ``bg`` must be in ``POINTWISE``."""
+    """Closed-form geometry of the unit-scale background at ``point``; ``bg`` must be in ``POINTWISE``.
+
+    The per-point oracle for the ``QuadratureRule`` geometry arrays.
+    """
     require_support(bg, POINTWISE, "pointwise geometry")
     y = np.asarray(point, dtype=float)
     d = bg.ambient_dim
@@ -328,17 +327,26 @@ def geometry_at(bg: Background, point: np.ndarray) -> GeometryData:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights for the unit-scale weighted measure.
+    """Nodes and weights for the unit-scale weighted measure, with the geometry at the nodes.
 
     ``sum(weights * f(points))`` approximates the dmu integral of f; the
     weights absorb the Gaussian density, so the weight sum equals the total
-    mass (exactly 1 on planes).
+    mass (exactly 1 on planes).  The geometry fields stack ``geometry_at``
+    over the nodes ((N, d, d) forms, (N, d) vectors, ``normal`` None on planes);
+    ``mode_columns`` keeps what ``modes.combine_on_rule`` evaluates.
     """
 
     background: Background
     resolution: int
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    tangent_projector: np.ndarray = field(init=False, repr=False, compare=False)
+    sff: np.ndarray = field(init=False, repr=False, compare=False)
+    ric: np.ndarray = field(init=False, repr=False, compare=False)
+    shape_pairing: np.ndarray = field(init=False, repr=False, compare=False)
+    normal: np.ndarray | None = field(init=False, repr=False, compare=False)
+    x_tan: np.ndarray = field(init=False, repr=False, compare=False)
+    mode_columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.points.ndim != 2 or self.weights.ndim != 1:
@@ -347,6 +355,9 @@ class QuadratureRule:
             raise ValueError("points/weights length mismatch")
         if np.any(self.weights <= 0.0):
             raise ValueError("quadrature weights must be positive")
+        geometry = _node_geometry(self.background, self.points)
+        for name, value in zip(("tangent_projector", "sff", "ric", "shape_pairing", "normal", "x_tan"), geometry):
+            object.__setattr__(self, name, value)
 
     @property
     def mass(self) -> float:
@@ -354,6 +365,30 @@ class QuadratureRule:
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
+
+
+def _node_geometry(bg: Background, pts: np.ndarray) -> tuple:
+    """(tangent_projector, sff, ric, shape_pairing, normal, x_tan) at each row of ``pts``, as in ``geometry_at``."""
+    require_support(bg, POINTWISE, "pointwise geometry")
+    count, d = pts.shape
+    if isinstance(bg, Plane):
+        zero = np.broadcast_to(np.zeros((d, d)), (count, d, d))
+        return np.broadcast_to(np.eye(d), (count, d, d)), zero, zero, zero, None, pts
+    r = bg.radius
+    if isinstance(bg, Sphere):
+        nu = pts / r
+        proj = np.eye(d) - nu[:, :, None] * nu[:, None, :]
+        ric, shape = ((bg.n - 1) / bg.radius_squared) * proj, (bg.n / bg.radius_squared) * proj
+        return proj, -proj / r, ric, shape, nu, np.zeros((count, d))
+    # Cylinder(1, 1)
+    zero = np.zeros(count)
+    nu = np.stack([pts[:, 0] / r, pts[:, 1] / r, zero], axis=1)
+    proj = np.eye(3) - nu[:, :, None] * nu[:, None, :]
+    tau = np.stack([-pts[:, 1] / r, pts[:, 0] / r, zero], axis=1)
+    q_circ = tau[:, :, None] * tau[:, None, :]
+    ric = np.broadcast_to(np.zeros((3, 3)), (count, 3, 3))  # intrinsically flat product
+    shape = q_circ * (bg.k / bg.radius_squared)
+    return proj, -q_circ / r, ric, shape, nu, np.stack([zero, zero, pts[:, 2]], axis=1)
 
 
 def _gauss_gaussian_1d(resolution: int) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,6 @@ from pathlib import Path
 from .evolution import ToleranceNotMetError
 from .scenario import (
     ConfigError,
-    RunOutput,
     ScenarioConfig,
     emit_plot_script,
     emit_report_json,
@@ -61,11 +60,12 @@ def _load_packaged_configs() -> list[ScenarioConfig]:
     return configs
 
 
-def _execute(configs: list[ScenarioConfig], out_dir: Path) -> tuple[list[RunOutput], int]:
-    """Run and emit each scenario in id order; returns the outputs and the number that raised.
+def _execute(configs: list[ScenarioConfig], out_dir: Path) -> tuple[list[tuple[str, list[tuple]]], int]:
+    """Run and emit each scenario in id order; returns their summaries and the number that raised.
 
     A scenario that raises is reported on stderr and skipped, so the others
-    still write their files.
+    still write their files.  An output is dropped once written; its summary
+    keeps the id and per report (check_name, status, min_margin, tolerance, report_only).
     """
     seen: set[str] = set()
     for config in configs:
@@ -73,7 +73,7 @@ def _execute(configs: list[ScenarioConfig], out_dir: Path) -> tuple[list[RunOutp
             raise ConfigError("scenario_id", f"duplicate scenario id {config.scenario_id!r} in batch")
         seen.add(config.scenario_id)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[RunOutput] = []
+    summaries: list[tuple[str, list[tuple]]] = []
     errors = 0
     for config in sorted(configs, key=lambda c: c.scenario_id):
         sid = config.scenario_id
@@ -86,28 +86,31 @@ def _execute(configs: list[ScenarioConfig], out_dir: Path) -> tuple[list[RunOutp
         emit_trace_csv(output, out_dir / f"{sid}.trace.csv")
         emit_report_json(output, out_dir / f"{sid}.report.json")
         emit_plot_script(output, out_dir / f"{sid}.plot.py")
-        outputs.append(output)
-    return outputs, errors
+        summaries.append((sid, [
+            (r.check_name, r.status, r.min_margin, r.tolerance, r.check_name in config.report_only)
+            for r in output.reports
+        ]))
+        del output
+    return summaries, errors
 
 
-def _summarize(outputs: list[RunOutput], quiet: bool) -> int:
+def _summarize(summaries: list[tuple[str, list[tuple]]], quiet: bool) -> int:
     lines: list[str] = []
     counts = {"pass": 0, "fail": 0, "inapplicable": 0}
     counted_failures = 0
-    for output in outputs:
-        sid = output.config.scenario_id
-        for report in output.reports:
-            counts[report.status] += 1
-            tag = " [report-only]" if report.check_name in output.config.report_only else ""
-            counted = report.status == "fail" and not tag
+    for sid, reports in summaries:
+        for check_name, status, min_margin, tolerance, report_only in reports:
+            counts[status] += 1
+            tag = " [report-only]" if report_only else ""
+            counted = status == "fail" and not tag
             if counted:
                 counted_failures += 1
-            if quiet and report.status != "fail":
+            if quiet and status != "fail":
                 continue
-            margin = "n/a" if report.min_margin is None else f"{report.min_margin:.6e}"
+            margin = "n/a" if min_margin is None else f"{min_margin:.6e}"
             lines.append(
-                f"{sid:32s} {report.check_name:26s} {report.status.upper():12s} "
-                f"min_margin={margin} tol={report.tolerance:.2e}{tag}"
+                f"{sid:32s} {check_name:26s} {status.upper():12s} "
+                f"min_margin={margin} tol={tolerance:.2e}{tag}"
             )
     total = sum(counts.values())
     if counted_failures:
@@ -117,7 +120,7 @@ def _summarize(outputs: list[RunOutput], quiet: bool) -> int:
     else:
         code = EXIT_PASS
     lines.append(
-        f"{len(outputs)} scenario(s), {total} check(s): "
+        f"{len(summaries)} scenario(s), {total} check(s): "
         f"{counts['pass']} passed, {counts['fail']} failed "
         f"({counted_failures} counted), {counts['inapplicable']} inapplicable"
     )
@@ -151,14 +154,14 @@ def main(argv: list[str] | None = None) -> int:
             configs = _load_packaged_configs()
         if args.resolution is not None:
             configs = [c.with_resolution(args.resolution) for c in configs]
-        outputs, errors = _execute(configs, Path(args.out))
+        summaries, errors = _execute(configs, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (OSError, ValueError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    code = _summarize(outputs, args.quiet)
+    code = _summarize(summaries, args.quiet)
     return EXIT_ERROR if errors else code
 
 

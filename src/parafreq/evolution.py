@@ -44,7 +44,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .backgrounds import Background, QuadratureRule
-from .modes import Mode, combination_gradients, combination_values, mode_sort_key
+from .modes import Mode, combine_on_rule, mode_sort_key
 
 __all__ = [
     "CoefficientField",
@@ -330,8 +330,7 @@ def _build_rhs(modes: tuple[Mode, ...], forcing: Forcing) -> Callable[[float, np
     return rhs
 
 
-def _rk4_step(rhs: Callable, t: float, a: np.ndarray, h: float) -> np.ndarray:
-    k1 = rhs(t, a)
+def _rk4_step(rhs: Callable, t: float, a: np.ndarray, h: float, k1: np.ndarray) -> np.ndarray:
     k2 = rhs(t + 0.5 * h, a + 0.5 * h * k1)
     k3 = rhs(t + 0.5 * h, a + 0.5 * h * k2)
     k4 = rhs(t + h, a + h * k3)
@@ -340,9 +339,10 @@ def _rk4_step(rhs: Callable, t: float, a: np.ndarray, h: float) -> np.ndarray:
 
 def _advance(rhs: Callable, t0: float, a0: np.ndarray, t1: float, tol: float, depth: int) -> np.ndarray:
     h = t1 - t0
-    full = _rk4_step(rhs, t0, a0, h)
-    mid = _rk4_step(rhs, t0, a0, 0.5 * h)
-    halved = _rk4_step(rhs, t0 + 0.5 * h, mid, 0.5 * h)
+    k1 = rhs(t0, a0)  # shared by the full step and the first half step
+    full = _rk4_step(rhs, t0, a0, h, k1)
+    mid = _rk4_step(rhs, t0, a0, 0.5 * h, k1)
+    halved = _rk4_step(rhs, t0 + 0.5 * h, mid, 0.5 * h, rhs(t0 + 0.5 * h, mid))
     scale = 1.0 + float(np.max(np.abs(halved)))
     err = float(np.max(np.abs(full - halved))) / (15.0 * scale)
     if err <= tol:
@@ -396,20 +396,17 @@ def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: Quadra
 
     Gradients are taken on the flowing surface at the field's time, so the
     unit-scale tangential gradient carries a 1/sqrt(-t) factor.  Nonnegative
-    margin certifies the forcing hypothesis at this snapshot.
+    margin certifies the forcing hypothesis at this snapshot.  Mode columns
+    stay on ``rule`` for calls at other times.
     """
     if rule.background != field.background:
         raise ValueError("quadrature rule background does not match the field")
-    from .backgrounds import geometry_at  # local import keeps module load light
-
     t = field.time
     c = forcing.rate(t)
     coeffs = field.coeff_map
-    pts = rule.points
-    values = combination_values(field.background, coeffs, pts)
-    ambient_grads = combination_gradients(field.background, coeffs, pts)
-    proj = np.stack([geometry_at(field.background, p).tangent_projector for p in pts], axis=0)
-    tangential = np.einsum("nij,nj->ni", proj, ambient_grads)
+    values = combine_on_rule(rule, coeffs)
+    ambient_grads = combine_on_rule(rule, coeffs, "gradients")
+    tangential = np.einsum("nij,nj->ni", rule.tangent_projector, ambient_grads)
     grad_norm = np.sqrt(np.sum(tangential**2, axis=1)) / math.sqrt(-t)
 
     if isinstance(forcing.coupling, ScalarOnU):
@@ -418,6 +415,6 @@ def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: Quadra
         coupling = forcing.coupling
         a = np.array([coeffs.get(m, 0.0) for m in coupling.modes], dtype=float)
         f_coeffs = c * (coupling.as_array() @ a)
-        f_values = combination_values(field.background, dict(zip(coupling.modes, f_coeffs)), pts)
+        f_values = combine_on_rule(rule, dict(zip(coupling.modes, f_coeffs)))
 
     return float(np.min(c * (grad_norm + np.abs(values)) - np.abs(f_values)))

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backgrounds import Background, QuadratureRule, geometry_at, kappa
+from .backgrounds import Background, QuadratureRule, kappa
 from .evolution import CoefficientField, Trajectory, float_powers
-from .modes import combination_gradients, combination_values, first_nonzero_eigenvalue
+from .modes import combine_on_rule, first_nonzero_eigenvalue
 
 __all__ = [
     "ZeroFieldError",
@@ -91,7 +91,7 @@ def compute_I_quadrature(field: CoefficientField, rule: QuadratureRule) -> float
     """Independent route: point values squared against the rule weights."""
     if rule.background != field.background:
         raise ValueError("quadrature rule background does not match the field")
-    values = combination_values(field.background, field.coeff_map, rule.points)
+    values = combine_on_rule(rule, field.coeff_map)
     return rule.integrate(values**2)
 
 
@@ -99,9 +99,8 @@ def compute_D_quadrature(field: CoefficientField, rule: QuadratureRule) -> float
     """Independent route: -2 int |grad u|^2 dmu_t via projected ambient gradients."""
     if rule.background != field.background:
         raise ValueError("quadrature rule background does not match the field")
-    grads = combination_gradients(field.background, field.coeff_map, rule.points)
-    proj = np.stack([geometry_at(field.background, p).tangent_projector for p in rule.points], axis=0)
-    tangential = np.einsum("nij,nj->ni", proj, grads)
+    grads = combine_on_rule(rule, field.coeff_map, "gradients")
+    tangential = np.einsum("nij,nj->ni", rule.tangent_projector, grads)
     unit_scale = rule.integrate(np.sum(tangential**2, axis=1))
     return -2.0 * unit_scale / (-field.time)
 

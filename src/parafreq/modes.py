@@ -36,6 +36,7 @@ in the test suite (modes with mu <= 3 to 1e-9 at moderate resolution).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
@@ -47,6 +48,7 @@ from .backgrounds import (
     Cylinder,
     Plane,
     POINTWISE,
+    QuadratureRule,
     Sphere,
     require_support,
     total_mass,
@@ -59,11 +61,11 @@ __all__ = [
     "enumerate_modes",
     "mode_from_index",
     "sphere_multiplicity",
-    "evaluate_mode",
     "mode_function",
     "ModeFunction",
     "combination_values",
     "combination_gradients",
+    "combine_on_rule",
     "hermite_polynomial",
     "mode_sort_key",
 ]
@@ -310,41 +312,16 @@ def _mode_poly(bg: Background, mode: Mode) -> AmbientPolynomial:
 
 
 class ModeFunction:
-    """Materialized mode: ambient polynomial with cached derivative polys."""
+    """Materialized mode: its normalized ambient polynomial."""
 
-    __slots__ = ("mode", "poly", "_grad", "_hess")
+    __slots__ = ("mode", "poly")
 
     def __init__(self, mode: Mode, poly: AmbientPolynomial):
         self.mode = mode
         self.poly = poly
-        self._grad: tuple[AmbientPolynomial, ...] | None = None
-        self._hess: tuple[tuple[AmbientPolynomial, ...], ...] | None = None
 
     def values(self, points: np.ndarray) -> np.ndarray:
         return self.poly.eval(points)
-
-    def gradients(self, points: np.ndarray) -> np.ndarray:
-        if self._grad is None:
-            self._grad = self.poly.gradient()
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        return np.stack([g.eval(pts) for g in self._grad], axis=1)
-
-    def hessians(self, points: np.ndarray) -> np.ndarray:
-        if self._hess is None:
-            self._hess = self.poly.hessian()
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        d = self.poly.dim
-        out = np.zeros((pts.shape[0], d, d))
-        for i in range(d):
-            for j in range(i, d):
-                vals = self._hess[i][j].eval(pts)
-                out[:, i, j] = vals
-                out[:, j, i] = vals
-        return out
 
 
 @functools.lru_cache(maxsize=4096)
@@ -353,39 +330,63 @@ def mode_function(bg: Background, mode: Mode) -> ModeFunction:
     return ModeFunction(mode, _mode_poly(bg, mode))
 
 
-def evaluate_mode(bg: Background, mode: Mode, point: np.ndarray) -> float:
-    """Value of the L^2(dmu)-normalized mode at a unit-scale surface point."""
-    return float(mode_function(bg, mode).values(np.asarray(point, dtype=float)[None, :])[0])
+def _gradient_column(poly: AmbientPolynomial, pts: np.ndarray) -> np.ndarray:
+    return np.stack([g.eval(pts) for g in poly.gradient()], axis=1)
+
+
+def _hessian_column(poly: AmbientPolynomial, pts: np.ndarray) -> np.ndarray:
+    hess = poly.hessian()
+    out = np.zeros((pts.shape[0], poly.dim, poly.dim))
+    for i, j in itertools.combinations_with_replacement(range(poly.dim), 2):
+        out[:, i, j] = out[:, j, i] = hess[i][j].eval(pts)
+    return out
+
+
+# kind -> (per-mode column of the normalized polynomial at (N, d) points, tensor rank)
+_COLUMNS = {
+    "values": (AmbientPolynomial.eval, 0),
+    "gradients": (_gradient_column, 1),
+    "hessians": (_hessian_column, 2),
+}
+
+
+def _combine(
+    bg: Background, coeffs: Mapping[Mode, float], points: np.ndarray, kind: str, columns: dict | None
+) -> np.ndarray:
+    """sum_j a_j * column_j in ``mode_sort_key`` order, skipping zero amplitudes; columns kept in ``columns``."""
+    evaluate, rank = _COLUMNS[kind]
+    pts = np.asarray(points, dtype=float)
+    out = np.zeros(pts.shape[:1] + pts.shape[1:] * rank)
+    for mode in sorted(coeffs, key=mode_sort_key):
+        a = coeffs[mode]
+        if a != 0.0:
+            column = None if columns is None else columns.get((kind, mode))
+            if column is None:
+                column = evaluate(mode_function(bg, mode).poly, pts)
+                if columns is not None:
+                    columns[(kind, mode)] = column
+            out += a * column
+    return out
 
 
 def combination_values(bg: Background, coeffs: Mapping[Mode, float], points: np.ndarray) -> np.ndarray:
     """Pointwise values of sum_j a_j phi_j at unit-scale points (N, d) -> (N,)."""
-    pts = np.asarray(points, dtype=float)
-    out = np.zeros(pts.shape[0])
-    for mode in sorted(coeffs, key=mode_sort_key):
-        a = coeffs[mode]
-        if a != 0.0:
-            out += a * mode_function(bg, mode).values(pts)
-    return out
+    return _combine(bg, coeffs, points, "values", None)
 
 
 def combination_gradients(bg: Background, coeffs: Mapping[Mode, float], points: np.ndarray) -> np.ndarray:
     """Ambient gradients of the combination, (N, d); project to get surface gradients."""
-    pts = np.asarray(points, dtype=float)
-    out = np.zeros(pts.shape)
-    for mode in sorted(coeffs, key=mode_sort_key):
-        a = coeffs[mode]
-        if a != 0.0:
-            out += a * mode_function(bg, mode).gradients(pts)
-    return out
+    return _combine(bg, coeffs, points, "gradients", None)
 
 
 def combination_hessians(bg: Background, coeffs: Mapping[Mode, float], points: np.ndarray) -> np.ndarray:
     """Ambient Hessians of the combination, (N, d, d)."""
-    pts = np.asarray(points, dtype=float)
-    out = np.zeros((pts.shape[0], pts.shape[1], pts.shape[1]))
-    for mode in sorted(coeffs, key=mode_sort_key):
-        a = coeffs[mode]
-        if a != 0.0:
-            out += a * mode_function(bg, mode).hessians(pts)
-    return out
+    return _combine(bg, coeffs, points, "hessians", None)
+
+
+def combine_on_rule(rule: QuadratureRule, coeffs: Mapping[Mode, float], kind: str = "values") -> np.ndarray:
+    """``combination_<kind>`` at the rule's nodes (kind: values, gradients or hessians).
+
+    Each mode's column is evaluated once per rule and kept in ``rule.mode_columns``.
+    """
+    return _combine(rule.background, coeffs, rule.points, kind, rule.mode_columns)

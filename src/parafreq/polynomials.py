@@ -116,13 +116,6 @@ class AmbientPolynomial:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, AmbientPolynomial)
@@ -161,25 +154,3 @@ class AmbientPolynomial:
     def hessian(self) -> tuple[tuple["AmbientPolynomial", ...], ...]:
         grads = self.gradient()
         return tuple(tuple(g.diff(axis) for axis in range(self.dim)) for g in grads)
-
-    def eval_gradient(self, points: np.ndarray) -> np.ndarray:
-        """Ambient gradient at points (N, dim) -> (N, dim)."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        return np.stack([g.eval(pts) for g in self.gradient()], axis=1)
-
-    def eval_hessian(self, points: np.ndarray) -> np.ndarray:
-        """Ambient Hessian at points (N, dim) -> (N, dim, dim)."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        n = pts.shape[0]
-        hess = np.zeros((n, self.dim, self.dim))
-        grads = self.gradient()
-        for i, g in enumerate(grads):
-            for j in range(i, self.dim):
-                vals = g.diff(j).eval(pts)
-                hess[:, i, j] = vals
-                hess[:, j, i] = vals
-        return hess

@@ -40,7 +40,6 @@ from .backgrounds import (
     Plane,
     QuadratureRule,
     Sphere,
-    geometry_at,
     kappa,
     quadrature,
     require_support,
@@ -48,7 +47,7 @@ from .backgrounds import (
 )
 from .evolution import CoefficientField, TimeGrid, Trajectory, forcing_bound_margin
 from .frequency import FrequencyTrace, lambda1, trace_from_trajectory
-from .modes import combination_gradients, combination_hessians, combination_values
+from .modes import combine_on_rule
 from .polynomials import AmbientPolynomial
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -491,7 +490,6 @@ def verify_weighted_monotonicity(
         raise ValueError(
             f"test function has dim {test_function.dim}, background needs {bg.ambient_dim}"
         )
-    projectors = np.stack([geometry_at(bg, p).tangent_projector for p in pts])
     hess = test_function.hessian()
     # tr_P Hess f as one polynomial-valued quadrature profile per grade
     tr_grades: dict[int, np.ndarray] = {}
@@ -499,7 +497,7 @@ def verify_weighted_monotonicity(
     for a in range(d):
         for b in range(d):
             for deg, vals in _graded_values(hess[a][b], pts):
-                contrib = projectors[:, a, b] * vals
+                contrib = rule.tangent_projector[:, a, b] * vals
                 tr_grades[deg] = tr_grades.get(deg, 0.0) + contrib
     tr_graded = sorted(tr_grades.items())
     f_graded = _graded_values(test_function, pts)
@@ -520,7 +518,7 @@ def verify_weighted_monotonicity(
 # integral curvature identity for the drift operator
 
 
-def _bochner_sides(bg: Background, f: CoefficientField, rule: QuadratureRule) -> tuple[float, float, float, float]:
+def _bochner_sides(f: CoefficientField, rule: QuadratureRule) -> tuple[float, float, float, float]:
     """Both sides of the integral identity at the field's own time.
 
     Returns (lhs, rhs_verbatim, rhs_corrected, grad_energy) where lhs is the
@@ -528,34 +526,26 @@ def _bochner_sides(bg: Background, f: CoefficientField, rule: QuadratureRule) ->
     the curvature pairing term, and grad_energy = integral |grad u|^2 dmu at
     the field's time scale.
     """
-    pts = rule.points
     w = rule.weights
-    coeffs = f.coeff_map
-    gbar = combination_gradients(bg, coeffs, pts)
-    hbar = combination_hessians(bg, coeffs, pts)
-    geo = [geometry_at(bg, p) for p in pts]
-    proj = np.stack([g.tangent_projector for g in geo])
-    sff = np.stack([g.sff for g in geo])
-    x_tan = np.stack([g.x_tan for g in geo])
-    ric = np.stack([g.ric for g in geo])
-    shape = np.stack([g.shape_pairing for g in geo])
+    gbar = combine_on_rule(rule, f.coeff_map, "gradients")
+    hbar = combine_on_rule(rule, f.coeff_map, "hessians")
+    proj = rule.tangent_projector
 
     grad = np.einsum("nij,nj->ni", proj, gbar)
-    if geo[0].normal is None:
+    if rule.normal is None:
         # full-dimensional plane: no normal direction, sff vanishes anyway
-        nu_dot = np.zeros(pts.shape[0])
+        nu_dot = np.zeros(len(w))
     else:
-        normal = np.stack([g.normal for g in geo])
-        nu_dot = np.einsum("ni,ni->n", normal, gbar)
-    hess_m = np.einsum("nij,njk,nkl->nil", proj, hbar, proj) + sff * nu_dot[:, None, None]
+        nu_dot = np.einsum("ni,ni->n", rule.normal, gbar)
+    hess_m = np.einsum("nij,njk,nkl->nil", proj, hbar, proj) + rule.sff * nu_dot[:, None, None]
     lap = np.einsum("nii->n", hess_m)
-    drift = 0.5 * np.einsum("ni,ni->n", x_tan, gbar)
+    drift = 0.5 * np.einsum("ni,ni->n", rule.x_tan, gbar)
     lu = lap - drift
 
     grad2 = np.einsum("ni,ni->n", grad, grad)
     hess2 = np.einsum("nij,nij->n", hess_m, hess_m)
-    ric_q = np.einsum("nij,ni,nj->n", ric, grad, grad)
-    shape_q = np.einsum("nij,ni,nj->n", shape, grad, grad)
+    ric_q = np.einsum("nij,ni,nj->n", rule.ric, grad, grad)
+    shape_q = np.einsum("nij,ni,nj->n", rule.shape_pairing, grad, grad)
 
     # every term carries the same (-t)^(-2) scaling from x = sqrt(-t) y
     factor = 1.0 / f.time**2
@@ -592,7 +582,7 @@ def verify_drift_bochner(
     note for side-by-side comparison.
     """
     require_support(bg, CURVATURE_IDENTITY, "the integral curvature identity")
-    lhs, rhs_a, rhs_b, grad_energy = _bochner_sides(bg, f, rule)
+    lhs, rhs_a, rhs_b, grad_energy = _bochner_sides(f, rule)
     margin = -abs(lhs - rhs_b)
     notes = (
         f"verbatim-variant residual at the same field: {lhs - rhs_a:.17g}",
@@ -619,7 +609,7 @@ def verify_drift_bochner_verbatim(
     Scenarios list this check as report-only.
     """
     require_support(bg, CURVATURE_IDENTITY, "the integral curvature identity")
-    lhs, rhs_a, _, grad_energy = _bochner_sides(bg, f, rule)
+    lhs, rhs_a, _, grad_energy = _bochner_sides(f, rule)
     margin = -abs(lhs - rhs_a)
     expected = 0.0 if isinstance(bg, Plane) else grad_energy / (2.0 * (-f.time))
     notes = (f"expected residual from the missing pairing term: {expected:.17g}",)
@@ -845,7 +835,6 @@ def verify_selfsimilar_scaling(
         )
     mu = mus[0]
     rule = quadrature(bg, resolution)
-    pts = rule.points
     t = traj.grid.as_array()
     ref_idx = 0
     for i, ti in enumerate(t):
@@ -853,12 +842,12 @@ def verify_selfsimilar_scaling(
             ref_idx = i
             break
     t_ref = float(t[ref_idx])
-    v_ref = combination_values(bg, traj.field_at(ref_idx).coeff_map, pts)
+    v_ref = combine_on_rule(rule, traj.field_at(ref_idx).coeff_map)
     scale = max(1.0, float(np.max(np.abs(v_ref))))
     tol = tolerance if tolerance is not None else 1e-10 * scale
     nodes: list[NodeCheck] = []
     for i, ti in enumerate(t):
-        v = combination_values(bg, traj.field_at(i).coeff_map, pts)
+        v = combine_on_rule(rule, traj.field_at(i).coeff_map)
         predicted = ((-float(ti)) / (-t_ref)) ** mu * v_ref
         residual = float(np.max(np.abs(v - predicted)))
         nodes.append(NodeCheck(t=float(ti), margin=-residual, label="sup-residual"))

@@ -157,6 +157,24 @@ def test_cylinder_geometry_splits():
     assert np.allclose(g.x_perp, [math.sqrt(2.0), 0.0, 0.0], atol=1e-14)
 
 
+GEOMETRY_ARRAYS = ("tangent_projector", "sff", "ric", "shape_pairing", "normal", "x_tan")
+
+
+@pytest.mark.parametrize("bg", sorted(POINTWISE, key=lambda b: b.label()), ids=lambda b: b.label())
+def test_rule_geometry_arrays_equal_the_per_point_oracle(bg):
+    rule = quadrature(bg, 6)
+    oracle = [geometry_at(bg, p) for p in rule.points]
+    for name in GEOMETRY_ARRAYS:
+        array = getattr(rule, name)
+        if isinstance(bg, Plane) and name == "normal":
+            assert array is None and all(g.normal is None for g in oracle)
+            continue
+        expected = np.stack([getattr(g, name) for g in oracle])
+        assert array.shape == expected.shape and array.dtype == expected.dtype, name
+        # byte for byte, so even the sign of a zero must agree
+        assert np.ascontiguousarray(array).tobytes() == expected.tobytes(), name
+
+
 def test_off_surface_points_rejected():
     with pytest.raises(ValueError):
         geometry_at(Sphere(2), np.array([1.0, 0.0, 0.0]))

@@ -1,6 +1,7 @@
 """Each verifier against an independent oracle, plus report plumbing."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from parafreq import (
     Sphere,
     TimeGrid,
     combination_gradients,
+    combination_hessians,
+    combination_values,
+    compute_D_quadrature,
     evolve_exact_trajectory,
     evolve_forced,
     geometry_at,
@@ -37,6 +41,7 @@ from parafreq import (
     verify_selfsimilar_scaling,
     verify_weighted_monotonicity,
 )
+from parafreq.modes import combine_on_rule, mode_function
 
 
 def _traj(bg, coeffs_by_index, a=-1.0, b=-0.5, nodes=41):
@@ -283,3 +288,75 @@ def test_reports_are_deterministic():
     a = verify_frequency_monotonicity(_traj(Plane(2), {(1, 0): 1.0, (0, 2): -0.3}))
     b = verify_frequency_monotonicity(_traj(Plane(2), {(1, 0): 1.0, (0, 2): -0.3}))
     assert a.to_dict() == b.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# per-rule arrays against the per-call and per-point routes
+
+
+@pytest.mark.parametrize(
+    "bg, coeffs",
+    [
+        (Plane(2), {(1, 0): 1.0, (0, 0): 0.0, (2, 1): -0.5, (0, 3): 0.25, (1, 1): 0.0}),
+        (Sphere(2), {(1, 0): 0.7, (2, 3): -1.1, (1, 2): 0.0, (3, 1): 0.4}),
+        (Cylinder(1, 1), {(1, 0, 0): 1.0, (0, 0, 2): -0.4, (2, 1, 1): 0.0, (1, 1, 1): 0.3}),
+    ],
+    ids=["plane2", "sphere2", "cylinder11"],
+)
+def test_mode_columns_reused_across_times_equal_per_call_combinations(bg, coeffs):
+    # mixed eigenvalues and zero amplitudes, combined at several times on one rule
+    traj = _traj(bg, coeffs, nodes=5)
+    rule = quadrature(bg, 10)
+    kinds = (("values", combination_values), ("gradients", combination_gradients), ("hessians", combination_hessians))
+    for i in range(len(traj.grid.nodes)):
+        field = traj.field_at(i)
+        for kind, per_call in kinds:
+            columns = combine_on_rule(rule, field.coeff_map, kind)
+            assert columns.tobytes() == per_call(bg, field.coeff_map, rule.points).tobytes(), (i, kind)
+    # only modes with a nonzero amplitude were ever evaluated, once per kind
+    active = {m for m, a in traj.field_at(0).entries if a != 0.0}
+    assert set(rule.mode_columns) == {(kind, m) for kind, _ in kinds for m in active}
+
+    # independent route: every derivative polynomial evaluated at the nodes
+    field = traj.field_at(-1)
+    d = bg.ambient_dim
+    grads = np.zeros((len(rule.points), d))
+    hess = np.zeros((len(rule.points), d, d))
+    for mode, a in field.entries:
+        poly = mode_function(bg, mode).poly
+        for i in range(d):
+            grads[:, i] += a * poly.diff(i).eval(rule.points)
+            for j in range(d):
+                hess[:, i, j] += a * poly.diff(i).diff(j).eval(rule.points)
+    np.testing.assert_allclose(combine_on_rule(rule, field.coeff_map, "gradients"), grads, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(combine_on_rule(rule, field.coeff_map, "hessians"), hess, rtol=1e-12, atol=1e-12)
+
+
+def test_no_package_code_calls_the_per_point_geometry(monkeypatch):
+    import parafreq
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("geometry_at called from package code")
+
+    modules = [m for name, m in sys.modules.items() if name == "parafreq" or name.startswith("parafreq.")]
+    for module in modules:
+        if hasattr(module, "geometry_at"):
+            monkeypatch.setattr(module, "geometry_at", forbidden)
+    assert parafreq.backgrounds.geometry_at is forbidden
+
+    sphere = Sphere(2)
+    traj = _traj(sphere, {(1, 0): 1.0, (2, 3): 0.5}, nodes=9)
+    rule = quadrature(sphere, 12)
+    assert verify_drift_bochner(sphere, traj.field_at(0), rule).status == "pass"
+    assert verify_drift_bochner_verbatim(sphere, traj.field_at(-1), rule).status == "fail"
+    funcs = standard_test_functions(sphere)
+    rep = verify_weighted_monotonicity(sphere, funcs["x1_sq"], TimeGrid.uniform(-1.0, -0.5, 5), resolution=8)
+    assert rep.status == "pass"
+    assert compute_D_quadrature(traj.field_at(0), rule) < 0.0
+
+    m10, m11 = mode_from_index(sphere, (1, 0)), mode_from_index(sphere, (1, 1))
+    field = CoefficientField.from_dict(sphere, -1.0, {m10: 1.0, m11: 0.5})
+    forcing = Forcing(ConstantRate(0.2), ModeMatrix((m10, m11), ((0.0, 0.1), (0.1, 0.0))))
+    forced = evolve_forced(field, TimeGrid.uniform(-1.0, -0.5, 21), forcing)
+    rep = verify_general_bounds(forced, resolution=8)
+    assert any("certified" in note for note in rep.notes)
