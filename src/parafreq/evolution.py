@@ -268,11 +268,6 @@ class Trajectory:
         row = self.amplitudes[i].tolist()
         return CoefficientField(self.background, self.grid.nodes[i], tuple(zip(self.modes, row)))
 
-    @property
-    def fields(self) -> tuple[CoefficientField, ...]:
-        """Every node's snapshot, built on each access (a view for callers, not for the package)."""
-        return tuple(self.field_at(i) for i in range(len(self.grid.nodes)))
-
 
 def float_powers(bases: Sequence[float], exponents: Sequence[float]) -> np.ndarray:
     """(len(bases), len(exponents)) array of ``base ** exponent``."""

@@ -47,7 +47,6 @@ __all__ = [
     "compute_I_quadrature",
     "compute_D_quadrature",
     "lambda1",
-    "TraceRow",
     "FrequencyTrace",
     "trace_from_trajectory",
 ]
@@ -116,19 +115,6 @@ def lambda1(bg: Background, t: float) -> float:
 # traces
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    t: float
-    I: float
-    D: float
-    U: float
-    N_raw: float
-    cs_defect: float
-
-
-_COLUMNS = ("t", "I", "D", "U", "N_raw", "cs_defect")
-
-
 @dataclass(frozen=True, eq=False)
 class FrequencyTrace:
     """The functionals as columns, one entry per grid node."""
@@ -140,11 +126,6 @@ class FrequencyTrace:
     U: np.ndarray
     N_raw: np.ndarray
     cs_defect: np.ndarray
-
-    @property
-    def rows(self) -> tuple[TraceRow, ...]:
-        """The columns as per-node records, built on each access (a view for callers, not for the package)."""
-        return tuple(TraceRow(*r) for r in zip(*(getattr(self, c).tolist() for c in _COLUMNS)))
 
 
 def trace_from_trajectory(traj: Trajectory, kappa_value: float | None = None) -> FrequencyTrace:

@@ -451,8 +451,8 @@ class RunOutput:
         )
 
 
-def _run_check(name: str, config: ScenarioConfig, traj: Trajectory) -> VerificationReport:
-    """Call the check's verifier with the arguments it takes; fold multi-run checks into one report."""
+def _run_check(name: str, config: ScenarioConfig, traj: Trajectory, trace: FrequencyTrace) -> VerificationReport:
+    """Call the check's verifier with the arguments it takes, the run's trace among them; fold multi-run checks."""
     verify = _VERIFIERS[name]
     bg = config.background
     kwargs: dict[str, Any] = {"scenario_id": config.scenario_id}
@@ -478,7 +478,7 @@ def _run_check(name: str, config: ScenarioConfig, traj: Trajectory) -> Verificat
         return verify(bg, **kwargs)
     if name == "selfsimilar_scaling":
         return verify(traj, **kwargs)
-    return verify(traj, config.kappa_value, **kwargs)
+    return verify(traj, config.kappa_value, trace=trace, **kwargs)
 
 
 def run_scenario(config: ScenarioConfig) -> RunOutput:
@@ -491,7 +491,7 @@ def run_scenario(config: ScenarioConfig) -> RunOutput:
     else:
         traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
     trace = trace_from_trajectory(traj, config.kappa_value)
-    reports = tuple(_run_check(name, config, traj) for name in config.checks)
+    reports = tuple(_run_check(name, config, traj, trace) for name in config.checks)
     return RunOutput(config=config, trace=trace, reports=reports)
 
 
@@ -505,26 +505,66 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+_CSV_ROW = ",".join(["%.17g"] * 6)
+
+
 def emit_trace_csv(output: RunOutput, path: str | Path) -> None:
     """Write the frequency trace; columns exactly t, I, D, U, N_raw, cs_defect."""
-    lines = ["t,I,D,U,N_raw,cs_defect"]
     trace = output.trace
     columns = (trace.t, trace.I, trace.D, trace.U, trace.N_raw, trace.cs_defect)
-    for row in zip(*(c.tolist() for c in columns)):
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    rows = map(_CSV_ROW.__mod__, zip(*(c.tolist() for c in columns)))
+    _atomic_write(Path(path), "\n".join(["t,I,D,U,N_raw,cs_defect", *rows]) + "\n")
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Each float as ``json.dumps`` writes it: ``float.__repr__``, or ``NaN`` / ``Infinity`` / ``-Infinity``."""
+    # the floats of a flat list never contain ", ", so splitting the compact form is exact
+    return json.dumps(values.tolist())[1:-1].split(", ")
+
+
+def format_node_block(t: np.ndarray, margin: np.ndarray, labels: tuple[str, ...], depth: int) -> str:
+    """A report's node list as ``json.dumps(..., indent=2, sort_keys=True)`` writes it at nesting ``depth``.
+
+    The list is ``[{"label": ..., "margin": ..., "t": ...}, ...]``; ``depth``
+    is the number of containers around it (0 for a document of its own).
+    """
+    if not len(labels):
+        return "[]"
+    outer = "\n" + "  " * depth
+    item = outer + "  "
+    key = item + "  "
+    node = "{" + key + '"label": %s,' + key + '"margin": %s,' + key + '"t": %s' + item + "}"
+    encoded = {label: json.dumps(label) for label in set(labels)}
+    rows = map(node.__mod__, zip([encoded[label] for label in labels], _json_floats(margin), _json_floats(t)))
+    return "[" + item + ("," + item).join(rows) + outer + "]"
+
+
+# A report's keys sit three containers deep (document, "reports" list, report),
+# and json.dumps escapes every newline inside a string, so this text marks the
+# "nodes" key of each report and nothing else.
+_NODES_KEY = '\n      "nodes": '
 
 
 def emit_report_json(output: RunOutput, path: str | Path) -> None:
-    """Write the full report document (reports + provenance), sorted and stable."""
+    """Write the full report document (reports + provenance), sorted and stable.
+
+    The text is byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``
+    plus a newline, where ``doc`` holds every report's ``to_dict()``.  Only the
+    skeleton goes through ``json.dumps``; each report's node list is
+    formatted from its columns by ``format_node_block`` and spliced in.
+    """
     doc = {
         "scenario_id": output.config.scenario_id,
         "provenance": output.provenance,
         "kappa_used": output.trace.kappa_used,
         "report_only": sorted(output.config.report_only),
-        "reports": [r.to_dict() for r in output.reports],
+        "reports": [r.to_dict(with_nodes=False) for r in output.reports],
     }
-    _atomic_write(Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    skeleton = json.dumps(doc, indent=2, sort_keys=True).split(_NODES_KEY + "null")
+    parts = [skeleton[0]]
+    for report, rest in zip(output.reports, skeleton[1:], strict=True):
+        parts += [_NODES_KEY, format_node_block(report.t, report.margin, report.labels, 3), rest]
+    _atomic_write(Path(path), "".join(parts) + "\n")
 
 
 def load_report_json(path: str | Path) -> tuple[dict, tuple[VerificationReport, ...]]:

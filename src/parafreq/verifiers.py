@@ -1,8 +1,10 @@
 """Signed-margin checks for the monotonicity, Harnack, and eigenvalue claims.
 
-Every verifier reduces one inequality or integral identity to a list of
-per-node margins on a concrete evolution and wraps them in a
-``VerificationReport``.  Margin conventions:
+Every verifier reduces one inequality or integral identity to per-node
+margins on a concrete evolution, computed as whole-array column expressions,
+and wraps them with their times and labels in a ``VerificationReport``.
+Verifiers that read the frequency trace take the run's trace as the keyword
+``trace`` and build it themselves only when none is passed.  Margin conventions:
 
 * Inequality checks report the raw slack of the bound, so the statement
   holds at a node iff its margin is nonnegative (up to tolerance).
@@ -45,9 +47,9 @@ from .backgrounds import (
     require_support,
     total_mass,
 )
-from .evolution import CoefficientField, TimeGrid, Trajectory, forcing_bound_margin
-from .frequency import FrequencyTrace, lambda1, trace_from_trajectory
-from .modes import combine_on_rule
+from .evolution import CoefficientField, TimeGrid, Trajectory, float_powers, forcing_bound_margin
+from .frequency import FrequencyTrace, trace_from_trajectory
+from .modes import combine_on_rule, first_nonzero_eigenvalue
 from .polynomials import AmbientPolynomial
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -72,40 +74,63 @@ class NodeCheck:
             raise ValueError(f"non-finite margin {self.margin!r} at t={self.t} ({self.label})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VerificationReport:
     """Outcome of one check on one scenario.
 
-    ``min_margin`` is ``None`` exactly when the report is inapplicable;
-    otherwise it is the minimum over node margins and the verdict is
-    ``pass`` iff it is at least minus the tolerance.
+    The evaluated nodes are three columns of equal length: ``t`` and
+    ``margin`` as read-only float arrays and ``labels`` as a tuple of str;
+    ``nodes`` gives them back as ``NodeCheck`` records.  Every margin must be
+    finite.  ``min_margin`` is ``None`` exactly when the report is
+    inapplicable; otherwise it is the minimum over node margins and the
+    verdict is ``pass`` iff it is at least minus the tolerance.
     """
 
     check_name: str
     background: str
     scenario_id: str
-    nodes: tuple[NodeCheck, ...]
+    t: np.ndarray
+    margin: np.ndarray
+    labels: tuple[str, ...]
     tolerance: float
     min_margin: float | None
     status: str
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("t", "margin"):
+            column = np.array(getattr(self, name), dtype=float).reshape(-1)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "labels", tuple(self.labels))
+        t, margin, labels = self.t, self.margin, self.labels
         if self.status not in _STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
-        if self.status != INAPPLICABLE and not self.nodes:
+        if not len(t) == len(margin) == len(labels):
+            raise ValueError(f"node columns differ in length: t {len(t)}, margin {len(margin)}, labels {len(labels)}")
+        if self.status != INAPPLICABLE and not len(margin):
             raise ValueError("applicable report requires at least one node")
+        if not np.isfinite(margin).all():
+            i = int(np.argmin(np.isfinite(margin)))
+            raise ValueError(f"non-finite margin {float(margin[i])!r} at t={float(t[i])} ({labels[i]})")
+
+    @property
+    def nodes(self) -> tuple[NodeCheck, ...]:
+        """The node columns as per-node records, built on each access."""
+        return tuple(map(NodeCheck, self.t.tolist(), self.margin.tolist(), self.labels))
 
     @property
     def passed(self) -> bool:
         return self.status == PASS
 
-    def to_dict(self) -> dict:
+    def to_dict(self, *, with_nodes: bool = True) -> dict:
+        """Plain-data form; ``with_nodes=False`` leaves ``nodes`` None for a writer that formats the columns itself."""
+        nodes = zip(self.t.tolist(), self.margin.tolist(), self.labels)
         return {
             "check_name": self.check_name,
             "background": self.background,
             "scenario_id": self.scenario_id,
-            "nodes": [{"t": n.t, "margin": n.margin, "label": n.label} for n in self.nodes],
+            "nodes": [{"t": t, "margin": m, "label": lab} for t, m, lab in nodes] if with_nodes else None,
             "tolerance": self.tolerance,
             "min_margin": self.min_margin,
             "status": self.status,
@@ -115,51 +140,29 @@ class VerificationReport:
 
 def report_from_dict(data: dict) -> VerificationReport:
     """Inverse of ``VerificationReport.to_dict`` (exact float round-trip)."""
-    nodes = tuple(NodeCheck(t=n["t"], margin=n["margin"], label=n.get("label", "")) for n in data["nodes"])
+    nodes = data["nodes"]
     return VerificationReport(
-        check_name=data["check_name"],
-        background=data["background"],
-        scenario_id=data["scenario_id"],
-        nodes=nodes,
-        tolerance=data["tolerance"],
-        min_margin=data["min_margin"],
-        status=data["status"],
-        notes=tuple(data.get("notes", ())),
+        data["check_name"], data["background"], data["scenario_id"],
+        [n["t"] for n in nodes], [n["margin"] for n in nodes], [n.get("label", "") for n in nodes],
+        data["tolerance"], data["min_margin"], data["status"], tuple(data.get("notes", ())),
     )
 
 
 def _report(
-    check_name: str,
-    bg: Background,
-    scenario_id: str,
-    nodes: list[NodeCheck],
-    tolerance: float,
+    check_name: str, bg: Background, scenario_id: str, t, margin, labels: tuple[str, ...], tolerance: float,
     notes: tuple[str, ...] = (),
-    inapplicable_reason: str | None = None,
 ) -> VerificationReport:
-    if inapplicable_reason is not None:
-        return VerificationReport(
-            check_name=check_name,
-            background=bg.label(),
-            scenario_id=scenario_id,
-            nodes=tuple(nodes),
-            tolerance=tolerance,
-            min_margin=None,
-            status=INAPPLICABLE,
-            notes=notes + (inapplicable_reason,),
-        )
-    min_margin = min(n.margin for n in nodes)
+    """An applicable report from node columns; ``t`` and ``margin`` are anything ``np.array`` reads as floats."""
+    margin = np.asarray(margin, dtype=float).reshape(-1)
+    # the first minimum, as Python's min picks it: np.min may return -0.0 for [0.0, -0.0]
+    min_margin = float(margin[np.argmin(margin)])
     status = PASS if min_margin >= -tolerance else FAIL
-    return VerificationReport(
-        check_name=check_name,
-        background=bg.label(),
-        scenario_id=scenario_id,
-        nodes=tuple(nodes),
-        tolerance=tolerance,
-        min_margin=min_margin,
-        status=status,
-        notes=notes,
-    )
+    label = bg.label()
+    return VerificationReport(check_name, label, scenario_id, t, margin, labels, tolerance, min_margin, status, notes)
+
+
+def _inapplicable(check_name: str, bg: Background, scenario_id: str, reason: str, tolerance: float = 0.0):
+    return VerificationReport(check_name, bg.label(), scenario_id, [], [], (), tolerance, None, INAPPLICABLE, (reason,))
 
 
 def merge_reports(
@@ -176,26 +179,49 @@ def merge_reports(
     notes are theirs in order unless ``notes`` replaces them, and the verdict
     comes from the same rule as every single-run report.
     """
-    nodes: list[NodeCheck] = []
-    for i, r in enumerate(reports):
-        if label_prefixes is None:
-            nodes.extend(r.nodes)
-        else:
-            nodes.extend(NodeCheck(t=n.t, margin=n.margin, label=f"{label_prefixes[i]}:{n.label}") for n in r.nodes)
+    if label_prefixes is None:
+        labels = tuple(lab for r in reports for lab in r.labels)
+    else:
+        labels = tuple(f"{prefix}:{lab}" for prefix, r in zip(label_prefixes, reports, strict=True) for lab in r.labels)
     if notes is None:
         notes = tuple(note for r in reports for note in r.notes)
     first = reports[0]
-    return _report(first.check_name, bg, first.scenario_id, nodes, max(r.tolerance for r in reports), notes)
+    return _report(
+        first.check_name, bg, first.scenario_id,
+        np.concatenate([r.t for r in reports]), np.concatenate([r.margin for r in reports]), labels,
+        max(r.tolerance for r in reports), notes,
+    )
+
+
+_NO_FREQUENCY = "zero initial data: frequency undefined"
 
 
 def _is_zero_run(trace: FrequencyTrace) -> bool:
     return bool(np.all(trace.I == 0.0))
 
 
+def _run_trace(traj: Trajectory, kappa_value: float | None, trace: FrequencyTrace | None) -> FrequencyTrace:
+    """``trace`` if passed (it must have this kappa and one row per node), else the trace built from ``traj``."""
+    k = kappa(traj.background) if kappa_value is None else float(kappa_value)
+    if trace is None:
+        return trace_from_trajectory(traj, k)
+    if trace.kappa_used != k or len(trace.t) != len(traj.grid.nodes):
+        raise ValueError(
+            f"trace (kappa {trace.kappa_used!r}, {len(trace.t)} nodes) does not belong to this run "
+            f"(kappa {k!r}, {len(traj.grid.nodes)} nodes)"
+        )
+    return trace
+
+
 def _subsample(count: int, limit: int) -> np.ndarray:
     if count <= limit:
         return np.arange(count)
     return np.unique(np.round(np.linspace(0, count - 1, limit)).astype(int))
+
+
+def _centered_slopes(values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Centered difference quotients at the interior nodes."""
+    return (values[2:] - values[:-2]) / (t[2:] - t[:-2])
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +234,7 @@ def verify_frequency_monotonicity(
     *,
     tolerance: float | None = None,
     scenario_id: str = "",
+    trace: FrequencyTrace | None = None,
 ) -> VerificationReport:
     """Check that the weighted frequency is nondecreasing along the run.
 
@@ -224,25 +251,20 @@ def verify_frequency_monotonicity(
         The statement requires it to be at least that value.
     tolerance : float, optional
         Pass threshold; defaults to ``1e-9 * max(1, sup |U|)``.
+    trace : FrequencyTrace, optional
+        The run's trace at this kappa, when the caller already holds it.
     """
     bg = traj.background
-    trace = trace_from_trajectory(traj, kappa_value)
+    trace = _run_trace(traj, kappa_value, trace)
     if _is_zero_run(trace):
-        return _report(
-            "frequency_monotonicity", bg, scenario_id, [], 0.0,
-            inapplicable_reason="zero initial data: frequency undefined",
-        )
+        return _inapplicable("frequency_monotonicity", bg, scenario_id, _NO_FREQUENCY)
     t = trace.t
     u = trace.U
     scale = max(1.0, float(np.max(np.abs(u))))
     tol = tolerance if tolerance is not None else 1e-9 * scale
-    nodes: list[NodeCheck] = []
-    for i in range(len(t) - 1):
-        nodes.append(NodeCheck(t=float(t[i + 1]), margin=float(u[i + 1] - u[i]), label="increment"))
-    for i in range(1, len(t) - 1):
-        slope = (u[i + 1] - u[i - 1]) / (t[i + 1] - t[i - 1])
-        nodes.append(NodeCheck(t=float(t[i]), margin=float(slope), label="centered-slope"))
-    return _report("frequency_monotonicity", bg, scenario_id, nodes, tol)
+    labels = ("increment",) * (len(t) - 1) + ("centered-slope",) * (len(t) - 2)
+    margin = np.concatenate([np.diff(u), _centered_slopes(u, t)])
+    return _report("frequency_monotonicity", bg, scenario_id, np.concatenate([t[1:], t[1:-1]]), margin, labels, tol)
 
 
 def verify_equality_case(
@@ -251,6 +273,7 @@ def verify_equality_case(
     *,
     tolerance: float = 1e-9,
     scenario_id: str = "",
+    trace: FrequencyTrace | None = None,
 ) -> VerificationReport:
     """Certify the rigidity side: a flat frequency forces an eigenfunction.
 
@@ -267,38 +290,29 @@ def verify_equality_case(
     mixtures are in play.
     """
     bg = traj.background
-    k = kappa(bg) if kappa_value is None else float(kappa_value)
-    trace = trace_from_trajectory(traj, kappa_value)
+    trace = _run_trace(traj, kappa_value, trace)
+    k = trace.kappa_used
     if _is_zero_run(trace):
-        return _report(
-            "equality_case", bg, scenario_id, [], 0.0,
-            inapplicable_reason="zero initial data: frequency undefined",
-        )
-    t = trace.t
+        return _inapplicable("equality_case", bg, scenario_id, _NO_FREQUENCY)
     u = trace.U
-    i_vals = trace.I
-    d_vals = trace.D
-    cs = trace.cs_defect
-    scale_u = max(1.0, float(np.max(np.abs(u))))
-    trigger = tolerance * scale_u
-    nodes: list[NodeCheck] = []
-    for i in range(len(t) - 1):
-        if abs(u[i + 1] - u[i]) >= trigger:
-            continue
-        for j in (i, i + 1):
-            tj = float(t[j])
-            mt = -tj
-            defect_margin = tolerance * i_vals[j] ** 2 - cs[j]
-            nodes.append(NodeCheck(t=tj, margin=float(defect_margin), label="defect-bound"))
-            c_fit = d_vals[j] / (2.0 * i_vals[j])
-            c_ref = u[j] / (2.0 * mt ** (1.0 + 2.0 * k))
-            c_margin = tolerance * max(1.0, abs(c_ref)) - abs(c_fit - c_ref)
-            nodes.append(NodeCheck(t=tj, margin=float(c_margin), label="eigenvalue-fit"))
-    notes: tuple[str, ...] = ()
-    if not nodes:
-        nodes.append(NodeCheck(t=float(t[-1]), margin=0.0, label="no pair met the flatness trigger"))
-        notes = ("vacuous: frequency never flat within the trigger, so the implication holds trivially",)
-    return _report("equality_case", bg, scenario_id, nodes, 0.0, notes=notes)
+    trigger = tolerance * max(1.0, float(np.max(np.abs(u))))
+    # a nan difference counts as flat, so its nan margins are rejected instead of skipped
+    flat = np.flatnonzero(~(np.abs(np.diff(u)) >= trigger))
+    if not len(flat):
+        return _report(
+            "equality_case", bg, scenario_id, [trace.t[-1]], [0.0], ("no pair met the flatness trigger",), 0.0,
+            notes=("vacuous: frequency never flat within the trigger, so the implication holds trivially",),
+        )
+    # both endpoints of every flat pair, in pair order; two margins per endpoint
+    j = np.column_stack([flat, flat + 1]).reshape(-1)
+    tj, ij, uj = trace.t[j], trace.I[j], u[j]
+    defect_margin = tolerance * float_powers(ij.tolist(), [2.0])[:, 0] - trace.cs_defect[j]
+    c_fit = trace.D[j] / (2.0 * ij)
+    c_ref = uj / (2.0 * float_powers((-tj).tolist(), [1.0 + 2.0 * k])[:, 0])
+    c_margin = tolerance * np.maximum(1.0, np.abs(c_ref)) - np.abs(c_fit - c_ref)
+    margin = np.column_stack([defect_margin, c_margin]).reshape(-1)
+    labels = ("defect-bound", "eigenvalue-fit") * len(j)
+    return _report("equality_case", bg, scenario_id, np.repeat(tj, 2), margin, labels, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +323,20 @@ def _harnack_endpoints(trace: FrequencyTrace) -> tuple[float, float, float, floa
     return float(trace.t[0]), float(trace.t[-1]), float(trace.I[0]), float(trace.I[-1]), float(trace.U[0])
 
 
+def _degenerate_harnack(check_name: str, bg: Background, scenario_id: str, tb: float, tolerance: float, note: str):
+    return _report(check_name, bg, scenario_id, [tb], [0.0], ("degenerate",), tolerance, notes=(note,))
+
+
+_ZERO_DATA_NOTE = "zero data: both sides vanish and the bound degenerates to 0 >= 0"
+
+
 def verify_harnack(
     traj: Trajectory,
     kappa_value: float | None = None,
     *,
     tolerance: float = 1e-9,
     scenario_id: str = "",
+    trace: FrequencyTrace | None = None,
 ) -> VerificationReport:
     """Check the two-time lower bound on the mass I against its endpoints.
 
@@ -336,14 +358,10 @@ def verify_harnack(
     backward-uniqueness content.
     """
     bg = traj.background
-    k = kappa(bg) if kappa_value is None else float(kappa_value)
-    trace = trace_from_trajectory(traj, kappa_value)
+    trace = _run_trace(traj, kappa_value, trace)
+    k = trace.kappa_used
     if _is_zero_run(trace):
-        nodes = [NodeCheck(t=traj.grid.b, margin=0.0, label="degenerate")]
-        return _report(
-            "harnack", bg, scenario_id, nodes, tolerance,
-            notes=("zero data: both sides vanish and the bound degenerates to 0 >= 0",),
-        )
+        return _degenerate_harnack("harnack", bg, scenario_id, traj.grid.b, tolerance, _ZERO_DATA_NOTE)
     ta, tb, ia, ib, ua = _harnack_endpoints(trace)
     dlog = math.log(ib) - math.log(ia)
     notes: tuple[str, ...] = ()
@@ -357,8 +375,7 @@ def verify_harnack(
         label = "log-bound-derivation"
         printed = dlog + ua - ratio
         notes = (f"printed-variant margin at the same endpoints: {printed:.17g}",)
-    nodes = [NodeCheck(t=tb, margin=float(margin), label=label)]
-    return _report("harnack", bg, scenario_id, nodes, tolerance, notes=notes)
+    return _report("harnack", bg, scenario_id, [tb], [margin], (label,), tolerance, notes=notes)
 
 
 def verify_harnack_printed(
@@ -367,6 +384,7 @@ def verify_harnack_printed(
     *,
     tolerance: float = 1e-9,
     scenario_id: str = "",
+    trace: FrequencyTrace | None = None,
 ) -> VerificationReport:
     """Check the printed zero-weight variant of the two-time bound.
 
@@ -380,21 +398,16 @@ def verify_harnack_printed(
     bg = traj.background
     k = kappa(bg) if kappa_value is None else float(kappa_value)
     if k > 0.0:
-        return _report(
-            "harnack_printed", bg, scenario_id, [], tolerance,
-            inapplicable_reason="printed and derived forms coincide for positive curvature weight",
-        )
-    trace = trace_from_trajectory(traj, kappa_value)
+        if trace is not None:
+            _run_trace(traj, k, trace)  # a passed trace is checked even where it goes unread
+        reason = "printed and derived forms coincide for positive curvature weight"
+        return _inapplicable("harnack_printed", bg, scenario_id, reason, tolerance)
+    trace = _run_trace(traj, k, trace)
     if _is_zero_run(trace):
-        nodes = [NodeCheck(t=traj.grid.b, margin=0.0, label="degenerate")]
-        return _report(
-            "harnack_printed", bg, scenario_id, nodes, tolerance,
-            notes=("zero data: both sides vanish and the bound degenerates to 0 >= 0",),
-        )
+        return _degenerate_harnack("harnack_printed", bg, scenario_id, traj.grid.b, tolerance, _ZERO_DATA_NOTE)
     ta, tb, ia, ib, ua = _harnack_endpoints(trace)
     margin = (math.log(ib) - math.log(ia)) + ua - math.log(tb / ta)
-    nodes = [NodeCheck(t=tb, margin=float(margin), label="log-bound-printed")]
-    return _report("harnack_printed", bg, scenario_id, nodes, tolerance)
+    return _report("harnack_printed", bg, scenario_id, [tb], [margin], ("log-bound-printed",), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +519,10 @@ def verify_weighted_monotonicity(
     scales = np.sqrt(-t)
     g = np.array([w @ _eval_graded(f_graded, s, n_pts) for s in scales])
     rhs = np.array([-(w @ _eval_graded(tr_graded, s, n_pts)) for s in scales])
-    nodes: list[NodeCheck] = []
-    for i in range(1, len(t) - 1):
-        lhs = (g[i + 1] - g[i - 1]) / (t[i + 1] - t[i - 1])
-        nodes.append(NodeCheck(t=float(t[i]), margin=-abs(float(lhs - rhs[i])), label="residual"))
+    margin = -np.abs(_centered_slopes(g, t) - rhs[1:-1])
     notes = (f"test function: {function_name or 'unnamed'}",)
-    return _report("weighted_monotonicity", bg, scenario_id, nodes, tolerance, notes=notes)
+    labels = ("residual",) * len(margin)
+    return _report("weighted_monotonicity", bg, scenario_id, t[1:-1], margin, labels, tolerance, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +599,7 @@ def verify_drift_bochner(
         f"verbatim-variant residual at the same field: {lhs - rhs_a:.17g}",
         f"gradient energy at this time: {grad_energy:.17g}",
     )
-    nodes = [NodeCheck(t=f.time, margin=float(margin), label="integral-identity")]
-    return _report("drift_bochner", bg, scenario_id, nodes, tolerance, notes=notes)
+    return _report("drift_bochner", bg, scenario_id, [f.time], [margin], ("integral-identity",), tolerance, notes)
 
 
 def verify_drift_bochner_verbatim(
@@ -613,8 +623,8 @@ def verify_drift_bochner_verbatim(
     margin = -abs(lhs - rhs_a)
     expected = 0.0 if isinstance(bg, Plane) else grad_energy / (2.0 * (-f.time))
     notes = (f"expected residual from the missing pairing term: {expected:.17g}",)
-    nodes = [NodeCheck(t=f.time, margin=float(margin), label="integral-identity-verbatim")]
-    return _report("drift_bochner_verbatim", bg, scenario_id, nodes, tolerance, notes=notes)
+    label = ("integral-identity-verbatim",)
+    return _report("drift_bochner_verbatim", bg, scenario_id, [f.time], [margin], label, tolerance, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +651,7 @@ def verify_general_bounds(
     tolerance: float | None = None,
     hypothesis_samples: int = 9,
     scenario_id: str = "",
+    trace: FrequencyTrace | None = None,
 ) -> VerificationReport:
     """Check both differential bounds for forced runs at interior nodes.
 
@@ -659,13 +670,10 @@ def verify_general_bounds(
     differences of the same data; raw margins are reported unmodified.
     """
     bg = traj.background
-    k = kappa(bg) if kappa_value is None else float(kappa_value)
-    trace = trace_from_trajectory(traj, kappa_value)
+    trace = _run_trace(traj, kappa_value, trace)
+    k = trace.kappa_used
     if _is_zero_run(trace):
-        return _report(
-            "general_bounds", bg, scenario_id, [], 0.0,
-            inapplicable_reason="zero initial data: frequency undefined",
-        )
+        return _inapplicable("general_bounds", bg, scenario_id, _NO_FREQUENCY)
     notes: tuple[str, ...] = ()
     if traj.forcing is not None:
         rule = quadrature(bg, resolution)
@@ -674,37 +682,26 @@ def verify_general_bounds(
             fld = traj.field_at(int(idx))
             m = forcing_bound_margin(fld, traj.forcing, rule)
             if m < -1e-12:
-                return _report(
-                    "general_bounds", bg, scenario_id, [], 0.0,
-                    inapplicable_reason=(
-                        f"forcing hypothesis fails at t={fld.time:.17g} (pointwise margin {m:.6e})"
-                    ),
-                )
+                reason = f"forcing hypothesis fails at t={fld.time:.17g} (pointwise margin {m:.6e})"
+                return _inapplicable("general_bounds", bg, scenario_id, reason)
         notes = (f"forcing hypothesis certified at {len(sample)} sampled nodes",)
 
     t = trace.t
     u = trace.U
     log_i = np.log(trace.I)
-    rate = traj.forcing.rate if traj.forcing is not None else None
-    c_of = (lambda s: rate(s)) if rate is not None else (lambda s: 0.0)
-
-    nodes: list[NodeCheck] = []
-    for i in range(1, len(t) - 1):
-        ti = float(t[i])
-        mt = -ti
-        ci = c_of(ti)
-        span = t[i + 1] - t[i - 1]
-        dlog = (log_i[i + 1] - log_i[i - 1]) / span
-        du = (u[i + 1] - u[i - 1]) / span
-        bound_i = (1.0 + ci / 2.0) * mt ** (-1.0 - 2.0 * k) * u[i] - 3.0 * ci
-        bound_u = ci**2 * (u[i] - 2.0 * mt ** (1.0 + 2.0 * k))
-        nodes.append(NodeCheck(t=ti, margin=float(dlog - bound_i), label="mass-growth"))
-        nodes.append(NodeCheck(t=ti, margin=float(du - bound_u), label="frequency-derivative"))
+    ti, ui = t[1:-1], u[1:-1]
+    c = traj.forcing.rate.values_at(ti) if traj.forcing is not None else np.zeros(len(ti))
+    powers = float_powers((-ti).tolist(), [-1.0 - 2.0 * k, 1.0 + 2.0 * k])
+    bound_i = (1.0 + c / 2.0) * powers[:, 0] * ui - 3.0 * c
+    bound_u = float_powers(c.tolist(), [2.0])[:, 0] * (ui - 2.0 * powers[:, 1])
+    # two margins per interior node, mass growth first
+    margin = np.column_stack([_centered_slopes(log_i, t) - bound_i, _centered_slopes(u, t) - bound_u]).reshape(-1)
 
     allow = max(_third_difference_allowance(log_i, t), _third_difference_allowance(u, t))
     base = tolerance if tolerance is not None else 1e-9 * max(1.0, float(np.max(np.abs(u))))
     notes = notes + (f"centered-difference allowance folded into tolerance: {allow:.6e}",)
-    return _report("general_bounds", bg, scenario_id, nodes, base + allow, notes=notes)
+    labels = ("mass-growth", "frequency-derivative") * len(ti)
+    return _report("general_bounds", bg, scenario_id, np.repeat(ti, 2), margin, labels, base + allow, notes=notes)
 
 
 def verify_general_harnack(
@@ -714,6 +711,7 @@ def verify_general_harnack(
     tolerance: float = 1e-8,
     quad_tol: float = 1e-10,
     scenario_id: str = "",
+    trace: FrequencyTrace | None = None,
 ) -> VerificationReport:
     """Check the integrated two-time bound for forced runs.
 
@@ -733,13 +731,12 @@ def verify_general_harnack(
     statement itself.
     """
     bg = traj.background
-    k = kappa(bg) if kappa_value is None else float(kappa_value)
-    trace = trace_from_trajectory(traj, kappa_value)
+    trace = _run_trace(traj, kappa_value, trace)
+    k = trace.kappa_used
     if _is_zero_run(trace):
-        nodes = [NodeCheck(t=traj.grid.b, margin=0.0, label="degenerate")]
-        return _report(
-            "general_harnack", bg, scenario_id, nodes, tolerance,
-            notes=("zero data: the bound degenerates to 0 >= 0 (vanishing at b forces vanishing throughout)",),
+        return _degenerate_harnack(
+            "general_harnack", bg, scenario_id, traj.grid.b, tolerance,
+            "zero data: the bound degenerates to 0 >= 0 (vanishing at b forces vanishing throughout)",
         )
     ta, tb, ia, ib, ua = _harnack_endpoints(trace)
     rate = traj.forcing.rate if traj.forcing is not None else None
@@ -766,8 +763,7 @@ def verify_general_harnack(
         bound = refined
     notes = () if converged else ("warning: quadrature for the bound did not reach the requested tolerance",)
     margin = (math.log(ib) - math.log(ia)) - bound
-    nodes = [NodeCheck(t=tb, margin=float(margin), label="log-bound-integrated")]
-    return _report("general_harnack", bg, scenario_id, nodes, tolerance, notes=notes)
+    return _report("general_harnack", bg, scenario_id, [tb], [margin], ("log-bound-integrated",), tolerance, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -791,12 +787,10 @@ def verify_eigenvalue_monotonicity(
     """
     k = kappa(bg) if kappa_value is None else float(kappa_value)
     t = grid.as_array()
-    q = np.array([(-ti) ** (1.0 + 2.0 * k) * lambda1(bg, ti) for ti in t])
-    nodes = [
-        NodeCheck(t=float(t[i + 1]), margin=float(q[i] - q[i + 1]), label="scaled-eigenvalue-drop")
-        for i in range(len(t) - 1)
-    ]
-    return _report("eigenvalue_monotonicity", bg, scenario_id, nodes, tolerance)
+    mt = -t
+    q = float_powers(mt.tolist(), [1.0 + 2.0 * k])[:, 0] * (first_nonzero_eigenvalue(bg) / mt)  # lambda1 = mu_1/(-t)
+    labels = ("scaled-eigenvalue-drop",) * (len(t) - 1)
+    return _report("eigenvalue_monotonicity", bg, scenario_id, t[1:], q[:-1] - q[1:], labels, tolerance)
 
 
 def verify_selfsimilar_scaling(
@@ -821,38 +815,30 @@ def verify_selfsimilar_scaling(
     bg = traj.background
     first = traj.field_at(0)
     if first.is_zero:
-        return _report(
-            "selfsimilar_scaling", bg, scenario_id, [], 0.0,
-            inapplicable_reason="zero initial data: no frequency to scale by",
-        )
+        return _inapplicable("selfsimilar_scaling", bg, scenario_id, "zero initial data: no frequency to scale by")
     amps = np.abs(first.amplitudes)
     active = [m for m, a in zip(first.modes, amps) if a > 1e-13 * float(np.max(amps))]
     mus = sorted({m.mu for m in active})
     if len(mus) != 1:
-        return _report(
-            "selfsimilar_scaling", bg, scenario_id, [], 0.0,
-            inapplicable_reason=f"multiple eigenvalues active ({mus}); frequency not constant",
-        )
+        reason = f"multiple eigenvalues active ({mus}); frequency not constant"
+        return _inapplicable("selfsimilar_scaling", bg, scenario_id, reason)
     mu = mus[0]
     rule = quadrature(bg, resolution)
     t = traj.grid.as_array()
-    ref_idx = 0
-    for i, ti in enumerate(t):
-        if abs(ti + 1.0) < 1e-12:
-            ref_idx = i
-            break
+    at_minus_one = np.flatnonzero(np.abs(t + 1.0) < 1e-12)
+    ref_idx = int(at_minus_one[0]) if len(at_minus_one) else 0
     t_ref = float(t[ref_idx])
     v_ref = combine_on_rule(rule, traj.field_at(ref_idx).coeff_map)
     scale = max(1.0, float(np.max(np.abs(v_ref))))
     tol = tolerance if tolerance is not None else 1e-10 * scale
-    nodes: list[NodeCheck] = []
-    for i, ti in enumerate(t):
-        v = combine_on_rule(rule, traj.field_at(i).coeff_map)
-        predicted = ((-float(ti)) / (-t_ref)) ** mu * v_ref
-        residual = float(np.max(np.abs(v - predicted)))
-        nodes.append(NodeCheck(t=float(ti), margin=-residual, label="sup-residual"))
+    residuals = [
+        np.max(np.abs(combine_on_rule(rule, traj.field_at(i).coeff_map) - ((-ti) / (-t_ref)) ** mu * v_ref))
+        for i, ti in enumerate(t.tolist())
+    ]
     notes = (f"single active eigenvalue mu={mu:.17g}; reference slice t={t_ref:.17g}",)
-    return _report("selfsimilar_scaling", bg, scenario_id, nodes, tol, notes=notes)
+    return _report(
+        "selfsimilar_scaling", bg, scenario_id, t, -np.array(residuals), ("sup-residual",) * len(t), tol, notes=notes
+    )
 
 
 def verify_quadrature_mass(
@@ -866,5 +852,4 @@ def verify_quadrature_mass(
     rule = quadrature(bg, resolution)
     margin = -abs(rule.mass - total_mass(bg))
     scale = max(1.0, total_mass(bg))
-    nodes = [NodeCheck(t=-1.0, margin=float(margin), label="mass")]
-    return _report("quadrature_mass", bg, scenario_id, nodes, tolerance * scale)
+    return _report("quadrature_mass", bg, scenario_id, [-1.0], [margin], ("mass",), tolerance * scale)

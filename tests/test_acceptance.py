@@ -63,7 +63,7 @@ def test_criterion_01_caloric_frequency_is_minus_degree():
             idx = (k,) if n == 1 else (k - 1, 1)
             traj = _pure_run(bg, idx, nodes=50)
             trace = trace_from_trajectory(traj, 0.0)
-            worst = max(worst, max(abs(row.U + k) for row in trace.rows))
+            worst = max(worst, max(abs(u + k) for u in trace.U))
     assert worst < 1e-10
     print(f"criterion 1: PASS  max |U + k| = {worst:.3e} (< 1e-10)")
 
@@ -74,13 +74,13 @@ def test_criterion_02_sphere_spectrum_golden_values():
         bg = Sphere(n)
         for k in range(1, 5):
             traj = _pure_run(bg, (k, 0), b=-0.5, nodes=5)
-            row = trace_from_trajectory(traj).rows[0]
-            assert row.t == -1.0
-            c_fit = row.D / (2.0 * row.I)
+            trace = trace_from_trajectory(traj)
+            assert trace.t[0] == -1.0
+            c_fit = trace.D[0] / (2.0 * trace.I[0])
             c_ref = -(k * k + (n - 1) * k) / (2.0 * n)
             u_ref = -(k * k + (n - 1) * k) / n
             worst_c = max(worst_c, abs(c_fit - c_ref))
-            worst_u = max(worst_u, abs(row.U - u_ref))
+            worst_u = max(worst_u, abs(trace.U[0] - u_ref))
     assert worst_c < 1e-12
     assert worst_u < 1e-12
     print(f"criterion 2: PASS  |c_fit - c_ref| <= {worst_c:.3e}, |U - U_ref| <= {worst_u:.3e} (< 1e-12)")
@@ -110,7 +110,7 @@ def test_criterion_03_monotonicity_over_200_seeded_mixtures():
             amps = _random_mixture(bg, rng, modes)
             field = CoefficientField.from_dict(bg, -1.0, amps)
             trace = trace_from_trajectory(evolve_exact_trajectory(field, grid), kap)
-            u = np.array([row.U for row in trace.rows])
+            u = trace.U
             scale = np.maximum(np.abs(u[:-1]), np.abs(u[1:]))
             margins = np.diff(u)
             rel = margins / np.maximum(scale, 1e-300)
@@ -119,10 +119,10 @@ def test_criterion_03_monotonicity_over_200_seeded_mixtures():
             # closed-form weighted-average oracle from the initial data
             mus = np.array([m.mu for m in amps])
             a0 = np.array(list(amps.values()))
-            for row in trace.rows:
-                w = a0 * a0 * (-row.t) ** (2.0 * mus)
+            for t, n_raw in zip(trace.t.tolist(), trace.N_raw.tolist()):
+                w = a0 * a0 * (-t) ** (2.0 * mus)
                 oracle = -2.0 * float(np.sum(mus * w) / np.sum(w))
-                worst_oracle = max(worst_oracle, abs(row.N_raw - oracle))
+                worst_oracle = max(worst_oracle, abs(n_raw - oracle))
             assert worst_oracle < 1e-10
     print(
         "criterion 3: PASS  600 mixtures, worst relative margin "
@@ -145,7 +145,7 @@ def test_criterion_03_property_frequency_never_decreases(a1, a2, a3):
         bg, -1.0, {mode_from_index(bg, idx): v for idx, v in amps.items()}
     )
     trace = trace_from_trajectory(evolve_exact_trajectory(field, TimeGrid.uniform(-1.0, -0.2, 17)))
-    u = np.array([row.U for row in trace.rows])
+    u = trace.U
     scale = np.maximum(np.abs(u[:-1]), np.abs(u[1:]))
     assert np.all(np.diff(u) >= -1e-9 * scale)
 
@@ -154,8 +154,9 @@ def test_criterion_04_equality_case_of_cauchy_schwarz():
     worst_pure = 0.0
     for bg, idx in [(Plane(1), (3,)), (Plane(2), (2, 0)), (Sphere(2), (2, 1)), (Cylinder(1, 1), (1, 0, 1))]:
         traj = _pure_run(bg, idx, amp=1.7)
-        for row in trace_from_trajectory(traj).rows:
-            worst_pure = max(worst_pure, row.cs_defect / (row.I * row.I))
+        trace = trace_from_trajectory(traj)
+        for cs, i in zip(trace.cs_defect, trace.I):
+            worst_pure = max(worst_pure, cs / (i * i))
     assert worst_pure < 1e-12
     least_mixed = math.inf
     for bg, amps in [
@@ -167,8 +168,8 @@ def test_criterion_04_equality_case_of_cauchy_schwarz():
             bg, -1.0, {mode_from_index(bg, idx): v for idx, v in amps.items()}
         )
         traj = evolve_exact_trajectory(field, TimeGrid.uniform(-1.0, -0.1, 50))
-        for row in trace_from_trajectory(traj).rows:
-            least_mixed = min(least_mixed, row.cs_defect)
+        for cs in trace_from_trajectory(traj).cs_defect:
+            least_mixed = min(least_mixed, cs)
     assert least_mixed > 0.0
     print(
         f"criterion 4: PASS  pure defect/I^2 <= {worst_pure:.3e} (< 1e-12), "
@@ -272,7 +273,8 @@ def test_criterion_08_forced_growth_bounds():
     )
     traj = evolve_forced(rich, grid, Forcing(ConstantRate(0.0), ScalarOnU()), local_tol=1e-12)
     worst_rel = 0.0
-    for t, stepped in zip(grid.nodes, traj.fields):
+    for i, t in enumerate(grid.nodes):
+        stepped = traj.field_at(i)
         exact = evolve_exact(rich, t)
         for (_, a), (_, b) in zip(stepped.entries, exact.entries):
             worst_rel = max(worst_rel, abs(a - b) / max(1.0, abs(b)))
@@ -299,19 +301,18 @@ def test_criterion_09_scaled_eigenvalue_monotonicity():
 def test_criterion_10_backward_uniqueness_contrapositive():
     traj = _pure_run(Sphere(2), (1, 0), b=-0.5, nodes=41)
     trace = trace_from_trajectory(traj)
-    i_b = trace.rows[-1].I
+    i_b = trace.I[-1]
     assert i_b > 0.0
-    row_a = trace.rows[0]
     kap = trace.kappa_used
-    u_a = row_a.U
-    lower = math.log(row_a.I) + (1.0 / (2.0 * kap)) * (
+    u_a = trace.U[0]
+    lower = math.log(trace.I[0]) + (1.0 / (2.0 * kap)) * (
         (0.5) ** (-2.0 * kap) - (1.0) ** (-2.0 * kap)
     ) * u_a
     assert math.isfinite(lower)
     assert math.log(i_b) >= lower - 1e-12
     zero = CoefficientField.from_dict(Plane(2), -1.0, {})
     ztrace = trace_from_trajectory(evolve_exact_trajectory(zero, TimeGrid.uniform(-1.0, -0.1, 50)))
-    assert all(row.I == 0.0 for row in ztrace.rows)
+    assert all(i == 0.0 for i in ztrace.I)
     print(
         f"criterion 10: PASS  pure run log I(b) = {math.log(i_b):.6f} >= finite bound {lower:.6f}; "
         "zero-data run has I identically 0"

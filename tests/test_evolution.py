@@ -68,7 +68,8 @@ def test_trajectory_matches_pointwise_evolution():
     f0 = _field(bg, -1.0, {(1, 0, 0): 0.5, (0, 0, 2): 1.0})
     grid = TimeGrid.uniform(-1.0, -0.25, 7)
     traj = evolve_exact_trajectory(f0, grid)
-    for t, field in zip(grid.nodes, traj.fields):
+    for i, t in enumerate(grid.nodes):
+        field = traj.field_at(i)
         ref = evolve_exact(f0, t)
         for (m1, a1), (m2, a2) in zip(field.entries, ref.entries):
             assert m1 == m2
@@ -80,7 +81,7 @@ def test_zero_field_stays_zero():
     f0 = CoefficientField.from_dict(bg, -1.0, {})
     assert f0.is_zero
     traj = evolve_exact_trajectory(f0, TimeGrid.uniform(-1.0, -0.5, 5))
-    assert all(f.is_zero for f in traj.fields)
+    assert all(traj.field_at(i).is_zero for i in range(len(traj.grid.nodes)))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +95,8 @@ def test_rk_with_zero_rate_matches_exact():
     forcing = Forcing(ConstantRate(0.0), ScalarOnU())
     traj = evolve_forced(f0, grid, forcing, local_tol=1e-12)
     worst = 0.0
-    for t, field in zip(grid.nodes, traj.fields):
+    for i, t in enumerate(grid.nodes):
+        field = traj.field_at(i)
         ref = evolve_exact(f0, t)
         for (m, a), (_, b) in zip(field.entries, ref.entries):
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
@@ -111,7 +113,7 @@ def test_scalar_rate_closed_form():
     t = grid.nodes[-1]
     factor = math.exp(c0 * (t - (-1.0)))
     ref = evolve_exact(f0, t)
-    for (m, a), (_, b) in zip(traj.fields[-1].entries, ref.entries):
+    for (m, a), (_, b) in zip(traj.field_at(-1).entries, ref.entries):
         assert a == pytest.approx(b * factor, rel=1e-9)
 
 
@@ -123,8 +125,8 @@ def test_sampled_rate_matches_constant_rate():
     ts = np.linspace(-1.0, -0.4, 25)
     sampled = SampledRate(tuple(ts), tuple(0.3 for _ in ts))
     samp = evolve_forced(f0, grid, Forcing(sampled, ScalarOnU()), local_tol=1e-11)
-    for fa, fb in zip(const.fields, samp.fields):
-        for (_, a), (_, b) in zip(fa.entries, fb.entries):
+    for i in range(len(grid.nodes)):
+        for (_, a), (_, b) in zip(const.field_at(i).entries, samp.field_at(i).entries):
             assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -153,7 +155,8 @@ def test_mode_matrix_nilpotent_closed_form():
     grid = TimeGrid.uniform(t0, -0.1, 361)
     traj = evolve_forced(f0, grid, forcing, local_tol=1e-12)
     amp = a3_0 / (-t0) ** 1.5
-    for t, field in zip(grid.nodes, traj.fields):
+    for i, t in enumerate(grid.nodes):
+        field = traj.field_at(i)
         a3 = amp * (-t) ** 1.5
         a1 = (-t) ** 0.5 * (a1_0 / (-t0) ** 0.5 + c0 * w * amp * (t0 * t0 - t * t) / 2.0)
         assert _coeff(field, (3,)) == pytest.approx(a3, rel=1e-9, abs=1e-11)

@@ -134,10 +134,10 @@ def test_trace_columns_and_values():
     trace = trace_from_trajectory(evolve_exact_trajectory(f0, grid))
     assert trace.kappa_used == 0.0
     assert list(trace.t) == list(grid.nodes)
-    for row, t in zip(trace.rows, grid.nodes):
-        assert row.I == pytest.approx((-t) ** 2.0, rel=1e-14)
-        assert row.U == pytest.approx(-2.0, abs=1e-13)
-        assert row.N_raw == pytest.approx(-2.0, abs=1e-13)
+    for i, u, n_raw, t in zip(trace.I, trace.U, trace.N_raw, grid.nodes):
+        assert i == pytest.approx((-t) ** 2.0, rel=1e-14)
+        assert u == pytest.approx(-2.0, abs=1e-13)
+        assert n_raw == pytest.approx(-2.0, abs=1e-13)
     u_col = trace.U
     assert np.allclose(u_col, -2.0, atol=1e-13)
 
@@ -221,20 +221,20 @@ def test_trace_kappa_override_rescales_u():
     traj = evolve_exact_trajectory(f0, grid)
     base = trace_from_trajectory(traj, 0.0)
     shifted = trace_from_trajectory(traj, 0.5)
-    for r0, r1 in zip(base.rows, shifted.rows):
-        assert r1.U == pytest.approx(r0.U * (-r0.t), rel=1e-13)
-        assert r1.N_raw == pytest.approx(r0.N_raw, rel=1e-14)
+    for t, u0, u1, n0, n1 in zip(base.t, base.U, shifted.U, base.N_raw, shifted.N_raw):
+        assert u1 == pytest.approx(u0 * (-t), rel=1e-13)
+        assert n1 == pytest.approx(n0, rel=1e-14)
 
 
 def test_zero_field_trace_is_nan_frequency_zero_mass():
     bg = Plane(1)
     f0 = CoefficientField.from_dict(bg, -1.0, {})
     trace = trace_from_trajectory(evolve_exact_trajectory(f0, TimeGrid.uniform(-1.0, -0.5, 3)))
-    for row in trace.rows:
-        assert row.I == 0.0
-        assert row.D == 0.0
-        assert math.isnan(row.U)
-        assert math.isnan(row.N_raw)
-        assert row.cs_defect == 0.0
+    for i, d, u, n_raw, cs in zip(trace.I, trace.D, trace.U, trace.N_raw, trace.cs_defect):
+        assert i == 0.0
+        assert d == 0.0
+        assert math.isnan(u)
+        assert math.isnan(n_raw)
+        assert cs == 0.0
     with pytest.raises(ZeroFieldError):
         compute_U(f0)

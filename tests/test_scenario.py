@@ -1,19 +1,26 @@
 """Config parsing, hashing, execution, and the three emitters."""
 
 import json
+import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from parafreq import (
     ConfigError,
+    VerificationReport,
     emit_plot_script,
     emit_report_json,
     emit_trace_csv,
     load_config,
     load_report_json,
     parse_config,
+    report_from_dict,
     run_scenario,
 )
+from parafreq.cli import _load_packaged_configs
+from parafreq.scenario import format_node_block
 
 BASE = {
     "scenario_id": "base",
@@ -182,7 +189,7 @@ def test_run_produces_one_report_per_check():
     out = run_scenario(parse_config(_doc()))
     assert [r.check_name for r in out.reports] == list(BASE["checks"])
     assert out.failed_checks() == ()
-    assert out.trace.rows[0].U == pytest.approx(-1.0, abs=1e-12)
+    assert out.trace.U[0] == pytest.approx(-1.0, abs=1e-12)
     assert out.provenance["config_hash"] == out.config.config_hash()
 
 
@@ -211,7 +218,7 @@ def test_emitters_roundtrip_and_are_deterministic(tmp_path):
 
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "t,I,D,U,N_raw,cs_defect"
-    assert len(lines) == 1 + len(out.trace.rows)
+    assert len(lines) == 1 + len(out.trace.t)
 
     doc, reports = load_report_json(json_path)
     assert doc["scenario_id"] == "base"
@@ -250,4 +257,78 @@ def test_zero_data_scenario_statuses():
         "selfsimilar_scaling": "inapplicable",
         "quadrature_mass": "pass",
     }
-    assert all(row.I == 0.0 for row in out.trace.rows)
+    assert all(i == 0.0 for i in out.trace.I)
+
+
+# ---------------------------------------------------------------------------
+# the report writer against json.dumps
+
+
+def _json_dumps_text(out):
+    # the document emit_report_json writes, encoded the plain way
+    doc = {
+        "scenario_id": out.config.scenario_id,
+        "provenance": out.provenance,
+        "kappa_used": out.trace.kappa_used,
+        "report_only": sorted(out.config.report_only),
+        "reports": [r.to_dict() for r in out.reports],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _assert_writer_matches_json_dumps(out, path):
+    emit_report_json(out, path)
+    assert path.read_bytes() == _json_dumps_text(out).encode()
+    doc, reports = load_report_json(path)
+    assert [r.to_dict() for r in reports] == doc["reports"] == [r.to_dict() for r in out.reports]
+    for clone, report in zip(reports, out.reports):
+        assert clone.t.tobytes() == report.t.tobytes()
+        assert clone.margin.tobytes() == report.margin.tobytes()
+        assert clone.labels == report.labels
+
+
+def test_report_writer_matches_json_dumps_on_the_paper_suite(tmp_path):
+    for config in _load_packaged_configs():
+        _assert_writer_matches_json_dumps(run_scenario(config), tmp_path / f"{config.scenario_id}.report.json")
+
+
+def test_report_writer_matches_json_dumps_on_edge_reports(tmp_path):
+    out = run_scenario(parse_config(_doc()))
+    odd = 'quote " backslash \\ bell \x07 tab \t ümlaut – snowman ☃'
+    edge = (
+        VerificationReport("harnack_printed", "sphere(2)", "base", [], [], (), 1e-9, None, "inapplicable", (odd,)),
+        VerificationReport(
+            "frequency_monotonicity", "sphere(2)", "base",
+            [-1.0, -0.75, -0.5, -0.25], [-0.0, 5e-324, 1e16, 0.0], ("", odd, "a:b", "x\ny"),
+            0.0, -0.0, "pass", (odd, ""),
+        ),
+    )
+    _assert_writer_matches_json_dumps(replace(out, reports=out.reports + edge), tmp_path / "edge.report.json")
+    _assert_writer_matches_json_dumps(replace(out, reports=edge[:1]), tmp_path / "empty.report.json")
+
+
+def test_node_block_formats_non_finite_floats_as_json_dumps():
+    t = np.array([-1.0, math.nan, -math.inf, math.inf])
+    margin = np.array([math.nan, math.inf, -math.inf, -0.0])
+    labels = ("nan", "inf", "-inf", "é")
+    nodes = [{"t": a, "margin": b, "label": c} for a, b, c in zip(t.tolist(), margin.tolist(), labels)]
+    for depth in (0, 3):
+        expected = json.dumps(nodes, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+        assert format_node_block(t, margin, labels, depth) == expected
+    assert format_node_block(np.array([]), np.array([]), (), 3) == json.dumps([], indent=2)
+
+
+def test_non_finite_report_margin_raises_naming_t_and_label():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"at t=-0\.5 \(centered-slope\)"):
+            VerificationReport(
+                "frequency_monotonicity", "plane(1)", "s", [-1.0, -0.5], [0.0, bad],
+                ("increment", "centered-slope"), 0.0, 0.0, "pass",
+            )
+        doc = {
+            "check_name": "harnack", "background": "plane(1)", "scenario_id": "s",
+            "nodes": [{"t": -0.5, "margin": bad, "label": "centered-slope"}],
+            "tolerance": 0.0, "min_margin": 0.0, "status": "pass", "notes": [],
+        }
+        with pytest.raises(ValueError, match="non-finite margin"):
+            report_from_dict(doc)

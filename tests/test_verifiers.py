@@ -25,9 +25,11 @@ from parafreq import (
     evolve_forced,
     geometry_at,
     mode_from_index,
+    parse_config,
     quadrature,
     report_from_dict,
     standard_test_functions,
+    trace_from_trajectory,
     verify_drift_bochner,
     verify_drift_bochner_verbatim,
     verify_eigenvalue_monotonicity,
@@ -41,6 +43,7 @@ from parafreq import (
     verify_selfsimilar_scaling,
     verify_weighted_monotonicity,
 )
+from parafreq import scenario, verifiers
 from parafreq.modes import combine_on_rule, mode_function
 
 
@@ -159,8 +162,8 @@ def test_bochner_variants_coincide_on_plane():
     bg = Plane(2)
     rule = quadrature(bg, 32)
     traj = _traj(bg, {(1, 0): 1.0, (2, 1): 0.5})
-    a = verify_drift_bochner(bg, traj.fields[0], rule)
-    b = verify_drift_bochner_verbatim(bg, traj.fields[0], rule)
+    a = verify_drift_bochner(bg, traj.field_at(0), rule)
+    b = verify_drift_bochner_verbatim(bg, traj.field_at(0), rule)
     assert a.status == "pass" and b.status == "pass"
     assert abs(a.min_margin) < 1e-12 and abs(b.min_margin) < 1e-12
 
@@ -169,7 +172,7 @@ def test_bochner_corrected_passes_on_sphere():
     bg = Sphere(2)
     rule = quadrature(bg, 48)
     traj = _traj(bg, {(2, 0): 1.0, (1, 1): 0.7})
-    rep = verify_drift_bochner(bg, traj.fields[0], rule)
+    rep = verify_drift_bochner(bg, traj.field_at(0), rule)
     assert rep.status == "pass"
     assert abs(rep.min_margin) < 1e-10
 
@@ -284,6 +287,15 @@ def test_node_checks_must_be_finite():
         NodeCheck(t=-1.0, margin=float("inf"))
 
 
+def test_min_margin_is_the_first_minimum_with_its_sign():
+    # a signed-zero flip would change the emitted bytes
+    for margins in ([0.0, -0.0], [-0.0, 0.0], [1.0, 0.0, -0.0, 0.0]):
+        rep = verifiers._report("x", Plane(1), "s", [-1.0] * len(margins), margins, ("n",) * len(margins), 0.0)
+        assert math.copysign(1.0, rep.min_margin) == math.copysign(1.0, min(margins)), margins
+        merged = verifiers.merge_reports(Plane(1), [rep, rep])
+        assert math.copysign(1.0, merged.min_margin) == math.copysign(1.0, min(margins + margins)), margins
+
+
 def test_reports_are_deterministic():
     a = verify_frequency_monotonicity(_traj(Plane(2), {(1, 0): 1.0, (0, 2): -0.3}))
     b = verify_frequency_monotonicity(_traj(Plane(2), {(1, 0): 1.0, (0, 2): -0.3}))
@@ -360,3 +372,87 @@ def test_no_package_code_calls_the_per_point_geometry(monkeypatch):
     forced = evolve_forced(field, TimeGrid.uniform(-1.0, -0.5, 21), forcing)
     rep = verify_general_bounds(forced, resolution=8)
     assert any("certified" in note for note in rep.notes)
+
+
+# ---------------------------------------------------------------------------
+# one trace per run, shared by the checks that read it
+
+_TRACE_CHECKS = (
+    "frequency_monotonicity", "equality_case", "harnack", "harnack_printed", "general_bounds", "general_harnack",
+)
+
+
+def _shared_trace_config(initial_modes):
+    # plane(1) has kappa 0, so harnack_printed is applicable; the mode-matrix forcing certifies
+    return parse_config({
+        "scenario_id": "shared-trace",
+        "background": {"kind": "plane", "n": 1},
+        "initial_modes": initial_modes,
+        "forcing": {
+            "rate": {"type": "sampled", "times": [-1.0, -0.5], "values": [0.5, 0.2]},
+            "coupling": "mode_matrix",
+            "modes": ["1", "3"],
+            "matrix": [[0.0, 0.4], [0.0, 0.0]],
+        },
+        "time": {"a": -1.0, "b": -0.5, "nodes": 81},
+        "rk_local_tol": 1e-11,
+        "resolution": 8,
+        "checks": list(_TRACE_CHECKS),
+    })
+
+
+def _evolve(config):
+    field = CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes))
+    return evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
+
+
+def _assert_same_report(a, b):
+    for name in ("check_name", "background", "scenario_id", "labels", "tolerance", "min_margin", "status", "notes"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert a.t.tobytes() == b.t.tobytes()
+    assert a.margin.tobytes() == b.margin.tobytes()
+
+
+@pytest.mark.parametrize("initial_modes", [{"3": 1.0, "2": -0.3}, {}], ids=["forced-mixture", "zero-data"])
+def test_shared_trace_gives_the_reports_of_a_trace_built_per_check(initial_modes):
+    config = _shared_trace_config(initial_modes)
+    traj = _evolve(config)
+    trace = trace_from_trajectory(traj, config.kappa_value)
+    statuses = set()
+    for name in _TRACE_CHECKS:
+        shared = scenario._run_check(name, config, traj, trace)
+        extra = {"resolution": config.resolution} if name in scenario._RESOLUTION_CHECKS else {}
+        alone = scenario._VERIFIERS[name](traj, config.kappa_value, scenario_id=config.scenario_id, **extra)
+        _assert_same_report(shared, alone)
+        statuses.add(shared.status)
+    if initial_modes:
+        assert "inapplicable" not in statuses
+
+
+def test_a_trace_of_another_run_is_refused():
+    config = _shared_trace_config({"3": 1.0})
+    traj = _evolve(config)
+    other_kappa = trace_from_trajectory(traj, 0.5)
+    shorter = trace_from_trajectory(_traj(Plane(1), {(3,): 1.0}, nodes=41), 0.0)
+    for name in _TRACE_CHECKS:
+        for wrong in (other_kappa, shorter):
+            with pytest.raises(ValueError, match="does not belong to this run"):
+                scenario._VERIFIERS[name](traj, 0.0, trace=wrong)
+    with pytest.raises(ValueError, match="does not belong to this run"):
+        verify_harnack_printed(_traj(Sphere(2), {(1, 0): 1.0}), trace=shorter)
+
+
+def test_run_scenario_builds_one_trace(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return trace_from_trajectory(*args, **kwargs)
+
+    for module in (scenario, verifiers):
+        monkeypatch.setattr(module, "trace_from_trajectory", counted)
+    for initial_modes in ({"3": 1.0, "2": -0.3}, {}):
+        calls.clear()
+        out = scenario.run_scenario(_shared_trace_config(initial_modes))
+        assert [r.check_name for r in out.reports] == list(_TRACE_CHECKS)
+        assert len(calls) == 1
