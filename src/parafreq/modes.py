@@ -62,9 +62,6 @@ __all__ = [
     "mode_from_index",
     "sphere_multiplicity",
     "mode_function",
-    "ModeFunction",
-    "combination_values",
-    "combination_gradients",
     "combine_on_rule",
     "hermite_polynomial",
     "mode_sort_key",
@@ -292,7 +289,9 @@ def _sphere2_mode_poly(bg: Sphere, k: int, j: int) -> AmbientPolynomial:
     return poly.scale(1.0 / math.sqrt(norm_sq))
 
 
-def _mode_poly(bg: Background, mode: Mode) -> AmbientPolynomial:
+@functools.lru_cache(maxsize=4096)
+def mode_function(bg: Background, mode: Mode) -> AmbientPolynomial:
+    """The normalized ambient polynomial of a mode (cached)."""
     require_support(bg, POINTWISE, "closed-form mode evaluation")
     idx = mode.index
     if isinstance(bg, Plane):
@@ -309,25 +308,6 @@ def _mode_poly(bg: Background, mode: Mode) -> AmbientPolynomial:
 
 # ---------------------------------------------------------------------------
 # evaluation
-
-
-class ModeFunction:
-    """Materialized mode: its normalized ambient polynomial."""
-
-    __slots__ = ("mode", "poly")
-
-    def __init__(self, mode: Mode, poly: AmbientPolynomial):
-        self.mode = mode
-        self.poly = poly
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        return self.poly.eval(points)
-
-
-@functools.lru_cache(maxsize=4096)
-def mode_function(bg: Background, mode: Mode) -> ModeFunction:
-    """Materialize the normalized ambient polynomial of a mode (cached)."""
-    return ModeFunction(mode, _mode_poly(bg, mode))
 
 
 def _gradient_column(poly: AmbientPolynomial, pts: np.ndarray) -> np.ndarray:
@@ -350,43 +330,21 @@ _COLUMNS = {
 }
 
 
-def _combine(
-    bg: Background, coeffs: Mapping[Mode, float], points: np.ndarray, kind: str, columns: dict | None
-) -> np.ndarray:
-    """sum_j a_j * column_j in ``mode_sort_key`` order, skipping zero amplitudes; columns kept in ``columns``."""
+def combine_on_rule(rule: QuadratureRule, coeffs: Mapping[Mode, float], kind: str = "values") -> np.ndarray:
+    """sum_j a_j * column_j at the rule's nodes, in ``mode_sort_key`` order, skipping zero amplitudes.
+
+    ``kind`` is values (N,), ambient gradients (N, d) or ambient Hessians
+    (N, d, d); project gradients to get surface gradients.  Each mode's
+    column is evaluated once per rule and kept in ``rule.mode_columns``.
+    """
     evaluate, rank = _COLUMNS[kind]
-    pts = np.asarray(points, dtype=float)
+    pts = rule.points
     out = np.zeros(pts.shape[:1] + pts.shape[1:] * rank)
     for mode in sorted(coeffs, key=mode_sort_key):
         a = coeffs[mode]
         if a != 0.0:
-            column = None if columns is None else columns.get((kind, mode))
+            column = rule.mode_columns.get((kind, mode))
             if column is None:
-                column = evaluate(mode_function(bg, mode).poly, pts)
-                if columns is not None:
-                    columns[(kind, mode)] = column
+                column = rule.mode_columns[(kind, mode)] = evaluate(mode_function(rule.background, mode), pts)
             out += a * column
     return out
-
-
-def combination_values(bg: Background, coeffs: Mapping[Mode, float], points: np.ndarray) -> np.ndarray:
-    """Pointwise values of sum_j a_j phi_j at unit-scale points (N, d) -> (N,)."""
-    return _combine(bg, coeffs, points, "values", None)
-
-
-def combination_gradients(bg: Background, coeffs: Mapping[Mode, float], points: np.ndarray) -> np.ndarray:
-    """Ambient gradients of the combination, (N, d); project to get surface gradients."""
-    return _combine(bg, coeffs, points, "gradients", None)
-
-
-def combination_hessians(bg: Background, coeffs: Mapping[Mode, float], points: np.ndarray) -> np.ndarray:
-    """Ambient Hessians of the combination, (N, d, d)."""
-    return _combine(bg, coeffs, points, "hessians", None)
-
-
-def combine_on_rule(rule: QuadratureRule, coeffs: Mapping[Mode, float], kind: str = "values") -> np.ndarray:
-    """``combination_<kind>`` at the rule's nodes (kind: values, gradients or hessians).
-
-    Each mode's column is evaluated once per rule and kept in ``rule.mode_columns``.
-    """
-    return _combine(rule.background, coeffs, rule.points, kind, rule.mode_columns)

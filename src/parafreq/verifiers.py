@@ -18,9 +18,11 @@ eigenvalue); it is never a euphemism for failure.
 
 Differential statements are checked by centered differences at interior grid
 nodes.  On a uniform grid the discretization error of a centered slope is
-h^2/6 times the third derivative, which we estimate from third differences of
-the same data and fold into the tolerance; the raw margins are reported
-unmodified so callers can apply stricter budgets.
+h^2/6 times the third derivative.  Only ``verify_general_bounds`` estimates it,
+from third differences of the same data, and folds it into its tolerance;
+``verify_frequency_monotonicity`` and ``verify_weighted_monotonicity`` apply
+their tolerance as given.  Raw margins are always reported unmodified so
+callers can apply stricter budgets.
 
 Two statements are checked in dual variants on purpose (see the module-level
 notes in ``verify_harnack_printed`` and ``verify_drift_bochner_verbatim``):
@@ -414,23 +416,21 @@ def verify_harnack_printed(
 # weighted monotonicity for ambient test functions
 
 
-def _graded_values(poly: AmbientPolynomial, pts: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    # split by total degree so a dilation costs one scalar power per grade
-    grades: dict[int, np.ndarray] = {}
-    for exps, c in sorted(poly.terms.items()):
-        term = np.full(pts.shape[0], c)
-        for axis, e in enumerate(exps):
-            if e:
-                term = term * pts[:, axis] ** e
-        deg = sum(exps)
-        grades[deg] = grades.get(deg, 0.0) + term
-    return sorted(grades.items())
+def _graded_moments(poly: AmbientPolynomial, pts: np.ndarray, weights: np.ndarray) -> dict[int, float]:
+    """``{k: weights . poly_k(pts)}`` over the nonzero degree-k homogeneous parts ``poly_k`` of ``poly``."""
+    parts: dict[int, dict[tuple[int, ...], float]] = {}
+    for exps, c in poly.terms.items():
+        parts.setdefault(sum(exps), {})[exps] = c
+    return {k: float(np.dot(weights, AmbientPolynomial(poly.dim, terms).eval(pts))) for k, terms in parts.items()}
 
 
-def _eval_graded(grades: list[tuple[int, np.ndarray]], s: float, count: int) -> np.ndarray:
-    out = np.zeros(count)
-    for deg, vals in grades:
-        out += s**deg * vals
+def _graded_sum(moments: dict[int, float], scales: np.ndarray) -> np.ndarray:
+    """``sum_k moments[k] * scales**k`` at every scale, added in ascending degree."""
+    degrees = sorted(moments)
+    powers = float_powers(scales.tolist(), degrees)
+    out = np.zeros(len(scales))
+    for j, k in enumerate(degrees):
+        out = out + moments[k] * powers[:, j]
     return out
 
 
@@ -439,9 +439,11 @@ def standard_test_functions(bg: Background) -> dict[str, AmbientPolynomial]:
 
     Chosen so the two sides exercise genuinely different code paths: pure
     coordinate squares (closed-form oracles), a mixed quartic where the
-    projector matters, and a scaled sixth power whose third time derivative
-    is small enough for centered differences to resolve the identity near
-    machine precision.
+    projector matters, and scaled sixth powers, the only ones whose weighted
+    integral has a nonzero third time derivative.  Centered differences miss
+    their slope by h^2 g'''/6: about 1.1e-8 on plane(1) at spacing 6.25e-4,
+    and the documented 1.83e-7 at spacing 2.5e-3, above the default 1e-7
+    tolerance although the identity holds.
     """
     d = bg.ambient_dim
     x = [AmbientPolynomial.coordinate(d, i) for i in range(d)]
@@ -488,6 +490,12 @@ def verify_weighted_monotonicity(
     the right by closed-form Hessian contraction, and the margin at each
     interior node is ``-|residual|``.
 
+    Both sides are polynomials in s = sqrt(-t): under x = s y the degree-k
+    part of f scales by s^k.  So each integral is taken once per degree on
+    the unit-scale rule, as the moments G_k = integral f_k dmu and
+    R_k = sum_ab integral P_ab (d_a d_b f)_k dmu, and at every node
+    g = sum_k G_k s^k and the right side is -sum_k R_k s^k.
+
     Raises
     ------
     UnsupportedBackgroundError
@@ -496,29 +504,21 @@ def verify_weighted_monotonicity(
     if len(grid.nodes) < 3:
         raise ValueError("centered differences need a grid with at least 3 nodes")
     rule = quadrature(bg, resolution)
-    pts = rule.points
-    w = rule.weights
-    n_pts = pts.shape[0]
     if test_function.dim != bg.ambient_dim:
-        raise ValueError(
-            f"test function has dim {test_function.dim}, background needs {bg.ambient_dim}"
-        )
+        raise ValueError(f"test function has dim {test_function.dim}, background needs {bg.ambient_dim}")
+    pts, w = rule.points, rule.weights
+    g_moments = _graded_moments(test_function, pts, w)
+    r_moments: dict[int, float] = {}
     hess = test_function.hessian()
-    # tr_P Hess f as one polynomial-valued quadrature profile per grade
-    tr_grades: dict[int, np.ndarray] = {}
-    d = bg.ambient_dim
-    for a in range(d):
-        for b in range(d):
-            for deg, vals in _graded_values(hess[a][b], pts):
-                contrib = rule.tangent_projector[:, a, b] * vals
-                tr_grades[deg] = tr_grades.get(deg, 0.0) + contrib
-    tr_graded = sorted(tr_grades.items())
-    f_graded = _graded_values(test_function, pts)
+    for a in range(bg.ambient_dim):
+        for b in range(bg.ambient_dim):
+            for k, moment in _graded_moments(hess[a][b], pts, w * rule.tangent_projector[:, a, b]).items():
+                r_moments[k] = r_moments.get(k, 0.0) + moment
 
     t = grid.as_array()
     scales = np.sqrt(-t)
-    g = np.array([w @ _eval_graded(f_graded, s, n_pts) for s in scales])
-    rhs = np.array([-(w @ _eval_graded(tr_graded, s, n_pts)) for s in scales])
+    g = _graded_sum(g_moments, scales)
+    rhs = -_graded_sum(r_moments, scales)
     margin = -np.abs(_centered_slopes(g, t) - rhs[1:-1])
     notes = (f"test function: {function_name or 'unnamed'}",)
     labels = ("residual",) * len(margin)

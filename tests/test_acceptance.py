@@ -24,7 +24,6 @@ from parafreq import (
     ScalarOnU,
     Sphere,
     TimeGrid,
-    combination_gradients,
     enumerate_modes,
     evolve_exact,
     evolve_exact_trajectory,
@@ -46,6 +45,7 @@ from parafreq import (
     verify_weighted_monotonicity,
 )
 from parafreq.cli import main as cli_main
+from parafreq.modes import combine_on_rule
 
 THREE_BACKGROUNDS = [Plane(2), Sphere(2), Cylinder(1, 1)]
 
@@ -244,7 +244,7 @@ def test_criterion_07_drift_bochner_identity():
         f0 = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, idx): 1.0})
         ft = evolve_exact(f0, t)
         rep = verify_drift_bochner_verbatim(bg, ft, rule)
-        gbar = combination_gradients(bg, dict(ft.entries), rule.points)
+        gbar = combine_on_rule(rule, dict(ft.entries), "gradients")
         proj = np.stack([geometry_at(bg, p).tangent_projector for p in rule.points])
         tang = np.einsum("nij,nj->ni", proj, gbar)
         # unit-scale energy /(-t) is the gradient integral in flow coordinates

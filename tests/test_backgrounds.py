@@ -94,7 +94,7 @@ def test_modes_are_orthonormal_under_quadrature():
     for bg in [Plane(1), Plane(2), Sphere(1), Sphere(2), Cylinder(1, 1)]:
         rule = quadrature(bg, 32)
         modes = enumerate_modes(bg, 2.0)
-        vals = np.stack([mode_function(bg, m).values(rule.points) for m in modes])
+        vals = np.stack([mode_function(bg, m).eval(rule.points) for m in modes])
         gram = np.array(
             [[rule.integrate(vals[i] * vals[j]) for j in range(len(modes))] for i in range(len(modes))]
         )

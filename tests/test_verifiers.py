@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from parafreq import (
+    AmbientPolynomial,
     CoefficientField,
     ConstantRate,
     Cylinder,
@@ -17,9 +18,6 @@ from parafreq import (
     ScalarOnU,
     Sphere,
     TimeGrid,
-    combination_gradients,
-    combination_hessians,
-    combination_values,
     compute_D_quadrature,
     evolve_exact_trajectory,
     evolve_forced,
@@ -44,6 +42,7 @@ from parafreq import (
     verify_weighted_monotonicity,
 )
 from parafreq import scenario, verifiers
+from parafreq.backgrounds import POINTWISE
 from parafreq.modes import combine_on_rule, mode_function
 
 
@@ -154,6 +153,35 @@ def test_weighted_monotonicity_second_order_in_time_step():
     assert order >= 1.8, worst
 
 
+@pytest.mark.parametrize("bg", sorted(POINTWISE, key=lambda b: b.label()), ids=lambda b: b.label())
+def test_weighted_monotonicity_moments_equal_direct_route(bg):
+    # direct route: f and every d_a d_b f evaluated at the dilated nodes s * y, one integral per time
+    grid = TimeGrid.uniform(-1.0, -0.5, 201)
+    t = grid.as_array()
+    rule = quadrature(bg, 16)
+    d = bg.ambient_dim
+    funcs = standard_test_functions(bg)
+    # every packaged function is homogeneous; their sum mixes degrees 0 to 6
+    funcs["sum"] = sum(funcs.values(), AmbientPolynomial.zero(d))
+    for name, poly in funcs.items():
+        hess = poly.hessian()
+        g, rhs = [], []
+        for s in np.sqrt(-t):
+            pts = s * rule.points
+            g.append(rule.integrate(poly.eval(pts)))
+            tr = sum(rule.tangent_projector[:, a, b] * hess[a][b].eval(pts) for a in range(d) for b in range(d))
+            rhs.append(-rule.integrate(tr))
+        g, rhs = np.array(g), np.array(rhs)
+        direct = -np.abs((g[2:] - g[:-2]) / (t[2:] - t[:-2]) - rhs[1:-1])
+        rep = verify_weighted_monotonicity(bg, poly, grid, resolution=16, function_name=name)
+        again = verify_weighted_monotonicity(bg, poly, grid, resolution=16, function_name=name)
+        np.testing.assert_allclose(rep.margin, direct, rtol=0.0, atol=1e-10, err_msg=name)
+        assert rep.margin.tobytes() == again.margin.tobytes(), name
+        assert rep.min_margin == again.min_margin, name
+        if name == "one":
+            assert not np.any(rep.margin), rep.margin
+
+
 # ---------------------------------------------------------------------------
 # pointwise curvature identity
 
@@ -184,7 +212,7 @@ def test_bochner_verbatim_gap_equals_gradient_energy():
     for idx in [(1, 0), (2, 0)]:
         field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, idx): 1.0})
         rep = verify_drift_bochner_verbatim(bg, field, rule)
-        gbar = combination_gradients(bg, dict(field.entries), rule.points)
+        gbar = combine_on_rule(rule, dict(field.entries), "gradients")
         proj = np.stack([geometry_at(bg, p).tangent_projector for p in rule.points])
         tangential = np.einsum("nij,nj->ni", proj, gbar)
         grad_energy = rule.integrate(np.einsum("ni,ni->n", tangential, tangential))
@@ -319,15 +347,16 @@ def test_mode_columns_reused_across_times_equal_per_call_combinations(bg, coeffs
     # mixed eigenvalues and zero amplitudes, combined at several times on one rule
     traj = _traj(bg, coeffs, nodes=5)
     rule = quadrature(bg, 10)
-    kinds = (("values", combination_values), ("gradients", combination_gradients), ("hessians", combination_hessians))
+    kinds = ("values", "gradients", "hessians")
     for i in range(len(traj.grid.nodes)):
         field = traj.field_at(i)
-        for kind, per_call in kinds:
+        for kind in kinds:
             columns = combine_on_rule(rule, field.coeff_map, kind)
-            assert columns.tobytes() == per_call(bg, field.coeff_map, rule.points).tobytes(), (i, kind)
+            fresh = combine_on_rule(quadrature(bg, 10), field.coeff_map, kind)
+            assert columns.tobytes() == fresh.tobytes(), (i, kind)
     # only modes with a nonzero amplitude were ever evaluated, once per kind
     active = {m for m, a in traj.field_at(0).entries if a != 0.0}
-    assert set(rule.mode_columns) == {(kind, m) for kind, _ in kinds for m in active}
+    assert set(rule.mode_columns) == {(kind, m) for kind in kinds for m in active}
 
     # independent route: every derivative polynomial evaluated at the nodes
     field = traj.field_at(-1)
@@ -335,7 +364,7 @@ def test_mode_columns_reused_across_times_equal_per_call_combinations(bg, coeffs
     grads = np.zeros((len(rule.points), d))
     hess = np.zeros((len(rule.points), d, d))
     for mode, a in field.entries:
-        poly = mode_function(bg, mode).poly
+        poly = mode_function(bg, mode)
         for i in range(d):
             grads[:, i] += a * poly.diff(i).eval(rule.points)
             for j in range(d):
