@@ -73,10 +73,6 @@ class Background:
     """Base marker for shrinker backgrounds.  Instances are frozen and hashable."""
 
     @property
-    def n_total(self) -> int:
-        raise NotImplementedError
-
-    @property
     def ambient_dim(self) -> int:
         raise NotImplementedError
 
@@ -91,10 +87,6 @@ class Plane(Background):
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"Plane dimension must be >= 1, got {self.n}")
-
-    @property
-    def n_total(self) -> int:
-        return self.n
 
     @property
     def ambient_dim(self) -> int:
@@ -122,10 +114,6 @@ class Sphere(Background):
         return math.sqrt(self.radius_squared)
 
     @property
-    def n_total(self) -> int:
-        return self.n
-
-    @property
     def ambient_dim(self) -> int:
         return self.n + 1
 
@@ -151,10 +139,6 @@ class Cylinder(Background):
     @property
     def radius(self) -> float:
         return math.sqrt(self.radius_squared)
-
-    @property
-    def n_total(self) -> int:
-        return self.k + self.m
 
     @property
     def ambient_dim(self) -> int:
@@ -365,6 +349,11 @@ class QuadratureRule:
 
     def integrate(self, values: np.ndarray) -> float:
         return float(np.dot(self.weights, values))
+
+    def require_background(self, bg: Background) -> None:
+        """Refuse data that lives on another background than this rule."""
+        if bg != self.background:
+            raise ValueError("quadrature rule background does not match the field")
 
 
 def _node_geometry(bg: Background, pts: np.ndarray) -> tuple:

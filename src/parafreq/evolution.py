@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 _MAX_HALVINGS = 30
+_END_TIME_FLOOR = -1e-3  # latest end time of a forced grid
 
 
 class ToleranceNotMetError(RuntimeError):
@@ -357,20 +358,18 @@ def evolve_forced(
     forcing: Forcing,
     *,
     local_tol: float = 1e-8,
-    end_time_floor: float = -1e-3,
 ) -> Trajectory:
     """RK4 trajectory of the forced system over the grid (forward only).
 
     The field must sit on the first grid node.  Grids ending above
-    ``end_time_floor`` are refused because the unforced part of the vector
-    field blows up like mu / (-t); pass a smaller floor explicitly to opt in.
+    ``_END_TIME_FLOOR`` are refused because the unforced part of the vector
+    field blows up like mu / (-t).
     """
     if field.time != grid.a:
         raise ValueError(f"field time {field.time!r} must equal grid start {grid.a!r}")
-    if grid.b > end_time_floor:
+    if grid.b > _END_TIME_FLOOR:
         raise ValueError(
-            f"grid ends at t = {grid.b!r}, above the stepped-solver floor {end_time_floor!r}; "
-            "use exact evolution or relax end_time_floor"
+            f"grid ends at t = {grid.b!r}, above the stepped-solver floor {_END_TIME_FLOOR!r}; use exact evolution"
         )
     if not (local_tol > 0.0 and math.isfinite(local_tol)):
         raise ValueError("local_tol must be positive")
@@ -394,8 +393,7 @@ def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: Quadra
     margin certifies the forcing hypothesis at this snapshot.  Mode columns
     stay on ``rule`` for calls at other times.
     """
-    if rule.background != field.background:
-        raise ValueError("quadrature rule background does not match the field")
+    rule.require_background(field.background)
     t = field.time
     c = forcing.rate(t)
     coeffs = field.coeff_map

@@ -17,13 +17,6 @@ The Cauchy-Schwarz defect I * int (L u)^2 - (int u L u)^2 is the exact
 eigenfunction residual: defect / I = int (L u - c u)^2 dmu at the fitted
 c = D / (2 I), so it vanishes iff the field is a single eigenmode (all active
 mu equal) and is strictly positive for genuine mixtures.
-
-``lambda1`` returns the smallest NONZERO drift eigenvalue divided by (-t).
-Constant functions are admissible for the weighted Dirichlet quotient and
-would give zero identically, making any monotonicity statement empty; the
-first nonconstant eigenvalue is the quantity whose scaled version
-(-t)^(1 + 2 kappa) lambda1(t) is checked to be nonincreasing.  On every
-supported family the bottom nonzero unit-scale eigenvalue is 1/2.
 """
 
 from __future__ import annotations
@@ -33,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backgrounds import Background, QuadratureRule, kappa
+from .backgrounds import QuadratureRule, kappa
 from .evolution import CoefficientField, Trajectory, float_powers
-from .modes import combine_on_rule, first_nonzero_eigenvalue
+from .modes import combine_on_rule
 
 __all__ = [
     "ZeroFieldError",
@@ -46,7 +39,6 @@ __all__ = [
     "cauchy_schwarz_defect",
     "compute_I_quadrature",
     "compute_D_quadrature",
-    "lambda1",
     "FrequencyTrace",
     "trace_from_trajectory",
 ]
@@ -88,27 +80,18 @@ def cauchy_schwarz_defect(field: CoefficientField) -> float:
 
 def compute_I_quadrature(field: CoefficientField, rule: QuadratureRule) -> float:
     """Independent route: point values squared against the rule weights."""
-    if rule.background != field.background:
-        raise ValueError("quadrature rule background does not match the field")
+    rule.require_background(field.background)
     values = combine_on_rule(rule, field.coeff_map)
     return rule.integrate(values**2)
 
 
 def compute_D_quadrature(field: CoefficientField, rule: QuadratureRule) -> float:
     """Independent route: -2 int |grad u|^2 dmu_t via projected ambient gradients."""
-    if rule.background != field.background:
-        raise ValueError("quadrature rule background does not match the field")
+    rule.require_background(field.background)
     grads = combine_on_rule(rule, field.coeff_map, "gradients")
     tangential = np.einsum("nij,nj->ni", rule.tangent_projector, grads)
     unit_scale = rule.integrate(np.sum(tangential**2, axis=1))
     return -2.0 * unit_scale / (-field.time)
-
-
-def lambda1(bg: Background, t: float) -> float:
-    """First nonzero Dirichlet eigenvalue of the drift Laplacian at time t."""
-    if not (math.isfinite(t) and t < 0.0):
-        raise ValueError(f"time must be negative, got {t!r}")
-    return first_nonzero_eigenvalue(bg) / (-t)
 
 
 # ---------------------------------------------------------------------------

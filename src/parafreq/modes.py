@@ -310,6 +310,10 @@ def mode_function(bg: Background, mode: Mode) -> AmbientPolynomial:
 # evaluation
 
 
+def _value_column(poly: AmbientPolynomial, pts: np.ndarray) -> np.ndarray:
+    return poly.eval(pts)
+
+
 def _gradient_column(poly: AmbientPolynomial, pts: np.ndarray) -> np.ndarray:
     return np.stack([g.eval(pts) for g in poly.gradient()], axis=1)
 
@@ -324,7 +328,7 @@ def _hessian_column(poly: AmbientPolynomial, pts: np.ndarray) -> np.ndarray:
 
 # kind -> (per-mode column of the normalized polynomial at (N, d) points, tensor rank)
 _COLUMNS = {
-    "values": (AmbientPolynomial.eval, 0),
+    "values": (_value_column, 0),
     "gradients": (_gradient_column, 1),
     "hessians": (_hessian_column, 2),
 }

@@ -33,7 +33,17 @@ from typing import Any, Mapping
 import numpy as np
 
 from ._version import __version__
-from .backgrounds import CURVATURE_IDENTITY, POINTWISE, Background, Cylinder, Plane, Sphere, kappa, quadrature
+from .backgrounds import (
+    CURVATURE_IDENTITY,
+    POINTWISE,
+    Background,
+    Cylinder,
+    Plane,
+    QuadratureRule,
+    Sphere,
+    kappa,
+    quadrature,
+)
 from .evolution import (
     CoefficientField,
     ConstantRate,
@@ -92,15 +102,9 @@ _VERIFIERS = {
     "selfsimilar_scaling": verify_selfsimilar_scaling,
     "quadrature_mass": verify_quadrature_mass,
 }
-# checks whose verifier takes the quadrature resolution
-_RESOLUTION_CHECKS = frozenset(
-    {"weighted_monotonicity", "general_bounds", "selfsimilar_scaling", "quadrature_mass"}
-)
 # checks that evaluate modes or geometry pointwise and therefore need a
 # background in backgrounds.POINTWISE
-_POINTWISE_CHECKS = frozenset(
-    {"weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass"}
-)
+_POINTWISE_CHECKS = frozenset({"weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass"})
 _BOCHNER_CHECKS = frozenset({"drift_bochner", "drift_bochner_verbatim"})
 
 
@@ -451,13 +455,13 @@ class RunOutput:
         )
 
 
-def _run_check(name: str, config: ScenarioConfig, traj: Trajectory, trace: FrequencyTrace) -> VerificationReport:
-    """Call the check's verifier with the arguments it takes, the run's trace among them; fold multi-run checks."""
+def _run_check(
+    name: str, config: ScenarioConfig, traj: Trajectory, trace: FrequencyTrace, rule: QuadratureRule | None
+) -> VerificationReport:
+    """Call the check's verifier on the run's data it reads (trajectory, trace, rule); fold multi-run checks."""
     verify = _VERIFIERS[name]
     bg = config.background
     kwargs: dict[str, Any] = {"scenario_id": config.scenario_id}
-    if name in _RESOLUTION_CHECKS:
-        kwargs["resolution"] = config.resolution
     tol = config.tolerance_for(name)
     if tol is not None:
         kwargs["tolerance"] = tol
@@ -465,20 +469,21 @@ def _run_check(name: str, config: ScenarioConfig, traj: Trajectory, trace: Frequ
         # one report per scenario: every packaged test function, folded
         funcs = standard_test_functions(bg)
         names = sorted(funcs)
-        parts = [verify(bg, funcs[f], config.grid, function_name=f, **kwargs) for f in names]
+        parts = [verify(funcs[f], config.grid, rule, function_name=f, **kwargs) for f in names]
         return merge_reports(bg, parts, label_prefixes=names, notes=(f"test functions: {', '.join(names)}",))
     if name in _BOCHNER_CHECKS:
         # the identity is static per field; evaluate it at both ends of the run
-        rule = quadrature(bg, config.resolution)
         ends = (traj.field_at(0), traj.field_at(-1))
-        return merge_reports(bg, [verify(bg, f, rule, **kwargs) for f in ends])
+        return merge_reports(bg, [verify(f, rule, **kwargs) for f in ends])
     if name == "eigenvalue_monotonicity":
         return verify(bg, config.grid, config.kappa_value, **kwargs)
     if name == "quadrature_mass":
-        return verify(bg, **kwargs)
+        return verify(rule, **kwargs)
     if name == "selfsimilar_scaling":
-        return verify(traj, **kwargs)
-    return verify(traj, config.kappa_value, trace=trace, **kwargs)
+        return verify(traj, rule, **kwargs)
+    if name == "general_bounds":
+        return verify(traj, trace, rule, **kwargs)
+    return verify(traj, trace, **kwargs)
 
 
 def run_scenario(config: ScenarioConfig) -> RunOutput:
@@ -491,7 +496,10 @@ def run_scenario(config: ScenarioConfig) -> RunOutput:
     else:
         traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
     trace = trace_from_trajectory(traj, config.kappa_value)
-    reports = tuple(_run_check(name, config, traj, trace) for name in config.checks)
+    # one quadrature rule for every check that reads it; runs with only spectral checks build none
+    reads_rule = _POINTWISE_CHECKS | _BOCHNER_CHECKS | ({"general_bounds"} if config.forcing is not None else set())
+    rule = quadrature(config.background, config.resolution) if reads_rule.intersection(config.checks) else None
+    reports = tuple(_run_check(name, config, traj, trace, rule) for name in config.checks)
     return RunOutput(config=config, trace=trace, reports=reports)
 
 

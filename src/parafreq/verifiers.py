@@ -3,8 +3,9 @@
 Every verifier reduces one inequality or integral identity to per-node
 margins on a concrete evolution, computed as whole-array column expressions,
 and wraps them with their times and labels in a ``VerificationReport``.
-Verifiers that read the frequency trace take the run's trace as the keyword
-``trace`` and build it themselves only when none is passed.  Margin conventions:
+Verifiers read the run's data and never rebuild it: the frequency checks take
+the run's ``FrequencyTrace`` (and its kappa), the pointwise checks take the
+run's ``QuadratureRule`` (and its background).  Margin conventions:
 
 * Inequality checks report the raw slack of the bound, so the statement
   holds at a node iff its margin is nonnegative (up to tolerance).
@@ -45,12 +46,11 @@ from .backgrounds import (
     QuadratureRule,
     Sphere,
     kappa,
-    quadrature,
     require_support,
     total_mass,
 )
 from .evolution import CoefficientField, TimeGrid, Trajectory, float_powers, forcing_bound_margin
-from .frequency import FrequencyTrace, trace_from_trajectory
+from .frequency import FrequencyTrace
 from .modes import combine_on_rule, first_nonzero_eigenvalue
 from .polynomials import AmbientPolynomial
 
@@ -61,6 +61,9 @@ FAIL = "fail"
 INAPPLICABLE = "inapplicable"
 
 _STATUSES = (PASS, FAIL, INAPPLICABLE)
+
+_HYPOTHESIS_SAMPLES = 9  # grid nodes at which general_bounds certifies the forcing hypothesis
+_HARNACK_QUAD_TOL = 1e-10  # relative agreement of two refinements that ends general_harnack's quadrature
 
 
 @dataclass(frozen=True)
@@ -202,17 +205,10 @@ def _is_zero_run(trace: FrequencyTrace) -> bool:
     return bool(np.all(trace.I == 0.0))
 
 
-def _run_trace(traj: Trajectory, kappa_value: float | None, trace: FrequencyTrace | None) -> FrequencyTrace:
-    """``trace`` if passed (it must have this kappa and one row per node), else the trace built from ``traj``."""
-    k = kappa(traj.background) if kappa_value is None else float(kappa_value)
-    if trace is None:
-        return trace_from_trajectory(traj, k)
-    if trace.kappa_used != k or len(trace.t) != len(traj.grid.nodes):
-        raise ValueError(
-            f"trace (kappa {trace.kappa_used!r}, {len(trace.t)} nodes) does not belong to this run "
-            f"(kappa {k!r}, {len(traj.grid.nodes)} nodes)"
-        )
-    return trace
+def _check_trace(traj: Trajectory, trace: FrequencyTrace) -> None:
+    """Refuse a trace without one row per grid node of ``traj``."""
+    if len(trace.t) != len(traj.grid.nodes):
+        raise ValueError(f"trace ({len(trace.t)} nodes) does not belong to this run ({len(traj.grid.nodes)} nodes)")
 
 
 def _subsample(count: int, limit: int) -> np.ndarray:
@@ -232,32 +228,22 @@ def _centered_slopes(values: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def verify_frequency_monotonicity(
     traj: Trajectory,
-    kappa_value: float | None = None,
+    trace: FrequencyTrace,
     *,
     tolerance: float | None = None,
     scenario_id: str = "",
-    trace: FrequencyTrace | None = None,
 ) -> VerificationReport:
     """Check that the weighted frequency is nondecreasing along the run.
 
     Margins come in two families: consecutive-node increments
     ``U(t_{i+1}) - U(t_i)`` and centered difference quotients at interior
     nodes (the differential form of the statement, compared against zero).
-
-    Parameters
-    ----------
-    traj : Trajectory
-        Evolution to check; meaningful for pure heat runs.
-    kappa_value : float, optional
-        Curvature weight exponent; defaults to the background's own value.
-        The statement requires it to be at least that value.
-    tolerance : float, optional
-        Pass threshold; defaults to ``1e-9 * max(1, sup |U|)``.
-    trace : FrequencyTrace, optional
-        The run's trace at this kappa, when the caller already holds it.
+    The statement is about pure heat runs, with the trace's kappa at least
+    the background's own value.  ``tolerance`` defaults to
+    ``1e-9 * max(1, sup |U|)``.
     """
     bg = traj.background
-    trace = _run_trace(traj, kappa_value, trace)
+    _check_trace(traj, trace)
     if _is_zero_run(trace):
         return _inapplicable("frequency_monotonicity", bg, scenario_id, _NO_FREQUENCY)
     t = trace.t
@@ -271,11 +257,10 @@ def verify_frequency_monotonicity(
 
 def verify_equality_case(
     traj: Trajectory,
-    kappa_value: float | None = None,
+    trace: FrequencyTrace,
     *,
     tolerance: float = 1e-9,
     scenario_id: str = "",
-    trace: FrequencyTrace | None = None,
 ) -> VerificationReport:
     """Certify the rigidity side: a flat frequency forces an eigenfunction.
 
@@ -292,7 +277,7 @@ def verify_equality_case(
     mixtures are in play.
     """
     bg = traj.background
-    trace = _run_trace(traj, kappa_value, trace)
+    _check_trace(traj, trace)
     k = trace.kappa_used
     if _is_zero_run(trace):
         return _inapplicable("equality_case", bg, scenario_id, _NO_FREQUENCY)
@@ -334,11 +319,10 @@ _ZERO_DATA_NOTE = "zero data: both sides vanish and the bound degenerates to 0 >
 
 def verify_harnack(
     traj: Trajectory,
-    kappa_value: float | None = None,
+    trace: FrequencyTrace,
     *,
     tolerance: float = 1e-9,
     scenario_id: str = "",
-    trace: FrequencyTrace | None = None,
 ) -> VerificationReport:
     """Check the two-time lower bound on the mass I against its endpoints.
 
@@ -360,7 +344,7 @@ def verify_harnack(
     backward-uniqueness content.
     """
     bg = traj.background
-    trace = _run_trace(traj, kappa_value, trace)
+    _check_trace(traj, trace)
     k = trace.kappa_used
     if _is_zero_run(trace):
         return _degenerate_harnack("harnack", bg, scenario_id, traj.grid.b, tolerance, _ZERO_DATA_NOTE)
@@ -382,11 +366,10 @@ def verify_harnack(
 
 def verify_harnack_printed(
     traj: Trajectory,
-    kappa_value: float | None = None,
+    trace: FrequencyTrace,
     *,
     tolerance: float = 1e-9,
     scenario_id: str = "",
-    trace: FrequencyTrace | None = None,
 ) -> VerificationReport:
     """Check the printed zero-weight variant of the two-time bound.
 
@@ -398,13 +381,10 @@ def verify_harnack_printed(
     coincide, so this check is inapplicable there.
     """
     bg = traj.background
-    k = kappa(bg) if kappa_value is None else float(kappa_value)
-    if k > 0.0:
-        if trace is not None:
-            _run_trace(traj, k, trace)  # a passed trace is checked even where it goes unread
+    _check_trace(traj, trace)
+    if trace.kappa_used > 0.0:
         reason = "printed and derived forms coincide for positive curvature weight"
         return _inapplicable("harnack_printed", bg, scenario_id, reason, tolerance)
-    trace = _run_trace(traj, k, trace)
     if _is_zero_run(trace):
         return _degenerate_harnack("harnack_printed", bg, scenario_id, traj.grid.b, tolerance, _ZERO_DATA_NOTE)
     ta, tb, ia, ib, ua = _harnack_endpoints(trace)
@@ -467,11 +447,10 @@ def standard_test_functions(bg: Background) -> dict[str, AmbientPolynomial]:
 
 
 def verify_weighted_monotonicity(
-    bg: Background,
     test_function: AmbientPolynomial,
     grid: TimeGrid,
+    rule: QuadratureRule,
     *,
-    resolution: int = 32,
     tolerance: float = 1e-7,
     scenario_id: str = "",
     function_name: str = "",
@@ -495,15 +474,10 @@ def verify_weighted_monotonicity(
     the unit-scale rule, as the moments G_k = integral f_k dmu and
     R_k = sum_ab integral P_ab (d_a d_b f)_k dmu, and at every node
     g = sum_k G_k s^k and the right side is -sum_k R_k s^k.
-
-    Raises
-    ------
-    UnsupportedBackgroundError
-        If pointwise geometry is not available for ``bg``.
     """
+    bg = rule.background
     if len(grid.nodes) < 3:
         raise ValueError("centered differences need a grid with at least 3 nodes")
-    rule = quadrature(bg, resolution)
     if test_function.dim != bg.ambient_dim:
         raise ValueError(f"test function has dim {test_function.dim}, background needs {bg.ambient_dim}")
     pts, w = rule.points, rule.weights
@@ -537,6 +511,7 @@ def _bochner_sides(f: CoefficientField, rule: QuadratureRule) -> tuple[float, fl
     the curvature pairing term, and grad_energy = integral |grad u|^2 dmu at
     the field's time scale.
     """
+    rule.require_background(f.background)
     w = rule.weights
     gbar = combine_on_rule(rule, f.coeff_map, "gradients")
     hbar = combine_on_rule(rule, f.coeff_map, "hessians")
@@ -568,7 +543,6 @@ def _bochner_sides(f: CoefficientField, rule: QuadratureRule) -> tuple[float, fl
 
 
 def verify_drift_bochner(
-    bg: Background,
     f: CoefficientField,
     rule: QuadratureRule,
     *,
@@ -592,6 +566,7 @@ def verify_drift_bochner(
     ``verify_drift_bochner_verbatim``; its residual is recorded here as a
     note for side-by-side comparison.
     """
+    bg = f.background
     require_support(bg, CURVATURE_IDENTITY, "the integral curvature identity")
     lhs, rhs_a, rhs_b, grad_energy = _bochner_sides(f, rule)
     margin = -abs(lhs - rhs_b)
@@ -603,7 +578,6 @@ def verify_drift_bochner(
 
 
 def verify_drift_bochner_verbatim(
-    bg: Background,
     f: CoefficientField,
     rule: QuadratureRule,
     *,
@@ -618,6 +592,7 @@ def verify_drift_bochner_verbatim(
     note carries that reference value so reports are self-explanatory.
     Scenarios list this check as report-only.
     """
+    bg = f.background
     require_support(bg, CURVATURE_IDENTITY, "the integral curvature identity")
     lhs, rhs_a, _, grad_energy = _bochner_sides(f, rule)
     margin = -abs(lhs - rhs_a)
@@ -645,13 +620,11 @@ def _third_difference_allowance(values: np.ndarray, t: np.ndarray) -> float:
 
 def verify_general_bounds(
     traj: Trajectory,
-    kappa_value: float | None = None,
+    trace: FrequencyTrace,
+    rule: QuadratureRule | None = None,
     *,
-    resolution: int = 24,
     tolerance: float | None = None,
-    hypothesis_samples: int = 9,
     scenario_id: str = "",
-    trace: FrequencyTrace | None = None,
 ) -> VerificationReport:
     """Check both differential bounds for forced runs at interior nodes.
 
@@ -662,22 +635,26 @@ def verify_general_bounds(
 
     with derivatives by centered differences.  Before any margin is trusted,
     the forcing hypothesis |f| <= C(t)(|grad u| + |u|) is certified pointwise
-    on quadrature nodes at a subsample of times; if certification fails the
-    report is inapplicable and names the offending time, because the bounds
-    assume the hypothesis and say nothing without it.
+    on the nodes of ``rule`` at a subsample of times; if certification fails
+    the report is inapplicable and names the offending time, because the
+    bounds assume the hypothesis and say nothing without it.  ``rule`` may be
+    None only for an unforced run.
 
     The tolerance folds in a discretization allowance estimated from third
     differences of the same data; raw margins are reported unmodified.
     """
     bg = traj.background
-    trace = _run_trace(traj, kappa_value, trace)
+    _check_trace(traj, trace)
+    if rule is not None:
+        rule.require_background(bg)
+    elif traj.forcing is not None:
+        raise ValueError("a forced run needs a quadrature rule to certify its forcing hypothesis")
     k = trace.kappa_used
     if _is_zero_run(trace):
         return _inapplicable("general_bounds", bg, scenario_id, _NO_FREQUENCY)
     notes: tuple[str, ...] = ()
     if traj.forcing is not None:
-        rule = quadrature(bg, resolution)
-        sample = _subsample(len(traj.grid.nodes), hypothesis_samples)
+        sample = _subsample(len(traj.grid.nodes), _HYPOTHESIS_SAMPLES)
         for idx in sample:
             fld = traj.field_at(int(idx))
             m = forcing_bound_margin(fld, traj.forcing, rule)
@@ -706,12 +683,10 @@ def verify_general_bounds(
 
 def verify_general_harnack(
     traj: Trajectory,
-    kappa_value: float | None = None,
+    trace: FrequencyTrace,
     *,
     tolerance: float = 1e-8,
-    quad_tol: float = 1e-10,
     scenario_id: str = "",
-    trace: FrequencyTrace | None = None,
 ) -> VerificationReport:
     """Check the integrated two-time bound for forced runs.
 
@@ -725,13 +700,13 @@ def verify_general_harnack(
             - 3 int_a^b C dt,      G(t) = int_a^t C(s)^2 ds.
 
     The right side is integrated by grid-doubling trapezoid sums until two
-    successive refinements agree to ``quad_tol`` (relative).  With no forcing
-    the integrals collapse to the plain two-time bound.  Zero data passes
-    through the degenerate 0 >= 0 branch: that is the backward-uniqueness
-    statement itself.
+    successive refinements agree to ``_HARNACK_QUAD_TOL`` (relative).  With
+    no forcing the integrals collapse to the plain two-time bound.  Zero data
+    passes through the degenerate 0 >= 0 branch: that is the
+    backward-uniqueness statement itself.
     """
     bg = traj.background
-    trace = _run_trace(traj, kappa_value, trace)
+    _check_trace(traj, trace)
     k = trace.kappa_used
     if _is_zero_run(trace):
         return _degenerate_harnack(
@@ -756,7 +731,7 @@ def verify_general_harnack(
     while count <= (1 << 20) + 1:
         count = 2 * (count - 1) + 1
         refined = bound_on(count)
-        if abs(refined - bound) <= quad_tol * max(1.0, abs(refined)):
+        if abs(refined - bound) <= _HARNACK_QUAD_TOL * max(1.0, abs(refined)):
             bound = refined
             converged = True
             break
@@ -795,8 +770,8 @@ def verify_eigenvalue_monotonicity(
 
 def verify_selfsimilar_scaling(
     traj: Trajectory,
+    rule: QuadratureRule,
     *,
-    resolution: int = 24,
     tolerance: float | None = None,
     scenario_id: str = "",
 ) -> VerificationReport:
@@ -813,6 +788,7 @@ def verify_selfsimilar_scaling(
     frequency is not constant and no such form exists).
     """
     bg = traj.background
+    rule.require_background(bg)
     first = traj.field_at(0)
     if first.is_zero:
         return _inapplicable("selfsimilar_scaling", bg, scenario_id, "zero initial data: no frequency to scale by")
@@ -823,7 +799,6 @@ def verify_selfsimilar_scaling(
         reason = f"multiple eigenvalues active ({mus}); frequency not constant"
         return _inapplicable("selfsimilar_scaling", bg, scenario_id, reason)
     mu = mus[0]
-    rule = quadrature(bg, resolution)
     t = traj.grid.as_array()
     at_minus_one = np.flatnonzero(np.abs(t + 1.0) < 1e-12)
     ref_idx = int(at_minus_one[0]) if len(at_minus_one) else 0
@@ -842,14 +817,13 @@ def verify_selfsimilar_scaling(
 
 
 def verify_quadrature_mass(
-    bg: Background,
+    rule: QuadratureRule,
     *,
-    resolution: int = 24,
     tolerance: float = 1e-12,
     scenario_id: str = "",
 ) -> VerificationReport:
     """Check the quadrature rule against the closed-form total mass."""
-    rule = quadrature(bg, resolution)
+    bg = rule.background
     margin = -abs(rule.mass - total_mass(bg))
     scale = max(1.0, total_mass(bg))
     return _report("quadrature_mass", bg, scenario_id, [-1.0], [margin], ("mass",), tolerance * scale)

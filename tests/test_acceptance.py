@@ -31,7 +31,6 @@ from parafreq import (
     first_nonzero_eigenvalue,
     geometry_at,
     kappa,
-    lambda1,
     mode_from_index,
     quadrature,
     standard_test_functions,
@@ -53,6 +52,10 @@ THREE_BACKGROUNDS = [Plane(2), Sphere(2), Cylinder(1, 1)]
 def _pure_run(bg, idx, a=-1.0, b=-0.1, nodes=50, amp=1.0):
     field = CoefficientField.from_dict(bg, a, {mode_from_index(bg, idx): amp})
     return evolve_exact_trajectory(field, TimeGrid.uniform(a, b, nodes))
+
+
+def _checked(verify, traj):
+    return verify(traj, trace_from_trajectory(traj))
 
 
 def test_criterion_01_caloric_frequency_is_minus_degree():
@@ -178,15 +181,15 @@ def test_criterion_04_equality_case_of_cauchy_schwarz():
 
 
 def test_criterion_05_harnack_inequalities():
-    sphere = verify_harnack(_pure_run(Sphere(2), (1, 0), b=-0.5, nodes=41))
+    sphere = _checked(verify_harnack, _pure_run(Sphere(2), (1, 0), b=-0.5, nodes=41))
     golden = 1.0 - math.log(2.0)
     assert sphere.min_margin == pytest.approx(golden, abs=1e-6)
     worst_eq = 0.0
     for k in (1, 2, 4):
-        plane = verify_harnack(_pure_run(Plane(1), (k,), b=-0.5, nodes=21))
+        plane = _checked(verify_harnack, _pure_run(Plane(1), (k,), b=-0.5, nodes=21))
         worst_eq = max(worst_eq, abs(plane.min_margin))
     assert worst_eq < 1e-10
-    printed = verify_harnack_printed(_pure_run(Plane(1), (2,), b=-0.5, nodes=21))
+    printed = _checked(verify_harnack_printed, _pure_run(Plane(1), (2,), b=-0.5, nodes=21))
     print(
         f"criterion 5: PASS  sphere margin {sphere.min_margin:.10f} (oracle {golden:.10f}), "
         f"plane equality gap {worst_eq:.3e} (< 1e-10); printed-variant margin "
@@ -198,8 +201,9 @@ def test_criterion_06_weighted_monotonicity_residuals_and_order():
     worst = 0.0
     for bg in [Plane(1), Sphere(2)]:
         grid = TimeGrid.uniform(-1.0, -0.5, 801)
+        rule = quadrature(bg, 32)
         for name, poly in standard_test_functions(bg).items():
-            rep = verify_weighted_monotonicity(bg, poly, grid, resolution=32, function_name=name)
+            rep = verify_weighted_monotonicity(poly, grid, rule, function_name=name)
             assert rep.status == "pass", (bg.label(), name)
             worst = max(worst, -rep.min_margin)
     assert worst < 1e-7
@@ -209,10 +213,9 @@ def test_criterion_06_weighted_monotonicity_residuals_and_order():
         residual = {}
         for nodes in (101, 201):
             rep = verify_weighted_monotonicity(
-                bg,
                 poly,
                 TimeGrid.uniform(-1.0, -0.5, nodes),
-                resolution=32,
+                quadrature(bg, 32),
                 tolerance=1.0,
                 function_name="x1_over4_pow6",
             )
@@ -233,7 +236,7 @@ def test_criterion_07_drift_bochner_identity():
             if mode.mu == 0.0:
                 continue
             field = CoefficientField.from_dict(bg, -1.0, {mode: 1.0})
-            rep = verify_drift_bochner(bg, field, rule)
+            rep = verify_drift_bochner(field, rule)
             assert rep.status == "pass", (bg.label(), mode.index)
             worst_b = max(worst_b, -rep.min_margin)
     assert worst_b < 1e-8
@@ -243,7 +246,7 @@ def test_criterion_07_drift_bochner_identity():
     for idx, t in [((1, 0), -1.0), ((2, 0), -1.0), ((1, 0), -0.5)]:
         f0 = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, idx): 1.0})
         ft = evolve_exact(f0, t)
-        rep = verify_drift_bochner_verbatim(bg, ft, rule)
+        rep = verify_drift_bochner_verbatim(ft, rule)
         gbar = combine_on_rule(rule, dict(ft.entries), "gradients")
         proj = np.stack([geometry_at(bg, p).tangent_projector for p in rule.points])
         tang = np.einsum("nij,nj->ni", proj, gbar)
@@ -265,7 +268,7 @@ def test_criterion_08_forced_growth_bounds():
     worst = math.inf
     for c0 in (0.0, 0.1, 1.0):
         traj = evolve_forced(field, grid, Forcing(ConstantRate(c0), ScalarOnU()), local_tol=1e-12)
-        rep = verify_general_bounds(traj, 0.0)
+        rep = verify_general_bounds(traj, trace_from_trajectory(traj, 0.0), quadrature(bg, 24))
         assert rep.min_margin >= -1e-6, (c0, rep.min_margin)
         worst = min(worst, rep.min_margin)
     rich = CoefficientField.from_dict(
@@ -292,7 +295,7 @@ def test_criterion_09_scaled_eigenvalue_monotonicity():
         assert rep.status == "pass", bg.label()
     worst_plane = 0.0
     for t in grid.nodes:
-        q = (-t) * lambda1(Plane(1), t)  # kappa = 0 scaling
+        q = (-t) * (first_nonzero_eigenvalue(Plane(1)) / (-t))  # kappa = 0 scaling
         worst_plane = max(worst_plane, abs(q - 0.5))
     assert worst_plane < 1e-12
     print(f"criterion 9: PASS  nonincreasing on all backgrounds; plane value gap {worst_plane:.3e} (< 1e-12)")

@@ -225,7 +225,7 @@ def test_capability_declaration_gates_every_consumer(bg, pointwise, identity):
         field = CoefficientField.from_dict(bg, -1.0, {mode: 1.0})
         for verify in (verify_drift_bochner, verify_drift_bochner_verbatim):
             with pytest.raises(UnsupportedBackgroundError):
-                verify(bg, field, None)
+                verify(field, None)
 
     if isinstance(bg, Plane):
         bg_doc = {"kind": "plane", "n": bg.n}

@@ -169,6 +169,11 @@ def test_forced_run_refuses_grid_near_zero():
     grid = TimeGrid.uniform(-1.0, -1e-5, 11)
     with pytest.raises(ValueError):
         evolve_forced(f0, grid, Forcing(ConstantRate(0.0), ScalarOnU()))
+    # the floor is t = -1e-3: a grid ending there runs, one ending just after it is refused
+    forcing = Forcing(ConstantRate(0.0), ScalarOnU())
+    assert evolve_forced(f0, TimeGrid.uniform(-1.0, -1e-3, 3), forcing).grid.b == -1e-3
+    with pytest.raises(ValueError, match="above the stepped-solver floor -0.001; use exact evolution$"):
+        evolve_forced(f0, TimeGrid.uniform(-1.0, -9.9e-4, 3), forcing)
 
 
 def test_unreachable_tolerance_raises():

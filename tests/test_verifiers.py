@@ -53,6 +53,10 @@ def _traj(bg, coeffs_by_index, a=-1.0, b=-0.5, nodes=41):
     return evolve_exact_trajectory(field, TimeGrid.uniform(a, b, nodes))
 
 
+def _checked(verify, traj):
+    return verify(traj, trace_from_trajectory(traj))
+
+
 # ---------------------------------------------------------------------------
 # monotonicity and Harnack
 
@@ -63,38 +67,38 @@ def test_monotonicity_margins_nonnegative_on_mixtures():
         (Sphere(2), {(1, 0): 1.0, (2, 3): 0.7}),
         (Cylinder(1, 1), {(1, 0, 0): 1.0, (0, 0, 2): -0.4}),
     ]:
-        rep = verify_frequency_monotonicity(_traj(bg, coeffs))
+        rep = _checked(verify_frequency_monotonicity, _traj(bg, coeffs))
         assert rep.status == "pass"
         assert rep.min_margin >= -rep.tolerance
 
 
 def test_harnack_sphere_golden_margin():
-    rep = verify_harnack(_traj(Sphere(2), {(1, 0): 1.0}, b=-0.5))
+    rep = _checked(verify_harnack, _traj(Sphere(2), {(1, 0): 1.0}, b=-0.5))
     assert rep.status == "pass"
     assert rep.min_margin == pytest.approx(1.0 - math.log(2.0), abs=1e-12)
 
 
 def test_harnack_plane_equality_on_pure_modes():
-    rep = verify_harnack(_traj(Plane(1), {(2,): 1.0}))
+    rep = _checked(verify_harnack, _traj(Plane(1), {(2,): 1.0}))
     assert rep.status == "pass"
     assert abs(rep.min_margin) < 1e-12
 
 
 def test_harnack_printed_variant_known_gap():
     # same pure run: the printed kappa = 0 form misses by exactly 2 + ln 2
-    rep = verify_harnack_printed(_traj(Plane(1), {(2,): 1.0}))
+    rep = _checked(verify_harnack_printed, _traj(Plane(1), {(2,): 1.0}))
     assert rep.status == "fail"
     assert rep.min_margin == pytest.approx(-(2.0 + math.log(2.0)), abs=1e-12)
 
 
 def test_harnack_printed_inapplicable_for_positive_kappa():
-    rep = verify_harnack_printed(_traj(Sphere(2), {(1, 0): 1.0}))
+    rep = _checked(verify_harnack_printed, _traj(Sphere(2), {(1, 0): 1.0}))
     assert rep.status == "inapplicable"
     assert rep.min_margin is None
 
 
 def test_harnack_degenerate_on_zero_data():
-    rep = verify_harnack(_traj(Plane(1), {}))
+    rep = _checked(verify_harnack, _traj(Plane(1), {}))
     assert rep.status == "pass"
     assert rep.min_margin == 0.0
     assert any("zero data" in n for n in rep.notes)
@@ -102,8 +106,8 @@ def test_harnack_degenerate_on_zero_data():
 
 def test_general_harnack_collapses_to_harnack_without_forcing():
     traj = _traj(Sphere(2), {(1, 0): 1.0, (2, 0): 0.3}, nodes=129)
-    plain = verify_harnack(traj)
-    general = verify_general_harnack(traj)
+    plain = _checked(verify_harnack, traj)
+    general = _checked(verify_general_harnack, traj)
     assert general.status == "pass"
     assert general.min_margin == pytest.approx(plain.min_margin, abs=1e-9)
 
@@ -113,14 +117,14 @@ def test_general_harnack_collapses_to_harnack_without_forcing():
 
 
 def test_equality_case_triggers_on_pure_mode():
-    rep = verify_equality_case(_traj(Plane(1), {(3,): 2.0}))
+    rep = _checked(verify_equality_case, _traj(Plane(1), {(3,): 2.0}))
     assert rep.status == "pass"
     labels = {n.label for n in rep.nodes}
     assert "defect-bound" in labels and "eigenvalue-fit" in labels
 
 
 def test_equality_case_vacuous_on_genuine_mixture():
-    rep = verify_equality_case(_traj(Plane(1), {(1,): 1.0, (3,): 1.0}))
+    rep = _checked(verify_equality_case, _traj(Plane(1), {(1,): 1.0, (3,): 1.0}))
     assert rep.status == "pass"
     assert len(rep.nodes) == 1 and rep.nodes[0].margin == 0.0
     assert any("no node pair" in n or "vacuous" in n for n in rep.notes)
@@ -134,7 +138,7 @@ def test_weighted_monotonicity_passes_packaged_functions():
     for bg in [Plane(1), Sphere(2)]:
         grid = TimeGrid.uniform(-1.0, -0.5, 401)
         for name, poly in standard_test_functions(bg).items():
-            rep = verify_weighted_monotonicity(bg, poly, grid, resolution=32, function_name=name)
+            rep = verify_weighted_monotonicity(poly, grid, quadrature(bg, 32), function_name=name)
             assert rep.status == "pass", (bg.label(), name, rep.min_margin)
 
 
@@ -146,7 +150,7 @@ def test_weighted_monotonicity_second_order_in_time_step():
     for nodes in (101, 201):
         grid = TimeGrid.uniform(-1.0, -0.5, nodes)
         rep = verify_weighted_monotonicity(
-            bg, poly, grid, resolution=32, tolerance=1.0, function_name="x1_over4_pow6"
+            poly, grid, quadrature(bg, 32), tolerance=1.0, function_name="x1_over4_pow6"
         )
         worst[nodes] = max(abs(n.margin) for n in rep.nodes)
     order = math.log2(worst[101] / worst[201])
@@ -173,8 +177,8 @@ def test_weighted_monotonicity_moments_equal_direct_route(bg):
             rhs.append(-rule.integrate(tr))
         g, rhs = np.array(g), np.array(rhs)
         direct = -np.abs((g[2:] - g[:-2]) / (t[2:] - t[:-2]) - rhs[1:-1])
-        rep = verify_weighted_monotonicity(bg, poly, grid, resolution=16, function_name=name)
-        again = verify_weighted_monotonicity(bg, poly, grid, resolution=16, function_name=name)
+        rep = verify_weighted_monotonicity(poly, grid, rule, function_name=name)
+        again = verify_weighted_monotonicity(poly, grid, quadrature(bg, 16), function_name=name)
         np.testing.assert_allclose(rep.margin, direct, rtol=0.0, atol=1e-10, err_msg=name)
         assert rep.margin.tobytes() == again.margin.tobytes(), name
         assert rep.min_margin == again.min_margin, name
@@ -190,8 +194,8 @@ def test_bochner_variants_coincide_on_plane():
     bg = Plane(2)
     rule = quadrature(bg, 32)
     traj = _traj(bg, {(1, 0): 1.0, (2, 1): 0.5})
-    a = verify_drift_bochner(bg, traj.field_at(0), rule)
-    b = verify_drift_bochner_verbatim(bg, traj.field_at(0), rule)
+    a = verify_drift_bochner(traj.field_at(0), rule)
+    b = verify_drift_bochner_verbatim(traj.field_at(0), rule)
     assert a.status == "pass" and b.status == "pass"
     assert abs(a.min_margin) < 1e-12 and abs(b.min_margin) < 1e-12
 
@@ -200,7 +204,7 @@ def test_bochner_corrected_passes_on_sphere():
     bg = Sphere(2)
     rule = quadrature(bg, 48)
     traj = _traj(bg, {(2, 0): 1.0, (1, 1): 0.7})
-    rep = verify_drift_bochner(bg, traj.field_at(0), rule)
+    rep = verify_drift_bochner(traj.field_at(0), rule)
     assert rep.status == "pass"
     assert abs(rep.min_margin) < 1e-10
 
@@ -211,7 +215,7 @@ def test_bochner_verbatim_gap_equals_gradient_energy():
     rule = quadrature(bg, 48)
     for idx in [(1, 0), (2, 0)]:
         field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, idx): 1.0})
-        rep = verify_drift_bochner_verbatim(bg, field, rule)
+        rep = verify_drift_bochner_verbatim(field, rule)
         gbar = combine_on_rule(rule, dict(field.entries), "gradients")
         proj = np.stack([geometry_at(bg, p).tangent_projector for p in rule.points])
         tangential = np.einsum("nij,nj->ni", proj, gbar)
@@ -226,7 +230,7 @@ def test_bochner_verbatim_gap_equals_gradient_energy():
 
 def test_general_bounds_unforced_margins_near_zero():
     traj = _traj(Plane(1), {(2,): 1.0}, nodes=201)
-    rep = verify_general_bounds(traj, 0.0)
+    rep = verify_general_bounds(traj, trace_from_trajectory(traj, 0.0))
     assert rep.status == "pass"
     assert rep.min_margin >= -rep.tolerance
 
@@ -239,7 +243,7 @@ def test_general_bounds_scalar_rate_matches_analytic_minimum():
     field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, (1,)): 1.0})
     grid = TimeGrid.uniform(-1.0, -0.5, 161)
     traj = evolve_forced(field, grid, Forcing(ConstantRate(c0), ScalarOnU()), local_tol=1e-12)
-    rep = verify_general_bounds(traj, 0.0)
+    rep = verify_general_bounds(traj, trace_from_trajectory(traj, 0.0), quadrature(bg, 24))
     assert rep.status == "pass"
     expected = c0 * c0 * (2.0 * 0.5 + 2.0 * (-grid.nodes[-2]))
     assert rep.min_margin == pytest.approx(expected, abs=1e-4)
@@ -253,7 +257,7 @@ def test_general_bounds_inapplicable_when_hypothesis_fails():
     forcing = Forcing(ConstantRate(0.5), ModeMatrix((m3, m1), ((0.0, 1.0), (0.0, 0.0))))
     grid = TimeGrid.uniform(-1.0, -0.5, 81)
     traj = evolve_forced(field, grid, forcing, local_tol=1e-10)
-    rep = verify_general_bounds(traj, 0.0)
+    rep = verify_general_bounds(traj, trace_from_trajectory(traj, 0.0), quadrature(bg, 24))
     assert rep.status == "inapplicable"
     assert rep.min_margin is None
     assert any("hypothesis fails" in n for n in rep.notes)
@@ -275,16 +279,17 @@ def test_eigenvalue_drop_margins_exact():
 
 
 def test_selfsimilar_scaling_pure_vs_mixture():
-    pure = verify_selfsimilar_scaling(_traj(Sphere(2), {(2, 1): 1.5}))
+    rule = quadrature(Sphere(2), 24)
+    pure = verify_selfsimilar_scaling(_traj(Sphere(2), {(2, 1): 1.5}), rule)
     assert pure.status == "pass"
-    mixed = verify_selfsimilar_scaling(_traj(Sphere(2), {(1, 0): 1.0, (2, 0): 1.0}))
+    mixed = verify_selfsimilar_scaling(_traj(Sphere(2), {(1, 0): 1.0, (2, 0): 1.0}), rule)
     assert mixed.status == "inapplicable"
     assert any("distinct eigenvalues" in n or "multiple" in n for n in mixed.notes)
 
 
 def test_quadrature_mass_check_all_backgrounds():
     for bg in [Plane(1), Plane(2), Sphere(1), Sphere(2), Cylinder(1, 1)]:
-        rep = verify_quadrature_mass(bg)
+        rep = verify_quadrature_mass(quadrature(bg, 24))
         assert rep.status == "pass", bg.label()
 
 
@@ -293,14 +298,14 @@ def test_quadrature_mass_check_all_backgrounds():
 
 
 def test_report_roundtrip_through_dict():
-    rep = verify_harnack(_traj(Sphere(2), {(1, 0): 1.0}))
+    rep = _checked(verify_harnack, _traj(Sphere(2), {(1, 0): 1.0}))
     clone = report_from_dict(rep.to_dict())
     assert clone.to_dict() == rep.to_dict()
     assert clone.passed
 
 
 def test_report_roundtrip_preserves_inapplicable():
-    rep = verify_selfsimilar_scaling(_traj(Plane(1), {(1,): 1.0, (2,): 1.0}))
+    rep = verify_selfsimilar_scaling(_traj(Plane(1), {(1,): 1.0, (2,): 1.0}), quadrature(Plane(1), 24))
     doc = rep.to_dict()
     assert doc["min_margin"] is None
     clone = report_from_dict(doc)
@@ -325,8 +330,8 @@ def test_min_margin_is_the_first_minimum_with_its_sign():
 
 
 def test_reports_are_deterministic():
-    a = verify_frequency_monotonicity(_traj(Plane(2), {(1, 0): 1.0, (0, 2): -0.3}))
-    b = verify_frequency_monotonicity(_traj(Plane(2), {(1, 0): 1.0, (0, 2): -0.3}))
+    a = _checked(verify_frequency_monotonicity, _traj(Plane(2), {(1, 0): 1.0, (0, 2): -0.3}))
+    b = _checked(verify_frequency_monotonicity, _traj(Plane(2), {(1, 0): 1.0, (0, 2): -0.3}))
     assert a.to_dict() == b.to_dict()
 
 
@@ -388,10 +393,10 @@ def test_no_package_code_calls_the_per_point_geometry(monkeypatch):
     sphere = Sphere(2)
     traj = _traj(sphere, {(1, 0): 1.0, (2, 3): 0.5}, nodes=9)
     rule = quadrature(sphere, 12)
-    assert verify_drift_bochner(sphere, traj.field_at(0), rule).status == "pass"
-    assert verify_drift_bochner_verbatim(sphere, traj.field_at(-1), rule).status == "fail"
+    assert verify_drift_bochner(traj.field_at(0), rule).status == "pass"
+    assert verify_drift_bochner_verbatim(traj.field_at(-1), rule).status == "fail"
     funcs = standard_test_functions(sphere)
-    rep = verify_weighted_monotonicity(sphere, funcs["x1_sq"], TimeGrid.uniform(-1.0, -0.5, 5), resolution=8)
+    rep = verify_weighted_monotonicity(funcs["x1_sq"], TimeGrid.uniform(-1.0, -0.5, 5), quadrature(sphere, 8))
     assert rep.status == "pass"
     assert compute_D_quadrature(traj.field_at(0), rule) < 0.0
 
@@ -399,7 +404,7 @@ def test_no_package_code_calls_the_per_point_geometry(monkeypatch):
     field = CoefficientField.from_dict(sphere, -1.0, {m10: 1.0, m11: 0.5})
     forcing = Forcing(ConstantRate(0.2), ModeMatrix((m10, m11), ((0.0, 0.1), (0.1, 0.0))))
     forced = evolve_forced(field, TimeGrid.uniform(-1.0, -0.5, 21), forcing)
-    rep = verify_general_bounds(forced, resolution=8)
+    rep = verify_general_bounds(forced, trace_from_trajectory(forced), quadrature(sphere, 8))
     assert any("certified" in note for note in rep.notes)
 
 
@@ -447,41 +452,129 @@ def test_shared_trace_gives_the_reports_of_a_trace_built_per_check(initial_modes
     config = _shared_trace_config(initial_modes)
     traj = _evolve(config)
     trace = trace_from_trajectory(traj, config.kappa_value)
+    rule = quadrature(config.background, config.resolution)
     statuses = set()
     for name in _TRACE_CHECKS:
-        shared = scenario._run_check(name, config, traj, trace)
-        extra = {"resolution": config.resolution} if name in scenario._RESOLUTION_CHECKS else {}
-        alone = scenario._VERIFIERS[name](traj, config.kappa_value, scenario_id=config.scenario_id, **extra)
+        shared = scenario._run_check(name, config, traj, trace, rule)
+        fresh = (quadrature(config.background, config.resolution),) if name == "general_bounds" else ()
+        alone = scenario._VERIFIERS[name](
+            traj, trace_from_trajectory(traj, config.kappa_value), *fresh, scenario_id=config.scenario_id
+        )
         _assert_same_report(shared, alone)
         statuses.add(shared.status)
     if initial_modes:
         assert "inapplicable" not in statuses
 
 
-def test_a_trace_of_another_run_is_refused():
-    config = _shared_trace_config({"3": 1.0})
-    traj = _evolve(config)
-    other_kappa = trace_from_trajectory(traj, 0.5)
-    shorter = trace_from_trajectory(_traj(Plane(1), {(3,): 1.0}, nodes=41), 0.0)
-    for name in _TRACE_CHECKS:
-        for wrong in (other_kappa, shorter):
-            with pytest.raises(ValueError, match="does not belong to this run"):
-                scenario._VERIFIERS[name](traj, 0.0, trace=wrong)
-    with pytest.raises(ValueError, match="does not belong to this run"):
-        verify_harnack_printed(_traj(Sphere(2), {(1, 0): 1.0}), trace=shorter)
+_RULE_CHECKS = ("weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass", "drift_bochner", "drift_bochner_verbatim")
 
 
-def test_run_scenario_builds_one_trace(monkeypatch):
+def _rule_config(checks, initial_modes=None, forcing=None):
+    return parse_config({
+        "scenario_id": "shared-rule",
+        "background": {"kind": "sphere", "n": 2},
+        "initial_modes": {"2,1": 1.5} if initial_modes is None else initial_modes,
+        "forcing": forcing,
+        "time": {"a": -1.0, "b": -0.5, "nodes": 9},
+        "resolution": 12,
+        "checks": list(checks),
+    })
+
+
+def test_shared_rule_gives_the_reports_of_a_rule_built_per_check():
+    # one rule through every check in turn, its mode columns filled by the earlier ones
+    config = _rule_config(_RULE_CHECKS)
+    traj = evolve_exact_trajectory(
+        CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes)), config.grid
+    )
+    trace = trace_from_trajectory(traj, config.kappa_value)
+    rule = quadrature(config.background, config.resolution)
+    for name in _RULE_CHECKS:
+        shared = scenario._run_check(name, config, traj, trace, rule)
+        alone = scenario._run_check(name, config, traj, trace, quadrature(config.background, config.resolution))
+        _assert_same_report(shared, alone)
+        assert shared.status != "inapplicable", name
+    assert rule.mode_columns
+
+
+def _counted(monkeypatch, name):
+    """Calls of the package function ``name``, wrapped in every parafreq module that binds it."""
     calls = []
+    original = getattr(scenario, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return trace_from_trajectory(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    for module in (scenario, verifiers):
-        monkeypatch.setattr(module, "trace_from_trajectory", counted)
+    for module_name, module in list(sys.modules.items()):
+        if (module_name == "parafreq" or module_name.startswith("parafreq.")) and hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_trace_of_another_run_is_refused():
+    config = _shared_trace_config({"3": 1.0})
+    traj = _evolve(config)
+    rule = quadrature(config.background, config.resolution)
+    shorter = trace_from_trajectory(_traj(Plane(1), {(3,): 1.0}, nodes=41), 0.0)
+    for name in _TRACE_CHECKS:
+        with pytest.raises(ValueError, match="does not belong to this run"):
+            scenario._VERIFIERS[name](traj, shorter, *((rule,) if name == "general_bounds" else ()))
+    # checked first, also where kappa > 0 leaves the trace unread
+    with pytest.raises(ValueError, match="does not belong to this run"):
+        verify_harnack_printed(_traj(Sphere(2), {(1, 0): 1.0}, nodes=81), shorter)
+
+
+def test_run_scenario_builds_one_trace(monkeypatch):
+    calls = _counted(monkeypatch, "trace_from_trajectory")
     for initial_modes in ({"3": 1.0, "2": -0.3}, {}):
         calls.clear()
         out = scenario.run_scenario(_shared_trace_config(initial_modes))
         assert [r.check_name for r in out.reports] == list(_TRACE_CHECKS)
         assert len(calls) == 1
+
+
+def test_run_scenario_builds_one_rule_and_only_when_a_check_reads_it(monkeypatch):
+    calls = _counted(monkeypatch, "quadrature")
+    forcing = {"rate": {"type": "constant", "c0": 0.2}, "coupling": "scalar_on_u"}
+    spectral = ("frequency_monotonicity", "harnack", "eigenvalue_monotonicity", "general_bounds", "general_harnack")
+    for config, builds in (
+        (_rule_config(("selfsimilar_scaling", "quadrature_mass")), 1),
+        (_rule_config(("drift_bochner", "drift_bochner_verbatim")), 1),
+        (_rule_config(_RULE_CHECKS + spectral), 1),
+        (_shared_trace_config({"3": 1.0}), 1),  # general_bounds on a forced run
+        (_rule_config(spectral, forcing=forcing), 1),
+        (_rule_config(spectral), 0),
+        (_rule_config(spectral, initial_modes={}), 0),
+    ):
+        calls.clear()
+        out = scenario.run_scenario(config)
+        assert len(out.reports) == len(config.checks)
+        assert len(calls) == builds, config.checks
+        assert all(args == (config.background, config.resolution) for args in calls)
+
+
+def test_pointwise_checks_refuse_data_of_another_background():
+    rule = quadrature(Plane(2), 8)
+    other = _traj(Sphere(2), {(1, 0): 1.0}, nodes=5)
+    zero = _traj(Sphere(2), {}, nodes=5)
+    forced = evolve_forced(
+        CoefficientField.from_dict(Sphere(2), -1.0, {mode_from_index(Sphere(2), (1, 0)): 1.0}),
+        TimeGrid.uniform(-1.0, -0.5, 5),
+        Forcing(ConstantRate(0.2), ScalarOnU()),
+    )
+    for refused in (
+        lambda: verify_selfsimilar_scaling(other, rule),
+        lambda: verify_selfsimilar_scaling(zero, rule),
+        lambda: verify_drift_bochner(other.field_at(0), rule),
+        lambda: verify_drift_bochner_verbatim(other.field_at(-1), rule),
+        lambda: verify_general_bounds(other, trace_from_trajectory(other), rule),
+        lambda: verify_general_bounds(forced, trace_from_trajectory(forced), rule),
+    ):
+        with pytest.raises(ValueError, match="quadrature rule background does not match the field"):
+            refused()
+    with pytest.raises(ValueError, match="test function has dim 3, background needs 2"):
+        verify_weighted_monotonicity(standard_test_functions(Sphere(2))["x1_sq"], other.grid, rule)
+    # the forcing hypothesis is certified on a rule, so a forced run cannot go without one
+    with pytest.raises(ValueError, match="needs a quadrature rule"):
+        verify_general_bounds(forced, trace_from_trajectory(forced))
