@@ -23,11 +23,11 @@ Supported families:
 * ``Cylinder(k, m)`` -- S^k_{sqrt(2k)} x R^m, a product shrinker; measure and
   spectrum factor over the two parts.
 
-``POINTWISE`` and ``CURVATURE_IDENTITY`` declare, once for the whole
-package, which backgrounds carry closed-form pointwise support (modes,
-geometry, quadrature) and which of those also carry the integral curvature
-identity.  Every other background is spectral only: its modes enumerate and
-evolve exactly, but nothing is evaluated at points.
+``POINTWISE`` declares, once for the whole package, which backgrounds carry
+closed-form pointwise support (modes, geometry, quadrature); every check that
+reads a quadrature rule, the integral curvature identity included, runs on
+exactly these.  Every other background is spectral only: its modes enumerate
+and evolve exactly, but nothing is evaluated at points.
 
 Each ``QuadratureRule`` carries, as arrays over its nodes built once in
 closed form, the geometry every verifier needs: the tangent projector, the
@@ -49,7 +49,6 @@ import numpy as np
 
 __all__ = [
     "Background",
-    "CURVATURE_IDENTITY",
     "POINTWISE",
     "Plane",
     "Sphere",
@@ -153,14 +152,12 @@ class Cylinder(Background):
 
 # closed-form modes, geometry and quadrature
 POINTWISE = frozenset({Plane(1), Plane(2), Plane(3), Sphere(1), Sphere(2), Cylinder(1, 1)})
-# mode Hessians wired for the integral curvature identity
-CURVATURE_IDENTITY = frozenset({Plane(1), Plane(2), Sphere(1), Sphere(2)})
 
 
-def require_support(bg: Background, supported: frozenset[Background], what: str) -> None:
-    """Raise ``UnsupportedBackgroundError`` unless ``bg`` is in ``supported``."""
-    if bg not in supported:
-        labels = ", ".join(sorted(b.label() for b in supported))
+def require_support(bg: Background, what: str) -> None:
+    """Raise ``UnsupportedBackgroundError`` unless ``bg`` is in ``POINTWISE``."""
+    if bg not in POINTWISE:
+        labels = ", ".join(sorted(b.label() for b in POINTWISE))
         raise UnsupportedBackgroundError(f"{what} is not available on {bg.label()} (supported: {labels})")
 
 
@@ -248,7 +245,7 @@ def geometry_at(bg: Background, point: np.ndarray) -> GeometryData:
 
     The per-point oracle for the ``QuadratureRule`` geometry arrays.
     """
-    require_support(bg, POINTWISE, "pointwise geometry")
+    require_support(bg, "pointwise geometry")
     y = np.asarray(point, dtype=float)
     d = bg.ambient_dim
     if y.shape != (d,):
@@ -358,7 +355,7 @@ class QuadratureRule:
 
 def _node_geometry(bg: Background, pts: np.ndarray) -> tuple:
     """(tangent_projector, sff, ric, shape_pairing, normal, x_tan) at each row of ``pts``, as in ``geometry_at``."""
-    require_support(bg, POINTWISE, "pointwise geometry")
+    require_support(bg, "pointwise geometry")
     count, d = pts.shape
     if isinstance(bg, Plane):
         zero = np.broadcast_to(np.zeros((d, d)), (count, d, d))
@@ -415,7 +412,7 @@ def quadrature(bg: Background, resolution: int) -> QuadratureRule:
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
 
-    require_support(bg, POINTWISE, "quadrature")
+    require_support(bg, "quadrature")
 
     if isinstance(bg, Plane):
         y, w = _gauss_gaussian_1d(resolution)

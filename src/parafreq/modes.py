@@ -47,7 +47,6 @@ from .backgrounds import (
     Background,
     Cylinder,
     Plane,
-    POINTWISE,
     QuadratureRule,
     Sphere,
     require_support,
@@ -292,7 +291,7 @@ def _sphere2_mode_poly(bg: Sphere, k: int, j: int) -> AmbientPolynomial:
 @functools.lru_cache(maxsize=4096)
 def mode_function(bg: Background, mode: Mode) -> AmbientPolynomial:
     """The normalized ambient polynomial of a mode (cached)."""
-    require_support(bg, POINTWISE, "closed-form mode evaluation")
+    require_support(bg, "closed-form mode evaluation")
     idx = mode.index
     if isinstance(bg, Plane):
         return _plane_mode_poly(bg, idx)

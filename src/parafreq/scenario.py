@@ -34,7 +34,6 @@ import numpy as np
 
 from ._version import __version__
 from .backgrounds import (
-    CURVATURE_IDENTITY,
     POINTWISE,
     Background,
     Cylinder,
@@ -102,10 +101,12 @@ _VERIFIERS = {
     "selfsimilar_scaling": verify_selfsimilar_scaling,
     "quadrature_mass": verify_quadrature_mass,
 }
-# checks that evaluate modes or geometry pointwise and therefore need a
-# background in backgrounds.POINTWISE
-_POINTWISE_CHECKS = frozenset({"weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass"})
-_BOCHNER_CHECKS = frozenset({"drift_bochner", "drift_bochner_verbatim"})
+# checks that read the quadrature rule and therefore need a background in
+# backgrounds.POINTWISE; the curvature identity is one of them on every such
+# background, its verbatim variant missing by the pairing integral (0 on planes)
+_RULE_CHECKS = frozenset(
+    {"weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass", "drift_bochner", "drift_bochner_verbatim"}
+)
 
 
 @dataclass(frozen=True)
@@ -372,10 +373,8 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
         if name in checks:
             raise ConfigError("checks", f"duplicate check {name!r}")
         checks.append(name)
-    if bg not in POINTWISE and any(c in _POINTWISE_CHECKS for c in checks):
+    if bg not in POINTWISE and any(c in _RULE_CHECKS for c in checks):
         raise ConfigError("checks", f"pointwise checks are not available on {bg.label()}")
-    if bg not in CURVATURE_IDENTITY and any(c in _BOCHNER_CHECKS for c in checks):
-        raise ConfigError("checks", f"curvature-identity checks are not available on {bg.label()}")
     if bg not in POINTWISE and forcing is not None:
         raise ConfigError("forcing", f"hypothesis certification needs pointwise geometry; got {bg.label()}")
 
@@ -446,14 +445,6 @@ class RunOutput:
             "resolution": self.config.resolution,
         }
 
-    def failed_checks(self) -> tuple[str, ...]:
-        """Names of failed checks that count toward the exit code."""
-        return tuple(
-            r.check_name
-            for r in self.reports
-            if r.status == "fail" and r.check_name not in self.config.report_only
-        )
-
 
 def _run_check(
     name: str, config: ScenarioConfig, traj: Trajectory, trace: FrequencyTrace, rule: QuadratureRule | None
@@ -471,7 +462,7 @@ def _run_check(
         names = sorted(funcs)
         parts = [verify(funcs[f], config.grid, rule, function_name=f, **kwargs) for f in names]
         return merge_reports(bg, parts, label_prefixes=names, notes=(f"test functions: {', '.join(names)}",))
-    if name in _BOCHNER_CHECKS:
+    if name in ("drift_bochner", "drift_bochner_verbatim"):
         # the identity is static per field; evaluate it at both ends of the run
         ends = (traj.field_at(0), traj.field_at(-1))
         return merge_reports(bg, [verify(f, rule, **kwargs) for f in ends])
@@ -497,7 +488,7 @@ def run_scenario(config: ScenarioConfig) -> RunOutput:
         traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
     trace = trace_from_trajectory(traj, config.kappa_value)
     # one quadrature rule for every check that reads it; runs with only spectral checks build none
-    reads_rule = _POINTWISE_CHECKS | _BOCHNER_CHECKS | ({"general_bounds"} if config.forcing is not None else set())
+    reads_rule = _RULE_CHECKS | ({"general_bounds"} if config.forcing is not None else set())
     rule = quadrature(config.background, config.resolution) if reads_rule.intersection(config.checks) else None
     reports = tuple(_run_check(name, config, traj, trace, rule) for name in config.checks)
     return RunOutput(config=config, trace=trace, reports=reports)

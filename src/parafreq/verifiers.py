@@ -38,17 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backgrounds import (
-    CURVATURE_IDENTITY,
-    Background,
-    Cylinder,
-    Plane,
-    QuadratureRule,
-    Sphere,
-    kappa,
-    require_support,
-    total_mass,
-)
+from .backgrounds import Background, Cylinder, QuadratureRule, Sphere, kappa, total_mass
 from .evolution import CoefficientField, TimeGrid, Trajectory, float_powers, forcing_bound_margin
 from .frequency import FrequencyTrace
 from .modes import combine_on_rule, first_nonzero_eigenvalue
@@ -506,10 +496,12 @@ def verify_weighted_monotonicity(
 def _bochner_sides(f: CoefficientField, rule: QuadratureRule) -> tuple[float, float, float, float]:
     """Both sides of the integral identity at the field's own time.
 
-    Returns (lhs, rhs_verbatim, rhs_corrected, grad_energy) where lhs is the
-    integral of |Hess u|^2 + Ric(grad u, grad u), the rhs variants differ by
-    the curvature pairing term, and grad_energy = integral |grad u|^2 dmu at
-    the field's time scale.
+    Returns (lhs, rhs_verbatim, pairing, grad_energy) where lhs is the
+    integral of |Hess u|^2 + Ric(grad u, grad u), rhs_verbatim is the right
+    side without the curvature pairing term, pairing is the integral of
+    <H, A(grad u, grad u)> (so the corrected right side is
+    rhs_verbatim + pairing), and grad_energy = integral |grad u|^2 dmu at the
+    field's time scale.
     """
     rule.require_background(f.background)
     w = rule.weights
@@ -537,9 +529,9 @@ def _bochner_sides(f: CoefficientField, rule: QuadratureRule) -> tuple[float, fl
     factor = 1.0 / f.time**2
     lhs = float(w @ (hess2 + ric_q)) * factor
     rhs_verbatim = float(w @ (lu * lu) - 0.5 * (w @ grad2)) * factor
-    rhs_corrected = rhs_verbatim + float(w @ shape_q) * factor
+    pairing = float(w @ shape_q) * factor
     grad_energy = float(w @ grad2) * factor * (-f.time)
-    return lhs, rhs_verbatim, rhs_corrected, grad_energy
+    return lhs, rhs_verbatim, pairing, grad_energy
 
 
 def verify_drift_bochner(
@@ -561,15 +553,15 @@ def verify_drift_bochner(
     ambient distance-squared weight on a shrinker is the metric *minus* the
     curvature pairing, not the metric alone.  On planes the term vanishes and
     both variants coincide; on spheres it exactly cancels the gradient term,
-    recovering the classical closed-manifold identity.  The verbatim variant
-    without the term is checked separately in
+    recovering the classical closed-manifold identity; on cylinders it is
+    the gradient energy along the sphere factor only, over 2(-t).  The
+    verbatim variant without the term is checked separately in
     ``verify_drift_bochner_verbatim``; its residual is recorded here as a
     note for side-by-side comparison.
     """
     bg = f.background
-    require_support(bg, CURVATURE_IDENTITY, "the integral curvature identity")
-    lhs, rhs_a, rhs_b, grad_energy = _bochner_sides(f, rule)
-    margin = -abs(lhs - rhs_b)
+    lhs, rhs_a, pairing, grad_energy = _bochner_sides(f, rule)
+    margin = -abs(lhs - (rhs_a + pairing))
     notes = (
         f"verbatim-variant residual at the same field: {lhs - rhs_a:.17g}",
         f"gradient energy at this time: {grad_energy:.17g}",
@@ -586,18 +578,17 @@ def verify_drift_bochner_verbatim(
 ) -> VerificationReport:
     """Check the verbatim variant of the curvature identity (no pairing term).
 
-    On curved backgrounds the residual equals the quadrature value of
-    ``(1/(2(-t))) * integral |grad u|^2 dmu`` (nonzero whenever the field
-    has gradient energy), which is exactly the documented discrepancy; the
-    note carries that reference value so reports are self-explanatory.
+    The residual equals the pairing integral int <H, A(grad u, grad u)> that
+    this variant leaves out, which is exactly the documented discrepancy: 0
+    on planes, ``(1/(2(-t))) * integral |grad u|^2 dmu`` on spheres, and only
+    the sphere-factor part of that gradient energy on cylinders.  The note
+    carries that pairing integral so reports are self-explanatory.
     Scenarios list this check as report-only.
     """
     bg = f.background
-    require_support(bg, CURVATURE_IDENTITY, "the integral curvature identity")
-    lhs, rhs_a, _, grad_energy = _bochner_sides(f, rule)
+    lhs, rhs_a, pairing, _ = _bochner_sides(f, rule)
     margin = -abs(lhs - rhs_a)
-    expected = 0.0 if isinstance(bg, Plane) else grad_energy / (2.0 * (-f.time))
-    notes = (f"expected residual from the missing pairing term: {expected:.17g}",)
+    notes = (f"expected residual from the missing pairing term: {pairing:.17g}",)
     label = ("integral-identity-verbatim",)
     return _report("drift_bochner_verbatim", bg, scenario_id, [f.time], [margin], label, tolerance, notes=notes)
 

@@ -43,6 +43,7 @@ from parafreq import (
     verify_harnack_printed,
     verify_weighted_monotonicity,
 )
+from parafreq.backgrounds import POINTWISE
 from parafreq.cli import main as cli_main
 from parafreq.modes import combine_on_rule
 
@@ -230,9 +231,19 @@ def test_criterion_06_weighted_monotonicity_residuals_and_order():
 
 def test_criterion_07_drift_bochner_identity():
     worst_b = 0.0
-    for bg, res in [(Plane(1), 32), (Plane(2), 32), (Sphere(2), 48)]:
+    # (background, resolution, eigenvalue cutoff) for every background in POINTWISE
+    cases = [
+        (Plane(1), 32, 3.0),
+        (Plane(2), 32, 3.0),
+        (Plane(3), 16, 2.0),
+        (Sphere(1), 32, 3.0),
+        (Sphere(2), 48, 3.0),
+        (Cylinder(1, 1), 32, 3.0),
+    ]
+    assert {bg for bg, _, _ in cases} == POINTWISE
+    for bg, res, mu_cutoff in cases:
         rule = quadrature(bg, res)
-        for mode in enumerate_modes(bg, 3.0):
+        for mode in enumerate_modes(bg, mu_cutoff):
             if mode.mu == 0.0:
                 continue
             field = CoefficientField.from_dict(bg, -1.0, {mode: 1.0})

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from parafreq import (
-    CoefficientField,
     ConfigError,
     Cylinder,
     Plane,
@@ -21,10 +20,8 @@ from parafreq import (
     quadrature,
     total_mass,
     unit_sphere_area,
-    verify_drift_bochner,
-    verify_drift_bochner_verbatim,
 )
-from parafreq.backgrounds import CURVATURE_IDENTITY, POINTWISE
+from parafreq.backgrounds import POINTWISE
 
 ALL_BACKGROUNDS = [Plane(1), Plane(2), Plane(3), Sphere(1), Sphere(2), Cylinder(1, 1)]
 
@@ -186,26 +183,24 @@ def test_off_surface_points_rejected():
 # supported ranges
 
 
-# (background, closed-form pointwise support, curvature identity)
+# (background, closed-form pointwise support)
 CAPABILITIES = [
-    (Plane(1), True, True),
-    (Plane(2), True, True),
-    (Plane(3), True, False),
-    (Plane(4), False, False),
-    (Sphere(1), True, True),
-    (Sphere(2), True, True),
-    (Sphere(3), False, False),
-    (Cylinder(1, 1), True, False),
-    (Cylinder(2, 1), False, False),
-    (Cylinder(1, 2), False, False),
+    (Plane(1), True),
+    (Plane(2), True),
+    (Plane(3), True),
+    (Plane(4), False),
+    (Sphere(1), True),
+    (Sphere(2), True),
+    (Sphere(3), False),
+    (Cylinder(1, 1), True),
+    (Cylinder(2, 1), False),
+    (Cylinder(1, 2), False),
 ]
 
 
-@pytest.mark.parametrize(
-    "bg, pointwise, identity", CAPABILITIES, ids=[case[0].label() for case in CAPABILITIES]
-)
-def test_capability_declaration_gates_every_consumer(bg, pointwise, identity):
-    assert (bg in POINTWISE, bg in CURVATURE_IDENTITY) == (pointwise, identity)
+@pytest.mark.parametrize("bg, pointwise", CAPABILITIES, ids=[case[0].label() for case in CAPABILITIES])
+def test_capability_declaration_gates_every_consumer(bg, pointwise):
+    assert (bg in POINTWISE) == pointwise
     mode = enumerate_modes(bg, 1.0)[1]
     point = np.zeros(bg.ambient_dim)
     if not isinstance(bg, Plane):
@@ -221,11 +216,6 @@ def test_capability_declaration_gates_every_consumer(bg, pointwise, identity):
     assert allowed(lambda: quadrature(bg, 4)) == pointwise
     assert allowed(lambda: geometry_at(bg, point)) == pointwise
     assert allowed(lambda: mode_function(bg, mode)) == pointwise
-    if not identity:
-        field = CoefficientField.from_dict(bg, -1.0, {mode: 1.0})
-        for verify in (verify_drift_bochner, verify_drift_bochner_verbatim):
-            with pytest.raises(UnsupportedBackgroundError):
-                verify(field, None)
 
     if isinstance(bg, Plane):
         bg_doc = {"kind": "plane", "n": bg.n}
@@ -240,20 +230,20 @@ def test_capability_declaration_gates_every_consumer(bg, pointwise, identity):
         "time": {"a": -1.0, "b": -0.5, "nodes": 5},
     }
 
-    def accepted(**fields):
+    def refused_field(**fields):
+        """The field a ConfigError names, or None when the config is accepted."""
         try:
             parse_config(dict(base, **fields))
-        except ConfigError:
-            return False
-        return True
+        except ConfigError as exc:
+            return exc.field
+        return None
 
-    assert accepted(checks=["frequency_monotonicity", "harnack", "eigenvalue_monotonicity"])
-    for check in ("weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass"):
-        assert accepted(checks=[check]) == pointwise, check
-    for check in ("drift_bochner", "drift_bochner_verbatim"):
-        assert accepted(checks=[check]) == identity, check
+    assert refused_field(checks=["frequency_monotonicity", "harnack", "eigenvalue_monotonicity"]) is None
+    rule_checks = ("weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass", "drift_bochner", "drift_bochner_verbatim")
+    for check in rule_checks:
+        assert refused_field(checks=[check]) == (None if pointwise else "checks"), check
     forcing = {"rate": {"type": "constant", "c0": 0.1}, "coupling": "scalar_on_u"}
-    assert accepted(checks=["general_bounds"], forcing=forcing) == pointwise
+    assert refused_field(checks=["general_bounds"], forcing=forcing) == (None if pointwise else "forcing")
 
 
 def test_unsupported_quadrature_ranges():

@@ -209,19 +209,38 @@ def test_bochner_corrected_passes_on_sphere():
     assert abs(rep.min_margin) < 1e-10
 
 
-def test_bochner_verbatim_gap_equals_gradient_energy():
-    # at t = -1 the missing pairing term equals (1/2) * integral |P grad v|^2
-    bg = Sphere(2)
-    rule = quadrature(bg, 48)
-    for idx in [(1, 0), (2, 0)]:
-        field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, idx): 1.0})
-        rep = verify_drift_bochner_verbatim(field, rule)
-        gbar = combine_on_rule(rule, dict(field.entries), "gradients")
-        proj = np.stack([geometry_at(bg, p).tangent_projector for p in rule.points])
-        tangential = np.einsum("nij,nj->ni", proj, gbar)
-        grad_energy = rule.integrate(np.einsum("ni,ni->n", tangential, tangential))
-        assert rep.status == "fail"
-        assert abs(rep.min_margin) == pytest.approx(grad_energy / 2.0, abs=1e-8)
+_VERBATIM_NOTE = "expected residual from the missing pairing term: "
+VERBATIM_CASES = [
+    (Sphere(1), 16, {(1, 0): 1.0, (2, 1): -0.6}),
+    (Sphere(2), 48, {(1, 0): 1.0, (2, 0): 0.7}),
+    (Cylinder(1, 1), 24, {(1, 0, 0): 1.0, (0, 0, 1): 0.8, (1, 1, 2): -0.5}),
+]
+
+
+@pytest.mark.parametrize("t", [-1.0, -0.4], ids=["t=-1", "t=-0.4"])
+@pytest.mark.parametrize("bg, resolution, coeffs", VERBATIM_CASES, ids=[case[0].label() for case in VERBATIM_CASES])
+def test_bochner_verbatim_gap_equals_gradient_energy(bg, resolution, coeffs, t):
+    # the verbatim residual is the left-out pairing integral int <H, A(grad u, grad u)>,
+    # taken here from the per-point oracle; on spheres that is the gradient energy over 2(-t)
+    rule = quadrature(bg, resolution)
+    field = CoefficientField.from_dict(bg, t, {mode_from_index(bg, idx): amp for idx, amp in coeffs.items()})
+    rep = verify_drift_bochner_verbatim(field, rule)
+    oracle = [geometry_at(bg, p) for p in rule.points]
+    gbar = combine_on_rule(rule, field.coeff_map, "gradients")
+    tangential = np.einsum("nij,nj->ni", np.stack([g.tangent_projector for g in oracle]), gbar)
+    shape = np.stack([g.shape_pairing for g in oracle])
+    pairing = rule.integrate(np.einsum("nij,ni,nj->n", shape, tangential, tangential)) / t**2
+    gradient_term = rule.integrate(np.einsum("ni,ni->n", tangential, tangential)) / (2.0 * t**2)
+
+    assert rep.status == "fail"
+    assert -rep.min_margin == pytest.approx(pairing, rel=1e-12)
+    (note,) = rep.notes
+    assert float(note.removeprefix(_VERBATIM_NOTE)) == pytest.approx(pairing, rel=1e-12)
+    if isinstance(bg, Sphere):
+        assert pairing == pytest.approx(gradient_term, rel=1e-12)
+    else:
+        # only the circle factor is curved, so the axis gradient is left out of the pairing
+        assert abs(pairing - gradient_term) > 0.1 * gradient_term
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +571,26 @@ def test_run_scenario_builds_one_rule_and_only_when_a_check_reads_it(monkeypatch
         assert len(out.reports) == len(config.checks)
         assert len(calls) == builds, config.checks
         assert all(args == (config.background, config.resolution) for args in calls)
+
+    # the curvature identity on the cylinder, where its pairing term is not a multiple of the gradient term
+    bochner = ["drift_bochner", "drift_bochner_verbatim"]
+    cylinder = parse_config({
+        "scenario_id": "cylinder-bochner",
+        "background": {"kind": "cylinder", "k": 1, "m": 1},
+        "initial_modes": {"1,0,0": 1.0, "0,0,1": 0.8, "1,1,2": -0.5},
+        "time": {"a": -1.0, "b": -0.25, "nodes": 9},
+        "resolution": 24,
+        "checks": bochner,
+        "report_only": bochner,
+    })
+    calls.clear()
+    corrected, verbatim = scenario.run_scenario(cylinder).reports
+    assert len(calls) == 1
+    assert corrected.status == "pass" and -corrected.min_margin < 1e-12
+    assert verbatim.status == "fail"
+    assert len(verbatim.notes) == len(verbatim.margin) == 2  # one per end of the run
+    for note, margin in zip(verbatim.notes, verbatim.margin):
+        assert -margin == pytest.approx(float(note.removeprefix(_VERBATIM_NOTE)), rel=1e-12)
 
 
 def test_pointwise_checks_refuse_data_of_another_background():
