@@ -70,51 +70,37 @@ class ToleranceNotMetError(RuntimeError):
     """Stepped integration could not meet the local tolerance on some interval."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientField:
-    """Spectral snapshot: amplitudes over modes of one background at one time t < 0."""
+    """Spectral snapshot: amplitudes over modes of one background at one time t < 0.
+
+    ``amplitudes`` is a read-only float array aligned with ``modes``, so a
+    field is exactly one row of a ``Trajectory``.
+    """
 
     background: Background
     time: float
-    entries: tuple[tuple[Mode, float], ...]
+    modes: tuple[Mode, ...]
+    amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.time) and self.time < 0.0):
             raise ValueError(f"field time must be finite and negative, got {self.time!r}")
-        seen = set()
-        for mode, amp in self.entries:
-            if mode in seen:
-                raise ValueError(f"duplicate mode {mode.index!r}")
-            seen.add(mode)
-            if not math.isfinite(amp):
-                raise ValueError(f"non-finite amplitude for mode {mode.index!r}")
+        if len(set(self.modes)) != len(self.modes):
+            raise ValueError(f"duplicate mode in {[m.index for m in self.modes]!r}")
+        amps = np.asarray(self.amplitudes, dtype=float).view()  # read-only without touching the caller's array
+        if amps.shape != (len(self.modes),):
+            raise ValueError(f"need one amplitude per mode ({len(self.modes)}), got shape {amps.shape}")
+        finite = np.isfinite(amps)
+        if not finite.all():
+            raise ValueError(f"non-finite amplitude for mode {self.modes[int(np.argmin(finite))].index!r}")
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
     def from_dict(cls, background: Background, time: float, coeffs: Mapping[Mode, float]) -> "CoefficientField":
-        entries = tuple(sorted(((m, float(a)) for m, a in coeffs.items()), key=lambda e: mode_sort_key(e[0])))
-        return cls(background, float(time), entries)
-
-    @property
-    def coeff_map(self) -> dict[Mode, float]:
-        return dict(self.entries)
-
-    @property
-    def modes(self) -> tuple[Mode, ...]:
-        return tuple(m for m, _ in self.entries)
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.array([a for _, a in self.entries], dtype=float)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a == 0.0 for _, a in self.entries)
-
-    def with_amplitudes(self, time: float, amplitudes: Sequence[float]) -> "CoefficientField":
-        if len(amplitudes) != len(self.entries):
-            raise ValueError("amplitude count mismatch")
-        entries = tuple((m, float(a)) for (m, _), a in zip(self.entries, amplitudes))
-        return CoefficientField(self.background, float(time), entries)
+        modes = tuple(sorted(coeffs, key=mode_sort_key))
+        return cls(background, float(time), modes, [float(coeffs[m]) for m in modes])
 
 
 @dataclass(frozen=True)
@@ -222,7 +208,7 @@ class ModeMatrix:
         for row in self.matrix:
             for w in row:
                 if not math.isfinite(w):
-                    raise ValueError("matrix entries must be finite")
+                    raise ValueError("matrix values must be finite")
 
     def as_array(self) -> np.ndarray:
         return np.array(self.matrix, dtype=float)
@@ -265,9 +251,8 @@ class Trajectory:
         object.__setattr__(self, "amplitudes", amps)
 
     def field_at(self, i: int) -> CoefficientField:
-        """Snapshot of the field at grid node ``i``."""
-        row = self.amplitudes[i].tolist()
-        return CoefficientField(self.background, self.grid.nodes[i], tuple(zip(self.modes, row)))
+        """The field at grid node ``i``: row ``i`` of ``amplitudes``."""
+        return CoefficientField(self.background, self.grid.nodes[i], self.modes, self.amplitudes[i])
 
 
 def float_powers(bases: Sequence[float], exponents: Sequence[float]) -> np.ndarray:
@@ -281,8 +266,8 @@ def evolve_exact(field: CoefficientField, t_target: float) -> CoefficientField:
     if not (math.isfinite(t_target) and t_target < 0.0):
         raise ValueError(f"target time must be negative, got {t_target!r}")
     ratio = (-t_target) / (-field.time)
-    amps = [a * ratio**m.mu for m, a in field.entries]
-    return field.with_amplitudes(t_target, amps)
+    amps = [a * ratio**m.mu for m, a in zip(field.modes, field.amplitudes.tolist())]
+    return CoefficientField(field.background, float(t_target), field.modes, amps)
 
 
 def evolve_exact_trajectory(field: CoefficientField, grid: TimeGrid) -> Trajectory:
@@ -297,6 +282,12 @@ def evolve_exact_trajectory(field: CoefficientField, grid: TimeGrid) -> Trajecto
 
 # ---------------------------------------------------------------------------
 # stepped (forced) evolution
+
+
+def _amplitudes_on(field: CoefficientField, modes: Sequence[Mode]) -> np.ndarray:
+    """The field's amplitude on each of ``modes``, 0 where the field has none."""
+    position = {m: j for j, m in enumerate(field.modes)}
+    return np.array([field.amplitudes[position[m]] if m in position else 0.0 for m in modes])
 
 
 def _union_modes(field: CoefficientField, forcing: Forcing) -> tuple[Mode, ...]:
@@ -375,9 +366,8 @@ def evolve_forced(
         raise ValueError("local_tol must be positive")
 
     modes = _union_modes(field, forcing)
-    coeff = field.coeff_map
     amps = np.empty((len(grid.nodes), len(modes)))
-    amps[0] = [coeff.get(m, 0.0) for m in modes]
+    amps[0] = _amplitudes_on(field, modes)
 
     rhs = _build_rhs(modes, forcing)
     for i, (t0, t1) in enumerate(zip(grid.nodes, grid.nodes[1:])):
@@ -396,9 +386,8 @@ def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: Quadra
     rule.require_background(field.background)
     t = field.time
     c = forcing.rate(t)
-    coeffs = field.coeff_map
-    values = combine_on_rule(rule, coeffs)
-    ambient_grads = combine_on_rule(rule, coeffs, "gradients")
+    values = combine_on_rule(rule, field.modes, field.amplitudes)
+    ambient_grads = combine_on_rule(rule, field.modes, field.amplitudes, "gradients")
     tangential = np.einsum("nij,nj->ni", rule.tangent_projector, ambient_grads)
     grad_norm = np.sqrt(np.sum(tangential**2, axis=1)) / math.sqrt(-t)
 
@@ -406,8 +395,7 @@ def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: Quadra
         f_values = c * values
     else:
         coupling = forcing.coupling
-        a = np.array([coeffs.get(m, 0.0) for m in coupling.modes], dtype=float)
-        f_coeffs = c * (coupling.as_array() @ a)
-        f_values = combine_on_rule(rule, dict(zip(coupling.modes, f_coeffs)))
+        f_coeffs = c * (coupling.as_array() @ _amplitudes_on(field, coupling.modes))
+        f_values = combine_on_rule(rule, coupling.modes, f_coeffs)
 
     return float(np.min(c * (grad_norm + np.abs(values)) - np.abs(f_values)))

@@ -39,7 +39,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -333,9 +333,12 @@ _COLUMNS = {
 }
 
 
-def combine_on_rule(rule: QuadratureRule, coeffs: Mapping[Mode, float], kind: str = "values") -> np.ndarray:
+def combine_on_rule(
+    rule: QuadratureRule, modes: Sequence[Mode], amplitudes: np.ndarray, kind: str = "values"
+) -> np.ndarray:
     """sum_j a_j * column_j at the rule's nodes, in ``mode_sort_key`` order, skipping zero amplitudes.
 
+    ``amplitudes`` is aligned with ``modes``, as in one row of a trajectory.
     ``kind`` is values (N,), ambient gradients (N, d) or ambient Hessians
     (N, d, d); project gradients to get surface gradients.  Each mode's
     column is evaluated once per rule and kept in ``rule.mode_columns``.
@@ -343,8 +346,7 @@ def combine_on_rule(rule: QuadratureRule, coeffs: Mapping[Mode, float], kind: st
     evaluate, rank = _COLUMNS[kind]
     pts = rule.points
     out = np.zeros(pts.shape[:1] + pts.shape[1:] * rank)
-    for mode in sorted(coeffs, key=mode_sort_key):
-        a = coeffs[mode]
+    for mode, a in sorted(zip(modes, amplitudes.tolist(), strict=True), key=lambda e: mode_sort_key(e[0])):
         if a != 0.0:
             column = rule.mode_columns.get((kind, mode))
             if column is None:

@@ -6,16 +6,11 @@ run.  Configs are the reproducibility unit: the canonical hash of the
 normalized document goes into every emitted report, and a fixed config plus
 resolution yields byte-identical outputs.
 
-Check names accepted in ``checks`` (and ``report_only``):
-
-    frequency_monotonicity  equality_case  harnack  harnack_printed
-    weighted_monotonicity   drift_bochner  drift_bochner_verbatim
-    general_bounds  general_harnack  eigenvalue_monotonicity
-    selfsimilar_scaling  quadrature_mass
-
-``report_only`` checks still run and are fully reported, but their failures
-never affect the process exit code; that is how the two documented-
-discrepancy variants stay visible without failing suites.
+The check names accepted in ``checks`` (and ``report_only``) are the keys of
+the check table ``_VERIFIERS``.  ``report_only`` checks still run and are
+fully reported, but their failures never affect the process exit code; that
+is how the two documented-discrepancy variants stay visible without failing
+suites.
 """
 
 from __future__ import annotations
@@ -85,28 +80,26 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field}': {problem}")
 
 
-# check name -> verifier.  Dispatch looks the verifier up here at call time,
-# so anything that rebinds the module-level callables reaches every check.
+# The check table, check name -> verifier, in two groups: the checks in _RULE_READERS read the run's quadrature
+# rule, so they need a background in backgrounds.POINTWISE.  Dispatch looks the verifier up at call time, so
+# anything that rebinds the module-level callables (in module-level dicts too) reaches every check.
+_RULE_READERS = {
+    "weighted_monotonicity": verify_weighted_monotonicity,
+    "selfsimilar_scaling": verify_selfsimilar_scaling,
+    "quadrature_mass": verify_quadrature_mass,
+    "drift_bochner": verify_drift_bochner,
+    "drift_bochner_verbatim": verify_drift_bochner_verbatim,
+}
 _VERIFIERS = {
     "frequency_monotonicity": verify_frequency_monotonicity,
     "equality_case": verify_equality_case,
     "harnack": verify_harnack,
     "harnack_printed": verify_harnack_printed,
-    "weighted_monotonicity": verify_weighted_monotonicity,
-    "drift_bochner": verify_drift_bochner,
-    "drift_bochner_verbatim": verify_drift_bochner_verbatim,
     "general_bounds": verify_general_bounds,
     "general_harnack": verify_general_harnack,
     "eigenvalue_monotonicity": verify_eigenvalue_monotonicity,
-    "selfsimilar_scaling": verify_selfsimilar_scaling,
-    "quadrature_mass": verify_quadrature_mass,
+    **_RULE_READERS,
 }
-# checks that read the quadrature rule and therefore need a background in
-# backgrounds.POINTWISE; the curvature identity is one of them on every such
-# background, its verbatim variant missing by the pairing integral (0 on planes)
-_RULE_CHECKS = frozenset(
-    {"weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass", "drift_bochner", "drift_bochner_verbatim"}
-)
 
 
 @dataclass(frozen=True)
@@ -373,7 +366,7 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
         if name in checks:
             raise ConfigError("checks", f"duplicate check {name!r}")
         checks.append(name)
-    if bg not in POINTWISE and any(c in _RULE_CHECKS for c in checks):
+    if bg not in POINTWISE and any(c in _RULE_READERS for c in checks):
         raise ConfigError("checks", f"pointwise checks are not available on {bg.label()}")
     if bg not in POINTWISE and forcing is not None:
         raise ConfigError("forcing", f"hypothesis certification needs pointwise geometry; got {bg.label()}")
@@ -398,11 +391,10 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
     if not (0.0 < rk_local_tol < 1.0):
         raise ConfigError("rk_local_tol", f"must be in (0, 1), got {rk_local_tol}")
 
-    entries = tuple(sorted(coeffs.items(), key=lambda kv: mode_sort_key(kv[0])))
     return ScenarioConfig(
         scenario_id=scenario_id,
         background=bg,
-        initial_modes=entries,
+        initial_modes=tuple(sorted(coeffs.items(), key=lambda kv: mode_sort_key(kv[0]))),
         grid=grid,
         kappa_value=kappa_value,
         forcing=forcing,
@@ -487,9 +479,10 @@ def run_scenario(config: ScenarioConfig) -> RunOutput:
     else:
         traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
     trace = trace_from_trajectory(traj, config.kappa_value)
-    # one quadrature rule for every check that reads it; runs with only spectral checks build none
-    reads_rule = _RULE_CHECKS | ({"general_bounds"} if config.forcing is not None else set())
-    rule = quadrature(config.background, config.resolution) if reads_rule.intersection(config.checks) else None
+    # one quadrature rule for every check that reads it (general_bounds too, to certify a forcing); else none
+    certifies = config.forcing is not None
+    reads_rule = any(c in _RULE_READERS or (c == "general_bounds" and certifies) for c in config.checks)
+    rule = quadrature(config.background, config.resolution) if reads_rule else None
     reports = tuple(_run_check(name, config, traj, trace, rule) for name in config.checks)
     return RunOutput(config=config, trace=trace, reports=reports)
 

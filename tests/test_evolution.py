@@ -33,8 +33,12 @@ def _field(bg, t, coeffs_by_index):
     )
 
 
+def _pairs(field):
+    return zip(field.modes, field.amplitudes.tolist(), strict=True)
+
+
 def _coeff(field, idx):
-    for mode, a in field.entries:
+    for mode, a in _pairs(field):
         if mode.index == idx:
             return a
     return 0.0
@@ -58,7 +62,7 @@ def test_exact_evolution_semigroup():
     f0 = _field(bg, -1.0, {(1, 0): 1.0, (2, 3): 0.4})
     direct = evolve_exact(f0, -0.2)
     via = evolve_exact(evolve_exact(f0, -0.6), -0.2)
-    for (m1, a1), (m2, a2) in zip(direct.entries, via.entries):
+    for (m1, a1), (m2, a2) in zip(_pairs(direct), _pairs(via)):
         assert m1 == m2
         assert a1 == pytest.approx(a2, rel=1e-14)
 
@@ -71,7 +75,7 @@ def test_trajectory_matches_pointwise_evolution():
     for i, t in enumerate(grid.nodes):
         field = traj.field_at(i)
         ref = evolve_exact(f0, t)
-        for (m1, a1), (m2, a2) in zip(field.entries, ref.entries):
+        for (m1, a1), (m2, a2) in zip(_pairs(field), _pairs(ref)):
             assert m1 == m2
             assert a1 == pytest.approx(a2, abs=1e-15)
 
@@ -79,9 +83,26 @@ def test_trajectory_matches_pointwise_evolution():
 def test_zero_field_stays_zero():
     bg = Plane(2)
     f0 = CoefficientField.from_dict(bg, -1.0, {})
-    assert f0.is_zero
+    assert not f0.amplitudes.any()
     traj = evolve_exact_trajectory(f0, TimeGrid.uniform(-1.0, -0.5, 5))
-    assert all(traj.field_at(i).is_zero for i in range(len(traj.grid.nodes)))
+    assert not traj.amplitudes.any()
+
+
+def test_field_is_a_read_only_row_of_its_trajectory():
+    bg = Sphere(2)
+    traj = evolve_exact_trajectory(_field(bg, -1.0, {(1, 0): 1.0, (2, 3): 0.4}), TimeGrid.uniform(-1.0, -0.5, 5))
+    field = traj.field_at(2)
+    assert field.modes == traj.modes and field.time == traj.grid.nodes[2]
+    assert np.shares_memory(field.amplitudes, traj.amplitudes)
+    assert field.amplitudes.tobytes() == traj.amplitudes[2].tobytes()
+    with pytest.raises(ValueError):
+        field.amplitudes[0] = 0.0
+    with pytest.raises(ValueError, match="one amplitude per mode"):
+        CoefficientField(bg, -1.0, traj.modes, [1.0])
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        CoefficientField(bg, -1.0, traj.modes, [1.0, math.inf])
+    with pytest.raises(ValueError, match="duplicate mode"):
+        CoefficientField(bg, -1.0, traj.modes[:1] * 2, [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +119,7 @@ def test_rk_with_zero_rate_matches_exact():
     for i, t in enumerate(grid.nodes):
         field = traj.field_at(i)
         ref = evolve_exact(f0, t)
-        for (m, a), (_, b) in zip(field.entries, ref.entries):
+        for (m, a), (_, b) in zip(_pairs(field), _pairs(ref)):
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     assert worst < 1e-10
 
@@ -113,7 +134,7 @@ def test_scalar_rate_closed_form():
     t = grid.nodes[-1]
     factor = math.exp(c0 * (t - (-1.0)))
     ref = evolve_exact(f0, t)
-    for (m, a), (_, b) in zip(traj.field_at(-1).entries, ref.entries):
+    for (m, a), (_, b) in zip(_pairs(traj.field_at(-1)), _pairs(ref)):
         assert a == pytest.approx(b * factor, rel=1e-9)
 
 
@@ -126,7 +147,7 @@ def test_sampled_rate_matches_constant_rate():
     sampled = SampledRate(tuple(ts), tuple(0.3 for _ in ts))
     samp = evolve_forced(f0, grid, Forcing(sampled, ScalarOnU()), local_tol=1e-11)
     for i in range(len(grid.nodes)):
-        for (_, a), (_, b) in zip(const.field_at(i).entries, samp.field_at(i).entries):
+        for (_, a), (_, b) in zip(_pairs(const.field_at(i)), _pairs(samp.field_at(i))):
             assert a == pytest.approx(b, rel=1e-12)
 
 

@@ -13,11 +13,11 @@ from parafreq import (
     Cylinder,
     Forcing,
     ModeMatrix,
-    NodeCheck,
     Plane,
     ScalarOnU,
     Sphere,
     TimeGrid,
+    Trajectory,
     compute_D_quadrature,
     evolve_exact_trajectory,
     evolve_forced,
@@ -72,6 +72,23 @@ def test_monotonicity_margins_nonnegative_on_mixtures():
         assert rep.min_margin >= -rep.tolerance
 
 
+def test_frequency_monotonicity_fails_on_the_backward_law():
+    # a_j(t) = (-t)^(-mu_j) on plane(1) with mu = 1/2, 3/2 runs the heat flow backward:
+    # U(t) = -1 - 2/(1 + t^2) falls towards t = 0, fastest at t = -1/sqrt(3) where U' = -3 sqrt(3)/4
+    bg = Plane(1)
+    modes = (mode_from_index(bg, (1,)), mode_from_index(bg, (3,)))
+    grid = TimeGrid.uniform(-1.0, -0.1, 361)
+    t = grid.as_array()
+    traj = Trajectory(grid, bg, modes, np.column_stack([(-t) ** -0.5, (-t) ** -1.5]), method="counterfeit")
+    rep = _checked(verify_frequency_monotonicity, traj)
+    assert rep.status == "fail"
+    # the worst margin is the centered slope at the node nearest t*; it misses U'(t*) by at most
+    # h^2/6 |U'''| (centered difference) + h^2/8 |U'''| (t* lies within h/2 of a node),
+    # and |U'''| = 48 |t| (1 - t^2) / (1 + t^2)^4 <= 48 on [-1, 0]
+    h = (grid.b - grid.a) / (len(grid.nodes) - 1)
+    assert rep.min_margin == pytest.approx(-3.0 * math.sqrt(3.0) / 4.0, abs=(1 / 6 + 1 / 8) * 48.0 * h**2)
+
+
 def test_harnack_sphere_golden_margin():
     rep = _checked(verify_harnack, _traj(Sphere(2), {(1, 0): 1.0}, b=-0.5))
     assert rep.status == "pass"
@@ -112,6 +129,36 @@ def test_general_harnack_collapses_to_harnack_without_forcing():
     assert general.min_margin == pytest.approx(plain.min_margin, abs=1e-9)
 
 
+@pytest.mark.parametrize("bg, coeffs", [(Plane(1), {(1,): 1.0, (4,): -0.3}), (Sphere(2), {(1, 0): 1.0, (2, 0): 0.3})])
+def test_general_harnack_equals_harnack_bit_for_bit_without_forcing(bg, coeffs):
+    traj = _traj(bg, coeffs)
+    trace = trace_from_trajectory(traj)
+    assert trace.kappa_used == (0.0 if isinstance(bg, Plane) else 0.5)
+    general = verify_general_harnack(traj, trace)
+    assert general.margin.tobytes() == verify_harnack(traj, trace).margin.tobytes()
+
+
+def test_general_harnack_vanishes_on_a_zero_rate_forced_run():
+    bg = Plane(1)
+    field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, (2,)): 1.0})
+    forcing = Forcing(ConstantRate(0.0), ScalarOnU())
+    traj = evolve_forced(field, TimeGrid.uniform(-1.0, -0.5, 201), forcing, local_tol=1e-12)
+    rep = _checked(verify_general_harnack, traj)
+    assert rep.status == "pass"
+    assert abs(rep.min_margin) <= 1e-12
+
+
+def test_general_harnack_unconverged_quadrature_never_passes(monkeypatch):
+    bg = Plane(1)
+    field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, (2,)): 1.0})
+    traj = evolve_forced(field, TimeGrid.uniform(-1.0, -0.9, 11), Forcing(ConstantRate(0.5), ScalarOnU()))
+    assert _checked(verify_general_harnack, traj).status == "pass"
+    monkeypatch.setattr(verifiers, "_HARNACK_QUAD_TOL", 0.0)
+    rep = _checked(verify_general_harnack, traj)
+    assert rep.status != "pass"
+    assert any("did not converge" in note and "2097153 points" in note for note in rep.notes)
+
+
 # ---------------------------------------------------------------------------
 # equality case
 
@@ -119,14 +166,14 @@ def test_general_harnack_collapses_to_harnack_without_forcing():
 def test_equality_case_triggers_on_pure_mode():
     rep = _checked(verify_equality_case, _traj(Plane(1), {(3,): 2.0}))
     assert rep.status == "pass"
-    labels = {n.label for n in rep.nodes}
+    labels = set(rep.labels)
     assert "defect-bound" in labels and "eigenvalue-fit" in labels
 
 
 def test_equality_case_vacuous_on_genuine_mixture():
     rep = _checked(verify_equality_case, _traj(Plane(1), {(1,): 1.0, (3,): 1.0}))
     assert rep.status == "pass"
-    assert len(rep.nodes) == 1 and rep.nodes[0].margin == 0.0
+    assert len(rep.margin) == 1 and rep.margin[0] == 0.0
     assert any("no node pair" in n or "vacuous" in n for n in rep.notes)
 
 
@@ -152,7 +199,7 @@ def test_weighted_monotonicity_second_order_in_time_step():
         rep = verify_weighted_monotonicity(
             poly, grid, quadrature(bg, 32), tolerance=1.0, function_name="x1_over4_pow6"
         )
-        worst[nodes] = max(abs(n.margin) for n in rep.nodes)
+        worst[nodes] = max(abs(m) for m in rep.margin)
     order = math.log2(worst[101] / worst[201])
     assert order >= 1.8, worst
 
@@ -226,7 +273,7 @@ def test_bochner_verbatim_gap_equals_gradient_energy(bg, resolution, coeffs, t):
     field = CoefficientField.from_dict(bg, t, {mode_from_index(bg, idx): amp for idx, amp in coeffs.items()})
     rep = verify_drift_bochner_verbatim(field, rule)
     oracle = [geometry_at(bg, p) for p in rule.points]
-    gbar = combine_on_rule(rule, field.coeff_map, "gradients")
+    gbar = combine_on_rule(rule, field.modes, field.amplitudes, "gradients")
     tangential = np.einsum("nij,nj->ni", np.stack([g.tangent_projector for g in oracle]), gbar)
     shape = np.stack([g.shape_pairing for g in oracle])
     pairing = rule.integrate(np.einsum("nij,ni,nj->n", shape, tangential, tangential)) / t**2
@@ -334,9 +381,9 @@ def test_report_roundtrip_preserves_inapplicable():
 
 def test_node_checks_must_be_finite():
     with pytest.raises(ValueError):
-        NodeCheck(t=-1.0, margin=float("nan"))
+        verifiers._report("x", Plane(1), "s", [-1.0], [float("nan")], ("n",), 0.0)
     with pytest.raises(ValueError):
-        NodeCheck(t=-1.0, margin=float("inf"))
+        verifiers._report("x", Plane(1), "s", [-1.0], [float("inf")], ("n",), 0.0)
 
 
 def test_min_margin_is_the_first_minimum_with_its_sign():
@@ -375,11 +422,11 @@ def test_mode_columns_reused_across_times_equal_per_call_combinations(bg, coeffs
     for i in range(len(traj.grid.nodes)):
         field = traj.field_at(i)
         for kind in kinds:
-            columns = combine_on_rule(rule, field.coeff_map, kind)
-            fresh = combine_on_rule(quadrature(bg, 10), field.coeff_map, kind)
+            columns = combine_on_rule(rule, field.modes, field.amplitudes, kind)
+            fresh = combine_on_rule(quadrature(bg, 10), field.modes, field.amplitudes, kind)
             assert columns.tobytes() == fresh.tobytes(), (i, kind)
     # only modes with a nonzero amplitude were ever evaluated, once per kind
-    active = {m for m, a in traj.field_at(0).entries if a != 0.0}
+    active = {m for m, a in zip(traj.modes, traj.amplitudes[0]) if a != 0.0}
     assert set(rule.mode_columns) == {(kind, m) for kind in kinds for m in active}
 
     # independent route: every derivative polynomial evaluated at the nodes
@@ -387,14 +434,15 @@ def test_mode_columns_reused_across_times_equal_per_call_combinations(bg, coeffs
     d = bg.ambient_dim
     grads = np.zeros((len(rule.points), d))
     hess = np.zeros((len(rule.points), d, d))
-    for mode, a in field.entries:
+    for mode, a in zip(field.modes, field.amplitudes):
         poly = mode_function(bg, mode)
         for i in range(d):
             grads[:, i] += a * poly.diff(i).eval(rule.points)
             for j in range(d):
                 hess[:, i, j] += a * poly.diff(i).diff(j).eval(rule.points)
-    np.testing.assert_allclose(combine_on_rule(rule, field.coeff_map, "gradients"), grads, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(combine_on_rule(rule, field.coeff_map, "hessians"), hess, rtol=1e-12, atol=1e-12)
+    row = (field.modes, field.amplitudes)
+    np.testing.assert_allclose(combine_on_rule(rule, *row, "gradients"), grads, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(combine_on_rule(rule, *row, "hessians"), hess, rtol=1e-12, atol=1e-12)
 
 
 def test_no_package_code_calls_the_per_point_geometry(monkeypatch):
@@ -485,7 +533,7 @@ def test_shared_trace_gives_the_reports_of_a_trace_built_per_check(initial_modes
         assert "inapplicable" not in statuses
 
 
-_RULE_CHECKS = ("weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass", "drift_bochner", "drift_bochner_verbatim")
+_RULE_CHECKS = tuple(scenario._RULE_READERS)
 
 
 def _rule_config(checks, initial_modes=None, forcing=None):
