@@ -23,23 +23,28 @@ is performed only through this closed form.  (Fields here are finite mode
 sums, so the representation is definitional and no growth-class caveats about
 non-uniqueness of backward heat flow arise.)
 
-Forced runs solve da/dt = -(mu_j / (-t)) a_j + C(t) * (coupling a)_j with a
-classical fourth-order Runge-Kutta scheme, sub-stepped per grid interval by
-step doubling until the local error estimate meets the requested tolerance.
-The stepped solver integrates forward only and by default refuses grids that
-end above t = -1e-3, where the vector field stiffens like mu / (-t); exact
-evolution has no such restriction.  Two couplings are supported: the forcing
-proportional to the solution itself (f = C(t) u), and a bounded constant
-matrix acting on a fixed mode list (f = C(t) W a).  Both keep f inside the
-inequality |f| <= C(t) (|grad u| + |u|) wherever the certified margin below
-is nonnegative.
+Forced runs solve a' = A(t) a, A = C(t) W - diag(mu/(-t)), with W = I for
+f = C(t) u and a bounded constant matrix on a fixed mode list for f = C(t) W a;
+both keep |f| <= C(t)(|grad u| + |u|) wherever the certified margin below is
+nonnegative.  A does not depend on a, so an RK4 step is the matrix
+Phi = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A(t0), K2 = A(t0 + h/2)(I + h/2 K1),
+K3 = A(t0 + h/2)(I + h/2 K2), K4 = A(t0 + h)(I + h K3).  A is dense only on a
+ModeMatrix's modes; on every other mode (all of them under f = C(t) u) it is
+diagonal and Phi is a number.  The full-step and chained half-step maps of
+the grid's intervals (a sampled rate's kinks cut them too) are built in
+batches, applied as a[i+1] = Phi_half[i] a[i], and scored at once by the
+step-doubling error max|(Phi_full - Phi_half) a[i]| / (15 (1 + max|a[i+1]|)).
+From the first interval whose error is not at most the tolerance (a NaN never
+is) on, intervals are redone one at a time, a failing one by its two halves'
+maps, recursively.  The stepped solver runs forward only, on grids that end
+at or below t = -1e-3, where the field stiffens like mu / (-t).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -64,6 +69,7 @@ __all__ = [
 
 _MAX_HALVINGS = 30
 _END_TIME_FLOOR = -1e-3  # latest end time of a forced grid
+_MAP_BATCH = 1 << 14  # (map entries per piece) x (pieces) built at once
 
 
 class ToleranceNotMetError(RuntimeError):
@@ -290,57 +296,24 @@ def _amplitudes_on(field: CoefficientField, modes: Sequence[Mode]) -> np.ndarray
     return np.array([field.amplitudes[position[m]] if m in position else 0.0 for m in modes])
 
 
-def _union_modes(field: CoefficientField, forcing: Forcing) -> tuple[Mode, ...]:
-    modes = set(field.modes)
-    if isinstance(forcing.coupling, ModeMatrix):
-        modes.update(forcing.coupling.modes)
-    return tuple(sorted(modes, key=mode_sort_key))
+def _rk4_maps(a_at, mul, one: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """(intervals, 2, ...): per [start, end] the product of the two RK4 half-step maps, and the full-step map minus it.
 
-
-def _build_rhs(modes: tuple[Mode, ...], forcing: Forcing) -> Callable[[float, np.ndarray], np.ndarray]:
-    mus = np.array([m.mu for m in modes], dtype=float)
-    if isinstance(forcing.coupling, ScalarOnU):
-        def rhs(t: float, a: np.ndarray) -> np.ndarray:
-            return -(mus / (-t)) * a + forcing.rate(t) * a
-
-        return rhs
-    coupling = forcing.coupling
-    positions = {m: i for i, m in enumerate(modes)}
-    idx = np.array([positions[m] for m in coupling.modes], dtype=int)
-    w = coupling.as_array()
-
-    def rhs(t: float, a: np.ndarray) -> np.ndarray:
-        out = -(mus / (-t)) * a
-        out[idx] += forcing.rate(t) * (w @ a[idx])
-        return out
-
-    return rhs
-
-
-def _rk4_step(rhs: Callable, t: float, a: np.ndarray, h: float, k1: np.ndarray) -> np.ndarray:
-    k2 = rhs(t + 0.5 * h, a + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, a + 0.5 * h * k2)
-    k4 = rhs(t + h, a + h * k3)
-    return a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _advance(rhs: Callable, t0: float, a0: np.ndarray, t1: float, tol: float, depth: int) -> np.ndarray:
-    h = t1 - t0
-    k1 = rhs(t0, a0)  # shared by the full step and the first half step
-    full = _rk4_step(rhs, t0, a0, h, k1)
-    mid = _rk4_step(rhs, t0, a0, 0.5 * h, k1)
-    halved = _rk4_step(rhs, t0 + 0.5 * h, mid, 0.5 * h, rhs(t0 + 0.5 * h, mid))
-    scale = 1.0 + float(np.max(np.abs(halved)))
-    err = float(np.max(np.abs(full - halved))) / (15.0 * scale)
-    if err <= tol:
-        return halved
-    if depth >= _MAX_HALVINGS:
-        raise ToleranceNotMetError(
-            f"grid too coarse near t = {t0!r}: local error {err:.3e} > tol {tol:.3e} after {depth} halvings"
-        )
-    mid_t = t0 + 0.5 * h
-    left = _advance(rhs, t0, a0, mid_t, tol, depth + 1)
-    return _advance(rhs, mid_t, left, t1, tol, depth + 1)
+    ``a_at(ts)`` is A at every time in ``ts``; ``mul`` is its product and ``one`` its identity.
+    """
+    n, h = len(start), end - start
+    if one.size == 0:
+        return np.empty((n, 2) + one.shape)
+    t0 = np.concatenate([start, start, start + 0.5 * h])  # full step, first half, second half
+    h = np.concatenate([h, 0.5 * h, 0.5 * h])
+    k1 = a_at(t0)
+    hs = h.reshape((-1,) + (1,) * (k1.ndim - 1))
+    mid = a_at(t0 + 0.5 * h)
+    k2 = mul(mid, one + 0.5 * hs * k1)
+    k3 = mul(mid, one + 0.5 * hs * k2)
+    phi = one + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + mul(a_at(t0 + h), one + hs * k3))
+    halved = mul(phi[2 * n :], phi[n : 2 * n])
+    return np.stack([halved, phi[:n] - halved], axis=1)
 
 
 def evolve_forced(
@@ -350,7 +323,7 @@ def evolve_forced(
     *,
     local_tol: float = 1e-8,
 ) -> Trajectory:
-    """RK4 trajectory of the forced system over the grid (forward only).
+    """RK4 trajectory of the forced system over the grid (forward only), by step maps built in batches.
 
     The field must sit on the first grid node.  Grids ending above
     ``_END_TIME_FLOOR`` are refused because the unforced part of the vector
@@ -365,13 +338,65 @@ def evolve_forced(
     if not (local_tol > 0.0 and math.isfinite(local_tol)):
         raise ValueError("local_tol must be positive")
 
-    modes = _union_modes(field, forcing)
-    amps = np.empty((len(grid.nodes), len(modes)))
-    amps[0] = _amplitudes_on(field, modes)
+    coupling, rate = forcing.coupling, forcing.rate
+    block = getattr(coupling, "modes", ())  # coupled through W; W = I under ScalarOnU couples no two modes
+    modes = tuple(sorted({*field.modes, *block}, key=mode_sort_key))
+    run = [*block, *(x for x in modes if x not in block)]  # the block first, then the diagonal modes
+    m, mus = len(block), np.array([x.mu for x in run])
+    w, eye = np.array(getattr(coupling, "matrix", ()), dtype=float).reshape(m, m), np.eye(m)
+    rate_on_diagonal = float(isinstance(coupling, ScalarOnU))
 
-    rhs = _build_rhs(modes, forcing)
-    for i, (t0, t1) in enumerate(zip(grid.nodes, grid.nodes[1:])):
-        amps[i + 1] = _advance(rhs, t0, amps[i], t1, local_tol, 0)
+    def block_a(ts: np.ndarray) -> np.ndarray:
+        return rate.values_at(ts)[:, None, None] * w - (mus[:m] / (-ts)[:, None])[:, :, None] * eye
+
+    def diagonal_a(ts: np.ndarray) -> np.ndarray:
+        return rate_on_diagonal * rate.values_at(ts)[:, None] - mus[m:] / (-ts)[:, None]
+
+    def maps(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per [start, end]: the block's and the diagonal modes' maps, as ``_rk4_maps`` gives them."""
+        block_maps = _rk4_maps(block_a, np.matmul, eye, start, end)
+        return block_maps, _rk4_maps(diagonal_a, np.multiply, np.ones(len(run) - m), start, end)
+
+    def sweep(block_maps: np.ndarray, diagonal_maps: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Apply the pieces' halved maps in turn from s[0] into s[1:]; return each piece's step-doubling error."""
+        for j in range(len(block_maps) if m else 0):
+            s[j + 1, :m] = block_maps[j, 0] @ s[j, :m]
+        s[:, m:] = np.cumprod(np.vstack([s[0, m:], diagonal_maps[:, 0]]), axis=0)
+        change = np.einsum("nij,nj->ni", block_maps[:, 1], s[:-1, :m])
+        change = np.concatenate([change, diagonal_maps[:, 1] * s[:-1, m:]], axis=1)
+        return np.max(np.abs(change), axis=1) / (15.0 * (1.0 + np.max(np.abs(s[1:]), axis=1)))
+
+    def advance(block_maps: np.ndarray, diagonal_maps: np.ndarray, s: np.ndarray, t: list, depth: int) -> None:
+        """Fill s[1:] from s[0] across the pieces [t[j], t[j + 1]]: all pieces' halved maps at once, then from the
+        first piece whose error fails the rule on, one piece at a time, a failing one by its two halves'."""
+        err = sweep(block_maps, diagonal_maps, s)
+        failed = np.flatnonzero(~(err <= local_tol))
+        for j in range(failed[0] if len(failed) else len(err), len(err)):
+            if j > failed[0]:  # the state the piece starts from has changed
+                err[j] = sweep(block_maps[j : j + 1], diagonal_maps[j : j + 1], s[j : j + 2])[0]
+            if err[j] <= local_tol:  # a NaN error never passes
+                continue
+            if depth >= _MAX_HALVINGS:
+                raise ToleranceNotMetError(
+                    f"grid too coarse near t = {t[j]!r}: local error {err[j]:.3e} > tol {local_tol:.3e} "
+                    f"after {depth} halvings"
+                )
+            halves, mid = np.concatenate([s[j : j + 1], np.empty((2, len(run)))]), t[j] + 0.5 * (t[j + 1] - t[j])
+            advance(*maps(np.array([t[j], mid]), np.array([mid, t[j + 1]])), halves, [t[j], mid, t[j + 1]], depth + 1)
+            s[j + 1] = halves[2]
+
+    nodes = grid.as_array()
+    # a sampled rate's kinks are piece boundaries too, because the error rule assumes a smooth step
+    cuts = np.union1d(nodes, [x for x in getattr(rate, "times", ()) if grid.a < x < grid.b])
+    states = np.empty((len(cuts), len(run)))
+    states[0] = _amplitudes_on(field, run)
+    per_batch = max(1, _MAP_BATCH // (m * m + len(run)))  # bounds the map arrays alive at once
+    ts = cuts.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # a stiff rate overflows the maps; the NaN errors fail
+        for lo in range(0, len(cuts) - 1, per_batch):
+            batch = maps(cuts[:-1][lo : lo + per_batch], cuts[1:][lo : lo + per_batch])
+            advance(*batch, states[lo : lo + per_batch + 1], ts[lo : lo + per_batch + 1], 0)
+    amps = states[np.searchsorted(cuts, nodes)][:, [run.index(x) for x in modes]]
     return Trajectory(grid, field.background, modes, amps, method="stepped_rk4", forcing=forcing)
 
 

@@ -90,6 +90,8 @@ _RULE_READERS = {
     "drift_bochner": verify_drift_bochner,
     "drift_bochner_verbatim": verify_drift_bochner_verbatim,
 }
+# the checks that certify the forcing hypothesis on the rule, which they read on forced runs only
+_CERTIFIERS = ("general_bounds", "general_harnack")
 _VERIFIERS = {
     "frequency_monotonicity": verify_frequency_monotonicity,
     "equality_case": verify_equality_case,
@@ -464,7 +466,7 @@ def _run_check(
         return verify(rule, **kwargs)
     if name == "selfsimilar_scaling":
         return verify(traj, rule, **kwargs)
-    if name == "general_bounds":
+    if name in _CERTIFIERS:
         return verify(traj, trace, rule, **kwargs)
     return verify(traj, trace, **kwargs)
 
@@ -479,9 +481,9 @@ def run_scenario(config: ScenarioConfig) -> RunOutput:
     else:
         traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
     trace = trace_from_trajectory(traj, config.kappa_value)
-    # one quadrature rule for every check that reads it (general_bounds too, to certify a forcing); else none
+    # one quadrature rule for every check that reads it (the general checks too, to certify a forcing); else none
     certifies = config.forcing is not None
-    reads_rule = any(c in _RULE_READERS or (c == "general_bounds" and certifies) for c in config.checks)
+    reads_rule = any(c in _RULE_READERS or (c in _CERTIFIERS and certifies) for c in config.checks)
     rule = quadrature(config.background, config.resolution) if reads_rule else None
     reports = tuple(_run_check(name, config, traj, trace, rule) for name in config.checks)
     return RunOutput(config=config, trace=trace, reports=reports)

@@ -53,7 +53,7 @@ INAPPLICABLE = "inapplicable"
 
 _STATUSES = (PASS, FAIL, INAPPLICABLE)
 
-_HYPOTHESIS_SAMPLES = 9  # grid nodes at which general_bounds certifies the forcing hypothesis
+_HYPOTHESIS_SAMPLES = 9  # grid nodes at which the general checks certify the forcing hypothesis
 _HARNACK_QUAD_TOL = 1e-10  # relative agreement of two refinements that ends general_harnack's quadrature
 
 
@@ -591,6 +591,27 @@ def _third_difference_allowance(values: np.ndarray, t: np.ndarray) -> float:
     return 2.0 * float(np.max(d3)) / (6.0 * h_min)
 
 
+def _forcing_hypothesis(traj: Trajectory, rule: QuadratureRule | None) -> tuple[bool, tuple[str, ...]]:
+    """Certify |f| <= C(t)(|grad u| + |u|) on the nodes of ``rule`` at sampled grid times.
+
+    Returns whether it holds and the note saying so, or naming the first time
+    it fails.  A run without forcing holds with no note; only it may pass no rule.
+    """
+    if rule is not None:
+        rule.require_background(traj.background)
+    if traj.forcing is None:
+        return True, ()
+    if rule is None:
+        raise ValueError("a forced run needs a quadrature rule to certify its forcing hypothesis")
+    sample = _subsample(len(traj.grid.nodes), _HYPOTHESIS_SAMPLES)
+    for idx in sample:
+        fld = traj.field_at(int(idx))
+        m = forcing_bound_margin(fld, traj.forcing, rule)
+        if m < -1e-12:
+            return False, (f"forcing hypothesis fails at t={fld.time:.17g} (pointwise margin {m:.6e})",)
+    return True, (f"forcing hypothesis certified at {len(sample)} sampled nodes",)
+
+
 def verify_general_bounds(
     traj: Trajectory,
     trace: FrequencyTrace,
@@ -618,23 +639,12 @@ def verify_general_bounds(
     """
     bg = traj.background
     _check_trace(traj, trace)
-    if rule is not None:
-        rule.require_background(bg)
-    elif traj.forcing is not None:
-        raise ValueError("a forced run needs a quadrature rule to certify its forcing hypothesis")
     k = trace.kappa_used
+    holds, notes = _forcing_hypothesis(traj, rule)
     if _is_zero_run(trace):
         return _inapplicable("general_bounds", bg, scenario_id, _NO_FREQUENCY)
-    notes: tuple[str, ...] = ()
-    if traj.forcing is not None:
-        sample = _subsample(len(traj.grid.nodes), _HYPOTHESIS_SAMPLES)
-        for idx in sample:
-            fld = traj.field_at(int(idx))
-            m = forcing_bound_margin(fld, traj.forcing, rule)
-            if m < -1e-12:
-                reason = f"forcing hypothesis fails at t={fld.time:.17g} (pointwise margin {m:.6e})"
-                return _inapplicable("general_bounds", bg, scenario_id, reason)
-        notes = (f"forcing hypothesis certified at {len(sample)} sampled nodes",)
+    if not holds:
+        return _inapplicable("general_bounds", bg, scenario_id, notes[0])
 
     t = trace.t
     u = trace.U
@@ -657,6 +667,7 @@ def verify_general_bounds(
 def verify_general_harnack(
     traj: Trajectory,
     trace: FrequencyTrace,
+    rule: QuadratureRule | None = None,
     *,
     tolerance: float = 1e-8,
     scenario_id: str = "",
@@ -682,16 +693,20 @@ def verify_general_harnack(
     forcing, so the margin is then ``verify_harnack``'s bit for bit.  A
     quadrature that never converges makes the report inapplicable.  Zero
     data passes through the degenerate 0 >= 0 branch: that is the
-    backward-uniqueness statement itself.
+    backward-uniqueness statement itself.  The bound assumes the forcing
+    hypothesis, certified on ``rule`` as ``verify_general_bounds`` does.
     """
     bg = traj.background
     _check_trace(traj, trace)
     k = trace.kappa_used
+    holds, notes = _forcing_hypothesis(traj, rule)
     if _is_zero_run(trace):
         return _degenerate_harnack(
             "general_harnack", bg, scenario_id, traj.grid.b, tolerance,
             "zero data: the bound degenerates to 0 >= 0 (vanishing at b forces vanishing throughout)",
         )
+    if not holds:
+        return _inapplicable("general_harnack", bg, scenario_id, notes[0], tolerance)
     ta, tb, ia, ib, ua = _harnack_endpoints(trace)
     rate = traj.forcing.rate if traj.forcing is not None else None
     ma = (-ta) ** (1.0 + 2.0 * k)
@@ -717,7 +732,7 @@ def verify_general_harnack(
         refined = excess_on(count)
         gap, excess = abs(refined - excess), refined
     margin = (math.log(ib) - math.log(ia)) - _harnack_bound(ta, tb, ua, k) - excess
-    return _report("general_harnack", bg, scenario_id, [tb], [margin], ("log-bound-integrated",), tolerance)
+    return _report("general_harnack", bg, scenario_id, [tb], [margin], ("log-bound-integrated",), tolerance, notes)
 
 
 # ---------------------------------------------------------------------------

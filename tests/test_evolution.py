@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from parafreq import evolution
 from parafreq import (
     CoefficientField,
     ConstantRate,
@@ -151,6 +152,107 @@ def test_sampled_rate_matches_constant_rate():
             assert a == pytest.approx(b, rel=1e-12)
 
 
+def _scalar_flow(field, rate, traj):
+    """a_j(t0) ((-t)/(-t0))^mu_j exp(int_{t0}^t C) at the nodes of ``traj``, integrating C exactly per linear piece."""
+    t0 = field.time
+    start = dict(zip(field.modes, field.amplitudes.tolist()))
+    rows = []
+    for t in traj.grid.nodes:
+        pts = np.array([t0, *(s for s in getattr(rate, "times", ()) if t0 < s < t), t])
+        c = rate.values_at(pts)
+        growth = math.exp(float(np.sum(0.5 * (c[1:] + c[:-1]) * np.diff(pts))))
+        rows.append([start.get(m, 0.0) * ((-t) / (-t0)) ** m.mu * growth for m in traj.modes])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "bg, coeffs, rate, grid, local_tol",
+    [
+        # shaped like the packaged scalar-forced-bounds and scalar-forced-zero runs
+        (Plane(1), {(1,): 1.0}, ConstantRate(1.0), TimeGrid.uniform(-1.0, -0.5, 2001), 1e-12),
+        (Plane(1), {(2,): 1.0}, ConstantRate(0.0), TimeGrid.uniform(-1.0, -0.5, 2001), 1e-12),
+        # every kink inside a grid interval, where RK4 loses order unless a step ends on it
+        (
+            Sphere(2),
+            {(1, 0): 1.0, (2, 1): -0.5},
+            SampledRate((-0.9713, -0.8876, -0.7312, -0.6049, -0.5207), (0.2, 1.3, 0.4, 0.9, 0.1)),
+            TimeGrid.uniform(-1.0, -0.5, 201),
+            1e-12,
+        ),
+    ],
+)
+def test_scalar_coupling_matches_the_closed_form_flow(bg, coeffs, rate, grid, local_tol):
+    f0 = _field(bg, grid.a, coeffs)
+    traj = evolve_forced(f0, grid, Forcing(rate, ScalarOnU()), local_tol=local_tol)
+    ref = _scalar_flow(f0, rate, traj)
+    assert np.max(np.abs(traj.amplitudes - ref) / np.abs(ref)) <= 1e-12
+
+
+def _vector_rk4(traj, field, forcing, local_tol, doubling=True):
+    """Per-interval vector RK4 of a' = -mu a/(-t) + C(t) W a on the modes of ``traj``, halved by step doubling
+    (or one step per interval without ``doubling``)."""
+    mus = np.array([m.mu for m in traj.modes])
+    idx = [traj.modes.index(m) for m in forcing.coupling.modes]
+    w = forcing.coupling.as_array()
+
+    def rhs(t, a):
+        out = -(mus / (-t)) * a
+        out[idx] += forcing.rate(t) * (w @ a[idx])
+        return out
+
+    def step(t, a, h):
+        k1 = rhs(t, a)
+        k2 = rhs(t + h / 2, a + h / 2 * k1)
+        k3 = rhs(t + h / 2, a + h / 2 * k2)
+        return a + h / 6 * (k1 + 2 * k2 + 2 * k3 + rhs(t + h, a + h * k3))
+
+    def advance(t0, a, t1, depth=0):
+        mid = t0 + (t1 - t0) / 2
+        full, halved = step(t0, a, t1 - t0), step(mid, step(t0, a, mid - t0), t1 - mid)
+        if np.max(np.abs(full - halved)) / (15 * (1 + np.max(np.abs(halved)))) <= local_tol:
+            return halved
+        assert depth < 30
+        return advance(mid, advance(t0, a, mid, depth + 1), t1, depth + 1)
+
+    rows = [np.array([_coeff(field, m.index) for m in traj.modes])]
+    for t0, t1 in zip(traj.grid.nodes, traj.grid.nodes[1:]):
+        rows.append(advance(t0, rows[-1], t1) if doubling else step(t0, rows[-1], t1 - t0))
+    return np.array(rows)
+
+
+def test_mode_matrix_halves_a_coarse_grid_like_an_independent_rk4():
+    # five nodes on [-1, -0.1]: near the end mu/(-t) reaches 15 and one RK4 step per interval is far off
+    bg = Plane(1)
+    m1, m3 = mode_from_index(bg, (1,)), mode_from_index(bg, (3,))
+    forcing = Forcing(ConstantRate(0.5), ModeMatrix((m1, m3), ((0.0, 0.4), (0.0, 0.0))))
+    f0 = _field(bg, -1.0, {(1,): 0.2, (3,): 1.0})
+    traj = evolve_forced(f0, TimeGrid.uniform(-1.0, -0.1, 5), forcing, local_tol=1e-12)
+    ref = _vector_rk4(traj, f0, forcing, 1e-12)
+    unhalved = _vector_rk4(traj, f0, forcing, 1e-12, doubling=False)
+    scale = np.max(np.abs(ref), axis=1)
+    assert np.max(np.abs(unhalved - ref).max(axis=1) / scale) > 1e-8
+    assert np.max(np.abs(traj.amplitudes - ref).max(axis=1) / scale) <= 1e-12
+
+
+def test_uncoupled_modes_and_small_map_batches_keep_the_stepped_flow(monkeypatch):
+    # mode 2 sits outside the coupled block, so its maps are numbers; a tiny batch budget builds the maps two
+    # pieces at a time; the first interval must be halved, and the fine ones after it pass from the state it ends in
+    monkeypatch.setattr(evolution, "_MAP_BATCH", 16)
+    bg = Plane(1)
+    m1, m3 = mode_from_index(bg, (1,)), mode_from_index(bg, (3,))
+    f0 = _field(bg, -1.0, {(1,): 0.2, (2,): -0.7, (3,): 1.0})
+    grid = TimeGrid((-1.0, *np.linspace(-0.5, -0.45, 11).tolist()))
+    forcing = Forcing(ConstantRate(0.5), ModeMatrix((m1, m3), ((0.0, 0.4), (0.0, 0.0))))
+    traj = evolve_forced(f0, grid, forcing, local_tol=1e-12)
+    ref = _vector_rk4(traj, f0, forcing, 1e-12)
+    assert np.max(np.abs(traj.amplitudes - ref).max(axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-12
+    # every mode diagonal, on a grid fine enough that the closed form bounds the error
+    rate = ConstantRate(0.5)
+    traj = evolve_forced(f0, TimeGrid.uniform(-1.0, -0.5, 201), Forcing(rate, ScalarOnU()), local_tol=1e-12)
+    ref = _scalar_flow(f0, rate, traj)
+    assert np.max(np.abs(traj.amplitudes - ref) / np.abs(ref)) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "rate",
     [ConstantRate(0.5), SampledRate((-1.0, -0.8, -0.55), (0.2, 1.3, 0.0))],
@@ -197,13 +299,16 @@ def test_forced_run_refuses_grid_near_zero():
         evolve_forced(f0, TimeGrid.uniform(-1.0, -9.9e-4, 3), forcing)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_unreachable_tolerance_raises():
-    # a rate this stiff exhausts the step-halving budget on the first node
+    # a rate this stiff exhausts the step-halving budget on the first node; the states it reaches overflow, and
+    # at 1e300 every map is inf - inf = NaN, so the run raises only because a NaN error never passes the rule
     bg = Plane(1)
     f0 = _field(bg, -1.0, {(1,): 1.0})
     grid = TimeGrid.uniform(-1.0, -0.5, 3)
-    with pytest.raises(ToleranceNotMetError):
-        evolve_forced(f0, grid, Forcing(ConstantRate(1e12), ScalarOnU()), local_tol=1e-10)
+    for c0, error in ((1e12, "6.667e-02"), (1e300, "nan")):
+        with pytest.raises(ToleranceNotMetError, match=f"^grid too coarse near t = -1.0: local error {error} > tol"):
+            evolve_forced(f0, grid, Forcing(ConstantRate(c0), ScalarOnU()), local_tol=1e-10)
 
 
 # ---------------------------------------------------------------------------

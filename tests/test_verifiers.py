@@ -53,8 +53,8 @@ def _traj(bg, coeffs_by_index, a=-1.0, b=-0.5, nodes=41):
     return evolve_exact_trajectory(field, TimeGrid.uniform(a, b, nodes))
 
 
-def _checked(verify, traj):
-    return verify(traj, trace_from_trajectory(traj))
+def _checked(verify, traj, *rule):
+    return verify(traj, trace_from_trajectory(traj), *rule)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def test_general_harnack_vanishes_on_a_zero_rate_forced_run():
     field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, (2,)): 1.0})
     forcing = Forcing(ConstantRate(0.0), ScalarOnU())
     traj = evolve_forced(field, TimeGrid.uniform(-1.0, -0.5, 201), forcing, local_tol=1e-12)
-    rep = _checked(verify_general_harnack, traj)
+    rep = _checked(verify_general_harnack, traj, quadrature(bg, 24))
     assert rep.status == "pass"
     assert abs(rep.min_margin) <= 1e-12
 
@@ -152,9 +152,10 @@ def test_general_harnack_unconverged_quadrature_never_passes(monkeypatch):
     bg = Plane(1)
     field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, (2,)): 1.0})
     traj = evolve_forced(field, TimeGrid.uniform(-1.0, -0.9, 11), Forcing(ConstantRate(0.5), ScalarOnU()))
-    assert _checked(verify_general_harnack, traj).status == "pass"
+    rule = quadrature(bg, 24)
+    assert _checked(verify_general_harnack, traj, rule).status == "pass"
     monkeypatch.setattr(verifiers, "_HARNACK_QUAD_TOL", 0.0)
-    rep = _checked(verify_general_harnack, traj)
+    rep = _checked(verify_general_harnack, traj, rule)
     assert rep.status != "pass"
     assert any("did not converge" in note and "2097153 points" in note for note in rep.notes)
 
@@ -323,10 +324,17 @@ def test_general_bounds_inapplicable_when_hypothesis_fails():
     forcing = Forcing(ConstantRate(0.5), ModeMatrix((m3, m1), ((0.0, 1.0), (0.0, 0.0))))
     grid = TimeGrid.uniform(-1.0, -0.5, 81)
     traj = evolve_forced(field, grid, forcing, local_tol=1e-10)
-    rep = verify_general_bounds(traj, trace_from_trajectory(traj, 0.0), quadrature(bg, 24))
+    trace, rule = trace_from_trajectory(traj, 0.0), quadrature(bg, 24)
+    rep = verify_general_bounds(traj, trace, rule)
     assert rep.status == "inapplicable"
     assert rep.min_margin is None
     assert any("hypothesis fails" in n for n in rep.notes)
+    # the integrated bound assumes the same hypothesis, so it is inapplicable too, at the same offending time
+    harnack = verify_general_harnack(traj, trace, rule)
+    assert harnack.status == "inapplicable"
+    assert harnack.min_margin is None
+    assert harnack.notes == rep.notes
+    assert harnack.notes[0].startswith(f"forcing hypothesis fails at t={grid.nodes[0]:.17g} ")
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +531,7 @@ def test_shared_trace_gives_the_reports_of_a_trace_built_per_check(initial_modes
     statuses = set()
     for name in _TRACE_CHECKS:
         shared = scenario._run_check(name, config, traj, trace, rule)
-        fresh = (quadrature(config.background, config.resolution),) if name == "general_bounds" else ()
+        fresh = (quadrature(config.background, config.resolution),) if name in scenario._CERTIFIERS else ()
         alone = scenario._VERIFIERS[name](
             traj, trace_from_trajectory(traj, config.kappa_value), *fresh, scenario_id=config.scenario_id
         )
@@ -586,7 +594,7 @@ def test_a_trace_of_another_run_is_refused():
     shorter = trace_from_trajectory(_traj(Plane(1), {(3,): 1.0}, nodes=41), 0.0)
     for name in _TRACE_CHECKS:
         with pytest.raises(ValueError, match="does not belong to this run"):
-            scenario._VERIFIERS[name](traj, shorter, *((rule,) if name == "general_bounds" else ()))
+            scenario._VERIFIERS[name](traj, shorter, *((rule,) if name in scenario._CERTIFIERS else ()))
     # checked first, also where kappa > 0 leaves the trace unread
     with pytest.raises(ValueError, match="does not belong to this run"):
         verify_harnack_printed(_traj(Sphere(2), {(1, 0): 1.0}, nodes=81), shorter)
@@ -611,6 +619,7 @@ def test_run_scenario_builds_one_rule_and_only_when_a_check_reads_it(monkeypatch
         (_rule_config(_RULE_CHECKS + spectral), 1),
         (_shared_trace_config({"3": 1.0}), 1),  # general_bounds on a forced run
         (_rule_config(spectral, forcing=forcing), 1),
+        (_rule_config(("general_harnack",), forcing=forcing), 1),  # it certifies the forcing too
         (_rule_config(spectral), 0),
         (_rule_config(spectral, initial_modes={}), 0),
     ):
@@ -657,11 +666,14 @@ def test_pointwise_checks_refuse_data_of_another_background():
         lambda: verify_drift_bochner_verbatim(other.field_at(-1), rule),
         lambda: verify_general_bounds(other, trace_from_trajectory(other), rule),
         lambda: verify_general_bounds(forced, trace_from_trajectory(forced), rule),
+        lambda: verify_general_harnack(other, trace_from_trajectory(other), rule),
+        lambda: verify_general_harnack(forced, trace_from_trajectory(forced), rule),
     ):
         with pytest.raises(ValueError, match="quadrature rule background does not match the field"):
             refused()
     with pytest.raises(ValueError, match="test function has dim 3, background needs 2"):
         verify_weighted_monotonicity(standard_test_functions(Sphere(2))["x1_sq"], other.grid, rule)
     # the forcing hypothesis is certified on a rule, so a forced run cannot go without one
-    with pytest.raises(ValueError, match="needs a quadrature rule"):
-        verify_general_bounds(forced, trace_from_trajectory(forced))
+    for verify in (verify_general_bounds, verify_general_harnack):
+        with pytest.raises(ValueError, match="needs a quadrature rule"):
+            verify(forced, trace_from_trajectory(forced))
