@@ -232,7 +232,7 @@ class Forcing:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Amplitudes of one field on the nodes of a grid; method records how they were produced.
+    """Amplitudes of one field on the nodes of a grid.
 
     ``amplitudes`` is a C-contiguous float array of shape (nodes, modes):
     row i holds the field at ``grid.nodes[i]``, columns follow ``modes``.
@@ -242,7 +242,6 @@ class Trajectory:
     background: Background
     modes: tuple[Mode, ...]
     amplitudes: np.ndarray
-    method: str
     forcing: Forcing | None = None
 
     def __post_init__(self) -> None:
@@ -283,7 +282,7 @@ def evolve_exact_trajectory(field: CoefficientField, grid: TimeGrid) -> Trajecto
     column = {mu: j for j, mu in enumerate(mus)}
     powers = float_powers([(-t) / (-field.time) for t in grid.nodes], mus)
     gathered = powers[:, [column[m.mu] for m in modes]]
-    return Trajectory(grid, field.background, modes, field.amplitudes * gathered, method="exact")
+    return Trajectory(grid, field.background, modes, field.amplitudes * gathered)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +396,7 @@ def evolve_forced(
             batch = maps(cuts[:-1][lo : lo + per_batch], cuts[1:][lo : lo + per_batch])
             advance(*batch, states[lo : lo + per_batch + 1], ts[lo : lo + per_batch + 1], 0)
     amps = states[np.searchsorted(cuts, nodes)][:, [run.index(x) for x in modes]]
-    return Trajectory(grid, field.background, modes, amps, method="stepped_rk4", forcing=forcing)
+    return Trajectory(grid, field.background, modes, amps, forcing=forcing)
 
 
 def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: QuadratureRule) -> float:

@@ -338,18 +338,24 @@ def combine_on_rule(
 ) -> np.ndarray:
     """sum_j a_j * column_j at the rule's nodes, in ``mode_sort_key`` order, skipping zero amplitudes.
 
-    ``amplitudes`` is aligned with ``modes``, as in one row of a trajectory.
-    ``kind`` is values (N,), ambient gradients (N, d) or ambient Hessians
-    (N, d, d); project gradients to get surface gradients.  Each mode's
-    column is evaluated once per rule and kept in ``rule.mode_columns``.
+    ``amplitudes`` is aligned with ``modes`` on its last axis: one row of a
+    trajectory gives one combination, a (rows, modes) block one per row, with
+    every element summed in the same order as its row alone.  ``kind`` is
+    values (N,), ambient gradients (N, d) or ambient Hessians (N, d, d);
+    project gradients to get surface gradients.  Each mode's column is
+    evaluated once per rule and kept in ``rule.mode_columns``.
     """
     evaluate, rank = _COLUMNS[kind]
-    pts = rule.points
-    out = np.zeros(pts.shape[:1] + pts.shape[1:] * rank)
-    for mode, a in sorted(zip(modes, amplitudes.tolist(), strict=True), key=lambda e: mode_sort_key(e[0])):
-        if a != 0.0:
-            column = rule.mode_columns.get((kind, mode))
-            if column is None:
-                column = rule.mode_columns[(kind, mode)] = evaluate(mode_function(rule.background, mode), pts)
-            out += a * column
+    pts, amps = rule.points, np.asarray(amplitudes, dtype=float)
+    if amps.shape[-1:] != (len(modes),):
+        raise ValueError(f"need one amplitude per mode ({len(modes)}) on the last axis, got shape {amps.shape}")
+    lead = amps.shape[:-1]
+    out = np.zeros(lead + pts.shape[:1] + pts.shape[1:] * rank)
+    term = np.empty_like(out)  # built in place: a block's temporaries are as large as the result
+    used = amps.any(axis=tuple(range(len(lead)))).tolist()
+    for j in sorted((j for j in range(len(modes)) if used[j]), key=lambda j: mode_sort_key(modes[j])):
+        column = rule.mode_columns.get((kind, modes[j]))
+        if column is None:
+            column = rule.mode_columns[(kind, modes[j])] = evaluate(mode_function(rule.background, modes[j]), pts)
+        out += np.multiply(amps[..., j].reshape(lead + (1,) * column.ndim), column, out=term)
     return out

@@ -1,6 +1,7 @@
 """Each verifier against an independent oracle, plus report plumbing."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -14,6 +15,7 @@ from parafreq import (
     Forcing,
     ModeMatrix,
     Plane,
+    SampledRate,
     ScalarOnU,
     Sphere,
     TimeGrid,
@@ -42,6 +44,7 @@ from parafreq import (
     verify_weighted_monotonicity,
 )
 from parafreq import scenario, verifiers
+from parafreq.cli import _load_packaged_configs
 from parafreq.backgrounds import POINTWISE
 from parafreq.modes import combine_on_rule, mode_function
 
@@ -79,7 +82,7 @@ def test_frequency_monotonicity_fails_on_the_backward_law():
     modes = (mode_from_index(bg, (1,)), mode_from_index(bg, (3,)))
     grid = TimeGrid.uniform(-1.0, -0.1, 361)
     t = grid.as_array()
-    traj = Trajectory(grid, bg, modes, np.column_stack([(-t) ** -0.5, (-t) ** -1.5]), method="counterfeit")
+    traj = Trajectory(grid, bg, modes, np.column_stack([(-t) ** -0.5, (-t) ** -1.5]))
     rep = _checked(verify_frequency_monotonicity, traj)
     assert rep.status == "fail"
     # the worst margin is the centered slope at the node nearest t*; it misses U'(t*) by at most
@@ -158,6 +161,66 @@ def test_general_harnack_unconverged_quadrature_never_passes(monkeypatch):
     rep = _checked(verify_general_harnack, traj, rule)
     assert rep.status != "pass"
     assert any("did not converge" in note and "2097153 points" in note for note in rep.notes)
+
+
+def _trapezoid_excess(rate, a, b, g_a, ua, ma, k, count, chunk=1 << 18):
+    """Plain trapezoid on ``count`` points of [a, b] of the forcing's part of the general Harnack integrand.
+
+    G starts from ``g_a`` at a and follows a cumulative trapezoid of C^2 on the same points; chunks of
+    ``chunk`` intervals keep the memory small.
+    """
+    total = 0.0
+    for lo in range(0, count - 1, chunk):
+        ts = a + (b - a) * (np.arange(lo, min(lo + chunk, count - 1) + 1) / (count - 1))
+        c = rate.values_at(ts)
+        g = g_a + np.concatenate([[0.0], np.cumsum(0.5 * (c[1:] ** 2 + c[:-1] ** 2) * np.diff(ts))])
+        f = (-ts) ** (-1.0 - 2.0 * k) * ((ua - 2 * ma) * np.expm1(g) + c / 2 * ((ua - 2 * ma) * np.exp(g) + 2 * ma))
+        f -= 3.0 * c
+        total += float(np.sum(0.5 * (f[1:] + f[:-1]) * np.diff(ts)))
+        g_a = float(g[-1])
+    return total
+
+
+def _harnack_excess(traj, report):
+    """What ``report``'s margin subtracted from the unforced bound, and the points per piece its note names."""
+    trace = trace_from_trajectory(traj)
+    ta, tb, ia, ib, ua = verifiers._harnack_endpoints(trace)
+    excess = (math.log(ib) - math.log(ia)) - verifiers._harnack_bound(ta, tb, ua, trace.kappa_used) - report.min_margin
+    (note,) = [n for n in report.notes if "Romberg" in n]
+    return excess, int(re.search(r"of (\d+) points each", note).group(1)), trace
+
+
+@pytest.mark.parametrize("scenario_id", ["matrix-forced-bounds", "scalar-forced-bounds", "scalar-forced-zero"])
+def test_general_harnack_romberg_matches_a_fine_trapezoid_on_forced_suite_runs(scenario_id):
+    (config,) = [c for c in _load_packaged_configs() if c.scenario_id == scenario_id]
+    field = CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes))
+    traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
+    rep = _checked(verify_general_harnack, traj, quadrature(config.background, config.resolution))
+    assert rep.status == "pass"
+    excess, points, trace = _harnack_excess(traj, rep)
+    assert points <= 1025
+    ta, tb, ua, k = trace.t[0], trace.t[-1], trace.U[0], trace.kappa_used
+    ref = _trapezoid_excess(config.forcing.rate, ta, tb, 0.0, ua, (-ta) ** (1 + 2 * k), k, (1 << 22) + 1)
+    assert excess == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+def test_general_harnack_splits_a_sampled_rate_at_its_kinks():
+    # four kinks inside (a, b); C^2 is quadratic between them, so G is exact (Simpson) at every piece start
+    bg = Plane(1)
+    rate = SampledRate((-1.0, -0.8, -0.65, -0.5, -0.3, -0.1), (0.2, 0.6, 0.3, 0.5, 0.1, 0.4))
+    field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, (1,)): 1.0, mode_from_index(bg, (3,)): 0.4})
+    traj = evolve_forced(field, TimeGrid.uniform(-1.0, -0.2, 161), Forcing(rate, ScalarOnU()), local_tol=1e-12)
+    rep = _checked(verify_general_harnack, traj, quadrature(bg, 24))
+    assert rep.status == "pass"
+    excess, points, trace = _harnack_excess(traj, rep)
+    assert points <= 1025  # unsplit, the kinks cost orders of magnitude more points
+    ta, tb, ua, k = trace.t[0], trace.t[-1], trace.U[0], trace.kappa_used
+    cuts = [ta, -0.8, -0.65, -0.5, -0.3, tb]
+    ref, g = 0.0, 0.0
+    for p, q in zip(cuts, cuts[1:]):
+        ref += _trapezoid_excess(rate, p, q, g, ua, (-ta) ** (1 + 2 * k), k, (1 << 21) + 1)
+        g += (q - p) / 6.0 * (rate(p) ** 2 + 4.0 * rate(0.5 * (p + q)) ** 2 + rate(q) ** 2)
+    assert abs(excess - ref) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +490,13 @@ def test_mode_columns_reused_across_times_equal_per_call_combinations(bg, coeffs
     traj = _traj(bg, coeffs, nodes=5)
     rule = quadrature(bg, 10)
     kinds = ("values", "gradients", "hessians")
+    blocks = {kind: combine_on_rule(rule, traj.modes, traj.amplitudes, kind) for kind in kinds}  # every row at once
     for i in range(len(traj.grid.nodes)):
         field = traj.field_at(i)
         for kind in kinds:
             columns = combine_on_rule(rule, field.modes, field.amplitudes, kind)
             fresh = combine_on_rule(quadrature(bg, 10), field.modes, field.amplitudes, kind)
-            assert columns.tobytes() == fresh.tobytes(), (i, kind)
+            assert columns.tobytes() == fresh.tobytes() == blocks[kind][i].tobytes(), (i, kind)
     # only modes with a nonzero amplitude were ever evaluated, once per kind
     active = {m for m, a in zip(traj.modes, traj.amplitudes[0]) if a != 0.0}
     assert set(rule.mode_columns) == {(kind, m) for kind in kinds for m in active}
