@@ -65,7 +65,7 @@ def _execute(configs: list[ScenarioConfig], out_dir: Path) -> tuple[list[tuple[s
 
     A scenario that raises is reported on stderr and skipped, so the others
     still write their files.  An output is dropped once written; its summary
-    keeps the id and per report (check_name, status, min_margin, tolerance, report_only).
+    keeps the id and per report (check_name, status, min_margin, tolerance, report_only, notes).
     """
     seen: set[str] = set()
     for config in configs:
@@ -87,7 +87,7 @@ def _execute(configs: list[ScenarioConfig], out_dir: Path) -> tuple[list[tuple[s
         emit_report_json(output, out_dir / f"{sid}.report.json")
         emit_plot_script(output, out_dir / f"{sid}.plot.py")
         summaries.append((sid, [
-            (r.check_name, r.status, r.min_margin, r.tolerance, r.check_name in config.report_only)
+            (r.check_name, r.status, r.min_margin, r.tolerance, r.check_name in config.report_only, r.notes)
             for r in output.reports
         ]))
         del output
@@ -99,7 +99,7 @@ def _summarize(summaries: list[tuple[str, list[tuple]]], quiet: bool) -> int:
     counts = {"pass": 0, "fail": 0, "inapplicable": 0}
     counted_failures = 0
     for sid, reports in summaries:
-        for check_name, status, min_margin, tolerance, report_only in reports:
+        for check_name, status, min_margin, tolerance, report_only, notes in reports:
             counts[status] += 1
             tag = " [report-only]" if report_only else ""
             counted = status == "fail" and not tag
@@ -108,9 +108,10 @@ def _summarize(summaries: list[tuple[str, list[tuple]]], quiet: bool) -> int:
             if quiet and status != "fail":
                 continue
             margin = "n/a" if min_margin is None else f"{min_margin:.6e}"
+            reason = f" ({notes[0]})" if status == "inapplicable" and notes else ""  # the reason is the first note
             lines.append(
                 f"{sid:32s} {check_name:26s} {status.upper():12s} "
-                f"min_margin={margin} tol={tolerance:.2e}{tag}"
+                f"min_margin={margin} tol={tolerance:.2e}{reason}{tag}"
             )
     total = sum(counts.values())
     if counted_failures:

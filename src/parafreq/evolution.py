@@ -26,18 +26,18 @@ non-uniqueness of backward heat flow arise.)
 Forced runs solve a' = A(t) a, A = C(t) W - diag(mu/(-t)), with W = I for
 f = C(t) u and a bounded constant matrix on a fixed mode list for f = C(t) W a;
 both keep |f| <= C(t)(|grad u| + |u|) wherever the certified margin below is
-nonnegative.  A does not depend on a, so an RK4 step is the matrix
-Phi = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A(t0), K2 = A(t0 + h/2)(I + h/2 K1),
-K3 = A(t0 + h/2)(I + h/2 K2), K4 = A(t0 + h)(I + h K3).  A is dense only on a
-ModeMatrix's modes; on every other mode (all of them under f = C(t) u) it is
-diagonal and Phi is a number.  The full-step and chained half-step maps of
-the grid's intervals (a sampled rate's kinks cut them too) are built in
-batches, applied as a[i+1] = Phi_half[i] a[i], and scored at once by the
-step-doubling error max|(Phi_full - Phi_half) a[i]| / (15 (1 + max|a[i+1]|)).
-From the first interval whose error is not at most the tolerance (a NaN never
-is) on, intervals are redone one at a time, a failing one by its two halves'
-maps, recursively.  The stepped solver runs forward only, on grids that end
-at or below t = -1e-3, where the field stiffens like mu / (-t).
+nonnegative.  Off a ModeMatrix's modes A is diagonal, so each mode keeps the
+closed form above, times exp(int_{t0}^t C) under f = C(t) u (a trapezoid over
+the grid nodes and a sampled rate's kinks, exact on each linear piece): a
+ScalarOnU run steps nothing.  A block steps by RK4; A does not depend on a, so
+a step is the matrix Phi = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A(t0),
+K2 = A(t0 + h/2)(I + h/2 K1), K3 = A(t0 + h/2)(I + h/2 K2), K4 = A(t0 + h)(I + h K3).
+The maps of the intervals between nodes and kinks are built in batches, applied
+as a[i+1] = Phi_half[i] a[i], and scored at once by the block's step-doubling
+error max|(Phi_full - Phi_half) a[i]| / (15 (1 + max|a[i+1]|)).  From the first
+interval whose error is not at most the tolerance (a NaN never is) on,
+intervals are redone one at a time, a failing one by its two halves' maps,
+recursively.  Forced grids end at or below t = -1e-3: A stiffens like mu / (-t).
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ __all__ = [
 
 _MAX_HALVINGS = 30
 _END_TIME_FLOOR = -1e-3  # latest end time of a forced grid
-_MAP_BATCH = 1 << 14  # (map entries per piece) x (pieces) built at once
+_MAP_BATCH = 1 << 14  # (block entries m * m per piece) x (pieces) built at once
 
 
 class ToleranceNotMetError(RuntimeError):
@@ -263,7 +263,8 @@ class Trajectory:
 def float_powers(bases: Sequence[float], exponents: Sequence[float]) -> np.ndarray:
     """(len(bases), len(exponents)) array of ``base ** exponent``."""
     # Python ** is libm pow; np.power can differ from it in the last ulp, which would change emitted bytes.
-    return np.array([[b**e for e in exponents] for b in bases], dtype=float)
+    # one list per exponent: a few long comprehensions, not one short one per base
+    return np.array([[b**e for b in bases] for e in exponents], dtype=float).reshape(len(exponents), len(bases)).T
 
 
 def evolve_exact(field: CoefficientField, t_target: float) -> CoefficientField:
@@ -295,38 +296,29 @@ def _amplitudes_on(field: CoefficientField, modes: Sequence[Mode]) -> np.ndarray
     return np.array([field.amplitudes[position[m]] if m in position else 0.0 for m in modes])
 
 
-def _rk4_maps(a_at, mul, one: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """(intervals, 2, ...): per [start, end] the product of the two RK4 half-step maps, and the full-step map minus it.
+def _rk4_maps(a_at, one: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """(intervals, 2, k, k): per [start, end] the product of the two RK4 half-step maps, and the full-step map minus it.
 
-    ``a_at(ts)`` is A at every time in ``ts``; ``mul`` is its product and ``one`` its identity.
+    ``a_at(ts)`` is A at every time in ``ts``, one (k, k) matrix each; ``one`` is the (k, k) identity.
     """
     n, h = len(start), end - start
-    if one.size == 0:
-        return np.empty((n, 2) + one.shape)
     t0 = np.concatenate([start, start, start + 0.5 * h])  # full step, first half, second half
     h = np.concatenate([h, 0.5 * h, 0.5 * h])
     k1 = a_at(t0)
-    hs = h.reshape((-1,) + (1,) * (k1.ndim - 1))
+    hs = h[:, None, None]
     mid = a_at(t0 + 0.5 * h)
-    k2 = mul(mid, one + 0.5 * hs * k1)
-    k3 = mul(mid, one + 0.5 * hs * k2)
-    phi = one + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + mul(a_at(t0 + h), one + hs * k3))
-    halved = mul(phi[2 * n :], phi[n : 2 * n])
+    k2 = mid @ (one + 0.5 * hs * k1)
+    k3 = mid @ (one + 0.5 * hs * k2)
+    phi = one + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + a_at(t0 + h) @ (one + hs * k3))
+    halved = phi[2 * n :] @ phi[n : 2 * n]
     return np.stack([halved, phi[:n] - halved], axis=1)
 
 
-def evolve_forced(
-    field: CoefficientField,
-    grid: TimeGrid,
-    forcing: Forcing,
-    *,
-    local_tol: float = 1e-8,
-) -> Trajectory:
-    """RK4 trajectory of the forced system over the grid (forward only), by step maps built in batches.
+def evolve_forced(field: CoefficientField, grid: TimeGrid, forcing: Forcing, *, local_tol: float = 1e-8) -> Trajectory:
+    """Trajectory of the forced system over the grid (forward only), from the field on its first node.
 
-    The field must sit on the first grid node.  Grids ending above
-    ``_END_TIME_FLOOR`` are refused because the unforced part of the vector
-    field blows up like mu / (-t).
+    Grids ending above ``_END_TIME_FLOOR`` are refused.  ``local_tol`` bounds
+    the step-doubling error of a ModeMatrix block, the only modes stepped.
     """
     if field.time != grid.a:
         raise ValueError(f"field time {field.time!r} must equal grid start {grid.a!r}")
@@ -340,39 +332,27 @@ def evolve_forced(
     coupling, rate = forcing.coupling, forcing.rate
     block = getattr(coupling, "modes", ())  # coupled through W; W = I under ScalarOnU couples no two modes
     modes = tuple(sorted({*field.modes, *block}, key=mode_sort_key))
-    run = [*block, *(x for x in modes if x not in block)]  # the block first, then the diagonal modes
-    m, mus = len(block), np.array([x.mu for x in run])
-    w, eye = np.array(getattr(coupling, "matrix", ()), dtype=float).reshape(m, m), np.eye(m)
-    rate_on_diagonal = float(isinstance(coupling, ScalarOnU))
+    m, free = len(block), tuple(x for x in modes if x not in block)  # free modes keep the closed form
+    mus, w, eye = np.array([x.mu for x in block]), np.array(getattr(coupling, "matrix", ())).reshape(m, m), np.eye(m)
 
     def block_a(ts: np.ndarray) -> np.ndarray:
-        return rate.values_at(ts)[:, None, None] * w - (mus[:m] / (-ts)[:, None])[:, :, None] * eye
+        return rate.values_at(ts)[:, None, None] * w - (mus / (-ts)[:, None])[:, :, None] * eye
 
-    def diagonal_a(ts: np.ndarray) -> np.ndarray:
-        return rate_on_diagonal * rate.values_at(ts)[:, None] - mus[m:] / (-ts)[:, None]
-
-    def maps(start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per [start, end]: the block's and the diagonal modes' maps, as ``_rk4_maps`` gives them."""
-        block_maps = _rk4_maps(block_a, np.matmul, eye, start, end)
-        return block_maps, _rk4_maps(diagonal_a, np.multiply, np.ones(len(run) - m), start, end)
-
-    def sweep(block_maps: np.ndarray, diagonal_maps: np.ndarray, s: np.ndarray) -> np.ndarray:
+    def sweep(maps: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Apply the pieces' halved maps in turn from s[0] into s[1:]; return each piece's step-doubling error."""
-        for j in range(len(block_maps) if m else 0):
-            s[j + 1, :m] = block_maps[j, 0] @ s[j, :m]
-        s[:, m:] = np.cumprod(np.vstack([s[0, m:], diagonal_maps[:, 0]]), axis=0)
-        change = np.einsum("nij,nj->ni", block_maps[:, 1], s[:-1, :m])
-        change = np.concatenate([change, diagonal_maps[:, 1] * s[:-1, m:]], axis=1)
+        for j in range(len(maps)):
+            s[j + 1] = maps[j, 0] @ s[j]
+        change = np.einsum("nij,nj->ni", maps[:, 1], s[:-1])
         return np.max(np.abs(change), axis=1) / (15.0 * (1.0 + np.max(np.abs(s[1:]), axis=1)))
 
-    def advance(block_maps: np.ndarray, diagonal_maps: np.ndarray, s: np.ndarray, t: list, depth: int) -> None:
+    def advance(maps: np.ndarray, s: np.ndarray, t: list, depth: int) -> None:
         """Fill s[1:] from s[0] across the pieces [t[j], t[j + 1]]: all pieces' halved maps at once, then from the
         first piece whose error fails the rule on, one piece at a time, a failing one by its two halves'."""
-        err = sweep(block_maps, diagonal_maps, s)
+        err = sweep(maps, s)
         failed = np.flatnonzero(~(err <= local_tol))
         for j in range(failed[0] if len(failed) else len(err), len(err)):
             if j > failed[0]:  # the state the piece starts from has changed
-                err[j] = sweep(block_maps[j : j + 1], diagonal_maps[j : j + 1], s[j : j + 2])[0]
+                err[j] = sweep(maps[j : j + 1], s[j : j + 2])[0]
             if err[j] <= local_tol:  # a NaN error never passes
                 continue
             if depth >= _MAX_HALVINGS:
@@ -380,22 +360,30 @@ def evolve_forced(
                     f"grid too coarse near t = {t[j]!r}: local error {err[j]:.3e} > tol {local_tol:.3e} "
                     f"after {depth} halvings"
                 )
-            halves, mid = np.concatenate([s[j : j + 1], np.empty((2, len(run)))]), t[j] + 0.5 * (t[j + 1] - t[j])
-            advance(*maps(np.array([t[j], mid]), np.array([mid, t[j + 1]])), halves, [t[j], mid, t[j + 1]], depth + 1)
+            halves, mid = np.concatenate([s[j : j + 1], np.empty((2, m))]), t[j] + 0.5 * (t[j + 1] - t[j])
+            halved_maps = _rk4_maps(block_a, eye, np.array([t[j], mid]), np.array([mid, t[j + 1]]))
+            advance(halved_maps, halves, [t[j], mid, t[j + 1]], depth + 1)
             s[j + 1] = halves[2]
 
     nodes = grid.as_array()
-    # a sampled rate's kinks are piece boundaries too, because the error rule assumes a smooth step
+    # a sampled rate's kinks cut the pieces: the error rule assumes a smooth step, the trapezoid a linear one
     cuts = np.union1d(nodes, [x for x in getattr(rate, "times", ()) if grid.a < x < grid.b])
-    states = np.empty((len(cuts), len(run)))
-    states[0] = _amplitudes_on(field, run)
-    per_batch = max(1, _MAP_BATCH // (m * m + len(run)))  # bounds the map arrays alive at once
-    ts = cuts.tolist()
-    with np.errstate(over="ignore", invalid="ignore"):  # a stiff rate overflows the maps; the NaN errors fail
-        for lo in range(0, len(cuts) - 1, per_batch):
-            batch = maps(cuts[:-1][lo : lo + per_batch], cuts[1:][lo : lo + per_batch])
-            advance(*batch, states[lo : lo + per_batch + 1], ts[lo : lo + per_batch + 1], 0)
-    amps = states[np.searchsorted(cuts, nodes)][:, [run.index(x) for x in modes]]
+    at_nodes = np.searchsorted(cuts, nodes)
+    start = CoefficientField(field.background, grid.a, free, _amplitudes_on(field, free))
+    amps = np.empty((len(nodes), len(modes)))
+    amps[:, [modes.index(x) for x in free]] = evolve_exact_trajectory(start, grid).amplitudes
+    with np.errstate(over="ignore", invalid="ignore"):  # a stiff rate overflows; Trajectory refuses what is not finite
+        if isinstance(coupling, ScalarOnU):
+            c = rate.values_at(cuts)
+            integral = np.concatenate([[0.0], np.cumsum(0.5 * (c[1:] + c[:-1]) * np.diff(cuts))])
+            amps *= np.exp(integral[at_nodes])[:, None]
+        elif block:
+            states, per_batch, ts = np.empty((len(cuts), m)), max(1, _MAP_BATCH // (m * m)), cuts.tolist()
+            states[0] = _amplitudes_on(field, block)
+            for lo in range(0, len(cuts) - 1, per_batch):  # per_batch bounds the map arrays alive at once
+                maps = _rk4_maps(block_a, eye, cuts[:-1][lo : lo + per_batch], cuts[1:][lo : lo + per_batch])
+                advance(maps, states[lo : lo + per_batch + 1], ts[lo : lo + per_batch + 1], 0)
+            amps[:, [modes.index(x) for x in block]] = states[at_nodes]
     return Trajectory(grid, field.background, modes, amps, forcing=forcing)
 
 

@@ -69,7 +69,7 @@ def test_missing_path_exits_two(tmp_path):
     assert main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")]) == 2
 
 
-def test_all_inapplicable_exits_three(tmp_path):
+def test_all_inapplicable_exits_three(tmp_path, capsys):
     doc = dict(
         PASSING,
         scenario_id="hollow",
@@ -78,6 +78,10 @@ def test_all_inapplicable_exits_three(tmp_path):
     )
     cfg = _write(tmp_path, "h.json", doc)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    # each summary line names the report's reason, its first note
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("INAPPLICABLE min_margin=n/a tol=0.00e+00 (zero initial data: frequency undefined)")
+    assert lines[1].endswith("INAPPLICABLE min_margin=n/a tol=0.00e+00 (zero initial data: no frequency to scale by)")
 
 
 def test_duplicate_scenario_ids_rejected(tmp_path):

@@ -111,18 +111,15 @@ def test_field_is_a_read_only_row_of_its_trajectory():
 
 
 def test_rk_with_zero_rate_matches_exact():
+    # exp(0) = 1 scales the closed form by nothing, so the forced run is the unforced one bit for bit
     bg = Plane(1)
     f0 = _field(bg, -1.0, {(1,): 1.0, (2,): 0.3, (4,): -0.1})
     grid = TimeGrid.uniform(-1.0, -0.1, 181)
     forcing = Forcing(ConstantRate(0.0), ScalarOnU())
     traj = evolve_forced(f0, grid, forcing, local_tol=1e-12)
-    worst = 0.0
-    for i, t in enumerate(grid.nodes):
-        field = traj.field_at(i)
-        ref = evolve_exact(f0, t)
-        for (m, a), (_, b) in zip(_pairs(field), _pairs(ref)):
-            worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    assert worst < 1e-10
+    exact = evolve_exact_trajectory(f0, grid)
+    assert traj.modes == exact.modes
+    assert traj.amplitudes.tobytes() == exact.amplitudes.tobytes()
 
 
 def test_scalar_rate_closed_form():
@@ -171,7 +168,7 @@ def _scalar_flow(field, rate, traj):
         # shaped like the packaged scalar-forced-bounds and scalar-forced-zero runs
         (Plane(1), {(1,): 1.0}, ConstantRate(1.0), TimeGrid.uniform(-1.0, -0.5, 2001), 1e-12),
         (Plane(1), {(2,): 1.0}, ConstantRate(0.0), TimeGrid.uniform(-1.0, -0.5, 2001), 1e-12),
-        # every kink inside a grid interval, where RK4 loses order unless a step ends on it
+        # every kink inside a grid interval
         (
             Sphere(2),
             {(1, 0): 1.0, (2, 1): -0.5},
@@ -182,18 +179,37 @@ def _scalar_flow(field, rate, traj):
     ],
 )
 def test_scalar_coupling_matches_the_closed_form_flow(bg, coeffs, rate, grid, local_tol):
+    # a constant rate against step-doubled vector RK4, the independent route; the kinked rate against the
+    # integral of C taken piece by piece, since RK4 loses order unless a step ends on each kink
     f0 = _field(bg, grid.a, coeffs)
-    traj = evolve_forced(f0, grid, Forcing(rate, ScalarOnU()), local_tol=local_tol)
-    ref = _scalar_flow(f0, rate, traj)
+    forcing = Forcing(rate, ScalarOnU())
+    traj = evolve_forced(f0, grid, forcing, local_tol=local_tol)
+    rk4 = isinstance(rate, ConstantRate)
+    ref = _vector_rk4(traj, f0, forcing, local_tol) if rk4 else _scalar_flow(f0, rate, traj)
     assert np.max(np.abs(traj.amplitudes - ref) / np.abs(ref)) <= 1e-12
 
 
+def test_scalar_coupling_builds_no_step_map(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a ScalarOnU run built an RK4 map")
+
+    monkeypatch.setattr(evolution, "_rk4_maps", refuse)
+    bg = Sphere(2)
+    f0 = _field(bg, -1.0, {(1, 0): 1.0, (2, 1): -0.5})
+    rate = SampledRate((-0.9, -0.6), (0.2, 1.3))
+    traj = evolve_forced(f0, TimeGrid.uniform(-1.0, -0.5, 11), Forcing(rate, ScalarOnU()), local_tol=1e-12)
+    ref = _scalar_flow(f0, rate, traj)
+    assert np.max(np.abs(traj.amplitudes - ref) / np.abs(ref)) <= 1e-14
+
+
 def _vector_rk4(traj, field, forcing, local_tol, doubling=True):
-    """Per-interval vector RK4 of a' = -mu a/(-t) + C(t) W a on the modes of ``traj``, halved by step doubling
-    (or one step per interval without ``doubling``)."""
+    """Per-interval vector RK4 of a' = -mu a/(-t) + C(t) W a on the modes of ``traj`` (W = I on all of them under
+    ScalarOnU), halved by step doubling (or one step per interval without ``doubling``)."""
     mus = np.array([m.mu for m in traj.modes])
-    idx = [traj.modes.index(m) for m in forcing.coupling.modes]
-    w = forcing.coupling.as_array()
+    coupling = forcing.coupling
+    scalar = isinstance(coupling, ScalarOnU)
+    idx = [traj.modes.index(m) for m in (traj.modes if scalar else coupling.modes)]
+    w = np.eye(len(idx)) if scalar else coupling.as_array()
 
     def rhs(t, a):
         out = -(mus / (-t)) * a
@@ -235,8 +251,9 @@ def test_mode_matrix_halves_a_coarse_grid_like_an_independent_rk4():
 
 
 def test_uncoupled_modes_and_small_map_batches_keep_the_stepped_flow(monkeypatch):
-    # mode 2 sits outside the coupled block, so its maps are numbers; a tiny batch budget builds the maps two
-    # pieces at a time; the first interval must be halved, and the fine ones after it pass from the state it ends in
+    # mode 2 sits outside the coupled block, so it keeps the closed form; a tiny batch budget builds the block's
+    # maps four pieces at a time; the first interval must be halved, and the fine ones after it pass from the state
+    # it ends in
     monkeypatch.setattr(evolution, "_MAP_BATCH", 16)
     bg = Plane(1)
     m1, m3 = mode_from_index(bg, (1,)), mode_from_index(bg, (3,))
@@ -246,11 +263,6 @@ def test_uncoupled_modes_and_small_map_batches_keep_the_stepped_flow(monkeypatch
     traj = evolve_forced(f0, grid, forcing, local_tol=1e-12)
     ref = _vector_rk4(traj, f0, forcing, 1e-12)
     assert np.max(np.abs(traj.amplitudes - ref).max(axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-12
-    # every mode diagonal, on a grid fine enough that the closed form bounds the error
-    rate = ConstantRate(0.5)
-    traj = evolve_forced(f0, TimeGrid.uniform(-1.0, -0.5, 201), Forcing(rate, ScalarOnU()), local_tol=1e-12)
-    ref = _scalar_flow(f0, rate, traj)
-    assert np.max(np.abs(traj.amplitudes - ref) / np.abs(ref)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -301,14 +313,19 @@ def test_forced_run_refuses_grid_near_zero():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_unreachable_tolerance_raises():
-    # a rate this stiff exhausts the step-halving budget on the first node; the states it reaches overflow, and
-    # at 1e300 every map is inf - inf = NaN, so the run raises only because a NaN error never passes the rule
+    # on a one-mode block, a rate this stiff exhausts the step-halving budget on the first node; the states it
+    # reaches overflow, and at 1e300 every map is inf - inf = NaN, so the run raises only because a NaN error never
+    # passes the rule
     bg = Plane(1)
+    m1 = mode_from_index(bg, (1,))
     f0 = _field(bg, -1.0, {(1,): 1.0})
     grid = TimeGrid.uniform(-1.0, -0.5, 3)
     for c0, error in ((1e12, "6.667e-02"), (1e300, "nan")):
         with pytest.raises(ToleranceNotMetError, match=f"^grid too coarse near t = -1.0: local error {error} > tol"):
-            evolve_forced(f0, grid, Forcing(ConstantRate(c0), ScalarOnU()), local_tol=1e-10)
+            evolve_forced(f0, grid, Forcing(ConstantRate(c0), ModeMatrix((m1,), ((1.0,),))), local_tol=1e-10)
+    # the closed form steps nothing, so there is no tolerance to miss: exp(int C) overflows and the run is refused
+    with pytest.raises(ValueError, match="^non-finite amplitude in trajectory$"):
+        evolve_forced(f0, grid, Forcing(ConstantRate(1e12), ScalarOnU()), local_tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
