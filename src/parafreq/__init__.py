@@ -71,7 +71,6 @@ from .scenario import (
 )
 from .verifiers import (
     VerificationReport,
-    report_from_dict,
     standard_test_functions,
     verify_drift_bochner,
     verify_drift_bochner_verbatim,

@@ -37,7 +37,7 @@ as a[i+1] = Phi_half[i] a[i], and scored at once by the block's step-doubling
 error max|(Phi_full - Phi_half) a[i]| / (15 (1 + max|a[i+1]|)).  From the first
 interval whose error is not at most the tolerance (a NaN never is) on,
 intervals are redone one at a time, a failing one by its two halves' maps,
-recursively.  Forced grids end at or below t = -1e-3: A stiffens like mu / (-t).
+recursively.  Grids with a block end at or below t = -1e-3: A stiffens like mu / (-t).
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ __all__ = [
 ]
 
 _MAX_HALVINGS = 30
-_END_TIME_FLOOR = -1e-3  # latest end time of a forced grid
+_END_TIME_FLOOR = -1e-3  # latest end time of a grid with a ModeMatrix block
 _MAP_BATCH = 1 << 14  # (block entries m * m per piece) x (pieces) built at once
 
 
@@ -317,20 +317,20 @@ def _rk4_maps(a_at, one: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.n
 def evolve_forced(field: CoefficientField, grid: TimeGrid, forcing: Forcing, *, local_tol: float = 1e-8) -> Trajectory:
     """Trajectory of the forced system over the grid (forward only), from the field on its first node.
 
-    Grids ending above ``_END_TIME_FLOOR`` are refused.  ``local_tol`` bounds
-    the step-doubling error of a ModeMatrix block, the only modes stepped.
+    ``local_tol`` bounds the step-doubling error of a ModeMatrix block, the only modes stepped;
+    a grid with a block that ends above ``_END_TIME_FLOOR`` is refused.
     """
     if field.time != grid.a:
         raise ValueError(f"field time {field.time!r} must equal grid start {grid.a!r}")
-    if grid.b > _END_TIME_FLOOR:
-        raise ValueError(
-            f"grid ends at t = {grid.b!r}, above the stepped-solver floor {_END_TIME_FLOOR!r}; use exact evolution"
-        )
     if not (local_tol > 0.0 and math.isfinite(local_tol)):
         raise ValueError("local_tol must be positive")
 
     coupling, rate = forcing.coupling, forcing.rate
     block = getattr(coupling, "modes", ())  # coupled through W; W = I under ScalarOnU couples no two modes
+    if block and grid.b > _END_TIME_FLOOR:
+        raise ValueError(
+            f"grid ends at t = {grid.b!r}, above the stepped-solver floor {_END_TIME_FLOOR!r}; use exact evolution"
+        )
     modes = tuple(sorted({*field.modes, *block}, key=mode_sort_key))
     m, free = len(block), tuple(x for x in modes if x not in block)  # free modes keep the closed form
     mus, w, eye = np.array([x.mu for x in block]), np.array(getattr(coupling, "matrix", ())).reshape(m, m), np.eye(m)

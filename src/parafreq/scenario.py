@@ -510,62 +510,31 @@ def emit_trace_csv(output: RunOutput, path: str | Path) -> None:
     _atomic_write(Path(path), "\n".join(["t,I,D,U,N_raw,cs_defect", *rows]) + "\n")
 
 
-def _json_floats(values: np.ndarray) -> list[str]:
-    """Each float as ``json.dumps`` writes it: ``float.__repr__``, or ``NaN`` / ``Infinity`` / ``-Infinity``."""
-    # the floats of a flat list never contain ", ", so splitting the compact form is exact
-    return json.dumps(values.tolist())[1:-1].split(", ")
-
-
-def format_node_block(t: np.ndarray, margin: np.ndarray, labels: tuple[str, ...], depth: int) -> str:
-    """A report's node list as ``json.dumps(..., indent=2, sort_keys=True)`` writes it at nesting ``depth``.
-
-    The list is ``[{"label": ..., "margin": ..., "t": ...}, ...]``; ``depth``
-    is the number of containers around it (0 for a document of its own).
-    """
-    if not len(labels):
-        return "[]"
-    outer = "\n" + "  " * depth
-    item = outer + "  "
-    key = item + "  "
-    node = "{" + key + '"label": %s,' + key + '"margin": %s,' + key + '"t": %s' + item + "}"
-    encoded = {label: json.dumps(label) for label in set(labels)}
-    rows = map(node.__mod__, zip([encoded[label] for label in labels], _json_floats(margin), _json_floats(t)))
-    return "[" + item + ("," + item).join(rows) + outer + "]"
-
-
-# A report's keys sit three containers deep (document, "reports" list, report),
-# and json.dumps escapes every newline inside a string, so this text marks the
-# "nodes" key of each report and nothing else.
-_NODES_KEY = '\n      "nodes": '
+_REPORT_FORMAT = "parafreq-report/2"  # reports as the columns t, margin and labels
 
 
 def emit_report_json(output: RunOutput, path: str | Path) -> None:
-    """Write the full report document (reports + provenance), sorted and stable.
+    """Write the report document as ``json.dumps(doc, sort_keys=True)`` plus a newline.
 
-    The text is byte for byte ``json.dumps(doc, indent=2, sort_keys=True)``
-    plus a newline, where ``doc`` holds every report's ``to_dict()``.  Only the
-    skeleton goes through ``json.dumps``; each report's node list is
-    formatted from its columns by ``format_node_block`` and spliced in.
+    ``doc`` holds ``"format": _REPORT_FORMAT``, the provenance and every report's ``to_dict()``.
     """
     doc = {
+        "format": _REPORT_FORMAT,
         "scenario_id": output.config.scenario_id,
         "provenance": output.provenance,
         "kappa_used": output.trace.kappa_used,
         "report_only": sorted(output.config.report_only),
-        "reports": [r.to_dict(with_nodes=False) for r in output.reports],
+        "reports": [r.to_dict() for r in output.reports],
     }
-    skeleton = json.dumps(doc, indent=2, sort_keys=True).split(_NODES_KEY + "null")
-    parts = [skeleton[0]]
-    for report, rest in zip(output.reports, skeleton[1:], strict=True):
-        parts += [_NODES_KEY, format_node_block(report.t, report.margin, report.labels, 3), rest]
-    _atomic_write(Path(path), "".join(parts) + "\n")
+    _atomic_write(Path(path), json.dumps(doc, sort_keys=True) + "\n")
 
 
 def load_report_json(path: str | Path) -> tuple[dict, tuple[VerificationReport, ...]]:
-    """Read back an emitted report document; returns (provenance doc, reports)."""
+    """Read back an emitted report document as (provenance doc, reports); another ``format`` raises ValueError."""
     doc = json.loads(Path(path).read_text())
-    reports = tuple(report_from_dict(r) for r in doc["reports"])
-    return doc, reports
+    if doc.get("format") != _REPORT_FORMAT:
+        raise ValueError(f"{path}: report format {doc.get('format')!r} is not {_REPORT_FORMAT!r}")
+    return doc, tuple(report_from_dict(r) for r in doc["reports"])
 
 
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3

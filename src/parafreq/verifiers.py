@@ -100,14 +100,15 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.status == PASS
 
-    def to_dict(self, *, with_nodes: bool = True) -> dict:
-        """Plain-data form; ``with_nodes=False`` leaves ``nodes`` None for a writer that formats the columns itself."""
-        nodes = zip(self.t.tolist(), self.margin.tolist(), self.labels)
+    def to_dict(self) -> dict:
+        """Plain-data form, the node columns as the lists ``t``, ``margin`` and ``labels``."""
         return {
             "check_name": self.check_name,
             "background": self.background,
             "scenario_id": self.scenario_id,
-            "nodes": [{"t": t, "margin": m, "label": lab} for t, m, lab in nodes] if with_nodes else None,
+            "t": self.t.tolist(),
+            "margin": self.margin.tolist(),
+            "labels": list(self.labels),
             "tolerance": self.tolerance,
             "min_margin": self.min_margin,
             "status": self.status,
@@ -116,12 +117,10 @@ class VerificationReport:
 
 
 def report_from_dict(data: dict) -> VerificationReport:
-    """Inverse of ``VerificationReport.to_dict`` (exact float round-trip)."""
-    nodes = data["nodes"]
+    """Inverse of ``VerificationReport.to_dict`` (exact float round-trip of every column)."""
     return VerificationReport(
-        data["check_name"], data["background"], data["scenario_id"],
-        [n["t"] for n in nodes], [n["margin"] for n in nodes], [n.get("label", "") for n in nodes],
-        data["tolerance"], data["min_margin"], data["status"], tuple(data.get("notes", ())),
+        data["check_name"], data["background"], data["scenario_id"], data["t"], data["margin"], data["labels"],
+        data["tolerance"], data["min_margin"], data["status"], tuple(data["notes"]),
     )
 
 

@@ -107,12 +107,15 @@ def test_resolution_override_follows_the_config_rule(tmp_path, capsys, value):
 
 
 def test_runtime_error_spares_the_rest_of_the_batch(tmp_path, capsys):
-    # the stepped solver refuses grids ending this close to the singular time
+    # the stepped solver refuses grids with a mode_matrix block ending this close to the singular time
     broken = dict(
         PASSING,
         scenario_id="late-forced",
         time={"a": -1.0, "b": -1e-4, "nodes": 21},
-        forcing={"rate": {"type": "constant", "c0": 0.5}, "coupling": "scalar_on_u"},
+        forcing={
+            "rate": {"type": "constant", "c0": 0.5}, "coupling": "mode_matrix",
+            "modes": ["1", "2"], "matrix": [[0.0, 0.4], [0.0, 0.0]],
+        },
         checks=["frequency_monotonicity"],
     )
     _write(tmp_path, "a.json", dict(PASSING, scenario_id="a"))

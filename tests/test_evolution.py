@@ -111,15 +111,16 @@ def test_field_is_a_read_only_row_of_its_trajectory():
 
 
 def test_rk_with_zero_rate_matches_exact():
-    # exp(0) = 1 scales the closed form by nothing, so the forced run is the unforced one bit for bit
+    # exp(0) = 1 scales the closed form by nothing, so the forced run is the unforced one bit for bit;
+    # ScalarOnU steps nothing, so a grid past the stepped-solver floor of a ModeMatrix block runs too
     bg = Plane(1)
     f0 = _field(bg, -1.0, {(1,): 1.0, (2,): 0.3, (4,): -0.1})
-    grid = TimeGrid.uniform(-1.0, -0.1, 181)
     forcing = Forcing(ConstantRate(0.0), ScalarOnU())
-    traj = evolve_forced(f0, grid, forcing, local_tol=1e-12)
-    exact = evolve_exact_trajectory(f0, grid)
-    assert traj.modes == exact.modes
-    assert traj.amplitudes.tobytes() == exact.amplitudes.tobytes()
+    for grid in (TimeGrid.uniform(-1.0, -0.1, 181), TimeGrid.uniform(-1.0, -1e-5, 11)):
+        traj = evolve_forced(f0, grid, forcing, local_tol=1e-12)
+        exact = evolve_exact_trajectory(f0, grid)
+        assert traj.grid.b == grid.b and traj.modes == exact.modes
+        assert traj.amplitudes.tobytes() == exact.amplitudes.tobytes()
 
 
 def test_scalar_rate_closed_form():
@@ -301,11 +302,10 @@ def test_mode_matrix_nilpotent_closed_form():
 def test_forced_run_refuses_grid_near_zero():
     bg = Plane(1)
     f0 = _field(bg, -1.0, {(1,): 1.0})
-    grid = TimeGrid.uniform(-1.0, -1e-5, 11)
+    forcing = Forcing(ConstantRate(0.0), ModeMatrix((mode_from_index(bg, (1,)),), ((1.0,),)))
     with pytest.raises(ValueError):
-        evolve_forced(f0, grid, Forcing(ConstantRate(0.0), ScalarOnU()))
+        evolve_forced(f0, TimeGrid.uniform(-1.0, -1e-5, 11), forcing)
     # the floor is t = -1e-3: a grid ending there runs, one ending just after it is refused
-    forcing = Forcing(ConstantRate(0.0), ScalarOnU())
     assert evolve_forced(f0, TimeGrid.uniform(-1.0, -1e-3, 3), forcing).grid.b == -1e-3
     with pytest.raises(ValueError, match="above the stepped-solver floor -0.001; use exact evolution$"):
         evolve_forced(f0, TimeGrid.uniform(-1.0, -9.9e-4, 3), forcing)

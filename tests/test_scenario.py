@@ -4,7 +4,6 @@ import json
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from parafreq import (
@@ -16,11 +15,10 @@ from parafreq import (
     load_config,
     load_report_json,
     parse_config,
-    report_from_dict,
     run_scenario,
 )
 from parafreq.cli import _load_packaged_configs
-from parafreq.scenario import format_node_block
+from parafreq.verifiers import report_from_dict
 
 BASE = {
     "scenario_id": "base",
@@ -260,40 +258,39 @@ def test_zero_data_scenario_statuses():
 
 
 # ---------------------------------------------------------------------------
-# the report writer against json.dumps
+# the report file: columns through json.dumps and back
 
 
-def _json_dumps_text(out):
-    # the document emit_report_json writes, encoded the plain way
+def _assert_columns_round_trip(out, path):
+    emit_report_json(out, path)
     doc = {
+        "format": "parafreq-report/2",
         "scenario_id": out.config.scenario_id,
         "provenance": out.provenance,
         "kappa_used": out.trace.kappa_used,
         "report_only": sorted(out.config.report_only),
         "reports": [r.to_dict() for r in out.reports],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _assert_writer_matches_json_dumps(out, path):
-    emit_report_json(out, path)
-    assert path.read_bytes() == _json_dumps_text(out).encode()
-    doc, reports = load_report_json(path)
-    assert [r.to_dict() for r in reports] == doc["reports"] == [r.to_dict() for r in out.reports]
+    assert path.read_bytes() == (json.dumps(doc, sort_keys=True) + "\n").encode()
+    loaded, reports = load_report_json(path)
+    assert loaded == doc
+    assert len(reports) == len(out.reports)
     for clone, report in zip(reports, out.reports):
         assert clone.t.tobytes() == report.t.tobytes()
         assert clone.margin.tobytes() == report.margin.tobytes()
         assert clone.labels == report.labels
+        assert clone.to_dict() == report.to_dict()
+    return reports
 
 
 def test_report_writer_matches_json_dumps_on_the_paper_suite(tmp_path):
     for config in _load_packaged_configs():
-        _assert_writer_matches_json_dumps(run_scenario(config), tmp_path / f"{config.scenario_id}.report.json")
+        _assert_columns_round_trip(run_scenario(config), tmp_path / f"{config.scenario_id}.report.json")
 
 
 def test_report_writer_matches_json_dumps_on_edge_reports(tmp_path):
     out = run_scenario(parse_config(_doc()))
-    odd = 'quote " backslash \\ bell \x07 tab \t ümlaut – snowman ☃'
+    odd = 'quote " backslash \\ bell \x07 tab \t newline \n ümlaut – snowman ☃'
     edge = (
         VerificationReport("harnack_printed", "sphere(2)", "base", [], [], (), 1e-9, None, "inapplicable", (odd,)),
         VerificationReport(
@@ -302,32 +299,40 @@ def test_report_writer_matches_json_dumps_on_edge_reports(tmp_path):
             0.0, -0.0, "pass", (odd, ""),
         ),
     )
-    _assert_writer_matches_json_dumps(replace(out, reports=out.reports + edge), tmp_path / "edge.report.json")
-    _assert_writer_matches_json_dumps(replace(out, reports=edge[:1]), tmp_path / "empty.report.json")
+    empty, odd_report = _assert_columns_round_trip(replace(out, reports=out.reports + edge), tmp_path / "e.json")[-2:]
+    assert (empty.status, empty.min_margin, len(empty.t), empty.notes) == ("inapplicable", None, 0, (odd,))
+    assert odd_report.margin.tolist() == [-0.0, 5e-324, 1e16, 0.0]
+    assert math.copysign(1.0, odd_report.margin[0]) == -1.0 and math.copysign(1.0, odd_report.min_margin) == -1.0
+    assert odd_report.labels == ("", odd, "a:b", "x\ny")
+    _assert_columns_round_trip(replace(out, reports=edge[:1]), tmp_path / "empty.report.json")
 
 
-def test_node_block_formats_non_finite_floats_as_json_dumps():
-    t = np.array([-1.0, math.nan, -math.inf, math.inf])
-    margin = np.array([math.nan, math.inf, -math.inf, -0.0])
-    labels = ("nan", "inf", "-inf", "é")
-    nodes = [{"t": a, "margin": b, "label": c} for a, b, c in zip(t.tolist(), margin.tolist(), labels)]
-    for depth in (0, 3):
-        expected = json.dumps(nodes, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
-        assert format_node_block(t, margin, labels, depth) == expected
-    assert format_node_block(np.array([]), np.array([]), (), 3) == json.dumps([], indent=2)
+def test_load_report_json_refuses_an_unmarked_document(tmp_path):
+    out = run_scenario(parse_config(_doc()))
+    path = tmp_path / "s.report.json"
+    emit_report_json(out, path)
+    doc = json.loads(path.read_text())
+    del doc["format"]
+    for unmarked in (doc, {**doc, "format": "parafreq-report/1"}):
+        path.write_text(json.dumps(unmarked))
+        with pytest.raises(ValueError, match="format"):
+            load_report_json(path)
 
 
 def test_non_finite_report_margin_raises_naming_t_and_label():
+    doc = {
+        "check_name": "harnack", "background": "plane(1)", "scenario_id": "s",
+        "t": [-1.0, -0.5], "margin": [0.0, 0.0], "labels": ["increment", "centered-slope"],
+        "tolerance": 0.0, "min_margin": 0.0, "status": "pass", "notes": [],
+    }
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=r"at t=-0\.5 \(centered-slope\)"):
             VerificationReport(
                 "frequency_monotonicity", "plane(1)", "s", [-1.0, -0.5], [0.0, bad],
                 ("increment", "centered-slope"), 0.0, 0.0, "pass",
             )
-        doc = {
-            "check_name": "harnack", "background": "plane(1)", "scenario_id": "s",
-            "nodes": [{"t": -0.5, "margin": bad, "label": "centered-slope"}],
-            "tolerance": 0.0, "min_margin": 0.0, "status": "pass", "notes": [],
-        }
-        with pytest.raises(ValueError, match="non-finite margin"):
-            report_from_dict(doc)
+        with pytest.raises(ValueError, match=r"non-finite margin .* at t=-0\.5 \(centered-slope\)"):
+            report_from_dict({**doc, "margin": [0.0, bad]})
+    report_from_dict(doc)
+    with pytest.raises(ValueError, match="node columns differ in length: t 2, margin 1, labels 2"):
+        report_from_dict({**doc, "margin": [0.0]})

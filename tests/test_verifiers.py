@@ -27,7 +27,6 @@ from parafreq import (
     mode_from_index,
     parse_config,
     quadrature,
-    report_from_dict,
     standard_test_functions,
     trace_from_trajectory,
     verify_drift_bochner,
@@ -47,6 +46,7 @@ from parafreq import scenario, verifiers
 from parafreq.cli import _load_packaged_configs
 from parafreq.backgrounds import POINTWISE
 from parafreq.modes import combine_on_rule, mode_function
+from parafreq.verifiers import report_from_dict
 
 
 def _traj(bg, coeffs_by_index, a=-1.0, b=-0.5, nodes=41):
