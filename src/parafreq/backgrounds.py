@@ -313,8 +313,7 @@ class QuadratureRule:
     ``sum(weights * f(points))`` approximates the dmu integral of f; the
     weights absorb the Gaussian density, so the weight sum equals the total
     mass (exactly 1 on planes).  The geometry fields stack ``geometry_at``
-    over the nodes ((N, d, d) forms, (N, d) vectors, ``normal`` None on planes);
-    ``mode_columns`` keeps what ``modes.combine_on_rule`` evaluates.
+    over the nodes ((N, d, d) forms, (N, d) vectors, ``normal`` None on planes).
     """
 
     background: Background
@@ -327,7 +326,6 @@ class QuadratureRule:
     shape_pairing: np.ndarray = field(init=False, repr=False, compare=False)
     normal: np.ndarray | None = field(init=False, repr=False, compare=False)
     x_tan: np.ndarray = field(init=False, repr=False, compare=False)
-    mode_columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.points.ndim != 2 or self.weights.ndim != 1:

@@ -65,11 +65,13 @@ __all__ = [
     "evolve_exact_trajectory",
     "evolve_forced",
     "forcing_bound_margin",
+    "forcing_margins",
 ]
 
 _MAX_HALVINGS = 30
 _END_TIME_FLOOR = -1e-3  # latest end time of a grid with a ModeMatrix block
 _MAP_BATCH = 1 << 14  # (block entries m * m per piece) x (pieces) built at once
+_CERTIFY_BATCH = 1 << 16  # (rule points x ambient dim) x (grid rows) per block of forcing_margins
 
 
 class ToleranceNotMetError(RuntimeError):
@@ -290,10 +292,14 @@ def evolve_exact_trajectory(field: CoefficientField, grid: TimeGrid) -> Trajecto
 # stepped (forced) evolution
 
 
-def _amplitudes_on(field: CoefficientField, modes: Sequence[Mode]) -> np.ndarray:
-    """The field's amplitude on each of ``modes``, 0 where the field has none."""
+def _amplitudes_on(field: CoefficientField | Trajectory, modes: Sequence[Mode]) -> np.ndarray:
+    """The amplitude on each of ``modes`` of a field, or of every row of a trajectory; 0 where it has none."""
     position = {m: j for j, m in enumerate(field.modes)}
-    return np.array([field.amplitudes[position[m]] if m in position else 0.0 for m in modes])
+    out = np.zeros(field.amplitudes.shape[:-1] + (len(modes),))
+    for i, m in enumerate(modes):
+        if m in position:
+            out[..., i] = field.amplitudes[..., position[m]]
+    return out
 
 
 def _rk4_maps(a_at, one: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
@@ -392,8 +398,8 @@ def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: Quadra
 
     Gradients are taken on the flowing surface at the field's time, so the
     unit-scale tangential gradient carries a 1/sqrt(-t) factor.  Nonnegative
-    margin certifies the forcing hypothesis at this snapshot.  Mode columns
-    stay on ``rule`` for calls at other times.
+    margin certifies the forcing hypothesis at this snapshot;
+    ``forcing_margins`` gives it at every node of a run.
     """
     rule.require_background(field.background)
     t = field.time
@@ -411,3 +417,31 @@ def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: Quadra
         f_values = combine_on_rule(rule, coupling.modes, f_coeffs)
 
     return float(np.min(c * (grad_norm + np.abs(values)) - np.abs(f_values)))
+
+
+def forcing_margins(traj: Trajectory, rule: QuadratureRule) -> np.ndarray:
+    """``forcing_bound_margin`` at every node of a forced trajectory, bit for bit.
+
+    Values, gradients and the ``ModeMatrix`` image ``a W^T`` come from one
+    ``combine_on_rule`` block per kind over the rows, in runs of at most
+    ``_CERTIFY_BATCH // rule.points.size`` rows so that no block outgrows a
+    few of the rule's geometry arrays.
+    """
+    rule.require_background(traj.background)
+    coupling, t = traj.forcing.coupling, traj.grid.as_array()
+    c = traj.forcing.rate.values_at(t)
+    f_coeffs = None  # f = C u under ScalarOnU
+    if not isinstance(coupling, ScalarOnU):
+        # a stack of matrix-vector products, the same BLAS call as W @ a on one field
+        f_coeffs = c[:, None] * (coupling.as_array() @ _amplitudes_on(traj, coupling.modes)[:, :, None])[:, :, 0]
+    out = np.empty(len(t))
+    rows = max(1, _CERTIFY_BATCH // rule.points.size)
+    for lo in range(0, len(t), rows):
+        part, cs = slice(lo, lo + rows), c[lo : lo + rows, None]
+        values = combine_on_rule(rule, traj.modes, traj.amplitudes[part])
+        ambient_grads = combine_on_rule(rule, traj.modes, traj.amplitudes[part], "gradients")
+        tangential = np.einsum("nij,rnj->rni", rule.tangent_projector, ambient_grads)
+        grad_norm = np.sqrt(np.sum(tangential**2, axis=2)) / np.sqrt(-t[part])[:, None]
+        f_values = cs * values if f_coeffs is None else combine_on_rule(rule, coupling.modes, f_coeffs[part])
+        out[part] = np.min(cs * (grad_norm + np.abs(values)) - np.abs(f_values), axis=1)
+    return out

@@ -343,7 +343,8 @@ def combine_on_rule(
     every element summed in the same order as its row alone.  ``kind`` is
     values (N,), ambient gradients (N, d) or ambient Hessians (N, d, d);
     project gradients to get surface gradients.  Each mode's column is
-    evaluated once per rule and kept in ``rule.mode_columns``.
+    evaluated, added and freed, so a caller that needs one kind at several
+    times passes them as one block.
     """
     evaluate, rank = _COLUMNS[kind]
     pts, amps = rule.points, np.asarray(amplitudes, dtype=float)
@@ -354,8 +355,6 @@ def combine_on_rule(
     term = np.empty_like(out)  # built in place: a block's temporaries are as large as the result
     used = amps.any(axis=tuple(range(len(lead)))).tolist()
     for j in sorted((j for j in range(len(modes)) if used[j]), key=lambda j: mode_sort_key(modes[j])):
-        column = rule.mode_columns.get((kind, modes[j]))
-        if column is None:
-            column = rule.mode_columns[(kind, modes[j])] = evaluate(mode_function(rule.background, modes[j]), pts)
+        column = evaluate(mode_function(rule.background, modes[j]), pts)
         out += np.multiply(amps[..., j].reshape(lead + (1,) * column.ndim), column, out=term)
     return out

@@ -140,11 +140,14 @@ class AmbientPolynomial:
         if pts.shape[1] != self.dim:
             raise ValueError(f"points have dim {pts.shape[1]}, polynomial has dim {self.dim}")
         out = np.zeros(pts.shape[0])
+        powers: dict[tuple[int, int], np.ndarray] = {}  # (axis, exponent) -> that coordinate power, taken once
         for exps, c in sorted(self.terms.items()):
             term = np.full(pts.shape[0], c)
             for axis, e in enumerate(exps):
                 if e:
-                    term = term * pts[:, axis] ** e
+                    if (axis, e) not in powers:
+                        powers[axis, e] = pts[:, axis] ** e
+                    term = term * powers[axis, e]
             out += term
         return out
 

@@ -53,7 +53,11 @@ from .evolution import (
 from .frequency import FrequencyTrace, trace_from_trajectory
 from .modes import Mode, enumerate_modes, mode_from_index, mode_sort_key
 from .verifiers import (
+    Certificate,
+    Sides,
     VerificationReport,
+    bochner_sides,
+    forcing_certificate,
     merge_reports,
     report_from_dict,
     standard_test_functions,
@@ -90,8 +94,10 @@ _RULE_READERS = {
     "drift_bochner": verify_drift_bochner,
     "drift_bochner_verbatim": verify_drift_bochner_verbatim,
 }
-# the checks that certify the forcing hypothesis on the rule, which they read on forced runs only
+# the checks that read the run's forcing certificate, taken on the rule, which they read on forced runs only
 _CERTIFIERS = ("general_bounds", "general_harnack")
+# the checks that read both sides of the curvature identity at the ends of the run
+_BOCHNER = ("drift_bochner", "drift_bochner_verbatim")
 _VERIFIERS = {
     "frequency_monotonicity": verify_frequency_monotonicity,
     "equality_case": verify_equality_case,
@@ -441,9 +447,11 @@ class RunOutput:
 
 
 def _run_check(
-    name: str, config: ScenarioConfig, traj: Trajectory, trace: FrequencyTrace, rule: QuadratureRule | None
+    name: str, config: ScenarioConfig, traj: Trajectory, trace: FrequencyTrace, rule: QuadratureRule | None,
+    sides: Sides | None = None, certificate: Certificate | None = None,
 ) -> VerificationReport:
-    """Call the check's verifier on the run's data it reads (trajectory, trace, rule); fold multi-run checks."""
+    """Call the check's verifier on the run's data it reads (trajectory, trace, rule, and the Bochner sides or
+    forcing certificate when given); fold multi-run checks."""
     verify = _VERIFIERS[name]
     bg = config.background
     kwargs: dict[str, Any] = {"scenario_id": config.scenario_id}
@@ -456,18 +464,16 @@ def _run_check(
         names = sorted(funcs)
         parts = [verify(funcs[f], config.grid, rule, function_name=f, **kwargs) for f in names]
         return merge_reports(bg, parts, label_prefixes=names, notes=(f"test functions: {', '.join(names)}",))
-    if name in ("drift_bochner", "drift_bochner_verbatim"):
-        # the identity is static per field; evaluate it at both ends of the run
-        ends = (traj.field_at(0), traj.field_at(-1))
-        return merge_reports(bg, [verify(f, rule, **kwargs) for f in ends])
     if name == "eigenvalue_monotonicity":
         return verify(bg, config.grid, config.kappa_value, **kwargs)
     if name == "quadrature_mass":
         return verify(rule, **kwargs)
     if name == "selfsimilar_scaling":
         return verify(traj, rule, **kwargs)
+    if name in _BOCHNER:
+        return verify(traj, rule, sides=sides, **kwargs)
     if name in _CERTIFIERS:
-        return verify(traj, trace, rule, **kwargs)
+        return verify(traj, trace, rule, certificate=certificate, **kwargs)
     return verify(traj, trace, **kwargs)
 
 
@@ -485,7 +491,10 @@ def run_scenario(config: ScenarioConfig) -> RunOutput:
     certifies = config.forcing is not None
     reads_rule = any(c in _RULE_READERS or (c in _CERTIFIERS and certifies) for c in config.checks)
     rule = quadrature(config.background, config.resolution) if reads_rule else None
-    reports = tuple(_run_check(name, config, traj, trace, rule) for name in config.checks)
+    # each field meets the rule once: the curvature identity's sides and the forcing certificate serve both checks
+    sides = bochner_sides(traj, rule) if any(c in _BOCHNER for c in config.checks) else None
+    certificate = forcing_certificate(traj, rule) if any(c in _CERTIFIERS for c in config.checks) else None
+    reports = tuple(_run_check(name, config, traj, trace, rule, sides, certificate) for name in config.checks)
     return RunOutput(config=config, trace=trace, reports=reports)
 
 
@@ -514,9 +523,10 @@ _REPORT_FORMAT = "parafreq-report/2"  # reports as the columns t, margin and lab
 
 
 def emit_report_json(output: RunOutput, path: str | Path) -> None:
-    """Write the report document as ``json.dumps(doc, sort_keys=True)`` plus a newline.
+    """Write the report document as ``json.dumps(doc, sort_keys=True, default=np.ndarray.tolist)`` plus a newline.
 
-    ``doc`` holds ``"format": _REPORT_FORMAT``, the provenance and every report's ``to_dict()``.
+    ``doc`` holds ``"format": _REPORT_FORMAT``, the provenance and every report's ``to_dict()``, whose node
+    columns stay arrays until the encoder reaches them, so only one column exists as a list at a time.
     """
     doc = {
         "format": _REPORT_FORMAT,
@@ -526,7 +536,7 @@ def emit_report_json(output: RunOutput, path: str | Path) -> None:
         "report_only": sorted(output.config.report_only),
         "reports": [r.to_dict() for r in output.reports],
     }
-    _atomic_write(Path(path), json.dumps(doc, sort_keys=True) + "\n")
+    _atomic_write(Path(path), json.dumps(doc, sort_keys=True, default=np.ndarray.tolist) + "\n")
 
 
 def load_report_json(path: str | Path) -> tuple[dict, tuple[VerificationReport, ...]]:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backgrounds import Background, Cylinder, QuadratureRule, Sphere, kappa, total_mass
-from .evolution import CoefficientField, Rate, TimeGrid, Trajectory, float_powers, forcing_bound_margin
+from .evolution import Rate, TimeGrid, Trajectory, float_powers, forcing_margins
 from .frequency import FrequencyTrace
 from .modes import combine_on_rule, first_nonzero_eigenvalue
 from .polynomials import AmbientPolynomial
@@ -51,7 +51,6 @@ INAPPLICABLE = "inapplicable"
 
 _STATUSES = (PASS, FAIL, INAPPLICABLE)
 
-_HYPOTHESIS_SAMPLES = 9  # grid nodes at which the general checks certify the forcing hypothesis
 _HARNACK_QUAD_TOL = 1e-10  # relative extrapolation gap below which general_harnack's quadrature stops
 _HARNACK_START_INTERVALS = 128  # trapezoid intervals per smooth piece before the first doubling
 _HARNACK_MAX_POINTS = (1 << 21) + 1  # quadrature points, over all pieces, at which an unconverged excess gives up
@@ -101,13 +100,16 @@ class VerificationReport:
         return self.status == PASS
 
     def to_dict(self) -> dict:
-        """Plain-data form, the node columns as the lists ``t``, ``margin`` and ``labels``."""
+        """Plain-data form, except that the node columns ``t`` and ``margin`` stay the report's read-only arrays.
+
+        ``labels`` is a list.  ``json.dumps(..., default=np.ndarray.tolist)`` encodes the arrays one at a time.
+        """
         return {
             "check_name": self.check_name,
             "background": self.background,
             "scenario_id": self.scenario_id,
-            "t": self.t.tolist(),
-            "margin": self.margin.tolist(),
+            "t": self.t,
+            "margin": self.margin,
             "labels": list(self.labels),
             "tolerance": self.tolerance,
             "min_margin": self.min_margin,
@@ -180,12 +182,6 @@ def _check_trace(traj: Trajectory, trace: FrequencyTrace) -> None:
     """Refuse a trace without one row per grid node of ``traj``."""
     if len(trace.t) != len(traj.grid.nodes):
         raise ValueError(f"trace ({len(trace.t)} nodes) does not belong to this run ({len(traj.grid.nodes)} nodes)")
-
-
-def _subsample(count: int, limit: int) -> np.ndarray:
-    if count <= limit:
-        return np.arange(count)
-    return np.unique(np.round(np.linspace(0, count - 1, limit)).astype(int))
 
 
 def _centered_slopes(values: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -474,20 +470,12 @@ def verify_weighted_monotonicity(
 # integral curvature identity for the drift operator
 
 
-def _bochner_sides(f: CoefficientField, rule: QuadratureRule) -> tuple[float, float, float, float]:
-    """Both sides of the integral identity at the field's own time.
+Sides = tuple[tuple[float, float, float, float], ...]  # what bochner_sides returns
 
-    Returns (lhs, rhs_verbatim, pairing, grad_energy) where lhs is the
-    integral of |Hess u|^2 + Ric(grad u, grad u), rhs_verbatim is the right
-    side without the curvature pairing term, pairing is the integral of
-    <H, A(grad u, grad u)> (so the corrected right side is
-    rhs_verbatim + pairing), and grad_energy = integral |grad u|^2 dmu at the
-    field's time scale.
-    """
-    rule.require_background(f.background)
+
+def _sides_at(time: float, gbar: np.ndarray, hbar: np.ndarray, rule: QuadratureRule) -> tuple[float, ...]:
+    """Both sides of the integral identity for one field, from its ambient gradients and Hessians on ``rule``."""
     w = rule.weights
-    gbar = combine_on_rule(rule, f.modes, f.amplitudes, "gradients")
-    hbar = combine_on_rule(rule, f.modes, f.amplitudes, "hessians")
     proj = rule.tangent_projector
 
     grad = np.einsum("nij,nj->ni", proj, gbar)
@@ -507,22 +495,43 @@ def _bochner_sides(f: CoefficientField, rule: QuadratureRule) -> tuple[float, fl
     shape_q = np.einsum("nij,ni,nj->n", rule.shape_pairing, grad, grad)
 
     # every term carries the same (-t)^(-2) scaling from x = sqrt(-t) y
-    factor = 1.0 / f.time**2
+    factor = 1.0 / time**2
     lhs = float(w @ (hess2 + ric_q)) * factor
     rhs_verbatim = float(w @ (lu * lu) - 0.5 * (w @ grad2)) * factor
     pairing = float(w @ shape_q) * factor
-    grad_energy = float(w @ grad2) * factor * (-f.time)
+    grad_energy = float(w @ grad2) * factor * (-time)
     return lhs, rhs_verbatim, pairing, grad_energy
 
 
+def bochner_sides(traj: Trajectory, rule: QuadratureRule) -> Sides:
+    """Both sides of the integral identity at the first and the last node of the run, one tuple per end.
+
+    Each tuple is (lhs, rhs_verbatim, pairing, grad_energy) at that time: lhs
+    integrates |Hess u|^2 + Ric(grad u, grad u), rhs_verbatim is the right
+    side without the pairing term, pairing integrates <H, A(grad u, grad u)>
+    (the corrected right side is rhs_verbatim + pairing), and grad_energy is
+    integral |grad u|^2 dmu at the field's time scale.  Gradients and
+    Hessians come from one ``combine_on_rule`` block per kind over the two
+    rows, which sums each row as it would alone: each end's sides are bit
+    for bit those of its field.
+    """
+    rule.require_background(traj.background)
+    ends = traj.amplitudes[[0, -1]]
+    gbars = combine_on_rule(rule, traj.modes, ends, "gradients")
+    hbars = combine_on_rule(rule, traj.modes, ends, "hessians")
+    times = (traj.grid.a, traj.grid.b)
+    return tuple(_sides_at(t, gbar, hbar, rule) for t, gbar, hbar in zip(times, gbars, hbars))
+
+
 def verify_drift_bochner(
-    f: CoefficientField,
+    traj: Trajectory,
     rule: QuadratureRule,
     *,
+    sides: Sides | None = None,
     tolerance: float = 1e-8,
     scenario_id: str = "",
 ) -> VerificationReport:
-    """Check the integral curvature identity for the drift operator.
+    """Check the integral curvature identity for the drift operator at both ends of the run.
 
     The governing (corrected) form includes the curvature pairing of the
     gradient on the right:
@@ -539,39 +548,48 @@ def verify_drift_bochner(
     verbatim variant without the term is checked separately in
     ``verify_drift_bochner_verbatim``; its residual is recorded here as a
     note for side-by-side comparison.
+
+    The identity is static per field, so it is checked at the first and the
+    last node, one margin and two notes each.  ``sides`` takes what
+    ``bochner_sides(traj, rule)`` returns, which is computed when not given.
     """
-    bg = f.background
-    lhs, rhs_a, pairing, grad_energy = _bochner_sides(f, rule)
-    margin = -abs(lhs - (rhs_a + pairing))
-    notes = (
-        f"verbatim-variant residual at the same field: {lhs - rhs_a:.17g}",
-        f"gradient energy at this time: {grad_energy:.17g}",
+    ends = bochner_sides(traj, rule) if sides is None else sides
+    margin = [-abs(lhs - (rhs_a + pairing)) for lhs, rhs_a, pairing, _ in ends]
+    notes = tuple(
+        note
+        for lhs, rhs_a, _, grad_energy in ends
+        for note in (
+            f"verbatim-variant residual at the same field: {lhs - rhs_a:.17g}",
+            f"gradient energy at this time: {grad_energy:.17g}",
+        )
     )
-    return _report("drift_bochner", bg, scenario_id, [f.time], [margin], ("integral-identity",), tolerance, notes)
+    t, labels = (traj.grid.a, traj.grid.b), ("integral-identity",) * 2
+    return _report("drift_bochner", traj.background, scenario_id, t, margin, labels, tolerance, notes)
 
 
 def verify_drift_bochner_verbatim(
-    f: CoefficientField,
+    traj: Trajectory,
     rule: QuadratureRule,
     *,
+    sides: Sides | None = None,
     tolerance: float = 1e-8,
     scenario_id: str = "",
 ) -> VerificationReport:
-    """Check the verbatim variant of the curvature identity (no pairing term).
+    """Check the verbatim variant of the curvature identity (no pairing term) at both ends of the run.
 
     The residual equals the pairing integral int <H, A(grad u, grad u)> that
     this variant leaves out, which is exactly the documented discrepancy: 0
     on planes, ``(1/(2(-t))) * integral |grad u|^2 dmu`` on spheres, and only
-    the sphere-factor part of that gradient energy on cylinders.  The note
-    carries that pairing integral so reports are self-explanatory.
-    Scenarios list this check as report-only.
+    the sphere-factor part of that gradient energy on cylinders.  One note
+    per end carries that pairing integral so reports are self-explanatory.
+    ``sides`` is as in ``verify_drift_bochner``.  Scenarios list this check
+    as report-only.
     """
-    bg = f.background
-    lhs, rhs_a, pairing, _ = _bochner_sides(f, rule)
-    margin = -abs(lhs - rhs_a)
-    notes = (f"expected residual from the missing pairing term: {pairing:.17g}",)
-    label = ("integral-identity-verbatim",)
-    return _report("drift_bochner_verbatim", bg, scenario_id, [f.time], [margin], label, tolerance, notes=notes)
+    ends = bochner_sides(traj, rule) if sides is None else sides
+    margin = [-abs(lhs - rhs_a) for lhs, rhs_a, _, _ in ends]
+    notes = tuple(f"expected residual from the missing pairing term: {pairing:.17g}" for _, _, pairing, _ in ends)
+    t, labels = (traj.grid.a, traj.grid.b), ("integral-identity-verbatim",) * 2
+    return _report("drift_bochner_verbatim", traj.background, scenario_id, t, margin, labels, tolerance, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +608,16 @@ def _third_difference_allowance(values: np.ndarray, t: np.ndarray) -> float:
     return 2.0 * float(np.max(d3)) / (6.0 * h_min)
 
 
-def _forcing_hypothesis(traj: Trajectory, rule: QuadratureRule | None) -> tuple[bool, tuple[str, ...]]:
-    """Certify |f| <= C(t)(|grad u| + |u|) on the nodes of ``rule`` at sampled grid times.
+Certificate = tuple[bool, tuple[str, ...]]  # what forcing_certificate returns: (holds, notes)
 
-    Returns whether it holds and the note saying so, or naming the first time
-    it fails.  A run without forcing holds with no note; only it may pass no rule.
+
+def forcing_certificate(traj: Trajectory, rule: QuadratureRule | None) -> Certificate:
+    """Certify |f| <= C(t)(|grad u| + |u|) at every grid node, on the points of ``rule``.
+
+    Returns whether it holds and the note saying so, with the node count and
+    the worst (t, margin), or naming the first time it fails.  Space is
+    sampled only at the rule's points.  A run without forcing holds with no
+    note; only it may pass no rule.
     """
     if rule is not None:
         rule.require_background(traj.background)
@@ -602,13 +625,17 @@ def _forcing_hypothesis(traj: Trajectory, rule: QuadratureRule | None) -> tuple[
         return True, ()
     if rule is None:
         raise ValueError("a forced run needs a quadrature rule to certify its forcing hypothesis")
-    sample = _subsample(len(traj.grid.nodes), _HYPOTHESIS_SAMPLES)
-    for idx in sample:
-        fld = traj.field_at(int(idx))
-        m = forcing_bound_margin(fld, traj.forcing, rule)
-        if m < -1e-12:
-            return False, (f"forcing hypothesis fails at t={fld.time:.17g} (pointwise margin {m:.6e})",)
-    return True, (f"forcing hypothesis certified at {len(sample)} sampled nodes",)
+    margins, t = forcing_margins(traj, rule), traj.grid.nodes
+    failed = np.flatnonzero(margins < -1e-12)
+    if len(failed):
+        i = int(failed[0])
+        return False, (f"forcing hypothesis fails at t={t[i]:.17g} (pointwise margin {margins[i]:.6e})",)
+    i = int(np.argmin(margins))
+    note = (
+        f"forcing hypothesis certified at all {len(t)} grid nodes, on the quadrature points; "
+        f"worst pointwise margin {margins[i]:.6e} at t={t[i]:.17g}"
+    )
+    return True, (note,)
 
 
 def verify_general_bounds(
@@ -616,6 +643,7 @@ def verify_general_bounds(
     trace: FrequencyTrace,
     rule: QuadratureRule | None = None,
     *,
+    certificate: Certificate | None = None,
     tolerance: float | None = None,
     scenario_id: str = "",
 ) -> VerificationReport:
@@ -627,11 +655,13 @@ def verify_general_bounds(
         U'(t) - C(t)^2 (U(t) - 2 (-t)^(1+2 kappa))
 
     with derivatives by centered differences.  Before any margin is trusted,
-    the forcing hypothesis |f| <= C(t)(|grad u| + |u|) is certified pointwise
-    on the nodes of ``rule`` at a subsample of times; if certification fails
-    the report is inapplicable and names the offending time, because the
-    bounds assume the hypothesis and say nothing without it.  ``rule`` may be
-    None only for an unforced run.
+    the forcing hypothesis |f| <= C(t)(|grad u| + |u|) is certified on the
+    points of ``rule`` at every grid node; if certification fails the report
+    is inapplicable and names the offending time, because the bounds assume
+    the hypothesis and say nothing without it.  ``rule`` may be None only for
+    an unforced run.  ``certificate`` takes what
+    ``forcing_certificate(traj, rule)`` returns, which is computed when not
+    given.
 
     The tolerance folds in a discretization allowance estimated from third
     differences of the same data; raw margins are reported unmodified.
@@ -639,7 +669,7 @@ def verify_general_bounds(
     bg = traj.background
     _check_trace(traj, trace)
     k = trace.kappa_used
-    holds, notes = _forcing_hypothesis(traj, rule)
+    holds, notes = forcing_certificate(traj, rule) if certificate is None else certificate
     if _is_zero_run(trace):
         return _inapplicable("general_bounds", bg, scenario_id, _NO_FREQUENCY)
     if not holds:
@@ -702,6 +732,7 @@ def verify_general_harnack(
     trace: FrequencyTrace,
     rule: QuadratureRule | None = None,
     *,
+    certificate: Certificate | None = None,
     tolerance: float = 1e-8,
     scenario_id: str = "",
 ) -> VerificationReport:
@@ -730,12 +761,13 @@ def verify_general_harnack(
     nothing is integrated, so the margin is ``verify_harnack``'s bit for bit.
     Zero data passes through the degenerate 0 >= 0 branch: that is the
     backward-uniqueness statement itself.  The bound assumes the forcing
-    hypothesis, certified on ``rule`` as ``verify_general_bounds`` does.
+    hypothesis, certified on ``rule`` (or taken from ``certificate``) as
+    ``verify_general_bounds`` does.
     """
     bg = traj.background
     _check_trace(traj, trace)
     k = trace.kappa_used
-    holds, notes = _forcing_hypothesis(traj, rule)
+    holds, notes = forcing_certificate(traj, rule) if certificate is None else certificate
     if _is_zero_run(trace):
         return _degenerate_harnack(
             "general_harnack", bg, scenario_id, traj.grid.b, tolerance,

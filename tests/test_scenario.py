@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from parafreq import (
@@ -220,7 +221,7 @@ def test_emitters_roundtrip_and_are_deterministic(tmp_path):
     doc, reports = load_report_json(json_path)
     assert doc["scenario_id"] == "base"
     assert doc["provenance"]["config_hash"] == cfg.config_hash()
-    assert [r.to_dict() for r in reports] == [r.to_dict() for r in out.reports]
+    assert [_as_json(r.to_dict()) for r in reports] == [_as_json(r.to_dict()) for r in out.reports]
 
     compile(plot_path.read_text(), str(plot_path), "exec")
 
@@ -261,6 +262,11 @@ def test_zero_data_scenario_statuses():
 # the report file: columns through json.dumps and back
 
 
+def _as_json(doc: dict) -> str:
+    """``doc`` encoded as the writer encodes it: ``to_dict`` hands the node columns over as arrays."""
+    return json.dumps(doc, sort_keys=True, default=np.ndarray.tolist)
+
+
 def _assert_columns_round_trip(out, path):
     emit_report_json(out, path)
     doc = {
@@ -271,15 +277,16 @@ def _assert_columns_round_trip(out, path):
         "report_only": sorted(out.config.report_only),
         "reports": [r.to_dict() for r in out.reports],
     }
-    assert path.read_bytes() == (json.dumps(doc, sort_keys=True) + "\n").encode()
+    text = _as_json(doc)
+    assert path.read_bytes() == (text + "\n").encode()
     loaded, reports = load_report_json(path)
-    assert loaded == doc
+    assert loaded == json.loads(text)
     assert len(reports) == len(out.reports)
     for clone, report in zip(reports, out.reports):
         assert clone.t.tobytes() == report.t.tobytes()
         assert clone.margin.tobytes() == report.margin.tobytes()
         assert clone.labels == report.labels
-        assert clone.to_dict() == report.to_dict()
+        assert _as_json(clone.to_dict()) == _as_json(report.to_dict())
     return reports
 
 

@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from parafreq import (
     verify_selfsimilar_scaling,
     verify_weighted_monotonicity,
 )
-from parafreq import scenario, verifiers
+from parafreq import evolution, scenario, verifiers
 from parafreq.cli import _load_packaged_configs
 from parafreq.backgrounds import POINTWISE
 from parafreq.modes import combine_on_rule, mode_function
@@ -305,8 +306,8 @@ def test_bochner_variants_coincide_on_plane():
     bg = Plane(2)
     rule = quadrature(bg, 32)
     traj = _traj(bg, {(1, 0): 1.0, (2, 1): 0.5})
-    a = verify_drift_bochner(traj.field_at(0), rule)
-    b = verify_drift_bochner_verbatim(traj.field_at(0), rule)
+    a = verify_drift_bochner(traj, rule)
+    b = verify_drift_bochner_verbatim(traj, rule)
     assert a.status == "pass" and b.status == "pass"
     assert abs(a.min_margin) < 1e-12 and abs(b.min_margin) < 1e-12
 
@@ -315,7 +316,7 @@ def test_bochner_corrected_passes_on_sphere():
     bg = Sphere(2)
     rule = quadrature(bg, 48)
     traj = _traj(bg, {(2, 0): 1.0, (1, 1): 0.7})
-    rep = verify_drift_bochner(traj.field_at(0), rule)
+    rep = verify_drift_bochner(traj, rule)
     assert rep.status == "pass"
     assert abs(rep.min_margin) < 1e-10
 
@@ -335,23 +336,36 @@ def test_bochner_verbatim_gap_equals_gradient_energy(bg, resolution, coeffs, t):
     # taken here from the per-point oracle; on spheres that is the gradient energy over 2(-t)
     rule = quadrature(bg, resolution)
     field = CoefficientField.from_dict(bg, t, {mode_from_index(bg, idx): amp for idx, amp in coeffs.items()})
-    rep = verify_drift_bochner_verbatim(field, rule)
+    traj = evolve_exact_trajectory(field, TimeGrid((t, t / 2.0)))
+    rep = verify_drift_bochner_verbatim(traj, rule)
     oracle = [geometry_at(bg, p) for p in rule.points]
-    gbar = combine_on_rule(rule, field.modes, field.amplitudes, "gradients")
-    tangential = np.einsum("nij,nj->ni", np.stack([g.tangent_projector for g in oracle]), gbar)
+    proj = np.stack([g.tangent_projector for g in oracle])
     shape = np.stack([g.shape_pairing for g in oracle])
-    pairing = rule.integrate(np.einsum("nij,ni,nj->n", shape, tangential, tangential)) / t**2
-    gradient_term = rule.integrate(np.einsum("ni,ni->n", tangential, tangential)) / (2.0 * t**2)
 
     assert rep.status == "fail"
-    assert -rep.min_margin == pytest.approx(pairing, rel=1e-12)
-    (note,) = rep.notes
-    assert float(note.removeprefix(_VERBATIM_NOTE)) == pytest.approx(pairing, rel=1e-12)
-    if isinstance(bg, Sphere):
-        assert pairing == pytest.approx(gradient_term, rel=1e-12)
-    else:
-        # only the circle factor is curved, so the axis gradient is left out of the pairing
-        assert abs(pairing - gradient_term) > 0.1 * gradient_term
+    assert rep.t.tolist() == [t, t / 2.0] and len(rep.notes) == 2  # one margin and one note per end of the run
+    for end, margin, note in zip((traj.field_at(0), traj.field_at(-1)), rep.margin, rep.notes):
+        gbar = combine_on_rule(rule, end.modes, end.amplitudes, "gradients")
+        tangential = np.einsum("nij,nj->ni", proj, gbar)
+        pairing = rule.integrate(np.einsum("nij,ni,nj->n", shape, tangential, tangential)) / end.time**2
+        gradient_term = rule.integrate(np.einsum("ni,ni->n", tangential, tangential)) / (2.0 * end.time**2)
+        assert -margin == pytest.approx(pairing, rel=1e-12)
+        assert float(note.removeprefix(_VERBATIM_NOTE)) == pytest.approx(pairing, rel=1e-12)
+        if isinstance(bg, Sphere):
+            assert pairing == pytest.approx(gradient_term, rel=1e-12)
+        else:
+            # only the circle factor is curved, so the axis gradient is left out of the pairing
+            assert abs(pairing - gradient_term) > 0.1 * gradient_term
+
+
+@pytest.mark.parametrize("bg, resolution, coeffs", VERBATIM_CASES, ids=[case[0].label() for case in VERBATIM_CASES])
+def test_bochner_sides_of_both_ends_equal_each_field_alone(bg, resolution, coeffs):
+    # one block per kind over the two ends, against each end's row combined and taken alone
+    rule = quadrature(bg, resolution)
+    traj = _traj(bg, coeffs, nodes=5)
+    for sides, end in zip(verifiers.bochner_sides(traj, rule), (traj.field_at(0), traj.field_at(-1)), strict=True):
+        gbar, hbar = (combine_on_rule(rule, end.modes, end.amplitudes, kind) for kind in ("gradients", "hessians"))
+        assert np.array(sides).tobytes() == np.array(verifiers._sides_at(end.time, gbar, hbar, rule)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +414,28 @@ def test_general_bounds_inapplicable_when_hypothesis_fails():
     assert harnack.notes[0].startswith(f"forcing hypothesis fails at t={grid.nodes[0]:.17g} ")
 
 
+def test_general_checks_inapplicable_when_the_hypothesis_fails_between_sparse_samples():
+    # a counterfeit run: (1,) -> (3,) coupling is certifiable only where mode (1,) is absent, and it is absent at
+    # every 10th of 81 nodes, the 9 that a certificate sampled at evenly spaced nodes would see; at node 5 the
+    # field is mode (1,) alone, which no constant certifies
+    bg = Plane(1)
+    m1, m3 = mode_from_index(bg, (1,)), mode_from_index(bg, (3,))
+    forcing = Forcing(ConstantRate(0.5), ModeMatrix((m3, m1), ((0.0, 1.0), (0.0, 0.0))))
+    grid = TimeGrid.uniform(-1.0, -0.5, 81)
+    amplitudes = np.tile([0.0, 1.0], (81, 1))  # columns (m1, m3)
+    amplitudes[5] = [1.0, 0.0]
+    traj = Trajectory(grid, bg, (m1, m3), amplitudes, forcing=forcing)
+    trace, rule = trace_from_trajectory(traj, 0.0), quadrature(bg, 24)
+    sparse = np.round(np.linspace(0, 80, 9)).astype(int)
+    assert 5 not in sparse
+    assert min(evolution.forcing_bound_margin(traj.field_at(int(i)), forcing, rule) for i in sparse) >= 0.0
+    expected = f"forcing hypothesis fails at t={grid.nodes[5]:.17g} "
+    for verify in (verify_general_bounds, verify_general_harnack):
+        rep = verify(traj, trace, rule)
+        assert rep.status == "inapplicable", verify.__name__
+        assert rep.notes[0].startswith(expected), rep.notes
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue monotonicity and self-similarity
 
@@ -437,7 +473,7 @@ def test_quadrature_mass_check_all_backgrounds():
 def test_report_roundtrip_through_dict():
     rep = _checked(verify_harnack, _traj(Sphere(2), {(1, 0): 1.0}))
     clone = report_from_dict(rep.to_dict())
-    assert clone.to_dict() == rep.to_dict()
+    _assert_same_report(clone, rep)
     assert clone.passed
 
 
@@ -469,7 +505,7 @@ def test_min_margin_is_the_first_minimum_with_its_sign():
 def test_reports_are_deterministic():
     a = _checked(verify_frequency_monotonicity, _traj(Plane(2), {(1, 0): 1.0, (0, 2): -0.3}))
     b = _checked(verify_frequency_monotonicity, _traj(Plane(2), {(1, 0): 1.0, (0, 2): -0.3}))
-    assert a.to_dict() == b.to_dict()
+    _assert_same_report(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +533,6 @@ def test_mode_columns_reused_across_times_equal_per_call_combinations(bg, coeffs
             columns = combine_on_rule(rule, field.modes, field.amplitudes, kind)
             fresh = combine_on_rule(quadrature(bg, 10), field.modes, field.amplitudes, kind)
             assert columns.tobytes() == fresh.tobytes() == blocks[kind][i].tobytes(), (i, kind)
-    # only modes with a nonzero amplitude were ever evaluated, once per kind
-    active = {m for m, a in zip(traj.modes, traj.amplitudes[0]) if a != 0.0}
-    assert set(rule.mode_columns) == {(kind, m) for kind in kinds for m in active}
 
     # independent route: every derivative polynomial evaluated at the nodes
     field = traj.field_at(-1)
@@ -532,8 +565,8 @@ def test_no_package_code_calls_the_per_point_geometry(monkeypatch):
     sphere = Sphere(2)
     traj = _traj(sphere, {(1, 0): 1.0, (2, 3): 0.5}, nodes=9)
     rule = quadrature(sphere, 12)
-    assert verify_drift_bochner(traj.field_at(0), rule).status == "pass"
-    assert verify_drift_bochner_verbatim(traj.field_at(-1), rule).status == "fail"
+    assert verify_drift_bochner(traj, rule).status == "pass"
+    assert verify_drift_bochner_verbatim(traj, rule).status == "fail"
     funcs = standard_test_functions(sphere)
     rep = verify_weighted_monotonicity(funcs["x1_sq"], TimeGrid.uniform(-1.0, -0.5, 5), quadrature(sphere, 8))
     assert rep.status == "pass"
@@ -621,7 +654,7 @@ def _rule_config(checks, initial_modes=None, forcing=None):
 
 
 def test_shared_rule_gives_the_reports_of_a_rule_built_per_check():
-    # one rule through every check in turn, its mode columns filled by the earlier ones
+    # one rule through every check in turn
     config = _rule_config(_RULE_CHECKS)
     traj = evolve_exact_trajectory(
         CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes)), config.grid
@@ -633,13 +666,13 @@ def test_shared_rule_gives_the_reports_of_a_rule_built_per_check():
         alone = scenario._run_check(name, config, traj, trace, quadrature(config.background, config.resolution))
         _assert_same_report(shared, alone)
         assert shared.status != "inapplicable", name
-    assert rule.mode_columns
 
 
-def _counted(monkeypatch, name):
-    """Calls of the package function ``name``, wrapped in every parafreq module that binds it."""
+def _counted(monkeypatch, name, home=scenario):
+    """Calls of the package function ``name`` (found in the module ``home``), wrapped in every parafreq module that
+    binds it."""
     calls = []
-    original = getattr(scenario, name)
+    original = getattr(home, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -714,6 +747,60 @@ def test_run_scenario_builds_one_rule_and_only_when_a_check_reads_it(monkeypatch
         assert -margin == pytest.approx(float(note.removeprefix(_VERBATIM_NOTE)), rel=1e-12)
 
 
+def test_run_scenario_meets_the_rule_once_per_field(monkeypatch):
+    # the curvature identity's sides and the forcing certificate are taken once per run and serve both checks,
+    # which report what each verifier reports when it computes them itself; package code never certifies one
+    # field at a time
+    sides = _counted(monkeypatch, "bochner_sides")
+    certificates = _counted(monkeypatch, "forcing_certificate")
+    per_field = _counted(monkeypatch, "forcing_bound_margin", evolution)
+    bochner, general = ["drift_bochner", "drift_bochner_verbatim"], ["general_bounds", "general_harnack"]
+    forcing = {"rate": {"type": "constant", "c0": 0.2}, "coupling": "scalar_on_u"}
+    for config, counts in (
+        (_rule_config(bochner), (1, 0)),
+        (_rule_config(bochner[1:]), (1, 0)),
+        (_shared_trace_config({"3": 1.0, "2": -0.3}), (0, 1)),  # mode-matrix forcing
+        (_rule_config(bochner + general, forcing=forcing), (1, 1)),
+        (_rule_config(["frequency_monotonicity", "harnack"]), (0, 0)),
+    ):
+        sides.clear()
+        certificates.clear()
+        out = scenario.run_scenario(config)
+        assert (len(sides), len(certificates)) == counts, config.checks
+        traj = _evolve(config) if config.forcing else evolve_exact_trajectory(
+            CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes)), config.grid
+        )
+        trace, rule = trace_from_trajectory(traj, config.kappa_value), quadrature(config.background, config.resolution)
+        for name, report in zip(config.checks, out.reports, strict=True):
+            _assert_same_report(report, scenario._run_check(name, config, traj, trace, rule))
+            assert report.status != "inapplicable", name
+    assert not per_field
+
+
+def test_drift_pair_keeps_no_mode_column_alive():
+    # bochner-sphere2 of the pointwise benchmark: 9 modes on the 4,608 points of sphere(2) at resolution 48.
+    # Measured peak 3.81 MiB: the rule's arrays are 1.62 MiB, the Hessian block of both ends and its term 1.3 MiB.
+    # A gradient and Hessian column kept per mode adds 3.8 MiB (peak 6.69 MiB), so 4.5 MiB leaves 0.7 MiB of slack.
+    config = parse_config({
+        "scenario_id": "bochner-memory",
+        "background": {"kind": "sphere", "n": 2},
+        "random_mixture": {"seed": 0, "mu_cutoff": 1.5, "low": 0.5, "high": 1.0},
+        "time": {"a": -1.0, "b": -0.25, "nodes": 9},
+        "resolution": 48,
+        "checks": ["drift_bochner", "drift_bochner_verbatim"],
+    })
+    assert len(config.initial_modes) == 9
+    scenario.run_scenario(config)  # fills the mode-polynomial caches, which outlive the run
+    tracemalloc.start()
+    try:
+        out = scenario.run_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.status for r in out.reports] == ["pass", "fail"]
+    assert peak < 4.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_pointwise_checks_refuse_data_of_another_background():
     rule = quadrature(Plane(2), 8)
     other = _traj(Sphere(2), {(1, 0): 1.0}, nodes=5)
@@ -726,8 +813,8 @@ def test_pointwise_checks_refuse_data_of_another_background():
     for refused in (
         lambda: verify_selfsimilar_scaling(other, rule),
         lambda: verify_selfsimilar_scaling(zero, rule),
-        lambda: verify_drift_bochner(other.field_at(0), rule),
-        lambda: verify_drift_bochner_verbatim(other.field_at(-1), rule),
+        lambda: verify_drift_bochner(other, rule),
+        lambda: verify_drift_bochner_verbatim(other, rule),
         lambda: verify_general_bounds(other, trace_from_trajectory(other), rule),
         lambda: verify_general_bounds(forced, trace_from_trajectory(forced), rule),
         lambda: verify_general_harnack(other, trace_from_trajectory(other), rule),
