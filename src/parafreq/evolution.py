@@ -71,7 +71,7 @@ __all__ = [
 _MAX_HALVINGS = 30
 _END_TIME_FLOOR = -1e-3  # latest end time of a grid with a ModeMatrix block
 _MAP_BATCH = 1 << 14  # (block entries m * m per piece) x (pieces) built at once
-_CERTIFY_BATCH = 1 << 16  # (rule points x ambient dim) x (grid rows) per block of forcing_margins
+_BLOCK_ENTRIES = 1 << 15  # (rule points x ambient dim, or modes) x (grid rows) per block of forcing_margins, the trace
 
 
 class ToleranceNotMetError(RuntimeError):
@@ -238,6 +238,7 @@ class Trajectory:
 
     ``amplitudes`` is a C-contiguous float array of shape (nodes, modes):
     row i holds the field at ``grid.nodes[i]``, columns follow ``modes``.
+    A C-ordered float array is kept as given; any other is copied.
     """
 
     grid: TimeGrid
@@ -263,7 +264,11 @@ class Trajectory:
 
 
 def float_powers(bases: Sequence[float], exponents: Sequence[float]) -> np.ndarray:
-    """(len(bases), len(exponents)) array of ``base ** exponent``."""
+    """(len(bases), len(exponents)) array of ``base ** exponent``.
+
+    The result is a transposed view, in F order: gather its columns with ``np.take(..., axis=1)``,
+    which returns C order, where fancy indexing would keep F order.
+    """
     # Python ** is libm pow; np.power can differ from it in the last ulp, which would change emitted bytes.
     # one list per exponent: a few long comprehensions, not one short one per base
     return np.array([[b**e for b in bases] for e in exponents], dtype=float).reshape(len(exponents), len(bases)).T
@@ -284,8 +289,9 @@ def evolve_exact_trajectory(field: CoefficientField, grid: TimeGrid) -> Trajecto
     mus = sorted({m.mu for m in modes})
     column = {mu: j for j, mu in enumerate(mus)}
     powers = float_powers([(-t) / (-field.time) for t in grid.nodes], mus)
-    gathered = powers[:, [column[m.mu] for m in modes]]
-    return Trajectory(grid, field.background, modes, field.amplitudes * gathered)
+    amplitudes = np.take(powers, [column[m.mu] for m in modes], axis=1)
+    amplitudes *= field.amplitudes  # in place: the one (nodes, modes) array, which Trajectory keeps
+    return Trajectory(grid, field.background, modes, amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +378,11 @@ def evolve_forced(field: CoefficientField, grid: TimeGrid, forcing: Forcing, *, 
             s[j + 1] = halves[2]
 
     nodes = grid.as_array()
-    # a sampled rate's kinks cut the pieces: the error rule assumes a smooth step, the trapezoid a linear one
-    cuts = np.union1d(nodes, [x for x in getattr(rate, "times", ()) if grid.a < x < grid.b])
+    # a sampled rate's kinks cut the pieces: the error rule assumes a smooth step, the trapezoid a linear one;
+    # a plain sort, as np.union1d would import numpy.ma
+    on_grid = set(grid.nodes)
+    kinks = [x for x in getattr(rate, "times", ()) if grid.a < x < grid.b and x not in on_grid]
+    cuts = np.sort(np.concatenate([nodes, kinks]))
     at_nodes = np.searchsorted(cuts, nodes)
     start = CoefficientField(field.background, grid.a, free, _amplitudes_on(field, free))
     amps = np.empty((len(nodes), len(modes)))
@@ -424,7 +433,7 @@ def forcing_margins(traj: Trajectory, rule: QuadratureRule) -> np.ndarray:
 
     Values, gradients and the ``ModeMatrix`` image ``a W^T`` come from one
     ``combine_on_rule`` block per kind over the rows, in runs of at most
-    ``_CERTIFY_BATCH // rule.points.size`` rows so that no block outgrows a
+    ``_BLOCK_ENTRIES // rule.points.size`` rows so that no block outgrows a
     few of the rule's geometry arrays.
     """
     rule.require_background(traj.background)
@@ -435,7 +444,7 @@ def forcing_margins(traj: Trajectory, rule: QuadratureRule) -> np.ndarray:
         # a stack of matrix-vector products, the same BLAS call as W @ a on one field
         f_coeffs = c[:, None] * (coupling.as_array() @ _amplitudes_on(traj, coupling.modes)[:, :, None])[:, :, 0]
     out = np.empty(len(t))
-    rows = max(1, _CERTIFY_BATCH // rule.points.size)
+    rows = max(1, _BLOCK_ENTRIES // rule.points.size)
     for lo in range(0, len(t), rows):
         part, cs = slice(lo, lo + rows), c[lo : lo + rows, None]
         values = combine_on_rule(rule, traj.modes, traj.amplitudes[part])

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import evolution
 from .backgrounds import QuadratureRule, kappa
 from .evolution import CoefficientField, Trajectory, float_powers
 from .modes import combine_on_rule
@@ -116,6 +117,8 @@ def trace_from_trajectory(traj: Trajectory, kappa_value: float | None = None) ->
 
     Each row equals what ``compute_I``, ``compute_D``, ``compute_N_raw``,
     ``compute_U`` and ``cauchy_schwarz_defect`` give on that node's snapshot.
+    The sums run over blocks of at most ``evolution._BLOCK_ENTRIES // modes``
+    rows, so the temporaries stay one block in size however long the run.
     Zero-field nodes keep I = D = cs_defect = 0 but carry U = N_raw = nan;
     verifiers treat such trajectories as inapplicable rather than failing.
     """
@@ -123,12 +126,18 @@ def trace_from_trajectory(traj: Trajectory, kappa_value: float | None = None) ->
     t = traj.grid.as_array()
     mt = -t
     mus = np.array([m.mu for m in traj.modes], dtype=float)
-    sq = traj.amplitudes**2
-    c = -mus / mt[:, None]
-    i_val = np.sum(sq, axis=1)
-    d_val = -(2.0 / mt) * np.sum(mus * sq, axis=1)
-    cross = np.sum(c * sq, axis=1)
-    cs = i_val * np.sum(c**2 * sq, axis=1) - float_powers(cross.tolist(), [2.0])[:, 0]
+    i_val, mu_sum, cross, c2_sum = (np.empty(len(t)) for _ in range(4))
+    rows = max(1, evolution._BLOCK_ENTRIES // max(1, len(mus)))
+    for lo in range(0, len(t), rows):  # each row sums alone, so the blocks change no bit
+        part = slice(lo, lo + rows)
+        sq = traj.amplitudes[part] ** 2
+        c = -mus / mt[part, None]
+        i_val[part] = np.sum(sq, axis=1)
+        mu_sum[part] = np.sum(mus * sq, axis=1)
+        cross[part] = np.sum(c * sq, axis=1)
+        c2_sum[part] = np.sum(c**2 * sq, axis=1)
+    d_val = -(2.0 / mt) * mu_sum
+    cs = i_val * c2_sum - float_powers(cross.tolist(), [2.0])[:, 0]
     zero = i_val == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         n_raw = np.where(zero, math.nan, mt * d_val / i_val)

@@ -515,6 +515,8 @@ def bochner_sides(traj: Trajectory, rule: QuadratureRule) -> Sides:
     rows, which sums each row as it would alone: each end's sides are bit
     for bit those of its field.
     """
+    if not isinstance(traj, Trajectory):
+        raise TypeError(f"bochner_sides needs a Trajectory (both ends of a run), got {type(traj).__name__}")
     rule.require_background(traj.background)
     ends = traj.amplitudes[[0, -1]]
     gbars = combine_on_rule(rule, traj.modes, ends, "gradients")

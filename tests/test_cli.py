@@ -170,3 +170,26 @@ def test_cli_subprocess_run_and_exit_code(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "pass-one" in proc.stdout
+
+
+def test_forced_run_leaves_numpy_ma_unimported(tmp_path):
+    # numpy's set routines (np.union1d, np.unique) import numpy.ma, 13 ms and 1 MiB a process; in a subprocess,
+    # as pytest plugins may have imported it already.  A sampled rate puts kinks on and between the grid nodes.
+    forced = dict(
+        PASSING,
+        scenario_id="kinked-forced",
+        forcing={
+            "rate": {"type": "sampled", "times": [-0.9, -0.777, -0.6], "values": [0.5, 0.1, 0.3]},
+            "coupling": "mode_matrix", "modes": ["1", "2"], "matrix": [[0.0, 0.4], [0.0, 0.0]],
+        },
+        checks=["general_bounds", "general_harnack"],
+    )
+    cfg = _write(tmp_path, "forced.json", forced)
+    script = "import sys; from parafreq.cli import main; main(sys.argv[1:]); print('numpy.ma' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False", proc.stdout

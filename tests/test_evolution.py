@@ -203,6 +203,24 @@ def test_scalar_coupling_builds_no_step_map(monkeypatch):
     assert np.max(np.abs(traj.amplitudes - ref) / np.abs(ref)) <= 1e-14
 
 
+def test_rate_kinks_cut_the_pieces_once(monkeypatch):
+    # a kink on a grid node adds no piece, one between two nodes adds one, and kinks outside the grid none
+    starts = []
+
+    def record(a_at, one, start, end):
+        starts.append(start.tolist())
+        return built(a_at, one, start, end)
+
+    built = evolution._rk4_maps
+    monkeypatch.setattr(evolution, "_rk4_maps", record)
+    bg = Plane(1)
+    grid = TimeGrid.uniform(-1.0, -0.5, 11)
+    coupling = ModeMatrix((mode_from_index(bg, (1,)), mode_from_index(bg, (3,))), ((0.0, 0.4), (0.0, 0.0)))
+    rate = SampledRate((-1.2, grid.nodes[4], -0.777, -0.3), (0.5, 0.1, 0.3, 0.2))
+    evolve_forced(_field(bg, -1.0, {(3,): 1.0}), grid, Forcing(rate, coupling))
+    assert starts[0] + [grid.b] == sorted([*grid.nodes, -0.777])
+
+
 def _vector_rk4(traj, field, forcing, local_tol, doubling=True):
     """Per-interval vector RK4 of a' = -mu a/(-t) + C(t) W a on the modes of ``traj`` (W = I on all of them under
     ScalarOnU), halved by step doubling (or one step per interval without ``doubling``)."""
@@ -374,7 +392,7 @@ def test_forcing_margins_equal_the_per_field_margin_bit_for_bit(monkeypatch, bat
     # the run's block against forcing_bound_margin at each node, for both couplings and both rate kinds;
     # a small batch cuts the block into runs of 2 rows on plane(1) and of 1 row elsewhere
     if batch is not None:
-        monkeypatch.setattr(evolution, "_CERTIFY_BATCH", batch)
+        monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", batch)
     p1, s2 = Plane(1), Sphere(2)
     sampled = SampledRate((-1.0, -0.7, -0.5), (0.5, 0.1, 0.3))
     cases = [

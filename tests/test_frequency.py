@@ -2,10 +2,12 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from parafreq import evolution
 from parafreq import (
     CoefficientField,
     ConstantRate,
@@ -181,8 +183,15 @@ def _bits(x):
     return struct.pack("<d", x)
 
 
-@pytest.mark.parametrize("make", [_mixture_trajectory, _forced_trajectory, _zero_trajectory, _underflow_trajectory])
-def test_trace_columns_equal_scalar_functionals_bit_for_bit(make):
+@pytest.mark.parametrize("make, block", [
+    pytest.param(make, block, id=make.__name__ + suffix)
+    for make in (_mixture_trajectory, _forced_trajectory, _zero_trajectory, _underflow_trajectory)
+    for block, suffix in ((None, ""), (1, "-row-by-row"), (40, "-blocks-of-a-few-rows"))
+])
+def test_trace_columns_equal_scalar_functionals_bit_for_bit(monkeypatch, make, block):
+    # a small block cuts the sums into runs of 40 // modes rows (at least one), ending inside the grid
+    if block is not None:
+        monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", block)
     _, traj = make()
     assert traj.amplitudes.flags["C_CONTIGUOUS"]
     trace = trace_from_trajectory(traj)
@@ -205,9 +214,19 @@ def test_trace_columns_equal_scalar_functionals_bit_for_bit(make):
 
 
 @pytest.mark.parametrize("make", [_mixture_trajectory, _zero_trajectory, _underflow_trajectory])
-def test_exact_trajectory_rows_equal_evolve_exact_bit_for_bit(make):
+def test_exact_trajectory_rows_equal_evolve_exact_bit_for_bit(monkeypatch, make):
+    handed = []
+
+    class Recording(evolution.Trajectory):
+        def __post_init__(self):
+            handed.append(self.amplitudes)
+            super().__post_init__()
+
+    monkeypatch.setattr(evolution, "Trajectory", Recording)
     f0, traj = make()
-    assert traj.amplitudes.flags["C_CONTIGUOUS"]
+    # the array evolution built, C-ordered and owned: Trajectory copied nothing
+    assert traj.amplitudes is handed[0]
+    assert traj.amplitudes.flags["C_CONTIGUOUS"] and traj.amplitudes.flags["OWNDATA"]
     assert traj.modes == f0.modes
     for i, t in enumerate(traj.grid.nodes):
         ref = evolve_exact(f0, t)
@@ -216,6 +235,30 @@ def test_exact_trajectory_rows_equal_evolve_exact_bit_for_bit(make):
         assert (got.background, got.time, got.modes, got.amplitudes.tolist()) == (
             ref.background, ref.time, ref.modes, ref.amplitudes.tolist()
         )
+
+
+def test_exact_run_and_trace_hold_one_amplitude_array():
+    # a spectral benchmark mixture: 84 modes on 2,001 nodes, 1.28 MiB of amplitudes.  Measured peak 1.86x that
+    # size: the trajectory, one block of the trace's temporaries and its columns.  Gathering in F order and
+    # copying into C order peaks at 3.2x in evolution alone, a trace over the whole array adds 3.1x more;
+    # the bound 2.5x leaves 0.8 MiB of slack.
+    config = parse_config({
+        "scenario_id": "spectral-memory",
+        "background": {"kind": "plane", "n": 3},
+        "random_mixture": {"seed": 0, "mu_cutoff": 3.0, "low": 0.1, "high": 1.0},
+        "time": {"a": -1.2, "b": -0.6, "nodes": 2001},
+        "checks": ["harnack"],
+    })
+    f0 = CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes))
+    assert len(f0.modes) == 84
+    tracemalloc.start()
+    try:
+        traj = evolve_exact_trajectory(f0, config.grid)
+        trace_from_trajectory(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * traj.amplitudes.nbytes, f"peak {peak / traj.amplitudes.nbytes:.2f}x the amplitudes"
 
 
 def test_trace_kappa_override_rescales_u():

@@ -321,6 +321,15 @@ def test_bochner_corrected_passes_on_sphere():
     assert abs(rep.min_margin) < 1e-10
 
 
+@pytest.mark.parametrize("verify", [verify_drift_bochner, verify_drift_bochner_verbatim, verifiers.bochner_sides])
+def test_bochner_checks_name_the_trajectory_they_need(verify):
+    # the call of a single field, as before the checks took both ends of a run
+    bg = Plane(1)
+    field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, (1,)): 1.0})
+    with pytest.raises(TypeError, match="needs a Trajectory .* got CoefficientField"):
+        verify(field, quadrature(bg, 16))
+
+
 _VERBATIM_NOTE = "expected residual from the missing pairing term: "
 VERBATIM_CASES = [
     (Sphere(1), 16, {(1, 0): 1.0, (2, 1): -0.6}),
