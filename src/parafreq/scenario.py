@@ -58,9 +58,7 @@ from .verifiers import (
     VerificationReport,
     bochner_sides,
     forcing_certificate,
-    merge_reports,
     report_from_dict,
-    standard_test_functions,
     verify_drift_bochner,
     verify_drift_bochner_verbatim,
     verify_eigenvalue_monotonicity,
@@ -325,7 +323,10 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
     count = _number(time_doc.get("nodes"), "time.nodes", integer=True, minimum=3)
     if not (a < b < 0.0):
         raise ConfigError("time", f"need a < b < 0, got a={a}, b={b}")
-    grid = TimeGrid.uniform(a, b, count)
+    try:
+        grid = TimeGrid.uniform(a, b, count)
+    except ValueError as exc:
+        raise ConfigError("time", f"{exc}: {count} nodes from a={a!r} to b={b!r}") from exc
 
     modes_doc = _object(doc.get("initial_modes", {}), "initial_modes", "mapping multi-index to amplitude")
     coeffs: dict[Mode, float] = {}
@@ -386,6 +387,8 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
     for name in report_only_doc:
         if name not in checks:
             raise ConfigError("report_only", f"{name!r} is not among the requested checks")
+        if name in report_only:
+            raise ConfigError("report_only", f"duplicate check {name!r}")
         report_only.add(name)
 
     tolerances_doc = _object(doc.get("tolerances", {}), "tolerances", "mapping check name to tolerance")
@@ -450,22 +453,15 @@ def _run_check(
     name: str, config: ScenarioConfig, traj: Trajectory, trace: FrequencyTrace, rule: QuadratureRule | None,
     sides: Sides | None = None, certificate: Certificate | None = None,
 ) -> VerificationReport:
-    """Call the check's verifier on the run's data it reads (trajectory, trace, rule, and the Bochner sides or
-    forcing certificate when given); fold multi-run checks."""
+    """Call the check's verifier on the run's data it reads: trajectory, trace, rule, and the Bochner sides or
+    forcing certificate when given."""
     verify = _VERIFIERS[name]
-    bg = config.background
-    kwargs: dict[str, Any] = {"scenario_id": config.scenario_id}
     tol = config.tolerance_for(name)
-    if tol is not None:
-        kwargs["tolerance"] = tol
+    kwargs: dict[str, Any] = {} if tol is None else {"tolerance": tol}
     if name == "weighted_monotonicity":
-        # one report per scenario: every packaged test function, folded
-        funcs = standard_test_functions(bg)
-        names = sorted(funcs)
-        parts = [verify(funcs[f], config.grid, rule, function_name=f, **kwargs) for f in names]
-        return merge_reports(bg, parts, label_prefixes=names, notes=(f"test functions: {', '.join(names)}",))
+        return verify(config.grid, rule, **kwargs)
     if name == "eigenvalue_monotonicity":
-        return verify(bg, config.grid, config.kappa_value, **kwargs)
+        return verify(config.background, config.grid, config.kappa_value, **kwargs)
     if name == "quadrature_mass":
         return verify(rule, **kwargs)
     if name == "selfsimilar_scaling":
@@ -525,16 +521,19 @@ _REPORT_FORMAT = "parafreq-report/2"  # reports as the columns t, margin and lab
 def emit_report_json(output: RunOutput, path: str | Path) -> None:
     """Write the report document as ``json.dumps(doc, sort_keys=True, default=np.ndarray.tolist)`` plus a newline.
 
-    ``doc`` holds ``"format": _REPORT_FORMAT``, the provenance and every report's ``to_dict()``, whose node
-    columns stay arrays until the encoder reaches them, so only one column exists as a list at a time.
+    ``doc`` holds ``"format": _REPORT_FORMAT``, the scenario id, the provenance and one entry per report: its
+    ``to_dict()`` plus the run's ``scenario_id`` and background label, which the reports themselves do not hold.
+    Node columns stay arrays until the encoder reaches them, so only one column exists as a list at a time.
     """
+    config = output.config
+    identity = {"scenario_id": config.scenario_id, "background": config.background.label()}
     doc = {
         "format": _REPORT_FORMAT,
-        "scenario_id": output.config.scenario_id,
+        "scenario_id": config.scenario_id,
         "provenance": output.provenance,
         "kappa_used": output.trace.kappa_used,
-        "report_only": sorted(output.config.report_only),
-        "reports": [r.to_dict() for r in output.reports],
+        "report_only": sorted(config.report_only),
+        "reports": [{**r.to_dict(), **identity} for r in output.reports],
     }
     _atomic_write(Path(path), json.dumps(doc, sort_keys=True, default=np.ndarray.tolist) + "\n")
 

@@ -18,13 +18,15 @@ hypothesis that fails certification, a trajectory without a single active
 eigenvalue) or cannot decide (a ``general_harnack`` quadrature that does not
 converge); it is never a euphemism for failure.
 
-Differential statements are checked by centered differences at interior grid
-nodes.  On a uniform grid the discretization error of a centered slope is
-h^2/6 times the third derivative.  Only ``verify_general_bounds`` estimates it,
-from third differences of the same data, and folds it into its tolerance;
-``verify_frequency_monotonicity`` and ``verify_weighted_monotonicity`` apply
-their tolerance as given.  Raw margins are always reported unmodified so
-callers can apply stricter budgets.
+``verify_weighted_monotonicity`` differentiates its weighted integrals
+exactly, as polynomials in sqrt(-t).  The other differential statements are
+checked by centered differences at interior grid nodes.  On a uniform grid
+the discretization error of a centered slope is h^2/6 times the third
+derivative.  Only ``verify_general_bounds`` estimates it, from third
+differences of the same data, and folds it into its tolerance;
+``verify_frequency_monotonicity`` applies its tolerance as given.  Raw
+margins are always reported unmodified so callers can apply stricter
+budgets.
 
 Two statements are checked in dual variants on purpose (see the module-level
 notes in ``verify_harnack_printed`` and ``verify_drift_bochner_verbatim``):
@@ -35,7 +37,8 @@ computed and reported side by side, never silently merged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Mapping
 
 import numpy as np
 
@@ -58,7 +61,7 @@ _HARNACK_MAX_POINTS = (1 << 21) + 1  # quadrature points, over all pieces, at wh
 
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """Outcome of one check on one scenario.
+    """Outcome of one check on one scenario: only what the check computed, not the run's identity.
 
     The evaluated nodes are three columns of equal length: ``t`` and
     ``margin`` as read-only float arrays and ``labels`` as a tuple of str.
@@ -68,8 +71,6 @@ class VerificationReport:
     """
 
     check_name: str
-    background: str
-    scenario_id: str
     t: np.ndarray
     margin: np.ndarray
     labels: tuple[str, ...]
@@ -84,6 +85,7 @@ class VerificationReport:
             column.setflags(write=False)
             object.__setattr__(self, name, column)
         object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "notes", tuple(self.notes))
         t, margin, labels = self.t, self.margin, self.labels
         if self.status not in _STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
@@ -100,75 +102,29 @@ class VerificationReport:
         return self.status == PASS
 
     def to_dict(self) -> dict:
-        """Plain-data form, except that the node columns ``t`` and ``margin`` stay the report's read-only arrays.
-
-        ``labels`` is a list.  ``json.dumps(..., default=np.ndarray.tolist)`` encodes the arrays one at a time.
-        """
-        return {
-            "check_name": self.check_name,
-            "background": self.background,
-            "scenario_id": self.scenario_id,
-            "t": self.t,
-            "margin": self.margin,
-            "labels": list(self.labels),
-            "tolerance": self.tolerance,
-            "min_margin": self.min_margin,
-            "status": self.status,
-            "notes": list(self.notes),
-        }
+        """Every field by name; ``t`` and ``margin`` stay the report's read-only arrays, which
+        ``json.dumps(..., default=np.ndarray.tolist)`` encodes one at a time."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def report_from_dict(data: dict) -> VerificationReport:
-    """Inverse of ``VerificationReport.to_dict`` (exact float round-trip of every column)."""
-    return VerificationReport(
-        data["check_name"], data["background"], data["scenario_id"], data["t"], data["margin"], data["labels"],
-        data["tolerance"], data["min_margin"], data["status"], tuple(data["notes"]),
-    )
+    """Inverse of ``VerificationReport.to_dict`` (exact float round-trip of every column); other keys are ignored."""
+    return VerificationReport(**{f.name: data[f.name] for f in fields(VerificationReport)})
 
 
 def _report(
-    check_name: str, bg: Background, scenario_id: str, t, margin, labels: tuple[str, ...], tolerance: float,
-    notes: tuple[str, ...] = (),
+    check_name: str, t, margin, labels: tuple[str, ...], tolerance: float, notes: tuple[str, ...] = ()
 ) -> VerificationReport:
     """An applicable report from node columns; ``t`` and ``margin`` are anything ``np.array`` reads as floats."""
     margin = np.asarray(margin, dtype=float).reshape(-1)
     # the first minimum, as Python's min picks it: np.min may return -0.0 for [0.0, -0.0]
     min_margin = float(margin[np.argmin(margin)])
     status = PASS if min_margin >= -tolerance else FAIL
-    label = bg.label()
-    return VerificationReport(check_name, label, scenario_id, t, margin, labels, tolerance, min_margin, status, notes)
+    return VerificationReport(check_name, t, margin, labels, tolerance, min_margin, status, notes)
 
 
-def _inapplicable(check_name: str, bg: Background, scenario_id: str, reason: str, tolerance: float = 0.0):
-    return VerificationReport(check_name, bg.label(), scenario_id, [], [], (), tolerance, None, INAPPLICABLE, (reason,))
-
-
-def merge_reports(
-    bg: Background,
-    reports: list[VerificationReport],
-    *,
-    label_prefixes: list[str] | None = None,
-    notes: tuple[str, ...] | None = None,
-) -> VerificationReport:
-    """Fold several applicable runs of one check into one report.
-
-    Nodes keep their order, labelled ``<prefix>:<label>`` when prefixes are
-    given (one per report).  The tolerance is the largest of the parts, the
-    notes are theirs in order unless ``notes`` replaces them, and the verdict
-    comes from the same rule as every single-run report.
-    """
-    if label_prefixes is None:
-        labels = tuple(lab for r in reports for lab in r.labels)
-    else:
-        labels = tuple(f"{prefix}:{lab}" for prefix, r in zip(label_prefixes, reports, strict=True) for lab in r.labels)
-    if notes is None:
-        notes = tuple(note for r in reports for note in r.notes)
-    first = reports[0]
-    return _report(
-        first.check_name, bg, first.scenario_id,
-        np.concatenate([r.t for r in reports]), np.concatenate([r.margin for r in reports]), labels,
-        max(r.tolerance for r in reports), notes,
-    )
+def _inapplicable(check_name: str, reason: str, tolerance: float = 0.0):
+    return VerificationReport(check_name, [], [], (), tolerance, None, INAPPLICABLE, (reason,))
 
 
 _NO_FREQUENCY = "zero initial data: frequency undefined"
@@ -198,7 +154,6 @@ def verify_frequency_monotonicity(
     trace: FrequencyTrace,
     *,
     tolerance: float | None = None,
-    scenario_id: str = "",
 ) -> VerificationReport:
     """Check that the weighted frequency is nondecreasing along the run.
 
@@ -209,17 +164,16 @@ def verify_frequency_monotonicity(
     the background's own value.  ``tolerance`` defaults to
     ``1e-9 * max(1, sup |U|)``.
     """
-    bg = traj.background
     _check_trace(traj, trace)
     if _is_zero_run(trace):
-        return _inapplicable("frequency_monotonicity", bg, scenario_id, _NO_FREQUENCY)
+        return _inapplicable("frequency_monotonicity", _NO_FREQUENCY)
     t = trace.t
     u = trace.U
     scale = max(1.0, float(np.max(np.abs(u))))
     tol = tolerance if tolerance is not None else 1e-9 * scale
     labels = ("increment",) * (len(t) - 1) + ("centered-slope",) * (len(t) - 2)
     margin = np.concatenate([np.diff(u), _centered_slopes(u, t)])
-    return _report("frequency_monotonicity", bg, scenario_id, np.concatenate([t[1:], t[1:-1]]), margin, labels, tol)
+    return _report("frequency_monotonicity", np.concatenate([t[1:], t[1:-1]]), margin, labels, tol)
 
 
 def verify_equality_case(
@@ -227,7 +181,6 @@ def verify_equality_case(
     trace: FrequencyTrace,
     *,
     tolerance: float = 1e-9,
-    scenario_id: str = "",
 ) -> VerificationReport:
     """Certify the rigidity side: a flat frequency forces an eigenfunction.
 
@@ -243,18 +196,17 @@ def verify_equality_case(
     fire it on slowly drifting mixtures; keep node spacing above ~1e-3 when
     mixtures are in play.
     """
-    bg = traj.background
     _check_trace(traj, trace)
     k = trace.kappa_used
     if _is_zero_run(trace):
-        return _inapplicable("equality_case", bg, scenario_id, _NO_FREQUENCY)
+        return _inapplicable("equality_case", _NO_FREQUENCY)
     u = trace.U
     trigger = tolerance * max(1.0, float(np.max(np.abs(u))))
     # a nan difference counts as flat, so its nan margins are rejected instead of skipped
     flat = np.flatnonzero(~(np.abs(np.diff(u)) >= trigger))
     if not len(flat):
         return _report(
-            "equality_case", bg, scenario_id, [trace.t[-1]], [0.0], ("no pair met the flatness trigger",), 0.0,
+            "equality_case", [trace.t[-1]], [0.0], ("no pair met the flatness trigger",), 0.0,
             notes=("vacuous: frequency never flat within the trigger, so the implication holds trivially",),
         )
     # both endpoints of every flat pair, in pair order; two margins per endpoint
@@ -266,7 +218,7 @@ def verify_equality_case(
     c_margin = tolerance * np.maximum(1.0, np.abs(c_ref)) - np.abs(c_fit - c_ref)
     margin = np.column_stack([defect_margin, c_margin]).reshape(-1)
     labels = ("defect-bound", "eigenvalue-fit") * len(j)
-    return _report("equality_case", bg, scenario_id, np.repeat(tj, 2), margin, labels, 0.0)
+    return _report("equality_case", np.repeat(tj, 2), margin, labels, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +236,8 @@ def _harnack_bound(ta: float, tb: float, ua: float, k: float) -> float:
     return -ua * math.log(tb / ta)  # (-tb)/(-ta), both negative
 
 
-def _degenerate_harnack(check_name: str, bg: Background, scenario_id: str, tb: float, tolerance: float, note: str):
-    return _report(check_name, bg, scenario_id, [tb], [0.0], ("degenerate",), tolerance, notes=(note,))
+def _degenerate_harnack(check_name: str, tb: float, tolerance: float, note: str):
+    return _report(check_name, [tb], [0.0], ("degenerate",), tolerance, notes=(note,))
 
 
 _ZERO_DATA_NOTE = "zero data: both sides vanish and the bound degenerates to 0 >= 0"
@@ -296,7 +248,6 @@ def verify_harnack(
     trace: FrequencyTrace,
     *,
     tolerance: float = 1e-9,
-    scenario_id: str = "",
 ) -> VerificationReport:
     """Check the two-time lower bound on the mass I against its endpoints.
 
@@ -317,18 +268,17 @@ def verify_harnack(
     rather than being dressed up as inapplicable, since 0 >= 0 is the
     backward-uniqueness content.
     """
-    bg = traj.background
     _check_trace(traj, trace)
     k = trace.kappa_used
     if _is_zero_run(trace):
-        return _degenerate_harnack("harnack", bg, scenario_id, traj.grid.b, tolerance, _ZERO_DATA_NOTE)
+        return _degenerate_harnack("harnack", traj.grid.b, tolerance, _ZERO_DATA_NOTE)
     ta, tb, ia, ib, ua = _harnack_endpoints(trace)
     dlog = math.log(ib) - math.log(ia)
     margin = dlog - _harnack_bound(ta, tb, ua, k)
     if k > 0.0:
-        return _report("harnack", bg, scenario_id, [tb], [margin], ("log-bound",), tolerance)
+        return _report("harnack", [tb], [margin], ("log-bound",), tolerance)
     notes = (f"printed-variant margin at the same endpoints: {dlog + ua - math.log(tb / ta):.17g}",)
-    return _report("harnack", bg, scenario_id, [tb], [margin], ("log-bound-derivation",), tolerance, notes=notes)
+    return _report("harnack", [tb], [margin], ("log-bound-derivation",), tolerance, notes=notes)
 
 
 def verify_harnack_printed(
@@ -336,7 +286,6 @@ def verify_harnack_printed(
     trace: FrequencyTrace,
     *,
     tolerance: float = 1e-9,
-    scenario_id: str = "",
 ) -> VerificationReport:
     """Check the printed zero-weight variant of the two-time bound.
 
@@ -347,16 +296,15 @@ def verify_harnack_printed(
     silently corrected.  For positive weight the printed and derived forms
     coincide, so this check is inapplicable there.
     """
-    bg = traj.background
     _check_trace(traj, trace)
     if trace.kappa_used > 0.0:
         reason = "printed and derived forms coincide for positive curvature weight"
-        return _inapplicable("harnack_printed", bg, scenario_id, reason, tolerance)
+        return _inapplicable("harnack_printed", reason, tolerance)
     if _is_zero_run(trace):
-        return _degenerate_harnack("harnack_printed", bg, scenario_id, traj.grid.b, tolerance, _ZERO_DATA_NOTE)
+        return _degenerate_harnack("harnack_printed", traj.grid.b, tolerance, _ZERO_DATA_NOTE)
     ta, tb, ia, ib, ua = _harnack_endpoints(trace)
     margin = (math.log(ib) - math.log(ia)) + ua - math.log(tb / ta)
-    return _report("harnack_printed", bg, scenario_id, [tb], [margin], ("log-bound-printed",), tolerance)
+    return _report("harnack_printed", [tb], [margin], ("log-bound-printed",), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +335,8 @@ def standard_test_functions(bg: Background) -> dict[str, AmbientPolynomial]:
     Chosen so the two sides exercise genuinely different code paths: pure
     coordinate squares (closed-form oracles), a mixed quartic where the
     projector matters, and scaled sixth powers, the only ones whose weighted
-    integral has a nonzero third time derivative.  Centered differences miss
-    their slope by h^2 g'''/6: about 1.1e-8 on plane(1) at spacing 6.25e-4,
-    and the documented 1.83e-7 at spacing 2.5e-3, above the default 1e-7
-    tolerance although the identity holds.
+    integral has a nonzero third time derivative, which a slope taken by
+    differences of the integral would miss.
     """
     d = bg.ambient_dim
     x = [AmbientPolynomial.coordinate(d, i) for i in range(d)]
@@ -414,15 +360,13 @@ def standard_test_functions(bg: Background) -> dict[str, AmbientPolynomial]:
 
 
 def verify_weighted_monotonicity(
-    test_function: AmbientPolynomial,
     grid: TimeGrid,
     rule: QuadratureRule,
+    functions: Mapping[str, AmbientPolynomial] | None = None,
     *,
     tolerance: float = 1e-7,
-    scenario_id: str = "",
-    function_name: str = "",
 ) -> VerificationReport:
-    """Check the derivative law for weighted integrals of a static function.
+    """Check the derivative law for weighted integrals of static functions.
 
     For an ambient polynomial f fixed in space, the weighted integral along
     the evolving background satisfies
@@ -432,38 +376,44 @@ def verify_weighted_monotonicity(
     where tr_P contracts the ambient Hessian with the tangent projector (the
     drift term is exactly absorbed by the measure's self-similarity; the
     normal part of the position feeds the mean-curvature transport).  The
-    left side is measured by centered differences of quadrature integrals,
-    the right by closed-form Hessian contraction, and the margin at each
-    interior node is ``-|residual|``.
+    margin at every node is ``-|residual|``.
 
     Both sides are polynomials in s = sqrt(-t): under x = s y the degree-k
     part of f scales by s^k.  So each integral is taken once per degree on
     the unit-scale rule, as the moments G_k = integral f_k dmu and
-    R_k = sum_ab integral P_ab (d_a d_b f)_k dmu, and at every node
-    g = sum_k G_k s^k and the right side is -sum_k R_k s^k.
+    R_k = sum_ab integral P_ab (d_a d_b f)_k dmu.  With g = sum_k G_k s^k
+    and ds/dt = -1/(2s), the left side is exactly
+    g' = -(1/2) sum_k k G_k s^(k-2), and the right side is -sum_k R_k s^k,
+    so the residual carries no discretization error and the grid spacing
+    does not matter.
+
+    ``functions`` maps names to test functions and defaults to
+    ``standard_test_functions`` of the rule's background.  One report covers
+    them all, in name order, with nodes labelled ``<name>:residual``.
     """
     bg = rule.background
-    if len(grid.nodes) < 3:
-        raise ValueError("centered differences need a grid with at least 3 nodes")
-    if test_function.dim != bg.ambient_dim:
-        raise ValueError(f"test function has dim {test_function.dim}, background needs {bg.ambient_dim}")
+    funcs = standard_test_functions(bg) if functions is None else functions
+    names = sorted(funcs)
     pts, w = rule.points, rule.weights
-    g_moments = _graded_moments(test_function, pts, w)
-    r_moments: dict[int, float] = {}
-    hess = test_function.hessian()
-    for a in range(bg.ambient_dim):
-        for b in range(bg.ambient_dim):
-            for k, moment in _graded_moments(hess[a][b], pts, w * rule.tangent_projector[:, a, b]).items():
-                r_moments[k] = r_moments.get(k, 0.0) + moment
-
     t = grid.as_array()
     scales = np.sqrt(-t)
-    g = _graded_sum(g_moments, scales)
-    rhs = -_graded_sum(r_moments, scales)
-    margin = -np.abs(_centered_slopes(g, t) - rhs[1:-1])
-    notes = (f"test function: {function_name or 'unnamed'}",)
-    labels = ("residual",) * len(margin)
-    return _report("weighted_monotonicity", bg, scenario_id, t[1:-1], margin, labels, tolerance, notes=notes)
+    margins = []
+    for name in names:
+        f = funcs[name]
+        if f.dim != bg.ambient_dim:
+            raise ValueError(f"test function {name!r} has dim {f.dim}, background needs {bg.ambient_dim}")
+        g_moments = _graded_moments(f, pts, w)
+        r_moments: dict[int, float] = {}
+        hess = f.hessian()
+        for a in range(bg.ambient_dim):
+            for b in range(bg.ambient_dim):
+                for k, moment in _graded_moments(hess[a][b], pts, w * rule.tangent_projector[:, a, b]).items():
+                    r_moments[k] = r_moments.get(k, 0.0) + moment
+        slope = -0.5 * _graded_sum({k - 2: k * moment for k, moment in g_moments.items() if k}, scales)
+        margins.append(-np.abs(slope + _graded_sum(r_moments, scales)))
+    labels = tuple(f"{name}:residual" for name in names for _ in t)
+    notes = (f"test functions: {', '.join(names)}",)
+    return _report("weighted_monotonicity", np.tile(t, len(names)), np.concatenate(margins), labels, tolerance, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +481,6 @@ def verify_drift_bochner(
     *,
     sides: Sides | None = None,
     tolerance: float = 1e-8,
-    scenario_id: str = "",
 ) -> VerificationReport:
     """Check the integral curvature identity for the drift operator at both ends of the run.
 
@@ -566,7 +515,7 @@ def verify_drift_bochner(
         )
     )
     t, labels = (traj.grid.a, traj.grid.b), ("integral-identity",) * 2
-    return _report("drift_bochner", traj.background, scenario_id, t, margin, labels, tolerance, notes)
+    return _report("drift_bochner", t, margin, labels, tolerance, notes)
 
 
 def verify_drift_bochner_verbatim(
@@ -575,7 +524,6 @@ def verify_drift_bochner_verbatim(
     *,
     sides: Sides | None = None,
     tolerance: float = 1e-8,
-    scenario_id: str = "",
 ) -> VerificationReport:
     """Check the verbatim variant of the curvature identity (no pairing term) at both ends of the run.
 
@@ -591,7 +539,7 @@ def verify_drift_bochner_verbatim(
     margin = [-abs(lhs - rhs_a) for lhs, rhs_a, _, _ in ends]
     notes = tuple(f"expected residual from the missing pairing term: {pairing:.17g}" for _, _, pairing, _ in ends)
     t, labels = (traj.grid.a, traj.grid.b), ("integral-identity-verbatim",) * 2
-    return _report("drift_bochner_verbatim", traj.background, scenario_id, t, margin, labels, tolerance, notes)
+    return _report("drift_bochner_verbatim", t, margin, labels, tolerance, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +595,6 @@ def verify_general_bounds(
     *,
     certificate: Certificate | None = None,
     tolerance: float | None = None,
-    scenario_id: str = "",
 ) -> VerificationReport:
     """Check both differential bounds for forced runs at interior nodes.
 
@@ -668,14 +615,13 @@ def verify_general_bounds(
     The tolerance folds in a discretization allowance estimated from third
     differences of the same data; raw margins are reported unmodified.
     """
-    bg = traj.background
     _check_trace(traj, trace)
     k = trace.kappa_used
     holds, notes = forcing_certificate(traj, rule) if certificate is None else certificate
     if _is_zero_run(trace):
-        return _inapplicable("general_bounds", bg, scenario_id, _NO_FREQUENCY)
+        return _inapplicable("general_bounds", _NO_FREQUENCY)
     if not holds:
-        return _inapplicable("general_bounds", bg, scenario_id, notes[0])
+        return _inapplicable("general_bounds", notes[0])
 
     t = trace.t
     u = trace.U
@@ -692,7 +638,7 @@ def verify_general_bounds(
     base = tolerance if tolerance is not None else 1e-9 * max(1.0, float(np.max(np.abs(u))))
     notes = notes + (f"centered-difference allowance folded into tolerance: {allow:.6e}",)
     labels = ("mass-growth", "frequency-derivative") * len(ti)
-    return _report("general_bounds", bg, scenario_id, np.repeat(ti, 2), margin, labels, base + allow, notes=notes)
+    return _report("general_bounds", np.repeat(ti, 2), margin, labels, base + allow, notes=notes)
 
 
 def _forcing_excess(rate: Rate, ta: float, tb: float, ua: float, k: float):
@@ -736,7 +682,6 @@ def verify_general_harnack(
     *,
     certificate: Certificate | None = None,
     tolerance: float = 1e-8,
-    scenario_id: str = "",
 ) -> VerificationReport:
     """Check the integrated two-time bound for forced runs.
 
@@ -766,17 +711,16 @@ def verify_general_harnack(
     hypothesis, certified on ``rule`` (or taken from ``certificate``) as
     ``verify_general_bounds`` does.
     """
-    bg = traj.background
     _check_trace(traj, trace)
     k = trace.kappa_used
     holds, notes = forcing_certificate(traj, rule) if certificate is None else certificate
     if _is_zero_run(trace):
         return _degenerate_harnack(
-            "general_harnack", bg, scenario_id, traj.grid.b, tolerance,
+            "general_harnack", traj.grid.b, tolerance,
             "zero data: the bound degenerates to 0 >= 0 (vanishing at b forces vanishing throughout)",
         )
     if not holds:
-        return _inapplicable("general_harnack", bg, scenario_id, notes[0], tolerance)
+        return _inapplicable("general_harnack", notes[0], tolerance)
     ta, tb, ia, ib, ua = _harnack_endpoints(trace)
     excess, gap = 0.0, 0.0
     if traj.forcing is not None:
@@ -784,12 +728,10 @@ def verify_general_harnack(
         work = f"{pieces} smooth piece(s) of {points} points each, last gap {gap:.3e}"
         if level is None:
             reason = f"quadrature of the bound did not converge: {work}"
-            return _inapplicable("general_harnack", bg, scenario_id, reason, tolerance)
+            return _inapplicable("general_harnack", reason, tolerance)
         notes += (f"forcing excess by Romberg extrapolation at level {level} on {work}, added to the tolerance",)
     margin = (math.log(ib) - math.log(ia)) - _harnack_bound(ta, tb, ua, k) - excess
-    return _report(
-        "general_harnack", bg, scenario_id, [tb], [margin], ("log-bound-integrated",), tolerance + gap, notes
-    )
+    return _report("general_harnack", [tb], [margin], ("log-bound-integrated",), tolerance + gap, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +744,6 @@ def verify_eigenvalue_monotonicity(
     kappa_value: float | None = None,
     *,
     tolerance: float = 1e-12,
-    scenario_id: str = "",
 ) -> VerificationReport:
     """Check that the weighted first eigenvalue never increases along the flow.
 
@@ -816,7 +757,7 @@ def verify_eigenvalue_monotonicity(
     mt = -t
     q = float_powers(mt.tolist(), [1.0 + 2.0 * k])[:, 0] * (first_nonzero_eigenvalue(bg) / mt)  # lambda1 = mu_1/(-t)
     labels = ("scaled-eigenvalue-drop",) * (len(t) - 1)
-    return _report("eigenvalue_monotonicity", bg, scenario_id, t[1:], q[:-1] - q[1:], labels, tolerance)
+    return _report("eigenvalue_monotonicity", t[1:], q[:-1] - q[1:], labels, tolerance)
 
 
 def verify_selfsimilar_scaling(
@@ -824,7 +765,6 @@ def verify_selfsimilar_scaling(
     rule: QuadratureRule,
     *,
     tolerance: float | None = None,
-    scenario_id: str = "",
 ) -> VerificationReport:
     """Check the pointwise self-similar form of constant-frequency runs.
 
@@ -838,17 +778,16 @@ def verify_selfsimilar_scaling(
     endpoint.  Trajectories mixing eigenvalues are inapplicable (their
     frequency is not constant and no such form exists).
     """
-    bg = traj.background
-    rule.require_background(bg)
+    rule.require_background(traj.background)
     first = traj.amplitudes[0]
     if not first.any():
-        return _inapplicable("selfsimilar_scaling", bg, scenario_id, "zero initial data: no frequency to scale by")
+        return _inapplicable("selfsimilar_scaling", "zero initial data: no frequency to scale by")
     amps = np.abs(first)
     active = [m for m, a in zip(traj.modes, amps) if a > 1e-13 * float(np.max(amps))]
     mus = sorted({m.mu for m in active})
     if len(mus) != 1:
         reason = f"multiple eigenvalues active ({mus}); frequency not constant"
-        return _inapplicable("selfsimilar_scaling", bg, scenario_id, reason)
+        return _inapplicable("selfsimilar_scaling", reason)
     mu = mus[0]
     t = traj.grid.as_array()
     at_minus_one = np.flatnonzero(np.abs(t + 1.0) < 1e-12)
@@ -861,19 +800,16 @@ def verify_selfsimilar_scaling(
     values -= float_powers([(-ti) / (-t_ref) for ti in t.tolist()], [mu]) * v_ref
     residuals = np.abs(values, out=values).max(axis=1)
     notes = (f"single active eigenvalue mu={mu:.17g}; reference slice t={t_ref:.17g}",)
-    return _report(
-        "selfsimilar_scaling", bg, scenario_id, t, -residuals, ("sup-residual",) * len(t), tol, notes=notes
-    )
+    return _report("selfsimilar_scaling", t, -residuals, ("sup-residual",) * len(t), tol, notes=notes)
 
 
 def verify_quadrature_mass(
     rule: QuadratureRule,
     *,
     tolerance: float = 1e-12,
-    scenario_id: str = "",
 ) -> VerificationReport:
     """Check the quadrature rule against the closed-form total mass."""
-    bg = rule.background
-    margin = -abs(rule.mass - total_mass(bg))
-    scale = max(1.0, total_mass(bg))
-    return _report("quadrature_mass", bg, scenario_id, [-1.0], [margin], ("mass",), tolerance * scale)
+    mass = total_mass(rule.background)
+    margin = -abs(rule.mass - mass)
+    scale = max(1.0, mass)
+    return _report("quadrature_mass", [-1.0], [margin], ("mass",), tolerance * scale)

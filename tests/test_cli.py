@@ -65,6 +65,15 @@ def test_config_error_exits_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_time_span_too_narrow_for_its_nodes_exits_two_naming_the_field(tmp_path, capsys):
+    doc = dict(PASSING, scenario_id="narrow", time={"a": -1.0, "b": -0.9999999999999999, "nodes": 5})
+    cfg = _write(tmp_path, "narrow.json", doc)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config field 'time': grid nodes must be strictly increasing"), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_path_exits_two(tmp_path):
     assert main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")]) == 2
 

@@ -81,6 +81,14 @@ def test_time_grid_validation():
     _expect_config_error(_doc(time={"a": "-1", "b": -0.5, "nodes": 5}), "time.a")
 
 
+def test_time_span_too_narrow_for_its_nodes_is_a_config_error():
+    # a < b < 0 holds, but five nodes between adjacent floats cannot all differ
+    narrow = {"a": -1.0, "b": math.nextafter(-1.0, 0.0), "nodes": 5}
+    with pytest.raises(ConfigError, match="strictly increasing: 5 nodes from a=-1.0") as err:
+        parse_config(_doc(time=narrow))
+    assert err.value.field == "time"
+
+
 def test_mode_and_amplitude_validation():
     _expect_config_error(_doc(initial_modes={"x": 1.0}), "initial_modes")
     _expect_config_error(_doc(initial_modes={"1,0": float("inf")}), "initial_modes")
@@ -100,6 +108,14 @@ def test_check_list_validation():
     _expect_config_error(_doc(checks=["harnack", "harnack"]), "checks")
     _expect_config_error(_doc(checks=["nope"]), "checks")
     _expect_config_error(_doc(report_only=["weighted_monotonicity"]), "report_only")
+
+
+def test_duplicate_report_only_entries_rejected():
+    # refused like a duplicate in checks, instead of collapsing into one entry
+    with pytest.raises(ConfigError, match="duplicate check 'harnack'") as err:
+        parse_config(_doc(report_only=["harnack", "harnack"]))
+    assert err.value.field == "report_only"
+    assert parse_config(_doc(report_only=["harnack"])).report_only == frozenset({"harnack"})
 
 
 def test_dimension_gates_on_pointwise_checks():
@@ -275,7 +291,10 @@ def _assert_columns_round_trip(out, path):
         "provenance": out.provenance,
         "kappa_used": out.trace.kappa_used,
         "report_only": sorted(out.config.report_only),
-        "reports": [r.to_dict() for r in out.reports],
+        "reports": [
+            {**r.to_dict(), "scenario_id": out.config.scenario_id, "background": out.config.background.label()}
+            for r in out.reports
+        ],
     }
     text = _as_json(doc)
     assert path.read_bytes() == (text + "\n").encode()
@@ -299,9 +318,9 @@ def test_report_writer_matches_json_dumps_on_edge_reports(tmp_path):
     out = run_scenario(parse_config(_doc()))
     odd = 'quote " backslash \\ bell \x07 tab \t newline \n ümlaut – snowman ☃'
     edge = (
-        VerificationReport("harnack_printed", "sphere(2)", "base", [], [], (), 1e-9, None, "inapplicable", (odd,)),
+        VerificationReport("harnack_printed", [], [], (), 1e-9, None, "inapplicable", (odd,)),
         VerificationReport(
-            "frequency_monotonicity", "sphere(2)", "base",
+            "frequency_monotonicity",
             [-1.0, -0.75, -0.5, -0.25], [-0.0, 5e-324, 1e16, 0.0], ("", odd, "a:b", "x\ny"),
             0.0, -0.0, "pass", (odd, ""),
         ),
@@ -312,6 +331,21 @@ def test_report_writer_matches_json_dumps_on_edge_reports(tmp_path):
     assert math.copysign(1.0, odd_report.margin[0]) == -1.0 and math.copysign(1.0, odd_report.min_margin) == -1.0
     assert odd_report.labels == ("", odd, "a:b", "x\ny")
     _assert_columns_round_trip(replace(out, reports=edge[:1]), tmp_path / "empty.report.json")
+
+
+def test_each_report_entry_carries_the_run_identity(tmp_path):
+    # reports hold only their check's verdict; the writer adds the run's id and background label to each entry
+    out = run_scenario(parse_config(_doc(checks=["frequency_monotonicity", "harnack", "weighted_monotonicity"])))
+    assert not any(hasattr(r, "scenario_id") or hasattr(r, "background") for r in out.reports)
+    path = tmp_path / "base.report.json"
+    emit_report_json(out, path)
+    doc = json.loads(path.read_text())
+    assert [entry["check_name"] for entry in doc["reports"]] == list(out.config.checks)
+    for entry in doc["reports"]:
+        assert entry["scenario_id"] == doc["scenario_id"] == "base"
+        assert entry["background"] == out.config.background.label() == "sphere(n=2)"
+    _, reports = load_report_json(path)
+    assert [r.to_dict().keys() for r in reports] == [r.to_dict().keys() for r in out.reports]
 
 
 def test_load_report_json_refuses_an_unmarked_document(tmp_path):
@@ -328,14 +362,14 @@ def test_load_report_json_refuses_an_unmarked_document(tmp_path):
 
 def test_non_finite_report_margin_raises_naming_t_and_label():
     doc = {
-        "check_name": "harnack", "background": "plane(1)", "scenario_id": "s",
+        "check_name": "harnack",
         "t": [-1.0, -0.5], "margin": [0.0, 0.0], "labels": ["increment", "centered-slope"],
         "tolerance": 0.0, "min_margin": 0.0, "status": "pass", "notes": [],
     }
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=r"at t=-0\.5 \(centered-slope\)"):
             VerificationReport(
-                "frequency_monotonicity", "plane(1)", "s", [-1.0, -0.5], [0.0, bad],
+                "frequency_monotonicity", [-1.0, -0.5], [0.0, bad],
                 ("increment", "centered-slope"), 0.0, 0.0, "pass",
             )
         with pytest.raises(ValueError, match=r"non-finite margin .* at t=-0\.5 \(centered-slope\)"):

@@ -1,5 +1,6 @@
 """Each verifier against an independent oracle, plus report plumbing."""
 
+import inspect
 import math
 import re
 import sys
@@ -249,29 +250,26 @@ def test_equality_case_vacuous_on_genuine_mixture():
 def test_weighted_monotonicity_passes_packaged_functions():
     for bg in [Plane(1), Sphere(2)]:
         grid = TimeGrid.uniform(-1.0, -0.5, 401)
-        for name, poly in standard_test_functions(bg).items():
-            rep = verify_weighted_monotonicity(poly, grid, quadrature(bg, 32), function_name=name)
-            assert rep.status == "pass", (bg.label(), name, rep.min_margin)
+        rep = verify_weighted_monotonicity(grid, quadrature(bg, 32))
+        assert rep.status == "pass", (bg.label(), rep.min_margin)
+        names = sorted(standard_test_functions(bg))
+        assert rep.notes == (f"test functions: {', '.join(names)}",)
+        assert rep.labels == tuple(f"{name}:residual" for name in names for _ in grid.nodes)
 
 
-def test_weighted_monotonicity_second_order_in_time_step():
-    # residual is centered-difference truncation error, so order ~ 2
-    bg = Plane(1)
-    poly = standard_test_functions(bg)["x1_over4_pow6"]
-    worst = {}
-    for nodes in (101, 201):
-        grid = TimeGrid.uniform(-1.0, -0.5, nodes)
-        rep = verify_weighted_monotonicity(
-            poly, grid, quadrature(bg, 32), tolerance=1.0, function_name="x1_over4_pow6"
-        )
-        worst[nodes] = max(abs(m) for m in rep.margin)
-    order = math.log2(worst[101] / worst[201])
-    assert order >= 1.8, worst
+@pytest.mark.parametrize("bg", sorted(POINTWISE, key=lambda b: b.label()), ids=lambda b: b.label())
+def test_weighted_monotonicity_is_exact_on_a_coarse_grid(bg):
+    # the slope is differentiated exactly, so three nodes at spacing 0.25 leave only rounding; a centered difference
+    # misses the sixth powers' slope there by h^2 g'''/6, about 1.8e-3 on plane(1)
+    rep = verify_weighted_monotonicity(TimeGrid.uniform(-1.0, -0.5, 3), quadrature(bg, 32))
+    assert rep.status == "pass"
+    assert len(rep.margin) == 3 * len(standard_test_functions(bg))
+    assert -rep.min_margin <= 1e-12, rep.min_margin
 
 
 @pytest.mark.parametrize("bg", sorted(POINTWISE, key=lambda b: b.label()), ids=lambda b: b.label())
 def test_weighted_monotonicity_moments_equal_direct_route(bg):
-    # direct route: f and every d_a d_b f evaluated at the dilated nodes s * y, one integral per time
+    # direct route: grad f and every d_a d_b f evaluated at the dilated nodes s * y, one integral per time
     grid = TimeGrid.uniform(-1.0, -0.5, 201)
     t = grid.as_array()
     rule = quadrature(bg, 16)
@@ -281,16 +279,17 @@ def test_weighted_monotonicity_moments_equal_direct_route(bg):
     funcs["sum"] = sum(funcs.values(), AmbientPolynomial.zero(d))
     for name, poly in funcs.items():
         hess = poly.hessian()
-        g, rhs = [], []
+        slope, rhs = [], []
         for s in np.sqrt(-t):
             pts = s * rule.points
-            g.append(rule.integrate(poly.eval(pts)))
+            # g(t) = integral f(s y) dmu(y), differentiated under the integral: g' = -(1/(2s)) integral grad f(s y).y
+            radial = sum(rule.points[:, a] * poly.diff(a).eval(pts) for a in range(d))
+            slope.append(-rule.integrate(radial) / (2.0 * s))
             tr = sum(rule.tangent_projector[:, a, b] * hess[a][b].eval(pts) for a in range(d) for b in range(d))
             rhs.append(-rule.integrate(tr))
-        g, rhs = np.array(g), np.array(rhs)
-        direct = -np.abs((g[2:] - g[:-2]) / (t[2:] - t[:-2]) - rhs[1:-1])
-        rep = verify_weighted_monotonicity(poly, grid, rule, function_name=name)
-        again = verify_weighted_monotonicity(poly, grid, quadrature(bg, 16), function_name=name)
+        direct = -np.abs(np.array(slope) - np.array(rhs))
+        rep = verify_weighted_monotonicity(grid, rule, {name: poly})
+        again = verify_weighted_monotonicity(grid, quadrature(bg, 16), {name: poly})
         np.testing.assert_allclose(rep.margin, direct, rtol=0.0, atol=1e-10, err_msg=name)
         assert rep.margin.tobytes() == again.margin.tobytes(), name
         assert rep.min_margin == again.min_margin, name
@@ -497,18 +496,25 @@ def test_report_roundtrip_preserves_inapplicable():
 
 def test_node_checks_must_be_finite():
     with pytest.raises(ValueError):
-        verifiers._report("x", Plane(1), "s", [-1.0], [float("nan")], ("n",), 0.0)
+        verifiers._report("x", [-1.0], [float("nan")], ("n",), 0.0)
     with pytest.raises(ValueError):
-        verifiers._report("x", Plane(1), "s", [-1.0], [float("inf")], ("n",), 0.0)
+        verifiers._report("x", [-1.0], [float("inf")], ("n",), 0.0)
 
 
 def test_min_margin_is_the_first_minimum_with_its_sign():
     # a signed-zero flip would change the emitted bytes
     for margins in ([0.0, -0.0], [-0.0, 0.0], [1.0, 0.0, -0.0, 0.0]):
-        rep = verifiers._report("x", Plane(1), "s", [-1.0] * len(margins), margins, ("n",) * len(margins), 0.0)
+        rep = verifiers._report("x", [-1.0] * len(margins), margins, ("n",) * len(margins), 0.0)
         assert math.copysign(1.0, rep.min_margin) == math.copysign(1.0, min(margins)), margins
-        merged = verifiers.merge_reports(Plane(1), [rep, rep])
-        assert math.copysign(1.0, merged.min_margin) == math.copysign(1.0, min(margins + margins)), margins
+
+
+def test_check_table_holds_bare_verifiers():
+    # the benchmark tracer rebinds module-level functions by name and does not look inside tuples or closures,
+    # so every check's verifier must be reachable as itself from parafreq.verifiers
+    for name, verify in scenario._VERIFIERS.items():
+        assert inspect.isfunction(verify), name
+        assert verify.__module__ == "parafreq.verifiers", name
+        assert getattr(verifiers, verify.__name__) is verify, name
 
 
 def test_reports_are_deterministic():
@@ -576,8 +582,7 @@ def test_no_package_code_calls_the_per_point_geometry(monkeypatch):
     rule = quadrature(sphere, 12)
     assert verify_drift_bochner(traj, rule).status == "pass"
     assert verify_drift_bochner_verbatim(traj, rule).status == "fail"
-    funcs = standard_test_functions(sphere)
-    rep = verify_weighted_monotonicity(funcs["x1_sq"], TimeGrid.uniform(-1.0, -0.5, 5), quadrature(sphere, 8))
+    rep = verify_weighted_monotonicity(TimeGrid.uniform(-1.0, -0.5, 5), quadrature(sphere, 8))
     assert rep.status == "pass"
     assert compute_D_quadrature(traj.field_at(0), rule) < 0.0
 
@@ -622,7 +627,7 @@ def _evolve(config):
 
 
 def _assert_same_report(a, b):
-    for name in ("check_name", "background", "scenario_id", "labels", "tolerance", "min_margin", "status", "notes"):
+    for name in ("check_name", "labels", "tolerance", "min_margin", "status", "notes"):
         assert getattr(a, name) == getattr(b, name), name
     assert a.t.tobytes() == b.t.tobytes()
     assert a.margin.tobytes() == b.margin.tobytes()
@@ -638,9 +643,7 @@ def test_shared_trace_gives_the_reports_of_a_trace_built_per_check(initial_modes
     for name in _TRACE_CHECKS:
         shared = scenario._run_check(name, config, traj, trace, rule)
         fresh = (quadrature(config.background, config.resolution),) if name in scenario._CERTIFIERS else ()
-        alone = scenario._VERIFIERS[name](
-            traj, trace_from_trajectory(traj, config.kappa_value), *fresh, scenario_id=config.scenario_id
-        )
+        alone = scenario._VERIFIERS[name](traj, trace_from_trajectory(traj, config.kappa_value), *fresh)
         _assert_same_report(shared, alone)
         statuses.add(shared.status)
     if initial_modes:
@@ -831,8 +834,8 @@ def test_pointwise_checks_refuse_data_of_another_background():
     ):
         with pytest.raises(ValueError, match="quadrature rule background does not match the field"):
             refused()
-    with pytest.raises(ValueError, match="test function has dim 3, background needs 2"):
-        verify_weighted_monotonicity(standard_test_functions(Sphere(2))["x1_sq"], other.grid, rule)
+    with pytest.raises(ValueError, match="test function 'x1_sq' has dim 3, background needs 2"):
+        verify_weighted_monotonicity(other.grid, rule, {"x1_sq": standard_test_functions(Sphere(2))["x1_sq"]})
     # the forcing hypothesis is certified on a rule, so a forced run cannot go without one
     for verify in (verify_general_bounds, verify_general_harnack):
         with pytest.raises(ValueError, match="needs a quadrature rule"):
