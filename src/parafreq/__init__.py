@@ -16,7 +16,6 @@ from .backgrounds import (
     QuadratureRule,
     Sphere,
     UnsupportedBackgroundError,
-    geometry_at,
     kappa,
     quadrature,
     total_mass,
@@ -35,7 +34,6 @@ from .evolution import (
     evolve_exact,
     evolve_exact_trajectory,
     evolve_forced,
-    forcing_bound_margin,
 )
 from .frequency import (
     FrequencyTrace,

@@ -29,21 +29,21 @@ reads a quadrature rule, the integral curvature identity included, runs on
 exactly these.  Every other background is spectral only: its modes enumerate
 and evolve exactly, but nothing is evaluated at points.
 
-Each ``QuadratureRule`` carries, as arrays over its nodes built once in
-closed form, the geometry every verifier needs: the tangent projector, the
-scalar second fundamental form (codimension one throughout, with
-A(X, Y) = sff(X, Y) * nu as a vector), Ricci, the pairing <H, A(.,.)>, the
-unit normal and the tangential part of the position vector.  The curvature
-bound sup <H, A> = kappa / (-t) along the flow reduces at unit scale to the
-largest eigenvalue of the shape pairing, which is 0 on planes and 1/2 on
-spheres and cylinders (n/(2n) resp. k/(2k)).  ``geometry_at`` gives the same
-data at one point; it is the oracle the tests hold the rule arrays to.
+Each ``QuadratureRule`` keeps its nodes and weights and builds, in closed
+form and for the nodes a caller asks for, the geometry every verifier needs:
+the tangent projector, the scalar second fundamental form (codimension one
+throughout, with A(X, Y) = sff(X, Y) * nu as a vector), Ricci, the pairing
+<H, A(.,.)>, the unit normal and the tangential part of the position vector.
+The curvature bound sup <H, A> = kappa / (-t) along the flow reduces at unit
+scale to the largest eigenvalue of the shape pairing, which is 0 on planes
+and 1/2 on spheres and cylinders (n/(2n) resp. k/(2k)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,11 +53,10 @@ __all__ = [
     "Plane",
     "Sphere",
     "Cylinder",
-    "GeometryData",
+    "NodeGeometry",
     "QuadratureRule",
     "UnsupportedBackgroundError",
     "kappa",
-    "geometry_at",
     "quadrature",
     "require_support",
     "total_mass",
@@ -201,142 +200,51 @@ def kappa(bg: Background) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pointwise geometry
+# quadrature
 
 
-@dataclass(frozen=True)
-class GeometryData:
-    """Pointwise unit-scale geometry in ambient coordinates.
+class NodeGeometry(NamedTuple):
+    """Closed-form unit-scale geometry at N points, in ambient coordinates.
 
-    All bilinear forms are given as ambient matrices that act on tangent
-    vectors (they are extended by zero on the normal space, so contracting
-    with projected gradients is safe).
-
-    Fields
-    ------
-    ric : (d, d) Ricci quadratic form.
-    shape_pairing : (d, d) form <H, A(., .)>; its largest eigenvalue over the
-        background equals ``kappa(bg)`` exactly.
-    h_norm : |H| at the point.
-    x_tan, x_perp : tangential / normal split of the position vector.
-    tangent_projector : (d, d) orthogonal projector onto the tangent space.
-    normal : unit normal (codimension one), or None on planes where the
-        second fundamental form vanishes identically.
-    sff : (d, d) scalar second fundamental form, A(X, Y) = sff(X, Y) * normal.
+    The forms are (N, d, d) matrices extended by zero on the normal space, so
+    contracting them with projected gradients is safe; the vectors are (N, d).
+    ``shape_pairing`` is <H, A(., .)>, whose largest eigenvalue over the
+    background is ``kappa``; ``sff`` is the scalar second fundamental form,
+    A(X, Y) = sff(X, Y) * normal, and ``normal`` is None on planes.
     """
 
+    tangent_projector: np.ndarray
+    sff: np.ndarray
     ric: np.ndarray
     shape_pairing: np.ndarray
-    h_norm: float
-    x_tan: np.ndarray
-    x_perp: np.ndarray
-    tangent_projector: np.ndarray
     normal: np.ndarray | None
-    sff: np.ndarray
-
-
-def _require_on_surface(actual: float, expected: float, what: str) -> None:
-    if abs(actual - expected) > 1e-9 * max(1.0, abs(expected)):
-        raise ValueError(f"point is not on the unit-scale shrinker: {what} = {actual!r}, expected {expected!r}")
-
-
-def geometry_at(bg: Background, point: np.ndarray) -> GeometryData:
-    """Closed-form geometry of the unit-scale background at ``point``; ``bg`` must be in ``POINTWISE``.
-
-    The per-point oracle for the ``QuadratureRule`` geometry arrays.
-    """
-    require_support(bg, "pointwise geometry")
-    y = np.asarray(point, dtype=float)
-    d = bg.ambient_dim
-    if y.shape != (d,):
-        raise ValueError(f"point has shape {y.shape}, background is ambient dim {d}")
-
-    if isinstance(bg, Plane):
-        eye = np.eye(d)
-        zero = np.zeros((d, d))
-        return GeometryData(
-            ric=zero,
-            shape_pairing=zero,
-            h_norm=0.0,
-            x_tan=y.copy(),
-            x_perp=np.zeros(d),
-            tangent_projector=eye,
-            normal=None,
-            sff=zero,
-        )
-
-    if isinstance(bg, Sphere):
-        r = bg.radius
-        _require_on_surface(float(np.linalg.norm(y)), r, "|y|")
-        nu = y / r
-        proj = np.eye(d) - np.outer(nu, nu)
-        n = bg.n
-        return GeometryData(
-            ric=((n - 1) / bg.radius_squared) * proj,
-            shape_pairing=(n / bg.radius_squared) * proj,
-            h_norm=n / r,
-            x_tan=np.zeros(d),
-            x_perp=y.copy(),
-            tangent_projector=proj,
-            normal=nu,
-            sff=-proj / r,
-        )
-
-    # Cylinder(1, 1)
-    r = bg.radius
-    circ = y[:2]
-    _require_on_surface(float(np.linalg.norm(circ)), r, "|y_circle|")
-    nu = np.array([circ[0] / r, circ[1] / r, 0.0])
-    tau = np.array([-circ[1] / r, circ[0] / r, 0.0])
-    proj = np.eye(3) - np.outer(nu, nu)
-    q_circ = np.outer(tau, tau)
-    return GeometryData(
-        ric=np.zeros((3, 3)),  # intrinsically flat product
-        shape_pairing=q_circ * (bg.k / bg.radius_squared),
-        h_norm=1.0 / r,
-        x_tan=np.array([0.0, 0.0, y[2]]),
-        x_perp=np.array([circ[0], circ[1], 0.0]),
-        tangent_projector=proj,
-        normal=nu,
-        sff=-q_circ / r,
-    )
-
-
-# ---------------------------------------------------------------------------
-# quadrature
+    x_tan: np.ndarray
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights for the unit-scale weighted measure, with the geometry at the nodes.
+    """Nodes and weights for the unit-scale weighted measure of a background in ``POINTWISE``.
 
     ``sum(weights * f(points))`` approximates the dmu integral of f; the
     weights absorb the Gaussian density, so the weight sum equals the total
-    mass (exactly 1 on planes).  The geometry fields stack ``geometry_at``
-    over the nodes ((N, d, d) forms, (N, d) vectors, ``normal`` None on planes).
+    mass (exactly 1 on planes).  The rule keeps only its points and weights:
+    ``geometry(part)`` builds the geometry at the points a caller reads, so
+    a caller that walks the points in blocks holds one block of it at a time.
     """
 
     background: Background
     resolution: int
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
-    tangent_projector: np.ndarray = field(init=False, repr=False, compare=False)
-    sff: np.ndarray = field(init=False, repr=False, compare=False)
-    ric: np.ndarray = field(init=False, repr=False, compare=False)
-    shape_pairing: np.ndarray = field(init=False, repr=False, compare=False)
-    normal: np.ndarray | None = field(init=False, repr=False, compare=False)
-    x_tan: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        require_support(self.background, "quadrature")
         if self.points.ndim != 2 or self.weights.ndim != 1:
             raise ValueError("points must be (N, d), weights (N,)")
         if self.points.shape[0] != self.weights.shape[0]:
             raise ValueError("points/weights length mismatch")
         if np.any(self.weights <= 0.0):
             raise ValueError("quadrature weights must be positive")
-        geometry = _node_geometry(self.background, self.points)
-        for name, value in zip(("tangent_projector", "sff", "ric", "shape_pairing", "normal", "x_tan"), geometry):
-            object.__setattr__(self, name, value)
 
     @property
     def mass(self) -> float:
@@ -350,20 +258,23 @@ class QuadratureRule:
         if bg != self.background:
             raise ValueError("quadrature rule background does not match the field")
 
+    def geometry(self, part: slice = slice(None)) -> NodeGeometry:
+        """The geometry at ``points[part]``, built on each call and not kept; on planes it is broadcast views."""
+        return _node_geometry(self.background, self.points[part])
 
-def _node_geometry(bg: Background, pts: np.ndarray) -> tuple:
-    """(tangent_projector, sff, ric, shape_pairing, normal, x_tan) at each row of ``pts``, as in ``geometry_at``."""
-    require_support(bg, "pointwise geometry")
+
+def _node_geometry(bg: Background, pts: np.ndarray) -> NodeGeometry:
+    """The geometry at each row of ``pts``, points of ``bg`` at unit scale."""
     count, d = pts.shape
     if isinstance(bg, Plane):
         zero = np.broadcast_to(np.zeros((d, d)), (count, d, d))
-        return np.broadcast_to(np.eye(d), (count, d, d)), zero, zero, zero, None, pts
+        return NodeGeometry(np.broadcast_to(np.eye(d), (count, d, d)), zero, zero, zero, None, pts)
     r = bg.radius
     if isinstance(bg, Sphere):
         nu = pts / r
         proj = np.eye(d) - nu[:, :, None] * nu[:, None, :]
         ric, shape = ((bg.n - 1) / bg.radius_squared) * proj, (bg.n / bg.radius_squared) * proj
-        return proj, -proj / r, ric, shape, nu, np.zeros((count, d))
+        return NodeGeometry(proj, -proj / r, ric, shape, nu, np.zeros((count, d)))
     # Cylinder(1, 1)
     zero = np.zeros(count)
     nu = np.stack([pts[:, 0] / r, pts[:, 1] / r, zero], axis=1)
@@ -372,7 +283,7 @@ def _node_geometry(bg: Background, pts: np.ndarray) -> tuple:
     q_circ = tau[:, :, None] * tau[:, None, :]
     ric = np.broadcast_to(np.zeros((3, 3)), (count, 3, 3))  # intrinsically flat product
     shape = q_circ * (bg.k / bg.radius_squared)
-    return proj, -q_circ / r, ric, shape, nu, np.stack([zero, zero, pts[:, 2]], axis=1)
+    return NodeGeometry(proj, -q_circ / r, ric, shape, nu, np.stack([zero, zero, pts[:, 2]], axis=1))
 
 
 def _gauss_gaussian_1d(resolution: int) -> tuple[np.ndarray, np.ndarray]:

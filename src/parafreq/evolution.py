@@ -64,14 +64,15 @@ __all__ = [
     "evolve_exact",
     "evolve_exact_trajectory",
     "evolve_forced",
-    "forcing_bound_margin",
     "forcing_margins",
 ]
 
 _MAX_HALVINGS = 30
 _END_TIME_FLOOR = -1e-3  # latest end time of a grid with a ModeMatrix block
 _MAP_BATCH = 1 << 14  # (block entries m * m per piece) x (pieces) built at once
-_BLOCK_ENTRIES = 1 << 15  # (rule points x ambient dim, or modes) x (grid rows) per block of forcing_margins, the trace
+# entries of one block: (rule points x ambient dim) x (grid rows) in forcing_margins, modes x (grid rows) in the
+# trace, (rule points) x 2 ends x (ambient dim)^2 in the curvature-identity sides; a block bounds the temporaries
+_BLOCK_ENTRIES = 1 << 15
 
 
 class ToleranceNotMetError(RuntimeError):
@@ -402,39 +403,16 @@ def evolve_forced(field: CoefficientField, grid: TimeGrid, forcing: Forcing, *, 
     return Trajectory(grid, field.background, modes, amps, forcing=forcing)
 
 
-def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: QuadratureRule) -> float:
-    """Certified pointwise margin min [ C(t)(|grad u| + |u|) - |f| ] over quadrature nodes.
-
-    Gradients are taken on the flowing surface at the field's time, so the
-    unit-scale tangential gradient carries a 1/sqrt(-t) factor.  Nonnegative
-    margin certifies the forcing hypothesis at this snapshot;
-    ``forcing_margins`` gives it at every node of a run.
-    """
-    rule.require_background(field.background)
-    t = field.time
-    c = forcing.rate(t)
-    values = combine_on_rule(rule, field.modes, field.amplitudes)
-    ambient_grads = combine_on_rule(rule, field.modes, field.amplitudes, "gradients")
-    tangential = np.einsum("nij,nj->ni", rule.tangent_projector, ambient_grads)
-    grad_norm = np.sqrt(np.sum(tangential**2, axis=1)) / math.sqrt(-t)
-
-    if isinstance(forcing.coupling, ScalarOnU):
-        f_values = c * values
-    else:
-        coupling = forcing.coupling
-        f_coeffs = c * (coupling.as_array() @ _amplitudes_on(field, coupling.modes))
-        f_values = combine_on_rule(rule, coupling.modes, f_coeffs)
-
-    return float(np.min(c * (grad_norm + np.abs(values)) - np.abs(f_values)))
-
-
 def forcing_margins(traj: Trajectory, rule: QuadratureRule) -> np.ndarray:
-    """``forcing_bound_margin`` at every node of a forced trajectory, bit for bit.
+    """Certified pointwise margin min [ C(t)(|grad u| + |u|) - |f| ] over the rule's nodes, at every grid node.
 
+    Gradients are taken on the flowing surface at each node's time, so the
+    unit-scale tangential gradient carries a 1/sqrt(-t) factor.  A
+    nonnegative margin certifies the forcing hypothesis at that node.
     Values, gradients and the ``ModeMatrix`` image ``a W^T`` come from one
     ``combine_on_rule`` block per kind over the rows, in runs of at most
-    ``_BLOCK_ENTRIES // rule.points.size`` rows so that no block outgrows a
-    few of the rule's geometry arrays.
+    ``_BLOCK_ENTRIES // rule.points.size`` rows; each row is combined and
+    reduced on its own, so a margin is the same bit for bit in any run.
     """
     rule.require_background(traj.background)
     coupling, t = traj.forcing.coupling, traj.grid.as_array()
@@ -443,13 +421,13 @@ def forcing_margins(traj: Trajectory, rule: QuadratureRule) -> np.ndarray:
     if not isinstance(coupling, ScalarOnU):
         # a stack of matrix-vector products, the same BLAS call as W @ a on one field
         f_coeffs = c[:, None] * (coupling.as_array() @ _amplitudes_on(traj, coupling.modes)[:, :, None])[:, :, 0]
-    out = np.empty(len(t))
+    out, proj = np.empty(len(t)), rule.geometry().tangent_projector
     rows = max(1, _BLOCK_ENTRIES // rule.points.size)
     for lo in range(0, len(t), rows):
         part, cs = slice(lo, lo + rows), c[lo : lo + rows, None]
         values = combine_on_rule(rule, traj.modes, traj.amplitudes[part])
         ambient_grads = combine_on_rule(rule, traj.modes, traj.amplitudes[part], "gradients")
-        tangential = np.einsum("nij,rnj->rni", rule.tangent_projector, ambient_grads)
+        tangential = np.einsum("nij,rnj->rni", proj, ambient_grads)
         grad_norm = np.sqrt(np.sum(tangential**2, axis=2)) / np.sqrt(-t[part])[:, None]
         f_values = cs * values if f_coeffs is None else combine_on_rule(rule, coupling.modes, f_coeffs[part])
         out[part] = np.min(cs * (grad_norm + np.abs(values)) - np.abs(f_values), axis=1)

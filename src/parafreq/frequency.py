@@ -90,7 +90,7 @@ def compute_D_quadrature(field: CoefficientField, rule: QuadratureRule) -> float
     """Independent route: -2 int |grad u|^2 dmu_t via projected ambient gradients."""
     rule.require_background(field.background)
     grads = combine_on_rule(rule, field.modes, field.amplitudes, "gradients")
-    tangential = np.einsum("nij,nj->ni", rule.tangent_projector, grads)
+    tangential = np.einsum("nij,nj->ni", rule.geometry().tangent_projector, grads)
     unit_scale = rule.integrate(np.sum(tangential**2, axis=1))
     return -2.0 * unit_scale / (-field.time)
 

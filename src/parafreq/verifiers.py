@@ -42,7 +42,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .backgrounds import Background, Cylinder, QuadratureRule, Sphere, kappa, total_mass
+from . import evolution
+from .backgrounds import Background, Cylinder, NodeGeometry, QuadratureRule, Sphere, kappa, total_mass
 from .evolution import Rate, TimeGrid, Trajectory, float_powers, forcing_margins
 from .frequency import FrequencyTrace
 from .modes import combine_on_rule, first_nonzero_eigenvalue
@@ -394,7 +395,7 @@ def verify_weighted_monotonicity(
     bg = rule.background
     funcs = standard_test_functions(bg) if functions is None else functions
     names = sorted(funcs)
-    pts, w = rule.points, rule.weights
+    pts, w, proj = rule.points, rule.weights, rule.geometry().tangent_projector
     t = grid.as_array()
     scales = np.sqrt(-t)
     margins = []
@@ -407,7 +408,7 @@ def verify_weighted_monotonicity(
         hess = f.hessian()
         for a in range(bg.ambient_dim):
             for b in range(bg.ambient_dim):
-                for k, moment in _graded_moments(hess[a][b], pts, w * rule.tangent_projector[:, a, b]).items():
+                for k, moment in _graded_moments(hess[a][b], pts, w * proj[:, a, b]).items():
                     r_moments[k] = r_moments.get(k, 0.0) + moment
         slope = -0.5 * _graded_sum({k - 2: k * moment for k, moment in g_moments.items() if k}, scales)
         margins.append(-np.abs(slope + _graded_sum(r_moments, scales)))
@@ -423,31 +424,31 @@ def verify_weighted_monotonicity(
 Sides = tuple[tuple[float, float, float, float], ...]  # what bochner_sides returns
 
 
-def _sides_at(time: float, gbar: np.ndarray, hbar: np.ndarray, rule: QuadratureRule) -> tuple[float, ...]:
-    """Both sides of the integral identity for one field, from its ambient gradients and Hessians on ``rule``."""
-    w = rule.weights
-    proj = rule.tangent_projector
+def _integrands(gbar: np.ndarray, hbar: np.ndarray, geometry: NodeGeometry, out: np.ndarray) -> None:
+    """Write one field's integrands at each point of a block into the rows of ``out``.
 
+    From the field's ambient gradients and Hessians at those points: |Hess u|^2 + Ric(grad u, grad u), (Lu)^2,
+    |grad u|^2 and the pairing <H, A(grad u, grad u)>.
+    """
+    proj = geometry.tangent_projector
     grad = np.einsum("nij,nj->ni", proj, gbar)
-    if rule.normal is None:
-        # full-dimensional plane: no normal direction, sff vanishes anyway
-        nu_dot = np.zeros(len(w))
-    else:
-        nu_dot = np.einsum("ni,ni->n", rule.normal, gbar)
-    hess_m = np.einsum("nij,njk,nkl->nil", proj, hbar, proj) + rule.sff * nu_dot[:, None, None]
-    lap = np.einsum("nii->n", hess_m)
-    drift = 0.5 * np.einsum("ni,ni->n", rule.x_tan, gbar)
-    lu = lap - drift
+    # full-dimensional plane: no normal direction, sff vanishes anyway
+    nu_dot = np.zeros(len(gbar)) if geometry.normal is None else np.einsum("ni,ni->n", geometry.normal, gbar)
+    hess_m = np.einsum("nij,njk,nkl->nil", proj, hbar, proj) + geometry.sff * nu_dot[:, None, None]
+    lu = np.einsum("nii->n", hess_m) - 0.5 * np.einsum("ni,ni->n", geometry.x_tan, gbar)
+    out[0] = np.einsum("nij,nij->n", hess_m, hess_m) + np.einsum("nij,ni,nj->n", geometry.ric, grad, grad)
+    out[1] = lu * lu
+    out[2] = np.einsum("ni,ni->n", grad, grad)
+    out[3] = np.einsum("nij,ni,nj->n", geometry.shape_pairing, grad, grad)
 
-    grad2 = np.einsum("ni,ni->n", grad, grad)
-    hess2 = np.einsum("nij,nij->n", hess_m, hess_m)
-    ric_q = np.einsum("nij,ni,nj->n", rule.ric, grad, grad)
-    shape_q = np.einsum("nij,ni,nj->n", rule.shape_pairing, grad, grad)
 
+def _sides(time: float, w: np.ndarray, columns: np.ndarray) -> tuple[float, ...]:
+    """Both sides of the integral identity for one field at ``time``, from its ``_integrands`` over the whole rule."""
+    hess_ric, lu2, grad2, shape_q = columns
     # every term carries the same (-t)^(-2) scaling from x = sqrt(-t) y
     factor = 1.0 / time**2
-    lhs = float(w @ (hess2 + ric_q)) * factor
-    rhs_verbatim = float(w @ (lu * lu) - 0.5 * (w @ grad2)) * factor
+    lhs = float(w @ hess_ric) * factor
+    rhs_verbatim = float(w @ lu2 - 0.5 * (w @ grad2)) * factor
     pairing = float(w @ shape_q) * factor
     grad_energy = float(w @ grad2) * factor * (-time)
     return lhs, rhs_verbatim, pairing, grad_energy
@@ -460,19 +461,30 @@ def bochner_sides(traj: Trajectory, rule: QuadratureRule) -> Sides:
     integrates |Hess u|^2 + Ric(grad u, grad u), rhs_verbatim is the right
     side without the pairing term, pairing integrates <H, A(grad u, grad u)>
     (the corrected right side is rhs_verbatim + pairing), and grad_energy is
-    integral |grad u|^2 dmu at the field's time scale.  Gradients and
-    Hessians come from one ``combine_on_rule`` block per kind over the two
-    rows, which sums each row as it would alone: each end's sides are bit
-    for bit those of its field.
+    integral |grad u|^2 dmu at the field's time scale.  The rule's points are
+    walked in blocks of at most ``evolution._BLOCK_ENTRIES // (2 d^2)``, so
+    no Hessian or geometry array outgrows one block: each block takes both
+    ends' gradients and Hessians from one ``combine_on_rule`` call per kind
+    and its geometry, and writes the four integrands of each end into
+    columns over the whole rule, which the weights then reduce.  Every
+    integrand is computed per point and every row is combined as it would
+    be alone, so neither the block size nor the other end changes a bit.
     """
     if not isinstance(traj, Trajectory):
         raise TypeError(f"bochner_sides needs a Trajectory (both ends of a run), got {type(traj).__name__}")
     rule.require_background(traj.background)
-    ends = traj.amplitudes[[0, -1]]
-    gbars = combine_on_rule(rule, traj.modes, ends, "gradients")
-    hbars = combine_on_rule(rule, traj.modes, ends, "hessians")
-    times = (traj.grid.a, traj.grid.b)
-    return tuple(_sides_at(t, gbar, hbar, rule) for t, gbar, hbar in zip(times, gbars, hbars))
+    ends, (count, d) = traj.amplitudes[[0, -1]], rule.points.shape
+    columns = np.empty((2, 4, count))
+    size = max(1, evolution._BLOCK_ENTRIES // (2 * d * d))
+    for lo in range(0, count, size):
+        part = slice(lo, lo + size)
+        gbars = combine_on_rule(rule, traj.modes, ends, "gradients", part)
+        hbars = combine_on_rule(rule, traj.modes, ends, "hessians", part)
+        geometry = rule.geometry(part)
+        for gbar, hbar, out in zip(gbars, hbars, columns[:, :, part]):
+            _integrands(gbar, hbar, geometry, out)
+        del gbars, hbars, geometry  # so that the next block is not built beside this one
+    return tuple(_sides(t, rule.weights, end) for t, end in zip((traj.grid.a, traj.grid.b), columns))
 
 
 def verify_drift_bochner(

@@ -29,7 +29,6 @@ from parafreq import (
     evolve_exact_trajectory,
     evolve_forced,
     first_nonzero_eigenvalue,
-    geometry_at,
     kappa,
     mode_from_index,
     quadrature,
@@ -45,6 +44,8 @@ from parafreq import (
 from parafreq.backgrounds import POINTWISE
 from parafreq.cli import main as cli_main
 from parafreq.modes import combine_on_rule
+
+from oracles import geometry_at
 
 THREE_BACKGROUNDS = [Plane(2), Sphere(2), Cylinder(1, 1)]
 

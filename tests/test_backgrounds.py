@@ -1,6 +1,7 @@
 """Background geometry, measures, and spectral data against closed forms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from parafreq import (
     ConfigError,
     Cylinder,
     Plane,
+    QuadratureRule,
     Sphere,
     UnsupportedBackgroundError,
     enumerate_modes,
     first_nonzero_eigenvalue,
-    geometry_at,
     kappa,
     mode_function,
     parse_config,
@@ -22,6 +23,8 @@ from parafreq import (
     unit_sphere_area,
 )
 from parafreq.backgrounds import POINTWISE
+
+from oracles import geometry_at
 
 ALL_BACKGROUNDS = [Plane(1), Plane(2), Plane(3), Sphere(1), Sphere(2), Cylinder(1, 1)]
 
@@ -154,22 +157,27 @@ def test_cylinder_geometry_splits():
     assert np.allclose(g.x_perp, [math.sqrt(2.0), 0.0, 0.0], atol=1e-14)
 
 
-GEOMETRY_ARRAYS = ("tangent_projector", "sff", "ric", "shape_pairing", "normal", "x_tan")
-
-
 @pytest.mark.parametrize("bg", sorted(POINTWISE, key=lambda b: b.label()), ids=lambda b: b.label())
 def test_rule_geometry_arrays_equal_the_per_point_oracle(bg):
     rule = quadrature(bg, 6)
     oracle = [geometry_at(bg, p) for p in rule.points]
-    for name in GEOMETRY_ARRAYS:
-        array = getattr(rule, name)
-        if isinstance(bg, Plane) and name == "normal":
-            assert array is None and all(g.normal is None for g in oracle)
-            continue
-        expected = np.stack([getattr(g, name) for g in oracle])
-        assert array.shape == expected.shape and array.dtype == expected.dtype, name
-        # byte for byte, so even the sign of a zero must agree
-        assert np.ascontiguousarray(array).tobytes() == expected.tobytes(), name
+    for part in (slice(None), slice(5, 17)):
+        geometry = rule.geometry(part)
+        for name, array in geometry._asdict().items():
+            if isinstance(bg, Plane) and name == "normal":
+                assert array is None and all(g.normal is None for g in oracle)
+                continue
+            expected = np.stack([getattr(g, name) for g in oracle[part]])
+            assert array.shape == expected.shape and array.dtype == expected.dtype, name
+            # byte for byte, so even the sign of a zero must agree
+            assert np.ascontiguousarray(array).tobytes() == expected.tobytes(), (name, part)
+
+
+@pytest.mark.parametrize("bg", [Plane(4), Sphere(3), Cylinder(2, 1)], ids=lambda b: b.label())
+def test_rule_built_directly_off_the_pointwise_set_is_refused(bg):
+    points = np.zeros((2, bg.ambient_dim))
+    with pytest.raises(UnsupportedBackgroundError, match=f"^quadrature is not available on {re.escape(bg.label())} "):
+        QuadratureRule(bg, 1, points, np.ones(2))
 
 
 def test_off_surface_points_rejected():

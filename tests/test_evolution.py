@@ -22,10 +22,11 @@ from parafreq import (
     evolve_exact,
     evolve_exact_trajectory,
     evolve_forced,
-    forcing_bound_margin,
     mode_from_index,
     quadrature,
 )
+
+from oracles import forcing_bound_margin
 
 
 def _field(bg, t, coeffs_by_index):

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +23,8 @@ from parafreq import (
     Sphere,
     TimeGrid,
     Trajectory,
-    compute_D_quadrature,
     evolve_exact_trajectory,
     evolve_forced,
-    geometry_at,
     mode_from_index,
     parse_config,
     quadrature,
@@ -49,6 +48,8 @@ from parafreq.cli import _load_packaged_configs
 from parafreq.backgrounds import POINTWISE
 from parafreq.modes import combine_on_rule, mode_function
 from parafreq.verifiers import report_from_dict
+
+from oracles import forcing_bound_margin, geometry_at
 
 
 def _traj(bg, coeffs_by_index, a=-1.0, b=-0.5, nodes=41):
@@ -277,6 +278,7 @@ def test_weighted_monotonicity_moments_equal_direct_route(bg):
     funcs = standard_test_functions(bg)
     # every packaged function is homogeneous; their sum mixes degrees 0 to 6
     funcs["sum"] = sum(funcs.values(), AmbientPolynomial.zero(d))
+    proj = np.stack([geometry_at(bg, p).tangent_projector for p in rule.points])
     for name, poly in funcs.items():
         hess = poly.hessian()
         slope, rhs = [], []
@@ -285,7 +287,7 @@ def test_weighted_monotonicity_moments_equal_direct_route(bg):
             # g(t) = integral f(s y) dmu(y), differentiated under the integral: g' = -(1/(2s)) integral grad f(s y).y
             radial = sum(rule.points[:, a] * poly.diff(a).eval(pts) for a in range(d))
             slope.append(-rule.integrate(radial) / (2.0 * s))
-            tr = sum(rule.tangent_projector[:, a, b] * hess[a][b].eval(pts) for a in range(d) for b in range(d))
+            tr = sum(proj[:, a, b] * hess[a][b].eval(pts) for a in range(d) for b in range(d))
             rhs.append(-rule.integrate(tr))
         direct = -np.abs(np.array(slope) - np.array(rhs))
         rep = verify_weighted_monotonicity(grid, rule, {name: poly})
@@ -368,12 +370,33 @@ def test_bochner_verbatim_gap_equals_gradient_energy(bg, resolution, coeffs, t):
 
 @pytest.mark.parametrize("bg, resolution, coeffs", VERBATIM_CASES, ids=[case[0].label() for case in VERBATIM_CASES])
 def test_bochner_sides_of_both_ends_equal_each_field_alone(bg, resolution, coeffs):
-    # one block per kind over the two ends, against each end's row combined and taken alone
+    # one block per kind over the two ends, against each end's row combined and taken alone over the whole rule
     rule = quadrature(bg, resolution)
     traj = _traj(bg, coeffs, nodes=5)
     for sides, end in zip(verifiers.bochner_sides(traj, rule), (traj.field_at(0), traj.field_at(-1)), strict=True):
         gbar, hbar = (combine_on_rule(rule, end.modes, end.amplitudes, kind) for kind in ("gradients", "hessians"))
-        assert np.array(sides).tobytes() == np.array(verifiers._sides_at(end.time, gbar, hbar, rule)).tobytes()
+        columns = np.empty((4, len(rule.weights)))
+        verifiers._integrands(gbar, hbar, rule.geometry(), columns)
+        assert np.array(sides).tobytes() == np.array(verifiers._sides(end.time, rule.weights, columns)).tobytes()
+
+
+BLOCK_CASES = [
+    (Plane(1), 32, {(1,): 1.0, (3,): -0.4}),
+    (Plane(2), 16, {(1, 0): 1.0, (2, 1): 0.5}),
+    (Plane(3), 6, {(1, 0, 0): 1.0, (0, 2, 1): -0.3}),
+    *VERBATIM_CASES,
+]
+
+
+@pytest.mark.parametrize("bg, resolution, coeffs", BLOCK_CASES, ids=[case[0].label() for case in BLOCK_CASES])
+def test_bochner_sides_are_the_same_bytes_in_any_point_block(monkeypatch, bg, resolution, coeffs):
+    # one point per block, a few points per block (a last block cut short), against the default block size
+    rule, traj = quadrature(bg, resolution), _traj(bg, coeffs, nodes=5)
+    whole = np.array(verifiers.bochner_sides(traj, rule)).tobytes()
+    per_point = 2 * bg.ambient_dim**2
+    for entries in (per_point, 7 * per_point):
+        monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", entries)
+        assert np.array(verifiers.bochner_sides(traj, rule)).tobytes() == whole, entries
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +459,7 @@ def test_general_checks_inapplicable_when_the_hypothesis_fails_between_sparse_sa
     trace, rule = trace_from_trajectory(traj, 0.0), quadrature(bg, 24)
     sparse = np.round(np.linspace(0, 80, 9)).astype(int)
     assert 5 not in sparse
-    assert min(evolution.forcing_bound_margin(traj.field_at(int(i)), forcing, rule) for i in sparse) >= 0.0
+    assert min(forcing_bound_margin(traj.field_at(int(i)), forcing, rule) for i in sparse) >= 0.0
     expected = f"forcing hypothesis fails at t={grid.nodes[5]:.17g} "
     for verify in (verify_general_bounds, verify_general_harnack):
         rep = verify(traj, trace, rule)
@@ -565,33 +588,17 @@ def test_mode_columns_reused_across_times_equal_per_call_combinations(bg, coeffs
     np.testing.assert_allclose(combine_on_rule(rule, *row, "hessians"), hess, rtol=1e-12, atol=1e-12)
 
 
-def test_no_package_code_calls_the_per_point_geometry(monkeypatch):
-    import parafreq
+def test_no_package_code_calls_the_per_point_geometry():
+    # the per-point oracles live with the tests: no package module binds one, and no package source names one
+    import parafreq.cli  # imports every module of the package
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("geometry_at called from package code")
-
-    modules = [m for name, m in sys.modules.items() if name == "parafreq" or name.startswith("parafreq.")]
-    for module in modules:
-        if hasattr(module, "geometry_at"):
-            monkeypatch.setattr(module, "geometry_at", forbidden)
-    assert parafreq.backgrounds.geometry_at is forbidden
-
-    sphere = Sphere(2)
-    traj = _traj(sphere, {(1, 0): 1.0, (2, 3): 0.5}, nodes=9)
-    rule = quadrature(sphere, 12)
-    assert verify_drift_bochner(traj, rule).status == "pass"
-    assert verify_drift_bochner_verbatim(traj, rule).status == "fail"
-    rep = verify_weighted_monotonicity(TimeGrid.uniform(-1.0, -0.5, 5), quadrature(sphere, 8))
-    assert rep.status == "pass"
-    assert compute_D_quadrature(traj.field_at(0), rule) < 0.0
-
-    m10, m11 = mode_from_index(sphere, (1, 0)), mode_from_index(sphere, (1, 1))
-    field = CoefficientField.from_dict(sphere, -1.0, {m10: 1.0, m11: 0.5})
-    forcing = Forcing(ConstantRate(0.2), ModeMatrix((m10, m11), ((0.0, 0.1), (0.1, 0.0))))
-    forced = evolve_forced(field, TimeGrid.uniform(-1.0, -0.5, 21), forcing)
-    rep = verify_general_bounds(forced, trace_from_trajectory(forced), quadrature(sphere, 8))
-    assert any("certified" in note for note in rep.notes)
+    modules = {name: m for name, m in sys.modules.items() if name == "parafreq" or name.startswith("parafreq.")}
+    assert "parafreq.verifiers" in modules and "parafreq.evolution" in modules
+    oracles = ("geometry_at", "GeometryData", "forcing_bound_margin")
+    for name, module in modules.items():
+        assert not [o for o in oracles if hasattr(module, o)], name
+    for source in Path(parafreq.__file__).parent.glob("*.py"):
+        assert not [o for o in oracles if o in source.read_text()], source.name
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +772,6 @@ def test_run_scenario_meets_the_rule_once_per_field(monkeypatch):
     # field at a time
     sides = _counted(monkeypatch, "bochner_sides")
     certificates = _counted(monkeypatch, "forcing_certificate")
-    per_field = _counted(monkeypatch, "forcing_bound_margin", evolution)
     bochner, general = ["drift_bochner", "drift_bochner_verbatim"], ["general_bounds", "general_harnack"]
     forcing = {"rate": {"type": "constant", "c0": 0.2}, "coupling": "scalar_on_u"}
     for config, counts in (
@@ -786,13 +792,10 @@ def test_run_scenario_meets_the_rule_once_per_field(monkeypatch):
         for name, report in zip(config.checks, out.reports, strict=True):
             _assert_same_report(report, scenario._run_check(name, config, traj, trace, rule))
             assert report.status != "inapplicable", name
-    assert not per_field
 
 
-def test_drift_pair_keeps_no_mode_column_alive():
-    # bochner-sphere2 of the pointwise benchmark: 9 modes on the 4,608 points of sphere(2) at resolution 48.
-    # Measured peak 3.81 MiB: the rule's arrays are 1.62 MiB, the Hessian block of both ends and its term 1.3 MiB.
-    # A gradient and Hessian column kept per mode adds 3.8 MiB (peak 6.69 MiB), so 4.5 MiB leaves 0.7 MiB of slack.
+def _bochner_memory_config():
+    # bochner-sphere2 of the pointwise benchmark: 9 modes on the 4,608 points of sphere(2) at resolution 48
     config = parse_config({
         "scenario_id": "bochner-memory",
         "background": {"kind": "sphere", "n": 2},
@@ -802,6 +805,13 @@ def test_drift_pair_keeps_no_mode_column_alive():
         "checks": ["drift_bochner", "drift_bochner_verbatim"],
     })
     assert len(config.initial_modes) == 9
+    return config
+
+
+def test_drift_pair_keeps_no_mode_column_alive():
+    # Measured peak 1.79 MiB for the whole run. A gradient and Hessian column kept per mode adds 3.8 MiB,
+    # so 4.5 MiB leaves 0.9 MiB of slack.
+    config = _bochner_memory_config()
     scenario.run_scenario(config)  # fills the mode-polynomial caches, which outlive the run
     tracemalloc.start()
     try:
@@ -811,6 +821,26 @@ def test_drift_pair_keeps_no_mode_column_alive():
         tracemalloc.stop()
     assert [r.status for r in out.reports] == ["pass", "fail"]
     assert peak < 4.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_rule_and_curvature_sides_hold_one_block_of_points():
+    # Measured peak 1.79 MiB: the rule's points and weights are 0.14 MiB, the integrand columns of both ends
+    # 0.28 MiB, and one block of 1,820 points (its Hessians, geometry and integrand temporaries) the rest.
+    # A rule that keeps its geometry (1.62 MiB) beside sides taken over all points at once peaks at 3.81 MiB.
+    config = _bochner_memory_config()
+    field = CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes))
+    traj = evolve_exact_trajectory(field, config.grid)
+    expected = verifiers.bochner_sides(traj, quadrature(config.background, config.resolution))  # fills the caches
+    tracemalloc.start()
+    try:
+        rule = quadrature(config.background, config.resolution)
+        sides = verifiers.bochner_sides(traj, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sides == expected
+    assert {name for name, value in vars(rule).items() if isinstance(value, np.ndarray)} == {"points", "weights"}
+    assert peak < 2.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_pointwise_checks_refuse_data_of_another_background():
