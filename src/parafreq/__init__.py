@@ -68,6 +68,7 @@ from .scenario import (
     run_scenario,
 )
 from .verifiers import (
+    Run,
     VerificationReport,
     standard_test_functions,
     verify_drift_bochner,

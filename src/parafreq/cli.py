@@ -79,7 +79,7 @@ def _execute(configs: list[ScenarioConfig], out_dir: Path) -> tuple[list[tuple[s
         sid = config.scenario_id
         try:
             output = run_scenario(config)
-        except (ToleranceNotMetError, ValueError) as exc:
+        except (ToleranceNotMetError, ValueError, ArithmeticError) as exc:  # an overflow too is this run's own
             print(f"runtime error in {sid}: {exc}", file=sys.stderr)
             errors += 1
             continue

@@ -406,21 +406,20 @@ def evolve_forced(field: CoefficientField, grid: TimeGrid, forcing: Forcing, *, 
 def forcing_margins(traj: Trajectory, rule: QuadratureRule) -> np.ndarray:
     """Certified pointwise margin min [ C(t)(|grad u| + |u|) - |f| ] over the rule's nodes, at every grid node.
 
-    Gradients are taken on the flowing surface at each node's time, so the
-    unit-scale tangential gradient carries a 1/sqrt(-t) factor.  A
-    nonnegative margin certifies the forcing hypothesis at that node.
-    Values, gradients and the ``ModeMatrix`` image ``a W^T`` come from one
-    ``combine_on_rule`` block per kind over the rows, in runs of at most
-    ``_BLOCK_ENTRIES // rule.points.size`` rows; each row is combined and
-    reduced on its own, so a margin is the same bit for bit in any run.
+    The run's forcing is a ``ModeMatrix``; a ``ScalarOnU`` one holds
+    identically and needs no sampling.  Gradients are taken on the flowing
+    surface at each node's time, so the unit-scale tangential gradient
+    carries a 1/sqrt(-t) factor.  A nonnegative margin certifies the forcing
+    hypothesis at that node.  Values, gradients and the image ``a W^T`` come
+    from one ``combine_on_rule`` block per kind over the rows, in runs of at
+    most ``_BLOCK_ENTRIES // rule.points.size`` rows; each row is combined
+    and reduced on its own, so a margin is the same bit for bit in any run.
     """
     rule.require_background(traj.background)
     coupling, t = traj.forcing.coupling, traj.grid.as_array()
     c = traj.forcing.rate.values_at(t)
-    f_coeffs = None  # f = C u under ScalarOnU
-    if not isinstance(coupling, ScalarOnU):
-        # a stack of matrix-vector products, the same BLAS call as W @ a on one field
-        f_coeffs = c[:, None] * (coupling.as_array() @ _amplitudes_on(traj, coupling.modes)[:, :, None])[:, :, 0]
+    # a stack of matrix-vector products, the same BLAS call as W @ a on one field
+    f_coeffs = c[:, None] * (coupling.as_array() @ _amplitudes_on(traj, coupling.modes)[:, :, None])[:, :, 0]
     out, proj = np.empty(len(t)), rule.geometry().tangent_projector
     rows = max(1, _BLOCK_ENTRIES // rule.points.size)
     for lo in range(0, len(t), rows):
@@ -429,6 +428,6 @@ def forcing_margins(traj: Trajectory, rule: QuadratureRule) -> np.ndarray:
         ambient_grads = combine_on_rule(rule, traj.modes, traj.amplitudes[part], "gradients")
         tangential = np.einsum("nij,rnj->rni", proj, ambient_grads)
         grad_norm = np.sqrt(np.sum(tangential**2, axis=2)) / np.sqrt(-t[part])[:, None]
-        f_values = cs * values if f_coeffs is None else combine_on_rule(rule, coupling.modes, f_coeffs[part])
+        f_values = combine_on_rule(rule, coupling.modes, f_coeffs[part])
         out[part] = np.min(cs * (grad_norm + np.abs(values)) - np.abs(f_values), axis=1)
     return out

@@ -6,11 +6,13 @@ run.  Configs are the reproducibility unit: the canonical hash of the
 normalized document goes into every emitted report, and a fixed config plus
 resolution yields byte-identical outputs.
 
-The check names accepted in ``checks`` (and ``report_only``) are the keys of
-the check table ``_VERIFIERS``.  ``report_only`` checks still run and are
-fully reported, but their failures never affect the process exit code; that
-is how the two documented-discrepancy variants stay visible without failing
-suites.
+The check names accepted in ``checks`` (and ``report_only`` and
+``tolerances``) are the keys of the check table ``_VERIFIERS``, which is the
+whole dispatch: every check is its verifier called on the scenario's one
+``Run``, which builds what the checks read on first read.  ``report_only``
+checks still run and are fully reported, but their failures never affect the
+process exit code; that is how the two documented-discrepancy variants stay
+visible without failing suites.
 """
 
 from __future__ import annotations
@@ -28,16 +30,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ._version import __version__
-from .backgrounds import (
-    POINTWISE,
-    Background,
-    Cylinder,
-    Plane,
-    QuadratureRule,
-    Sphere,
-    kappa,
-    quadrature,
-)
+from .backgrounds import POINTWISE, Background, Cylinder, Plane, Sphere, kappa
 from .evolution import (
     CoefficientField,
     ConstantRate,
@@ -46,18 +39,14 @@ from .evolution import (
     SampledRate,
     ScalarOnU,
     TimeGrid,
-    Trajectory,
     evolve_exact_trajectory,
     evolve_forced,
 )
-from .frequency import FrequencyTrace, trace_from_trajectory
+from .frequency import FrequencyTrace
 from .modes import Mode, enumerate_modes, mode_from_index, mode_sort_key
 from .verifiers import (
-    Certificate,
-    Sides,
+    Run,
     VerificationReport,
-    bochner_sides,
-    forcing_certificate,
     report_from_dict,
     verify_drift_bochner,
     verify_drift_bochner_verbatim,
@@ -82,9 +71,9 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field}': {problem}")
 
 
-# The check table, check name -> verifier, in two groups: the checks in _RULE_READERS read the run's quadrature
-# rule, so they need a background in backgrounds.POINTWISE.  Dispatch looks the verifier up at call time, so
-# anything that rebinds the module-level callables (in module-level dicts too) reaches every check.
+# The check table, check name -> verifier, each called on the run alone.  The checks in _RULE_READERS read the
+# run's quadrature rule, so they need a background in backgrounds.POINTWISE.  Dispatch looks the verifier up at
+# call time, so anything that rebinds the module-level callables (in module-level dicts too) reaches every check.
 _RULE_READERS = {
     "weighted_monotonicity": verify_weighted_monotonicity,
     "selfsimilar_scaling": verify_selfsimilar_scaling,
@@ -92,10 +81,6 @@ _RULE_READERS = {
     "drift_bochner": verify_drift_bochner,
     "drift_bochner_verbatim": verify_drift_bochner_verbatim,
 }
-# the checks that read the run's forcing certificate, taken on the rule, which they read on forced runs only
-_CERTIFIERS = ("general_bounds", "general_harnack")
-# the checks that read both sides of the curvature identity at the ends of the run
-_BOCHNER = ("drift_bochner", "drift_bochner_verbatim")
 _VERIFIERS = {
     "frequency_monotonicity": verify_frequency_monotonicity,
     "equality_case": verify_equality_case,
@@ -124,12 +109,6 @@ class ScenarioConfig:
     tolerances: tuple[tuple[str, float], ...]
     rk_local_tol: float
     random_mixture: tuple[tuple[str, float], ...] | None
-
-    def tolerance_for(self, check: str) -> float | None:
-        for name, value in self.tolerances:
-            if name == check:
-                return value
-        return None
 
     def normalized(self) -> dict:
         """Canonical plain-data form; the sole input to the config hash."""
@@ -377,8 +356,8 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
         checks.append(name)
     if bg not in POINTWISE and any(c in _RULE_READERS for c in checks):
         raise ConfigError("checks", f"pointwise checks are not available on {bg.label()}")
-    if bg not in POINTWISE and forcing is not None:
-        raise ConfigError("forcing", f"hypothesis certification needs pointwise geometry; got {bg.label()}")
+    if bg not in POINTWISE and forcing is not None and isinstance(forcing.coupling, ModeMatrix):
+        raise ConfigError("forcing", f"a mode_matrix hypothesis is certified on quadrature points; got {bg.label()}")
 
     report_only_doc = doc.get("report_only", [])
     if not isinstance(report_only_doc, (list, tuple)):
@@ -394,8 +373,8 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
     tolerances_doc = _object(doc.get("tolerances", {}), "tolerances", "mapping check name to tolerance")
     tolerances: list[tuple[str, float]] = []
     for name, value in tolerances_doc.items():
-        if name not in _VERIFIERS:
-            raise ConfigError("tolerances", f"unknown check {name!r}")
+        if name not in checks:
+            raise ConfigError("tolerances", f"{name!r} is not among the requested checks")
         tolerances.append((name, _number(value, f"tolerances.{name}", minimum=0.0)))
 
     rk_local_tol = _number(doc.get("rk_local_tol", 1e-8), "rk_local_tol")
@@ -449,32 +428,8 @@ class RunOutput:
         }
 
 
-def _run_check(
-    name: str, config: ScenarioConfig, traj: Trajectory, trace: FrequencyTrace, rule: QuadratureRule | None,
-    sides: Sides | None = None, certificate: Certificate | None = None,
-) -> VerificationReport:
-    """Call the check's verifier on the run's data it reads: trajectory, trace, rule, and the Bochner sides or
-    forcing certificate when given."""
-    verify = _VERIFIERS[name]
-    tol = config.tolerance_for(name)
-    kwargs: dict[str, Any] = {} if tol is None else {"tolerance": tol}
-    if name == "weighted_monotonicity":
-        return verify(config.grid, rule, **kwargs)
-    if name == "eigenvalue_monotonicity":
-        return verify(config.background, config.grid, config.kappa_value, **kwargs)
-    if name == "quadrature_mass":
-        return verify(rule, **kwargs)
-    if name == "selfsimilar_scaling":
-        return verify(traj, rule, **kwargs)
-    if name in _BOCHNER:
-        return verify(traj, rule, sides=sides, **kwargs)
-    if name in _CERTIFIERS:
-        return verify(traj, trace, rule, certificate=certificate, **kwargs)
-    return verify(traj, trace, **kwargs)
-
-
 def run_scenario(config: ScenarioConfig) -> RunOutput:
-    """Evolve the configured field and execute every requested check once."""
+    """Evolve the configured field and execute every requested check once, each on the same ``Run``."""
     field = CoefficientField.from_dict(
         config.background, config.grid.a, dict(config.initial_modes)
     )
@@ -482,15 +437,13 @@ def run_scenario(config: ScenarioConfig) -> RunOutput:
         traj = evolve_exact_trajectory(field, config.grid)
     else:
         traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
-    trace = trace_from_trajectory(traj, config.kappa_value)
-    # one quadrature rule for every check that reads it (the general checks too, to certify a forcing); else none
-    certifies = config.forcing is not None
-    reads_rule = any(c in _RULE_READERS or (c in _CERTIFIERS and certifies) for c in config.checks)
-    rule = quadrature(config.background, config.resolution) if reads_rule else None
-    # each field meets the rule once: the curvature identity's sides and the forcing certificate serve both checks
-    sides = bochner_sides(traj, rule) if any(c in _BOCHNER for c in config.checks) else None
-    certificate = forcing_certificate(traj, rule) if any(c in _CERTIFIERS for c in config.checks) else None
-    reports = tuple(_run_check(name, config, traj, trace, rule, sides, certificate) for name in config.checks)
+    run = Run(traj, config.kappa_value, config.resolution)
+    trace = run.trace  # the output holds it, whatever the checks read
+    # each check passes its configured tolerance, if any
+    reports = tuple(
+        _VERIFIERS[name](run, **{"tolerance": tol for check, tol in config.tolerances if check == name})
+        for name in config.checks
+    )
     return RunOutput(config=config, trace=trace, reports=reports)
 
 

@@ -3,9 +3,11 @@
 Every verifier reduces one inequality or integral identity to per-node
 margins on a concrete evolution, computed as whole-array column expressions,
 and wraps them with their times and labels in a ``VerificationReport``.
-Verifiers read the run's data and never rebuild it: the frequency checks take
-the run's ``FrequencyTrace`` (and its kappa), the pointwise checks take the
-run's ``QuadratureRule`` (and its background).  Margin conventions:
+Every verifier takes one ``Run``: a trajectory with the kappa of its
+frequency trace and the resolution of its quadrature rule.  The run builds
+its trace, rule, curvature-identity sides and forcing certificate on first
+read and keeps them, so the checks of one run share each and none rebuilds
+it.  Margin conventions:
 
 * Inequality checks report the raw slack of the bound, so the statement
   holds at a node iff its margin is nonnegative (up to tolerance).
@@ -38,14 +40,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
 from . import evolution
-from .backgrounds import Background, Cylinder, NodeGeometry, QuadratureRule, Sphere, kappa, total_mass
-from .evolution import Rate, TimeGrid, Trajectory, float_powers, forcing_margins
-from .frequency import FrequencyTrace
+from .backgrounds import Background, Cylinder, NodeGeometry, QuadratureRule, Sphere, quadrature, total_mass
+from .evolution import Rate, ScalarOnU, Trajectory, float_powers, forcing_margins
+from .frequency import FrequencyTrace, trace_from_trajectory
 from .modes import combine_on_rule, first_nonzero_eigenvalue
 from .polynomials import AmbientPolynomial
 
@@ -135,10 +138,38 @@ def _is_zero_run(trace: FrequencyTrace) -> bool:
     return bool(np.all(trace.I == 0.0))
 
 
-def _check_trace(traj: Trajectory, trace: FrequencyTrace) -> None:
-    """Refuse a trace without one row per grid node of ``traj``."""
-    if len(trace.t) != len(traj.grid.nodes):
-        raise ValueError(f"trace ({len(trace.t)} nodes) does not belong to this run ({len(traj.grid.nodes)} nodes)")
+@dataclass(frozen=True, eq=False)
+class Run:
+    """One evolved run and the data its checks read, each built on first read and then kept.
+
+    ``kappa_value`` weights the frequency trace (the background's own value
+    when None); ``resolution`` is that of the quadrature rule, which only
+    the pointwise checks and a ``ModeMatrix`` forcing certificate read.
+    """
+
+    traj: Trajectory
+    kappa_value: float | None = None
+    resolution: int = 24
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.traj, Trajectory):
+            raise TypeError(f"a Run needs a Trajectory (every node of a run), got {type(self.traj).__name__}")
+
+    @cached_property
+    def trace(self) -> FrequencyTrace:
+        return trace_from_trajectory(self.traj, self.kappa_value)
+
+    @cached_property
+    def rule(self) -> QuadratureRule:
+        return quadrature(self.traj.background, self.resolution)
+
+    @cached_property
+    def sides(self) -> Sides:
+        return bochner_sides(self.traj, self.rule)
+
+    @cached_property
+    def certificate(self) -> Certificate:
+        return forcing_certificate(self)
 
 
 def _centered_slopes(values: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -150,12 +181,7 @@ def _centered_slopes(values: np.ndarray, t: np.ndarray) -> np.ndarray:
 # frequency monotonicity and its equality case
 
 
-def verify_frequency_monotonicity(
-    traj: Trajectory,
-    trace: FrequencyTrace,
-    *,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def verify_frequency_monotonicity(run: Run, *, tolerance: float | None = None) -> VerificationReport:
     """Check that the weighted frequency is nondecreasing along the run.
 
     Margins come in two families: consecutive-node increments
@@ -165,7 +191,7 @@ def verify_frequency_monotonicity(
     the background's own value.  ``tolerance`` defaults to
     ``1e-9 * max(1, sup |U|)``.
     """
-    _check_trace(traj, trace)
+    trace = run.trace
     if _is_zero_run(trace):
         return _inapplicable("frequency_monotonicity", _NO_FREQUENCY)
     t = trace.t
@@ -177,12 +203,7 @@ def verify_frequency_monotonicity(
     return _report("frequency_monotonicity", np.concatenate([t[1:], t[1:-1]]), margin, labels, tol)
 
 
-def verify_equality_case(
-    traj: Trajectory,
-    trace: FrequencyTrace,
-    *,
-    tolerance: float = 1e-9,
-) -> VerificationReport:
+def verify_equality_case(run: Run, *, tolerance: float = 1e-9) -> VerificationReport:
     """Certify the rigidity side: a flat frequency forces an eigenfunction.
 
     Wherever ``|U(t_{i+1}) - U(t_i)|`` falls below ``tolerance`` (scaled by
@@ -197,7 +218,7 @@ def verify_equality_case(
     fire it on slowly drifting mixtures; keep node spacing above ~1e-3 when
     mixtures are in play.
     """
-    _check_trace(traj, trace)
+    trace = run.trace
     k = trace.kappa_used
     if _is_zero_run(trace):
         return _inapplicable("equality_case", _NO_FREQUENCY)
@@ -244,12 +265,7 @@ def _degenerate_harnack(check_name: str, tb: float, tolerance: float, note: str)
 _ZERO_DATA_NOTE = "zero data: both sides vanish and the bound degenerates to 0 >= 0"
 
 
-def verify_harnack(
-    traj: Trajectory,
-    trace: FrequencyTrace,
-    *,
-    tolerance: float = 1e-9,
-) -> VerificationReport:
+def verify_harnack(run: Run, *, tolerance: float = 1e-9) -> VerificationReport:
     """Check the two-time lower bound on the mass I against its endpoints.
 
     For positive curvature weight the bound reads
@@ -269,10 +285,10 @@ def verify_harnack(
     rather than being dressed up as inapplicable, since 0 >= 0 is the
     backward-uniqueness content.
     """
-    _check_trace(traj, trace)
+    trace = run.trace
     k = trace.kappa_used
     if _is_zero_run(trace):
-        return _degenerate_harnack("harnack", traj.grid.b, tolerance, _ZERO_DATA_NOTE)
+        return _degenerate_harnack("harnack", run.traj.grid.b, tolerance, _ZERO_DATA_NOTE)
     ta, tb, ia, ib, ua = _harnack_endpoints(trace)
     dlog = math.log(ib) - math.log(ia)
     margin = dlog - _harnack_bound(ta, tb, ua, k)
@@ -282,12 +298,7 @@ def verify_harnack(
     return _report("harnack", [tb], [margin], ("log-bound-derivation",), tolerance, notes=notes)
 
 
-def verify_harnack_printed(
-    traj: Trajectory,
-    trace: FrequencyTrace,
-    *,
-    tolerance: float = 1e-9,
-) -> VerificationReport:
+def verify_harnack_printed(run: Run, *, tolerance: float = 1e-9) -> VerificationReport:
     """Check the printed zero-weight variant of the two-time bound.
 
     The printed display replaces the derived ``(b/a)^(-U(a))`` factor with
@@ -297,12 +308,12 @@ def verify_harnack_printed(
     silently corrected.  For positive weight the printed and derived forms
     coincide, so this check is inapplicable there.
     """
-    _check_trace(traj, trace)
+    trace = run.trace
     if trace.kappa_used > 0.0:
         reason = "printed and derived forms coincide for positive curvature weight"
         return _inapplicable("harnack_printed", reason, tolerance)
     if _is_zero_run(trace):
-        return _degenerate_harnack("harnack_printed", traj.grid.b, tolerance, _ZERO_DATA_NOTE)
+        return _degenerate_harnack("harnack_printed", run.traj.grid.b, tolerance, _ZERO_DATA_NOTE)
     ta, tb, ia, ib, ua = _harnack_endpoints(trace)
     margin = (math.log(ib) - math.log(ia)) + ua - math.log(tb / ta)
     return _report("harnack_printed", [tb], [margin], ("log-bound-printed",), tolerance)
@@ -361,11 +372,7 @@ def standard_test_functions(bg: Background) -> dict[str, AmbientPolynomial]:
 
 
 def verify_weighted_monotonicity(
-    grid: TimeGrid,
-    rule: QuadratureRule,
-    functions: Mapping[str, AmbientPolynomial] | None = None,
-    *,
-    tolerance: float = 1e-7,
+    run: Run, functions: Mapping[str, AmbientPolynomial] | None = None, *, tolerance: float = 1e-7
 ) -> VerificationReport:
     """Check the derivative law for weighted integrals of static functions.
 
@@ -389,14 +396,15 @@ def verify_weighted_monotonicity(
     does not matter.
 
     ``functions`` maps names to test functions and defaults to
-    ``standard_test_functions`` of the rule's background.  One report covers
+    ``standard_test_functions`` of the run's background.  One report covers
     them all, in name order, with nodes labelled ``<name>:residual``.
     """
+    rule = run.rule
     bg = rule.background
     funcs = standard_test_functions(bg) if functions is None else functions
     names = sorted(funcs)
     pts, w, proj = rule.points, rule.weights, rule.geometry().tangent_projector
-    t = grid.as_array()
+    t = run.traj.grid.as_array()
     scales = np.sqrt(-t)
     margins = []
     for name in names:
@@ -487,13 +495,7 @@ def bochner_sides(traj: Trajectory, rule: QuadratureRule) -> Sides:
     return tuple(_sides(t, rule.weights, end) for t, end in zip((traj.grid.a, traj.grid.b), columns))
 
 
-def verify_drift_bochner(
-    traj: Trajectory,
-    rule: QuadratureRule,
-    *,
-    sides: Sides | None = None,
-    tolerance: float = 1e-8,
-) -> VerificationReport:
+def verify_drift_bochner(run: Run, *, tolerance: float = 1e-8) -> VerificationReport:
     """Check the integral curvature identity for the drift operator at both ends of the run.
 
     The governing (corrected) form includes the curvature pairing of the
@@ -513,10 +515,9 @@ def verify_drift_bochner(
     note for side-by-side comparison.
 
     The identity is static per field, so it is checked at the first and the
-    last node, one margin and two notes each.  ``sides`` takes what
-    ``bochner_sides(traj, rule)`` returns, which is computed when not given.
+    last node, one margin and two notes each, from the run's ``sides``.
     """
-    ends = bochner_sides(traj, rule) if sides is None else sides
+    ends = run.sides
     margin = [-abs(lhs - (rhs_a + pairing)) for lhs, rhs_a, pairing, _ in ends]
     notes = tuple(
         note
@@ -526,17 +527,11 @@ def verify_drift_bochner(
             f"gradient energy at this time: {grad_energy:.17g}",
         )
     )
-    t, labels = (traj.grid.a, traj.grid.b), ("integral-identity",) * 2
+    t, labels = (run.traj.grid.a, run.traj.grid.b), ("integral-identity",) * 2
     return _report("drift_bochner", t, margin, labels, tolerance, notes)
 
 
-def verify_drift_bochner_verbatim(
-    traj: Trajectory,
-    rule: QuadratureRule,
-    *,
-    sides: Sides | None = None,
-    tolerance: float = 1e-8,
-) -> VerificationReport:
+def verify_drift_bochner_verbatim(run: Run, *, tolerance: float = 1e-8) -> VerificationReport:
     """Check the verbatim variant of the curvature identity (no pairing term) at both ends of the run.
 
     The residual equals the pairing integral int <H, A(grad u, grad u)> that
@@ -544,13 +539,13 @@ def verify_drift_bochner_verbatim(
     on planes, ``(1/(2(-t))) * integral |grad u|^2 dmu`` on spheres, and only
     the sphere-factor part of that gradient energy on cylinders.  One note
     per end carries that pairing integral so reports are self-explanatory.
-    ``sides`` is as in ``verify_drift_bochner``.  Scenarios list this check
-    as report-only.
+    It reads the run's ``sides``, as ``verify_drift_bochner`` does.
+    Scenarios list this check as report-only.
     """
-    ends = bochner_sides(traj, rule) if sides is None else sides
+    ends = run.sides
     margin = [-abs(lhs - rhs_a) for lhs, rhs_a, _, _ in ends]
     notes = tuple(f"expected residual from the missing pairing term: {pairing:.17g}" for _, _, pairing, _ in ends)
-    t, labels = (traj.grid.a, traj.grid.b), ("integral-identity-verbatim",) * 2
+    t, labels = (run.traj.grid.a, run.traj.grid.b), ("integral-identity-verbatim",) * 2
     return _report("drift_bochner_verbatim", t, margin, labels, tolerance, notes)
 
 
@@ -573,21 +568,28 @@ def _third_difference_allowance(values: np.ndarray, t: np.ndarray) -> float:
 Certificate = tuple[bool, tuple[str, ...]]  # what forcing_certificate returns: (holds, notes)
 
 
-def forcing_certificate(traj: Trajectory, rule: QuadratureRule | None) -> Certificate:
-    """Certify |f| <= C(t)(|grad u| + |u|) at every grid node, on the points of ``rule``.
+_SCALAR_ON_U_NOTE = (
+    "forcing hypothesis holds identically: for f = C u with C >= 0 the margin C(|grad u| + |u|) - |f| is "
+    "C |grad u| >= 0 everywhere"
+)
 
-    Returns whether it holds and the note saying so, with the node count and
-    the worst (t, margin), or naming the first time it fails.  Space is
-    sampled only at the rule's points.  A run without forcing holds with no
-    note; only it may pass no rule.
+
+def forcing_certificate(run: Run) -> Certificate:
+    """Certify |f| <= C(t)(|grad u| + |u|) for the run's forcing: whether it holds, and the note saying so.
+
+    A run without forcing holds with no note.  A ``ScalarOnU`` forcing holds
+    identically, since C >= 0 leaves the margin C |grad u| >= 0, in floating
+    point too because rounding is monotone; it reads no rule.  A
+    ``ModeMatrix`` forcing is certified at every grid node but in space only
+    at the points of the run's rule; the note gives the node count and the
+    worst (t, margin), or names the first time it fails.
     """
-    if rule is not None:
-        rule.require_background(traj.background)
+    traj = run.traj
     if traj.forcing is None:
         return True, ()
-    if rule is None:
-        raise ValueError("a forced run needs a quadrature rule to certify its forcing hypothesis")
-    margins, t = forcing_margins(traj, rule), traj.grid.nodes
+    if isinstance(traj.forcing.coupling, ScalarOnU):
+        return True, (_SCALAR_ON_U_NOTE,)
+    margins, t = forcing_margins(traj, run.rule), traj.grid.nodes
     failed = np.flatnonzero(margins < -1e-12)
     if len(failed):
         i = int(failed[0])
@@ -600,14 +602,7 @@ def forcing_certificate(traj: Trajectory, rule: QuadratureRule | None) -> Certif
     return True, (note,)
 
 
-def verify_general_bounds(
-    traj: Trajectory,
-    trace: FrequencyTrace,
-    rule: QuadratureRule | None = None,
-    *,
-    certificate: Certificate | None = None,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def verify_general_bounds(run: Run, *, tolerance: float | None = None) -> VerificationReport:
     """Check both differential bounds for forced runs at interior nodes.
 
     The two margins per node are
@@ -616,22 +611,19 @@ def verify_general_bounds(
         U'(t) - C(t)^2 (U(t) - 2 (-t)^(1+2 kappa))
 
     with derivatives by centered differences.  Before any margin is trusted,
-    the forcing hypothesis |f| <= C(t)(|grad u| + |u|) is certified on the
-    points of ``rule`` at every grid node; if certification fails the report
-    is inapplicable and names the offending time, because the bounds assume
-    the hypothesis and say nothing without it.  ``rule`` may be None only for
-    an unforced run.  ``certificate`` takes what
-    ``forcing_certificate(traj, rule)`` returns, which is computed when not
-    given.
+    the run's certificate of the forcing hypothesis |f| <= C(t)(|grad u| + |u|)
+    is read (see ``forcing_certificate``); if it fails the report is
+    inapplicable and names the offending time, because the bounds assume the
+    hypothesis and say nothing without it.
 
     The tolerance folds in a discretization allowance estimated from third
     differences of the same data; raw margins are reported unmodified.
     """
-    _check_trace(traj, trace)
+    trace, traj = run.trace, run.traj
     k = trace.kappa_used
-    holds, notes = forcing_certificate(traj, rule) if certificate is None else certificate
     if _is_zero_run(trace):
         return _inapplicable("general_bounds", _NO_FREQUENCY)
+    holds, notes = run.certificate
     if not holds:
         return _inapplicable("general_bounds", notes[0])
 
@@ -687,14 +679,7 @@ def _forcing_excess(rate: Rate, ta: float, tb: float, ua: float, k: float):
             return excess, gap, len(length), n + 1, len(rows) - 1 if converged else None
 
 
-def verify_general_harnack(
-    traj: Trajectory,
-    trace: FrequencyTrace,
-    rule: QuadratureRule | None = None,
-    *,
-    certificate: Certificate | None = None,
-    tolerance: float = 1e-8,
-) -> VerificationReport:
+def verify_general_harnack(run: Run, *, tolerance: float = 1e-8) -> VerificationReport:
     """Check the integrated two-time bound for forced runs.
 
     The bound propagates U forward from the left endpoint through the
@@ -720,17 +705,17 @@ def verify_general_harnack(
     nothing is integrated, so the margin is ``verify_harnack``'s bit for bit.
     Zero data passes through the degenerate 0 >= 0 branch: that is the
     backward-uniqueness statement itself.  The bound assumes the forcing
-    hypothesis, certified on ``rule`` (or taken from ``certificate``) as
+    hypothesis and reads the run's certificate of it, as
     ``verify_general_bounds`` does.
     """
-    _check_trace(traj, trace)
+    trace, traj = run.trace, run.traj
     k = trace.kappa_used
-    holds, notes = forcing_certificate(traj, rule) if certificate is None else certificate
     if _is_zero_run(trace):
         return _degenerate_harnack(
             "general_harnack", traj.grid.b, tolerance,
             "zero data: the bound degenerates to 0 >= 0 (vanishing at b forces vanishing throughout)",
         )
+    holds, notes = run.certificate
     if not holds:
         return _inapplicable("general_harnack", notes[0], tolerance)
     ta, tb, ia, ib, ua = _harnack_endpoints(trace)
@@ -750,34 +735,24 @@ def verify_general_harnack(
 # eigenvalue monotonicity and self-similar rigidity
 
 
-def verify_eigenvalue_monotonicity(
-    bg: Background,
-    grid: TimeGrid,
-    kappa_value: float | None = None,
-    *,
-    tolerance: float = 1e-12,
-) -> VerificationReport:
+def verify_eigenvalue_monotonicity(run: Run, *, tolerance: float = 1e-12) -> VerificationReport:
     """Check that the weighted first eigenvalue never increases along the flow.
 
     The scaled quantity ``(-t)^(1+2 kappa) lambda_1(t)`` equals
     ``mu_1 (-t)^(2 kappa)`` on these backgrounds, so it is constant for the
     flat weighting and strictly falling for curved ones; margins are
-    consecutive differences ``q(t_i) - q(t_{i+1}) >= 0``.
+    consecutive differences ``q(t_i) - q(t_{i+1}) >= 0``, with the kappa of
+    the run's trace.
     """
-    k = kappa(bg) if kappa_value is None else float(kappa_value)
-    t = grid.as_array()
+    bg, k = run.traj.background, run.trace.kappa_used
+    t = run.traj.grid.as_array()
     mt = -t
     q = float_powers(mt.tolist(), [1.0 + 2.0 * k])[:, 0] * (first_nonzero_eigenvalue(bg) / mt)  # lambda1 = mu_1/(-t)
     labels = ("scaled-eigenvalue-drop",) * (len(t) - 1)
     return _report("eigenvalue_monotonicity", t[1:], q[:-1] - q[1:], labels, tolerance)
 
 
-def verify_selfsimilar_scaling(
-    traj: Trajectory,
-    rule: QuadratureRule,
-    *,
-    tolerance: float | None = None,
-) -> VerificationReport:
+def verify_selfsimilar_scaling(run: Run, *, tolerance: float | None = None) -> VerificationReport:
     """Check the pointwise self-similar form of constant-frequency runs.
 
     A run whose active modes share one eigenvalue mu satisfies
@@ -790,7 +765,7 @@ def verify_selfsimilar_scaling(
     endpoint.  Trajectories mixing eigenvalues are inapplicable (their
     frequency is not constant and no such form exists).
     """
-    rule.require_background(traj.background)
+    traj = run.traj
     first = traj.amplitudes[0]
     if not first.any():
         return _inapplicable("selfsimilar_scaling", "zero initial data: no frequency to scale by")
@@ -805,7 +780,7 @@ def verify_selfsimilar_scaling(
     at_minus_one = np.flatnonzero(np.abs(t + 1.0) < 1e-12)
     ref_idx = int(at_minus_one[0]) if len(at_minus_one) else 0
     t_ref = float(t[ref_idx])
-    values = combine_on_rule(rule, traj.modes, traj.amplitudes)  # (nodes, rule points)
+    values = combine_on_rule(run.rule, traj.modes, traj.amplitudes)  # (nodes, rule points)
     v_ref = values[ref_idx].copy()
     scale = max(1.0, float(np.max(np.abs(v_ref))))
     tol = tolerance if tolerance is not None else 1e-10 * scale
@@ -815,12 +790,9 @@ def verify_selfsimilar_scaling(
     return _report("selfsimilar_scaling", t, -residuals, ("sup-residual",) * len(t), tol, notes=notes)
 
 
-def verify_quadrature_mass(
-    rule: QuadratureRule,
-    *,
-    tolerance: float = 1e-12,
-) -> VerificationReport:
-    """Check the quadrature rule against the closed-form total mass."""
+def verify_quadrature_mass(run: Run, *, tolerance: float = 1e-12) -> VerificationReport:
+    """Check the run's quadrature rule against the closed-form total mass."""
+    rule = run.rule
     mass = total_mass(rule.background)
     margin = -abs(rule.mass - mass)
     scale = max(1.0, mass)

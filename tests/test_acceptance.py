@@ -21,6 +21,7 @@ from parafreq import (
     Cylinder,
     Forcing,
     Plane,
+    Run,
     ScalarOnU,
     Sphere,
     TimeGrid,
@@ -56,7 +57,12 @@ def _pure_run(bg, idx, a=-1.0, b=-0.1, nodes=50, amp=1.0):
 
 
 def _checked(verify, traj):
-    return verify(traj, trace_from_trajectory(traj))
+    return verify(Run(traj))
+
+
+def _on_grid(bg, grid, resolution=24):
+    """A zero-data run of ``bg`` on ``grid``: for the checks that read only the grid, the background and the rule."""
+    return Run(evolve_exact_trajectory(CoefficientField.from_dict(bg, grid.a, {}), grid), resolution=resolution)
 
 
 def test_criterion_01_caloric_frequency_is_minus_degree():
@@ -201,14 +207,14 @@ def test_criterion_05_harnack_inequalities():
 def test_criterion_06_weighted_monotonicity_residuals_and_exactness():
     worst = 0.0
     for bg in [Plane(1), Sphere(2)]:
-        rep = verify_weighted_monotonicity(TimeGrid.uniform(-1.0, -0.5, 801), quadrature(bg, 32))
+        rep = verify_weighted_monotonicity(_on_grid(bg, TimeGrid.uniform(-1.0, -0.5, 801), 32))
         assert rep.status == "pass", bg.label()
         worst = max(worst, -rep.min_margin)
     assert worst < 1e-7
     # the slope is exact, so a 3-node grid at spacing 0.25 leaves only rounding on every background
     coarse = 0.0
     for bg in sorted(POINTWISE, key=lambda b: b.label()):
-        rep = verify_weighted_monotonicity(TimeGrid.uniform(-1.0, -0.5, 3), quadrature(bg, 32))
+        rep = verify_weighted_monotonicity(_on_grid(bg, TimeGrid.uniform(-1.0, -0.5, 3), 32))
         assert rep.status == "pass", bg.label()
         coarse = max(coarse, -rep.min_margin)
     assert coarse <= 1e-12
@@ -231,12 +237,11 @@ def test_criterion_07_drift_bochner_identity():
     ]
     assert {bg for bg, _, _ in cases} == POINTWISE
     for bg, res, mu_cutoff in cases:
-        rule = quadrature(bg, res)
         for mode in enumerate_modes(bg, mu_cutoff):
             if mode.mu == 0.0:
                 continue
             field = CoefficientField.from_dict(bg, -1.0, {mode: 1.0})
-            rep = verify_drift_bochner(evolve_exact_trajectory(field, TimeGrid((-1.0, -0.5))), rule)
+            rep = verify_drift_bochner(Run(evolve_exact_trajectory(field, TimeGrid((-1.0, -0.5))), resolution=res))
             assert rep.status == "pass", (bg.label(), mode.index)
             worst_b = max(worst_b, -rep.min_margin)
     assert worst_b < 1e-8
@@ -247,7 +252,7 @@ def test_criterion_07_drift_bochner_identity():
     for idx in [(1, 0), (2, 0)]:
         f0 = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, idx): 1.0})
         traj = evolve_exact_trajectory(f0, TimeGrid((-1.0, -0.5)))
-        rep = verify_drift_bochner_verbatim(traj, rule)  # one margin per end of the run
+        rep = verify_drift_bochner_verbatim(Run(traj, resolution=48))  # one margin per end of the run
         for ft, margin in zip((traj.field_at(0), traj.field_at(-1)), rep.margin):
             t = ft.time
             gbar = combine_on_rule(rule, ft.modes, ft.amplitudes, "gradients")
@@ -270,7 +275,7 @@ def test_criterion_08_forced_growth_bounds():
     worst = math.inf
     for c0 in (0.0, 0.1, 1.0):
         traj = evolve_forced(field, grid, Forcing(ConstantRate(c0), ScalarOnU()), local_tol=1e-12)
-        rep = verify_general_bounds(traj, trace_from_trajectory(traj, 0.0), quadrature(bg, 24))
+        rep = verify_general_bounds(Run(traj, 0.0))
         assert rep.min_margin >= -1e-6, (c0, rep.min_margin)
         worst = min(worst, rep.min_margin)
     rich = CoefficientField.from_dict(
@@ -293,7 +298,7 @@ def test_criterion_08_forced_growth_bounds():
 def test_criterion_09_scaled_eigenvalue_monotonicity():
     grid = TimeGrid.uniform(-1.0, -0.01, 100)
     for bg in THREE_BACKGROUNDS:
-        rep = verify_eigenvalue_monotonicity(bg, grid, kappa(bg))
+        rep = verify_eigenvalue_monotonicity(_on_grid(bg, grid))
         assert rep.status == "pass", bg.label()
     worst_plane = 0.0
     for t in grid.nodes:

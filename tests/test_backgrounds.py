@@ -250,8 +250,12 @@ def test_capability_declaration_gates_every_consumer(bg, pointwise):
     rule_checks = ("weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass", "drift_bochner", "drift_bochner_verbatim")
     for check in rule_checks:
         assert refused_field(checks=[check]) == (None if pointwise else "checks"), check
-    forcing = {"rate": {"type": "constant", "c0": 0.1}, "coupling": "scalar_on_u"}
-    assert refused_field(checks=["general_bounds"], forcing=forcing) == (None if pointwise else "forcing")
+    # a scalar forcing holds identically; a mode-matrix one is certified on quadrature points
+    rate = {"type": "constant", "c0": 0.1}
+    scalar = {"rate": rate, "coupling": "scalar_on_u"}
+    matrix = {"rate": rate, "coupling": "mode_matrix", "modes": list(base["initial_modes"]), "matrix": [[0.1]]}
+    assert refused_field(checks=["general_bounds"], forcing=scalar) is None
+    assert refused_field(checks=["general_bounds"], forcing=matrix) == (None if pointwise else "forcing")
 
 
 def test_unsupported_quadrature_ranges():

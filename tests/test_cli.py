@@ -140,6 +140,18 @@ def test_runtime_error_spares_the_rest_of_the_batch(tmp_path, capsys):
     ]
 
 
+def test_overflowing_scenario_spares_the_rest_of_the_batch(tmp_path, capsys):
+    # (-t)^(2 kappa) at t = -2 overflows the frequency trace: that scenario's runtime error, not the batch's
+    _write(tmp_path, "a.json", dict(PASSING, scenario_id="a", kappa=1000, time={"a": -2.0, "b": -0.5, "nodes": 21}))
+    _write(tmp_path, "b.json", dict(PASSING, scenario_id="b"))
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path / "a.json"), str(tmp_path / "b.json"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "runtime error in a:" in captured.err
+    assert "1 scenario(s)" in captured.out
+    assert sorted(p.name for p in out.iterdir()) == [f"b{suffix}" for suffix in (".plot.py", ".report.json", ".trace.csv")]
+
+
 def test_quiet_prints_only_failures_and_summary(tmp_path, capsys):
     cfg = _write(tmp_path, "ok.json", PASSING)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0

@@ -390,21 +390,26 @@ def test_low_to_high_coupling_never_certifiable():
 
 @pytest.mark.parametrize("batch", [None, 50], ids=["one-block", "blocks-of-a-few-rows"])
 def test_forcing_margins_equal_the_per_field_margin_bit_for_bit(monkeypatch, batch):
-    # the run's block against forcing_bound_margin at each node, for both couplings and both rate kinds;
-    # a small batch cuts the block into runs of 2 rows on plane(1) and of 1 row elsewhere
+    # the run's block against forcing_bound_margin at each node, for both rate kinds and for couplings that do and
+    # do not reach the field's own modes; a small batch cuts the block into runs of 2 rows on plane(1) and of
+    # 1 row elsewhere
     if batch is not None:
         monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", batch)
-    p1, s2 = Plane(1), Sphere(2)
+    p1, s2, c11 = Plane(1), Sphere(2), Cylinder(1, 1)
     sampled = SampledRate((-1.0, -0.7, -0.5), (0.5, 0.1, 0.3))
     cases = [
-        (p1, 24, {(1,): 1.0, (2,): -0.4}, Forcing(ConstantRate(0.7), ScalarOnU())),
+        (p1, 24, {(1,): 1.0, (2,): -0.4}, Forcing(ConstantRate(0.7), ModeMatrix(
+            (mode_from_index(p1, (1,)), mode_from_index(p1, (2,))), ((0.7, 0.2), (0.0, 0.5))
+        ))),
         (p1, 24, {(3,): 1.0}, Forcing(sampled, ModeMatrix(
             (mode_from_index(p1, (1,)), mode_from_index(p1, (3,))), ((0.0, 0.4), (0.0, 0.0))
         ))),
         (s2, 8, {(1, 0): 1.0, (2, 3): 0.5}, Forcing(ConstantRate(0.2), ModeMatrix(
             (mode_from_index(s2, (1, 0)), mode_from_index(s2, (1, 1))), ((0.0, 0.1), (0.1, 0.0))
         ))),
-        (Cylinder(1, 1), 6, {(1, 0, 0): 1.0, (0, 0, 2): -0.4}, Forcing(sampled, ScalarOnU())),
+        (c11, 6, {(1, 0, 0): 1.0, (0, 0, 2): -0.4}, Forcing(sampled, ModeMatrix(
+            (mode_from_index(c11, (1, 0, 0)), mode_from_index(c11, (0, 0, 2))), ((0.3, 0.0), (0.1, 0.2))
+        ))),
     ]
     for bg, resolution, coeffs, forcing in cases:
         rule = quadrature(bg, resolution)

@@ -118,6 +118,15 @@ def test_duplicate_report_only_entries_rejected():
     assert parse_config(_doc(report_only=["harnack"])).report_only == frozenset({"harnack"})
 
 
+def test_tolerance_for_a_check_not_requested_rejected():
+    # refused like such a report_only entry, instead of being hashed and never read
+    for name in ("equality_case", "bogus"):
+        with pytest.raises(ConfigError, match=f"'{name}' is not among the requested checks") as err:
+            parse_config(_doc(tolerances={name: 1e-6}))
+        assert err.value.field == "tolerances"
+    assert parse_config(_doc(tolerances={"harnack": 1e-6})).tolerances == (("harnack", 1e-6),)
+
+
 def test_dimension_gates_on_pointwise_checks():
     doc = _doc(background={"kind": "plane", "n": 4}, initial_modes={"1,0,0,0": 1.0})
     doc["checks"] = ["quadrature_mass"]
@@ -150,6 +159,18 @@ def test_forcing_validation():
     for modes in (["1_0"], [" +1"], [1], "1"):
         _expect_config_error(dict(doc, forcing=dict(matrix, modes=modes)), "forcing.modes")
     assert parse_config(dict(doc, forcing=dict(matrix, modes=["1"]))).forcing.coupling.modes[0].index == (1,)
+
+
+def test_scalar_forcing_runs_both_general_checks_off_the_pointwise_set():
+    # sphere(3) has no quadrature rule: a scalar forcing holds identically, a mode-matrix one cannot be certified
+    general = ["general_bounds", "general_harnack"]
+    scalar = {"rate": {"type": "sampled", "times": [-1.0, -0.5], "values": [0.5, 0.2]}, "coupling": "scalar_on_u"}
+    doc = _doc(background={"kind": "sphere", "n": 3}, initial_modes={"1,0": 1.0, "2,0": -0.3}, checks=general)
+    out = run_scenario(parse_config(dict(doc, forcing=scalar)))
+    assert [(r.check_name, r.status) for r in out.reports] == [(name, "pass") for name in general]
+    assert all(r.notes[0].startswith("forcing hypothesis holds identically") for r in out.reports)
+    matrix = dict(scalar, coupling="mode_matrix", modes=["1,0"], matrix=[[0.1]])
+    _expect_config_error(dict(doc, forcing=matrix), "forcing")
 
 
 def test_random_mixture_is_seed_deterministic():

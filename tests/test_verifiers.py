@@ -18,11 +18,13 @@ from parafreq import (
     Forcing,
     ModeMatrix,
     Plane,
+    Run,
     SampledRate,
     ScalarOnU,
     Sphere,
     TimeGrid,
     Trajectory,
+    enumerate_modes,
     evolve_exact_trajectory,
     evolve_forced,
     mode_from_index,
@@ -59,8 +61,13 @@ def _traj(bg, coeffs_by_index, a=-1.0, b=-0.5, nodes=41):
     return evolve_exact_trajectory(field, TimeGrid.uniform(a, b, nodes))
 
 
-def _checked(verify, traj, *rule):
-    return verify(traj, trace_from_trajectory(traj), *rule)
+def _checked(verify, traj):
+    return verify(Run(traj))
+
+
+def _on_grid(bg, grid, kappa_value=None, resolution=24):
+    """A zero-data run of ``bg`` on ``grid``: for the checks that read only the grid, the background and the rule."""
+    return Run(evolve_exact_trajectory(CoefficientField.from_dict(bg, grid.a, {}), grid), kappa_value, resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +144,10 @@ def test_general_harnack_collapses_to_harnack_without_forcing():
 
 @pytest.mark.parametrize("bg, coeffs", [(Plane(1), {(1,): 1.0, (4,): -0.3}), (Sphere(2), {(1, 0): 1.0, (2, 0): 0.3})])
 def test_general_harnack_equals_harnack_bit_for_bit_without_forcing(bg, coeffs):
-    traj = _traj(bg, coeffs)
-    trace = trace_from_trajectory(traj)
-    assert trace.kappa_used == (0.0 if isinstance(bg, Plane) else 0.5)
-    general = verify_general_harnack(traj, trace)
-    assert general.margin.tobytes() == verify_harnack(traj, trace).margin.tobytes()
+    run = Run(_traj(bg, coeffs))
+    assert run.trace.kappa_used == (0.0 if isinstance(bg, Plane) else 0.5)
+    general = verify_general_harnack(run)
+    assert general.margin.tobytes() == verify_harnack(run).margin.tobytes()
 
 
 def test_general_harnack_vanishes_on_a_zero_rate_forced_run():
@@ -149,7 +155,7 @@ def test_general_harnack_vanishes_on_a_zero_rate_forced_run():
     field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, (2,)): 1.0})
     forcing = Forcing(ConstantRate(0.0), ScalarOnU())
     traj = evolve_forced(field, TimeGrid.uniform(-1.0, -0.5, 201), forcing, local_tol=1e-12)
-    rep = _checked(verify_general_harnack, traj, quadrature(bg, 24))
+    rep = _checked(verify_general_harnack, traj)
     assert rep.status == "pass"
     assert abs(rep.min_margin) <= 1e-12
 
@@ -158,10 +164,9 @@ def test_general_harnack_unconverged_quadrature_never_passes(monkeypatch):
     bg = Plane(1)
     field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, (2,)): 1.0})
     traj = evolve_forced(field, TimeGrid.uniform(-1.0, -0.9, 11), Forcing(ConstantRate(0.5), ScalarOnU()))
-    rule = quadrature(bg, 24)
-    assert _checked(verify_general_harnack, traj, rule).status == "pass"
+    assert _checked(verify_general_harnack, traj).status == "pass"
     monkeypatch.setattr(verifiers, "_HARNACK_QUAD_TOL", 0.0)
-    rep = _checked(verify_general_harnack, traj, rule)
+    rep = _checked(verify_general_harnack, traj)
     assert rep.status != "pass"
     assert any("did not converge" in note and "2097153 points" in note for note in rep.notes)
 
@@ -198,7 +203,7 @@ def test_general_harnack_romberg_matches_a_fine_trapezoid_on_forced_suite_runs(s
     (config,) = [c for c in _load_packaged_configs() if c.scenario_id == scenario_id]
     field = CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes))
     traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
-    rep = _checked(verify_general_harnack, traj, quadrature(config.background, config.resolution))
+    rep = verify_general_harnack(Run(traj, resolution=config.resolution))
     assert rep.status == "pass"
     excess, points, trace = _harnack_excess(traj, rep)
     assert points <= 1025
@@ -213,7 +218,7 @@ def test_general_harnack_splits_a_sampled_rate_at_its_kinks():
     rate = SampledRate((-1.0, -0.8, -0.65, -0.5, -0.3, -0.1), (0.2, 0.6, 0.3, 0.5, 0.1, 0.4))
     field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, (1,)): 1.0, mode_from_index(bg, (3,)): 0.4})
     traj = evolve_forced(field, TimeGrid.uniform(-1.0, -0.2, 161), Forcing(rate, ScalarOnU()), local_tol=1e-12)
-    rep = _checked(verify_general_harnack, traj, quadrature(bg, 24))
+    rep = _checked(verify_general_harnack, traj)
     assert rep.status == "pass"
     excess, points, trace = _harnack_excess(traj, rep)
     assert points <= 1025  # unsplit, the kinks cost orders of magnitude more points
@@ -251,7 +256,7 @@ def test_equality_case_vacuous_on_genuine_mixture():
 def test_weighted_monotonicity_passes_packaged_functions():
     for bg in [Plane(1), Sphere(2)]:
         grid = TimeGrid.uniform(-1.0, -0.5, 401)
-        rep = verify_weighted_monotonicity(grid, quadrature(bg, 32))
+        rep = verify_weighted_monotonicity(_on_grid(bg, grid, resolution=32))
         assert rep.status == "pass", (bg.label(), rep.min_margin)
         names = sorted(standard_test_functions(bg))
         assert rep.notes == (f"test functions: {', '.join(names)}",)
@@ -262,7 +267,7 @@ def test_weighted_monotonicity_passes_packaged_functions():
 def test_weighted_monotonicity_is_exact_on_a_coarse_grid(bg):
     # the slope is differentiated exactly, so three nodes at spacing 0.25 leave only rounding; a centered difference
     # misses the sixth powers' slope there by h^2 g'''/6, about 1.8e-3 on plane(1)
-    rep = verify_weighted_monotonicity(TimeGrid.uniform(-1.0, -0.5, 3), quadrature(bg, 32))
+    rep = verify_weighted_monotonicity(_on_grid(bg, TimeGrid.uniform(-1.0, -0.5, 3), resolution=32))
     assert rep.status == "pass"
     assert len(rep.margin) == 3 * len(standard_test_functions(bg))
     assert -rep.min_margin <= 1e-12, rep.min_margin
@@ -273,7 +278,8 @@ def test_weighted_monotonicity_moments_equal_direct_route(bg):
     # direct route: grad f and every d_a d_b f evaluated at the dilated nodes s * y, one integral per time
     grid = TimeGrid.uniform(-1.0, -0.5, 201)
     t = grid.as_array()
-    rule = quadrature(bg, 16)
+    run = _on_grid(bg, grid, resolution=16)
+    rule = run.rule
     d = bg.ambient_dim
     funcs = standard_test_functions(bg)
     # every packaged function is homogeneous; their sum mixes degrees 0 to 6
@@ -290,8 +296,8 @@ def test_weighted_monotonicity_moments_equal_direct_route(bg):
             tr = sum(proj[:, a, b] * hess[a][b].eval(pts) for a in range(d) for b in range(d))
             rhs.append(-rule.integrate(tr))
         direct = -np.abs(np.array(slope) - np.array(rhs))
-        rep = verify_weighted_monotonicity(grid, rule, {name: poly})
-        again = verify_weighted_monotonicity(grid, quadrature(bg, 16), {name: poly})
+        rep = verify_weighted_monotonicity(run, {name: poly})
+        again = verify_weighted_monotonicity(_on_grid(bg, grid, resolution=16), {name: poly})
         np.testing.assert_allclose(rep.margin, direct, rtol=0.0, atol=1e-10, err_msg=name)
         assert rep.margin.tobytes() == again.margin.tobytes(), name
         assert rep.min_margin == again.min_margin, name
@@ -304,31 +310,26 @@ def test_weighted_monotonicity_moments_equal_direct_route(bg):
 
 
 def test_bochner_variants_coincide_on_plane():
-    bg = Plane(2)
-    rule = quadrature(bg, 32)
-    traj = _traj(bg, {(1, 0): 1.0, (2, 1): 0.5})
-    a = verify_drift_bochner(traj, rule)
-    b = verify_drift_bochner_verbatim(traj, rule)
+    run = Run(_traj(Plane(2), {(1, 0): 1.0, (2, 1): 0.5}), resolution=32)
+    a = verify_drift_bochner(run)
+    b = verify_drift_bochner_verbatim(run)
     assert a.status == "pass" and b.status == "pass"
     assert abs(a.min_margin) < 1e-12 and abs(b.min_margin) < 1e-12
 
 
 def test_bochner_corrected_passes_on_sphere():
-    bg = Sphere(2)
-    rule = quadrature(bg, 48)
-    traj = _traj(bg, {(2, 0): 1.0, (1, 1): 0.7})
-    rep = verify_drift_bochner(traj, rule)
+    rep = verify_drift_bochner(Run(_traj(Sphere(2), {(2, 0): 1.0, (1, 1): 0.7}), resolution=48))
     assert rep.status == "pass"
     assert abs(rep.min_margin) < 1e-10
 
 
 @pytest.mark.parametrize("verify", [verify_drift_bochner, verify_drift_bochner_verbatim, verifiers.bochner_sides])
 def test_bochner_checks_name_the_trajectory_they_need(verify):
-    # the call of a single field, as before the checks took both ends of a run
+    # a run of a single field, as before the checks took both ends of a run
     bg = Plane(1)
     field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, (1,)): 1.0})
     with pytest.raises(TypeError, match="needs a Trajectory .* got CoefficientField"):
-        verify(field, quadrature(bg, 16))
+        verify(field, quadrature(bg, 16)) if verify is verifiers.bochner_sides else verify(Run(field))
 
 
 _VERBATIM_NOTE = "expected residual from the missing pairing term: "
@@ -347,7 +348,7 @@ def test_bochner_verbatim_gap_equals_gradient_energy(bg, resolution, coeffs, t):
     rule = quadrature(bg, resolution)
     field = CoefficientField.from_dict(bg, t, {mode_from_index(bg, idx): amp for idx, amp in coeffs.items()})
     traj = evolve_exact_trajectory(field, TimeGrid((t, t / 2.0)))
-    rep = verify_drift_bochner_verbatim(traj, rule)
+    rep = verify_drift_bochner_verbatim(Run(traj, resolution=resolution))
     oracle = [geometry_at(bg, p) for p in rule.points]
     proj = np.stack([g.tangent_projector for g in oracle])
     shape = np.stack([g.shape_pairing for g in oracle])
@@ -405,7 +406,7 @@ def test_bochner_sides_are_the_same_bytes_in_any_point_block(monkeypatch, bg, re
 
 def test_general_bounds_unforced_margins_near_zero():
     traj = _traj(Plane(1), {(2,): 1.0}, nodes=201)
-    rep = verify_general_bounds(traj, trace_from_trajectory(traj, 0.0))
+    rep = verify_general_bounds(Run(traj, 0.0))
     assert rep.status == "pass"
     assert rep.min_margin >= -rep.tolerance
 
@@ -418,10 +419,26 @@ def test_general_bounds_scalar_rate_matches_analytic_minimum():
     field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, (1,)): 1.0})
     grid = TimeGrid.uniform(-1.0, -0.5, 161)
     traj = evolve_forced(field, grid, Forcing(ConstantRate(c0), ScalarOnU()), local_tol=1e-12)
-    rep = verify_general_bounds(traj, trace_from_trajectory(traj, 0.0), quadrature(bg, 24))
+    rep = verify_general_bounds(Run(traj, 0.0))
     assert rep.status == "pass"
     expected = c0 * c0 * (2.0 * 0.5 + 2.0 * (-grid.nodes[-2]))
     assert rep.min_margin == pytest.approx(expected, abs=1e-4)
+
+
+@pytest.mark.parametrize("bg", [Plane(1), Sphere(3)], ids=lambda b: b.label())
+def test_a_scalar_forcing_holds_identically_without_a_rule(monkeypatch, bg):
+    # f = C u with C >= 0 leaves the margin C |grad u| >= 0, so the certificate samples nothing; sphere(3) has no rule
+    rules = _counted(monkeypatch, "quadrature")
+    modes = [m for m in enumerate_modes(bg, 2.0) if m.mu > 0.0][:2]
+    field = CoefficientField.from_dict(bg, -1.0, {modes[0]: 1.0, modes[1]: -0.4})
+    rate = SampledRate((-1.0, -0.7, -0.5), (0.5, 0.1, 0.3))
+    run = Run(evolve_forced(field, TimeGrid.uniform(-1.0, -0.5, 81), Forcing(rate, ScalarOnU()), local_tol=1e-11))
+    assert run.certificate == (True, (verifiers._SCALAR_ON_U_NOTE,))
+    for verify in (verify_general_bounds, verify_general_harnack):
+        rep = verify(run)
+        assert rep.status == "pass", verify.__name__
+        assert rep.notes[0] == verifiers._SCALAR_ON_U_NOTE
+    assert not rules
 
 
 def test_general_bounds_inapplicable_when_hypothesis_fails():
@@ -431,14 +448,13 @@ def test_general_bounds_inapplicable_when_hypothesis_fails():
     field = CoefficientField.from_dict(bg, -1.0, {m1: 1.0})
     forcing = Forcing(ConstantRate(0.5), ModeMatrix((m3, m1), ((0.0, 1.0), (0.0, 0.0))))
     grid = TimeGrid.uniform(-1.0, -0.5, 81)
-    traj = evolve_forced(field, grid, forcing, local_tol=1e-10)
-    trace, rule = trace_from_trajectory(traj, 0.0), quadrature(bg, 24)
-    rep = verify_general_bounds(traj, trace, rule)
+    run = Run(evolve_forced(field, grid, forcing, local_tol=1e-10), 0.0)
+    rep = verify_general_bounds(run)
     assert rep.status == "inapplicable"
     assert rep.min_margin is None
     assert any("hypothesis fails" in n for n in rep.notes)
     # the integrated bound assumes the same hypothesis, so it is inapplicable too, at the same offending time
-    harnack = verify_general_harnack(traj, trace, rule)
+    harnack = verify_general_harnack(run)
     assert harnack.status == "inapplicable"
     assert harnack.min_margin is None
     assert harnack.notes == rep.notes
@@ -456,13 +472,13 @@ def test_general_checks_inapplicable_when_the_hypothesis_fails_between_sparse_sa
     amplitudes = np.tile([0.0, 1.0], (81, 1))  # columns (m1, m3)
     amplitudes[5] = [1.0, 0.0]
     traj = Trajectory(grid, bg, (m1, m3), amplitudes, forcing=forcing)
-    trace, rule = trace_from_trajectory(traj, 0.0), quadrature(bg, 24)
+    run = Run(traj, 0.0)
     sparse = np.round(np.linspace(0, 80, 9)).astype(int)
     assert 5 not in sparse
-    assert min(forcing_bound_margin(traj.field_at(int(i)), forcing, rule) for i in sparse) >= 0.0
+    assert min(forcing_bound_margin(traj.field_at(int(i)), forcing, run.rule) for i in sparse) >= 0.0
     expected = f"forcing hypothesis fails at t={grid.nodes[5]:.17g} "
     for verify in (verify_general_bounds, verify_general_harnack):
-        rep = verify(traj, trace, rule)
+        rep = verify(run)
         assert rep.status == "inapplicable", verify.__name__
         assert rep.notes[0].startswith(expected), rep.notes
 
@@ -474,26 +490,25 @@ def test_general_checks_inapplicable_when_the_hypothesis_fails_between_sparse_sa
 def test_eigenvalue_drop_margins_exact():
     grid = TimeGrid.uniform(-1.0, -0.5, 6)
     h = 0.1
-    plane = verify_eigenvalue_monotonicity(Plane(1), grid, 0.0)
+    plane = verify_eigenvalue_monotonicity(_on_grid(Plane(1), grid, 0.0))
     assert plane.status == "pass"
     assert abs(plane.min_margin) < 1e-15
-    sphere = verify_eigenvalue_monotonicity(Sphere(2), grid, 0.5)
+    sphere = verify_eigenvalue_monotonicity(_on_grid(Sphere(2), grid, 0.5))
     assert sphere.status == "pass"
     assert sphere.min_margin == pytest.approx(0.5 * h, abs=1e-14)
 
 
 def test_selfsimilar_scaling_pure_vs_mixture():
-    rule = quadrature(Sphere(2), 24)
-    pure = verify_selfsimilar_scaling(_traj(Sphere(2), {(2, 1): 1.5}), rule)
+    pure = _checked(verify_selfsimilar_scaling, _traj(Sphere(2), {(2, 1): 1.5}))
     assert pure.status == "pass"
-    mixed = verify_selfsimilar_scaling(_traj(Sphere(2), {(1, 0): 1.0, (2, 0): 1.0}), rule)
+    mixed = _checked(verify_selfsimilar_scaling, _traj(Sphere(2), {(1, 0): 1.0, (2, 0): 1.0}))
     assert mixed.status == "inapplicable"
     assert any("distinct eigenvalues" in n or "multiple" in n for n in mixed.notes)
 
 
 def test_quadrature_mass_check_all_backgrounds():
     for bg in [Plane(1), Plane(2), Sphere(1), Sphere(2), Cylinder(1, 1)]:
-        rep = verify_quadrature_mass(quadrature(bg, 24))
+        rep = _checked(verify_quadrature_mass, _traj(bg, {}, nodes=3))
         assert rep.status == "pass", bg.label()
 
 
@@ -509,7 +524,7 @@ def test_report_roundtrip_through_dict():
 
 
 def test_report_roundtrip_preserves_inapplicable():
-    rep = verify_selfsimilar_scaling(_traj(Plane(1), {(1,): 1.0, (2,): 1.0}), quadrature(Plane(1), 24))
+    rep = _checked(verify_selfsimilar_scaling, _traj(Plane(1), {(1,): 1.0, (2,): 1.0}))
     doc = rep.to_dict()
     assert doc["min_margin"] is None
     clone = report_from_dict(doc)
@@ -602,7 +617,7 @@ def test_no_package_code_calls_the_per_point_geometry():
 
 
 # ---------------------------------------------------------------------------
-# one trace per run, shared by the checks that read it
+# one run per scenario: its trace, rule, curvature sides and forcing certificate are each built once, when read
 
 _TRACE_CHECKS = (
     "frequency_monotonicity", "equality_case", "harnack", "harnack_printed", "general_bounds", "general_harnack",
@@ -628,9 +643,15 @@ def _shared_trace_config(initial_modes):
     })
 
 
-def _evolve(config):
-    field = CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes))
-    return evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
+def _fresh_run(config, traj=None):
+    """A run of the scenario with nothing built yet, of ``traj`` or else of the configured field evolved anew."""
+    if traj is None:
+        field = CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes))
+        if config.forcing is None:
+            traj = evolve_exact_trajectory(field, config.grid)
+        else:
+            traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
+    return Run(traj, config.kappa_value, config.resolution)
 
 
 def _assert_same_report(a, b):
@@ -642,16 +663,13 @@ def _assert_same_report(a, b):
 
 @pytest.mark.parametrize("initial_modes", [{"3": 1.0, "2": -0.3}, {}], ids=["forced-mixture", "zero-data"])
 def test_shared_trace_gives_the_reports_of_a_trace_built_per_check(initial_modes):
+    # every check in turn on one run, against the check alone on a fresh run of the same trajectory
     config = _shared_trace_config(initial_modes)
-    traj = _evolve(config)
-    trace = trace_from_trajectory(traj, config.kappa_value)
-    rule = quadrature(config.background, config.resolution)
+    run = _fresh_run(config)
     statuses = set()
     for name in _TRACE_CHECKS:
-        shared = scenario._run_check(name, config, traj, trace, rule)
-        fresh = (quadrature(config.background, config.resolution),) if name in scenario._CERTIFIERS else ()
-        alone = scenario._VERIFIERS[name](traj, trace_from_trajectory(traj, config.kappa_value), *fresh)
-        _assert_same_report(shared, alone)
+        shared = scenario._VERIFIERS[name](run)
+        _assert_same_report(shared, scenario._VERIFIERS[name](_fresh_run(config, run.traj)))
         statuses.add(shared.status)
     if initial_modes:
         assert "inapplicable" not in statuses
@@ -675,19 +693,14 @@ def _rule_config(checks, initial_modes=None, forcing=None):
 def test_shared_rule_gives_the_reports_of_a_rule_built_per_check():
     # one rule through every check in turn
     config = _rule_config(_RULE_CHECKS)
-    traj = evolve_exact_trajectory(
-        CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes)), config.grid
-    )
-    trace = trace_from_trajectory(traj, config.kappa_value)
-    rule = quadrature(config.background, config.resolution)
+    run = _fresh_run(config)
     for name in _RULE_CHECKS:
-        shared = scenario._run_check(name, config, traj, trace, rule)
-        alone = scenario._run_check(name, config, traj, trace, quadrature(config.background, config.resolution))
-        _assert_same_report(shared, alone)
+        shared = scenario._VERIFIERS[name](run)
+        _assert_same_report(shared, scenario._VERIFIERS[name](_fresh_run(config, run.traj)))
         assert shared.status != "inapplicable", name
 
 
-def _counted(monkeypatch, name, home=scenario):
+def _counted(monkeypatch, name, home=verifiers):
     """Calls of the package function ``name`` (found in the module ``home``), wrapped in every parafreq module that
     binds it."""
     calls = []
@@ -703,17 +716,11 @@ def _counted(monkeypatch, name, home=scenario):
     return calls
 
 
-def test_a_trace_of_another_run_is_refused():
-    config = _shared_trace_config({"3": 1.0})
-    traj = _evolve(config)
-    rule = quadrature(config.background, config.resolution)
-    shorter = trace_from_trajectory(_traj(Plane(1), {(3,): 1.0}, nodes=41), 0.0)
-    for name in _TRACE_CHECKS:
-        with pytest.raises(ValueError, match="does not belong to this run"):
-            scenario._VERIFIERS[name](traj, shorter, *((rule,) if name in scenario._CERTIFIERS else ()))
-    # checked first, also where kappa > 0 leaves the trace unread
-    with pytest.raises(ValueError, match="does not belong to this run"):
-        verify_harnack_printed(_traj(Sphere(2), {(1, 0): 1.0}, nodes=81), shorter)
+_SCALAR_FORCING = {"rate": {"type": "constant", "c0": 0.2}, "coupling": "scalar_on_u"}
+_MATRIX_FORCING = {
+    "rate": {"type": "constant", "c0": 0.2}, "coupling": "mode_matrix",
+    "modes": ["1,0", "1,1"], "matrix": [[0.0, 0.1], [0.1, 0.0]],
+}
 
 
 def test_run_scenario_builds_one_trace(monkeypatch):
@@ -727,15 +734,14 @@ def test_run_scenario_builds_one_trace(monkeypatch):
 
 def test_run_scenario_builds_one_rule_and_only_when_a_check_reads_it(monkeypatch):
     calls = _counted(monkeypatch, "quadrature")
-    forcing = {"rate": {"type": "constant", "c0": 0.2}, "coupling": "scalar_on_u"}
     spectral = ("frequency_monotonicity", "harnack", "eigenvalue_monotonicity", "general_bounds", "general_harnack")
     for config, builds in (
         (_rule_config(("selfsimilar_scaling", "quadrature_mass")), 1),
         (_rule_config(("drift_bochner", "drift_bochner_verbatim")), 1),
         (_rule_config(_RULE_CHECKS + spectral), 1),
-        (_shared_trace_config({"3": 1.0}), 1),  # general_bounds on a forced run
-        (_rule_config(spectral, forcing=forcing), 1),
-        (_rule_config(("general_harnack",), forcing=forcing), 1),  # it certifies the forcing too
+        (_shared_trace_config({"3": 1.0}), 1),  # general_bounds certifies a mode-matrix forcing on the rule
+        (_rule_config(("general_harnack",), forcing=_MATRIX_FORCING), 1),  # general_harnack alone too
+        (_rule_config(spectral, forcing=_SCALAR_FORCING), 0),  # a scalar forcing holds without one
         (_rule_config(spectral), 0),
         (_rule_config(spectral, initial_modes={}), 0),
     ):
@@ -767,31 +773,28 @@ def test_run_scenario_builds_one_rule_and_only_when_a_check_reads_it(monkeypatch
 
 
 def test_run_scenario_meets_the_rule_once_per_field(monkeypatch):
-    # the curvature identity's sides and the forcing certificate are taken once per run and serve both checks,
-    # which report what each verifier reports when it computes them itself; package code never certifies one
-    # field at a time
-    sides = _counted(monkeypatch, "bochner_sides")
-    certificates = _counted(monkeypatch, "forcing_certificate")
+    # each part of the run is built at most once, and only when a check reads it (the trace always: the output
+    # holds it); every report equals its check alone on a fresh run of the same trajectory
+    parts = ("trace_from_trajectory", "quadrature", "bochner_sides", "forcing_certificate")
+    calls = [_counted(monkeypatch, name) for name in parts]
     bochner, general = ["drift_bochner", "drift_bochner_verbatim"], ["general_bounds", "general_harnack"]
-    forcing = {"rate": {"type": "constant", "c0": 0.2}, "coupling": "scalar_on_u"}
     for config, counts in (
-        (_rule_config(bochner), (1, 0)),
-        (_rule_config(bochner[1:]), (1, 0)),
-        (_shared_trace_config({"3": 1.0, "2": -0.3}), (0, 1)),  # mode-matrix forcing
-        (_rule_config(bochner + general, forcing=forcing), (1, 1)),
-        (_rule_config(["frequency_monotonicity", "harnack"]), (0, 0)),
+        (_rule_config(bochner), (1, 1, 1, 0)),
+        (_rule_config(bochner[1:]), (1, 1, 1, 0)),
+        (_shared_trace_config({"3": 1.0, "2": -0.3}), (1, 1, 0, 1)),  # a mode-matrix forcing, sampled on the rule
+        (_shared_trace_config({}), (1, 0, 0, 0)),  # zero data: the general checks never reach the certificate
+        (_rule_config(bochner + general, forcing=_SCALAR_FORCING), (1, 1, 1, 1)),
+        (_rule_config(general, forcing=_SCALAR_FORCING), (1, 0, 0, 1)),  # a scalar forcing holds without a rule
+        (_rule_config(["frequency_monotonicity", "harnack", "eigenvalue_monotonicity"]), (1, 0, 0, 0)),
     ):
-        sides.clear()
-        certificates.clear()
+        for counted in calls:
+            counted.clear()
         out = scenario.run_scenario(config)
-        assert (len(sides), len(certificates)) == counts, config.checks
-        traj = _evolve(config) if config.forcing else evolve_exact_trajectory(
-            CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes)), config.grid
-        )
-        trace, rule = trace_from_trajectory(traj, config.kappa_value), quadrature(config.background, config.resolution)
+        assert tuple(len(counted) for counted in calls) == counts, config.checks
+        fresh = _fresh_run(config)
         for name, report in zip(config.checks, out.reports, strict=True):
-            _assert_same_report(report, scenario._run_check(name, config, traj, trace, rule))
-            assert report.status != "inapplicable", name
+            _assert_same_report(report, scenario._VERIFIERS[name](_fresh_run(config, fresh.traj)))
+            assert report.status != "inapplicable" or not config.initial_modes, name
 
 
 def _bochner_memory_config():
@@ -844,29 +847,19 @@ def test_rule_and_curvature_sides_hold_one_block_of_points():
 
 
 def test_pointwise_checks_refuse_data_of_another_background():
+    # a run's own rule is of its background; what takes a rule apart from a run refuses one of another background
     rule = quadrature(Plane(2), 8)
-    other = _traj(Sphere(2), {(1, 0): 1.0}, nodes=5)
-    zero = _traj(Sphere(2), {}, nodes=5)
+    s2 = Sphere(2)
+    m10, m11 = mode_from_index(s2, (1, 0)), mode_from_index(s2, (1, 1))
+    other = _traj(s2, {(1, 0): 1.0}, nodes=5)
     forced = evolve_forced(
-        CoefficientField.from_dict(Sphere(2), -1.0, {mode_from_index(Sphere(2), (1, 0)): 1.0}),
+        CoefficientField.from_dict(s2, -1.0, {m10: 1.0}),
         TimeGrid.uniform(-1.0, -0.5, 5),
-        Forcing(ConstantRate(0.2), ScalarOnU()),
+        Forcing(ConstantRate(0.2), ModeMatrix((m10, m11), ((0.0, 0.1), (0.1, 0.0)))),
     )
-    for refused in (
-        lambda: verify_selfsimilar_scaling(other, rule),
-        lambda: verify_selfsimilar_scaling(zero, rule),
-        lambda: verify_drift_bochner(other, rule),
-        lambda: verify_drift_bochner_verbatim(other, rule),
-        lambda: verify_general_bounds(other, trace_from_trajectory(other), rule),
-        lambda: verify_general_bounds(forced, trace_from_trajectory(forced), rule),
-        lambda: verify_general_harnack(other, trace_from_trajectory(other), rule),
-        lambda: verify_general_harnack(forced, trace_from_trajectory(forced), rule),
-    ):
+    for refused in (lambda: verifiers.bochner_sides(other, rule), lambda: evolution.forcing_margins(forced, rule)):
         with pytest.raises(ValueError, match="quadrature rule background does not match the field"):
             refused()
+    plane_run = Run(_traj(Plane(2), {}, nodes=5), resolution=8)
     with pytest.raises(ValueError, match="test function 'x1_sq' has dim 3, background needs 2"):
-        verify_weighted_monotonicity(other.grid, rule, {"x1_sq": standard_test_functions(Sphere(2))["x1_sq"]})
-    # the forcing hypothesis is certified on a rule, so a forced run cannot go without one
-    for verify in (verify_general_bounds, verify_general_harnack):
-        with pytest.raises(ValueError, match="needs a quadrature rule"):
-            verify(forced, trace_from_trajectory(forced))
+        verify_weighted_monotonicity(plane_run, {"x1_sq": standard_test_functions(s2)["x1_sq"]})
