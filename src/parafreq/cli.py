@@ -63,9 +63,10 @@ def _load_packaged_configs() -> list[ScenarioConfig]:
 def _execute(configs: list[ScenarioConfig], out_dir: Path) -> tuple[list[tuple[str, list[tuple]]], int]:
     """Run and emit each scenario in id order; returns their summaries and the number that raised.
 
-    A scenario that raises is reported on stderr and skipped, so the others
-    still write their files.  An output is dropped once written; its summary
-    keeps the id and per report (check_name, status, min_margin, tolerance, report_only, notes).
+    A scenario that raises, in its run or while its files are written, is
+    reported on stderr and skipped, so the others still write their files.
+    An output is dropped once written; its summary keeps the id and per
+    report (check_name, status, min_margin, tolerance, report_only, notes).
     """
     seen: set[str] = set()
     for config in configs:
@@ -79,13 +80,13 @@ def _execute(configs: list[ScenarioConfig], out_dir: Path) -> tuple[list[tuple[s
         sid = config.scenario_id
         try:
             output = run_scenario(config)
-        except (ToleranceNotMetError, ValueError, ArithmeticError) as exc:  # an overflow too is this run's own
+            emit_trace_csv(output, out_dir / f"{sid}.trace.csv")
+            emit_report_json(output, out_dir / f"{sid}.report.json")
+            emit_plot_script(output, out_dir / f"{sid}.plot.py")
+        except (ToleranceNotMetError, ValueError, ArithmeticError, OSError) as exc:  # an overflow or a write too
             print(f"runtime error in {sid}: {exc}", file=sys.stderr)
             errors += 1
             continue
-        emit_trace_csv(output, out_dir / f"{sid}.trace.csv")
-        emit_report_json(output, out_dir / f"{sid}.report.json")
-        emit_plot_script(output, out_dir / f"{sid}.plot.py")
         summaries.append((sid, [
             (r.check_name, r.status, r.min_margin, r.tolerance, r.check_name in config.report_only, r.notes)
             for r in output.reports

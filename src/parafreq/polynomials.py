@@ -80,9 +80,6 @@ class AmbientPolynomial:
             out[exps] = out.get(exps, 0.0) + c
         return AmbientPolynomial(self.dim, out)
 
-    def __sub__(self, other: "AmbientPolynomial") -> "AmbientPolynomial":
-        return self + other.scale(-1.0)
-
     def scale(self, factor: float) -> "AmbientPolynomial":
         return AmbientPolynomial(self.dim, {e: c * factor for e, c in self.terms.items()})
 
@@ -115,16 +112,6 @@ class AmbientPolynomial:
         return AmbientPolynomial(self.dim, out)
 
     # -- queries -----------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, AmbientPolynomial)
-            and self.dim == other.dim
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dim, tuple(sorted(self.terms.items()))))
 
     def __repr__(self) -> str:
         body = " + ".join(f"{c!r}*x^{e}" for e, c in sorted(self.terms.items())) or "0"

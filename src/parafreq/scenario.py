@@ -2,9 +2,10 @@
 
 A scenario is one JSON document describing a background, an initial
 coefficient field, a time grid, optional forcing, and the list of checks to
-run.  Configs are the reproducibility unit: the canonical hash of the
-normalized document goes into every emitted report, and a fixed config plus
-resolution yields byte-identical outputs.
+run.  Configs are the reproducibility unit: ``parse_config`` builds the
+canonical document ``ScenarioConfig.document`` while it validates, the
+SHA-256 of that document goes into every emitted report, and a fixed config
+plus resolution yields byte-identical outputs.
 
 The check names accepted in ``checks`` (and ``report_only`` and
 ``tolerances``) are the keys of the check table ``_VERIFIERS``, which is the
@@ -23,7 +24,7 @@ import math
 import numbers
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -95,7 +96,7 @@ _VERIFIERS = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated, normalized scenario description."""
+    """Validated scenario description; ``document`` is its canonical plain-data form, the sole input to the hash."""
 
     scenario_id: str
     background: Background
@@ -108,62 +109,15 @@ class ScenarioConfig:
     report_only: frozenset[str]
     tolerances: tuple[tuple[str, float], ...]
     rk_local_tol: float
-    random_mixture: tuple[tuple[str, float], ...] | None
-
-    def normalized(self) -> dict:
-        """Canonical plain-data form; the sole input to the config hash."""
-        bg = self.background
-        if isinstance(bg, Plane):
-            bg_doc: dict[str, Any] = {"kind": "plane", "n": bg.n}
-        elif isinstance(bg, Sphere):
-            bg_doc = {"kind": "sphere", "n": bg.n}
-        else:
-            assert isinstance(bg, Cylinder)
-            bg_doc = {"kind": "cylinder", "k": bg.k, "m": bg.m}
-        forcing_doc: dict[str, Any] | None = None
-        if self.forcing is not None:
-            rate = self.forcing.rate
-            if isinstance(rate, ConstantRate):
-                rate_doc: dict[str, Any] = {"type": "constant", "c0": rate.c0}
-            else:
-                assert isinstance(rate, SampledRate)
-                rate_doc = {
-                    "type": "sampled",
-                    "times": list(rate.times),
-                    "values": list(rate.values),
-                }
-            coupling = self.forcing.coupling
-            if isinstance(coupling, ScalarOnU):
-                forcing_doc = {"coupling": "scalar_on_u", "rate": rate_doc}
-            else:
-                assert isinstance(coupling, ModeMatrix)
-                forcing_doc = {
-                    "coupling": "mode_matrix",
-                    "modes": [_mode_key(m) for m in coupling.modes],
-                    "matrix": [list(row) for row in coupling.matrix],
-                    "rate": rate_doc,
-                }
-        return {
-            "scenario_id": self.scenario_id,
-            "background": bg_doc,
-            "initial_modes": {_mode_key(m): a for m, a in self.initial_modes},
-            "time": {"a": self.grid.a, "b": self.grid.b, "nodes": len(self.grid.nodes)},
-            "kappa": self.kappa_value,
-            "forcing": forcing_doc,
-            "resolution": self.resolution,
-            "checks": sorted(self.checks),
-            "report_only": sorted(self.report_only),
-            "tolerances": {name: value for name, value in sorted(self.tolerances)},
-            "rk_local_tol": self.rk_local_tol,
-            "random_mixture": dict(self.random_mixture) if self.random_mixture is not None else None,
-        }
+    document: dict = field(repr=False, compare=False)
 
     def with_resolution(self, resolution: Any) -> ScenarioConfig:
         """This config at another quadrature resolution, checked like the config field."""
-        return replace(self, resolution=_parse_resolution(resolution))
+        resolution = _parse_resolution(resolution)
+        return replace(self, resolution=resolution, document={**self.document, "resolution": resolution})
 
     def config_hash(self) -> str:
-        doc = json.dumps(self.normalized(), sort_keys=True, separators=(",", ":"))
+        doc = json.dumps(self.document, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
@@ -206,19 +160,17 @@ def _parse_resolution(value: Any) -> int:
     return _number(value, "resolution", integer=True, minimum=2)
 
 
-def _parse_background(doc: Any) -> Background:
+_BACKGROUNDS = {"plane": (Plane, ("n",)), "sphere": (Sphere, ("n",)), "cylinder": (Cylinder, ("k", "m"))}
+
+
+def _parse_background(doc: Any) -> tuple[Background, dict]:
     doc = _object(doc, "background", "with a 'kind'")
     kind = doc.get("kind")
-    if kind == "plane":
-        return Plane(_number(doc.get("n"), "background.n", integer=True, minimum=1))
-    if kind == "sphere":
-        return Sphere(_number(doc.get("n"), "background.n", integer=True, minimum=1))
-    if kind == "cylinder":
-        return Cylinder(
-            _number(doc.get("k"), "background.k", integer=True, minimum=1),
-            _number(doc.get("m"), "background.m", integer=True, minimum=1),
-        )
-    raise ConfigError("background.kind", f"unknown kind {kind!r}")
+    if not (isinstance(kind, str) and kind in _BACKGROUNDS):
+        raise ConfigError("background.kind", f"unknown kind {kind!r}")
+    cls, size_fields = _BACKGROUNDS[kind]
+    sizes = {name: _number(doc.get(name), f"background.{name}", integer=True, minimum=1) for name in size_fields}
+    return cls(**sizes), {"kind": kind, **sizes}
 
 
 def _parse_scenario_id(value: Any) -> str:
@@ -242,28 +194,34 @@ def _parse_mode(bg: Background, key: Any, field: str) -> Mode:
         raise ConfigError(field, f"invalid mode {key!r} for {bg.label()}: {exc}") from exc
 
 
-def _parse_rate(doc: Any) -> ConstantRate | SampledRate:
+def _parse_rate(doc: Any) -> tuple[ConstantRate | SampledRate, dict]:
     doc = _object(doc, "forcing.rate", "with a 'type'")
     kind = doc.get("type")
     if kind == "constant":
-        return ConstantRate(_number(doc.get("c0"), "forcing.rate.c0", minimum=0.0))
+        c0 = _number(doc.get("c0"), "forcing.rate.c0", minimum=0.0)
+        return ConstantRate(c0), {"type": "constant", "c0": c0}
     if kind == "sampled":
         times = _numbers(doc.get("times"), "forcing.rate.times")
         values = _numbers(doc.get("values"), "forcing.rate.values")
         try:
-            return SampledRate(times, values)
+            rate = SampledRate(times, values)
         except ValueError as exc:
             raise ConfigError("forcing.rate", str(exc)) from exc
+        return rate, {"type": "sampled", "times": list(times), "values": list(values)}
     raise ConfigError("forcing.rate.type", f"unknown type {kind!r}")
 
 
-def _parse_forcing(bg: Background, doc: Any) -> Forcing:
+def _parse_forcing(bg: Background, doc: Any) -> tuple[Forcing, dict]:
     doc = _object(doc, "forcing", "{rate, coupling}")
-    rate = _parse_rate(doc.get("rate"))
+    rate, rate_doc = _parse_rate(doc.get("rate"))
     coupling_kind = doc.get("coupling")
     if coupling_kind == "scalar_on_u":
-        return Forcing(rate, ScalarOnU())
+        return Forcing(rate, ScalarOnU()), {"coupling": "scalar_on_u", "rate": rate_doc}
     if coupling_kind == "mode_matrix":
+        if bg not in POINTWISE:
+            raise ConfigError(
+                "forcing", f"a mode_matrix hypothesis is certified on quadrature points; got {bg.label()}"
+            )
         if "modes" not in doc or "matrix" not in doc:
             raise ConfigError("forcing", "mode_matrix coupling needs 'modes' and 'matrix'")
         if not isinstance(doc["matrix"], (list, tuple)):
@@ -273,10 +231,26 @@ def _parse_forcing(bg: Background, doc: Any) -> Forcing:
         modes = tuple(_parse_mode(bg, key, "forcing.modes") for key in doc["modes"])
         matrix = tuple(_numbers(row, "forcing.matrix") for row in doc["matrix"])
         try:
-            return Forcing(rate, ModeMatrix(modes, matrix))
+            forcing = Forcing(rate, ModeMatrix(modes, matrix))
         except ValueError as exc:
             raise ConfigError("forcing.matrix", str(exc)) from exc
+        matrix_doc = {"modes": [_mode_key(m) for m in modes], "matrix": [list(row) for row in matrix]}
+        return forcing, {"coupling": "mode_matrix", **matrix_doc, "rate": rate_doc}
     raise ConfigError("forcing.coupling", f"unknown coupling {coupling_kind!r}")
+
+
+def _check_names(doc: Any, field: str, allowed: Any, unknown: str) -> list[str]:
+    """Distinct check names from a list, each one in ``allowed``; ``unknown`` words the refusal of any other entry."""
+    if not isinstance(doc, (list, tuple)):
+        raise ConfigError(field, "must be a list of check names")
+    names: list[str] = []
+    for name in doc:
+        if not (isinstance(name, str) and name in allowed):
+            raise ConfigError(field, unknown.format(name))
+        if name in names:
+            raise ConfigError(field, f"duplicate check {name!r}")
+        names.append(name)
+    return names
 
 
 def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
@@ -294,7 +268,7 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
             raise ConfigError(key, "unknown field")
 
     scenario_id = _parse_scenario_id(doc.get("scenario_id", fallback_id))
-    bg = _parse_background(doc.get("background"))
+    bg, bg_doc = _parse_background(doc.get("background"))
 
     time_doc = _object(doc.get("time"), "time", "{a, b, nodes}")
     a = _number(time_doc.get("a"), "time.a")
@@ -317,7 +291,7 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
         coeffs[mode] = value
 
     mixture_doc = doc.get("random_mixture")
-    mixture: tuple[tuple[str, float], ...] | None = None
+    mixture: dict[str, float] | None = None
     if mixture_doc is not None:
         mixture_doc = _object(mixture_doc, "random_mixture", "{seed, mu_cutoff, low, high}")
         seed = _number(mixture_doc.get("seed"), "random_mixture.seed", integer=True, minimum=0)
@@ -326,7 +300,7 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
         high = _number(mixture_doc.get("high"), "random_mixture.high")
         if not (0.0 <= low <= high):
             raise ConfigError("random_mixture", f"need 0 <= low <= high, got low={low}, high={high}")
-        mixture = (("seed", float(seed)), ("mu_cutoff", mu_cutoff), ("low", low), ("high", high))
+        mixture = {"seed": float(seed), "mu_cutoff": mu_cutoff, "low": low, "high": high}
         rng = np.random.default_rng(seed)
         for mode in enumerate_modes(bg, mu_cutoff):
             amp = float(rng.uniform(low, high)) * float(rng.choice((-1.0, 1.0)))
@@ -338,53 +312,50 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
     else:
         kappa_value = _number(kappa_doc, "kappa", minimum=0.0)
 
-    forcing = None
+    forcing, forcing_doc = None, None
     if doc.get("forcing") is not None:
-        forcing = _parse_forcing(bg, doc["forcing"])
+        forcing, forcing_doc = _parse_forcing(bg, doc["forcing"])
 
     resolution = _parse_resolution(doc.get("resolution", 24))
 
-    checks_doc = doc.get("checks")
-    if not isinstance(checks_doc, (list, tuple)) or not checks_doc:
+    checks = _check_names(doc.get("checks"), "checks", _VERIFIERS, "unknown check {!r}")
+    if not checks:
         raise ConfigError("checks", "must be a non-empty list of check names")
-    checks: list[str] = []
-    for name in checks_doc:
-        if name not in _VERIFIERS:
-            raise ConfigError("checks", f"unknown check {name!r}")
-        if name in checks:
-            raise ConfigError("checks", f"duplicate check {name!r}")
-        checks.append(name)
     if bg not in POINTWISE and any(c in _RULE_READERS for c in checks):
         raise ConfigError("checks", f"pointwise checks are not available on {bg.label()}")
-    if bg not in POINTWISE and forcing is not None and isinstance(forcing.coupling, ModeMatrix):
-        raise ConfigError("forcing", f"a mode_matrix hypothesis is certified on quadrature points; got {bg.label()}")
-
-    report_only_doc = doc.get("report_only", [])
-    if not isinstance(report_only_doc, (list, tuple)):
-        raise ConfigError("report_only", "must be a list of check names")
-    report_only: set[str] = set()
-    for name in report_only_doc:
-        if name not in checks:
-            raise ConfigError("report_only", f"{name!r} is not among the requested checks")
-        if name in report_only:
-            raise ConfigError("report_only", f"duplicate check {name!r}")
-        report_only.add(name)
+    not_requested = "{!r} is not among the requested checks"
+    report_only = _check_names(doc.get("report_only", []), "report_only", checks, not_requested)
 
     tolerances_doc = _object(doc.get("tolerances", {}), "tolerances", "mapping check name to tolerance")
     tolerances: list[tuple[str, float]] = []
     for name, value in tolerances_doc.items():
         if name not in checks:
-            raise ConfigError("tolerances", f"{name!r} is not among the requested checks")
+            raise ConfigError("tolerances", not_requested.format(name))
         tolerances.append((name, _number(value, f"tolerances.{name}", minimum=0.0)))
 
     rk_local_tol = _number(doc.get("rk_local_tol", 1e-8), "rk_local_tol")
     if not (0.0 < rk_local_tol < 1.0):
         raise ConfigError("rk_local_tol", f"must be in (0, 1), got {rk_local_tol}")
 
+    initial_modes = tuple(sorted(coeffs.items(), key=lambda kv: mode_sort_key(kv[0])))
+    document = {
+        "scenario_id": scenario_id,
+        "background": bg_doc,
+        "initial_modes": {_mode_key(m): amp for m, amp in initial_modes},
+        "time": {"a": a, "b": b, "nodes": count},
+        "kappa": kappa_value,
+        "forcing": forcing_doc,
+        "resolution": resolution,
+        "checks": sorted(checks),
+        "report_only": sorted(report_only),
+        "tolerances": dict(tolerances),
+        "rk_local_tol": rk_local_tol,
+        "random_mixture": mixture,
+    }
     return ScenarioConfig(
         scenario_id=scenario_id,
         background=bg,
-        initial_modes=tuple(sorted(coeffs.items(), key=lambda kv: mode_sort_key(kv[0]))),
+        initial_modes=initial_modes,
         grid=grid,
         kappa_value=kappa_value,
         forcing=forcing,
@@ -393,7 +364,7 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
         report_only=frozenset(report_only),
         tolerances=tuple(sorted(tolerances)),
         rk_local_tol=rk_local_tol,
-        random_mixture=mixture,
+        document=document,
     )
 
 

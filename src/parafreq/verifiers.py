@@ -46,7 +46,7 @@ from typing import Mapping
 import numpy as np
 
 from . import evolution
-from .backgrounds import Background, Cylinder, NodeGeometry, QuadratureRule, Sphere, quadrature, total_mass
+from .backgrounds import Background, NodeGeometry, QuadratureRule, quadrature, total_mass
 from .evolution import Rate, ScalarOnU, Trajectory, float_powers, forcing_margins
 from .frequency import FrequencyTrace, trace_from_trajectory
 from .modes import combine_on_rule, first_nonzero_eigenvalue
@@ -362,7 +362,7 @@ def standard_test_functions(bg: Background) -> dict[str, AmbientPolynomial]:
     if d >= 3:
         funcs["x3_sq"] = x[2] * x[2]
         funcs["x3_over4_pow6"] = x[2].scale(0.25).power(6)
-    if isinstance(bg, (Sphere, Cylinder)) or d >= 2:
+    if d >= 2:
         # radial square: constant on sphere slices, mixed elsewhere
         r2 = AmbientPolynomial.zero(d)
         for xi in x:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from parafreq import parse_config
 from parafreq.cli import main
 
 PASSING = {
@@ -104,6 +105,7 @@ def test_resolution_override_changes_provenance(tmp_path):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--resolution", "17"]) == 0
     doc = json.loads((tmp_path / "out" / "pass-one.report.json").read_text())
     assert doc["provenance"]["resolution"] == 17
+    assert doc["provenance"]["config_hash"] == parse_config(dict(PASSING, resolution=17)).config_hash()
 
 
 @pytest.mark.parametrize("value", ["1", "0", "-3"])
@@ -148,6 +150,18 @@ def test_overflowing_scenario_spares_the_rest_of_the_batch(tmp_path, capsys):
     assert main(["run", str(tmp_path / "a.json"), str(tmp_path / "b.json"), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "runtime error in a:" in captured.err
+    assert "1 scenario(s)" in captured.out
+    assert sorted(p.name for p in out.iterdir()) == [f"b{suffix}" for suffix in (".plot.py", ".report.json", ".trace.csv")]
+
+
+def test_unwritable_scenario_spares_the_rest_of_the_batch(tmp_path, capsys):
+    # an id too long for a file name is a valid id, but its files cannot be written: that scenario's error alone
+    _write(tmp_path, "a.json", dict(PASSING, scenario_id="a" * 300))
+    _write(tmp_path, "b.json", dict(PASSING, scenario_id="b"))
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path / "a.json"), str(tmp_path / "b.json"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"runtime error in {'a' * 300}:") and len(captured.err.splitlines()) == 1
     assert "1 scenario(s)" in captured.out
     assert sorted(p.name for p in out.iterdir()) == [f"b{suffix}" for suffix in (".plot.py", ".report.json", ".trace.csv")]
 

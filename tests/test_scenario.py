@@ -118,6 +118,15 @@ def test_duplicate_report_only_entries_rejected():
     assert parse_config(_doc(report_only=["harnack"])).report_only == frozenset({"harnack"})
 
 
+def test_non_string_check_names_rejected():
+    # a list or object cannot be a check name: a config error on the field, not a crash while looking it up
+    for bad in (["harnack"], {"a": 1}, 7, None):
+        with pytest.raises(ConfigError) as err:
+            parse_config(_doc(checks=["harnack", bad]))
+        assert err.value.field == "checks"
+        _expect_config_error(_doc(report_only=[bad]), "report_only")
+
+
 def test_tolerance_for_a_check_not_requested_rejected():
     # refused like such a report_only entry, instead of being hashed and never read
     for name in ("equality_case", "bogus"):
@@ -215,6 +224,34 @@ def test_hash_sees_material_fields():
     assert parse_config(_doc(resolution=48)).config_hash() != base
     assert parse_config(_doc(initial_modes={"1,0": 2.0})).config_hash() != base
     assert parse_config(_doc(time={"a": -1.0, "b": -0.5, "nodes": 42})).config_hash() != base
+
+
+# the hashes of the packaged configs, which reports already emitted carry
+PACKAGED_HASHES = {
+    "cylinder-mixture": "3b0a4482cc4979fbfb9f54f04dcf1f0dcf034791994d5b9b1a725757673475fe",
+    "eigenvalue-window-cylinder": "31f927ece704c925c401004b56a26ac2c1f76189cada44a7730e8c83272a5e93",
+    "eigenvalue-window-plane": "d68c7bc9574a7fe3677948fd3d944fef515d925584a313b87e055872b95cc52e",
+    "eigenvalue-window-sphere": "69a82b72b9d1c34d6d962c213077caf7e50feb427d3995b1049dab0409a3bf00",
+    "matrix-forced-bounds": "acc751eee465029cb1127a5fcf49b4f4500578d619b9c525eaa7ecbe84fddc91",
+    "plane-bochner": "555aea7fc0d2d5359b9e82edbfde6824cdc4cb08eab7ba7f0be28d04e73ab857",
+    "plane-caloric-cubic": "56e85e13ec1b68c033478f0a61e5cdd27e8cead28668f109a1930457ea0f4171",
+    "plane-mixture": "26416a0960de12c5f4bbd15880bcba1a0cbcd519a1a23b5b77e498d4209c01b5",
+    "plane-weighted-identity": "a9bb80326470363f88779e2ff2de652cd89c236f64475b41fa485c4bc38f6fcd",
+    "plane-zero-data": "a75221e4c7449e4dc65b13b20fef85c5fae3f6ed64bc91d317ab792a1f2546ab",
+    "plane2-caloric": "d858d57495a399b018c319cd6455450dc04c0b4c6539356076e0d4f78669e396",
+    "scalar-forced-bounds": "05346dff0fbe8921d3f5a2a28f497ade4ea2cb44aadd66ad9db04a8fdb3e29cb",
+    "scalar-forced-zero": "98ab8752aafc8fe37b344512e6459102f7e3de0af31cea40cfb138c2a5438184",
+    "sphere-bochner": "b4b82a10fad15d57ea84c32d0caec929a7ec01aafd01b9195335aeb19de851f5",
+    "sphere-golden-fundamental": "64ff86740bcf97e83b4356a971ab937407c9fd5e2dfdffa8708fc50245209d55",
+    "sphere-high-dim-spectrum": "bd23948d7f81ba7444d9ba210e2582d110e8c605ec9bb4f0ca9b822ee9f5415a",
+    "sphere-mixture": "88218170c8c6b8589c98f2cfefbfe9bafeb0af48bf9b4ac65ed0697ce7b10d59",
+    "sphere-weighted-identity": "739f2be3790cdec7de5a3b8cf08aa8f02d3747c43234927cb7b83cf80421866e",
+}
+
+
+def test_packaged_config_hashes_are_pinned():
+    # any drift in the canonical document moves a hash that reports already carry
+    assert {c.scenario_id: c.config_hash() for c in _load_packaged_configs()} == PACKAGED_HASHES
 
 
 # ---------------------------------------------------------------------------
