@@ -13,15 +13,20 @@ dmu = (4 pi)^(-n/2) exp(-|y|^2/4) dA on M.  Every integral in this package is
 therefore taken once, at unit scale, with time entering only through scaling
 factors.  Quadrature rules below discretize that unit-scale measure.
 
-Supported families:
+Every background is a round factor times flat axes, S^n_{sqrt(2n)} x R^m,
+and declares the two numbers ``sphere_n`` = n (0 for no round factor) and
+``flat_m`` = m; the round factor takes the first n + 1 ambient coordinates
+and the axes the last m.  The radius sqrt(2n) is forced by H = -(n/r) nu
+and x_perp = r nu on the round factor: -(n/r^2) x = -x/2.  The measure
+factors over the product, so mass, kappa and the rule are each one path
+over the two numbers: the mass is the round factor's times 1 per axis (a
+standard Gaussian with variance 2), kappa is the round factor's
+n / r^2 = 1/2 or 0, and a rule is the round factor's times Gauss-Hermite
+per axis.
 
-* ``Plane(n)``   -- an n-plane through the origin (x_perp = 0, totally
-  geodesic, kappa = 0).  Measure: standard Gaussian with variance 2 per axis,
-  total mass exactly 1.
-* ``Sphere(n)``  -- the round n-sphere of radius sqrt(2n).  The radius is
-  forced by H = -(n/r) nu and x_perp = x = r nu: -(n/r^2) x = -x/2.
-* ``Cylinder(k, m)`` -- S^k_{sqrt(2k)} x R^m, a product shrinker; measure and
-  spectrum factor over the two parts.
+* ``Plane(n)``     -- (0, n): totally geodesic, x_perp = 0, kappa = 0.
+* ``Sphere(n)``    -- (n, 0): the round n-sphere of radius sqrt(2n).
+* ``Cylinder(k, m)`` -- (k, m): S^k_{sqrt(2k)} x R^m.
 
 ``POINTWISE`` declares, once for the whole package, which backgrounds carry
 closed-form pointwise support (modes, geometry, quadrature); every check that
@@ -42,7 +47,7 @@ and 1/2 on spheres and cylinders (n/(2n) resp. k/(2k)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -68,82 +73,53 @@ class UnsupportedBackgroundError(ValueError):
 
 
 class Background:
-    """Base marker for shrinker backgrounds.  Instances are frozen and hashable."""
+    """S^sphere_n_{sqrt(2 sphere_n)} x R^flat_m, with sphere_n = 0 for no round factor; frozen and hashable."""
+
+    sphere_n: int
+    flat_m: int
+
+    def __post_init__(self) -> None:
+        if any(getattr(self, f.name) < 1 for f in fields(self)):
+            raise ValueError(f"background sizes must be >= 1, got {self.label()}")
 
     @property
     def ambient_dim(self) -> int:
-        raise NotImplementedError
+        return self.sphere_n + (self.sphere_n > 0) + self.flat_m
+
+    @property
+    def radius_squared(self) -> float:
+        # forced by the soliton equation: H = -(n/r) nu must equal -r nu / 2
+        return 2.0 * self.sphere_n
+
+    @property
+    def radius(self) -> float:
+        return math.sqrt(self.radius_squared)
 
     def label(self) -> str:
-        raise NotImplementedError
+        sizes = ",".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        return f"{type(self).__name__.lower()}({sizes})"
 
 
 @dataclass(frozen=True)
 class Plane(Background):
     n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"Plane dimension must be >= 1, got {self.n}")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.n
-
-    def label(self) -> str:
-        return f"plane(n={self.n})"
+    sphere_n = 0
+    flat_m = property(lambda self: self.n)
 
 
 @dataclass(frozen=True)
 class Sphere(Background):
     n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"Sphere dimension must be >= 1, got {self.n}")
-
-    @property
-    def radius_squared(self) -> float:
-        # forced by the soliton equation: H = -(n/r) nu must equal -r nu / 2
-        return 2.0 * self.n
-
-    @property
-    def radius(self) -> float:
-        return math.sqrt(self.radius_squared)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.n + 1
-
-    def label(self) -> str:
-        return f"sphere(n={self.n})"
+    sphere_n = property(lambda self: self.n)
+    flat_m = 0
 
 
 @dataclass(frozen=True)
 class Cylinder(Background):
-    """S^k_{sqrt(2k)} x R^m with the sphere factor in the first k+1 coordinates."""
-
     k: int
     m: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.m < 1:
-            raise ValueError(f"Cylinder factors must be >= 1, got k={self.k}, m={self.m}")
-
-    @property
-    def radius_squared(self) -> float:
-        return 2.0 * self.k
-
-    @property
-    def radius(self) -> float:
-        return math.sqrt(self.radius_squared)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.k + 1 + self.m
-
-    def label(self) -> str:
-        return f"cylinder(k={self.k},m={self.m})"
+    sphere_n = property(lambda self: self.k)
+    flat_m = property(lambda self: self.m)
 
 
 # ---------------------------------------------------------------------------
@@ -170,33 +146,21 @@ def unit_sphere_area(n: int) -> float:
 
 
 def total_mass(bg: Background) -> float:
-    """Closed-form total unit-scale Gaussian mass of the background."""
-    if isinstance(bg, Plane):
+    """Closed-form total unit-scale Gaussian mass: the round factor's, times 1 per Gaussian axis."""
+    n = bg.sphere_n
+    if not n:
         return 1.0
-    if isinstance(bg, Sphere):
-        n = bg.n
-        r = bg.radius
-        return (4.0 * math.pi) ** (-n / 2.0) * math.exp(-n / 2.0) * unit_sphere_area(n) * r**n
-    if isinstance(bg, Cylinder):
-        # product measure: sphere factor times Gaussian mass 1 of the axis
-        return total_mass(Sphere(bg.k))
-    raise TypeError(f"unknown background {bg!r}")
+    return (4.0 * math.pi) ** (-n / 2.0) * math.exp(-n / 2.0) * unit_sphere_area(n) * bg.radius**n
 
 
 def kappa(bg: Background) -> float:
     """Curvature constant: sup of the largest eigenvalue of <H, A(.,.)> at unit scale.
 
-    Planes are totally geodesic (0).  For a sphere factor of radius
-    r = sqrt(2j), <H, A> = (j / r^2) g restricted to the factor, so the
-    supremum is j / (2j) = 1/2 regardless of the factor dimension.
+    Planes are totally geodesic (0).  For a round factor of radius
+    r = sqrt(2n), <H, A> = (n / r^2) g restricted to the factor, so the
+    supremum is n / (2n) = 1/2 regardless of the factor dimension.
     """
-    if isinstance(bg, Plane):
-        return 0.0
-    if isinstance(bg, Sphere):
-        return bg.n / bg.radius_squared
-    if isinstance(bg, Cylinder):
-        return bg.k / bg.radius_squared
-    raise TypeError(f"unknown background {bg!r}")
+    return bg.sphere_n / bg.radius_squared if bg.sphere_n else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -266,24 +230,21 @@ class QuadratureRule:
 def _node_geometry(bg: Background, pts: np.ndarray) -> NodeGeometry:
     """The geometry at each row of ``pts``, points of ``bg`` at unit scale."""
     count, d = pts.shape
-    if isinstance(bg, Plane):
+    n, r = bg.sphere_n, bg.radius
+    if not n:
         zero = np.broadcast_to(np.zeros((d, d)), (count, d, d))
         return NodeGeometry(np.broadcast_to(np.eye(d), (count, d, d)), zero, zero, zero, None, pts)
-    r = bg.radius
-    if isinstance(bg, Sphere):
-        nu = pts / r
-        proj = np.eye(d) - nu[:, :, None] * nu[:, None, :]
-        ric, shape = ((bg.n - 1) / bg.radius_squared) * proj, (bg.n / bg.radius_squared) * proj
-        return NodeGeometry(proj, -proj / r, ric, shape, nu, np.zeros((count, d)))
-    # Cylinder(1, 1)
-    zero = np.zeros(count)
-    nu = np.stack([pts[:, 0] / r, pts[:, 1] / r, zero], axis=1)
-    proj = np.eye(3) - nu[:, :, None] * nu[:, None, :]
-    tau = np.stack([-pts[:, 1] / r, pts[:, 0] / r, zero], axis=1)
-    q_circ = tau[:, :, None] * tau[:, None, :]
-    ric = np.broadcast_to(np.zeros((3, 3)), (count, 3, 3))  # intrinsically flat product
-    shape = q_circ * (bg.k / bg.radius_squared)
-    return NodeGeometry(proj, -q_circ / r, ric, shape, nu, np.stack([zero, zero, pts[:, 2]], axis=1))
+    nu, x_tan = np.zeros((count, d)), np.zeros((count, d))
+    nu[:, : n + 1] = pts[:, : n + 1] / r
+    x_tan[:, n + 1 :] = pts[:, n + 1 :]
+    proj = np.eye(d) - nu[:, :, None] * nu[:, None, :]
+    if not bg.flat_m:
+        round_proj, ric = proj, ((n - 1) / bg.radius_squared) * proj
+    else:
+        # Cylinder(1, 1): the circle's projector tau tau^T, not the ulp-different I - nu nu^T; the product is flat
+        tau = np.stack([-nu[:, 1], nu[:, 0], np.zeros(count)], axis=1)
+        round_proj, ric = tau[:, :, None] * tau[:, None, :], np.zeros((count, d, d))
+    return NodeGeometry(proj, -round_proj / r, ric, (n / bg.radius_squared) * round_proj, nu, x_tan)
 
 
 def _gauss_gaussian_1d(resolution: int) -> tuple[np.ndarray, np.ndarray]:
@@ -292,12 +253,24 @@ def _gauss_gaussian_1d(resolution: int) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * x, w / math.sqrt(math.pi)
 
 
-def _circle_rule(radius: float, mass: float, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform angular rule; exact for trigonometric degree < 2*resolution."""
+def _round_rule(bg: Background, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rule on the round factor: angles on a circle, Gauss-Legendre times angles on S^2, else one point."""
+    n, r = bg.sphere_n, bg.radius
+    if not n:
+        return np.zeros((1, 0)), np.ones(1)
     count = 2 * resolution
-    theta = 2.0 * math.pi * np.arange(count) / count
-    pts = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
-    return pts, np.full(count, mass / count)
+    phi = 2.0 * math.pi * np.arange(count) / count
+    if n == 1:
+        return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1), np.full(count, total_mass(bg) / count)
+    u, w_gl = np.polynomial.legendre.leggauss(resolution)
+    rho = (4.0 * math.pi) ** (-n / 2.0) * math.exp(-n / 2.0)
+    sin_theta = np.sqrt(1.0 - u**2)
+    # outer product over (polar, longitude)
+    pts = np.empty((resolution * count, 3))
+    pts[:, 0] = r * np.repeat(sin_theta, count) * np.tile(np.cos(phi), resolution)
+    pts[:, 1] = r * np.repeat(sin_theta, count) * np.tile(np.sin(phi), resolution)
+    pts[:, 2] = r * np.repeat(u, count)
+    return pts, rho * r**2 * np.repeat(w_gl, count) * (2.0 * math.pi / count)
 
 
 def _tensor_product(
@@ -310,47 +283,19 @@ def _tensor_product(
 
 
 def quadrature(bg: Background, resolution: int) -> QuadratureRule:
-    """Build the unit-scale rule for a background in ``POINTWISE``.
+    """Build the unit-scale rule for a background in ``POINTWISE``: its round rule times Gauss-Hermite per axis.
 
-    Plane(n <= 3): tensor Gauss-Hermite, ``resolution`` nodes per axis
-    (polynomial-exact to degree 2*resolution - 1 per axis).  Sphere(1) and
-    circle factors: 2*resolution uniform angles.  Sphere(2): Gauss-Legendre in
-    the polar cosine times 2*resolution uniform longitudes.  Cylinder(1, 1):
-    product of the circle and axis rules.
+    Each axis takes ``resolution`` Gauss-Hermite nodes (polynomial-exact to
+    degree 2*resolution - 1 per axis).  A circle factor takes 2*resolution
+    uniform angles; S^2 takes Gauss-Legendre in the polar cosine times
+    2*resolution uniform longitudes.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
 
     require_support(bg, "quadrature")
-
-    if isinstance(bg, Plane):
-        y, w = _gauss_gaussian_1d(resolution)
-        pts, wts = y[:, None], w
-        for _ in range(bg.n - 1):
-            pts, wts = _tensor_product(pts, wts, y[:, None], w)
-        return QuadratureRule(bg, resolution, pts, wts)
-
-    if bg == Sphere(1):
-        pts, wts = _circle_rule(bg.radius, total_mass(bg), resolution)
-        return QuadratureRule(bg, resolution, pts, wts)
-
-    if bg == Sphere(2):
-        r = bg.radius
-        u, w_gl = np.polynomial.legendre.leggauss(resolution)
-        count = 2 * resolution
-        phi = 2.0 * math.pi * np.arange(count) / count
-        rho = (4.0 * math.pi) ** (-bg.n / 2.0) * math.exp(-bg.n / 2.0)
-        sin_theta = np.sqrt(1.0 - u**2)
-        # outer product over (polar, longitude)
-        pts = np.empty((resolution * count, 3))
-        pts[:, 0] = r * np.repeat(sin_theta, count) * np.tile(np.cos(phi), resolution)
-        pts[:, 1] = r * np.repeat(sin_theta, count) * np.tile(np.sin(phi), resolution)
-        pts[:, 2] = r * np.repeat(u, count)
-        wts = rho * r**2 * np.repeat(w_gl, count) * (2.0 * math.pi / count)
-        return QuadratureRule(bg, resolution, pts, wts)
-
-    # Cylinder(1, 1)
-    circle_pts, circle_w = _circle_rule(bg.radius, total_mass(Sphere(1)), resolution)
+    pts, wts = _round_rule(bg, resolution)
     y, w = _gauss_gaussian_1d(resolution)
-    pts, wts = _tensor_product(circle_pts, circle_w, y[:, None], w)
+    for _ in range(bg.flat_m):
+        pts, wts = _tensor_product(pts, wts, y[:, None], w)
     return QuadratureRule(bg, resolution, pts, wts)

@@ -6,26 +6,25 @@ At unit scale the relevant operator is the drift Laplacian
 
 self-adjoint in L^2(dmu).  Its spectrum is explicit on every supported
 background, and each eigenfunction is the restriction of an ambient
-polynomial, which is what makes exact gradients and Hessians available:
+polynomial, which is what makes exact gradients and Hessians available.
+The operator, measure and spectrum factor over a background's round factor
+S^n_{sqrt(2n)} and its m flat axes, so every mode is a round harmonic times
+one Hermite-type polynomial per axis, and mu is the sum of the factors':
 
-* Plane(n): products of Hermite-type polynomials h_k per axis, satisfying
-  h'' - (y/2) h' = -(k/2) h.  The integer-coefficient family is generated by
-  h_{k+1} = y h_k - 2k h_{k-1} (h_0 = 1, h_1 = y) with norm^2 = 2^k k!, so the
-  normalized mode of multi-degree alpha has eigenvalue mu = |alpha| / 2.
-* Sphere(n), radius sqrt(2n): the position vector is purely normal, so the
-  drift term vanishes and L = Delta_M.  Spherical harmonics of degree k give
+* per axis, h_k with h'' - (y/2) h' = -(k/2) h.  The integer-coefficient
+  family is generated by h_{k+1} = y h_k - 2k h_{k-1} (h_0 = 1, h_1 = y)
+  with norm^2 = 2^k k!, so an axis of degree k adds k / 2 to mu.
+* on the round factor the position vector is purely normal, so the drift
+  term vanishes and L = Delta_M.  Spherical harmonics of degree k give
   mu = k (k + n - 1) / (2n).  For n = 1 these are cos/sin(k theta)
   (restrictions of Re/Im (y1 + i y2)^k); for n = 2 they are restrictions of
   homogeneous harmonic polynomials assembled from Legendre derivatives.
-* Cylinder(k, m): measure, operator, and spectrum factor over
-  S^k_{sqrt(2k)} x R^m, so modes are products (sphere harmonic) x (Hermite)
-  with mu = l (l + k - 1) / (2k) + |axial degree| / 2.
 
-Modes are labeled by integer multi-indices: the per-axis Hermite degrees on
-planes; (degree, intra-degree label) on spheres, where for n = 1 label 0/1
-selects cos/sin and for n = 2 label j in 0..2k maps to azimuthal order
-m = j - k (negative m = sine branch); (degree, label, axial degrees...) on
-cylinders.  Enumeration sorts by (mu, index) with lexicographic tie-break.
+A mode is labeled by the integer multi-index (degree, harmonic) of its
+round factor, absent on planes, followed by one Hermite degree per axis.
+For n = 1 the harmonic 0/1 selects cos/sin; for n = 2 the harmonic j in
+0..2k maps to azimuthal order m = j - k (negative m = sine branch).
+Enumeration sorts by (mu, index) with lexicographic tie-break.
 Backgrounds outside ``backgrounds.POINTWISE`` still enumerate their spectrum
 for coefficient-space work; only pointwise evaluation raises.
 
@@ -43,16 +42,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .backgrounds import (
-    Background,
-    Cylinder,
-    Plane,
-    QuadratureRule,
-    Sphere,
-    require_support,
-    total_mass,
-    unit_sphere_area,
-)
+from .backgrounds import Background, QuadratureRule, require_support, total_mass, unit_sphere_area
 from .polynomials import AmbientPolynomial
 
 __all__ = [
@@ -105,70 +95,46 @@ def _bounded_multi_indices(dims: int, max_sum: int) -> Iterator[tuple[int, ...]]
             yield (head,) + tail
 
 
+def _round_harmonics(n: int, mu_cutoff: float) -> Iterator[tuple[tuple[int, ...], float]]:
+    """(degree, label) and eigenvalue of each harmonic on S^n with mu <= cutoff; for n = 0 the empty index once."""
+    if not n:
+        yield (), 0.0
+        return
+    k = 0
+    while (mu := sphere_degree_eigenvalue(n, k)) <= mu_cutoff + 1e-12:
+        for j in range(sphere_multiplicity(n, k)):
+            yield (k, j), mu
+        k += 1
+
+
 def mode_from_index(bg: Background, index: tuple[int, ...]) -> Mode:
     """Validate a multi-index against the background and attach its eigenvalue."""
-    idx = tuple(int(i) for i in index)
-    if isinstance(bg, Plane):
-        if len(idx) != bg.n or any(i < 0 for i in idx):
-            raise ValueError(f"plane mode index must be {bg.n} nonnegative degrees, got {index!r}")
-        return Mode(idx, sum(idx) / 2.0)
-    if isinstance(bg, Sphere):
-        if len(idx) != 2:
-            raise ValueError(f"sphere mode index is (degree, label), got {index!r}")
-        k, j = idx
-        if k < 0 or not 0 <= j < sphere_multiplicity(bg.n, k):
-            raise ValueError(f"sphere mode label out of range: {index!r}")
-        return Mode(idx, sphere_degree_eigenvalue(bg.n, k))
-    if isinstance(bg, Cylinder):
-        if len(idx) != 2 + bg.m:
-            raise ValueError(f"cylinder mode index is (degree, label, {bg.m} axial degrees), got {index!r}")
-        l, j = idx[0], idx[1]
-        axial = idx[2:]
-        if l < 0 or not 0 <= j < sphere_multiplicity(bg.k, l) or any(a < 0 for a in axial):
-            raise ValueError(f"cylinder mode label out of range: {index!r}")
-        return Mode(idx, sphere_degree_eigenvalue(bg.k, l) + sum(axial) / 2.0)
-    raise TypeError(f"unknown background {bg!r}")
+    idx, n = tuple(int(i) for i in index), bg.sphere_n
+    head = 2 if n else 0
+    if len(idx) != head + bg.flat_m or any(i < 0 for i in idx) or (n and idx[1] >= sphere_multiplicity(n, idx[0])):
+        layout = ("degree, harmonic below its multiplicity, " if n else "") + f"{bg.flat_m} Hermite degrees"
+        raise ValueError(f"a mode index on {bg.label()} is ({layout}), all nonnegative; got {index!r}")
+    mu_round = sphere_degree_eigenvalue(n, idx[0]) if n else 0.0
+    return Mode(idx, mu_round + sum(idx[head:]) / 2.0)
 
 
 def enumerate_modes(bg: Background, mu_cutoff: float) -> tuple[Mode, ...]:
-    """All modes with mu <= cutoff, sorted by (mu, index)."""
+    """All modes with mu <= cutoff, sorted by (mu, index): each round harmonic times the axial degrees left."""
     if mu_cutoff < 0:
         return ()
     modes: list[Mode] = []
-    if isinstance(bg, Plane):
-        max_deg = int(math.floor(2.0 * mu_cutoff + 1e-12))
-        for idx in _bounded_multi_indices(bg.n, max_deg):
-            modes.append(Mode(idx, sum(idx) / 2.0))
-    elif isinstance(bg, Sphere):
-        k = 0
-        while sphere_degree_eigenvalue(bg.n, k) <= mu_cutoff + 1e-12:
-            for j in range(sphere_multiplicity(bg.n, k)):
-                modes.append(Mode((k, j), sphere_degree_eigenvalue(bg.n, k)))
-            k += 1
-    elif isinstance(bg, Cylinder):
-        l = 0
-        while sphere_degree_eigenvalue(bg.k, l) <= mu_cutoff + 1e-12:
-            mu_l = sphere_degree_eigenvalue(bg.k, l)
-            axial_budget = int(math.floor(2.0 * (mu_cutoff - mu_l) + 1e-12))
-            for j in range(sphere_multiplicity(bg.k, l)):
-                for axial in _bounded_multi_indices(bg.m, axial_budget):
-                    modes.append(Mode((l, j) + axial, mu_l + sum(axial) / 2.0))
-            l += 1
-    else:
-        raise TypeError(f"unknown background {bg!r}")
+    for head, mu_round in _round_harmonics(bg.sphere_n, mu_cutoff):
+        axial_budget = int(math.floor(2.0 * (mu_cutoff - mu_round) + 1e-12))
+        for axial in _bounded_multi_indices(bg.flat_m, axial_budget):
+            modes.append(Mode(head + axial, mu_round + sum(axial) / 2.0))
     modes.sort(key=mode_sort_key)
     return tuple(modes)
 
 
 def first_nonzero_eigenvalue(bg: Background) -> float:
-    """Smallest mu > 0; on every supported family this is 1/2, but derive it."""
-    if isinstance(bg, Plane):
-        return 0.5  # degree-1 Hermite mode
-    if isinstance(bg, Sphere):
-        return sphere_degree_eigenvalue(bg.n, 1)
-    if isinstance(bg, Cylinder):
-        return min(sphere_degree_eigenvalue(bg.k, 1), 0.5)
-    raise TypeError(f"unknown background {bg!r}")
+    """Smallest mu > 0: the least over the factors of a degree-1 harmonic and a degree-1 Hermite mode."""
+    n = bg.sphere_n
+    return min(([sphere_degree_eigenvalue(n, 1)] if n else []) + ([0.5] if bg.flat_m else []))
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +168,6 @@ def hermite_norm_squared(k: int) -> float:
     return float(2**k * math.factorial(k))
 
 
-def _plane_mode_poly(bg: Plane, index: tuple[int, ...]) -> AmbientPolynomial:
-    poly = AmbientPolynomial.constant(bg.n, 1.0)
-    norm_sq = 1.0
-    for axis, deg in enumerate(index):
-        poly = poly * hermite_polynomial(deg, dim=bg.n, axis=axis)
-        norm_sq *= hermite_norm_squared(deg)
-    return poly.scale(1.0 / math.sqrt(norm_sq))
-
-
 def _circle_pair_polys(l: int, dim: int, axes: tuple[int, int]) -> tuple[AmbientPolynomial, AmbientPolynomial]:
     """Re((u + iv)^l), Im((u + iv)^l) lifted onto two axes of a dim-d space."""
     re_terms: dict[tuple[int, ...], float] = {}
@@ -228,14 +185,15 @@ def _circle_pair_polys(l: int, dim: int, axes: tuple[int, int]) -> tuple[Ambient
     return AmbientPolynomial(dim, re_terms), AmbientPolynomial(dim, im_terms)
 
 
-def _circle_mode_poly(l: int, j: int, radius: float, mass: float, dim: int, axes: tuple[int, int]) -> AmbientPolynomial:
-    """Normalized circle harmonic: j = 0 cosine branch, j = 1 sine branch."""
+def _circle_mode_poly(bg: Background, l: int, j: int) -> AmbientPolynomial:
+    """Normalized degree-l harmonic on a round circle factor: j = 0 cosine branch, j = 1 sine branch."""
+    dim, mass = bg.ambient_dim, total_mass(bg)
     if l == 0:
         return AmbientPolynomial.constant(dim, 1.0 / math.sqrt(mass))
-    re_poly, im_poly = _circle_pair_polys(l, dim, axes)
+    re_poly, im_poly = _circle_pair_polys(l, dim, (0, 1))
     poly = re_poly if j == 0 else im_poly
     # on the circle the pair evaluates to r^l cos/sin(l theta); mean square is 1/2
-    norm_sq = radius ** (2 * l) * mass / 2.0
+    norm_sq = bg.radius ** (2 * l) * mass / 2.0
     return poly.scale(1.0 / math.sqrt(norm_sq))
 
 
@@ -269,7 +227,7 @@ def _legendre_derivative_coeffs(l: int, m: int) -> tuple[float, ...]:
     return tuple(float(c) for c in np.atleast_1d(poly))
 
 
-def _sphere2_mode_poly(bg: Sphere, k: int, j: int) -> AmbientPolynomial:
+def _sphere2_mode_poly(bg: Background, k: int, j: int) -> AmbientPolynomial:
     """Normalized degree-k harmonic on S^2_2; label j in 0..2k maps to m = j - k."""
     dim = 3
     m_signed = j - k
@@ -283,54 +241,56 @@ def _sphere2_mode_poly(bg: Sphere, k: int, j: int) -> AmbientPolynomial:
         poly = (im_poly if m_signed < 0 else re_poly) * radial
         angular_sq = math.pi * (2.0 / (2 * k + 1)) * (math.factorial(k + m) / math.factorial(k - m))
     r = bg.radius
-    density_on_sphere = total_mass(bg) / unit_sphere_area(bg.n)  # rho * r^n
+    density_on_sphere = total_mass(bg) / unit_sphere_area(bg.sphere_n)  # rho * r^n
     norm_sq = density_on_sphere * r ** (2 * k) * angular_sq
     return poly.scale(1.0 / math.sqrt(norm_sq))
 
 
+def _round_harmonic(bg: Background, head: tuple[int, ...]) -> AmbientPolynomial:
+    """The normalized harmonic ``head`` = (degree, label) on the round factor, or 1 without a round factor."""
+    if not bg.sphere_n:
+        return AmbientPolynomial.constant(bg.ambient_dim, 1.0)
+    return (_circle_mode_poly if bg.sphere_n == 1 else _sphere2_mode_poly)(bg, *head)
+
+
 @functools.lru_cache(maxsize=4096)
 def mode_function(bg: Background, mode: Mode) -> AmbientPolynomial:
-    """The normalized ambient polynomial of a mode (cached)."""
+    """The normalized ambient polynomial of a mode (cached): round harmonic times normalized Hermite product."""
     require_support(bg, "closed-form mode evaluation")
-    idx = mode.index
-    if isinstance(bg, Plane):
-        return _plane_mode_poly(bg, idx)
-    if bg == Sphere(1):
-        return _circle_mode_poly(idx[0], idx[1], bg.radius, total_mass(bg), dim=2, axes=(0, 1))
-    if bg == Sphere(2):
-        return _sphere2_mode_poly(bg, idx[0], idx[1])
-    # Cylinder(1, 1)
-    circle = _circle_mode_poly(idx[0], idx[1], bg.radius, total_mass(Sphere(1)), dim=3, axes=(0, 1))
-    axial = hermite_polynomial(idx[2], dim=3, axis=2).scale(1.0 / math.sqrt(hermite_norm_squared(idx[2])))
-    return circle * axial
+    d, head = bg.ambient_dim, 2 if bg.sphere_n else 0
+    axial, norm_sq = AmbientPolynomial.constant(d, 1.0), 1.0
+    for axis, deg in enumerate(mode.index[head:], start=d - bg.flat_m):
+        axial = axial * hermite_polynomial(deg, dim=d, axis=axis)
+        norm_sq *= hermite_norm_squared(deg)
+    return _round_harmonic(bg, mode.index[:head]) * axial.scale(1.0 / math.sqrt(norm_sq))
+
+
+@functools.lru_cache(maxsize=4096)
+def _derivatives(bg: Background, mode: Mode, rank: int) -> tuple[tuple[tuple[int, ...], AmbientPolynomial], ...]:
+    """(axes, polynomial) of each distinct rank-``rank`` partial of a mode (cached).
+
+    Rank 0 is the mode itself, rank 1 its gradient and rank 2 the upper triangle of its Hessian.
+    """
+    poly = mode_function(bg, mode)
+    return tuple(
+        (axes, functools.reduce(AmbientPolynomial.diff, axes, poly))
+        for axes in itertools.combinations_with_replacement(range(poly.dim), rank)
+    )
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
-
-def _value_column(poly: AmbientPolynomial, pts: np.ndarray) -> np.ndarray:
-    return poly.eval(pts)
-
-
-def _gradient_column(poly: AmbientPolynomial, pts: np.ndarray) -> np.ndarray:
-    return np.stack([g.eval(pts) for g in poly.gradient()], axis=1)
+# kind -> tensor rank of its per-mode column
+_RANKS = {"values": 0, "gradients": 1, "hessians": 2}
 
 
-def _hessian_column(poly: AmbientPolynomial, pts: np.ndarray) -> np.ndarray:
-    hess = poly.hessian()
-    out = np.zeros((pts.shape[0], poly.dim, poly.dim))
-    for i, j in itertools.combinations_with_replacement(range(poly.dim), 2):
-        out[:, i, j] = out[:, j, i] = hess[i][j].eval(pts)
+def _column(bg: Background, mode: Mode, rank: int, pts: np.ndarray) -> np.ndarray:
+    """The mode's value (N,), ambient gradient (N, d) or ambient Hessian (N, d, d) at (N, d) points."""
+    out = np.empty(pts.shape[:1] + pts.shape[1:] * rank)
+    for axes, poly in _derivatives(bg, mode, rank):
+        out[(slice(None), *axes)] = out[(slice(None), *axes[::-1])] = poly.eval(pts)
     return out
-
-
-# kind -> (per-mode column of the normalized polynomial at (N, d) points, tensor rank)
-_COLUMNS = {
-    "values": (_value_column, 0),
-    "gradients": (_gradient_column, 1),
-    "hessians": (_hessian_column, 2),
-}
 
 
 def combine_on_rule(
@@ -348,7 +308,7 @@ def combine_on_rule(
     caller bounds its arrays by taking a block of nodes at a time through
     ``part`` and gets the bytes of the whole rule.
     """
-    evaluate, rank = _COLUMNS[kind]
+    rank = _RANKS[kind]
     pts, amps = rule.points[part], np.asarray(amplitudes, dtype=float)
     if amps.shape[-1:] != (len(modes),):
         raise ValueError(f"need one amplitude per mode ({len(modes)}) on the last axis, got shape {amps.shape}")
@@ -357,6 +317,6 @@ def combine_on_rule(
     term = np.empty_like(out)  # built in place: a block's temporaries are as large as the result
     used = amps.any(axis=tuple(range(len(lead)))).tolist()
     for j in sorted((j for j in range(len(modes)) if used[j]), key=lambda j: mode_sort_key(modes[j])):
-        column = evaluate(mode_function(rule.background, modes[j]), pts)
+        column = _column(rule.background, modes[j], rank, pts)
         out += np.multiply(amps[..., j].reshape(lead + (1,) * column.ndim), column, out=term)
     return out

@@ -24,7 +24,7 @@ import math
 import numbers
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -160,7 +160,8 @@ def _parse_resolution(value: Any) -> int:
     return _number(value, "resolution", integer=True, minimum=2)
 
 
-_BACKGROUNDS = {"plane": (Plane, ("n",)), "sphere": (Sphere, ("n",)), "cylinder": (Cylinder, ("k", "m"))}
+# config kind -> background class: the kind is the lower-case class name, the sizes are the dataclass fields
+_BACKGROUNDS = {cls.__name__.lower(): cls for cls in (Plane, Sphere, Cylinder)}
 
 
 def _parse_background(doc: Any) -> tuple[Background, dict]:
@@ -168,9 +169,13 @@ def _parse_background(doc: Any) -> tuple[Background, dict]:
     kind = doc.get("kind")
     if not (isinstance(kind, str) and kind in _BACKGROUNDS):
         raise ConfigError("background.kind", f"unknown kind {kind!r}")
-    cls, size_fields = _BACKGROUNDS[kind]
-    sizes = {name: _number(doc.get(name), f"background.{name}", integer=True, minimum=1) for name in size_fields}
+    cls = _BACKGROUNDS[kind]
+    sizes = {f.name: _number(doc.get(f.name), f"background.{f.name}", integer=True, minimum=1) for f in fields(cls)}
     return cls(**sizes), {"kind": kind, **sizes}
+
+
+# the longest output name is "<id>.report.json.tmp", and a file name holds at most 255 bytes
+_MAX_ID_BYTES = 255 - len(".report.json.tmp")
 
 
 def _parse_scenario_id(value: Any) -> str:
@@ -179,6 +184,12 @@ def _parse_scenario_id(value: Any) -> str:
         raise ConfigError(
             "scenario_id", f"must be a non-empty file name without '/', '\\' or NUL, not '.' or '..'; got {value!r}"
         )
+    try:
+        size = len(value.encode())
+    except UnicodeEncodeError as exc:  # a lone surrogate from a JSON escape
+        raise ConfigError("scenario_id", f"must be UTF-8 text: {exc}") from None
+    if size > _MAX_ID_BYTES:
+        raise ConfigError("scenario_id", f"must be at most {_MAX_ID_BYTES} UTF-8 bytes to name its files; got {size}")
     return value
 
 

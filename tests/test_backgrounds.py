@@ -1,5 +1,6 @@
 """Background geometry, measures, and spectral data against closed forms."""
 
+import hashlib
 import math
 import re
 
@@ -16,6 +17,7 @@ from parafreq import (
     enumerate_modes,
     first_nonzero_eigenvalue,
     kappa,
+    mode_from_index,
     mode_function,
     parse_config,
     quadrature,
@@ -116,6 +118,101 @@ def test_eigenvalues_come_in_half_integer_steps():
             if isinstance(bg, Plane):
                 assert (2.0 * m.mu) == int(2.0 * m.mu)
             assert m.mu >= 0.0
+
+
+BAD_INDICES = [(Plane(2), (1,)), (Plane(1), (-1,)), (Sphere(2), (1, 3)), (Sphere(3), (1,)), (Cylinder(1, 2), (1, 0, -1, 0))]
+
+
+@pytest.mark.parametrize("bg, index", BAD_INDICES)
+def test_a_bad_mode_index_names_the_background(bg, index):
+    message = f"^a mode index on {re.escape(bg.label())} is \\(.+\\), all nonnegative; got {re.escape(repr(index))}$"
+    with pytest.raises(ValueError, match=message):
+        mode_from_index(bg, index)
+
+
+# ---------------------------------------------------------------------------
+# closed forms pinned by digest
+
+PINNED = sorted(POINTWISE, key=lambda b: b.label()) + [Plane(4), Sphere(3), Sphere(10), Cylinder(2, 3)]
+CUTOFFS = (0.0, 0.5 - 1e-13, 0.5, 0.5 + 1e-13, 1.0, 2.5, 3.0 - 4e-13, 3.0)
+
+
+def _closed_forms(bg):
+    """Name -> the background's closed-form data of that kind, floats as hex."""
+    forms = {
+        "scalars": [total_mass(bg).hex(), kappa(bg).hex(), first_nonzero_eigenvalue(bg).hex()],
+        "modes": [(c, [(m.index, m.mu.hex()) for m in enumerate_modes(bg, c)]) for c in CUTOFFS],
+    }
+    if bg in POINTWISE:
+        forms["polynomials"] = [
+            (m.index, sorted((e, c.hex()) for e, c in mode_function(bg, m).terms.items())) for m in enumerate_modes(bg, 4.0)
+        ]
+        rules = (quadrature(bg, r) for r in (2, 5, 24))
+        forms["rules"] = [hashlib.sha256(rule.points.tobytes() + rule.weights.tobytes()).hexdigest() for rule in rules]
+    return forms
+
+
+# SHA-256 of the repr of each entry of _closed_forms: no closed form may move by a bit
+CLOSED_FORM_DIGESTS = {
+    "cylinder(k=1,m=1)": {
+        "scalars": "9f0c2957d435941d232b8319034eb99a64429f3d65cbd6c4280a36b2f59ff79f",
+        "modes": "5f2ba6ca58d08a79e1939b23395b601f95e1cd54e7bcb8afd2cf33a5c26a1f0a",
+        "polynomials": "9a16137241df772fa5ab7d5a1aa8a797c5accce086f49e23756e8d9b0c2e84d0",
+        "rules": "2424dc932984a35b3f0f11e9b70c025e585193cef755e34e5aa7395b35b3d5b3",
+    },
+    "plane(n=1)": {
+        "scalars": "adb66d97aec19f159da6887c55f110027b3d92145f8fe95167be6865ade4b9b1",
+        "modes": "3051c9e06b0f899a8538256624455a71f4db314e6c389c312957da7084af4893",
+        "polynomials": "fce8ae03c5ea041dbe9468191a491f7a74fde451cd7019d452d7b1afb96fef6a",
+        "rules": "cd9c9507da546f6f19923a4d8f2caad300e464812d64d6401160a0f4fe5f5c72",
+    },
+    "plane(n=2)": {
+        "scalars": "adb66d97aec19f159da6887c55f110027b3d92145f8fe95167be6865ade4b9b1",
+        "modes": "d1ee1529383c19abcd04cbb6291817f6c77206a3b11561f9b1665b9b64b90551",
+        "polynomials": "295e9d07cff0b92d62a2ca61dbfdd9085b3cc0c6c4ae003bb0aba844199e7e49",
+        "rules": "144b6aaa962c9968c0df5644ca933f16af4e1e3c6c7fe4d0f1c397d9f9bcc15c",
+    },
+    "plane(n=3)": {
+        "scalars": "adb66d97aec19f159da6887c55f110027b3d92145f8fe95167be6865ade4b9b1",
+        "modes": "9eb1c6301d0c8f43ff6155e1ce53120f5ec0f182a397163e415adc57fed1e6f8",
+        "polynomials": "e619b99689592e9a9f51f61b0c4c61886be950808f7453bffe454143edc6a247",
+        "rules": "5445003cd91b413855319e6e640e892765d91febbee25ed949e15b324283386e",
+    },
+    "sphere(n=1)": {
+        "scalars": "9f0c2957d435941d232b8319034eb99a64429f3d65cbd6c4280a36b2f59ff79f",
+        "modes": "7a0a3d358af6d071acc0a3649162e4eb88b2f22351a93fe74d40de4371d53a7a",
+        "polynomials": "cd7463538137d16c5a6abec2c7a446d4734c62fd2917e1447a69a4338c00d4d1",
+        "rules": "4c97a6728c957d0c51746d1844317bc1ee895e01cc1ebe70864519e92389961f",
+    },
+    "sphere(n=2)": {
+        "scalars": "d8b716b094f74b878f9231a90bca0399f63506d0887299a4256333490a9eefc7",
+        "modes": "be3fda2bec5c2dac852775f57a1ba17857f6c0e2d6be1f633a4829fb09795013",
+        "polynomials": "9ce9649d613c66668f446cf30d85f6e1482955a365d09c2761a1ead6ab7b75ca",
+        "rules": "f94982854e399569e45ee3655448bbe50cfa81d556e625270c4f7dfd873a14bc",
+    },
+    "plane(n=4)": {
+        "scalars": "adb66d97aec19f159da6887c55f110027b3d92145f8fe95167be6865ade4b9b1",
+        "modes": "402d8df411fa555eafbde1ad422c5e6feb496e003b031a0e7ec80116791f70a8",
+    },
+    "sphere(n=3)": {
+        "scalars": "7b7770be79c4b830bb0ca348108ab9048c6295bc4358f83654beadf3ad8ba6c8",
+        "modes": "38a648ab713b9912f56dab66a5dcc93bd7637cb3798d5d8e392c2b42342d9f2c",
+    },
+    "sphere(n=10)": {
+        "scalars": "d3d4403ec8a6107b64c9f638f99ca41025903b919f0df3e33806db448010a1bc",
+        "modes": "92a2afb8b007c0fcac8bd0a82662b25986bc7f8c6f371c36da8823b76c7b0fd7",
+    },
+    "cylinder(k=2,m=3)": {
+        "scalars": "d8b716b094f74b878f9231a90bca0399f63506d0887299a4256333490a9eefc7",
+        "modes": "19c1a1b3b2d6cd505bf81c0be02dda6d067f491305040dcce2481ab44342617d",
+    },
+}
+
+
+@pytest.mark.parametrize("bg", PINNED, ids=lambda b: b.label())
+def test_closed_forms_are_pinned(bg):
+    digests = {name: hashlib.sha256(repr(value).encode()).hexdigest() for name, value in _closed_forms(bg).items()}
+    assert digests == CLOSED_FORM_DIGESTS[bg.label()]
 
 
 # ---------------------------------------------------------------------------

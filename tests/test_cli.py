@@ -155,15 +155,31 @@ def test_overflowing_scenario_spares_the_rest_of_the_batch(tmp_path, capsys):
 
 
 def test_unwritable_scenario_spares_the_rest_of_the_batch(tmp_path, capsys):
-    # an id too long for a file name is a valid id, but its files cannot be written: that scenario's error alone
-    _write(tmp_path, "a.json", dict(PASSING, scenario_id="a" * 300))
+    # a directory in the way of a scenario's first file fails its write: that scenario's error alone
+    _write(tmp_path, "a.json", dict(PASSING, scenario_id="a"))
     _write(tmp_path, "b.json", dict(PASSING, scenario_id="b"))
     out = tmp_path / "out"
+    (out / "a.trace.csv.tmp").mkdir(parents=True)
     assert main(["run", str(tmp_path / "a.json"), str(tmp_path / "b.json"), "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"runtime error in {'a' * 300}:") and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("runtime error in a:") and len(captured.err.splitlines()) == 1
     assert "1 scenario(s)" in captured.out
-    assert sorted(p.name for p in out.iterdir()) == [f"b{suffix}" for suffix in (".plot.py", ".report.json", ".trace.csv")]
+    expected = ["a.trace.csv.tmp", *(f"b{suffix}" for suffix in (".plot.py", ".report.json", ".trace.csv"))]
+    assert sorted(p.name for p in out.iterdir()) == expected
+
+
+# "<id>.report.json.tmp" must fit the 255-byte file-name limit, so an id holds at most 239 UTF-8 bytes
+@pytest.mark.parametrize("sid", ["a" * 239, "é" * 119 + "a", "a" * 240, "é" * 120], ids=["239", "239-utf8", "240", "240-utf8"])
+def test_scenario_id_must_fit_every_output_file_name(tmp_path, capsys, sid):
+    out = tmp_path / "out"
+    code = main(["run", str(_write(tmp_path, "c.json", dict(PASSING, scenario_id=sid))), "--out", str(out)])
+    if len(sid.encode()) <= 239:
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == [sid + suffix for suffix in (".plot.py", ".report.json", ".trace.csv")]
+    else:
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: config field 'scenario_id': must be at most 239 UTF-8 bytes")
+        assert not out.exists()
 
 
 def test_quiet_prints_only_failures_and_summary(tmp_path, capsys):

@@ -59,13 +59,15 @@ def test_unknown_fields_rejected():
 
 
 def test_scenario_id_must_be_a_file_name():
-    for bad in ("../escaped", "a/b", "a\\b", "a\0b", ".", "..", "", 7, None, ["base"]):
+    for bad in ("../escaped", "a/b", "a\\b", "a\0b", ".", "..", "", 7, None, ["base"], "a\ud800"):
         _expect_config_error(_doc(scenario_id=bad), "scenario_id")
     assert parse_config(_doc(scenario_id="ok.v2-x")).scenario_id == "ok.v2-x"
 
 
 def test_background_validation():
     _expect_config_error(_doc(background={"kind": "torus"}), "background")
+    for kind in (["plane"], 1, None, "Plane"):
+        _expect_config_error(_doc(background={"kind": kind, "n": 1}), "background.kind")
     _expect_config_error(_doc(background={"kind": "plane"}), "background")
     _expect_config_error(_doc(background={"kind": "cylinder", "k": 1}), "background")
     _expect_config_error(_doc(background={"kind": "plane", "n": 1.7}), "background.n")

@@ -45,7 +45,7 @@ from parafreq import (
     verify_selfsimilar_scaling,
     verify_weighted_monotonicity,
 )
-from parafreq import evolution, scenario, verifiers
+from parafreq import evolution, modes, scenario, verifiers
 from parafreq.cli import _load_packaged_configs
 from parafreq.backgrounds import POINTWISE
 from parafreq.modes import combine_on_rule, mode_function
@@ -398,6 +398,25 @@ def test_bochner_sides_are_the_same_bytes_in_any_point_block(monkeypatch, bg, re
     for entries in (per_point, 7 * per_point):
         monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", entries)
         assert np.array(verifiers.bochner_sides(traj, rule)).tobytes() == whole, entries
+
+
+@pytest.mark.parametrize("bg, resolution, coeffs", BLOCK_CASES, ids=[case[0].label() for case in BLOCK_CASES])
+def test_bochner_sides_derive_each_mode_once_in_any_point_block(monkeypatch, bg, resolution, coeffs):
+    # a mode's gradient and Hessian polynomials are built once per run, not once per point block
+    rule, traj = quadrature(bg, resolution), _traj(bg, coeffs, nodes=5)
+    diff = AmbientPolynomial.diff
+
+    def diff_calls():
+        calls = []
+        modes._derivatives.cache_clear()
+        monkeypatch.setattr(AmbientPolynomial, "diff", lambda poly, axis: calls.append(axis) or diff(poly, axis))
+        verifiers.bochner_sides(traj, rule)
+        monkeypatch.setattr(AmbientPolynomial, "diff", diff)
+        return len(calls)
+
+    whole = diff_calls()
+    monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", 2 * bg.ambient_dim**2)  # one point per block
+    assert diff_calls() == whole > 0
 
 
 # ---------------------------------------------------------------------------
