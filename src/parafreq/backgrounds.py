@@ -52,21 +52,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "Background",
-    "POINTWISE",
-    "Plane",
-    "Sphere",
-    "Cylinder",
-    "NodeGeometry",
-    "QuadratureRule",
-    "UnsupportedBackgroundError",
-    "kappa",
-    "quadrature",
-    "require_support",
-    "total_mass",
-    "unit_sphere_area",
-]
 
 class UnsupportedBackgroundError(ValueError):
     """Raised when a pointwise operation is asked of a spectral-only background."""

@@ -51,22 +51,6 @@ import numpy as np
 from .backgrounds import Background, QuadratureRule
 from .modes import Mode, combine_on_rule, mode_sort_key
 
-__all__ = [
-    "CoefficientField",
-    "TimeGrid",
-    "ConstantRate",
-    "SampledRate",
-    "ScalarOnU",
-    "ModeMatrix",
-    "Forcing",
-    "Trajectory",
-    "ToleranceNotMetError",
-    "evolve_exact",
-    "evolve_exact_trajectory",
-    "evolve_forced",
-    "forcing_margins",
-]
-
 _MAX_HALVINGS = 30
 _END_TIME_FLOOR = -1e-3  # latest end time of a grid with a ModeMatrix block
 _MAP_BATCH = 1 << 14  # (block entries m * m per piece) x (pieces) built at once
@@ -160,9 +144,6 @@ class ConstantRate:
         if not (math.isfinite(self.c0) and self.c0 >= 0.0):
             raise ValueError(f"rate must be finite and >= 0, got {self.c0!r}")
 
-    def __call__(self, t: float) -> float:
-        return self.c0
-
     def values_at(self, ts: np.ndarray) -> np.ndarray:
         """C at every time in ``ts``, as one array."""
         return np.full(len(ts), self.c0)
@@ -185,11 +166,8 @@ class SampledRate:
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"rate samples must be finite and >= 0, got {v!r}")
 
-    def __call__(self, t: float) -> float:
-        return float(np.interp(t, self.times, self.values))
-
     def values_at(self, ts: np.ndarray) -> np.ndarray:
-        """C at every time in ``ts``, as one array (the same interpolation as a call)."""
+        """C at every time in ``ts``, as one array, interpolated linearly between the samples."""
         return np.interp(ts, self.times, self.values)
 
 

@@ -31,19 +31,6 @@ from .backgrounds import QuadratureRule, kappa
 from .evolution import CoefficientField, Trajectory, float_powers
 from .modes import combine_on_rule
 
-__all__ = [
-    "ZeroFieldError",
-    "compute_I",
-    "compute_D",
-    "compute_U",
-    "compute_N_raw",
-    "cauchy_schwarz_defect",
-    "compute_I_quadrature",
-    "compute_D_quadrature",
-    "FrequencyTrace",
-    "trace_from_trajectory",
-]
-
 
 class ZeroFieldError(ValueError):
     """Frequency quantities are undefined on the zero field."""

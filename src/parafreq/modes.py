@@ -45,17 +45,6 @@ import numpy as np
 from .backgrounds import Background, QuadratureRule, require_support, total_mass, unit_sphere_area
 from .polynomials import AmbientPolynomial
 
-__all__ = [
-    "Mode",
-    "enumerate_modes",
-    "mode_from_index",
-    "sphere_multiplicity",
-    "mode_function",
-    "combine_on_rule",
-    "hermite_polynomial",
-    "mode_sort_key",
-]
-
 
 @dataclass(frozen=True)
 class Mode:

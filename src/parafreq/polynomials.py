@@ -16,8 +16,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-__all__ = ["AmbientPolynomial"]
-
 
 class AmbientPolynomial:
     """Polynomial in ``dim`` ambient coordinates, stored term-sparse."""

@@ -150,9 +150,19 @@ def _numbers(values: Any, field: str) -> tuple[float, ...]:
     return tuple(_number(v, field) for v in values)
 
 
-def _object(doc: Any, field: str, shape: str = "") -> Mapping:
+def _object(doc: Any, field: str, shape: str = "", keys: Any = None, tag: str = "") -> Mapping:
+    """``doc`` as an object whose every key is in ``keys`` (any key when None); another is the unknown ``field.key``.
+    With a ``tag``, ``keys`` maps each value ``doc[tag]`` may take to the keys allowed beside the tag."""
     if not isinstance(doc, Mapping):
         raise ConfigError(field, f"must be an object {shape}".rstrip())
+    if tag:
+        value = doc.get(tag)
+        if not (isinstance(value, str) and value in keys):
+            raise ConfigError(f"{field}.{tag}", f"unknown {tag} {value!r}")
+        keys = (tag, *keys[value])
+    for key in doc if keys is not None else ():
+        if key not in keys:
+            raise ConfigError(key if field == "<root>" else f"{field}.{key}", "unknown field")
     return doc
 
 
@@ -165,13 +175,10 @@ _BACKGROUNDS = {cls.__name__.lower(): cls for cls in (Plane, Sphere, Cylinder)}
 
 
 def _parse_background(doc: Any) -> tuple[Background, dict]:
-    doc = _object(doc, "background", "with a 'kind'")
-    kind = doc.get("kind")
-    if not (isinstance(kind, str) and kind in _BACKGROUNDS):
-        raise ConfigError("background.kind", f"unknown kind {kind!r}")
-    cls = _BACKGROUNDS[kind]
-    sizes = {f.name: _number(doc.get(f.name), f"background.{f.name}", integer=True, minimum=1) for f in fields(cls)}
-    return cls(**sizes), {"kind": kind, **sizes}
+    keys = {kind: [f.name for f in fields(cls)] for kind, cls in _BACKGROUNDS.items()}
+    kind = _object(doc, "background", "with a 'kind'", keys, "kind")["kind"]
+    sizes = {name: _number(doc.get(name), f"background.{name}", integer=True, minimum=1) for name in keys[kind]}
+    return _BACKGROUNDS[kind](**sizes), {"kind": kind, **sizes}
 
 
 # the longest output name is "<id>.report.json.tmp", and a file name holds at most 255 bytes
@@ -206,48 +213,41 @@ def _parse_mode(bg: Background, key: Any, field: str) -> Mode:
 
 
 def _parse_rate(doc: Any) -> tuple[ConstantRate | SampledRate, dict]:
-    doc = _object(doc, "forcing.rate", "with a 'type'")
-    kind = doc.get("type")
-    if kind == "constant":
+    doc = _object(doc, "forcing.rate", "with a 'type'", {"constant": ["c0"], "sampled": ["times", "values"]}, "type")
+    if doc["type"] == "constant":
         c0 = _number(doc.get("c0"), "forcing.rate.c0", minimum=0.0)
         return ConstantRate(c0), {"type": "constant", "c0": c0}
-    if kind == "sampled":
-        times = _numbers(doc.get("times"), "forcing.rate.times")
-        values = _numbers(doc.get("values"), "forcing.rate.values")
-        try:
-            rate = SampledRate(times, values)
-        except ValueError as exc:
-            raise ConfigError("forcing.rate", str(exc)) from exc
-        return rate, {"type": "sampled", "times": list(times), "values": list(values)}
-    raise ConfigError("forcing.rate.type", f"unknown type {kind!r}")
+    times = _numbers(doc.get("times"), "forcing.rate.times")
+    values = _numbers(doc.get("values"), "forcing.rate.values")
+    try:
+        rate = SampledRate(times, values)
+    except ValueError as exc:
+        raise ConfigError("forcing.rate", str(exc)) from exc
+    return rate, {"type": "sampled", "times": list(times), "values": list(values)}
 
 
 def _parse_forcing(bg: Background, doc: Any) -> tuple[Forcing, dict]:
-    doc = _object(doc, "forcing", "{rate, coupling}")
+    couplings = {"scalar_on_u": ["rate"], "mode_matrix": ["rate", "modes", "matrix"]}
+    doc = _object(doc, "forcing", "{rate, coupling}", couplings, "coupling")
     rate, rate_doc = _parse_rate(doc.get("rate"))
-    coupling_kind = doc.get("coupling")
-    if coupling_kind == "scalar_on_u":
+    if doc["coupling"] == "scalar_on_u":
         return Forcing(rate, ScalarOnU()), {"coupling": "scalar_on_u", "rate": rate_doc}
-    if coupling_kind == "mode_matrix":
-        if bg not in POINTWISE:
-            raise ConfigError(
-                "forcing", f"a mode_matrix hypothesis is certified on quadrature points; got {bg.label()}"
-            )
-        if "modes" not in doc or "matrix" not in doc:
-            raise ConfigError("forcing", "mode_matrix coupling needs 'modes' and 'matrix'")
-        if not isinstance(doc["matrix"], (list, tuple)):
-            raise ConfigError("forcing.matrix", "must be a list of rows")
-        if not isinstance(doc["modes"], (list, tuple)):
-            raise ConfigError("forcing.modes", "must be a list of multi-index keys")
-        modes = tuple(_parse_mode(bg, key, "forcing.modes") for key in doc["modes"])
-        matrix = tuple(_numbers(row, "forcing.matrix") for row in doc["matrix"])
-        try:
-            forcing = Forcing(rate, ModeMatrix(modes, matrix))
-        except ValueError as exc:
-            raise ConfigError("forcing.matrix", str(exc)) from exc
-        matrix_doc = {"modes": [_mode_key(m) for m in modes], "matrix": [list(row) for row in matrix]}
-        return forcing, {"coupling": "mode_matrix", **matrix_doc, "rate": rate_doc}
-    raise ConfigError("forcing.coupling", f"unknown coupling {coupling_kind!r}")
+    if bg not in POINTWISE:
+        raise ConfigError("forcing", f"a mode_matrix hypothesis is certified on quadrature points; got {bg.label()}")
+    if "modes" not in doc or "matrix" not in doc:
+        raise ConfigError("forcing", "mode_matrix coupling needs 'modes' and 'matrix'")
+    if not isinstance(doc["matrix"], (list, tuple)):
+        raise ConfigError("forcing.matrix", "must be a list of rows")
+    if not isinstance(doc["modes"], (list, tuple)):
+        raise ConfigError("forcing.modes", "must be a list of multi-index keys")
+    modes = tuple(_parse_mode(bg, key, "forcing.modes") for key in doc["modes"])
+    matrix = tuple(_numbers(row, "forcing.matrix") for row in doc["matrix"])
+    try:
+        forcing = Forcing(rate, ModeMatrix(modes, matrix))
+    except ValueError as exc:
+        raise ConfigError("forcing.matrix", str(exc)) from exc
+    matrix_doc = {"modes": [_mode_key(m) for m in modes], "matrix": [list(row) for row in matrix]}
+    return forcing, {"coupling": "mode_matrix", **matrix_doc, "rate": rate_doc}
 
 
 def _check_names(doc: Any, field: str, allowed: Any, unknown: str) -> list[str]:
@@ -269,19 +269,15 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
 
     Raises ``ConfigError`` naming the offending field on any problem.
     """
-    doc = _object(doc, "<root>")
-    known_keys = {
+    doc = _object(doc, "<root>", keys=(
         "scenario_id", "background", "initial_modes", "time", "kappa", "forcing",
         "resolution", "checks", "report_only", "tolerances", "rk_local_tol", "random_mixture",
-    }
-    for key in doc:
-        if key not in known_keys:
-            raise ConfigError(key, "unknown field")
+    ))
 
     scenario_id = _parse_scenario_id(doc.get("scenario_id", fallback_id))
     bg, bg_doc = _parse_background(doc.get("background"))
 
-    time_doc = _object(doc.get("time"), "time", "{a, b, nodes}")
+    time_doc = _object(doc.get("time"), "time", "{a, b, nodes}", ("a", "b", "nodes"))
     a = _number(time_doc.get("a"), "time.a")
     b = _number(time_doc.get("b"), "time.b")
     count = _number(time_doc.get("nodes"), "time.nodes", integer=True, minimum=3)
@@ -304,7 +300,8 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
     mixture_doc = doc.get("random_mixture")
     mixture: dict[str, float] | None = None
     if mixture_doc is not None:
-        mixture_doc = _object(mixture_doc, "random_mixture", "{seed, mu_cutoff, low, high}")
+        keys = ("seed", "mu_cutoff", "low", "high")
+        mixture_doc = _object(mixture_doc, "random_mixture", "{seed, mu_cutoff, low, high}", keys)
         seed = _number(mixture_doc.get("seed"), "random_mixture.seed", integer=True, minimum=0)
         mu_cutoff = _number(mixture_doc.get("mu_cutoff"), "random_mixture.mu_cutoff", minimum=0.0)
         low = _number(mixture_doc.get("low"), "random_mixture.low")
@@ -450,15 +447,17 @@ def emit_trace_csv(output: RunOutput, path: str | Path) -> None:
     _atomic_write(Path(path), "\n".join(["t,I,D,U,N_raw,cs_defect", *rows]) + "\n")
 
 
-_REPORT_FORMAT = "parafreq-report/2"  # reports as the columns t, margin and labels
+# each report's nodes as one margin column per label over runs of grid indices; node i is t_i of the run's ``time``
+_REPORT_FORMAT = "parafreq-report/3"
 
 
 def emit_report_json(output: RunOutput, path: str | Path) -> None:
     """Write the report document as ``json.dumps(doc, sort_keys=True, default=np.ndarray.tolist)`` plus a newline.
 
-    ``doc`` holds ``"format": _REPORT_FORMAT``, the scenario id, the provenance and one entry per report: its
+    ``doc`` holds ``"format": _REPORT_FORMAT``, the scenario id, the provenance, the config's ``time`` object
+    (node i is ``np.linspace(a, b, nodes)[i]``, row i of the trace CSV) and one entry per report: its
     ``to_dict()`` plus the run's ``scenario_id`` and background label, which the reports themselves do not hold.
-    Node columns stay arrays until the encoder reaches them, so only one column exists as a list at a time.
+    Margin columns stay arrays until the encoder reaches them, so only one exists as a list at a time.
     """
     config = output.config
     identity = {"scenario_id": config.scenario_id, "background": config.background.label()}
@@ -468,6 +467,7 @@ def emit_report_json(output: RunOutput, path: str | Path) -> None:
         "provenance": output.provenance,
         "kappa_used": output.trace.kappa_used,
         "report_only": sorted(config.report_only),
+        "time": config.document["time"],
         "reports": [{**r.to_dict(), **identity} for r in output.reports],
     }
     _atomic_write(Path(path), json.dumps(doc, sort_keys=True, default=np.ndarray.tolist) + "\n")

@@ -1,8 +1,9 @@
 """Signed-margin checks for the monotonicity, Harnack, and eigenvalue claims.
 
-Every verifier reduces one inequality or integral identity to per-node
-margins on a concrete evolution, computed as whole-array column expressions,
-and wraps them with their times and labels in a ``VerificationReport``.
+Every verifier reduces one inequality or integral identity to margins at
+nodes of the run's time grid, computed as whole-array column expressions,
+and wraps them in a ``VerificationReport`` as one column per label: the
+label, the grid indices of its nodes and its margins there.
 Every verifier takes one ``Run``: a trajectory with the kappa of its
 frequency trace and the resolution of its quadrature rule.  The run builds
 its trace, rule, curvature-identity sides and forcing certificate on first
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -63,72 +64,96 @@ _HARNACK_START_INTERVALS = 128  # trapezoid intervals per smooth piece before th
 _HARNACK_MAX_POINTS = (1 << 21) + 1  # quadrature points, over all pieces, at which an unconverged excess gives up
 
 
+class Column(NamedTuple):
+    """One label's margins at nodes of the run's time grid: their indices and margins as read-only arrays, in step."""
+
+    label: str
+    nodes: np.ndarray
+    margin: np.ndarray
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    column = np.array(values, dtype=dtype).ravel()
+    column.setflags(write=False)
+    return column
+
+
+def _runs(nodes: np.ndarray) -> list[list[int]]:
+    """The maximal ``[start, stop)`` runs of consecutive indices in ``nodes``, in order."""
+    cuts = [0, *(np.flatnonzero(np.diff(nodes) != 1) + 1).tolist(), len(nodes)]
+    return [[int(nodes[i]), int(nodes[j - 1]) + 1] for i, j in zip(cuts, cuts[1:]) if i < j]
+
+
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
     """Outcome of one check on one scenario: only what the check computed, not the run's identity.
 
-    The evaluated nodes are three columns of equal length: ``t`` and
-    ``margin`` as read-only float arrays and ``labels`` as a tuple of str.
-    Every margin must be finite.  ``min_margin`` is ``None`` exactly when the
-    report is inapplicable; otherwise it is the minimum over node margins and
-    the verdict is ``pass`` iff it is at least minus the tolerance.
+    The evaluated nodes are ``columns``, one ``Column`` per label, built from
+    ``(label, nodes, margin)`` triples.  Every margin must be finite.
+    ``min_margin`` is ``None`` exactly when the report is inapplicable; else
+    it is the first smallest margin, taking the columns in order, and the
+    verdict is ``pass`` iff it is at least minus the tolerance.
     """
 
     check_name: str
-    t: np.ndarray
-    margin: np.ndarray
-    labels: tuple[str, ...]
+    columns: tuple[Column, ...]
     tolerance: float
     min_margin: float | None
     status: str
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("t", "margin"):
-            column = np.array(getattr(self, name), dtype=float).reshape(-1)
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
-        object.__setattr__(self, "labels", tuple(self.labels))
+        columns = tuple(Column(c[0], _frozen(c[1], np.int64), _frozen(c[2], float)) for c in self.columns)
+        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "notes", tuple(self.notes))
-        t, margin, labels = self.t, self.margin, self.labels
         if self.status not in _STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
-        if not len(t) == len(margin) == len(labels):
-            raise ValueError(f"node columns differ in length: t {len(t)}, margin {len(margin)}, labels {len(labels)}")
-        if self.status != INAPPLICABLE and not len(margin):
+        for label, nodes, margin in columns:
+            if len(nodes) != len(margin):
+                raise ValueError(f"column {label!r} has {len(nodes)} nodes but {len(margin)} margins")
+            if not np.isfinite(margin).all():
+                i = int(np.argmin(np.isfinite(margin)))
+                raise ValueError(f"non-finite margin {float(margin[i])!r} at node {int(nodes[i])} ({label})")
+        if self.status != INAPPLICABLE and not any(len(c.margin) for c in columns):
             raise ValueError("applicable report requires at least one node")
-        if not np.isfinite(margin).all():
-            i = int(np.argmin(np.isfinite(margin)))
-            raise ValueError(f"non-finite margin {float(margin[i])!r} at t={float(t[i])} ({labels[i]})")
 
     @property
     def passed(self) -> bool:
         return self.status == PASS
 
     def to_dict(self) -> dict:
-        """Every field by name; ``t`` and ``margin`` stay the report's read-only arrays, which
-        ``json.dumps(..., default=np.ndarray.tolist)`` encodes one at a time."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """Every field by name, each column as ``{"label", "runs", "margin"}`` with the ``_runs`` of its nodes;
+        margins stay the report's read-only arrays, which ``json.dumps(..., default=np.ndarray.tolist)`` encodes."""
+        columns = [{"label": c.label, "runs": _runs(c.nodes), "margin": c.margin} for c in self.columns]
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "columns": columns}
 
 
 def report_from_dict(data: dict) -> VerificationReport:
     """Inverse of ``VerificationReport.to_dict`` (exact float round-trip of every column); other keys are ignored."""
-    return VerificationReport(**{f.name: data[f.name] for f in fields(VerificationReport)})
+    columns = [
+        (c["label"], np.concatenate([np.arange(0), *(np.arange(a, b) for a, b in c["runs"])]), c["margin"])
+        for c in data["columns"]
+    ]
+    return VerificationReport(**{**{f.name: data[f.name] for f in fields(VerificationReport)}, "columns": columns})
 
 
-def _report(
-    check_name: str, t, margin, labels: tuple[str, ...], tolerance: float, notes: tuple[str, ...] = ()
-) -> VerificationReport:
-    """An applicable report from node columns; ``t`` and ``margin`` are anything ``np.array`` reads as floats."""
-    margin = np.asarray(margin, dtype=float).reshape(-1)
+def _report(check_name: str, columns, tolerance: float, notes: tuple[str, ...] = ()) -> VerificationReport:
+    """An applicable report from ``(label, nodes, margin)`` columns, nodes and margins anything ``np.array`` reads."""
+    columns = [(label, nodes, np.asarray(margin, dtype=float)) for label, nodes, margin in columns]
+    margin = np.concatenate([c[2] for c in columns])
     # the first minimum, as Python's min picks it: np.min may return -0.0 for [0.0, -0.0]
     min_margin = float(margin[np.argmin(margin)])
     status = PASS if min_margin >= -tolerance else FAIL
-    return VerificationReport(check_name, t, margin, labels, tolerance, min_margin, status, notes)
+    return VerificationReport(check_name, columns, tolerance, min_margin, status, notes)
 
 
 def _inapplicable(check_name: str, reason: str, tolerance: float = 0.0):
-    return VerificationReport(check_name, [], [], (), tolerance, None, INAPPLICABLE, (reason,))
+    return VerificationReport(check_name, (), tolerance, None, INAPPLICABLE, (reason,))
+
+
+def _at_last_node(run: Run, label: str, margin: float) -> list[tuple]:
+    """The one column of a check made at the last node of the run's grid."""
+    return [(label, [len(run.traj.grid.nodes) - 1], [margin])]
 
 
 _NO_FREQUENCY = "zero initial data: frequency undefined"
@@ -184,7 +209,7 @@ def _centered_slopes(values: np.ndarray, t: np.ndarray) -> np.ndarray:
 def verify_frequency_monotonicity(run: Run, *, tolerance: float | None = None) -> VerificationReport:
     """Check that the weighted frequency is nondecreasing along the run.
 
-    Margins come in two families: consecutive-node increments
+    Margins come in two columns: consecutive-node increments
     ``U(t_{i+1}) - U(t_i)`` and centered difference quotients at interior
     nodes (the differential form of the statement, compared against zero).
     The statement is about pure heat runs, with the trace's kappa at least
@@ -194,20 +219,20 @@ def verify_frequency_monotonicity(run: Run, *, tolerance: float | None = None) -
     trace = run.trace
     if _is_zero_run(trace):
         return _inapplicable("frequency_monotonicity", _NO_FREQUENCY)
-    t = trace.t
-    u = trace.U
+    t, u = trace.t, trace.U
     scale = max(1.0, float(np.max(np.abs(u))))
     tol = tolerance if tolerance is not None else 1e-9 * scale
-    labels = ("increment",) * (len(t) - 1) + ("centered-slope",) * (len(t) - 2)
-    margin = np.concatenate([np.diff(u), _centered_slopes(u, t)])
-    return _report("frequency_monotonicity", np.concatenate([t[1:], t[1:-1]]), margin, labels, tol)
+    n = len(t)
+    columns = [("increment", range(1, n), np.diff(u)), ("centered-slope", range(1, n - 1), _centered_slopes(u, t))]
+    return _report("frequency_monotonicity", columns, tol)
 
 
 def verify_equality_case(run: Run, *, tolerance: float = 1e-9) -> VerificationReport:
     """Certify the rigidity side: a flat frequency forces an eigenfunction.
 
     Wherever ``|U(t_{i+1}) - U(t_i)|`` falls below ``tolerance`` (scaled by
-    ``sup |U|``), two assertions fire at both pair endpoints: the
+    ``sup |U|``), two assertions fire at both pair endpoints, each node
+    checked once however many flat pairs it ends: the
     Cauchy-Schwarz defect is below ``tolerance * I^2``, and the fitted
     eigenvalue ``D / (2 I)`` agrees with ``U / (2 (-t)^(1+2 kappa))``.
     Margins embed the thresholds (``threshold - observed``), so the report
@@ -225,22 +250,20 @@ def verify_equality_case(run: Run, *, tolerance: float = 1e-9) -> VerificationRe
     u = trace.U
     trigger = tolerance * max(1.0, float(np.max(np.abs(u))))
     # a nan difference counts as flat, so its nan margins are rejected instead of skipped
-    flat = np.flatnonzero(~(np.abs(np.diff(u)) >= trigger))
-    if not len(flat):
+    flat = ~(np.abs(np.diff(u)) >= trigger)
+    if not flat.any():
         return _report(
-            "equality_case", [trace.t[-1]], [0.0], ("no pair met the flatness trigger",), 0.0,
+            "equality_case", _at_last_node(run, "no pair met the flatness trigger", 0.0), 0.0,
             notes=("vacuous: frequency never flat within the trigger, so the implication holds trivially",),
         )
-    # both endpoints of every flat pair, in pair order; two margins per endpoint
-    j = np.column_stack([flat, flat + 1]).reshape(-1)
+    # every endpoint of a flat pair once, in node order: node i ends pair i - 1 or starts pair i
+    j = np.flatnonzero(np.append(False, flat) | np.append(flat, False))
     tj, ij, uj = trace.t[j], trace.I[j], u[j]
     defect_margin = tolerance * float_powers(ij.tolist(), [2.0])[:, 0] - trace.cs_defect[j]
     c_fit = trace.D[j] / (2.0 * ij)
     c_ref = uj / (2.0 * float_powers((-tj).tolist(), [1.0 + 2.0 * k])[:, 0])
     c_margin = tolerance * np.maximum(1.0, np.abs(c_ref)) - np.abs(c_fit - c_ref)
-    margin = np.column_stack([defect_margin, c_margin]).reshape(-1)
-    labels = ("defect-bound", "eigenvalue-fit") * len(j)
-    return _report("equality_case", np.repeat(tj, 2), margin, labels, 0.0)
+    return _report("equality_case", [("defect-bound", j, defect_margin), ("eigenvalue-fit", j, c_margin)], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +281,8 @@ def _harnack_bound(ta: float, tb: float, ua: float, k: float) -> float:
     return -ua * math.log(tb / ta)  # (-tb)/(-ta), both negative
 
 
-def _degenerate_harnack(check_name: str, tb: float, tolerance: float, note: str):
-    return _report(check_name, [tb], [0.0], ("degenerate",), tolerance, notes=(note,))
+def _degenerate_harnack(check_name: str, run: Run, tolerance: float, note: str):
+    return _report(check_name, _at_last_node(run, "degenerate", 0.0), tolerance, notes=(note,))
 
 
 _ZERO_DATA_NOTE = "zero data: both sides vanish and the bound degenerates to 0 >= 0"
@@ -288,14 +311,14 @@ def verify_harnack(run: Run, *, tolerance: float = 1e-9) -> VerificationReport:
     trace = run.trace
     k = trace.kappa_used
     if _is_zero_run(trace):
-        return _degenerate_harnack("harnack", run.traj.grid.b, tolerance, _ZERO_DATA_NOTE)
+        return _degenerate_harnack("harnack", run, tolerance, _ZERO_DATA_NOTE)
     ta, tb, ia, ib, ua = _harnack_endpoints(trace)
     dlog = math.log(ib) - math.log(ia)
     margin = dlog - _harnack_bound(ta, tb, ua, k)
     if k > 0.0:
-        return _report("harnack", [tb], [margin], ("log-bound",), tolerance)
+        return _report("harnack", _at_last_node(run, "log-bound", margin), tolerance)
     notes = (f"printed-variant margin at the same endpoints: {dlog + ua - math.log(tb / ta):.17g}",)
-    return _report("harnack", [tb], [margin], ("log-bound-derivation",), tolerance, notes=notes)
+    return _report("harnack", _at_last_node(run, "log-bound-derivation", margin), tolerance, notes=notes)
 
 
 def verify_harnack_printed(run: Run, *, tolerance: float = 1e-9) -> VerificationReport:
@@ -313,10 +336,10 @@ def verify_harnack_printed(run: Run, *, tolerance: float = 1e-9) -> Verification
         reason = "printed and derived forms coincide for positive curvature weight"
         return _inapplicable("harnack_printed", reason, tolerance)
     if _is_zero_run(trace):
-        return _degenerate_harnack("harnack_printed", run.traj.grid.b, tolerance, _ZERO_DATA_NOTE)
+        return _degenerate_harnack("harnack_printed", run, tolerance, _ZERO_DATA_NOTE)
     ta, tb, ia, ib, ua = _harnack_endpoints(trace)
     margin = (math.log(ib) - math.log(ia)) + ua - math.log(tb / ta)
-    return _report("harnack_printed", [tb], [margin], ("log-bound-printed",), tolerance)
+    return _report("harnack_printed", _at_last_node(run, "log-bound-printed", margin), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -397,16 +420,16 @@ def verify_weighted_monotonicity(
 
     ``functions`` maps names to test functions and defaults to
     ``standard_test_functions`` of the run's background.  One report covers
-    them all, in name order, with nodes labelled ``<name>:residual``.
+    them all, in name order, each as one column ``<name>:residual`` over
+    every node.
     """
     rule = run.rule
     bg = rule.background
     funcs = standard_test_functions(bg) if functions is None else functions
     names = sorted(funcs)
     pts, w, proj = rule.points, rule.weights, rule.geometry().tangent_projector
-    t = run.traj.grid.as_array()
-    scales = np.sqrt(-t)
-    margins = []
+    scales = np.sqrt(-run.traj.grid.as_array())
+    columns = []
     for name in names:
         f = funcs[name]
         if f.dim != bg.ambient_dim:
@@ -419,10 +442,8 @@ def verify_weighted_monotonicity(
                 for k, moment in _graded_moments(hess[a][b], pts, w * proj[:, a, b]).items():
                     r_moments[k] = r_moments.get(k, 0.0) + moment
         slope = -0.5 * _graded_sum({k - 2: k * moment for k, moment in g_moments.items() if k}, scales)
-        margins.append(-np.abs(slope + _graded_sum(r_moments, scales)))
-    labels = tuple(f"{name}:residual" for name in names for _ in t)
-    notes = (f"test functions: {', '.join(names)}",)
-    return _report("weighted_monotonicity", np.tile(t, len(names)), np.concatenate(margins), labels, tolerance, notes)
+        columns.append((f"{name}:residual", range(len(scales)), -np.abs(slope + _graded_sum(r_moments, scales))))
+    return _report("weighted_monotonicity", columns, tolerance, (f"test functions: {', '.join(names)}",))
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +548,8 @@ def verify_drift_bochner(run: Run, *, tolerance: float = 1e-8) -> VerificationRe
             f"gradient energy at this time: {grad_energy:.17g}",
         )
     )
-    t, labels = (run.traj.grid.a, run.traj.grid.b), ("integral-identity",) * 2
-    return _report("drift_bochner", t, margin, labels, tolerance, notes)
+    nodes = [0, len(run.traj.grid.nodes) - 1]
+    return _report("drift_bochner", [("integral-identity", nodes, margin)], tolerance, notes)
 
 
 def verify_drift_bochner_verbatim(run: Run, *, tolerance: float = 1e-8) -> VerificationReport:
@@ -545,8 +566,8 @@ def verify_drift_bochner_verbatim(run: Run, *, tolerance: float = 1e-8) -> Verif
     ends = run.sides
     margin = [-abs(lhs - rhs_a) for lhs, rhs_a, _, _ in ends]
     notes = tuple(f"expected residual from the missing pairing term: {pairing:.17g}" for _, _, pairing, _ in ends)
-    t, labels = (run.traj.grid.a, run.traj.grid.b), ("integral-identity-verbatim",) * 2
-    return _report("drift_bochner_verbatim", t, margin, labels, tolerance, notes)
+    nodes = [0, len(run.traj.grid.nodes) - 1]
+    return _report("drift_bochner_verbatim", [("integral-identity-verbatim", nodes, margin)], tolerance, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +626,7 @@ def forcing_certificate(run: Run) -> Certificate:
 def verify_general_bounds(run: Run, *, tolerance: float | None = None) -> VerificationReport:
     """Check both differential bounds for forced runs at interior nodes.
 
-    The two margins per node are
+    The two margins per interior node, one column each, are
 
         (log I)'(t) - [(1 + C/2) (-t)^(-1-2 kappa) U(t) - 3 C(t)]
         U'(t) - C(t)^2 (U(t) - 2 (-t)^(1+2 kappa))
@@ -627,22 +648,23 @@ def verify_general_bounds(run: Run, *, tolerance: float | None = None) -> Verifi
     if not holds:
         return _inapplicable("general_bounds", notes[0])
 
-    t = trace.t
-    u = trace.U
+    t, u = trace.t, trace.U
     log_i = np.log(trace.I)
     ti, ui = t[1:-1], u[1:-1]
     c = traj.forcing.rate.values_at(ti) if traj.forcing is not None else np.zeros(len(ti))
     powers = float_powers((-ti).tolist(), [-1.0 - 2.0 * k, 1.0 + 2.0 * k])
     bound_i = (1.0 + c / 2.0) * powers[:, 0] * ui - 3.0 * c
     bound_u = float_powers(c.tolist(), [2.0])[:, 0] * (ui - 2.0 * powers[:, 1])
-    # two margins per interior node, mass growth first
-    margin = np.column_stack([_centered_slopes(log_i, t) - bound_i, _centered_slopes(u, t) - bound_u]).reshape(-1)
+    interior = range(1, len(t) - 1)
+    columns = [
+        ("mass-growth", interior, _centered_slopes(log_i, t) - bound_i),
+        ("frequency-derivative", interior, _centered_slopes(u, t) - bound_u),
+    ]
 
     allow = max(_third_difference_allowance(log_i, t), _third_difference_allowance(u, t))
     base = tolerance if tolerance is not None else 1e-9 * max(1.0, float(np.max(np.abs(u))))
     notes = notes + (f"centered-difference allowance folded into tolerance: {allow:.6e}",)
-    labels = ("mass-growth", "frequency-derivative") * len(ti)
-    return _report("general_bounds", np.repeat(ti, 2), margin, labels, base + allow, notes=notes)
+    return _report("general_bounds", columns, base + allow, notes=notes)
 
 
 def _forcing_excess(rate: Rate, ta: float, tb: float, ua: float, k: float):
@@ -712,7 +734,7 @@ def verify_general_harnack(run: Run, *, tolerance: float = 1e-8) -> Verification
     k = trace.kappa_used
     if _is_zero_run(trace):
         return _degenerate_harnack(
-            "general_harnack", traj.grid.b, tolerance,
+            "general_harnack", run, tolerance,
             "zero data: the bound degenerates to 0 >= 0 (vanishing at b forces vanishing throughout)",
         )
     holds, notes = run.certificate
@@ -728,7 +750,7 @@ def verify_general_harnack(run: Run, *, tolerance: float = 1e-8) -> Verification
             return _inapplicable("general_harnack", reason, tolerance)
         notes += (f"forcing excess by Romberg extrapolation at level {level} on {work}, added to the tolerance",)
     margin = (math.log(ib) - math.log(ia)) - _harnack_bound(ta, tb, ua, k) - excess
-    return _report("general_harnack", [tb], [margin], ("log-bound-integrated",), tolerance + gap, notes)
+    return _report("general_harnack", _at_last_node(run, "log-bound-integrated", margin), tolerance + gap, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -745,11 +767,9 @@ def verify_eigenvalue_monotonicity(run: Run, *, tolerance: float = 1e-12) -> Ver
     the run's trace.
     """
     bg, k = run.traj.background, run.trace.kappa_used
-    t = run.traj.grid.as_array()
-    mt = -t
+    mt = -run.traj.grid.as_array()
     q = float_powers(mt.tolist(), [1.0 + 2.0 * k])[:, 0] * (first_nonzero_eigenvalue(bg) / mt)  # lambda1 = mu_1/(-t)
-    labels = ("scaled-eigenvalue-drop",) * (len(t) - 1)
-    return _report("eigenvalue_monotonicity", t[1:], q[:-1] - q[1:], labels, tolerance)
+    return _report("eigenvalue_monotonicity", [("scaled-eigenvalue-drop", range(1, len(q)), q[:-1] - q[1:])], tolerance)
 
 
 def verify_selfsimilar_scaling(run: Run, *, tolerance: float | None = None) -> VerificationReport:
@@ -787,13 +807,13 @@ def verify_selfsimilar_scaling(run: Run, *, tolerance: float | None = None) -> V
     values -= float_powers([(-ti) / (-t_ref) for ti in t.tolist()], [mu]) * v_ref
     residuals = np.abs(values, out=values).max(axis=1)
     notes = (f"single active eigenvalue mu={mu:.17g}; reference slice t={t_ref:.17g}",)
-    return _report("selfsimilar_scaling", t, -residuals, ("sup-residual",) * len(t), tol, notes=notes)
+    return _report("selfsimilar_scaling", [("sup-residual", range(len(t)), -residuals)], tol, notes=notes)
 
 
 def verify_quadrature_mass(run: Run, *, tolerance: float = 1e-12) -> VerificationReport:
-    """Check the run's quadrature rule against the closed-form total mass."""
+    """Check the run's quadrature rule against the closed-form total mass, reported at the first node."""
     rule = run.rule
     mass = total_mass(rule.background)
     margin = -abs(rule.mass - mass)
     scale = max(1.0, mass)
-    return _report("quadrature_mass", [-1.0], [margin], ("mass",), tolerance * scale)
+    return _report("quadrature_mass", [("mass", [0], [margin])], tolerance * scale)

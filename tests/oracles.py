@@ -2,7 +2,8 @@
 
 ``geometry_at`` builds the closed-form geometry at one point, the oracle for
 ``QuadratureRule.geometry``; ``forcing_bound_margin`` certifies the forcing
-hypothesis for one field, the oracle for ``evolution.forcing_margins``.
+hypothesis for one field, the oracle for ``evolution.forcing_margins``;
+``rate_at`` is a rate's value at one time, the oracle for ``values_at``.
 """
 
 import math
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from parafreq.backgrounds import Background, Plane, QuadratureRule, Sphere, require_support
-from parafreq.evolution import CoefficientField, Forcing, ScalarOnU, _amplitudes_on
+from parafreq.evolution import CoefficientField, ConstantRate, Forcing, Rate, ScalarOnU, _amplitudes_on
 from parafreq.modes import combine_on_rule
 
 
@@ -113,6 +114,13 @@ def geometry_at(bg: Background, point: np.ndarray) -> GeometryData:
     )
 
 
+def rate_at(rate: Rate, t: float) -> float:
+    """C(t) at one time: ``c0`` for a constant rate, else the scalar linear interpolation of the samples."""
+    if isinstance(rate, ConstantRate):
+        return rate.c0
+    return float(np.interp(t, rate.times, rate.values))
+
+
 def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: QuadratureRule) -> float:
     """Certified pointwise margin min [ C(t)(|grad u| + |u|) - |f| ] over the rule's nodes, for one field.
 
@@ -122,7 +130,7 @@ def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: Quadra
     """
     rule.require_background(field.background)
     t = field.time
-    c = forcing.rate(t)
+    c = rate_at(forcing.rate, t)
     values = combine_on_rule(rule, field.modes, field.amplitudes)
     ambient_grads = combine_on_rule(rule, field.modes, field.amplitudes, "gradients")
     proj = np.stack([geometry_at(rule.background, p).tangent_projector for p in rule.points])

@@ -253,7 +253,7 @@ def test_criterion_07_drift_bochner_identity():
         f0 = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, idx): 1.0})
         traj = evolve_exact_trajectory(f0, TimeGrid((-1.0, -0.5)))
         rep = verify_drift_bochner_verbatim(Run(traj, resolution=48))  # one margin per end of the run
-        for ft, margin in zip((traj.field_at(0), traj.field_at(-1)), rep.margin):
+        for ft, margin in zip((traj.field_at(0), traj.field_at(-1)), rep.columns[0].margin):
             t = ft.time
             gbar = combine_on_rule(rule, ft.modes, ft.amplitudes, "gradients")
             tang = np.einsum("nij,nj->ni", proj, gbar)

@@ -26,7 +26,7 @@ from parafreq import (
     quadrature,
 )
 
-from oracles import forcing_bound_margin
+from oracles import forcing_bound_margin, rate_at
 
 
 def _field(bg, t, coeffs_by_index):
@@ -233,7 +233,7 @@ def _vector_rk4(traj, field, forcing, local_tol, doubling=True):
 
     def rhs(t, a):
         out = -(mus / (-t)) * a
-        out[idx] += forcing.rate(t) * (w @ a[idx])
+        out[idx] += rate_at(forcing.rate, t) * (w @ a[idx])
         return out
 
     def step(t, a, h):
@@ -292,7 +292,7 @@ def test_uncoupled_modes_and_small_map_batches_keep_the_stepped_flow(monkeypatch
 def test_rate_values_at_equals_pointwise_calls(rate):
     # the array path feeds the Harnack quadrature, whose reports are byte-compared
     ts = np.concatenate([np.linspace(-1.2, -0.4, 1025), [-1.0, -0.8, -0.55]])
-    expected = np.array([rate(float(s)) for s in ts])
+    expected = np.array([rate_at(rate, float(s)) for s in ts])
     assert rate.values_at(ts).tobytes() == expected.tobytes()
 
 

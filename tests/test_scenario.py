@@ -1,5 +1,7 @@
 """Config parsing, hashing, execution, and the three emitters."""
 
+import copy
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -56,6 +58,37 @@ def test_minimal_config_parses():
 
 def test_unknown_fields_rejected():
     _expect_config_error(_doc(extra_knob=1), "extra_knob")
+
+
+_SCALAR_FORCING = {"rate": {"type": "constant", "c0": 0.1}, "coupling": "scalar_on_u"}
+_SAMPLED_RATE = {"type": "sampled", "times": [-1.0, -0.5], "values": [0.1, 0.2]}
+
+
+@pytest.mark.parametrize(
+    "top, value, path, extra",
+    [
+        ("background", {"kind": "plane", "n": 1}, (), "k"),
+        ("time", {"a": -1.0, "b": -0.5, "nodes": 41}, (), "step"),
+        ("random_mixture", {"seed": 5, "mu_cutoff": 1.6, "low": 0.2, "high": 1.0}, (), "count"),
+        ("forcing", _SCALAR_FORCING, (), "scale"),
+        ("forcing", _SCALAR_FORCING, ("rate",), "slope"),
+        ("forcing", dict(_SCALAR_FORCING, rate=_SAMPLED_RATE), ("rate",), "c0"),
+        ("forcing", _SCALAR_FORCING, (), "matrix"),
+        ("forcing", _SCALAR_FORCING, (), "modes"),
+    ],
+    ids=["background", "time", "random_mixture", "forcing", "constant-rate", "sampled-rate", "matrix", "modes"],
+)
+def test_each_config_object_rejects_a_key_it_does_not_know(top, value, path, extra):
+    # the keys an object allows follow its kind, type or coupling; a key outside them is named with its path
+    parse_config(_doc(initial_modes={}, **{top: value}))
+    bad = copy.deepcopy(value)
+    inner = bad
+    for key in path:
+        inner = inner[key]
+    inner[extra] = 3
+    with pytest.raises(ConfigError, match="unknown field") as err:
+        parse_config(_doc(initial_modes={}, **{top: bad}))
+    assert err.value.field == ".".join((top, *path, extra))
 
 
 def test_scenario_id_must_be_a_file_name():
@@ -297,6 +330,9 @@ def test_emitters_roundtrip_and_are_deterministic(tmp_path):
     doc, reports = load_report_json(json_path)
     assert doc["scenario_id"] == "base"
     assert doc["provenance"]["config_hash"] == cfg.config_hash()
+    # node i of every column is row i of the trace
+    time = doc["time"]
+    assert np.linspace(time["a"], time["b"], time["nodes"]).tolist() == [float(row.split(",")[0]) for row in lines[1:]]
     assert [_as_json(r.to_dict()) for r in reports] == [_as_json(r.to_dict()) for r in out.reports]
 
     compile(plot_path.read_text(), str(plot_path), "exec")
@@ -346,11 +382,12 @@ def _as_json(doc: dict) -> str:
 def _assert_columns_round_trip(out, path):
     emit_report_json(out, path)
     doc = {
-        "format": "parafreq-report/2",
+        "format": "parafreq-report/3",
         "scenario_id": out.config.scenario_id,
         "provenance": out.provenance,
         "kappa_used": out.trace.kappa_used,
         "report_only": sorted(out.config.report_only),
+        "time": out.config.document["time"],
         "reports": [
             {**r.to_dict(), "scenario_id": out.config.scenario_id, "background": out.config.background.label()}
             for r in out.reports
@@ -362,9 +399,9 @@ def _assert_columns_round_trip(out, path):
     assert loaded == json.loads(text)
     assert len(reports) == len(out.reports)
     for clone, report in zip(reports, out.reports):
-        assert clone.t.tobytes() == report.t.tobytes()
-        assert clone.margin.tobytes() == report.margin.tobytes()
-        assert clone.labels == report.labels
+        assert [c.label for c in clone.columns] == [c.label for c in report.columns]
+        for x, y in zip(clone.columns, report.columns, strict=True):
+            assert x.nodes.tobytes() == y.nodes.tobytes() and x.margin.tobytes() == y.margin.tobytes(), x.label
         assert _as_json(clone.to_dict()) == _as_json(report.to_dict())
     return reports
 
@@ -378,18 +415,20 @@ def test_report_writer_matches_json_dumps_on_edge_reports(tmp_path):
     out = run_scenario(parse_config(_doc()))
     odd = 'quote " backslash \\ bell \x07 tab \t newline \n ümlaut – snowman ☃'
     edge = (
-        VerificationReport("harnack_printed", [], [], (), 1e-9, None, "inapplicable", (odd,)),
+        VerificationReport("harnack_printed", (), 1e-9, None, "inapplicable", (odd,)),
         VerificationReport(
             "frequency_monotonicity",
-            [-1.0, -0.75, -0.5, -0.25], [-0.0, 5e-324, 1e16, 0.0], ("", odd, "a:b", "x\ny"),
+            [("", [0], [-0.0]), (odd, [3, 1], [5e-324, 1e16]), ("a:b", [], []), ("x\ny", [2], [0.0])],
             0.0, -0.0, "pass", (odd, ""),
         ),
     )
     empty, odd_report = _assert_columns_round_trip(replace(out, reports=out.reports + edge), tmp_path / "e.json")[-2:]
-    assert (empty.status, empty.min_margin, len(empty.t), empty.notes) == ("inapplicable", None, 0, (odd,))
-    assert odd_report.margin.tolist() == [-0.0, 5e-324, 1e16, 0.0]
-    assert math.copysign(1.0, odd_report.margin[0]) == -1.0 and math.copysign(1.0, odd_report.min_margin) == -1.0
-    assert odd_report.labels == ("", odd, "a:b", "x\ny")
+    assert (empty.status, empty.min_margin, empty.columns, empty.notes) == ("inapplicable", None, (), (odd,))
+    assert [c.margin.tolist() for c in odd_report.columns] == [[-0.0], [5e-324, 1e16], [], [0.0]]
+    assert [c.nodes.tolist() for c in odd_report.columns] == [[0], [3, 1], [], [2]]
+    assert math.copysign(1.0, odd_report.columns[0].margin[0]) == -1.0
+    assert math.copysign(1.0, odd_report.min_margin) == -1.0
+    assert [c.label for c in odd_report.columns] == ["", odd, "a:b", "x\ny"]
     _assert_columns_round_trip(replace(out, reports=edge[:1]), tmp_path / "empty.report.json")
 
 
@@ -414,26 +453,80 @@ def test_load_report_json_refuses_an_unmarked_document(tmp_path):
     emit_report_json(out, path)
     doc = json.loads(path.read_text())
     del doc["format"]
-    for unmarked in (doc, {**doc, "format": "parafreq-report/1"}):
+    for unmarked in (doc, {**doc, "format": "parafreq-report/1"}, {**doc, "format": "parafreq-report/2"}):
         path.write_text(json.dumps(unmarked))
         with pytest.raises(ValueError, match="format"):
             load_report_json(path)
 
 
-def test_non_finite_report_margin_raises_naming_t_and_label():
+def test_non_finite_report_margin_raises_naming_node_and_label():
+    increment = {"label": "increment", "runs": [[1, 3]], "margin": [0.0, 0.0]}
     doc = {
         "check_name": "harnack",
-        "t": [-1.0, -0.5], "margin": [0.0, 0.0], "labels": ["increment", "centered-slope"],
+        "columns": [increment, {"label": "centered-slope", "runs": [[1, 2]], "margin": [0.0]}],
         "tolerance": 0.0, "min_margin": 0.0, "status": "pass", "notes": [],
     }
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match=r"at t=-0\.5 \(centered-slope\)"):
+        with pytest.raises(ValueError, match=r"at node 2 \(increment\)"):
             VerificationReport(
-                "frequency_monotonicity", [-1.0, -0.5], [0.0, bad],
-                ("increment", "centered-slope"), 0.0, 0.0, "pass",
+                "frequency_monotonicity", [("increment", [1, 2], [0.0, bad]), ("centered-slope", [1], [0.0])],
+                0.0, 0.0, "pass",
             )
-        with pytest.raises(ValueError, match=r"non-finite margin .* at t=-0\.5 \(centered-slope\)"):
-            report_from_dict({**doc, "margin": [0.0, bad]})
+        with pytest.raises(ValueError, match=r"non-finite margin .* at node 2 \(increment\)"):
+            report_from_dict({**doc, "columns": [{**increment, "margin": [0.0, bad]}]})
     report_from_dict(doc)
-    with pytest.raises(ValueError, match="node columns differ in length: t 2, margin 1, labels 2"):
-        report_from_dict({**doc, "margin": [0.0]})
+    with pytest.raises(ValueError, match="column 'increment' has 2 nodes but 1 margins"):
+        report_from_dict({**doc, "columns": [{**increment, "margin": [0.0]}]})
+
+
+def test_report_file_keeps_the_fields_the_benchmark_verdicts_read(tmp_path):
+    # perfbench/verdicts.py reads doc["report_only"] and, per entry of doc["reports"], these four fields
+    out = run_scenario(parse_config(_doc(checks=["harnack", "harnack_printed"], report_only=["harnack_printed"])))
+    path = tmp_path / "base.report.json"
+    emit_report_json(out, path)
+    doc = json.loads(path.read_text())
+    assert doc["report_only"] == ["harnack_printed"]
+    read = [{key: entry[key] for key in ("check_name", "status", "min_margin", "tolerance")} for entry in doc["reports"]]
+    assert read == [
+        {"check_name": r.check_name, "status": r.status, "min_margin": r.min_margin, "tolerance": r.tolerance}
+        for r in out.reports
+    ]
+    assert [r["status"] for r in read] == ["pass", "inapplicable"] and read[1]["min_margin"] is None
+
+
+# per packaged scenario, the sha256 of its reports' columns: each check name, then per column its label, node
+# indices and the float.hex of each margin.  Taken from the parafreq-report/2 files regrouped per label, with
+# quadrature_mass moved from t = -1 to node 0 and each equality_case node kept once.
+SUITE_COLUMN_DIGESTS = {
+    "cylinder-mixture": "6e864a9ae50ec214fb1355ae7f851210a908b7160edd8035e9f74298e5b905f8",
+    "eigenvalue-window-cylinder": "932a85fb3f5b6bf5773aebd38e8ac58cf300281c08ad88397ebf131044944959",
+    "eigenvalue-window-plane": "f5cb70a9dfc0c47347080927cf36f15730f9298b451b35d6b12e54ad28fd8992",
+    "eigenvalue-window-sphere": "932a85fb3f5b6bf5773aebd38e8ac58cf300281c08ad88397ebf131044944959",
+    "matrix-forced-bounds": "a5de2a630174cc2b9518b742724f0e9d5d50adbf1a1326a334be13432d44d4aa",
+    "plane-bochner": "889042c3047878eecc3e9ff722c95493aad2a16e7989b5b0b2c140a5d5a60532",
+    "plane-caloric-cubic": "b31edac52eeb7fd2c7623d4ab25442e434b622dd58bac786cb63142fc81994ac",
+    "plane-mixture": "56cb96b5126e54195c56e42d9ee654d3cc5e199864b6057edce63947a1011c1f",
+    "plane-weighted-identity": "a76ea06c41776ef0d1505d4ae2cf8e947950db19bff7f91e3f114eded154b085",
+    "plane-zero-data": "9170ebfa7fd08cedeebc8483e5033f10c51317b46c79d042694bc84c69068e61",
+    "plane2-caloric": "1c0713a7625e9d5b3cf64659350b484efe2e9c739c606c845fc1a76304f75711",
+    "scalar-forced-bounds": "284e9440dd4b46a35ade1d992ab68385f24933a0eb96f4248de5ecdafab25f35",
+    "scalar-forced-zero": "f994d05aa95e50ea851e18ed5b328389b527a7e9503d4b0f0d04eaf18d527ed3",
+    "sphere-bochner": "6c21002c0e89c79312f12be9824a304505213895a65cb9ee46d6147cd04badef",
+    "sphere-golden-fundamental": "e50eab447c1c7ab63cdfb3756c6e44082afb9cafae87d9810e389cd2ef9a64e4",
+    "sphere-high-dim-spectrum": "ddfa1a1824e7d53c9ef666ccb8b492a6150033663be5917656359c7e75d9fd33",
+    "sphere-mixture": "6e8cb9c739acd4bbe1b0476e8f67a028623f5254c707d65e66a069021e594e37",
+    "sphere-weighted-identity": "9472ecfa0d8c3c6ff2089d598fe718129a95a2edc9a03af887c811c472fba907",
+}
+
+
+def _column_digest(reports) -> str:
+    rows = [
+        [r.check_name, [[c.label, c.nodes.tolist(), [m.hex() for m in c.margin.tolist()]] for c in r.columns]]
+        for r in reports
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_suite_report_columns_are_pinned():
+    digests = {config.scenario_id: _column_digest(run_scenario(config).reports) for config in _load_packaged_configs()}
+    assert digests == SUITE_COLUMN_DIGESTS

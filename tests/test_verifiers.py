@@ -1,6 +1,7 @@
 """Each verifier against an independent oracle, plus report plumbing."""
 
 import inspect
+import json
 import math
 import re
 import sys
@@ -51,7 +52,7 @@ from parafreq.backgrounds import POINTWISE
 from parafreq.modes import combine_on_rule, mode_function
 from parafreq.verifiers import report_from_dict
 
-from oracles import forcing_bound_margin, geometry_at
+from oracles import forcing_bound_margin, geometry_at, rate_at
 
 
 def _traj(bg, coeffs_by_index, a=-1.0, b=-0.5, nodes=41):
@@ -147,7 +148,7 @@ def test_general_harnack_equals_harnack_bit_for_bit_without_forcing(bg, coeffs):
     run = Run(_traj(bg, coeffs))
     assert run.trace.kappa_used == (0.0 if isinstance(bg, Plane) else 0.5)
     general = verify_general_harnack(run)
-    assert general.margin.tobytes() == verify_harnack(run).margin.tobytes()
+    assert general.columns[0].margin.tobytes() == verify_harnack(run).columns[0].margin.tobytes()
 
 
 def test_general_harnack_vanishes_on_a_zero_rate_forced_run():
@@ -227,7 +228,7 @@ def test_general_harnack_splits_a_sampled_rate_at_its_kinks():
     ref, g = 0.0, 0.0
     for p, q in zip(cuts, cuts[1:]):
         ref += _trapezoid_excess(rate, p, q, g, ua, (-ta) ** (1 + 2 * k), k, (1 << 21) + 1)
-        g += (q - p) / 6.0 * (rate(p) ** 2 + 4.0 * rate(0.5 * (p + q)) ** 2 + rate(q) ** 2)
+        g += (q - p) / 6.0 * (rate_at(rate, p) ** 2 + 4.0 * rate_at(rate, 0.5 * (p + q)) ** 2 + rate_at(rate, q) ** 2)
     assert abs(excess - ref) <= 1e-12
 
 
@@ -238,14 +239,18 @@ def test_general_harnack_splits_a_sampled_rate_at_its_kinks():
 def test_equality_case_triggers_on_pure_mode():
     rep = _checked(verify_equality_case, _traj(Plane(1), {(3,): 2.0}))
     assert rep.status == "pass"
-    labels = set(rep.labels)
-    assert "defect-bound" in labels and "eigenvalue-fit" in labels
+    # every pair is flat, and each node is checked once although the pairs on both sides of it are flat
+    assert [(c.label, c.nodes.tolist()) for c in rep.columns] == [
+        ("defect-bound", list(range(41))), ("eigenvalue-fit", list(range(41)))
+    ]
 
 
 def test_equality_case_vacuous_on_genuine_mixture():
     rep = _checked(verify_equality_case, _traj(Plane(1), {(1,): 1.0, (3,): 1.0}))
     assert rep.status == "pass"
-    assert len(rep.margin) == 1 and rep.margin[0] == 0.0
+    assert [(c.label, c.nodes.tolist(), c.margin.tolist()) for c in rep.columns] == [
+        ("no pair met the flatness trigger", [40], [0.0])
+    ]
     assert any("no node pair" in n or "vacuous" in n for n in rep.notes)
 
 
@@ -260,7 +265,8 @@ def test_weighted_monotonicity_passes_packaged_functions():
         assert rep.status == "pass", (bg.label(), rep.min_margin)
         names = sorted(standard_test_functions(bg))
         assert rep.notes == (f"test functions: {', '.join(names)}",)
-        assert rep.labels == tuple(f"{name}:residual" for name in names for _ in grid.nodes)
+        nodes = list(range(len(grid.nodes)))
+        assert [(c.label, c.nodes.tolist()) for c in rep.columns] == [(f"{name}:residual", nodes) for name in names]
 
 
 @pytest.mark.parametrize("bg", sorted(POINTWISE, key=lambda b: b.label()), ids=lambda b: b.label())
@@ -269,7 +275,7 @@ def test_weighted_monotonicity_is_exact_on_a_coarse_grid(bg):
     # misses the sixth powers' slope there by h^2 g'''/6, about 1.8e-3 on plane(1)
     rep = verify_weighted_monotonicity(_on_grid(bg, TimeGrid.uniform(-1.0, -0.5, 3), resolution=32))
     assert rep.status == "pass"
-    assert len(rep.margin) == 3 * len(standard_test_functions(bg))
+    assert [len(c.margin) for c in rep.columns] == [3] * len(standard_test_functions(bg))
     assert -rep.min_margin <= 1e-12, rep.min_margin
 
 
@@ -298,11 +304,12 @@ def test_weighted_monotonicity_moments_equal_direct_route(bg):
         direct = -np.abs(np.array(slope) - np.array(rhs))
         rep = verify_weighted_monotonicity(run, {name: poly})
         again = verify_weighted_monotonicity(_on_grid(bg, grid, resolution=16), {name: poly})
-        np.testing.assert_allclose(rep.margin, direct, rtol=0.0, atol=1e-10, err_msg=name)
-        assert rep.margin.tobytes() == again.margin.tobytes(), name
+        (column,), (column_again,) = rep.columns, again.columns
+        np.testing.assert_allclose(column.margin, direct, rtol=0.0, atol=1e-10, err_msg=name)
+        assert column.margin.tobytes() == column_again.margin.tobytes(), name
         assert rep.min_margin == again.min_margin, name
         if name == "one":
-            assert not np.any(rep.margin), rep.margin
+            assert not np.any(column.margin), column.margin
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +361,9 @@ def test_bochner_verbatim_gap_equals_gradient_energy(bg, resolution, coeffs, t):
     shape = np.stack([g.shape_pairing for g in oracle])
 
     assert rep.status == "fail"
-    assert rep.t.tolist() == [t, t / 2.0] and len(rep.notes) == 2  # one margin and one note per end of the run
-    for end, margin, note in zip((traj.field_at(0), traj.field_at(-1)), rep.margin, rep.notes):
+    (column,) = rep.columns
+    assert column.nodes.tolist() == [0, 1] and len(rep.notes) == 2  # one margin and one note per end of the run
+    for end, margin, note in zip((traj.field_at(0), traj.field_at(-1)), column.margin, rep.notes):
         gbar = combine_on_rule(rule, end.modes, end.amplitudes, "gradients")
         tangential = np.einsum("nij,nj->ni", proj, gbar)
         pairing = rule.integrate(np.einsum("nij,ni,nj->n", shape, tangential, tangential)) / end.time**2
@@ -551,17 +559,42 @@ def test_report_roundtrip_preserves_inapplicable():
     assert clone.min_margin is None
 
 
+@pytest.mark.parametrize(
+    "nodes, runs",
+    [
+        ([], []),
+        ([7], [[7, 8]]),
+        ([0, 40], [[0, 1], [40, 41]]),
+        ([0, 1], [[0, 2]]),
+        ([5, 3, 4, 4, 9, 10], [[5, 6], [3, 5], [4, 5], [9, 11]]),
+    ],
+    ids=["no-node", "one-node", "both-ends", "both-ends-adjacent", "non-increasing"],
+)
+def test_report_nodes_round_trip_through_runs(nodes, runs):
+    # a column's nodes are written as the maximal [start, stop) runs of consecutive indices, in their order
+    margins = [float(i) for i in range(len(nodes))]
+    rep = verifiers._report("x", [("a", nodes, margins), ("b", [2], [-1.0])], 0.0)
+    doc = rep.to_dict()
+    assert [c["runs"] for c in doc["columns"]] == [runs, [[2, 3]]]
+    clone = report_from_dict(json.loads(json.dumps(doc, default=np.ndarray.tolist)))
+    _assert_same_report(clone, rep)
+    assert clone.columns[0].nodes.tolist() == nodes and clone.columns[0].margin.tolist() == margins
+
+
 def test_node_checks_must_be_finite():
     with pytest.raises(ValueError):
-        verifiers._report("x", [-1.0], [float("nan")], ("n",), 0.0)
+        verifiers._report("x", [("n", [0], [float("nan")])], 0.0)
     with pytest.raises(ValueError):
-        verifiers._report("x", [-1.0], [float("inf")], ("n",), 0.0)
+        verifiers._report("x", [("n", [0], [float("inf")])], 0.0)
 
 
 def test_min_margin_is_the_first_minimum_with_its_sign():
     # a signed-zero flip would change the emitted bytes
     for margins in ([0.0, -0.0], [-0.0, 0.0], [1.0, 0.0, -0.0, 0.0]):
-        rep = verifiers._report("x", [-1.0] * len(margins), margins, ("n",) * len(margins), 0.0)
+        rep = verifiers._report("x", [("n", range(len(margins)), margins)], 0.0)
+        assert math.copysign(1.0, rep.min_margin) == math.copysign(1.0, min(margins)), margins
+        # the same margins one column per node: the columns are taken in order
+        rep = verifiers._report("x", [(f"n{i}", [0], [m]) for i, m in enumerate(margins)], 0.0)
         assert math.copysign(1.0, rep.min_margin) == math.copysign(1.0, min(margins)), margins
 
 
@@ -674,10 +707,11 @@ def _fresh_run(config, traj=None):
 
 
 def _assert_same_report(a, b):
-    for name in ("check_name", "labels", "tolerance", "min_margin", "status", "notes"):
+    for name in ("check_name", "tolerance", "min_margin", "status", "notes"):
         assert getattr(a, name) == getattr(b, name), name
-    assert a.t.tobytes() == b.t.tobytes()
-    assert a.margin.tobytes() == b.margin.tobytes()
+    assert [c.label for c in a.columns] == [c.label for c in b.columns]
+    for x, y in zip(a.columns, b.columns, strict=True):
+        assert x.nodes.tobytes() == y.nodes.tobytes() and x.margin.tobytes() == y.margin.tobytes(), x.label
 
 
 @pytest.mark.parametrize("initial_modes", [{"3": 1.0, "2": -0.3}, {}], ids=["forced-mixture", "zero-data"])
@@ -786,8 +820,9 @@ def test_run_scenario_builds_one_rule_and_only_when_a_check_reads_it(monkeypatch
     assert len(calls) == 1
     assert corrected.status == "pass" and -corrected.min_margin < 1e-12
     assert verbatim.status == "fail"
-    assert len(verbatim.notes) == len(verbatim.margin) == 2  # one per end of the run
-    for note, margin in zip(verbatim.notes, verbatim.margin):
+    (column,) = verbatim.columns
+    assert len(verbatim.notes) == len(column.margin) == 2  # one per end of the run
+    for note, margin in zip(verbatim.notes, column.margin):
         assert -margin == pytest.approx(float(note.removeprefix(_VERBATIM_NOTE)), rel=1e-12)
 
 
