@@ -15,7 +15,6 @@ from .backgrounds import (
     Plane,
     QuadratureRule,
     Sphere,
-    UnsupportedBackgroundError,
     kappa,
     quadrature,
     total_mass,

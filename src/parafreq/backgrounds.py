@@ -18,21 +18,16 @@ and declares the two numbers ``sphere_n`` = n (0 for no round factor) and
 ``flat_m`` = m; the round factor takes the first n + 1 ambient coordinates
 and the axes the last m.  The radius sqrt(2n) is forced by H = -(n/r) nu
 and x_perp = r nu on the round factor: -(n/r^2) x = -x/2.  The measure
-factors over the product, so mass, kappa and the rule are each one path
-over the two numbers: the mass is the round factor's times 1 per axis (a
-standard Gaussian with variance 2), kappa is the round factor's
+factors over the product, so mass, kappa, the rule and the geometry are
+each one path over the two numbers: the mass is the round factor's times 1
+per axis (a standard Gaussian with variance 2), kappa is the round factor's
 n / r^2 = 1/2 or 0, and a rule is the round factor's times Gauss-Hermite
-per axis.
+per axis.  Every background carries closed-form pointwise support (modes,
+geometry, quadrature); what it costs follows from its shape alone.
 
 * ``Plane(n)``     -- (0, n): totally geodesic, x_perp = 0, kappa = 0.
 * ``Sphere(n)``    -- (n, 0): the round n-sphere of radius sqrt(2n).
 * ``Cylinder(k, m)`` -- (k, m): S^k_{sqrt(2k)} x R^m.
-
-``POINTWISE`` declares, once for the whole package, which backgrounds carry
-closed-form pointwise support (modes, geometry, quadrature); every check that
-reads a quadrature rule, the integral curvature identity included, runs on
-exactly these.  Every other background is spectral only: its modes enumerate
-and evolve exactly, but nothing is evaluated at points.
 
 Each ``QuadratureRule`` keeps its nodes and weights and builds, in closed
 form and for the nodes a caller asks for, the geometry every verifier needs:
@@ -51,10 +46,6 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
-
-
-class UnsupportedBackgroundError(ValueError):
-    """Raised when a pointwise operation is asked of a spectral-only background."""
 
 
 class Background:
@@ -108,20 +99,6 @@ class Cylinder(Background):
 
 
 # ---------------------------------------------------------------------------
-# capabilities
-
-# closed-form modes, geometry and quadrature
-POINTWISE = frozenset({Plane(1), Plane(2), Plane(3), Sphere(1), Sphere(2), Cylinder(1, 1)})
-
-
-def require_support(bg: Background, what: str) -> None:
-    """Raise ``UnsupportedBackgroundError`` unless ``bg`` is in ``POINTWISE``."""
-    if bg not in POINTWISE:
-        labels = ", ".join(sorted(b.label() for b in POINTWISE))
-        raise UnsupportedBackgroundError(f"{what} is not available on {bg.label()} (supported: {labels})")
-
-
-# ---------------------------------------------------------------------------
 # measure
 
 
@@ -172,7 +149,7 @@ class NodeGeometry(NamedTuple):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights for the unit-scale weighted measure of a background in ``POINTWISE``.
+    """Nodes and weights for the unit-scale weighted measure of a background.
 
     ``sum(weights * f(points))`` approximates the dmu integral of f; the
     weights absorb the Gaussian density, so the weight sum equals the total
@@ -187,7 +164,6 @@ class QuadratureRule:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        require_support(self.background, "quadrature")
         if self.points.ndim != 2 or self.weights.ndim != 1:
             raise ValueError("points must be (N, d), weights (N,)")
         if self.points.shape[0] != self.weights.shape[0]:
@@ -222,13 +198,17 @@ def _node_geometry(bg: Background, pts: np.ndarray) -> NodeGeometry:
     nu, x_tan = np.zeros((count, d)), np.zeros((count, d))
     nu[:, : n + 1] = pts[:, : n + 1] / r
     x_tan[:, n + 1 :] = pts[:, n + 1 :]
-    proj = np.eye(d) - nu[:, :, None] * nu[:, None, :]
-    if not bg.flat_m:
-        round_proj, ric = proj, ((n - 1) / bg.radius_squared) * proj
-    else:
-        # Cylinder(1, 1): the circle's projector tau tau^T, not the ulp-different I - nu nu^T; the product is flat
-        tau = np.stack([-nu[:, 1], nu[:, 0], np.zeros(count)], axis=1)
+    outer = nu[:, :, None] * nu[:, None, :]
+    proj = np.eye(d) - outer
+    if n == 1 and bg.flat_m:
+        # a circle factor: its projector tau tau^T, not the ulp-different D - nu nu^T; the product is flat
+        tau = np.zeros((count, d))
+        tau[:, 0], tau[:, 1] = -nu[:, 1], nu[:, 0]
         round_proj, ric = tau[:, :, None] * tau[:, None, :], np.zeros((count, d, d))
+    else:
+        # D - nu nu^T, D the identity on the round factor's n + 1 coordinates; on a sphere it is the tangent projector
+        round_proj = proj if not bg.flat_m else np.diag((np.arange(d) <= n).astype(float)) - outer
+        ric = ((n - 1) / bg.radius_squared) * round_proj
     return NodeGeometry(proj, -round_proj / r, ric, (n / bg.radius_squared) * round_proj, nu, x_tan)
 
 
@@ -238,8 +218,26 @@ def _gauss_gaussian_1d(resolution: int) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * x, w / math.sqrt(math.pi)
 
 
+def _polar_rule(p: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights for the polar cosine of S^p, weight (1 - u^2)^((p - 2)/2) on [-1, 1].
+
+    Gauss-Legendre for p = 2; else Golub-Welsch, the eigenpairs of the symmetric Jacobi matrix.
+    """
+    if p == 2:
+        return np.polynomial.legendre.leggauss(resolution)
+    a, j = (p - 2) / 2.0, np.arange(1, resolution)
+    off = np.sqrt(j * (j + 2.0 * a) / ((2.0 * j + 2.0 * a) ** 2 - 1.0))
+    u, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return u, math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5) * vectors[0] ** 2
+
+
 def _round_rule(bg: Background, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rule on the round factor: angles on a circle, Gauss-Legendre times angles on S^2, else one point."""
+    """The rule on the round factor: 2 * resolution angles on a circle, times one Gauss polar cosine per S^p, p >= 2.
+
+    The polar cosine of S^n is outermost and the angle innermost: x_p = r u_p times the sines of the polar
+    angles above p, and x_0, x_1 are those sines times r (cos, sin) of the angle.  Without a round factor it is
+    one point.
+    """
     n, r = bg.sphere_n, bg.radius
     if not n:
         return np.zeros((1, 0)), np.ones(1)
@@ -247,15 +245,19 @@ def _round_rule(bg: Background, resolution: int) -> tuple[np.ndarray, np.ndarray
     phi = 2.0 * math.pi * np.arange(count) / count
     if n == 1:
         return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1), np.full(count, total_mass(bg) / count)
-    u, w_gl = np.polynomial.legendre.leggauss(resolution)
     rho = (4.0 * math.pi) ** (-n / 2.0) * math.exp(-n / 2.0)
-    sin_theta = np.sqrt(1.0 - u**2)
-    # outer product over (polar, longitude)
-    pts = np.empty((resolution * count, 3))
-    pts[:, 0] = r * np.repeat(sin_theta, count) * np.tile(np.cos(phi), resolution)
-    pts[:, 1] = r * np.repeat(sin_theta, count) * np.tile(np.sin(phi), resolution)
-    pts[:, 2] = r * np.repeat(u, count)
-    return pts, rho * r**2 * np.repeat(w_gl, count) * (2.0 * math.pi / count)
+    scale, cols, wts = np.array([r]), [], np.array([rho * r**n])  # per point: r times the sines so far
+    for p in range(n, 1, -1):
+        u, w = _polar_rule(p, resolution)
+        size, scale = len(scale), np.repeat(scale, resolution)
+        cols = [scale * np.tile(u, size), *(np.repeat(c, resolution) for c in cols)]
+        scale, wts = scale * np.tile(np.sqrt(1.0 - u**2), size), np.repeat(wts, resolution) * np.tile(w, size)
+    pts = np.empty((len(scale) * count, n + 1))
+    pts[:, 0] = np.repeat(scale, count) * np.tile(np.cos(phi), len(scale))
+    pts[:, 1] = np.repeat(scale, count) * np.tile(np.sin(phi), len(scale))
+    for i, col in enumerate(cols, start=2):
+        pts[:, i] = np.repeat(col, count)
+    return pts, np.repeat(wts, count) * (2.0 * math.pi / count)
 
 
 def _tensor_product(
@@ -268,17 +270,18 @@ def _tensor_product(
 
 
 def quadrature(bg: Background, resolution: int) -> QuadratureRule:
-    """Build the unit-scale rule for a background in ``POINTWISE``: its round rule times Gauss-Hermite per axis.
+    """Build the unit-scale rule for a background: its round rule times Gauss-Hermite per axis.
 
     Each axis takes ``resolution`` Gauss-Hermite nodes (polynomial-exact to
-    degree 2*resolution - 1 per axis).  A circle factor takes 2*resolution
-    uniform angles; S^2 takes Gauss-Legendre in the polar cosine times
-    2*resolution uniform longitudes.
+    degree 2*resolution - 1 per axis).  A round factor S^k takes
+    2*resolution uniform angles times ``resolution`` Gauss nodes in the polar
+    cosine of each S^p, p = 2..k, of weight (1 - u^2)^((p-2)/2): Gauss-Legendre
+    on S^2.  So S^k x R^m has 2N * N^(k-1) * N^m points for N = resolution,
+    and the rule is exact for every polynomial of degree up to 2N - 1.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
 
-    require_support(bg, "quadrature")
     pts, wts = _round_rule(bg, resolution)
     y, w = _gauss_gaussian_1d(resolution)
     for _ in range(bg.flat_m):

@@ -83,7 +83,8 @@ def _execute(configs: list[ScenarioConfig], out_dir: Path) -> tuple[list[tuple[s
             emit_trace_csv(output, out_dir / f"{sid}.trace.csv")
             emit_report_json(output, out_dir / f"{sid}.report.json")
             emit_plot_script(output, out_dir / f"{sid}.plot.py")
-        except (ToleranceNotMetError, ValueError, ArithmeticError, OSError) as exc:  # an overflow or a write too
+        # an overflow, a failed allocation or a failed write too
+        except (ToleranceNotMetError, ValueError, ArithmeticError, MemoryError, OSError) as exc:
             print(f"runtime error in {sid}: {exc}", file=sys.stderr)
             errors += 1
             continue

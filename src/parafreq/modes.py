@@ -4,7 +4,7 @@ At unit scale the relevant operator is the drift Laplacian
 
     L v = Delta_M v - (1/2) <y_tan, grad v>,
 
-self-adjoint in L^2(dmu).  Its spectrum is explicit on every supported
+self-adjoint in L^2(dmu).  Its spectrum is explicit on every
 background, and each eigenfunction is the restriction of an ambient
 polynomial, which is what makes exact gradients and Hessians available.
 The operator, measure and spectrum factor over a background's round factor
@@ -16,20 +16,21 @@ one Hermite-type polynomial per axis, and mu is the sum of the factors':
   with norm^2 = 2^k k!, so an axis of degree k adds k / 2 to mu.
 * on the round factor the position vector is purely normal, so the drift
   term vanishes and L = Delta_M.  Spherical harmonics of degree k give
-  mu = k (k + n - 1) / (2n).  For n = 1 these are cos/sin(k theta)
-  (restrictions of Re/Im (y1 + i y2)^k); for n = 2 they are restrictions of
-  homogeneous harmonic polynomials assembled from Legendre derivatives.
+  mu = k (k + n - 1) / (2n).  They are restrictions of homogeneous harmonic
+  polynomials built by one recursion over the dimension: the circle's
+  Re/Im (y1 + i y2)^k (cos/sin(k theta)), and on each S^p, p >= 2, a
+  harmonic on S^(p-1) times the Gegenbauer factor of the polar cosine.
 
 A mode is labeled by the integer multi-index (degree, harmonic) of its
 round factor, absent on planes, followed by one Hermite degree per axis.
-For n = 1 the harmonic 0/1 selects cos/sin; for n = 2 the harmonic j in
-0..2k maps to azimuthal order m = j - k (negative m = sine branch).
-Enumeration sorts by (mu, index) with lexicographic tie-break.
-Backgrounds outside ``backgrounds.POINTWISE`` still enumerate their spectrum
-for coefficient-space work; only pointwise evaluation raises.
+The harmonic is the position of its Gelfand-Tsetlin chain
+k >= m_(n-1) >= ... >= m_2 >= |m_1| among those of degree k sorted by
+(m_1, m_2, ...), with negative m_1 the sine branch: on S^2 it is m_1 + k,
+and for n = 1 the harmonic 0/1 selects cos/sin.  Enumeration sorts by
+(mu, index) with lexicographic tie-break.
 
-Orthonormality is exact in closed form and is re-verified against quadrature
-in the test suite (modes with mu <= 3 to 1e-9 at moderate resolution).
+Orthonormality is exact in closed form, with the norm from the Gegenbauer
+norms, and is re-verified against quadrature in the test suite.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .backgrounds import Background, QuadratureRule, require_support, total_mass, unit_sphere_area
+from .backgrounds import Background, QuadratureRule, total_mass, unit_sphere_area
 from .polynomials import AmbientPolynomial
 
 
@@ -157,95 +158,76 @@ def hermite_norm_squared(k: int) -> float:
     return float(2**k * math.factorial(k))
 
 
-def _circle_pair_polys(l: int, dim: int, axes: tuple[int, int]) -> tuple[AmbientPolynomial, AmbientPolynomial]:
-    """Re((u + iv)^l), Im((u + iv)^l) lifted onto two axes of a dim-d space."""
-    re_terms: dict[tuple[int, ...], float] = {}
-    im_terms: dict[tuple[int, ...], float] = {}
-    for i in range(l + 1):
-        c = math.comb(l, i)
-        exps = [0] * dim
-        exps[axes[0]] = l - i
-        exps[axes[1]] = i
-        key = tuple(exps)
-        if i % 2 == 0:
-            re_terms[key] = re_terms.get(key, 0.0) + c * (-1.0) ** (i // 2)
-        else:
-            im_terms[key] = im_terms.get(key, 0.0) + c * (-1.0) ** ((i - 1) // 2)
-    return AmbientPolynomial(dim, re_terms), AmbientPolynomial(dim, im_terms)
-
-
-def _circle_mode_poly(bg: Background, l: int, j: int) -> AmbientPolynomial:
-    """Normalized degree-l harmonic on a round circle factor: j = 0 cosine branch, j = 1 sine branch."""
-    dim, mass = bg.ambient_dim, total_mass(bg)
-    if l == 0:
-        return AmbientPolynomial.constant(dim, 1.0 / math.sqrt(mass))
-    re_poly, im_poly = _circle_pair_polys(l, dim, (0, 1))
-    poly = re_poly if j == 0 else im_poly
-    # on the circle the pair evaluates to r^l cos/sin(l theta); mean square is 1/2
-    norm_sq = bg.radius ** (2 * l) * mass / 2.0
-    return poly.scale(1.0 / math.sqrt(norm_sq))
-
-
-def _expand_radial(dim: int, coeffs: np.ndarray, l: int, m: int) -> AmbientPolynomial:
-    """sum_j q_j z^j (x^2+y^2+z^2)^((l-m-j)/2) for q with parity l-m."""
-    rho_sq = (
-        AmbientPolynomial.monomial(dim, (2, 0, 0))
-        + AmbientPolynomial.monomial(dim, (0, 2, 0))
-        + AmbientPolynomial.monomial(dim, (0, 0, 2))
-    )
-    out = AmbientPolynomial.zero(dim)
-    for j, q in enumerate(coeffs):
-        if q == 0.0:
-            continue
-        s2 = l - m - j
-        if s2 < 0 or s2 % 2 != 0:
-            # parity of the Legendre derivative guarantees this never triggers
-            raise ValueError("inconsistent radial expansion")
-        term = rho_sq.power(s2 // 2) * AmbientPolynomial.monomial(dim, (0, 0, j), float(q))
-        out = out + term
-    return out
+def _circle_harmonic(m1: int, dim: int) -> AmbientPolynomial:
+    """Re (x_0 + i x_1)^m1, or Im (x_0 + i x_1)^|m1| when m1 < 0, in a dim-d space."""
+    l = abs(m1)
+    terms = {(l - i, i) + (0,) * (dim - 2): math.comb(l, i) * (-1.0) ** (i // 2) for i in range(m1 < 0, l + 1, 2)}
+    return AmbientPolynomial(dim, terms)
 
 
 @functools.lru_cache(maxsize=None)
-def _legendre_derivative_coeffs(l: int, m: int) -> tuple[float, ...]:
-    """Power-basis coefficients of d^m/du^m P_l(u)."""
-    leg = [0.0] * l + [1.0]
-    poly = np.polynomial.legendre.leg2poly(leg)
-    for _ in range(m):
-        poly = np.polynomial.polynomial.polyder(poly)
-    return tuple(float(c) for c in np.atleast_1d(poly))
+def _chains(n: int, l: int) -> tuple[tuple[int, ...], ...]:
+    """The Gelfand-Tsetlin chains (m_1, ..., m_n = l) of the degree-l harmonics on S^n, in label order.
+
+    The degree on S^p is m_p, and |m_1| on the circle, whose sine branch is m_1 < 0.  On S^n, n >= 2, the
+    chains sort by (m_1, m_2, ...); the circle lists its cosine first.
+    """
+    if n == 1:
+        return ((l,), (-l,)) if l else ((0,),)
+    return tuple(sorted(c + (l,) for m in range(l + 1) for c in _chains(n - 1, m)))
 
 
-def _sphere2_mode_poly(bg: Background, k: int, j: int) -> AmbientPolynomial:
-    """Normalized degree-k harmonic on S^2_2; label j in 0..2k maps to m = j - k."""
-    dim = 3
-    m_signed = j - k
-    m = abs(m_signed)
-    radial = _expand_radial(dim, np.array(_legendre_derivative_coeffs(k, m)), k, m)
-    if m == 0:
-        poly = radial
-        angular_sq = 2.0 * math.pi * 2.0 / (2 * k + 1)
-    else:
-        re_poly, im_poly = _circle_pair_polys(m, dim, (0, 1))
-        poly = (im_poly if m_signed < 0 else re_poly) * radial
-        angular_sq = math.pi * (2.0 / (2 * k + 1)) * (math.factorial(k + m) / math.factorial(k - m))
-    r = bg.radius
-    density_on_sphere = total_mass(bg) / unit_sphere_area(bg.sphere_n)  # rho * r^n
-    norm_sq = density_on_sphere * r ** (2 * k) * angular_sq
-    return poly.scale(1.0 / math.sqrt(norm_sq))
+@functools.lru_cache(maxsize=None)
+def _gegenbauer_derivative(p: int, l: int, m: int) -> tuple[float, ...]:
+    """Power-basis coefficients of d^m/du^m C^lam_l(u), lam = (p - 1)/2, from the three-term recurrence in floats.
+
+    k C_k = 2 (k + lam - 1) u C_(k-1) - (k + 2 lam - 2) C_(k-2); for lam = 1/2 (Legendre) every value is dyadic.
+    """
+    lam, prev, cur = (p - 1) / 2.0, [], [1.0]
+    for k in range(1, l + 1):
+        nxt = [2.0 * (k + lam - 1.0) * c for c in [0.0] + cur]
+        for j, c in enumerate(prev):
+            nxt[j] -= (k + 2.0 * lam - 2.0) * c
+        prev, cur = cur, [c / k for c in nxt]
+    return tuple(c * math.perm(j + m, m) for j, c in enumerate(cur[m:]))
+
+
+def _gegenbauer_norm(p: int, l: int, m: int) -> float:
+    """The integral of (1-u^2)^(m+(p-2)/2) (d^m/du^m C^((p-1)/2)_l)^2 over [-1, 1]: pi^[p odd] times one int / int."""
+    h, f = (p - 1) // 2, math.factorial
+    if p % 2:
+        return math.pi * (f(l + m + p - 2) / (2 ** (p - 2) * f(l - m) * (l + h) * f(h - 1) ** 2))
+    return 2 * 4**h * f(l + m + p - 2) * f(h) ** 2 / (f(l - m) * (2 * l + p - 1) * f(2 * h) ** 2)
 
 
 def _round_harmonic(bg: Background, head: tuple[int, ...]) -> AmbientPolynomial:
-    """The normalized harmonic ``head`` = (degree, label) on the round factor, or 1 without a round factor."""
-    if not bg.sphere_n:
-        return AmbientPolynomial.constant(bg.ambient_dim, 1.0)
-    return (_circle_mode_poly if bg.sphere_n == 1 else _sphere2_mode_poly)(bg, *head)
+    """The normalized harmonic ``head`` = (degree, label) on the round factor, or 1 without a round factor.
+
+    The circle's harmonic is Re/Im (x_0 + i x_1)^|m_1|; each S^p, p >= 2, multiplies in
+    sum_j q_j x_p^j |x|^(m_p - m - j) over its first p + 1 coordinates, m = |m_(p-1)| and q the coefficients
+    of d^m/du^m C^((p-1)/2)_(m_p).  The squared norm is the density on the sphere times r^(2l) times the
+    circle's integral and one Gegenbauer norm per S^p.
+    """
+    n, d = bg.sphere_n, bg.ambient_dim
+    if not n:
+        return AmbientPolynomial.constant(d, 1.0)
+    chain = _chains(n, head[0])[head[1]]
+    poly, m, angular = _circle_harmonic(chain[0], d), abs(chain[0]), math.pi * (2 if chain[0] == 0 else 1)
+    for p, mp in enumerate(chain[1:], start=2):
+        rho_sq = AmbientPolynomial(d, {tuple(2 * (i == a) for i in range(d)): 1.0 for a in range(p + 1)})
+        radial = AmbientPolynomial.zero(d)
+        for j, q in enumerate(_gegenbauer_derivative(p, mp, m)):
+            if q:  # the coefficients have the parity of m_p - m
+                x_p = AmbientPolynomial.monomial(d, [j * (i == p) for i in range(d)], q)
+                radial = radial + rho_sq.power((mp - m - j) // 2) * x_p
+        poly, angular, m = poly * radial, angular * _gegenbauer_norm(p, mp, m), mp
+    norm_sq = total_mass(bg) / unit_sphere_area(n) * bg.radius ** (2 * head[0]) * angular
+    return poly.scale(1.0 / math.sqrt(norm_sq))
 
 
 @functools.lru_cache(maxsize=4096)
 def mode_function(bg: Background, mode: Mode) -> AmbientPolynomial:
     """The normalized ambient polynomial of a mode (cached): round harmonic times normalized Hermite product."""
-    require_support(bg, "closed-form mode evaluation")
     d, head = bg.ambient_dim, 2 if bg.sphere_n else 0
     axial, norm_sq = AmbientPolynomial.constant(d, 1.0), 1.0
     for axis, deg in enumerate(mode.index[head:], start=d - bg.flat_m):

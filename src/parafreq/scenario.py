@@ -31,7 +31,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ._version import __version__
-from .backgrounds import POINTWISE, Background, Cylinder, Plane, Sphere, kappa
+from .backgrounds import Background, Cylinder, Plane, Sphere, kappa
 from .evolution import (
     CoefficientField,
     ConstantRate,
@@ -72,16 +72,8 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field}': {problem}")
 
 
-# The check table, check name -> verifier, each called on the run alone.  The checks in _RULE_READERS read the
-# run's quadrature rule, so they need a background in backgrounds.POINTWISE.  Dispatch looks the verifier up at
-# call time, so anything that rebinds the module-level callables (in module-level dicts too) reaches every check.
-_RULE_READERS = {
-    "weighted_monotonicity": verify_weighted_monotonicity,
-    "selfsimilar_scaling": verify_selfsimilar_scaling,
-    "quadrature_mass": verify_quadrature_mass,
-    "drift_bochner": verify_drift_bochner,
-    "drift_bochner_verbatim": verify_drift_bochner_verbatim,
-}
+# The check table, check name -> verifier, each called on the run alone.  Dispatch looks the verifier up at call
+# time, so anything that rebinds the module-level callables (in module-level dicts too) reaches every check.
 _VERIFIERS = {
     "frequency_monotonicity": verify_frequency_monotonicity,
     "equality_case": verify_equality_case,
@@ -90,7 +82,11 @@ _VERIFIERS = {
     "general_bounds": verify_general_bounds,
     "general_harnack": verify_general_harnack,
     "eigenvalue_monotonicity": verify_eigenvalue_monotonicity,
-    **_RULE_READERS,
+    "weighted_monotonicity": verify_weighted_monotonicity,
+    "selfsimilar_scaling": verify_selfsimilar_scaling,
+    "quadrature_mass": verify_quadrature_mass,
+    "drift_bochner": verify_drift_bochner,
+    "drift_bochner_verbatim": verify_drift_bochner_verbatim,
 }
 
 
@@ -232,8 +228,6 @@ def _parse_forcing(bg: Background, doc: Any) -> tuple[Forcing, dict]:
     rate, rate_doc = _parse_rate(doc.get("rate"))
     if doc["coupling"] == "scalar_on_u":
         return Forcing(rate, ScalarOnU()), {"coupling": "scalar_on_u", "rate": rate_doc}
-    if bg not in POINTWISE:
-        raise ConfigError("forcing", f"a mode_matrix hypothesis is certified on quadrature points; got {bg.label()}")
     if "modes" not in doc or "matrix" not in doc:
         raise ConfigError("forcing", "mode_matrix coupling needs 'modes' and 'matrix'")
     if not isinstance(doc["matrix"], (list, tuple)):
@@ -329,8 +323,6 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
     checks = _check_names(doc.get("checks"), "checks", _VERIFIERS, "unknown check {!r}")
     if not checks:
         raise ConfigError("checks", "must be a non-empty list of check names")
-    if bg not in POINTWISE and any(c in _RULE_READERS for c in checks):
-        raise ConfigError("checks", f"pointwise checks are not available on {bg.label()}")
     not_requested = "{!r} is not among the requested checks"
     report_only = _check_names(doc.get("report_only", []), "report_only", checks, not_requested)
 

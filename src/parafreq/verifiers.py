@@ -783,7 +783,11 @@ def verify_selfsimilar_scaling(run: Run, *, tolerance: float | None = None) -> V
     quadrature nodes, so the check is a sup-norm residual per node.  The
     reference slice is t = -1 when the grid contains it, else the left
     endpoint.  Trajectories mixing eigenvalues are inapplicable (their
-    frequency is not constant and no such form exists).
+    frequency is not constant and no such form exists).  The rule's points
+    are walked in blocks of at most ``evolution._BLOCK_ENTRIES // nodes``, so
+    no (nodes x points) array outgrows one block and each mode is evaluated
+    once per point; every point is combined on its own, so the blocks change
+    no bit.
     """
     traj = run.traj
     first = traj.amplitudes[0]
@@ -800,12 +804,16 @@ def verify_selfsimilar_scaling(run: Run, *, tolerance: float | None = None) -> V
     at_minus_one = np.flatnonzero(np.abs(t + 1.0) < 1e-12)
     ref_idx = int(at_minus_one[0]) if len(at_minus_one) else 0
     t_ref = float(t[ref_idx])
-    values = combine_on_rule(run.rule, traj.modes, traj.amplitudes)  # (nodes, rule points)
-    v_ref = values[ref_idx].copy()
-    scale = max(1.0, float(np.max(np.abs(v_ref))))
-    tol = tolerance if tolerance is not None else 1e-10 * scale
-    values -= float_powers([(-ti) / (-t_ref) for ti in t.tolist()], [mu]) * v_ref
-    residuals = np.abs(values, out=values).max(axis=1)
+    rule, factors = run.rule, float_powers([(-ti) / (-t_ref) for ti in t.tolist()], [mu])
+    residuals, ref_max = np.zeros(len(t)), 0.0
+    size = max(1, evolution._BLOCK_ENTRIES // len(t))
+    for lo in range(0, len(rule.points), size):
+        values = combine_on_rule(rule, traj.modes, traj.amplitudes, part=slice(lo, lo + size))  # (nodes, points)
+        v_ref = values[ref_idx].copy()
+        ref_max = max(ref_max, float(np.max(np.abs(v_ref))))
+        values -= factors * v_ref
+        np.maximum(residuals, np.abs(values, out=values).max(axis=1), out=residuals)
+    tol = tolerance if tolerance is not None else 1e-10 * max(1.0, ref_max)
     notes = (f"single active eigenvalue mu={mu:.17g}; reference slice t={t_ref:.17g}",)
     return _report("selfsimilar_scaling", [("sup-residual", range(len(t)), -residuals)], tol, notes=notes)
 

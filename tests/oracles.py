@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from parafreq.backgrounds import Background, Plane, QuadratureRule, Sphere, require_support
+from parafreq.backgrounds import Background, QuadratureRule
 from parafreq.evolution import CoefficientField, ConstantRate, Forcing, Rate, ScalarOnU, _amplitudes_on
 from parafreq.modes import combine_on_rule
 
@@ -53,17 +53,17 @@ def _require_on_surface(actual: float, expected: float, what: str) -> None:
 
 
 def geometry_at(bg: Background, point: np.ndarray) -> GeometryData:
-    """Closed-form geometry of the unit-scale background at ``point``; ``bg`` must be in ``POINTWISE``.
+    """Closed-form geometry of the unit-scale background S^k x R^m at ``point``.
 
-    The per-point oracle for ``QuadratureRule.geometry``.
+    The per-point oracle for ``QuadratureRule.geometry``: the round factor
+    takes the first k + 1 coordinates, and the axes the last m.
     """
-    require_support(bg, "pointwise geometry")
     y = np.asarray(point, dtype=float)
-    d = bg.ambient_dim
+    d, k, m = bg.ambient_dim, bg.sphere_n, bg.flat_m
     if y.shape != (d,):
         raise ValueError(f"point has shape {y.shape}, background is ambient dim {d}")
 
-    if isinstance(bg, Plane):
+    if not k:
         eye = np.eye(d)
         zero = np.zeros((d, d))
         return GeometryData(
@@ -77,40 +77,26 @@ def geometry_at(bg: Background, point: np.ndarray) -> GeometryData:
             sff=zero,
         )
 
-    if isinstance(bg, Sphere):
-        r = bg.radius
-        _require_on_surface(float(np.linalg.norm(y)), r, "|y|")
-        nu = y / r
-        proj = np.eye(d) - np.outer(nu, nu)
-        n = bg.n
-        return GeometryData(
-            ric=((n - 1) / bg.radius_squared) * proj,
-            shape_pairing=(n / bg.radius_squared) * proj,
-            h_norm=n / r,
-            x_tan=np.zeros(d),
-            x_perp=y.copy(),
-            tangent_projector=proj,
-            normal=nu,
-            sff=-proj / r,
-        )
-
-    # Cylinder(1, 1)
     r = bg.radius
-    circ = y[:2]
-    _require_on_surface(float(np.linalg.norm(circ)), r, "|y_circle|")
-    nu = np.array([circ[0] / r, circ[1] / r, 0.0])
-    tau = np.array([-circ[1] / r, circ[0] / r, 0.0])
-    proj = np.eye(3) - np.outer(nu, nu)
-    q_circ = np.outer(tau, tau)
+    _require_on_surface(float(np.linalg.norm(y[: k + 1])), r, "|y_round|")
+    nu = np.concatenate([y[: k + 1] / r, np.zeros(m)])
+    if k == 1 and m:
+        # a circle times axes: the circle's tangent tau spans the curved directions, and the product is flat
+        tau = np.concatenate([[-nu[1], nu[0]], np.zeros(m)])
+        q_round, ric = np.outer(tau, tau), np.zeros((d, d))
+    else:
+        # the round factor's tangent projector; on a sphere it is the whole tangent projector
+        q_round = np.diag(np.concatenate([np.ones(k + 1), np.zeros(m)])) - np.outer(nu, nu)
+        ric = ((k - 1) / bg.radius_squared) * q_round
     return GeometryData(
-        ric=np.zeros((3, 3)),  # intrinsically flat product
-        shape_pairing=q_circ * (bg.k / bg.radius_squared),
-        h_norm=1.0 / r,
-        x_tan=np.array([0.0, 0.0, y[2]]),
-        x_perp=np.array([circ[0], circ[1], 0.0]),
-        tangent_projector=proj,
+        ric=ric,
+        shape_pairing=(k / bg.radius_squared) * q_round,
+        h_norm=k / r,
+        x_tan=np.concatenate([np.zeros(k + 1), y[k + 1 :]]),
+        x_perp=np.concatenate([y[: k + 1], np.zeros(m)]),
+        tangent_projector=np.eye(d) - np.outer(nu, nu),
         normal=nu,
-        sff=-q_circ / r,
+        sff=-q_round / r,
     )
 
 

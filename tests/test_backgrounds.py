@@ -1,6 +1,7 @@
 """Background geometry, measures, and spectral data against closed forms."""
 
 import hashlib
+import itertools
 import math
 import re
 
@@ -8,12 +9,10 @@ import numpy as np
 import pytest
 
 from parafreq import (
-    ConfigError,
     Cylinder,
     Plane,
     QuadratureRule,
     Sphere,
-    UnsupportedBackgroundError,
     enumerate_modes,
     first_nonzero_eigenvalue,
     kappa,
@@ -24,11 +23,13 @@ from parafreq import (
     total_mass,
     unit_sphere_area,
 )
-from parafreq.backgrounds import POINTWISE
+from parafreq.modes import combine_on_rule
 
 from oracles import geometry_at
 
 ALL_BACKGROUNDS = [Plane(1), Plane(2), Plane(3), Sphere(1), Sphere(2), Cylinder(1, 1)]
+# round factors S^k, k >= 3, and the cylinders S^2 x R and S^1 x R^2, built by the same recursion as the six above
+HIGHER = [Sphere(3), Sphere(4), Cylinder(2, 1), Cylinder(1, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +104,59 @@ def test_modes_are_orthonormal_under_quadrature():
         assert np.max(np.abs(gram - np.eye(len(modes)))) < 1e-10, bg.label()
 
 
+def _moment(bg, alpha):
+    """Closed-form integral of y^alpha over the unit-scale measure: the round factor's times a Gaussian's per axis."""
+    k, r = bg.sphere_n, bg.radius
+    head, axes = alpha[: k + (k > 0)], alpha[k + (k > 0) :]
+    if any(a % 2 for a in alpha):
+        return 0.0
+    # on the unit S^k: 2 prod Gamma((a_i + 1)/2) / Gamma((|a| + k + 1)/2);
+    # on an axis of variance 2: 2^a Gamma((a + 1)/2) / sqrt(pi)
+    out = math.prod(2.0**a * math.gamma((a + 1) / 2.0) / math.sqrt(math.pi) for a in axes)
+    if k:
+        density = (4.0 * math.pi) ** (-k / 2.0) * math.exp(-k / 2.0)
+        unit = 2.0 * math.prod(math.gamma((a + 1) / 2.0) for a in head) / math.gamma((sum(head) + k + 1) / 2.0)
+        out *= density * r ** (k + sum(head)) * unit
+    return out
+
+
+@pytest.mark.parametrize("bg", HIGHER, ids=lambda b: b.label())
+def test_rules_integrate_every_monomial_up_to_their_degree(bg):
+    # resolution N is exact to degree 2N - 1: every monomial against its closed-form moment, on the scale of its L2 norm
+    n_res, d = 6, bg.ambient_dim
+    rule = quadrature(bg, n_res)
+    columns = [[rule.points[:, a] ** e for e in range(2 * n_res)] for a in range(d)]
+    worst = 0.0
+    for degree in range(2 * n_res):
+        for alpha in itertools.product(range(degree + 1), repeat=d):
+            if sum(alpha) != degree:
+                continue
+            value = rule.integrate(math.prod(columns[a][e] for a, e in enumerate(alpha)))
+            scale = math.sqrt(_moment(bg, tuple(2 * a for a in alpha)) * total_mass(bg))
+            worst = max(worst, abs(value - _moment(bg, alpha)) / scale)
+    assert worst < 1e-12, worst
+
+
+@pytest.mark.parametrize("bg", HIGHER, ids=lambda b: b.label())
+def test_higher_modes_are_orthonormal_and_eigen_under_their_rule(bg):
+    # orthonormal under a rule exact for their products, and L Y = -mu Y at the rule's points from its geometry
+    modes = enumerate_modes(bg, 3.0)
+    rule = quadrature(bg, 7)
+    vals = np.stack([mode_function(bg, m).eval(rule.points) for m in modes])
+    gram = (vals * rule.weights) @ vals.T
+    assert np.max(np.abs(gram - np.eye(len(modes)))) < 1e-13
+    rule = quadrature(bg, 3)
+    geometry = rule.geometry()
+    eye = np.eye(len(modes))
+    for row, mode in zip(eye, modes):
+        values, gbar, hbar = (combine_on_rule(rule, modes, row, kind) for kind in ("values", "gradients", "hessians"))
+        proj = geometry.tangent_projector
+        nu_dot = np.einsum("ni,ni->n", geometry.normal, gbar)
+        hess_m = np.einsum("nij,njk,nkl->nil", proj, hbar, proj) + geometry.sff * nu_dot[:, None, None]
+        lu = np.einsum("nii->n", hess_m) - 0.5 * np.einsum("ni,ni->n", geometry.x_tan, gbar)
+        assert np.max(np.abs(lu + mode.mu * values)) < 1e-12 * max(1.0, np.max(np.abs(values))), mode.index
+
+
 def test_mode_enumeration_is_sorted_and_cut():
     for bg in ALL_BACKGROUNDS:
         modes = enumerate_modes(bg, 1.5)
@@ -133,26 +187,24 @@ def test_a_bad_mode_index_names_the_background(bg, index):
 # ---------------------------------------------------------------------------
 # closed forms pinned by digest
 
-PINNED = sorted(POINTWISE, key=lambda b: b.label()) + [Plane(4), Sphere(3), Sphere(10), Cylinder(2, 3)]
+PINNED = sorted(ALL_BACKGROUNDS, key=lambda b: b.label()) + [Plane(4), Sphere(3), Sphere(10), Cylinder(2, 3)]
 CUTOFFS = (0.0, 0.5 - 1e-13, 0.5, 0.5 + 1e-13, 1.0, 2.5, 3.0 - 4e-13, 3.0)
 
-
-def _closed_forms(bg):
-    """Name -> the background's closed-form data of that kind, floats as hex."""
-    forms = {
-        "scalars": [total_mass(bg).hex(), kappa(bg).hex(), first_nonzero_eigenvalue(bg).hex()],
-        "modes": [(c, [(m.index, m.mu.hex()) for m in enumerate_modes(bg, c)]) for c in CUTOFFS],
-    }
-    if bg in POINTWISE:
-        forms["polynomials"] = [
-            (m.index, sorted((e, c.hex()) for e, c in mode_function(bg, m).terms.items())) for m in enumerate_modes(bg, 4.0)
-        ]
-        rules = (quadrature(bg, r) for r in (2, 5, 24))
-        forms["rules"] = [hashlib.sha256(rule.points.tobytes() + rule.weights.tobytes()).hexdigest() for rule in rules]
-    return forms
+# kind -> the background's closed-form data of that kind, floats as hex
+_CLOSED_FORMS = {
+    "scalars": lambda bg: [total_mass(bg).hex(), kappa(bg).hex(), first_nonzero_eigenvalue(bg).hex()],
+    "modes": lambda bg: [(c, [(m.index, m.mu.hex()) for m in enumerate_modes(bg, c)]) for c in CUTOFFS],
+    "polynomials": lambda bg: [
+        (m.index, sorted((e, c.hex()) for e, c in mode_function(bg, m).terms.items())) for m in enumerate_modes(bg, 4.0)
+    ],
+    "rules": lambda bg: [
+        hashlib.sha256(rule.points.tobytes() + rule.weights.tobytes()).hexdigest()
+        for rule in (quadrature(bg, r) for r in (2, 5, 24))
+    ],
+}
 
 
-# SHA-256 of the repr of each entry of _closed_forms: no closed form may move by a bit
+# SHA-256 of the repr of each pinned kind of _CLOSED_FORMS: no closed form may move by a bit
 CLOSED_FORM_DIGESTS = {
     "cylinder(k=1,m=1)": {
         "scalars": "9f0c2957d435941d232b8319034eb99a64429f3d65cbd6c4280a36b2f59ff79f",
@@ -211,8 +263,9 @@ CLOSED_FORM_DIGESTS = {
 
 @pytest.mark.parametrize("bg", PINNED, ids=lambda b: b.label())
 def test_closed_forms_are_pinned(bg):
-    digests = {name: hashlib.sha256(repr(value).encode()).hexdigest() for name, value in _closed_forms(bg).items()}
-    assert digests == CLOSED_FORM_DIGESTS[bg.label()]
+    pins = CLOSED_FORM_DIGESTS[bg.label()]
+    assert {"scalars", "modes"} <= set(pins)
+    assert {name: hashlib.sha256(repr(_CLOSED_FORMS[name](bg)).encode()).hexdigest() for name in pins} == pins
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +307,7 @@ def test_cylinder_geometry_splits():
     assert np.allclose(g.x_perp, [math.sqrt(2.0), 0.0, 0.0], atol=1e-14)
 
 
-@pytest.mark.parametrize("bg", sorted(POINTWISE, key=lambda b: b.label()), ids=lambda b: b.label())
+@pytest.mark.parametrize("bg", sorted(ALL_BACKGROUNDS, key=lambda b: b.label()) + HIGHER, ids=lambda b: b.label())
 def test_rule_geometry_arrays_equal_the_per_point_oracle(bg):
     rule = quadrature(bg, 6)
     oracle = [geometry_at(bg, p) for p in rule.points]
@@ -271,10 +324,13 @@ def test_rule_geometry_arrays_equal_the_per_point_oracle(bg):
 
 
 @pytest.mark.parametrize("bg", [Plane(4), Sphere(3), Cylinder(2, 1)], ids=lambda b: b.label())
-def test_rule_built_directly_off_the_pointwise_set_is_refused(bg):
+def test_rule_built_directly_on_any_background_is_checked(bg):
+    # no background is refused; the rule's own shape and weight checks still apply
     points = np.zeros((2, bg.ambient_dim))
-    with pytest.raises(UnsupportedBackgroundError, match=f"^quadrature is not available on {re.escape(bg.label())} "):
-        QuadratureRule(bg, 1, points, np.ones(2))
+    assert QuadratureRule(bg, 1, points, np.ones(2)).mass == 2.0
+    for bad_points, bad_weights in ((points[0], np.ones(2)), (points, np.ones(3)), (points, np.array([1.0, 0.0]))):
+        with pytest.raises(ValueError):
+            QuadratureRule(bg, 1, bad_points, bad_weights)
 
 
 def test_off_surface_points_rejected():
@@ -288,80 +344,49 @@ def test_off_surface_points_rejected():
 # supported ranges
 
 
-# (background, closed-form pointwise support)
+# planes, spheres and cylinders of one to four dimensions
 CAPABILITIES = [
-    (Plane(1), True),
-    (Plane(2), True),
-    (Plane(3), True),
-    (Plane(4), False),
-    (Sphere(1), True),
-    (Sphere(2), True),
-    (Sphere(3), False),
-    (Cylinder(1, 1), True),
-    (Cylinder(2, 1), False),
-    (Cylinder(1, 2), False),
+    Plane(1), Plane(2), Plane(3), Plane(4), Sphere(1), Sphere(2), Sphere(3), Cylinder(1, 1), Cylinder(2, 1), Cylinder(1, 2)
 ]
 
 
-@pytest.mark.parametrize("bg, pointwise", CAPABILITIES, ids=[case[0].label() for case in CAPABILITIES])
-def test_capability_declaration_gates_every_consumer(bg, pointwise):
-    assert (bg in POINTWISE) == pointwise
+@pytest.mark.parametrize("bg", CAPABILITIES, ids=lambda b: b.label())
+def test_capability_declaration_gates_every_consumer(bg):
+    # a background declares its shape, sphere_n and flat_m, and nothing else: every consumer takes every shape
     mode = enumerate_modes(bg, 1.0)[1]
     point = np.zeros(bg.ambient_dim)
-    if not isinstance(bg, Plane):
+    if bg.sphere_n:
         point[0] = bg.radius  # on the sphere factor
+    assert quadrature(bg, 2).points.shape[1] == bg.ambient_dim
+    assert geometry_at(bg, point).tangent_projector.shape == (bg.ambient_dim,) * 2
+    assert mode_function(bg, mode).dim == bg.ambient_dim
 
-    def allowed(call):
-        try:
-            call()
-        except UnsupportedBackgroundError:
-            return False
-        return True
-
-    assert allowed(lambda: quadrature(bg, 4)) == pointwise
-    assert allowed(lambda: geometry_at(bg, point)) == pointwise
-    assert allowed(lambda: mode_function(bg, mode)) == pointwise
-
-    if isinstance(bg, Plane):
-        bg_doc = {"kind": "plane", "n": bg.n}
-    elif isinstance(bg, Sphere):
-        bg_doc = {"kind": "sphere", "n": bg.n}
-    else:
-        bg_doc = {"kind": "cylinder", "k": bg.k, "m": bg.m}
+    bg_doc = {"kind": type(bg).__name__.lower(), **{name: getattr(bg, name) for name in bg.__dataclass_fields__}}
     base = {
         "scenario_id": "capability",
         "background": bg_doc,
         "initial_modes": {",".join(map(str, mode.index)): 1.0},
         "time": {"a": -1.0, "b": -0.5, "nodes": 5},
     }
-
-    def refused_field(**fields):
-        """The field a ConfigError names, or None when the config is accepted."""
-        try:
-            parse_config(dict(base, **fields))
-        except ConfigError as exc:
-            return exc.field
-        return None
-
-    assert refused_field(checks=["frequency_monotonicity", "harnack", "eigenvalue_monotonicity"]) is None
+    # spectral checks, every rule reader, and either forcing: the one a mode-matrix needs is certified on the rule
+    parse_config(dict(base, checks=["frequency_monotonicity", "harnack", "eigenvalue_monotonicity"]))
     rule_checks = ("weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass", "drift_bochner", "drift_bochner_verbatim")
-    for check in rule_checks:
-        assert refused_field(checks=[check]) == (None if pointwise else "checks"), check
-    # a scalar forcing holds identically; a mode-matrix one is certified on quadrature points
+    assert parse_config(dict(base, checks=list(rule_checks))).checks == rule_checks
     rate = {"type": "constant", "c0": 0.1}
     scalar = {"rate": rate, "coupling": "scalar_on_u"}
     matrix = {"rate": rate, "coupling": "mode_matrix", "modes": list(base["initial_modes"]), "matrix": [[0.1]]}
-    assert refused_field(checks=["general_bounds"], forcing=scalar) is None
-    assert refused_field(checks=["general_bounds"], forcing=matrix) == (None if pointwise else "forcing")
+    for forcing in (scalar, matrix):
+        parse_config(dict(base, checks=["general_bounds"], forcing=forcing))
 
 
 def test_unsupported_quadrature_ranges():
-    with pytest.raises(UnsupportedBackgroundError):
-        quadrature(Plane(4), 8)
-    with pytest.raises(UnsupportedBackgroundError):
-        quadrature(Sphere(3), 8)
-    with pytest.raises(UnsupportedBackgroundError):
-        quadrature(Cylinder(2, 1), 8)
+    # only the resolution has a range; the size of a rule on S^k x R^m at N is 2N * N^(k-1) * N^m
+    for bg in CAPABILITIES:
+        with pytest.raises(ValueError, match="resolution must be >= 1"):
+            quadrature(bg, 0)
+    for bg, size in ((Plane(4), 3**4), (Sphere(3), 6 * 3**2), (Sphere(4), 6 * 3**3), (Cylinder(2, 1), 6 * 3 * 3)):
+        assert quadrature(bg, 3).points.shape == (size, bg.ambient_dim)
+    assert quadrature(Cylinder(1, 2), 3).points.shape == (6 * 9, 4)
 
 
 def test_degenerate_dimensions_rejected():

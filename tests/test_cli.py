@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from parafreq import parse_config
+from parafreq import parse_config, scenario
 from parafreq.cli import main
 
 PASSING = {
@@ -154,6 +154,22 @@ def test_overflowing_scenario_spares_the_rest_of_the_batch(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == [f"b{suffix}" for suffix in (".plot.py", ".report.json", ".trace.csv")]
 
 
+def test_scenario_that_cannot_allocate_spares_the_rest_of_the_batch(tmp_path, capsys, monkeypatch):
+    # a MemoryError, as from a rule too large to allocate, is that scenario's runtime error, not the batch's
+    def cannot_allocate(run, **kwargs):
+        raise MemoryError("Unable to allocate the rule")
+
+    monkeypatch.setitem(scenario._VERIFIERS, "quadrature_mass", cannot_allocate)
+    _write(tmp_path, "a.json", dict(PASSING, scenario_id="a-huge"))
+    _write(tmp_path, "b.json", dict(PASSING, scenario_id="b-ok", checks=["harnack"]))
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "runtime error in a-huge: Unable to allocate the rule\n"
+    assert "1 scenario(s)" in captured.out
+    assert sorted(p.name for p in out.iterdir()) == [f"b-ok{s}" for s in (".plot.py", ".report.json", ".trace.csv")]
+
+
 def test_unwritable_scenario_spares_the_rest_of_the_batch(tmp_path, capsys):
     # a directory in the way of a scenario's first file fails its write: that scenario's error alone
     _write(tmp_path, "a.json", dict(PASSING, scenario_id="a"))
@@ -224,8 +240,9 @@ def test_cli_subprocess_run_and_exit_code(tmp_path):
 
 
 def test_forced_run_leaves_numpy_ma_unimported(tmp_path):
-    # numpy's set routines (np.union1d, np.unique) import numpy.ma, 13 ms and 1 MiB a process; in a subprocess,
-    # as pytest plugins may have imported it already.  A sampled rate puts kinks on and between the grid nodes.
+    # numpy's set routines (np.union1d, np.unique) import numpy.ma, 13 ms and 1 MiB a process, and fractions and decimal
+    # cost 0.3 MiB and about 5 ms; in a subprocess, as pytest plugins may have imported them already.  A sampled rate
+    # puts kinks on and between the grid nodes, and a pointwise sphere(2) run builds harmonics, a rule and geometry.
     forced = dict(
         PASSING,
         scenario_id="kinked-forced",
@@ -235,12 +252,23 @@ def test_forced_run_leaves_numpy_ma_unimported(tmp_path):
         },
         checks=["general_bounds", "general_harnack"],
     )
-    cfg = _write(tmp_path, "forced.json", forced)
-    script = "import sys; from parafreq.cli import main; main(sys.argv[1:]); print('numpy.ma' in sys.modules)"
+    pointwise = dict(
+        PASSING,
+        scenario_id="sphere-pointwise",
+        background={"kind": "sphere", "n": 2},
+        initial_modes={"2,1": 1.0, "3,4": 0.5},
+        resolution=8,
+        checks=["weighted_monotonicity", "drift_bochner", "quadrature_mass"],
+    )
+    _write(tmp_path, "forced.json", forced)
+    _write(tmp_path, "pointwise.json", pointwise)
+    modules = "('numpy.ma', 'fractions', 'decimal')"
+    script = f"import sys; from parafreq.cli import main; main(sys.argv[1:]); print([m in sys.modules for m in {modules}])"
     proc = subprocess.run(
-        [sys.executable, "-c", script, "run", str(cfg), "--out", str(tmp_path / "out"), "--quiet"],
+        [sys.executable, "-c", script, "run", str(tmp_path), "--out", str(tmp_path / "out"), "--quiet"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False", proc.stdout
+    assert "2 scenario(s)" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[False, False, False]", proc.stdout

@@ -171,12 +171,41 @@ def test_tolerance_for_a_check_not_requested_rejected():
     assert parse_config(_doc(tolerances={"harnack": 1e-6})).tolerances == (("harnack", 1e-6),)
 
 
-def test_dimension_gates_on_pointwise_checks():
-    doc = _doc(background={"kind": "plane", "n": 4}, initial_modes={"1,0,0,0": 1.0})
+def test_pointwise_checks_run_in_any_dimension():
+    # no dimension gates a check: plane(4) reads a rule of resolution^4 points, and spectral checks stay available
+    doc = _doc(background={"kind": "plane", "n": 4}, initial_modes={"1,0,0,0": 1.0}, resolution=3)
     doc["checks"] = ["quadrature_mass"]
-    _expect_config_error(doc, "checks")
+    assert [r.status for r in run_scenario(parse_config(doc)).reports] == ["pass"]
     doc["checks"] = ["frequency_monotonicity"]
-    parse_config(doc)  # spectral checks stay available in high dimension
+    parse_config(doc)
+
+
+# S^3, S^4, S^2 x R and S^1 x R^2, each with a degree-2 round mode, the resolution exact for its integrands
+HIGHER = [{"kind": "sphere", "n": 3}, {"kind": "sphere", "n": 4}, {"kind": "cylinder", "k": 2, "m": 1},
+          {"kind": "cylinder", "k": 1, "m": 2}]
+_RULE_CHECKS = ["weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass", "drift_bochner",
+                "drift_bochner_verbatim"]
+
+
+@pytest.mark.parametrize("bg_doc", HIGHER, ids=lambda doc: "-".join(str(v) for v in doc.values()))
+def test_every_rule_reader_and_a_matrix_forcing_run_on_higher_round_factors(bg_doc):
+    mode = "2,1" + ",0" * bg_doc.get("m", 0)
+    doc = _doc(background=bg_doc, initial_modes={mode: 1.0}, time={"a": -1.0, "b": -0.5, "nodes": 5},
+               resolution=4, checks=_RULE_CHECKS, report_only=["drift_bochner_verbatim"])
+    reports = {r.check_name: r for r in run_scenario(parse_config(doc)).reports}
+    assert all(reports[name].status == "pass" for name in _RULE_CHECKS[:-1]), {n: r.status for n, r in reports.items()}
+    assert -reports["drift_bochner"].min_margin < 1e-13
+    # the verbatim variant misses by exactly the pairing integral its notes give, one per end of the run
+    verbatim = reports["drift_bochner_verbatim"]
+    pairings = [float(note.rsplit(": ", 1)[1]) for note in verbatim.notes]
+    assert verbatim.status == "fail" and min(pairings) > 0.1
+    assert verbatim.columns[0].margin.tolist() == pytest.approx([-p for p in pairings], rel=1e-12)
+    # a mode-matrix forcing is certified on the rule's points
+    forcing = {"rate": {"type": "constant", "c0": 0.2}, "coupling": "mode_matrix", "modes": [mode], "matrix": [[0.1]]}
+    general = ["general_bounds", "general_harnack"]
+    out = run_scenario(parse_config(dict(doc, forcing=forcing, checks=general, report_only=[])))
+    assert [(r.check_name, r.status) for r in out.reports] == [(name, "pass") for name in general]
+    assert all(r.notes[0].startswith("forcing hypothesis certified at all 5 grid nodes") for r in out.reports)
 
 
 def test_kappa_validation():
@@ -206,7 +235,7 @@ def test_forcing_validation():
 
 
 def test_scalar_forcing_runs_both_general_checks_off_the_pointwise_set():
-    # sphere(3) has no quadrature rule: a scalar forcing holds identically, a mode-matrix one cannot be certified
+    # sphere(3): a scalar forcing holds identically and reads no rule; a mode-matrix one is certified on the rule
     general = ["general_bounds", "general_harnack"]
     scalar = {"rate": {"type": "sampled", "times": [-1.0, -0.5], "values": [0.5, 0.2]}, "coupling": "scalar_on_u"}
     doc = _doc(background={"kind": "sphere", "n": 3}, initial_modes={"1,0": 1.0, "2,0": -0.3}, checks=general)
@@ -214,7 +243,7 @@ def test_scalar_forcing_runs_both_general_checks_off_the_pointwise_set():
     assert [(r.check_name, r.status) for r in out.reports] == [(name, "pass") for name in general]
     assert all(r.notes[0].startswith("forcing hypothesis holds identically") for r in out.reports)
     matrix = dict(scalar, coupling="mode_matrix", modes=["1,0"], matrix=[[0.1]])
-    _expect_config_error(dict(doc, forcing=matrix), "forcing")
+    assert parse_config(dict(doc, forcing=matrix)).forcing.coupling.modes[0].index == (1, 0)
 
 
 def test_random_mixture_is_seed_deterministic():

@@ -48,11 +48,13 @@ from parafreq import (
 )
 from parafreq import evolution, modes, scenario, verifiers
 from parafreq.cli import _load_packaged_configs
-from parafreq.backgrounds import POINTWISE
 from parafreq.modes import combine_on_rule, mode_function
 from parafreq.verifiers import report_from_dict
 
 from oracles import forcing_bound_margin, geometry_at, rate_at
+
+# the backgrounds of one or two dimensions, and plane(3)
+SIX = [Plane(1), Plane(2), Plane(3), Sphere(1), Sphere(2), Cylinder(1, 1)]
 
 
 def _traj(bg, coeffs_by_index, a=-1.0, b=-0.5, nodes=41):
@@ -269,7 +271,7 @@ def test_weighted_monotonicity_passes_packaged_functions():
         assert [(c.label, c.nodes.tolist()) for c in rep.columns] == [(f"{name}:residual", nodes) for name in names]
 
 
-@pytest.mark.parametrize("bg", sorted(POINTWISE, key=lambda b: b.label()), ids=lambda b: b.label())
+@pytest.mark.parametrize("bg", sorted(SIX, key=lambda b: b.label()), ids=lambda b: b.label())
 def test_weighted_monotonicity_is_exact_on_a_coarse_grid(bg):
     # the slope is differentiated exactly, so three nodes at spacing 0.25 leave only rounding; a centered difference
     # misses the sixth powers' slope there by h^2 g'''/6, about 1.8e-3 on plane(1)
@@ -279,7 +281,7 @@ def test_weighted_monotonicity_is_exact_on_a_coarse_grid(bg):
     assert -rep.min_margin <= 1e-12, rep.min_margin
 
 
-@pytest.mark.parametrize("bg", sorted(POINTWISE, key=lambda b: b.label()), ids=lambda b: b.label())
+@pytest.mark.parametrize("bg", sorted(SIX, key=lambda b: b.label()), ids=lambda b: b.label())
 def test_weighted_monotonicity_moments_equal_direct_route(bg):
     # direct route: grad f and every d_a d_b f evaluated at the dilated nodes s * y, one integral per time
     grid = TimeGrid.uniform(-1.0, -0.5, 201)
@@ -533,6 +535,15 @@ def test_selfsimilar_scaling_pure_vs_mixture():
     assert any("distinct eigenvalues" in n or "multiple" in n for n in mixed.notes)
 
 
+def test_selfsimilar_scaling_is_the_same_bytes_in_any_point_block(monkeypatch):
+    # one point per block, and blocks of 7 points with the last cut short, against the whole rule in one block
+    traj = _traj(Sphere(2), {(2, 1): 1.5, (2, 3): -0.4}, nodes=8)
+    whole = verify_selfsimilar_scaling(Run(traj, resolution=8))
+    for points in (1, 7):
+        monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", points * len(traj.grid.nodes))
+        _assert_same_report(verify_selfsimilar_scaling(Run(traj, resolution=8)), whole)
+
+
 def test_quadrature_mass_check_all_backgrounds():
     for bg in [Plane(1), Plane(2), Sphere(1), Sphere(2), Cylinder(1, 1)]:
         rep = _checked(verify_quadrature_mass, _traj(bg, {}, nodes=3))
@@ -728,7 +739,10 @@ def test_shared_trace_gives_the_reports_of_a_trace_built_per_check(initial_modes
         assert "inapplicable" not in statuses
 
 
-_RULE_CHECKS = tuple(scenario._RULE_READERS)
+# the checks that read the run's quadrature rule
+_RULE_CHECKS = (
+    "weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass", "drift_bochner", "drift_bochner_verbatim"
+)
 
 
 def _rule_config(checks, initial_modes=None, forcing=None):
