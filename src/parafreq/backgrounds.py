@@ -176,7 +176,8 @@ class QuadratureRule:
         return float(np.sum(self.weights))
 
     def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
+        """``sum(weights * values)`` as numpy's pairwise sum, not a BLAS dot, which splits long sums across threads."""
+        return float(np.add.reduce(self.weights * values))
 
     def require_background(self, bg: Background) -> None:
         """Refuse data that lives on another background than this rule."""

@@ -19,6 +19,7 @@ visible without failing suites.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -26,7 +27,7 @@ import os
 import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -258,6 +259,59 @@ def _check_names(doc: Any, field: str, allowed: Any, unknown: str) -> list[str]:
     return names
 
 
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _mixture_amplitudes(seed: int, low: float, high: float) -> Iterator[float]:
+    """``rng.uniform(low, high) * rng.choice((-1.0, 1.0))`` over and over, for ``rng = np.random.default_rng(seed)``.
+
+    The same bits, without importing ``numpy.random``: numpy's ``SeedSequence`` hashes the seed's little-endian 32-bit
+    words into a pool of four, whose output seeds PCG64 (a 128-bit LCG with the XSL-RR output).  ``uniform`` reads the
+    top 53 bits of one output; ``choice`` of two reads the top bit of a 32-bit draw (Lemire's method never rejects one
+    for a range of 2), and 32-bit draws take a fresh output's low half, then its high half.
+    """
+
+    def hasher(const: int, multiplier: int) -> Callable[[int], int]:
+        def hashmix(value: int) -> int:  # each hash steps the constant before it multiplies
+            nonlocal const
+            const, value = const * multiplier & _M32, value ^ const
+            value = value * const & _M32
+            return value ^ value >> 16
+
+        return hashmix
+
+    def mix(x: int, y: int) -> int:
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return value ^ value >> 16
+
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (words + [0] * 3)[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word, dst in itertools.product(words[4:], range(4)):
+        pool[dst] = mix(pool[dst], hashmix(word))
+    hashmix = hasher(0x8B51F9DD, 0x58F38DED)  # each 64-bit word is two hashes, the low half first
+    s0, s1, s2, s3 = (hashmix(pool[i % 4]) | hashmix(pool[i % 4 + 1]) << 32 for i in range(0, 8, 2))
+    inc = ((s2 << 64 | s3) << 1 | 1) & _M128
+    lcg = (inc + (s0 << 64 | s1)) & _M128  # numpy steps from 0 (to inc), adds the seed's state, then steps again
+
+    def output() -> int:
+        nonlocal lcg
+        lcg = (lcg * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & _M128
+        folded, rot = (lcg >> 64 ^ lcg) & (_M128 >> 64), lcg >> 122
+        return (folded >> rot | folded << (64 - rot)) & (_M128 >> 64)
+
+    def uniform() -> float:
+        return low + (high - low) * ((output() >> 11) * 2.0**-53)
+
+    output()
+    while True:  # two amplitudes take three outputs: the second sign is the high half of the first one's draw
+        value, draw = uniform(), output()
+        yield value * (-1.0, 1.0)[draw >> 31 & 1]
+        yield uniform() * (-1.0, 1.0)[draw >> 63]
+
+
 def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
     """Validate a plain-data scenario document into a ``ScenarioConfig``.
 
@@ -303,9 +357,7 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
         if not (0.0 <= low <= high):
             raise ConfigError("random_mixture", f"need 0 <= low <= high, got low={low}, high={high}")
         mixture = {"seed": float(seed), "mu_cutoff": mu_cutoff, "low": low, "high": high}
-        rng = np.random.default_rng(seed)
-        for mode in enumerate_modes(bg, mu_cutoff):
-            amp = float(rng.uniform(low, high)) * float(rng.choice((-1.0, 1.0)))
+        for mode, amp in zip(enumerate_modes(bg, mu_cutoff), _mixture_amplitudes(seed, low, high)):
             coeffs[mode] = coeffs.get(mode, 0.0) + amp
 
     kappa_doc = doc.get("kappa")

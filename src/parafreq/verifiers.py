@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
@@ -346,12 +346,13 @@ def verify_harnack_printed(run: Run, *, tolerance: float = 1e-9) -> Verification
 # weighted monotonicity for ambient test functions
 
 
-def _graded_moments(poly: AmbientPolynomial, pts: np.ndarray, weights: np.ndarray) -> dict[int, float]:
-    """``{k: weights . poly_k(pts)}`` over the nonzero degree-k homogeneous parts ``poly_k`` of ``poly``."""
+def _graded_moments(poly: AmbientPolynomial, rule: QuadratureRule, density: Any = 1.0) -> dict[int, float]:
+    """``{k: rule.integrate(density * poly_k)}`` over the nonzero degree-k homogeneous parts ``poly_k`` of ``poly``."""
     parts: dict[int, dict[tuple[int, ...], float]] = {}
     for exps, c in poly.terms.items():
         parts.setdefault(sum(exps), {})[exps] = c
-    return {k: float(np.dot(weights, AmbientPolynomial(poly.dim, terms).eval(pts))) for k, terms in parts.items()}
+    pts = rule.points
+    return {k: rule.integrate(density * AmbientPolynomial(poly.dim, terms).eval(pts)) for k, terms in parts.items()}
 
 
 def _graded_sum(moments: dict[int, float], scales: np.ndarray) -> np.ndarray:
@@ -427,19 +428,19 @@ def verify_weighted_monotonicity(
     bg = rule.background
     funcs = standard_test_functions(bg) if functions is None else functions
     names = sorted(funcs)
-    pts, w, proj = rule.points, rule.weights, rule.geometry().tangent_projector
+    proj = rule.geometry().tangent_projector
     scales = np.sqrt(-run.traj.grid.as_array())
     columns = []
     for name in names:
         f = funcs[name]
         if f.dim != bg.ambient_dim:
             raise ValueError(f"test function {name!r} has dim {f.dim}, background needs {bg.ambient_dim}")
-        g_moments = _graded_moments(f, pts, w)
+        g_moments = _graded_moments(f, rule)
         r_moments: dict[int, float] = {}
         hess = f.hessian()
         for a in range(bg.ambient_dim):
             for b in range(bg.ambient_dim):
-                for k, moment in _graded_moments(hess[a][b], pts, w * proj[:, a, b]).items():
+                for k, moment in _graded_moments(hess[a][b], rule, proj[:, a, b]).items():
                     r_moments[k] = r_moments.get(k, 0.0) + moment
         slope = -0.5 * _graded_sum({k - 2: k * moment for k, moment in g_moments.items() if k}, scales)
         columns.append((f"{name}:residual", range(len(scales)), -np.abs(slope + _graded_sum(r_moments, scales))))
@@ -471,16 +472,12 @@ def _integrands(gbar: np.ndarray, hbar: np.ndarray, geometry: NodeGeometry, out:
     out[3] = np.einsum("nij,ni,nj->n", geometry.shape_pairing, grad, grad)
 
 
-def _sides(time: float, w: np.ndarray, columns: np.ndarray) -> tuple[float, ...]:
+def _sides(time: float, rule: QuadratureRule, columns: np.ndarray) -> tuple[float, ...]:
     """Both sides of the integral identity for one field at ``time``, from its ``_integrands`` over the whole rule."""
-    hess_ric, lu2, grad2, shape_q = columns
+    hess_ric, lu2, grad2, shape_q = (rule.integrate(column) for column in columns)
     # every term carries the same (-t)^(-2) scaling from x = sqrt(-t) y
     factor = 1.0 / time**2
-    lhs = float(w @ hess_ric) * factor
-    rhs_verbatim = float(w @ lu2 - 0.5 * (w @ grad2)) * factor
-    pairing = float(w @ shape_q) * factor
-    grad_energy = float(w @ grad2) * factor * (-time)
-    return lhs, rhs_verbatim, pairing, grad_energy
+    return hess_ric * factor, (lu2 - 0.5 * grad2) * factor, shape_q * factor, grad2 * factor * (-time)
 
 
 def bochner_sides(traj: Trajectory, rule: QuadratureRule) -> Sides:
@@ -513,7 +510,7 @@ def bochner_sides(traj: Trajectory, rule: QuadratureRule) -> Sides:
         for gbar, hbar, out in zip(gbars, hbars, columns[:, :, part]):
             _integrands(gbar, hbar, geometry, out)
         del gbars, hbars, geometry  # so that the next block is not built beside this one
-    return tuple(_sides(t, rule.weights, end) for t, end in zip((traj.grid.a, traj.grid.b), columns))
+    return tuple(_sides(t, rule, end) for t, end in zip((traj.grid.a, traj.grid.b), columns))
 
 
 def verify_drift_bochner(run: Run, *, tolerance: float = 1e-8) -> VerificationReport:

@@ -1,8 +1,13 @@
 """End-to-end command line behavior, including exit codes and determinism."""
 
+import ast
+import importlib.util
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -260,9 +265,17 @@ def test_forced_run_leaves_numpy_ma_unimported(tmp_path):
         resolution=8,
         checks=["weighted_monotonicity", "drift_bochner", "quadrature_mass"],
     )
+    # numpy.random costs 16 ms and 6.2 MiB and brings in secrets, hmac and base64; a seeded mixture needs none of them
+    mixture = dict(
+        PASSING,
+        scenario_id="seeded-mixture",
+        initial_modes={},
+        random_mixture={"seed": 2**70 + 3, "mu_cutoff": 2.0, "low": 0.2, "high": 1.0},
+    )
     _write(tmp_path, "forced.json", forced)
     _write(tmp_path, "pointwise.json", pointwise)
-    modules = "('numpy.ma', 'fractions', 'decimal')"
+    _write(tmp_path, "mixture.json", mixture)
+    modules = "('numpy.ma', 'fractions', 'decimal', 'numpy.random', 'secrets')"
     script = f"import sys; from parafreq.cli import main; main(sys.argv[1:]); print([m in sys.modules for m in {modules}])"
     proc = subprocess.run(
         [sys.executable, "-c", script, "run", str(tmp_path), "--out", str(tmp_path / "out"), "--quiet"],
@@ -270,5 +283,53 @@ def test_forced_run_leaves_numpy_ma_unimported(tmp_path):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "2 scenario(s)" in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "[False, False, False]", proc.stdout
+    assert "3 scenario(s)" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[False, False, False, False, False]", proc.stdout
+
+
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a dot product over more than about 10,000 entries across its threads, and each split rounds
+    # the sum its own way; a plane(3) rule at resolution 24 has 13,824 points
+    doc = dict(
+        PASSING,
+        scenario_id="weighted-plane3",
+        background={"kind": "plane", "n": 3},
+        initial_modes={"1,0,0": 0.7, "0,1,1": -0.4},
+        resolution=24,
+        checks=["weighted_monotonicity"],
+    )
+    cfg = _write(tmp_path, "weighted.json", doc)
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        out = tmp_path / f"out-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "parafreq.cli", "run", str(cfg), "--out", str(out), "--quiet"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "weighted-plane3.report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_traced_run_finds_every_span_it_must_reach():
+    # perfbench/run.py fails a traced run when a span it must reach was not recorded; read its list and the tracer's
+    # span table here, so a renamed or moved function fails this test rather than the traced benchmark
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", bench / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    tree = ast.parse((bench / "run.py").read_text())
+    must_reach = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "must_reach")
+    literals = {n.value for n in ast.walk(must_reach) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    fixed = {name for name in literals if re.fullmatch(r"\w+\.\w+", name)} - {"verifiers.verify_"}
+    assert {"cli.main", "evolution.evolve_forced", "evolution.evolve_exact_trajectory"} <= fixed
+    assert "verifiers.verify_" in literals
+    assert set(tracer.VERIFY_FUNCTIONS) == {"verify_" + check for check in scenario._VERIFIERS}
+    for name in sorted(fixed | {"verifiers." + name for name in tracer.VERIFY_FUNCTIONS}):
+        assert name in tracer.SPANS, name
+        owner, attr = tracer._owner(name)
+        target = getattr(owner, attr, None)
+        assert callable(target) and target.__module__.startswith("parafreq."), name

@@ -2,8 +2,10 @@
 
 import copy
 import hashlib
+import itertools
 import json
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +21,10 @@ from parafreq import (
     load_report_json,
     parse_config,
     run_scenario,
+    scenario,
 )
 from parafreq.cli import _load_packaged_configs
+from parafreq.modes import enumerate_modes, mode_from_index
 from parafreq.verifiers import report_from_dict
 
 BASE = {
@@ -254,6 +258,52 @@ def test_random_mixture_is_seed_deterministic():
     assert len(a.initial_modes) > 1
     doc2 = _doc(initial_modes={}, random_mixture={"seed": 6, "mu_cutoff": 1.6, "low": 0.2, "high": 1.0})
     assert parse_config(doc2).initial_modes != a.initial_modes
+
+
+# seeds of one 32-bit word and of several: every class the seeding treats apart (one word, the pool of four filled
+# with zeros or exactly, words mixed in beyond the fourth) and its edges, and random seeds of one and of five words
+_SEEDS = random.Random(29)
+MIXTURE_SEEDS = [
+    *range(64), 2**31 - 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**64 + 1, 2**96 - 1, 2**128 - 1,
+    2**128 + 11, 2**160 + 3, 2**200 + 7, 10**40, *(_SEEDS.randrange(2**31) for _ in range(24)),
+    *(_SEEDS.randrange(2**140) for _ in range(24)),
+]
+
+
+def _numpy_amplitudes(seed: int, low: float, high: float, count: int) -> list[float]:
+    # the independent route: numpy's generator, one uniform and one sign per amplitude
+    rng = np.random.default_rng(seed)
+    return [float(rng.uniform(low, high)) * float(rng.choice((-1.0, 1.0))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("low, high", [(0.0, 1.0), (0.231519, 0.944193), (1.5, 1.5), (0.0, 1e300)])
+def test_mixture_stream_is_numpy_default_rng_bit_for_bit(low, high):
+    for seed in MIXTURE_SEEDS:
+        got = list(itertools.islice(scenario._mixture_amplitudes(seed, low, high), 97))
+        assert [v.hex() for v in got] == [v.hex() for v in _numpy_amplitudes(seed, low, high, 97)], seed
+
+
+def _numpy_mixture(bg, mixture: dict) -> dict:
+    modes = enumerate_modes(bg, mixture["mu_cutoff"])
+    amplitudes = _numpy_amplitudes(int(mixture["seed"]), mixture["low"], mixture["high"], len(modes))
+    return {m: a.hex() for m, a in zip(modes, amplitudes)}
+
+
+def test_mixture_amplitudes_are_the_numpy_uniform_times_choice_route():
+    # parse_config's amplitudes mode by mode; a mixture mode that is also an initial mode takes the sum of both
+    for seed in (0, 5, 2**32 + 1, 2**130 + 5):
+        mixture = {"seed": seed, "mu_cutoff": 2.6, "low": 0.2, "high": 1.0}
+        config = parse_config(_doc(initial_modes={"1,0": 0.25}, random_mixture=mixture))
+        want = _numpy_mixture(config.background, mixture)
+        first = mode_from_index(config.background, (1, 0))
+        want[first] = (float.fromhex(want[first]) + 0.25).hex()
+        assert len(want) == 9
+        assert {m: a.hex() for m, a in config.initial_modes} == want, seed
+    packaged = [c for c in _load_packaged_configs() if c.document["random_mixture"] is not None]
+    assert len(packaged) == 3
+    for config in packaged:
+        want = _numpy_mixture(config.background, config.document["random_mixture"])
+        assert {m: a.hex() for m, a in config.initial_modes} == want, config.scenario_id
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +585,7 @@ SUITE_COLUMN_DIGESTS = {
     "plane-bochner": "889042c3047878eecc3e9ff722c95493aad2a16e7989b5b0b2c140a5d5a60532",
     "plane-caloric-cubic": "b31edac52eeb7fd2c7623d4ab25442e434b622dd58bac786cb63142fc81994ac",
     "plane-mixture": "56cb96b5126e54195c56e42d9ee654d3cc5e199864b6057edce63947a1011c1f",
-    "plane-weighted-identity": "a76ea06c41776ef0d1505d4ae2cf8e947950db19bff7f91e3f114eded154b085",
+    "plane-weighted-identity": "dbb18ca1ca831fd1a79198883393d67afba4bd0e1dce12ecc1ab80e25ad03333",
     "plane-zero-data": "9170ebfa7fd08cedeebc8483e5033f10c51317b46c79d042694bc84c69068e61",
     "plane2-caloric": "1c0713a7625e9d5b3cf64659350b484efe2e9c739c606c845fc1a76304f75711",
     "scalar-forced-bounds": "284e9440dd4b46a35ade1d992ab68385f24933a0eb96f4248de5ecdafab25f35",
@@ -544,7 +594,7 @@ SUITE_COLUMN_DIGESTS = {
     "sphere-golden-fundamental": "e50eab447c1c7ab63cdfb3756c6e44082afb9cafae87d9810e389cd2ef9a64e4",
     "sphere-high-dim-spectrum": "ddfa1a1824e7d53c9ef666ccb8b492a6150033663be5917656359c7e75d9fd33",
     "sphere-mixture": "6e8cb9c739acd4bbe1b0476e8f67a028623f5254c707d65e66a069021e594e37",
-    "sphere-weighted-identity": "9472ecfa0d8c3c6ff2089d598fe718129a95a2edc9a03af887c811c472fba907",
+    "sphere-weighted-identity": "ff00bd66005946a653215a6010d067f1e3c345b64ee77c24f1636336b7a64489",
 }
 
 

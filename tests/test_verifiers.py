@@ -388,7 +388,7 @@ def test_bochner_sides_of_both_ends_equal_each_field_alone(bg, resolution, coeff
         gbar, hbar = (combine_on_rule(rule, end.modes, end.amplitudes, kind) for kind in ("gradients", "hessians"))
         columns = np.empty((4, len(rule.weights)))
         verifiers._integrands(gbar, hbar, rule.geometry(), columns)
-        assert np.array(sides).tobytes() == np.array(verifiers._sides(end.time, rule.weights, columns)).tobytes()
+        assert np.array(sides).tobytes() == np.array(verifiers._sides(end.time, rule, columns)).tobytes()
 
 
 BLOCK_CASES = [
