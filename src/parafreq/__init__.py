@@ -28,7 +28,6 @@ from .evolution import (
     SampledRate,
     ScalarOnU,
     TimeGrid,
-    ToleranceNotMetError,
     Trajectory,
     evolve_exact,
     evolve_exact_trajectory,

@@ -47,6 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+_MAX_RULE_POINTS = 1 << 20  # points of the largest rule quadrature builds; checks hold arrays of points x d x d
+
 
 class Background:
     """S^sphere_n_{sqrt(2 sphere_n)} x R^flat_m, with sphere_n = 0 for no round factor; frozen and hashable."""
@@ -278,10 +280,17 @@ def quadrature(bg: Background, resolution: int) -> QuadratureRule:
     2*resolution uniform angles times ``resolution`` Gauss nodes in the polar
     cosine of each S^p, p = 2..k, of weight (1 - u^2)^((p-2)/2): Gauss-Legendre
     on S^2.  So S^k x R^m has 2N * N^(k-1) * N^m points for N = resolution,
-    and the rule is exact for every polynomial of degree up to 2N - 1.
+    and the rule is exact for every polynomial of degree up to 2N - 1.  A rule
+    above ``_MAX_RULE_POINTS`` points is refused before anything is built.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
+    size = (2 * resolution ** bg.sphere_n if bg.sphere_n else 1) * resolution**bg.flat_m
+    if size > _MAX_RULE_POINTS:
+        raise ValueError(
+            f"resolution {resolution} asks for {size} quadrature points on {bg.label()}, "
+            f"above the limit of {_MAX_RULE_POINTS}; state a smaller resolution"
+        )
 
     pts, wts = _round_rule(bg, resolution)
     y, w = _gauss_gaussian_1d(resolution)

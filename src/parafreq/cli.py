@@ -14,7 +14,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .evolution import ToleranceNotMetError
 from .scenario import (
     ConfigError,
     ScenarioConfig,
@@ -84,7 +83,7 @@ def _execute(configs: list[ScenarioConfig], out_dir: Path) -> tuple[list[tuple[s
             emit_report_json(output, out_dir / f"{sid}.report.json")
             emit_plot_script(output, out_dir / f"{sid}.plot.py")
         # an overflow, a failed allocation or a failed write too
-        except (ToleranceNotMetError, ValueError, ArithmeticError, MemoryError, OSError) as exc:
+        except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
             print(f"runtime error in {sid}: {exc}", file=sys.stderr)
             errors += 1
             continue

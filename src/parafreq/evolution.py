@@ -29,15 +29,12 @@ both keep |f| <= C(t)(|grad u| + |u|) wherever the certified margin below is
 nonnegative.  Off a ModeMatrix's modes A is diagonal, so each mode keeps the
 closed form above, times exp(int_{t0}^t C) under f = C(t) u (a trapezoid over
 the grid nodes and a sampled rate's kinks, exact on each linear piece): a
-ScalarOnU run steps nothing.  A block steps by RK4; A does not depend on a, so
-a step is the matrix Phi = I + h/6 (K1 + 2 K2 + 2 K3 + K4), K1 = A(t0),
-K2 = A(t0 + h/2)(I + h/2 K1), K3 = A(t0 + h/2)(I + h/2 K2), K4 = A(t0 + h)(I + h K3).
-The maps of the intervals between nodes and kinks are built in batches, applied
-as a[i+1] = Phi_half[i] a[i], and scored at once by the block's step-doubling
-error max|(Phi_full - Phi_half) a[i]| / (15 (1 + max|a[i+1]|)).  From the first
-interval whose error is not at most the tolerance (a NaN never is) on,
-intervals are redone one at a time, a failing one by its two halves' maps,
-recursively.  Grids with a block end at or below t = -1e-3: A stiffens like mu / (-t).
+ScalarOnU run steps nothing.  A block solves tau a_tau = (diag mu - C tau W) a
+in tau = -t, whose only singular point is tau = 0.  Between grid nodes and rate
+kinks C is linear, and each step's transfer map is the Taylor series of that
+system at the step's start, summed until a majorant of its tail is at most the
+tolerance; steps are cut short enough that the majorant shrinks geometrically,
+so a grid may end at any t < 0.
 """
 
 from __future__ import annotations
@@ -51,16 +48,11 @@ import numpy as np
 from .backgrounds import Background, QuadratureRule
 from .modes import Mode, combine_on_rule, mode_sort_key
 
-_MAX_HALVINGS = 30
-_END_TIME_FLOOR = -1e-3  # latest end time of a grid with a ModeMatrix block
-_MAP_BATCH = 1 << 14  # (block entries m * m per piece) x (pieces) built at once
+_MAX_STEPS = 1 << 20  # Taylor steps one ModeMatrix block may take, counted before anything is built
 # entries of one block: (rule points x ambient dim) x (grid rows) in forcing_margins, modes x (grid rows) in the
-# trace, (rule points) x 2 ends x (ambient dim)^2 in the curvature-identity sides; a block bounds the temporaries
+# trace, (rule points) x 2 ends x (ambient dim)^2 in the curvature-identity sides, (steps) x m^2 in a ModeMatrix
+# block's maps; a block bounds the temporaries
 _BLOCK_ENTRIES = 1 << 15
-
-
-class ToleranceNotMetError(RuntimeError):
-    """Stepped integration could not meet the local tolerance on some interval."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,10 +229,6 @@ class Trajectory:
             raise ValueError("non-finite amplitude in trajectory")
         object.__setattr__(self, "amplitudes", amps)
 
-    def field_at(self, i: int) -> CoefficientField:
-        """The field at grid node ``i``: row ``i`` of ``amplitudes``."""
-        return CoefficientField(self.background, self.grid.nodes[i], self.modes, self.amplitudes[i])
-
 
 def float_powers(bases: Sequence[float], exponents: Sequence[float]) -> np.ndarray:
     """(len(bases), len(exponents)) array of ``base ** exponent``.
@@ -287,29 +275,41 @@ def _amplitudes_on(field: CoefficientField | Trajectory, modes: Sequence[Mode]) 
     return out
 
 
-def _rk4_maps(a_at, one: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
-    """(intervals, 2, k, k): per [start, end] the product of the two RK4 half-step maps, and the full-step map minus it.
+def _taylor_maps(
+    mus: np.ndarray, w: np.ndarray, tau: np.ndarray, h: np.ndarray, c: np.ndarray, s: np.ndarray, tol: float
+) -> np.ndarray:
+    """(steps, m, m): per step the map of tau a_tau = (diag mu - C tau W) a from ``tau`` to ``tau + h``.
 
-    ``a_at(ts)`` is A at every time in ``ts``, one (k, k) matrix each; ``one`` is the (k, k) identity.
+    On the step C = c - s (tau' - tau), s = dC/dt.  The map is the sum of the Taylor terms B_0 = I and
+    B_{j+1} = r/(j+1) [(diag mu - c tau W - j) B_j - (c - s tau) h W B_{j-1} + s h^2 W B_{j-2}], r = h/tau.
+    The majorant e_j >= ||B_j||_inf takes the same recursion in norms, with g = ||diag mu - c tau W||_inf.
+    Each later term is at most gamma = |r| max(1, (g + p + J)/(J + 1)) times the largest of the three before
+    it, p = ||W||_inf (|(c - s tau) h| + |s| h^2), so once gamma < 1 the tail after term J is at most
+    3 gamma max(e_J, e_{J-1}, e_{J-2}) / (1 - gamma); terms are added until that is at most ``tol`` on every step.
     """
-    n, h = len(start), end - start
-    t0 = np.concatenate([start, start, start + 0.5 * h])  # full step, first half, second half
-    h = np.concatenate([h, 0.5 * h, 0.5 * h])
-    k1 = a_at(t0)
-    hs = h[:, None, None]
-    mid = a_at(t0 + 0.5 * h)
-    k2 = mid @ (one + 0.5 * hs * k1)
-    k3 = mid @ (one + 0.5 * hs * k2)
-    phi = one + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + a_at(t0 + h) @ (one + hs * k3))
-    halved = phi[2 * n :] @ phi[n : 2 * n]
-    return np.stack([halved, phi[:n] - halved], axis=1)
+    r, ct, alpha, beta = h / tau, c * tau, (c - s * tau) * h, s * h * h
+    wn = np.abs(w).sum(axis=1).max()
+    g = np.abs(np.diag(mus) - ct[:, None, None] * w).sum(axis=2).max(axis=1)
+    lag1, lag2 = wn * np.abs(alpha), wn * np.abs(beta)  # the majorant's weights on e_{j-1} and e_{j-2}
+    term = np.broadcast_to(np.eye(len(mus)), (len(tau), len(mus), len(mus)))
+    phi, wb, e = term.copy(), [0.0, 0.0, w @ term], [0.0, 0.0, np.ones(len(tau))]  # W B and e at j - 2, j - 1, j
+    r3, ct, alpha, beta = (x[:, None, None] for x in (r, ct, alpha, beta))
+    j = 0
+    while True:
+        term = r3 / (j + 1) * ((mus[:, None] - j) * term - ct * wb[2] - alpha * wb[1] + beta * wb[0])
+        phi += term
+        e_next = np.abs(r) / (j + 1) * ((g + j) * e[2] + lag1 * e[1] + lag2 * e[0])
+        wb, e, j = [wb[1], wb[2], w @ term], [e[1], e[2], e_next], j + 1
+        gamma = np.abs(r) * np.maximum(1.0, (g + lag1 + lag2 + j) / (j + 1))
+        if np.all((gamma < 1.0) & (3.0 * gamma * np.maximum(np.maximum(e[0], e[1]), e[2]) <= tol * (1.0 - gamma))):
+            return phi
 
 
 def evolve_forced(field: CoefficientField, grid: TimeGrid, forcing: Forcing, *, local_tol: float = 1e-8) -> Trajectory:
     """Trajectory of the forced system over the grid (forward only), from the field on its first node.
 
-    ``local_tol`` bounds the step-doubling error of a ModeMatrix block, the only modes stepped;
-    a grid with a block that ends above ``_END_TIME_FLOOR`` is refused.
+    ``local_tol`` bounds the tail of every Taylor step of a ModeMatrix block, the only modes stepped, in the
+    max-row-sum norm of its map; a block that needs more than ``_MAX_STEPS`` steps is refused.
     """
     if field.time != grid.a:
         raise ValueError(f"field time {field.time!r} must equal grid start {grid.a!r}")
@@ -318,47 +318,12 @@ def evolve_forced(field: CoefficientField, grid: TimeGrid, forcing: Forcing, *, 
 
     coupling, rate = forcing.coupling, forcing.rate
     block = getattr(coupling, "modes", ())  # coupled through W; W = I under ScalarOnU couples no two modes
-    if block and grid.b > _END_TIME_FLOOR:
-        raise ValueError(
-            f"grid ends at t = {grid.b!r}, above the stepped-solver floor {_END_TIME_FLOOR!r}; use exact evolution"
-        )
     modes = tuple(sorted({*field.modes, *block}, key=mode_sort_key))
     m, free = len(block), tuple(x for x in modes if x not in block)  # free modes keep the closed form
-    mus, w, eye = np.array([x.mu for x in block]), np.array(getattr(coupling, "matrix", ())).reshape(m, m), np.eye(m)
-
-    def block_a(ts: np.ndarray) -> np.ndarray:
-        return rate.values_at(ts)[:, None, None] * w - (mus / (-ts)[:, None])[:, :, None] * eye
-
-    def sweep(maps: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """Apply the pieces' halved maps in turn from s[0] into s[1:]; return each piece's step-doubling error."""
-        for j in range(len(maps)):
-            s[j + 1] = maps[j, 0] @ s[j]
-        change = np.einsum("nij,nj->ni", maps[:, 1], s[:-1])
-        return np.max(np.abs(change), axis=1) / (15.0 * (1.0 + np.max(np.abs(s[1:]), axis=1)))
-
-    def advance(maps: np.ndarray, s: np.ndarray, t: list, depth: int) -> None:
-        """Fill s[1:] from s[0] across the pieces [t[j], t[j + 1]]: all pieces' halved maps at once, then from the
-        first piece whose error fails the rule on, one piece at a time, a failing one by its two halves'."""
-        err = sweep(maps, s)
-        failed = np.flatnonzero(~(err <= local_tol))
-        for j in range(failed[0] if len(failed) else len(err), len(err)):
-            if j > failed[0]:  # the state the piece starts from has changed
-                err[j] = sweep(maps[j : j + 1], s[j : j + 2])[0]
-            if err[j] <= local_tol:  # a NaN error never passes
-                continue
-            if depth >= _MAX_HALVINGS:
-                raise ToleranceNotMetError(
-                    f"grid too coarse near t = {t[j]!r}: local error {err[j]:.3e} > tol {local_tol:.3e} "
-                    f"after {depth} halvings"
-                )
-            halves, mid = np.concatenate([s[j : j + 1], np.empty((2, m))]), t[j] + 0.5 * (t[j + 1] - t[j])
-            halved_maps = _rk4_maps(block_a, eye, np.array([t[j], mid]), np.array([mid, t[j + 1]]))
-            advance(halved_maps, halves, [t[j], mid, t[j + 1]], depth + 1)
-            s[j + 1] = halves[2]
+    mus, w = np.array([x.mu for x in block]), np.array(getattr(coupling, "matrix", ())).reshape(m, m)
 
     nodes = grid.as_array()
-    # a sampled rate's kinks cut the pieces: the error rule assumes a smooth step, the trapezoid a linear one;
-    # a plain sort, as np.union1d would import numpy.ma
+    # a sampled rate's kinks cut the pieces, on which C is linear; a plain sort, as np.union1d would import numpy.ma
     on_grid = set(grid.nodes)
     kinks = [x for x in getattr(rate, "times", ()) if grid.a < x < grid.b and x not in on_grid]
     cuts = np.sort(np.concatenate([nodes, kinks]))
@@ -366,17 +331,41 @@ def evolve_forced(field: CoefficientField, grid: TimeGrid, forcing: Forcing, *, 
     start = CoefficientField(field.background, grid.a, free, _amplitudes_on(field, free))
     amps = np.empty((len(nodes), len(modes)))
     amps[:, [modes.index(x) for x in free]] = evolve_exact_trajectory(start, grid).amplitudes
-    with np.errstate(over="ignore", invalid="ignore"):  # a stiff rate overflows; Trajectory refuses what is not finite
+    # a stiff rate overflows; Trajectory refuses what is not finite, the step budget what cannot be stepped
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c = rate.values_at(cuts)
         if isinstance(coupling, ScalarOnU):
-            c = rate.values_at(cuts)
             integral = np.concatenate([[0.0], np.cumsum(0.5 * (c[1:] + c[:-1]) * np.diff(cuts))])
             amps *= np.exp(integral[at_nodes])[:, None]
         elif block:
-            states, per_batch, ts = np.empty((len(cuts), m)), max(1, _MAP_BATCH // (m * m)), cuts.tolist()
-            states[0] = _amplitudes_on(field, block)
-            for lo in range(0, len(cuts) - 1, per_batch):  # per_batch bounds the map arrays alive at once
-                maps = _rk4_maps(block_a, eye, cuts[:-1][lo : lo + per_batch], cuts[1:][lo : lo + per_batch])
-                advance(maps, states[lo : lo + per_batch + 1], ts[lo : lo + per_batch + 1], 0)
+            # each piece in steps of one ratio tau'/tau = 1 - rho with rho (max mu + tau C ||W|| + 1) <= 1/2, tau
+            # and C their largest on the piece: every step then has |h| (max mu + tau c ||W|| + 1) / tau <= 1/2
+            tau, c_max = -cuts, np.maximum(c[1:], c[:-1])
+            rho = 0.5 / (mus.max() + 1.0 + tau[:-1] * c_max * np.abs(w).sum(axis=1).max())
+            per_piece = np.maximum(1.0, np.ceil(np.log(tau[1:] / tau[:-1]) / np.log1p(-rho)))
+            if not per_piece.sum() <= _MAX_STEPS:  # a NaN count too
+                worst = int(np.argmax(per_piece))
+                raise ValueError(
+                    f"the ModeMatrix block needs {per_piece.sum():.4g} Taylor steps, above the budget of {_MAX_STEPS}; "
+                    f"{per_piece[worst]:.4g} of them from t = {float(cuts[worst])!r} to {float(cuts[worst + 1])!r}"
+                )
+            counts = per_piece.astype(np.int64)
+            piece, done = np.repeat(np.arange(len(counts)), counts), np.concatenate([[0], np.cumsum(counts)])
+            place = np.arange(done[-1]) - done[:-1][piece]
+            starts = tau[:-1][piece] * ((tau[1:] / tau[:-1]) ** (1.0 / per_piece))[piece] ** place
+            h, slope = np.diff(np.append(starts, tau[-1])), (np.diff(c) / np.diff(cuts))[piece]
+            c_start = rate.values_at(-starts)
+            states, per_batch = np.empty((len(cuts), m)), max(1, _BLOCK_ENTRIES // (m * m))
+            states[0] = state = _amplitudes_on(field, block)
+            for lo in range(0, done[-1], per_batch):  # per_batch bounds the maps alive at once
+                part = slice(lo, lo + per_batch)
+                maps = _taylor_maps(mus, w, starts[part], h[part], c_start[part], slope[part], local_tol)
+                run = [state]
+                for phi in maps:
+                    run.append(phi.dot(run[-1]))
+                # the cuts this batch reaches: those whose step count lies in (lo, lo + len(maps)]
+                state, (first, last) = run[-1], np.searchsorted(done, [lo + 1, lo + len(maps) + 1])
+                states[first:last] = np.array(run)[done[first:last] - lo]
             amps[:, [modes.index(x) for x in block]] = states[at_nodes]
     return Trajectory(grid, field.background, modes, amps, forcing=forcing)
 

@@ -3,7 +3,10 @@
 ``geometry_at`` builds the closed-form geometry at one point, the oracle for
 ``QuadratureRule.geometry``; ``forcing_bound_margin`` certifies the forcing
 hypothesis for one field, the oracle for ``evolution.forcing_margins``;
-``rate_at`` is a rate's value at one time, the oracle for ``values_at``.
+``rate_at`` is a rate's value at one time, the oracle for ``values_at``;
+``vector_rk4`` steps a forced run by step-doubled vector RK4, the oracle for
+the Taylor transfer maps of ``evolution.evolve_forced``; ``field_at`` passes
+one row of a trajectory through as a field without copying it.
 """
 
 import math
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from parafreq.backgrounds import Background, QuadratureRule
-from parafreq.evolution import CoefficientField, ConstantRate, Forcing, Rate, ScalarOnU, _amplitudes_on
+from parafreq.evolution import CoefficientField, ConstantRate, Forcing, Rate, ScalarOnU, Trajectory, _amplitudes_on
 from parafreq.modes import combine_on_rule
 
 
@@ -131,3 +134,46 @@ def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: Quadra
         f_values = combine_on_rule(rule, coupling.modes, f_coeffs)
 
     return float(np.min(c * (grad_norm + np.abs(values)) - np.abs(f_values)))
+
+
+def field_at(traj: Trajectory, i: int) -> CoefficientField:
+    """The field at grid node ``i`` of ``traj``: row ``i`` of its amplitudes, shared, not copied."""
+    return CoefficientField(traj.background, traj.grid.nodes[i], traj.modes, traj.amplitudes[i])
+
+
+def vector_rk4(traj: Trajectory, field: CoefficientField, forcing: Forcing, local_tol: float, doubling: bool = True):
+    """(nodes, modes): per-interval vector RK4 of a' = -mu a/(-t) + C(t) W a on the modes of ``traj``.
+
+    W = I on all of them under ScalarOnU.  Each grid interval is one RK4 step without ``doubling``; with it,
+    an interval is accepted when max|full - halved| / (15 (1 + max|halved|)) <= ``local_tol`` and otherwise
+    split into its halves, recursively.
+    """
+    mus = np.array([m.mu for m in traj.modes])
+    coupling = forcing.coupling
+    scalar = isinstance(coupling, ScalarOnU)
+    idx = [traj.modes.index(m) for m in (traj.modes if scalar else coupling.modes)]
+    w = np.eye(len(idx)) if scalar else coupling.as_array()
+
+    def rhs(t, a):
+        out = -(mus / (-t)) * a
+        out[idx] += rate_at(forcing.rate, t) * (w @ a[idx])
+        return out
+
+    def step(t, a, h):
+        k1 = rhs(t, a)
+        k2 = rhs(t + h / 2, a + h / 2 * k1)
+        k3 = rhs(t + h / 2, a + h / 2 * k2)
+        return a + h / 6 * (k1 + 2 * k2 + 2 * k3 + rhs(t + h, a + h * k3))
+
+    def advance(t0, a, t1, depth=0):
+        mid = t0 + (t1 - t0) / 2
+        full, halved = step(t0, a, t1 - t0), step(mid, step(t0, a, mid - t0), t1 - mid)
+        if np.max(np.abs(full - halved)) / (15 * (1 + np.max(np.abs(halved)))) <= local_tol:
+            return halved
+        assert depth < 30
+        return advance(mid, advance(t0, a, mid, depth + 1), t1, depth + 1)
+
+    rows = [_amplitudes_on(field, traj.modes)]
+    for t0, t1 in zip(traj.grid.nodes, traj.grid.nodes[1:]):
+        rows.append(advance(t0, rows[-1], t1) if doubling else step(t0, rows[-1], t1 - t0))
+    return np.array(rows)

@@ -45,7 +45,7 @@ from parafreq import (
 from parafreq.cli import main as cli_main
 from parafreq.modes import combine_on_rule
 
-from oracles import geometry_at
+from oracles import field_at, geometry_at
 
 THREE_BACKGROUNDS = [Plane(2), Sphere(2), Cylinder(1, 1)]
 # the backgrounds of one or two dimensions, and plane(3)
@@ -254,7 +254,7 @@ def test_criterion_07_drift_bochner_identity():
         f0 = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, idx): 1.0})
         traj = evolve_exact_trajectory(f0, TimeGrid((-1.0, -0.5)))
         rep = verify_drift_bochner_verbatim(Run(traj, resolution=48))  # one margin per end of the run
-        for ft, margin in zip((traj.field_at(0), traj.field_at(-1)), rep.columns[0].margin):
+        for ft, margin in zip((field_at(traj, 0), field_at(traj, -1)), rep.columns[0].margin):
             t = ft.time
             gbar = combine_on_rule(rule, ft.modes, ft.amplitudes, "gradients")
             tang = np.einsum("nij,nj->ni", proj, gbar)
@@ -285,7 +285,7 @@ def test_criterion_08_forced_growth_bounds():
     traj = evolve_forced(rich, grid, Forcing(ConstantRate(0.0), ScalarOnU()), local_tol=1e-12)
     worst_rel = 0.0
     for i, t in enumerate(grid.nodes):
-        stepped = traj.field_at(i)
+        stepped = field_at(traj, i)
         exact = evolve_exact(rich, t)
         for a, b in zip(stepped.amplitudes, exact.amplitudes, strict=True):
             worst_rel = max(worst_rel, abs(a - b) / max(1.0, abs(b)))

@@ -23,6 +23,7 @@ from parafreq import (
     total_mass,
     unit_sphere_area,
 )
+from parafreq import backgrounds
 from parafreq.modes import combine_on_rule
 
 from oracles import geometry_at
@@ -387,6 +388,21 @@ def test_unsupported_quadrature_ranges():
     for bg, size in ((Plane(4), 3**4), (Sphere(3), 6 * 3**2), (Sphere(4), 6 * 3**3), (Cylinder(2, 1), 6 * 3 * 3)):
         assert quadrature(bg, 3).points.shape == (size, bg.ambient_dim)
     assert quadrature(Cylinder(1, 2), 3).points.shape == (6 * 9, 4)
+
+
+def test_a_rule_above_the_point_limit_is_refused_before_it_is_built(monkeypatch):
+    # at the default resolution 24, sphere(5) asks for 2 * 24^5 points and plane(6) for 24^6
+    def refuse(*args):
+        raise AssertionError("a refused rule was built")
+
+    monkeypatch.setattr(backgrounds, "_round_rule", refuse)
+    monkeypatch.setattr(backgrounds, "_gauss_gaussian_1d", refuse)
+    for bg, size in ((Sphere(5), 15_925_248), (Plane(6), 191_102_976)):
+        with pytest.raises(ValueError, match=(
+            rf"^resolution 24 asks for {size} quadrature points on {re.escape(bg.label())}, above the limit of "
+            rf"{backgrounds._MAX_RULE_POINTS}; state a smaller resolution$"
+        )):
+            quadrature(bg, 24)
 
 
 def test_degenerate_dimensions_rejected():

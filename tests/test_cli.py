@@ -123,13 +123,13 @@ def test_resolution_override_follows_the_config_rule(tmp_path, capsys, value):
 
 
 def test_runtime_error_spares_the_rest_of_the_batch(tmp_path, capsys):
-    # the stepped solver refuses grids with a mode_matrix block ending this close to the singular time
+    # a mode_matrix block this stiff needs more Taylor steps than the budget allows
     broken = dict(
         PASSING,
         scenario_id="late-forced",
         time={"a": -1.0, "b": -1e-4, "nodes": 21},
         forcing={
-            "rate": {"type": "constant", "c0": 0.5}, "coupling": "mode_matrix",
+            "rate": {"type": "constant", "c0": 1e12}, "coupling": "mode_matrix",
             "modes": ["1", "2"], "matrix": [[0.0, 0.4], [0.0, 0.0]],
         },
         checks=["frequency_monotonicity"],
@@ -140,7 +140,7 @@ def test_runtime_error_spares_the_rest_of_the_batch(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", str(tmp_path), "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert "runtime error in late-forced:" in captured.err
+    assert "runtime error in late-forced: the ModeMatrix block needs" in captured.err
     assert "2 scenario(s)" in captured.out
     assert sorted(p.name for p in out.iterdir()) == [
         f"{sid}{suffix}" for sid in ("a", "c") for suffix in (".plot.py", ".report.json", ".trace.csv")
@@ -171,6 +171,19 @@ def test_scenario_that_cannot_allocate_spares_the_rest_of_the_batch(tmp_path, ca
     assert main(["run", str(tmp_path), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == "runtime error in a-huge: Unable to allocate the rule\n"
+    assert "1 scenario(s)" in captured.out
+    assert sorted(p.name for p in out.iterdir()) == [f"b-ok{s}" for s in (".plot.py", ".report.json", ".trace.csv")]
+
+
+def test_rule_above_the_point_limit_is_that_scenarios_runtime_error(tmp_path, capsys):
+    # sphere(5) at the default resolution 24 would hold 15,925,248 points; the rule is refused, not allocated
+    big = dict(PASSING, scenario_id="a-sphere5", background={"kind": "sphere", "n": 5}, initial_modes={"2,0": 1.0})
+    _write(tmp_path, "a.json", big)
+    _write(tmp_path, "b.json", dict(PASSING, scenario_id="b-ok"))
+    out = tmp_path / "out"
+    assert main(["run", str(tmp_path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("runtime error in a-sphere5: resolution 24 asks for 15925248 quadrature points")
     assert "1 scenario(s)" in captured.out
     assert sorted(p.name for p in out.iterdir()) == [f"b-ok{s}" for s in (".plot.py", ".report.json", ".trace.csv")]
 

@@ -1,11 +1,14 @@
-"""Exact spectral evolution, the stepped solver, and forcing couplings."""
+"""Exact spectral evolution, the Taylor-stepped ModeMatrix block, and forcing couplings."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parafreq import evolution
+from parafreq.cli import _load_packaged_configs
 from parafreq import (
     CoefficientField,
     ConstantRate,
@@ -17,7 +20,6 @@ from parafreq import (
     ScalarOnU,
     Sphere,
     TimeGrid,
-    ToleranceNotMetError,
     enumerate_modes,
     evolve_exact,
     evolve_exact_trajectory,
@@ -26,7 +28,7 @@ from parafreq import (
     quadrature,
 )
 
-from oracles import forcing_bound_margin, rate_at
+from oracles import field_at, forcing_bound_margin, rate_at, vector_rk4
 
 
 def _field(bg, t, coeffs_by_index):
@@ -75,7 +77,7 @@ def test_trajectory_matches_pointwise_evolution():
     grid = TimeGrid.uniform(-1.0, -0.25, 7)
     traj = evolve_exact_trajectory(f0, grid)
     for i, t in enumerate(grid.nodes):
-        field = traj.field_at(i)
+        field = field_at(traj, i)
         ref = evolve_exact(f0, t)
         for (m1, a1), (m2, a2) in zip(_pairs(field), _pairs(ref)):
             assert m1 == m2
@@ -93,7 +95,7 @@ def test_zero_field_stays_zero():
 def test_field_is_a_read_only_row_of_its_trajectory():
     bg = Sphere(2)
     traj = evolve_exact_trajectory(_field(bg, -1.0, {(1, 0): 1.0, (2, 3): 0.4}), TimeGrid.uniform(-1.0, -0.5, 5))
-    field = traj.field_at(2)
+    field = field_at(traj, 2)
     assert field.modes == traj.modes and field.time == traj.grid.nodes[2]
     assert np.shares_memory(field.amplitudes, traj.amplitudes)
     assert field.amplitudes.tobytes() == traj.amplitudes[2].tobytes()
@@ -112,8 +114,8 @@ def test_field_is_a_read_only_row_of_its_trajectory():
 
 
 def test_rk_with_zero_rate_matches_exact():
-    # exp(0) = 1 scales the closed form by nothing, so the forced run is the unforced one bit for bit;
-    # ScalarOnU steps nothing, so a grid past the stepped-solver floor of a ModeMatrix block runs too
+    # exp(0) = 1 scales the closed form by nothing, so the forced run is the unforced one bit for bit, on a grid
+    # ending near 0 too
     bg = Plane(1)
     f0 = _field(bg, -1.0, {(1,): 1.0, (2,): 0.3, (4,): -0.1})
     forcing = Forcing(ConstantRate(0.0), ScalarOnU())
@@ -134,7 +136,7 @@ def test_scalar_rate_closed_form():
     t = grid.nodes[-1]
     factor = math.exp(c0 * (t - (-1.0)))
     ref = evolve_exact(f0, t)
-    for (m, a), (_, b) in zip(_pairs(traj.field_at(-1)), _pairs(ref)):
+    for (m, a), (_, b) in zip(_pairs(field_at(traj, -1)), _pairs(ref)):
         assert a == pytest.approx(b * factor, rel=1e-9)
 
 
@@ -147,7 +149,7 @@ def test_sampled_rate_matches_constant_rate():
     sampled = SampledRate(tuple(ts), tuple(0.3 for _ in ts))
     samp = evolve_forced(f0, grid, Forcing(sampled, ScalarOnU()), local_tol=1e-11)
     for i in range(len(grid.nodes)):
-        for (_, a), (_, b) in zip(_pairs(const.field_at(i)), _pairs(samp.field_at(i))):
+        for (_, a), (_, b) in zip(_pairs(field_at(const, i)), _pairs(field_at(samp, i))):
             assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -181,21 +183,21 @@ def _scalar_flow(field, rate, traj):
     ],
 )
 def test_scalar_coupling_matches_the_closed_form_flow(bg, coeffs, rate, grid, local_tol):
-    # a constant rate against step-doubled vector RK4, the independent route; the kinked rate against the
+    # a constant rate against step-doubled vector RK4, the independent oracle; the kinked rate against the
     # integral of C taken piece by piece, since RK4 loses order unless a step ends on each kink
     f0 = _field(bg, grid.a, coeffs)
     forcing = Forcing(rate, ScalarOnU())
     traj = evolve_forced(f0, grid, forcing, local_tol=local_tol)
     rk4 = isinstance(rate, ConstantRate)
-    ref = _vector_rk4(traj, f0, forcing, local_tol) if rk4 else _scalar_flow(f0, rate, traj)
+    ref = vector_rk4(traj, f0, forcing, local_tol) if rk4 else _scalar_flow(f0, rate, traj)
     assert np.max(np.abs(traj.amplitudes - ref) / np.abs(ref)) <= 1e-12
 
 
 def test_scalar_coupling_builds_no_step_map(monkeypatch):
     def refuse(*args):
-        raise AssertionError("a ScalarOnU run built an RK4 map")
+        raise AssertionError("a ScalarOnU run built a Taylor map")
 
-    monkeypatch.setattr(evolution, "_rk4_maps", refuse)
+    monkeypatch.setattr(evolution, "_taylor_maps", refuse)
     bg = Sphere(2)
     f0 = _field(bg, -1.0, {(1, 0): 1.0, (2, 1): -0.5})
     rate = SampledRate((-0.9, -0.6), (0.2, 1.3))
@@ -204,84 +206,65 @@ def test_scalar_coupling_builds_no_step_map(monkeypatch):
     assert np.max(np.abs(traj.amplitudes - ref) / np.abs(ref)) <= 1e-14
 
 
+def _record_steps(monkeypatch):
+    """Each batch of Taylor steps ``evolve_forced`` builds, as the list of its step start times t = -tau."""
+    batches, built = [], evolution._taylor_maps
+
+    def record(mus, w, tau, h, c, s, tol):
+        batches.append((-tau).tolist())
+        return built(mus, w, tau, h, c, s, tol)
+
+    monkeypatch.setattr(evolution, "_taylor_maps", record)
+    return batches
+
+
 def test_rate_kinks_cut_the_pieces_once(monkeypatch):
-    # a kink on a grid node adds no piece, one between two nodes adds one, and kinks outside the grid none
-    starts = []
-
-    def record(a_at, one, start, end):
-        starts.append(start.tolist())
-        return built(a_at, one, start, end)
-
-    built = evolution._rk4_maps
-    monkeypatch.setattr(evolution, "_rk4_maps", record)
+    # a kink on a grid node adds no piece, one between two nodes adds one, and kinks outside the grid none;
+    # every piece is short enough for one Taylor step
+    batches = _record_steps(monkeypatch)
     bg = Plane(1)
     grid = TimeGrid.uniform(-1.0, -0.5, 11)
     coupling = ModeMatrix((mode_from_index(bg, (1,)), mode_from_index(bg, (3,))), ((0.0, 0.4), (0.0, 0.0)))
     rate = SampledRate((-1.2, grid.nodes[4], -0.777, -0.3), (0.5, 0.1, 0.3, 0.2))
     evolve_forced(_field(bg, -1.0, {(3,): 1.0}), grid, Forcing(rate, coupling))
-    assert starts[0] + [grid.b] == sorted([*grid.nodes, -0.777])
+    assert batches[0] + [grid.b] == sorted([*grid.nodes, -0.777])
 
 
-def _vector_rk4(traj, field, forcing, local_tol, doubling=True):
-    """Per-interval vector RK4 of a' = -mu a/(-t) + C(t) W a on the modes of ``traj`` (W = I on all of them under
-    ScalarOnU), halved by step doubling (or one step per interval without ``doubling``)."""
-    mus = np.array([m.mu for m in traj.modes])
-    coupling = forcing.coupling
-    scalar = isinstance(coupling, ScalarOnU)
-    idx = [traj.modes.index(m) for m in (traj.modes if scalar else coupling.modes)]
-    w = np.eye(len(idx)) if scalar else coupling.as_array()
-
-    def rhs(t, a):
-        out = -(mus / (-t)) * a
-        out[idx] += rate_at(forcing.rate, t) * (w @ a[idx])
-        return out
-
-    def step(t, a, h):
-        k1 = rhs(t, a)
-        k2 = rhs(t + h / 2, a + h / 2 * k1)
-        k3 = rhs(t + h / 2, a + h / 2 * k2)
-        return a + h / 6 * (k1 + 2 * k2 + 2 * k3 + rhs(t + h, a + h * k3))
-
-    def advance(t0, a, t1, depth=0):
-        mid = t0 + (t1 - t0) / 2
-        full, halved = step(t0, a, t1 - t0), step(mid, step(t0, a, mid - t0), t1 - mid)
-        if np.max(np.abs(full - halved)) / (15 * (1 + np.max(np.abs(halved)))) <= local_tol:
-            return halved
-        assert depth < 30
-        return advance(mid, advance(t0, a, mid, depth + 1), t1, depth + 1)
-
-    rows = [np.array([_coeff(field, m.index) for m in traj.modes])]
-    for t0, t1 in zip(traj.grid.nodes, traj.grid.nodes[1:]):
-        rows.append(advance(t0, rows[-1], t1) if doubling else step(t0, rows[-1], t1 - t0))
-    return np.array(rows)
-
-
-def test_mode_matrix_halves_a_coarse_grid_like_an_independent_rk4():
-    # five nodes on [-1, -0.1]: near the end mu/(-t) reaches 15 and one RK4 step per interval is far off
+def test_mode_matrix_splits_a_coarse_grid_like_an_independent_rk4(monkeypatch):
+    # five nodes on [-1, -0.1]: near the end mu/(-t) reaches 15 and one RK4 step per interval is far off; the
+    # Taylor steps keep h/tau at or below 1/(2 (max mu + tau c ||W|| + 1)), so each interval takes several
+    batches = _record_steps(monkeypatch)
     bg = Plane(1)
     m1, m3 = mode_from_index(bg, (1,)), mode_from_index(bg, (3,))
     forcing = Forcing(ConstantRate(0.5), ModeMatrix((m1, m3), ((0.0, 0.4), (0.0, 0.0))))
     f0 = _field(bg, -1.0, {(1,): 0.2, (3,): 1.0})
-    traj = evolve_forced(f0, TimeGrid.uniform(-1.0, -0.1, 5), forcing, local_tol=1e-12)
-    ref = _vector_rk4(traj, f0, forcing, 1e-12)
-    unhalved = _vector_rk4(traj, f0, forcing, 1e-12, doubling=False)
+    grid = TimeGrid.uniform(-1.0, -0.1, 5)
+    traj = evolve_forced(f0, grid, forcing, local_tol=1e-12)
+    starts = np.array(batches[0])
+    assert len(batches) == 1 and set(grid.nodes[:-1]) <= set(batches[0])
+    assert np.all(np.diff(starts) / -starts[:-1] <= 0.5 / (1.5 + 1.0))
+    # the oracle's own error at local tolerance 1e-15 is a few 1e-13
+    ref = vector_rk4(traj, f0, forcing, 1e-15)
+    unsplit = vector_rk4(traj, f0, forcing, 1e-15, doubling=False)
     scale = np.max(np.abs(ref), axis=1)
-    assert np.max(np.abs(unhalved - ref).max(axis=1) / scale) > 1e-8
+    assert np.max(np.abs(unsplit - ref).max(axis=1) / scale) > 1e-8
     assert np.max(np.abs(traj.amplitudes - ref).max(axis=1) / scale) <= 1e-12
 
 
 def test_uncoupled_modes_and_small_map_batches_keep_the_stepped_flow(monkeypatch):
-    # mode 2 sits outside the coupled block, so it keeps the closed form; a tiny batch budget builds the block's
-    # maps four pieces at a time; the first interval must be halved, and the fine ones after it pass from the state
-    # it ends in
-    monkeypatch.setattr(evolution, "_MAP_BATCH", 16)
+    # mode 2 sits outside the coupled block, so it keeps the closed form; a tiny entry budget builds the block's
+    # maps three steps at a time, so batches end inside the first interval, which takes four steps, and between
+    # the fine intervals after it
+    monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", 12)
+    batches = _record_steps(monkeypatch)
     bg = Plane(1)
     m1, m3 = mode_from_index(bg, (1,)), mode_from_index(bg, (3,))
     f0 = _field(bg, -1.0, {(1,): 0.2, (2,): -0.7, (3,): 1.0})
     grid = TimeGrid((-1.0, *np.linspace(-0.5, -0.45, 11).tolist()))
     forcing = Forcing(ConstantRate(0.5), ModeMatrix((m1, m3), ((0.0, 0.4), (0.0, 0.0))))
     traj = evolve_forced(f0, grid, forcing, local_tol=1e-12)
-    ref = _vector_rk4(traj, f0, forcing, 1e-12)
+    assert [len(b) for b in batches] == [3, 3, 3, 3, 2]
+    ref = vector_rk4(traj, f0, forcing, 1e-15)
     assert np.max(np.abs(traj.amplitudes - ref).max(axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-12
 
 
@@ -296,55 +279,125 @@ def test_rate_values_at_equals_pointwise_calls(rate):
     assert rate.values_at(ts).tobytes() == expected.tobytes()
 
 
-def test_mode_matrix_nilpotent_closed_form():
-    # one-way coupling (3,) -> (1,) on the line admits an explicit solution:
-    # a3(t) = A*(-t)^{3/2},  a1(t) = (-t)^{1/2} * (a1(t0)/(-t0)^{1/2}
-    #                                + c0*w*A*(t0^2 - t^2)/2)
+def _triangular_flow(grid, c0, w, a1_0, a3_0):
+    """(nodes, 2): the closed form of the one-way coupling (3,) -> (1,) on the line with weight w at rate c0:
+    a3 = A (-t)^{3/2} and a1 = (-t)^{1/2} (a1(t0) / (-t0)^{1/2} + c0 w A (t0^2 - t^2) / 2), A = a3(t0) / (-t0)^{3/2}."""
+    t0, amp = grid.a, a3_0 / (-grid.a) ** 1.5
+    return np.array([
+        [(-t) ** 0.5 * (a1_0 / (-t0) ** 0.5 + c0 * w * amp * (t0 * t0 - t * t) / 2.0), amp * (-t) ** 1.5]
+        for t in grid.nodes
+    ])
+
+
+def _triangular_run(grid, c0, w, a1_0, a3_0):
     bg = Plane(1)
-    c0, w = 0.5, 0.4
-    t0 = -1.0
-    a1_0, a3_0 = 0.2, 1.0
-    f0 = _field(bg, t0, {(1,): a1_0, (3,): a3_0})
     m1, m3 = mode_from_index(bg, (1,)), mode_from_index(bg, (3,))
     forcing = Forcing(ConstantRate(c0), ModeMatrix((m1, m3), ((0.0, w), (0.0, 0.0))))
-    grid = TimeGrid.uniform(t0, -0.1, 361)
-    traj = evolve_forced(f0, grid, forcing, local_tol=1e-12)
-    amp = a3_0 / (-t0) ** 1.5
-    for i, t in enumerate(grid.nodes):
-        field = traj.field_at(i)
-        a3 = amp * (-t) ** 1.5
-        a1 = (-t) ** 0.5 * (a1_0 / (-t0) ** 0.5 + c0 * w * amp * (t0 * t0 - t * t) / 2.0)
-        assert _coeff(field, (3,)) == pytest.approx(a3, rel=1e-9, abs=1e-11)
-        assert _coeff(field, (1,)) == pytest.approx(a1, rel=1e-9, abs=1e-11)
+    return evolve_forced(_field(bg, grid.a, {(1,): a1_0, (3,): a3_0}), grid, forcing, local_tol=1e-12)
 
 
-def test_forced_run_refuses_grid_near_zero():
-    bg = Plane(1)
-    f0 = _field(bg, -1.0, {(1,): 1.0})
-    forcing = Forcing(ConstantRate(0.0), ModeMatrix((mode_from_index(bg, (1,)),), ((1.0,),)))
-    with pytest.raises(ValueError):
-        evolve_forced(f0, TimeGrid.uniform(-1.0, -1e-5, 11), forcing)
-    # the floor is t = -1e-3: a grid ending there runs, one ending just after it is refused
-    assert evolve_forced(f0, TimeGrid.uniform(-1.0, -1e-3, 3), forcing).grid.b == -1e-3
-    with pytest.raises(ValueError, match="above the stepped-solver floor -0.001; use exact evolution$"):
-        evolve_forced(f0, TimeGrid.uniform(-1.0, -9.9e-4, 3), forcing)
+def test_mode_matrix_nilpotent_closed_form():
+    grid = TimeGrid.uniform(-1.0, -0.1, 361)
+    traj = _triangular_run(grid, 0.5, 0.4, 0.2, 1.0)
+    assert traj.modes == tuple(mode_from_index(Plane(1), idx) for idx in ((1,), (3,)))
+    assert np.max(np.abs(traj.amplitudes - _triangular_flow(grid, 0.5, 0.4, 0.2, 1.0))) <= 1e-14
+    # the packaged matrix-forced-bounds run is the same flow from a1 = 0 on 1,801 nodes, at its rk_local_tol
+    (config,) = [c for c in _load_packaged_configs() if c.scenario_id == "matrix-forced-bounds"]
+    field = CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes))
+    traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
+    assert np.max(np.abs(traj.amplitudes - _triangular_flow(config.grid, 0.5, 0.4, 0.0, 1.0))) <= 1e-14
+
+
+def test_forced_run_reaches_a_grid_near_zero(monkeypatch):
+    # the series converges for |h| < tau, so no end-time floor: a grid ending at t = -1e-6 runs in at most one step
+    # per interval plus 2 (max mu + 1) ln(tau_a / tau_b) = 69, and matches the closed form
+    batches = _record_steps(monkeypatch)
+    grid = TimeGrid.uniform(-1.0, -1e-6, 11)
+    traj = _triangular_run(grid, 0.5, 0.4, 0.2, 1.0)
+    assert traj.grid.b == -1e-6
+    assert np.max(np.abs(traj.amplitudes - _triangular_flow(grid, 0.5, 0.4, 0.2, 1.0))) <= 1e-15
+    assert 10 < len(batches[0]) <= 10 + 2 * 2.5 * math.log(1e6) + 1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_unreachable_tolerance_raises():
-    # on a one-mode block, a rate this stiff exhausts the step-halving budget on the first node; the states it
-    # reaches overflow, and at 1e300 every map is inf - inf = NaN, so the run raises only because a NaN error never
-    # passes the rule
+def test_stiff_block_is_refused_by_its_step_budget(monkeypatch):
+    # a rate this stiff needs about 1e12 or 1e300 steps; they are counted and refused before any map is built
+    def refuse(*args):
+        raise AssertionError("a refused block built a Taylor map")
+
+    monkeypatch.setattr(evolution, "_taylor_maps", refuse)
     bg = Plane(1)
     m1 = mode_from_index(bg, (1,))
     f0 = _field(bg, -1.0, {(1,): 1.0})
     grid = TimeGrid.uniform(-1.0, -0.5, 3)
-    for c0, error in ((1e12, "6.667e-02"), (1e300, "nan")):
-        with pytest.raises(ToleranceNotMetError, match=f"^grid too coarse near t = -1.0: local error {error} > tol"):
+    for c0, count in ((1e12, r"1\.184e\+12"), (1e300, r"1\.184e\+300")):
+        with pytest.raises(ValueError, match=(
+            f"^the ModeMatrix block needs {count} Taylor steps, above the budget of {evolution._MAX_STEPS}; "
+            r"[0-9.e+]+ of them from t = -0.75 to -0.5$"
+        )):
             evolve_forced(f0, grid, Forcing(ConstantRate(c0), ModeMatrix((m1,), ((1.0,),))), local_tol=1e-10)
-    # the closed form steps nothing, so there is no tolerance to miss: exp(int C) overflows and the run is refused
+    # the closed form steps nothing: exp(int C) overflows and the run is refused
     with pytest.raises(ValueError, match="^non-finite amplitude in trajectory$"):
         evolve_forced(f0, grid, Forcing(ConstantRate(1e12), ScalarOnU()), local_tol=1e-10)
+
+
+_SPLIT_KINDS = ("unforced", "scalar-constant", "scalar-kinked", "matrix", "matrix-switched-off")
+# |run on [a, b] - run on [a, c] continued on [c, b]| / max |row| per kind: the closed forms differ by rounding
+# in a power or an exp, Taylor maps by their tail bound, 1e-13 per step, over a few steps (all read below 1e-15)
+_SPLIT_TOLERANCE = {"unforced": 1e-14, "scalar-constant": 1e-14, "scalar-kinked": 1e-14, "matrix": 1e-12,
+                    "matrix-switched-off": 1e-12}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(_SPLIT_KINDS),
+    bg=st.sampled_from((Plane(1), Sphere(2), Cylinder(1, 1))),
+    a=st.floats(-2.0, -0.5),
+    end=st.floats(1e-4, 0.9),
+    count=st.integers(3, 25),
+    data=st.data(),
+)
+def test_runs_compose_at_an_interior_node(kind, bg, a, end, count, data):
+    # the flow from a to b is the flow from c to b after the flow from a to c, at every interior node c; where the
+    # rate is 0 from a kink before c on, the flow after c is the unforced one, which a wrong sign on the block's
+    # mu/(-t) term breaks
+    modes = enumerate_modes(bg, 1.5)[:5]
+    grid = TimeGrid.uniform(a, a * end, count)
+    k = data.draw(st.integers(1, count - 2), label="split node")
+    amps = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(modes), max_size=len(modes)), label="amplitudes")
+    field = CoefficientField(bg, a, modes, amps)
+    nodes = grid.nodes
+    level = data.draw(st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2), label="rate values")
+    kink = nodes[k - 1] + 0.37 * (nodes[k] - nodes[k - 1])  # inside the step before c
+    rate = {
+        "scalar-constant": ConstantRate(level[0]),
+        "scalar-kinked": SampledRate((kink - 1.0, kink, kink + 1.0), (level[0], level[1], level[0])),
+        "matrix": ConstantRate(level[0]),
+        "matrix-switched-off": SampledRate((a, kink), (level[0], 0.0)),
+    }.get(kind)
+    if kind == "unforced":
+        forcing = None
+    elif kind.startswith("scalar"):
+        forcing = Forcing(rate, ScalarOnU())
+    else:
+        size = data.draw(st.integers(1, 3), label="block size")
+        entries = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=size * size, max_size=size * size), label="W")
+        block = tuple(modes[-size:])
+        forcing = Forcing(rate, ModeMatrix(block, tuple(tuple(entries[i * size : (i + 1) * size]) for i in range(size))))
+
+    def run(start, part, forced=True):
+        if forcing is None or not forced:
+            return evolve_exact_trajectory(start, part)
+        return evolve_forced(start, part, forcing, local_tol=1e-13)
+
+    whole = run(field, grid)
+    first = run(field, TimeGrid(nodes[: k + 1]))
+    scale = np.max(np.abs(whole.amplitudes), axis=1, keepdims=True)
+    for forced in (True, False) if kind == "matrix-switched-off" else (True,):
+        second = run(field_at(first, -1), TimeGrid(nodes[k:]), forced)
+        assert first.modes == second.modes == whole.modes
+        joined = np.concatenate([first.amplitudes, second.amplitudes[1:]])
+        assert np.all(np.abs(joined - whole.amplitudes) <= _SPLIT_TOLERANCE[kind] * scale), (kind, forced)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +468,7 @@ def test_forcing_margins_equal_the_per_field_margin_bit_for_bit(monkeypatch, bat
         rule = quadrature(bg, resolution)
         traj = evolve_forced(_field(bg, -1.0, coeffs), TimeGrid.uniform(-1.0, -0.5, 7), forcing)
         margins = evolution.forcing_margins(traj, rule)
-        per_field = [forcing_bound_margin(traj.field_at(i), forcing, rule) for i in range(len(traj.grid.nodes))]
+        per_field = [forcing_bound_margin(field_at(traj, i), forcing, rule) for i in range(len(traj.grid.nodes))]
         assert margins.tobytes() == np.array(per_field).tobytes(), bg.label()
 
 

@@ -581,7 +581,7 @@ SUITE_COLUMN_DIGESTS = {
     "eigenvalue-window-cylinder": "932a85fb3f5b6bf5773aebd38e8ac58cf300281c08ad88397ebf131044944959",
     "eigenvalue-window-plane": "f5cb70a9dfc0c47347080927cf36f15730f9298b451b35d6b12e54ad28fd8992",
     "eigenvalue-window-sphere": "932a85fb3f5b6bf5773aebd38e8ac58cf300281c08ad88397ebf131044944959",
-    "matrix-forced-bounds": "a5de2a630174cc2b9518b742724f0e9d5d50adbf1a1326a334be13432d44d4aa",
+    "matrix-forced-bounds": "ed901d15c49e96a2f9d681af77787186d84cb1d6390b29431db271386313f17c",
     "plane-bochner": "889042c3047878eecc3e9ff722c95493aad2a16e7989b5b0b2c140a5d5a60532",
     "plane-caloric-cubic": "b31edac52eeb7fd2c7623d4ab25442e434b622dd58bac786cb63142fc81994ac",
     "plane-mixture": "56cb96b5126e54195c56e42d9ee654d3cc5e199864b6057edce63947a1011c1f",

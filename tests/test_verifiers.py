@@ -51,7 +51,7 @@ from parafreq.cli import _load_packaged_configs
 from parafreq.modes import combine_on_rule, mode_function
 from parafreq.verifiers import report_from_dict
 
-from oracles import forcing_bound_margin, geometry_at, rate_at
+from oracles import field_at, forcing_bound_margin, geometry_at, rate_at
 
 # the backgrounds of one or two dimensions, and plane(3)
 SIX = [Plane(1), Plane(2), Plane(3), Sphere(1), Sphere(2), Cylinder(1, 1)]
@@ -365,7 +365,7 @@ def test_bochner_verbatim_gap_equals_gradient_energy(bg, resolution, coeffs, t):
     assert rep.status == "fail"
     (column,) = rep.columns
     assert column.nodes.tolist() == [0, 1] and len(rep.notes) == 2  # one margin and one note per end of the run
-    for end, margin, note in zip((traj.field_at(0), traj.field_at(-1)), column.margin, rep.notes):
+    for end, margin, note in zip((field_at(traj, 0), field_at(traj, -1)), column.margin, rep.notes):
         gbar = combine_on_rule(rule, end.modes, end.amplitudes, "gradients")
         tangential = np.einsum("nij,nj->ni", proj, gbar)
         pairing = rule.integrate(np.einsum("nij,ni,nj->n", shape, tangential, tangential)) / end.time**2
@@ -384,7 +384,7 @@ def test_bochner_sides_of_both_ends_equal_each_field_alone(bg, resolution, coeff
     # one block per kind over the two ends, against each end's row combined and taken alone over the whole rule
     rule = quadrature(bg, resolution)
     traj = _traj(bg, coeffs, nodes=5)
-    for sides, end in zip(verifiers.bochner_sides(traj, rule), (traj.field_at(0), traj.field_at(-1)), strict=True):
+    for sides, end in zip(verifiers.bochner_sides(traj, rule), (field_at(traj, 0), field_at(traj, -1)), strict=True):
         gbar, hbar = (combine_on_rule(rule, end.modes, end.amplitudes, kind) for kind in ("gradients", "hessians"))
         columns = np.empty((4, len(rule.weights)))
         verifiers._integrands(gbar, hbar, rule.geometry(), columns)
@@ -504,7 +504,7 @@ def test_general_checks_inapplicable_when_the_hypothesis_fails_between_sparse_sa
     run = Run(traj, 0.0)
     sparse = np.round(np.linspace(0, 80, 9)).astype(int)
     assert 5 not in sparse
-    assert min(forcing_bound_margin(traj.field_at(int(i)), forcing, run.rule) for i in sparse) >= 0.0
+    assert min(forcing_bound_margin(field_at(traj, int(i)), forcing, run.rule) for i in sparse) >= 0.0
     expected = f"forcing hypothesis fails at t={grid.nodes[5]:.17g} "
     for verify in (verify_general_bounds, verify_general_harnack):
         rep = verify(run)
@@ -644,14 +644,14 @@ def test_mode_columns_reused_across_times_equal_per_call_combinations(bg, coeffs
     kinds = ("values", "gradients", "hessians")
     blocks = {kind: combine_on_rule(rule, traj.modes, traj.amplitudes, kind) for kind in kinds}  # every row at once
     for i in range(len(traj.grid.nodes)):
-        field = traj.field_at(i)
+        field = field_at(traj, i)
         for kind in kinds:
             columns = combine_on_rule(rule, field.modes, field.amplitudes, kind)
             fresh = combine_on_rule(quadrature(bg, 10), field.modes, field.amplitudes, kind)
             assert columns.tobytes() == fresh.tobytes() == blocks[kind][i].tobytes(), (i, kind)
 
     # independent route: every derivative polynomial evaluated at the nodes
-    field = traj.field_at(-1)
+    field = field_at(traj, -1)
     d = bg.ambient_dim
     grads = np.zeros((len(rule.points), d))
     hess = np.zeros((len(rule.points), d, d))
