@@ -52,7 +52,7 @@ def _load_packaged_configs() -> list[ScenarioConfig]:
     configs = []
     for entry in sorted(suite.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".json"):
-            doc = json.loads(entry.read_text())
+            doc = json.loads(entry.read_text(encoding="utf-8"))
             configs.append(parse_config(doc, fallback_id=entry.name[: -len(".json")]))
     if not configs:
         raise ConfigError("<suite>", "no packaged scenario configs found")
@@ -126,7 +126,11 @@ def _summarize(summaries: list[tuple[str, list[tuple]]], quiet: bool) -> int:
         f"{counts['pass']} passed, {counts['fail']} failed "
         f"({counted_failures} counted), {counts['inapplicable']} inapplicable"
     )
-    print("\n".join(lines))
+    text = "\n".join(lines)
+    try:
+        print(text)
+    except UnicodeEncodeError:  # a locale that cannot spell some id; the files are written already
+        print(text.encode("ascii", "backslashreplace").decode("ascii"))
     return code
 
 

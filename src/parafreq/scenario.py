@@ -18,7 +18,6 @@ visible without failing suites.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -30,6 +29,14 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
+
+try:  # the interpreter's built-in SHA-256, hashlib's fallback; hashlib itself maps OpenSSL's libcrypto (3.4 MiB)
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:  # built without either
+        from hashlib import sha256
 
 from ._version import __version__
 from .backgrounds import Background, Cylinder, Plane, Sphere, kappa
@@ -115,7 +122,7 @@ class ScenarioConfig:
 
     def config_hash(self) -> str:
         doc = json.dumps(self.document, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(doc.encode("utf-8")).hexdigest()
+        return sha256(doc.encode("utf-8")).hexdigest()
 
 
 def _mode_key(mode: Mode) -> str:
@@ -424,10 +431,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
     """Read and validate one scenario JSON file."""
     p = Path(path)
     try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(p.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
         raise ConfigError("<document>", f"invalid JSON in {p}: {exc}") from exc
-    return parse_config(doc, fallback_id=p.stem)
+    return parse_config(doc, fallback_id=os.fsencode(p.stem).decode("utf-8", "surrogateescape"))  # names are UTF-8
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +482,11 @@ def run_scenario(config: ScenarioConfig) -> RunOutput:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    # UTF-8 text under a UTF-8 name whatever the locale; bytes the locale could not decode go back out unchanged
+    name = str(path).encode("utf-8", "surrogateescape")
+    with open(name + b".tmp", "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(name + b".tmp", name)
 
 
 _CSV_ROW = ",".join(["%.17g"] * 6)
@@ -518,10 +527,13 @@ def emit_report_json(output: RunOutput, path: str | Path) -> None:
 
 
 def load_report_json(path: str | Path) -> tuple[dict, tuple[VerificationReport, ...]]:
-    """Read back an emitted report document as (provenance doc, reports); another ``format`` raises ValueError."""
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != _REPORT_FORMAT:
-        raise ValueError(f"{path}: report format {doc.get('format')!r} is not {_REPORT_FORMAT!r}")
+    """Read back an emitted report document as (provenance doc, reports); any other document raises ValueError."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != _REPORT_FORMAT:
+        raise ValueError(f"{path}: report format {found!r} is not {_REPORT_FORMAT!r}")
+    if not isinstance(doc.get("reports"), list):
+        raise ValueError(f"{path}: 'reports' is not a list")
     return doc, tuple(report_from_dict(r) for r in doc["reports"])
 
 

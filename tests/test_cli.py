@@ -288,16 +288,44 @@ def test_forced_run_leaves_numpy_ma_unimported(tmp_path):
     _write(tmp_path, "forced.json", forced)
     _write(tmp_path, "pointwise.json", pointwise)
     _write(tmp_path, "mixture.json", mixture)
-    modules = "('numpy.ma', 'fractions', 'decimal', 'numpy.random', 'secrets')"
+    # hashlib maps OpenSSL's libcrypto, 3.4 MiB resident, for the config hash that the interpreter's own SHA-256 gives
+    modules = "('numpy.ma', 'fractions', 'decimal', 'numpy.random', 'secrets', 'hashlib', '_hashlib', 'ssl')"
     script = f"import sys; from parafreq.cli import main; main(sys.argv[1:]); print([m in sys.modules for m in {modules}])"
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "run", str(tmp_path), "--out", str(tmp_path / "out"), "--quiet"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "3 scenario(s)" in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "[False, False, False, False, False]", proc.stdout
+    for args, ran in ((["run", str(tmp_path)], "3 scenario(s)"), (["paper-suite"], "18 scenario(s)")):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args, "--out", str(tmp_path / "out"), "--quiet"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert ran in proc.stdout
+        assert proc.stdout.splitlines()[-1] == str([False] * 8), proc.stdout
+
+
+def test_non_utf8_locale_writes_the_utf8_mode_files(tmp_path):
+    # under the C locale without UTF-8 mode, the locale's codec (ASCII) must not decide how a config is read or how
+    # the files, and their names, are written; one id is raw UTF-8 in its config, the other is its file's name
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    doc = dict(PASSING, scenario_id="caf\u00e9-\u03ba")
+    (configs / "cafe.json").write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+    _write(configs, "na\u00efve.json", {k: v for k, v in PASSING.items() if k != "scenario_id"})
+    base = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONUTF8", "PYTHONIOENCODING"))}
+    runs = {}
+    for mode, env in (("utf8=1", base), ("utf8=0", {**base, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"})):
+        out = tmp_path / mode
+        proc = subprocess.run(
+            [sys.executable, "-X", mode, "-m", "parafreq.cli", "run", str(configs), "--out", str(out)],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].startswith(b"2 scenario(s), 6 check(s): 6 passed, 0 failed"), proc.stdout
+        runs[mode] = {f.name: f.read_bytes() for f in out.iterdir()}
+    suffixes = (".trace.csv", ".report.json", ".plot.py")
+    names = {sid + suffix for sid in ("caf\u00e9-\u03ba", "na\u00efve") for suffix in suffixes}
+    assert set(runs["utf8=1"]) == names
+    assert runs["utf8=0"] == runs["utf8=1"]
 
 
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):

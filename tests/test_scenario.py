@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from parafreq import (
     ConfigError,
@@ -368,6 +370,33 @@ def test_packaged_config_hashes_are_pinned():
     assert {c.scenario_id: c.config_hash() for c in _load_packaged_configs()} == PACKAGED_HASHES
 
 
+def _canonical(document):
+    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(document=st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=4), edge=st.integers(52, 68))
+@example(document={}, edge=55)
+@example(document={}, edge=56)
+@example(document={}, edge=64)
+def test_config_hash_is_hashlib_sha256_of_the_canonical_document(document, edge):
+    # SHA-256 pads a message with 0x80 and its 8-byte length: 55 bytes fill one 64-byte block, 56 need a second;
+    # a padding field brings the canonical bytes to `edge` modulo 64 (to `edge` itself for a short document)
+    padded = {**document, "~pad": ""}
+    padded["~pad"] = "x" * ((edge - len(_canonical(padded))) % 64)
+    assert len(_canonical(padded)) % 64 == edge % 64
+    for doc in (document, padded):
+        config = replace(parse_config(_doc()), document=doc)
+        assert config.config_hash() == hashlib.sha256(_canonical(doc)).hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # execution and emitters
 
@@ -536,6 +565,28 @@ def test_load_report_json_refuses_an_unmarked_document(tmp_path):
         path.write_text(json.dumps(unmarked))
         with pytest.raises(ValueError, match="format"):
             load_report_json(path)
+
+
+def test_load_report_json_refuses_a_document_that_is_not_an_object(tmp_path):
+    path = tmp_path / "list.report.json"
+    path.write_text("[]")
+    with pytest.raises(ValueError, match="list.report.json: report format None"):
+        load_report_json(path)
+
+
+def test_load_report_json_refuses_reports_that_are_not_a_list(tmp_path):
+    path = tmp_path / "five.report.json"
+    path.write_text(json.dumps({"format": "parafreq-report/3", "reports": 5}))
+    with pytest.raises(ValueError, match="five.report.json: 'reports' is not a list"):
+        load_report_json(path)
+
+
+def test_undecodable_config_is_a_document_error_naming_the_path(tmp_path):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(json.dumps(_doc(scenario_id="caf\u00e9"), ensure_ascii=False).encode("latin-1"))
+    with pytest.raises(ConfigError, match="latin1.json") as info:
+        load_config(cfg)
+    assert info.value.field == "<document>"
 
 
 def test_non_finite_report_margin_raises_naming_node_and_label():
