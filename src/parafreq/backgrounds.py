@@ -29,21 +29,17 @@ geometry, quadrature); what it costs follows from its shape alone.
 * ``Sphere(n)``    -- (n, 0): the round n-sphere of radius sqrt(2n).
 * ``Cylinder(k, m)`` -- (k, m): S^k_{sqrt(2k)} x R^m.
 
-Each ``QuadratureRule`` keeps its nodes and weights and builds, in closed
-form and for the nodes a caller asks for, the geometry every verifier needs:
-the tangent projector, the scalar second fundamental form (codimension one
-throughout, with A(X, Y) = sff(X, Y) * nu as a vector), Ricci, the pairing
-<H, A(.,.)>, the unit normal and the tangential part of the position vector.
-The curvature bound sup <H, A> = kappa / (-t) along the flow reduces at unit
-scale to the largest eigenvalue of the shape pairing, which is 0 on planes
-and 1/2 on spheres and cylinders (n/(2n) resp. k/(2k)).
+Every polynomial integrates in closed form by ``monomial_moments``.  Each
+``QuadratureRule`` keeps its nodes and weights and builds the tangent
+projector at the nodes a caller asks for.  The curvature bound
+sup <H, A> = kappa / (-t) reduces at unit scale to n / r^2 on a round
+factor: 0 on planes and 1/2 on spheres and cylinders.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -127,26 +123,29 @@ def kappa(bg: Background) -> float:
     return bg.sphere_n / bg.radius_squared if bg.sphere_n else 0.0
 
 
+def monomial_moments(bg: Background, exponents: np.ndarray) -> np.ndarray:
+    """The integral of y^alpha over the unit-scale measure, for each row alpha of the (N, d) integer ``exponents``.
+
+    A moment is the round factor's times, per axis, a Gaussian's of variance 2, alpha! / (alpha/2)!.  On S^k(r) it is
+    rho r^(k + |alpha|) 2 prod Gamma((alpha_i + 1)/2) / Gamma((|alpha| + k + 1)/2), with rho = (4 pi)^(-k/2) e^(-k/2)
+    the density there.  Any odd exponent gives 0.
+    """
+    exps, n = np.asarray(exponents, dtype=np.int64), bg.sphere_n
+    odd = [e % 2 for e in range(int(exps.max(initial=0)) + 1)]
+    axis = np.array([0.0 if o else float(math.factorial(e) // math.factorial(e // 2)) for e, o in enumerate(odd)])
+    out = np.prod(axis[exps[:, n + (n > 0) :]], axis=1)
+    if n:
+        head, half = exps[:, : n + 1], np.array([0.0 if o else math.gamma((e + 1) / 2.0) for e, o in enumerate(odd)])
+        rho, size = (4.0 * math.pi) ** (-n / 2.0) * math.exp(-n / 2.0), head.sum(axis=1)
+        # r^(k + |alpha|) as r^k (2k)^(|alpha|/2); an odd |alpha| has an odd exponent, whose zero ``half`` carries
+        degree = [rho * bg.radius**n * bg.radius_squared ** (s // 2) * 2.0 / math.gamma((s + n + 1) / 2.0)
+                  for s in range(int(size.max(initial=0)) + 1)]
+        out = out * np.array(degree)[size] * np.prod(half[head], axis=1)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # quadrature
-
-
-class NodeGeometry(NamedTuple):
-    """Closed-form unit-scale geometry at N points, in ambient coordinates.
-
-    The forms are (N, d, d) matrices extended by zero on the normal space, so
-    contracting them with projected gradients is safe; the vectors are (N, d).
-    ``shape_pairing`` is <H, A(., .)>, whose largest eigenvalue over the
-    background is ``kappa``; ``sff`` is the scalar second fundamental form,
-    A(X, Y) = sff(X, Y) * normal, and ``normal`` is None on planes.
-    """
-
-    tangent_projector: np.ndarray
-    sff: np.ndarray
-    ric: np.ndarray
-    shape_pairing: np.ndarray
-    normal: np.ndarray | None
-    x_tan: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,8 @@ class QuadratureRule:
     ``sum(weights * f(points))`` approximates the dmu integral of f; the
     weights absorb the Gaussian density, so the weight sum equals the total
     mass (exactly 1 on planes).  The rule keeps only its points and weights:
-    ``geometry(part)`` builds the geometry at the points a caller reads, so
-    a caller that walks the points in blocks holds one block of it at a time.
+    ``tangent_projector(part)`` builds the projector at the points a caller
+    reads.
     """
 
     background: Background
@@ -186,33 +185,15 @@ class QuadratureRule:
         if bg != self.background:
             raise ValueError("quadrature rule background does not match the field")
 
-    def geometry(self, part: slice = slice(None)) -> NodeGeometry:
-        """The geometry at ``points[part]``, built on each call and not kept; on planes it is broadcast views."""
-        return _node_geometry(self.background, self.points[part])
-
-
-def _node_geometry(bg: Background, pts: np.ndarray) -> NodeGeometry:
-    """The geometry at each row of ``pts``, points of ``bg`` at unit scale."""
-    count, d = pts.shape
-    n, r = bg.sphere_n, bg.radius
-    if not n:
-        zero = np.broadcast_to(np.zeros((d, d)), (count, d, d))
-        return NodeGeometry(np.broadcast_to(np.eye(d), (count, d, d)), zero, zero, zero, None, pts)
-    nu, x_tan = np.zeros((count, d)), np.zeros((count, d))
-    nu[:, : n + 1] = pts[:, : n + 1] / r
-    x_tan[:, n + 1 :] = pts[:, n + 1 :]
-    outer = nu[:, :, None] * nu[:, None, :]
-    proj = np.eye(d) - outer
-    if n == 1 and bg.flat_m:
-        # a circle factor: its projector tau tau^T, not the ulp-different D - nu nu^T; the product is flat
-        tau = np.zeros((count, d))
-        tau[:, 0], tau[:, 1] = -nu[:, 1], nu[:, 0]
-        round_proj, ric = tau[:, :, None] * tau[:, None, :], np.zeros((count, d, d))
-    else:
-        # D - nu nu^T, D the identity on the round factor's n + 1 coordinates; on a sphere it is the tangent projector
-        round_proj = proj if not bg.flat_m else np.diag((np.arange(d) <= n).astype(float)) - outer
-        ric = ((n - 1) / bg.radius_squared) * round_proj
-    return NodeGeometry(proj, -round_proj / r, ric, (n / bg.radius_squared) * round_proj, nu, x_tan)
+    def tangent_projector(self, part: slice = slice(None)) -> np.ndarray:
+        """The (N, d, d) tangent projector I - nu nu^T at ``points[part]``, built on each call; views on planes."""
+        pts, n = self.points[part], self.background.sphere_n
+        count, d = pts.shape
+        if not n:
+            return np.broadcast_to(np.eye(d), (count, d, d))
+        nu = np.zeros((count, d))
+        nu[:, : n + 1] = pts[:, : n + 1] / self.background.radius
+        return np.eye(d) - nu[:, :, None] * nu[:, None, :]
 
 
 def _gauss_gaussian_1d(resolution: int) -> tuple[np.ndarray, np.ndarray]:

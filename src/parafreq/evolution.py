@@ -50,8 +50,7 @@ from .modes import Mode, combine_on_rule, mode_sort_key
 
 _MAX_STEPS = 1 << 20  # Taylor steps one ModeMatrix block may take, counted before anything is built
 # entries of one block: (rule points x ambient dim) x (grid rows) in forcing_margins, modes x (grid rows) in the
-# trace, (rule points) x 2 ends x (ambient dim)^2 in the curvature-identity sides, (steps) x m^2 in a ModeMatrix
-# block's maps; a block bounds the temporaries
+# trace, (steps) x m^2 in a ModeMatrix block's maps; a block bounds the temporaries
 _BLOCK_ENTRIES = 1 << 15
 
 
@@ -387,7 +386,7 @@ def forcing_margins(traj: Trajectory, rule: QuadratureRule) -> np.ndarray:
     c = traj.forcing.rate.values_at(t)
     # a stack of matrix-vector products, the same BLAS call as W @ a on one field
     f_coeffs = c[:, None] * (coupling.as_array() @ _amplitudes_on(traj, coupling.modes)[:, :, None])[:, :, 0]
-    out, proj = np.empty(len(t)), rule.geometry().tangent_projector
+    out, proj = np.empty(len(t)), rule.tangent_projector()
     rows = max(1, _BLOCK_ENTRIES // rule.points.size)
     for lo in range(0, len(t), rows):
         part, cs = slice(lo, lo + rows), c[lo : lo + rows, None]

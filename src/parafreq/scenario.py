@@ -534,7 +534,13 @@ def load_report_json(path: str | Path) -> tuple[dict, tuple[VerificationReport, 
         raise ValueError(f"{path}: report format {found!r} is not {_REPORT_FORMAT!r}")
     if not isinstance(doc.get("reports"), list):
         raise ValueError(f"{path}: 'reports' is not a list")
-    return doc, tuple(report_from_dict(r) for r in doc["reports"])
+    reports = []
+    for i, entry in enumerate(doc["reports"]):
+        try:  # an entry that is not an object raises TypeError, one without a field KeyError
+            reports.append(report_from_dict(entry))
+        except (KeyError, TypeError) as err:
+            raise ValueError(f"{path}: reports[{i}] is not a report ({type(err).__name__}: {err})") from None
+    return doc, tuple(reports)
 
 
 _PLOT_TEMPLATE = '''#!/usr/bin/env python3

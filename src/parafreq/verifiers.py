@@ -42,14 +42,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Any, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from . import evolution
-from .backgrounds import Background, NodeGeometry, QuadratureRule, quadrature, total_mass
+from .backgrounds import Background, QuadratureRule, monomial_moments, quadrature, total_mass
 from .evolution import Rate, ScalarOnU, Trajectory, float_powers, forcing_margins
-from .frequency import FrequencyTrace, trace_from_trajectory
+from .frequency import FrequencyTrace, Sides, bochner_sides, trace_from_trajectory
 from .modes import combine_on_rule, first_nonzero_eigenvalue
 from .polynomials import AmbientPolynomial
 
@@ -169,7 +169,8 @@ class Run:
 
     ``kappa_value`` weights the frequency trace (the background's own value
     when None); ``resolution`` is that of the quadrature rule, which only
-    the pointwise checks and a ``ModeMatrix`` forcing certificate read.
+    ``selfsimilar_scaling``, ``quadrature_mass`` and a ``ModeMatrix``
+    forcing certificate read.
     """
 
     traj: Trajectory
@@ -190,7 +191,7 @@ class Run:
 
     @cached_property
     def sides(self) -> Sides:
-        return bochner_sides(self.traj, self.rule)
+        return bochner_sides(self.traj)
 
     @cached_property
     def certificate(self) -> Certificate:
@@ -346,13 +347,14 @@ def verify_harnack_printed(run: Run, *, tolerance: float = 1e-9) -> Verification
 # weighted monotonicity for ambient test functions
 
 
-def _graded_moments(poly: AmbientPolynomial, rule: QuadratureRule, density: Any = 1.0) -> dict[int, float]:
-    """``{k: rule.integrate(density * poly_k)}`` over the nonzero degree-k homogeneous parts ``poly_k`` of ``poly``."""
-    parts: dict[int, dict[tuple[int, ...], float]] = {}
-    for exps, c in poly.terms.items():
-        parts.setdefault(sum(exps), {})[exps] = c
-    pts = rule.points
-    return {k: rule.integrate(density * AmbientPolynomial(poly.dim, terms).eval(pts)) for k, terms in parts.items()}
+def _graded_integrals(bg: Background, parts: list[tuple[int, tuple[int, ...], float]]) -> dict[int, float]:
+    """``{k: sum of c * integral y^beta dmu}`` over the ``(k, beta, c)`` in ``parts``, each degree by ``math.fsum``."""
+    betas = np.array([beta for _, beta, _ in parts], dtype=np.int64).reshape(len(parts), bg.ambient_dim)
+    moments = monomial_moments(bg, betas)
+    sums: dict[int, list[float]] = {}
+    for (k, _, c), moment in zip(parts, moments.tolist()):
+        sums.setdefault(k, []).append(c * moment)
+    return {k: math.fsum(terms) for k, terms in sums.items()}
 
 
 def _graded_sum(moments: dict[int, float], scales: np.ndarray) -> np.ndarray:
@@ -411,106 +413,45 @@ def verify_weighted_monotonicity(
     margin at every node is ``-|residual|``.
 
     Both sides are polynomials in s = sqrt(-t): under x = s y the degree-k
-    part of f scales by s^k.  So each integral is taken once per degree on
-    the unit-scale rule, as the moments G_k = integral f_k dmu and
-    R_k = sum_ab integral P_ab (d_a d_b f)_k dmu.  With g = sum_k G_k s^k
-    and ds/dt = -1/(2s), the left side is exactly
+    part of f scales by s^k.  So each integral is taken once per degree at
+    unit scale, in closed form by ``monomial_moments``, as G_k = integral
+    f_k dmu and R_k = integral tr_P (Hess f)_k dmu, where on a round factor
+    of radius r tr_P H = sum_a H_aa - r^-2 sum_(a, b round) y_a y_b H_ab.
+    With g = sum_k G_k s^k and ds/dt = -1/(2s), the left side is exactly
     g' = -(1/2) sum_k k G_k s^(k-2), and the right side is -sum_k R_k s^k,
-    so the residual carries no discretization error and the grid spacing
-    does not matter.
+    so the residual carries no discretization error and neither the grid
+    spacing nor the quadrature resolution matters.
 
     ``functions`` maps names to test functions and defaults to
     ``standard_test_functions`` of the run's background.  One report covers
     them all, in name order, each as one column ``<name>:residual`` over
     every node.
     """
-    rule = run.rule
-    bg = rule.background
+    bg = run.traj.background
+    d, n = bg.ambient_dim, bg.sphere_n
     funcs = standard_test_functions(bg) if functions is None else functions
     names = sorted(funcs)
-    proj = rule.geometry().tangent_projector
+    round_axes = range(n + 1 if n else 0)
     scales = np.sqrt(-run.traj.grid.as_array())
     columns = []
     for name in names:
         f = funcs[name]
-        if f.dim != bg.ambient_dim:
-            raise ValueError(f"test function {name!r} has dim {f.dim}, background needs {bg.ambient_dim}")
-        g_moments = _graded_moments(f, rule)
-        r_moments: dict[int, float] = {}
+        if f.dim != d:
+            raise ValueError(f"test function {name!r} has dim {f.dim}, background needs {d}")
+        g_moments = _graded_integrals(bg, [(sum(e), e, c) for e, c in f.terms.items()])
         hess = f.hessian()
-        for a in range(bg.ambient_dim):
-            for b in range(bg.ambient_dim):
-                for k, moment in _graded_moments(hess[a][b], rule, proj[:, a, b]).items():
-                    r_moments[k] = r_moments.get(k, 0.0) + moment
+        parts = [(sum(e), e, c) for a in range(d) for e, c in hess[a][a].terms.items()] + [
+            (sum(e), tuple(ei + (i == a) + (i == b) for i, ei in enumerate(e)), -c / bg.radius_squared)
+            for a in round_axes for b in round_axes for e, c in hess[a][b].terms.items()
+        ]
         slope = -0.5 * _graded_sum({k - 2: k * moment for k, moment in g_moments.items() if k}, scales)
-        columns.append((f"{name}:residual", range(len(scales)), -np.abs(slope + _graded_sum(r_moments, scales))))
+        residual = slope + _graded_sum(_graded_integrals(bg, parts), scales)
+        columns.append((f"{name}:residual", range(len(scales)), -np.abs(residual)))
     return _report("weighted_monotonicity", columns, tolerance, (f"test functions: {', '.join(names)}",))
 
 
 # ---------------------------------------------------------------------------
 # integral curvature identity for the drift operator
-
-
-Sides = tuple[tuple[float, float, float, float], ...]  # what bochner_sides returns
-
-
-def _integrands(gbar: np.ndarray, hbar: np.ndarray, geometry: NodeGeometry, out: np.ndarray) -> None:
-    """Write one field's integrands at each point of a block into the rows of ``out``.
-
-    From the field's ambient gradients and Hessians at those points: |Hess u|^2 + Ric(grad u, grad u), (Lu)^2,
-    |grad u|^2 and the pairing <H, A(grad u, grad u)>.
-    """
-    proj = geometry.tangent_projector
-    grad = np.einsum("nij,nj->ni", proj, gbar)
-    # full-dimensional plane: no normal direction, sff vanishes anyway
-    nu_dot = np.zeros(len(gbar)) if geometry.normal is None else np.einsum("ni,ni->n", geometry.normal, gbar)
-    hess_m = np.einsum("nij,njk,nkl->nil", proj, hbar, proj) + geometry.sff * nu_dot[:, None, None]
-    lu = np.einsum("nii->n", hess_m) - 0.5 * np.einsum("ni,ni->n", geometry.x_tan, gbar)
-    out[0] = np.einsum("nij,nij->n", hess_m, hess_m) + np.einsum("nij,ni,nj->n", geometry.ric, grad, grad)
-    out[1] = lu * lu
-    out[2] = np.einsum("ni,ni->n", grad, grad)
-    out[3] = np.einsum("nij,ni,nj->n", geometry.shape_pairing, grad, grad)
-
-
-def _sides(time: float, rule: QuadratureRule, columns: np.ndarray) -> tuple[float, ...]:
-    """Both sides of the integral identity for one field at ``time``, from its ``_integrands`` over the whole rule."""
-    hess_ric, lu2, grad2, shape_q = (rule.integrate(column) for column in columns)
-    # every term carries the same (-t)^(-2) scaling from x = sqrt(-t) y
-    factor = 1.0 / time**2
-    return hess_ric * factor, (lu2 - 0.5 * grad2) * factor, shape_q * factor, grad2 * factor * (-time)
-
-
-def bochner_sides(traj: Trajectory, rule: QuadratureRule) -> Sides:
-    """Both sides of the integral identity at the first and the last node of the run, one tuple per end.
-
-    Each tuple is (lhs, rhs_verbatim, pairing, grad_energy) at that time: lhs
-    integrates |Hess u|^2 + Ric(grad u, grad u), rhs_verbatim is the right
-    side without the pairing term, pairing integrates <H, A(grad u, grad u)>
-    (the corrected right side is rhs_verbatim + pairing), and grad_energy is
-    integral |grad u|^2 dmu at the field's time scale.  The rule's points are
-    walked in blocks of at most ``evolution._BLOCK_ENTRIES // (2 d^2)``, so
-    no Hessian or geometry array outgrows one block: each block takes both
-    ends' gradients and Hessians from one ``combine_on_rule`` call per kind
-    and its geometry, and writes the four integrands of each end into
-    columns over the whole rule, which the weights then reduce.  Every
-    integrand is computed per point and every row is combined as it would
-    be alone, so neither the block size nor the other end changes a bit.
-    """
-    if not isinstance(traj, Trajectory):
-        raise TypeError(f"bochner_sides needs a Trajectory (both ends of a run), got {type(traj).__name__}")
-    rule.require_background(traj.background)
-    ends, (count, d) = traj.amplitudes[[0, -1]], rule.points.shape
-    columns = np.empty((2, 4, count))
-    size = max(1, evolution._BLOCK_ENTRIES // (2 * d * d))
-    for lo in range(0, count, size):
-        part = slice(lo, lo + size)
-        gbars = combine_on_rule(rule, traj.modes, ends, "gradients", part)
-        hbars = combine_on_rule(rule, traj.modes, ends, "hessians", part)
-        geometry = rule.geometry(part)
-        for gbar, hbar, out in zip(gbars, hbars, columns[:, :, part]):
-            _integrands(gbar, hbar, geometry, out)
-        del gbars, hbars, geometry  # so that the next block is not built beside this one
-    return tuple(_sides(t, rule, end) for t, end in zip((traj.grid.a, traj.grid.b), columns))
 
 
 def verify_drift_bochner(run: Run, *, tolerance: float = 1e-8) -> VerificationReport:

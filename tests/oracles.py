@@ -1,7 +1,10 @@
 """Independent per-point routes that the tests hold the package's array paths to.
 
 ``geometry_at`` builds the closed-form geometry at one point, the oracle for
-``QuadratureRule.geometry``; ``forcing_bound_margin`` certifies the forcing
+``QuadratureRule.tangent_projector``; ``bochner_sides_on_rule`` integrates the
+curvature identity's integrands, built per point on ``geometry_at``, over a
+rule, the oracle for the closed-form moment sums of
+``frequency.bochner_sides``; ``forcing_bound_margin`` certifies the forcing
 hypothesis for one field, the oracle for ``evolution.forcing_margins``;
 ``rate_at`` is a rate's value at one time, the oracle for ``values_at``;
 ``vector_rk4`` steps a forced run by step-doubled vector RK4, the oracle for
@@ -58,7 +61,8 @@ def _require_on_surface(actual: float, expected: float, what: str) -> None:
 def geometry_at(bg: Background, point: np.ndarray) -> GeometryData:
     """Closed-form geometry of the unit-scale background S^k x R^m at ``point``.
 
-    The per-point oracle for ``QuadratureRule.geometry``: the round factor
+    The per-point oracle for ``QuadratureRule.tangent_projector`` and the
+    curvature forms of ``frequency.bochner_sides``: the round factor
     takes the first k + 1 coordinates, and the axes the last m.
     """
     y = np.asarray(point, dtype=float)
@@ -101,6 +105,37 @@ def geometry_at(bg: Background, point: np.ndarray) -> GeometryData:
         normal=nu,
         sff=-q_round / r,
     )
+
+
+def bochner_sides_on_rule(field: CoefficientField, rule: QuadratureRule) -> tuple[float, float, float, float]:
+    """(lhs, rhs_verbatim, pairing, grad_energy) of one field, from its integrands at each node of ``rule``.
+
+    At each node, from ``geometry_at`` and the field's ambient gradient and Hessian there:
+    |Hess_M u|^2 + Ric(grad u, grad u), (Lu)^2, |grad u|^2 and <H, A(grad u, grad u)>, with
+    Hess_M u = P Hess u P + sff (nu . grad u) and Lu = tr Hess_M u - x_tan . grad u / 2.  The weights reduce each,
+    and every side carries the (-t)^(-2) of x = sqrt(-t) y.
+    """
+    rule.require_background(field.background)
+    geometry = [geometry_at(rule.background, p) for p in rule.points]
+    names = ("tangent_projector", "sff", "ric", "shape_pairing", "x_tan")
+    proj, sff, ric, shape, x_tan = (np.stack([getattr(g, name) for g in geometry]) for name in names)
+    gbar, hbar = (combine_on_rule(rule, field.modes, field.amplitudes, kind) for kind in ("gradients", "hessians"))
+    grad = np.einsum("nij,nj->ni", proj, gbar)
+    nu = np.zeros_like(gbar) if geometry[0].normal is None else np.stack([g.normal for g in geometry])
+    nu_dot = np.einsum("ni,ni->n", nu, gbar)
+    hess_m = np.einsum("nij,njk,nkl->nil", proj, hbar, proj) + sff * nu_dot[:, None, None]
+    lu = np.einsum("nii->n", hess_m) - 0.5 * np.einsum("ni,ni->n", x_tan, gbar)
+    hess_ric, lu2, grad2, shape_q = (
+        rule.integrate(column)
+        for column in (
+            np.einsum("nij,nij->n", hess_m, hess_m) + np.einsum("nij,ni,nj->n", ric, grad, grad),
+            lu * lu,
+            np.einsum("ni,ni->n", grad, grad),
+            np.einsum("nij,ni,nj->n", shape, grad, grad),
+        )
+    )
+    factor, t = 1.0 / field.time**2, field.time
+    return hess_ric * factor, (lu2 - 0.5 * grad2) * factor, shape_q * factor, grad2 * factor * (-t)
 
 
 def rate_at(rate: Rate, t: float) -> float:

@@ -330,28 +330,36 @@ def test_non_utf8_locale_writes_the_utf8_mode_files(tmp_path):
 
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS splits a dot product over more than about 10,000 entries across its threads, and each split rounds
-    # the sum its own way; a plane(3) rule at resolution 24 has 13,824 points
-    doc = dict(
+    # the sum its own way. A plane(3) rule at resolution 24 has 13,824 points, and the curvature identity of the 120
+    # plane(3) modes with mu <= 3.5 takes its largest moment sum, the square of Lu, over 14,400 exponent pairs.
+    weighted = dict(
         PASSING,
         scenario_id="weighted-plane3",
         background={"kind": "plane", "n": 3},
         initial_modes={"1,0,0": 0.7, "0,1,1": -0.4},
         resolution=24,
-        checks=["weighted_monotonicity"],
+        checks=["weighted_monotonicity", "quadrature_mass"],
     )
-    cfg = _write(tmp_path, "weighted.json", doc)
+    bochner = {
+        "scenario_id": "bochner-plane3",
+        "background": {"kind": "plane", "n": 3},
+        "random_mixture": {"seed": 3, "mu_cutoff": 3.5, "low": 0.5, "high": 1.0},
+        "time": {"a": -1.0, "b": -0.5, "nodes": 5},
+        "checks": ["drift_bochner"],
+    }
+    configs = [_write(tmp_path, f"{doc['scenario_id']}.json", doc) for doc in (weighted, bochner)]
     reports = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         out = tmp_path / f"out-{threads}"
         proc = subprocess.run(
-            [sys.executable, "-m", "parafreq.cli", "run", str(cfg), "--out", str(out), "--quiet"],
+            [sys.executable, "-m", "parafreq.cli", "run", *map(str, configs), "--out", str(out), "--quiet"],
             capture_output=True,
             text=True,
             env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        reports.append((out / "weighted-plane3.report.json").read_bytes())
+        reports.append([(out / f"{name}.report.json").read_bytes() for name in ("weighted-plane3", "bochner-plane3")])
     assert reports[0] == reports[1]
 
 

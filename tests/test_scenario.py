@@ -581,6 +581,23 @@ def test_load_report_json_refuses_reports_that_are_not_a_list(tmp_path):
         load_report_json(path)
 
 
+def test_load_report_json_refuses_an_entry_that_is_not_an_object(tmp_path):
+    path = tmp_path / "entry.report.json"
+    path.write_text(json.dumps({"format": "parafreq-report/3", "reports": [5]}))
+    with pytest.raises(ValueError, match=r"entry.report.json: reports\[0\] is not a report \(TypeError: "):
+        load_report_json(path)
+
+
+def test_load_report_json_refuses_an_entry_without_columns(tmp_path):
+    path = tmp_path / "base.report.json"
+    emit_report_json(run_scenario(parse_config(_doc(checks=["harnack", "harnack_printed"]))), path)
+    doc = json.loads(path.read_text())
+    del doc["reports"][1]["columns"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"base.report.json: reports\[1\] is not a report \(KeyError: 'columns'\)"):
+        load_report_json(path)
+
+
 def test_undecodable_config_is_a_document_error_naming_the_path(tmp_path):
     cfg = tmp_path / "latin1.json"
     cfg.write_bytes(json.dumps(_doc(scenario_id="caf\u00e9"), ensure_ascii=False).encode("latin-1"))
@@ -633,19 +650,19 @@ SUITE_COLUMN_DIGESTS = {
     "eigenvalue-window-plane": "f5cb70a9dfc0c47347080927cf36f15730f9298b451b35d6b12e54ad28fd8992",
     "eigenvalue-window-sphere": "932a85fb3f5b6bf5773aebd38e8ac58cf300281c08ad88397ebf131044944959",
     "matrix-forced-bounds": "ed901d15c49e96a2f9d681af77787186d84cb1d6390b29431db271386313f17c",
-    "plane-bochner": "889042c3047878eecc3e9ff722c95493aad2a16e7989b5b0b2c140a5d5a60532",
+    "plane-bochner": "70737d4295015054935fc1e79aed670fca8e644f70ddc821dbe9db90de964df1",
     "plane-caloric-cubic": "b31edac52eeb7fd2c7623d4ab25442e434b622dd58bac786cb63142fc81994ac",
     "plane-mixture": "56cb96b5126e54195c56e42d9ee654d3cc5e199864b6057edce63947a1011c1f",
-    "plane-weighted-identity": "dbb18ca1ca831fd1a79198883393d67afba4bd0e1dce12ecc1ab80e25ad03333",
+    "plane-weighted-identity": "a76ea06c41776ef0d1505d4ae2cf8e947950db19bff7f91e3f114eded154b085",
     "plane-zero-data": "9170ebfa7fd08cedeebc8483e5033f10c51317b46c79d042694bc84c69068e61",
     "plane2-caloric": "1c0713a7625e9d5b3cf64659350b484efe2e9c739c606c845fc1a76304f75711",
     "scalar-forced-bounds": "284e9440dd4b46a35ade1d992ab68385f24933a0eb96f4248de5ecdafab25f35",
     "scalar-forced-zero": "f994d05aa95e50ea851e18ed5b328389b527a7e9503d4b0f0d04eaf18d527ed3",
-    "sphere-bochner": "6c21002c0e89c79312f12be9824a304505213895a65cb9ee46d6147cd04badef",
+    "sphere-bochner": "00efe8517436b19c88fba60c5daec0644d95b7874be5be5f875cdcf62642ece1",
     "sphere-golden-fundamental": "e50eab447c1c7ab63cdfb3756c6e44082afb9cafae87d9810e389cd2ef9a64e4",
     "sphere-high-dim-spectrum": "ddfa1a1824e7d53c9ef666ccb8b492a6150033663be5917656359c7e75d9fd33",
     "sphere-mixture": "6e8cb9c739acd4bbe1b0476e8f67a028623f5254c707d65e66a069021e594e37",
-    "sphere-weighted-identity": "ff00bd66005946a653215a6010d067f1e3c345b64ee77c24f1636336b7a64489",
+    "sphere-weighted-identity": "3efd5c4d30666f99d9b4ac5425fc29c8cdd987ae0e45ceaafc850aa64475ebdc",
 }
 
 
