@@ -155,8 +155,7 @@ class QuadratureRule:
     ``sum(weights * f(points))`` approximates the dmu integral of f; the
     weights absorb the Gaussian density, so the weight sum equals the total
     mass (exactly 1 on planes).  The rule keeps only its points and weights:
-    ``tangent_projector(part)`` builds the projector at the points a caller
-    reads.
+    ``tangent_projector()`` builds the projector at its points on each call.
     """
 
     background: Background
@@ -185,9 +184,9 @@ class QuadratureRule:
         if bg != self.background:
             raise ValueError("quadrature rule background does not match the field")
 
-    def tangent_projector(self, part: slice = slice(None)) -> np.ndarray:
-        """The (N, d, d) tangent projector I - nu nu^T at ``points[part]``, built on each call; views on planes."""
-        pts, n = self.points[part], self.background.sphere_n
+    def tangent_projector(self) -> np.ndarray:
+        """The (N, d, d) tangent projector I - nu nu^T at the points, built on each call; views on planes."""
+        pts, n = self.points, self.background.sphere_n
         count, d = pts.shape
         if not n:
             return np.broadcast_to(np.eye(d), (count, d, d))

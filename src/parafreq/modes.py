@@ -265,9 +265,9 @@ def _column(bg: Background, mode: Mode, rank: int, pts: np.ndarray) -> np.ndarra
 
 
 def combine_on_rule(
-    rule: QuadratureRule, modes: Sequence[Mode], amplitudes: np.ndarray, kind: str = "values", part: slice = slice(None)
+    rule: QuadratureRule, modes: Sequence[Mode], amplitudes: np.ndarray, kind: str = "values"
 ) -> np.ndarray:
-    """sum_j a_j * column_j at the rule's nodes ``points[part]``, in ``mode_sort_key`` order, skipping zero amplitudes.
+    """sum_j a_j * column_j at the rule's nodes, in ``mode_sort_key`` order, skipping zero amplitudes.
 
     ``amplitudes`` is aligned with ``modes`` on its last axis: one row of a
     trajectory gives one combination, a (rows, modes) block one per row, with
@@ -275,12 +275,10 @@ def combine_on_rule(
     values (N,), ambient gradients (N, d) or ambient Hessians (N, d, d);
     project gradients to get surface gradients.  Each mode's column is
     evaluated, added and freed, so a caller that needs one kind at several
-    times passes them as one block.  Every node is combined on its own, so a
-    caller bounds its arrays by taking a block of nodes at a time through
-    ``part`` and gets the bytes of the whole rule.
+    times passes them as one block.
     """
     rank = _RANKS[kind]
-    pts, amps = rule.points[part], np.asarray(amplitudes, dtype=float)
+    pts, amps = rule.points, np.asarray(amplitudes, dtype=float)
     if amps.shape[-1:] != (len(modes),):
         raise ValueError(f"need one amplitude per mode ({len(modes)}) on the last axis, got shape {amps.shape}")
     lead = amps.shape[:-1]

@@ -22,14 +22,13 @@ eigenvalue) or cannot decide (a ``general_harnack`` quadrature that does not
 converge); it is never a euphemism for failure.
 
 ``verify_weighted_monotonicity`` differentiates its weighted integrals
-exactly, as polynomials in sqrt(-t).  The other differential statements are
-checked by centered differences at interior grid nodes.  On a uniform grid
-the discretization error of a centered slope is h^2/6 times the third
-derivative.  Only ``verify_general_bounds`` estimates it, from third
-differences of the same data, and folds it into its tolerance;
-``verify_frequency_monotonicity`` applies its tolerance as given.  Raw
-margins are always reported unmodified so callers can apply stricter
-budgets.
+exactly, as polynomials in sqrt(-t), and ``verify_frequency_monotonicity``
+reads the increments of U, which are the statement itself on a grid.  Only
+``verify_general_bounds`` takes centered differences, at interior grid
+nodes; on a uniform grid their discretization error is h^2/6 times the
+third derivative, which it estimates from third differences of the same
+data and folds into its tolerance.  Raw margins are always reported
+unmodified so callers can apply stricter budgets.
 
 Two statements are checked in dual variants on purpose (see the module-level
 notes in ``verify_harnack_printed`` and ``verify_drift_bochner_verbatim``):
@@ -46,11 +45,10 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from . import evolution
 from .backgrounds import Background, QuadratureRule, monomial_moments, quadrature, total_mass
 from .evolution import Rate, ScalarOnU, Trajectory, float_powers, forcing_margins
 from .frequency import FrequencyTrace, Sides, bochner_sides, trace_from_trajectory
-from .modes import combine_on_rule, first_nonzero_eigenvalue
+from .modes import first_nonzero_eigenvalue
 from .polynomials import AmbientPolynomial
 
 PASS = "pass"
@@ -169,8 +167,7 @@ class Run:
 
     ``kappa_value`` weights the frequency trace (the background's own value
     when None); ``resolution`` is that of the quadrature rule, which only
-    ``selfsimilar_scaling``, ``quadrature_mass`` and a ``ModeMatrix``
-    forcing certificate read.
+    ``quadrature_mass`` and a ``ModeMatrix`` forcing certificate read.
     """
 
     traj: Trajectory
@@ -210,22 +207,21 @@ def _centered_slopes(values: np.ndarray, t: np.ndarray) -> np.ndarray:
 def verify_frequency_monotonicity(run: Run, *, tolerance: float | None = None) -> VerificationReport:
     """Check that the weighted frequency is nondecreasing along the run.
 
-    Margins come in two columns: consecutive-node increments
-    ``U(t_{i+1}) - U(t_i)`` and centered difference quotients at interior
-    nodes (the differential form of the statement, compared against zero).
-    The statement is about pure heat runs, with the trace's kappa at least
-    the background's own value.  ``tolerance`` defaults to
+    On a grid the statement is exactly that every increment
+    ``U(t_{i+1}) - U(t_i)`` is nonnegative, so the margins are those
+    increments, one ``increment`` column over nodes 1..n-1.  A slope by
+    differences would be a positive combination of them, adding no
+    information and dividing their rounding by the node spacing.  The
+    statement is about pure heat runs, with the trace's kappa at least the
+    background's own value.  ``tolerance`` defaults to
     ``1e-9 * max(1, sup |U|)``.
     """
     trace = run.trace
     if _is_zero_run(trace):
         return _inapplicable("frequency_monotonicity", _NO_FREQUENCY)
-    t, u = trace.t, trace.U
-    scale = max(1.0, float(np.max(np.abs(u))))
-    tol = tolerance if tolerance is not None else 1e-9 * scale
-    n = len(t)
-    columns = [("increment", range(1, n), np.diff(u)), ("centered-slope", range(1, n - 1), _centered_slopes(u, t))]
-    return _report("frequency_monotonicity", columns, tol)
+    u = trace.U
+    tol = tolerance if tolerance is not None else 1e-9 * max(1.0, float(np.max(np.abs(u))))
+    return _report("frequency_monotonicity", [("increment", range(1, len(u)), np.diff(u))], tol)
 
 
 def verify_equality_case(run: Run, *, tolerance: float = 1e-9) -> VerificationReport:
@@ -711,21 +707,22 @@ def verify_eigenvalue_monotonicity(run: Run, *, tolerance: float = 1e-12) -> Ver
 
 
 def verify_selfsimilar_scaling(run: Run, *, tolerance: float | None = None) -> VerificationReport:
-    """Check the pointwise self-similar form of constant-frequency runs.
+    """Check the self-similar form of constant-frequency runs, in the weighted L^2 norm.
 
     A run whose active modes share one eigenvalue mu satisfies
 
-        u(x, t) = ((-t)/(-t_ref))^mu * u(x / sqrt(-t) * sqrt(-t_ref), t_ref)
+        u(x, t) = ((-t)/(-t_ref))^mu * u(x / sqrt(-t) * sqrt(-t_ref), t_ref).
 
-    pointwise; in self-similar coordinates both sides live on the same fixed
-    quadrature nodes, so the check is a sup-norm residual per node.  The
-    reference slice is t = -1 when the grid contains it, else the left
-    endpoint.  Trajectories mixing eigenvalues are inapplicable (their
-    frequency is not constant and no such form exists).  The rule's points
-    are walked in blocks of at most ``evolution._BLOCK_ENTRIES // nodes``, so
-    no (nodes x points) array outgrows one block and each mode is evaluated
-    once per point; every point is combined on its own, so the blocks change
-    no bit.
+    In self-similar coordinates both sides are sums over the same modes,
+    which are orthonormal in the time-invariant unit-scale measure, so the
+    residual u(t) - f u(t_ref), f = ((-t)/(-t_ref))^mu, has the exact
+    weighted L^2 norm sqrt(sum_j (a_j(t) - f a_j(t_ref))^2) of its
+    amplitudes, with no rule.  The margin per node is minus that norm, the
+    sum numpy's pairwise one, and ``tolerance`` defaults to
+    ``1e-10 * max(1, sqrt(I(t_ref)))``.  The reference slice is t = -1 when
+    the grid contains it, else the left endpoint.  Trajectories mixing
+    eigenvalues are inapplicable (their frequency is not constant and no
+    such form exists).
     """
     traj = run.traj
     first = traj.amplitudes[0]
@@ -742,18 +739,11 @@ def verify_selfsimilar_scaling(run: Run, *, tolerance: float | None = None) -> V
     at_minus_one = np.flatnonzero(np.abs(t + 1.0) < 1e-12)
     ref_idx = int(at_minus_one[0]) if len(at_minus_one) else 0
     t_ref = float(t[ref_idx])
-    rule, factors = run.rule, float_powers([(-ti) / (-t_ref) for ti in t.tolist()], [mu])
-    residuals, ref_max = np.zeros(len(t)), 0.0
-    size = max(1, evolution._BLOCK_ENTRIES // len(t))
-    for lo in range(0, len(rule.points), size):
-        values = combine_on_rule(rule, traj.modes, traj.amplitudes, part=slice(lo, lo + size))  # (nodes, points)
-        v_ref = values[ref_idx].copy()
-        ref_max = max(ref_max, float(np.max(np.abs(v_ref))))
-        values -= factors * v_ref
-        np.maximum(residuals, np.abs(values, out=values).max(axis=1), out=residuals)
-    tol = tolerance if tolerance is not None else 1e-10 * max(1.0, ref_max)
+    factors = float_powers([(-ti) / (-t_ref) for ti in t.tolist()], [mu])
+    residuals = np.sqrt(np.add.reduce((traj.amplitudes - factors * traj.amplitudes[ref_idx]) ** 2, axis=1))
+    tol = tolerance if tolerance is not None else 1e-10 * max(1.0, math.sqrt(run.trace.I[ref_idx]))
     notes = (f"single active eigenvalue mu={mu:.17g}; reference slice t={t_ref:.17g}",)
-    return _report("selfsimilar_scaling", [("sup-residual", range(len(t)), -residuals)], tol, notes=notes)
+    return _report("selfsimilar_scaling", [("weighted-l2-residual", range(len(t)), -residuals)], tol, notes=notes)
 
 
 def verify_quadrature_mass(run: Run, *, tolerance: float = 1e-12) -> VerificationReport:

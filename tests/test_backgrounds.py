@@ -296,9 +296,9 @@ def test_cylinder_geometry_splits():
 @pytest.mark.parametrize("bg", sorted(ALL_BACKGROUNDS, key=lambda b: b.label()) + HIGHER, ids=lambda b: b.label())
 def test_rule_geometry_arrays_equal_the_per_point_oracle(bg):
     rule = quadrature(bg, 6)
-    oracle = [geometry_at(bg, p).tangent_projector for p in rule.points]
+    whole, oracle = rule.tangent_projector(), [geometry_at(bg, p).tangent_projector for p in rule.points]
     for part in (slice(None), slice(5, 17)):
-        array, expected = rule.tangent_projector(part), np.stack(oracle[part])
+        array, expected = whole[part], np.stack(oracle[part])
         assert array.shape == expected.shape and array.dtype == expected.dtype, part
         # byte for byte, so even the sign of a zero must agree
         assert np.ascontiguousarray(array).tobytes() == expected.tobytes(), part
@@ -349,7 +349,8 @@ def test_capability_declaration_gates_every_consumer(bg):
         "initial_modes": {",".join(map(str, mode.index)): 1.0},
         "time": {"a": -1.0, "b": -0.5, "nodes": 5},
     }
-    # spectral checks, every rule reader, and either forcing: the one a mode-matrix needs is certified on the rule
+    # spectral checks, every check that integrates over the surface, and either forcing: a mode-matrix one is
+    # certified on the rule
     parse_config(dict(base, checks=["frequency_monotonicity", "harnack", "eigenvalue_monotonicity"]))
     rule_checks = ("weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass", "drift_bochner", "drift_bochner_verbatim")
     assert parse_config(dict(base, checks=list(rule_checks))).checks == rule_checks

@@ -189,6 +189,8 @@ def test_pointwise_checks_run_in_any_dimension():
 # S^3, S^4, S^2 x R and S^1 x R^2, each with a degree-2 round mode, the resolution exact for its integrands
 HIGHER = [{"kind": "sphere", "n": 3}, {"kind": "sphere", "n": 4}, {"kind": "cylinder", "k": 2, "m": 1},
           {"kind": "cylinder", "k": 1, "m": 2}]
+# the checks that integrate over the surface: quadrature_mass on the rule, selfsimilar_scaling by amplitudes, the other
+# three by closed-form moments
 _RULE_CHECKS = ["weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass", "drift_bochner",
                 "drift_bochner_verbatim"]
 
@@ -610,13 +612,13 @@ def test_non_finite_report_margin_raises_naming_node_and_label():
     increment = {"label": "increment", "runs": [[1, 3]], "margin": [0.0, 0.0]}
     doc = {
         "check_name": "harnack",
-        "columns": [increment, {"label": "centered-slope", "runs": [[1, 2]], "margin": [0.0]}],
+        "columns": [increment, {"label": "other", "runs": [[1, 2]], "margin": [0.0]}],
         "tolerance": 0.0, "min_margin": 0.0, "status": "pass", "notes": [],
     }
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=r"at node 2 \(increment\)"):
             VerificationReport(
-                "frequency_monotonicity", [("increment", [1, 2], [0.0, bad]), ("centered-slope", [1], [0.0])],
+                "frequency_monotonicity", [("increment", [1, 2], [0.0, bad]), ("other", [1], [0.0])],
                 0.0, 0.0, "pass",
             )
         with pytest.raises(ValueError, match=r"non-finite margin .* at node 2 \(increment\)"):
@@ -643,25 +645,27 @@ def test_report_file_keeps_the_fields_the_benchmark_verdicts_read(tmp_path):
 
 # per packaged scenario, the sha256 of its reports' columns: each check name, then per column its label, node
 # indices and the float.hex of each margin.  Taken from the parafreq-report/2 files regrouped per label, with
-# quadrature_mass moved from t = -1 to node 0 and each equality_case node kept once.
+# quadrature_mass moved from t = -1 to node 0 and each equality_case node kept once; the twelve scenarios that run
+# frequency_monotonicity or selfsimilar_scaling were retaken when the first kept only its increments and the second
+# became the weighted L^2 residual of the amplitudes.
 SUITE_COLUMN_DIGESTS = {
-    "cylinder-mixture": "6e864a9ae50ec214fb1355ae7f851210a908b7160edd8035e9f74298e5b905f8",
-    "eigenvalue-window-cylinder": "932a85fb3f5b6bf5773aebd38e8ac58cf300281c08ad88397ebf131044944959",
-    "eigenvalue-window-plane": "f5cb70a9dfc0c47347080927cf36f15730f9298b451b35d6b12e54ad28fd8992",
-    "eigenvalue-window-sphere": "932a85fb3f5b6bf5773aebd38e8ac58cf300281c08ad88397ebf131044944959",
+    "cylinder-mixture": "12bb9c3ab426e5ab20bff99a73a30b3edf51a459f57e158865926e56ccee8653",
+    "eigenvalue-window-cylinder": "23602b2a239e37f4de50596bbc4d9f52430b4b5d899202516984ed3005d76113",
+    "eigenvalue-window-plane": "273620e756b347969e7702c2312d5ec2c0aa6b98d7af51990a4d4ffe9ebdd563",
+    "eigenvalue-window-sphere": "23602b2a239e37f4de50596bbc4d9f52430b4b5d899202516984ed3005d76113",
     "matrix-forced-bounds": "ed901d15c49e96a2f9d681af77787186d84cb1d6390b29431db271386313f17c",
     "plane-bochner": "70737d4295015054935fc1e79aed670fca8e644f70ddc821dbe9db90de964df1",
-    "plane-caloric-cubic": "b31edac52eeb7fd2c7623d4ab25442e434b622dd58bac786cb63142fc81994ac",
-    "plane-mixture": "56cb96b5126e54195c56e42d9ee654d3cc5e199864b6057edce63947a1011c1f",
+    "plane-caloric-cubic": "6476f5c9355cd3a9d4c6c0d65b938992fdb3b1ca4215a2c2aea2a90c615e34b4",
+    "plane-mixture": "5a6a616d38716b438905dedc5a0d6f62ed61f86184a3995182db5f30c7b232da",
     "plane-weighted-identity": "a76ea06c41776ef0d1505d4ae2cf8e947950db19bff7f91e3f114eded154b085",
     "plane-zero-data": "9170ebfa7fd08cedeebc8483e5033f10c51317b46c79d042694bc84c69068e61",
-    "plane2-caloric": "1c0713a7625e9d5b3cf64659350b484efe2e9c739c606c845fc1a76304f75711",
-    "scalar-forced-bounds": "284e9440dd4b46a35ade1d992ab68385f24933a0eb96f4248de5ecdafab25f35",
-    "scalar-forced-zero": "f994d05aa95e50ea851e18ed5b328389b527a7e9503d4b0f0d04eaf18d527ed3",
+    "plane2-caloric": "4f031769bddf14f49bb7ab2f41cc26fded458369649818e055e4c06286d5e49b",
+    "scalar-forced-bounds": "e10918cd837b5b8e248dddc8f81e195b380e08176357d5932d464a25748832a8",
+    "scalar-forced-zero": "60027a2537719016e8bce08fa19520b8414f3e8baf672417547dfe3db72e94ec",
     "sphere-bochner": "00efe8517436b19c88fba60c5daec0644d95b7874be5be5f875cdcf62642ece1",
-    "sphere-golden-fundamental": "e50eab447c1c7ab63cdfb3756c6e44082afb9cafae87d9810e389cd2ef9a64e4",
-    "sphere-high-dim-spectrum": "ddfa1a1824e7d53c9ef666ccb8b492a6150033663be5917656359c7e75d9fd33",
-    "sphere-mixture": "6e8cb9c739acd4bbe1b0476e8f67a028623f5254c707d65e66a069021e594e37",
+    "sphere-golden-fundamental": "e77f860b658970cad11bc7b7b4f2c0f1ee05496f3b88bbc3145ff1be6b4a575c",
+    "sphere-high-dim-spectrum": "609204969c54665764d752c9bd3d86fffe37d5812861ec216a3c808e6e2045f2",
+    "sphere-mixture": "1e6e8612a242da1085226d015c122386ff28c23c1b34b8ad8d4fdf169265db5a",
     "sphere-weighted-identity": "3efd5c4d30666f99d9b4ac5425fc29c8cdd987ae0e45ceaafc850aa64475ebdc",
 }
 

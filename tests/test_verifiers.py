@@ -101,11 +101,26 @@ def test_frequency_monotonicity_fails_on_the_backward_law():
     traj = Trajectory(grid, bg, modes, np.column_stack([(-t) ** -0.5, (-t) ** -1.5]))
     rep = _checked(verify_frequency_monotonicity, traj)
     assert rep.status == "fail"
-    # the worst margin is the centered slope at the node nearest t*; it misses U'(t*) by at most
-    # h^2/6 |U'''| (centered difference) + h^2/8 |U'''| (t* lies within h/2 of a node),
-    # and |U'''| = 48 |t| (1 - t^2) / (1 + t^2)^4 <= 48 on [-1, 0]
-    h = (grid.b - grid.a) / (len(grid.nodes) - 1)
-    assert rep.min_margin == pytest.approx(-3.0 * math.sqrt(3.0) / 4.0, abs=(1 / 6 + 1 / 8) * 48.0 * h**2)
+    # the worst margin is the worst increment of the closed form
+    closed = -1.0 - 2.0 / (1.0 + t**2)
+    assert [c.label for c in rep.columns] == ["increment"]
+    assert rep.min_margin == pytest.approx(float(np.min(np.diff(closed))), abs=1e-12)
+
+
+def test_frequency_monotonicity_passes_a_constant_frequency_on_a_very_fine_grid():
+    # plane(1), mode "2": U is constant, so its increments are rounding alone; on 2,001 nodes 5e-9 apart a slope by
+    # differences divided that rounding by 2h and failed at -6.66e-8 against the 2e-9 tolerance
+    for b in (-0.5, -0.99999):
+        config = parse_config({
+            "scenario_id": "fine-grid",
+            "background": {"kind": "plane", "n": 1},
+            "initial_modes": {"2": 1.0},
+            "time": {"a": -1.0, "b": b, "nodes": 2001},
+            "checks": ["frequency_monotonicity"],
+        })
+        (rep,) = scenario.run_scenario(config).reports
+        assert rep.status == "pass", b
+        assert rep.tolerance == pytest.approx(2e-9) and abs(rep.min_margin) < 1e-14, (b, rep.min_margin)
 
 
 def test_harnack_sphere_golden_margin():
@@ -545,13 +560,32 @@ def test_selfsimilar_scaling_pure_vs_mixture():
     assert any("distinct eigenvalues" in n or "multiple" in n for n in mixed.notes)
 
 
-def test_selfsimilar_scaling_is_the_same_bytes_in_any_point_block(monkeypatch):
-    # one point per block, and blocks of 7 points with the last cut short, against the whole rule in one block
-    traj = _traj(Sphere(2), {(2, 1): 1.5, (2, 3): -0.4}, nodes=8)
-    whole = verify_selfsimilar_scaling(Run(traj, resolution=8))
-    for points in (1, 7):
-        monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", points * len(traj.grid.nodes))
-        _assert_same_report(verify_selfsimilar_scaling(Run(traj, resolution=8)), whole)
+@pytest.mark.parametrize(
+    "bg, indices",
+    [(Plane(2), [(2, 0), (1, 1), (0, 2)]), (Sphere(2), [(2, 1), (2, 3)]),
+     (Cylinder(1, 1), [(1, 0, 0), (1, 1, 0), (0, 0, 1)])],
+    ids=["plane2", "sphere2", "cylinder11"],
+)
+def test_selfsimilar_scaling_fails_on_amplitudes_off_their_power(bg, indices):
+    # one eigenvalue mu, amplitudes scaled as r^(mu + delta) with r = (-t)/(-t_ref): the residual at node i is
+    # a_ref (r_i^(mu + delta) - r_i^mu), whose weighted L^2 norm is |a_ref| |r_i^(mu + delta) - r_i^mu|
+    modes = tuple(mode_from_index(bg, idx) for idx in indices)
+    (mu,) = {m.mu for m in modes}
+    delta, a_ref = 0.25, np.array([1.5, -0.4, 0.7][: len(modes)])
+    grid = TimeGrid.uniform(-1.0, -0.5, 11)
+    r = -grid.as_array()  # t_ref = -1
+    traj = Trajectory(grid, bg, modes, np.outer(r ** (mu + delta), a_ref))
+    rep = verify_selfsimilar_scaling(Run(traj))
+    assert rep.status == "fail"
+    assert [c.label for c in rep.columns] == ["weighted-l2-residual"]
+    predicted = -np.linalg.norm(a_ref) * np.max(np.abs(r ** (mu + delta) - r**mu))
+    assert rep.min_margin == pytest.approx(predicted, rel=1e-12)
+    # the point route: the residual field squared, of degree at most 4, on a rule exact to degree 15
+    rule = quadrature(bg, 8)
+    values = combine_on_rule(rule, modes, traj.amplitudes)  # (nodes, points)
+    factors = r**mu
+    on_rule = [math.sqrt(rule.integrate((values[i] - factors[i] * values[0]) ** 2)) for i in range(len(r))]
+    np.testing.assert_allclose(-rep.columns[0].margin, on_rule, rtol=1e-12, atol=0.0)
 
 
 def test_quadrature_mass_check_all_backgrounds():
@@ -749,8 +783,8 @@ def test_shared_trace_gives_the_reports_of_a_trace_built_per_check(initial_modes
         assert "inapplicable" not in statuses
 
 
-# the checks that integrate over the surface: the two that read the run's quadrature rule, and the three that take
-# closed-form moments
+# the checks that integrate over the surface: quadrature_mass reads the run's quadrature rule, selfsimilar_scaling
+# sums the squares of amplitudes (the modes are orthonormal), and the other three take closed-form moments
 _RULE_CHECKS = (
     "weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass", "drift_bochner", "drift_bochner_verbatim"
 )
@@ -816,6 +850,7 @@ def test_run_scenario_builds_one_rule_and_only_when_a_check_reads_it(monkeypatch
     spectral = ("frequency_monotonicity", "harnack", "eigenvalue_monotonicity", "general_bounds", "general_harnack")
     for config, builds in (
         (_rule_config(("selfsimilar_scaling", "quadrature_mass")), 1),
+        (_rule_config(("selfsimilar_scaling",)), 0),
         (_rule_config(_MOMENT_CHECKS), 0),
         (_rule_config(_RULE_CHECKS + spectral), 1),
         (_shared_trace_config({"3": 1.0}), 1),  # general_bounds certifies a mode-matrix forcing on the rule
@@ -925,29 +960,35 @@ def test_rule_and_curvature_sides_hold_one_block_of_points():
     assert peak < 0.25 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
-@pytest.mark.parametrize("bg_doc", [{"kind": "sphere", "n": 4}, {"kind": "cylinder", "k": 2, "m": 2}],
-                         ids=["sphere4", "cylinder22"])
-def test_moment_checks_build_no_rule_and_ignore_the_resolution(monkeypatch, bg_doc):
-    # the weighted law and the curvature identity integrate polynomials in closed form, so no rule is built and the
-    # resolution changes no byte of their reports
+@pytest.mark.parametrize(
+    "bg_doc, single",
+    [({"kind": "sphere", "n": 4}, {"1,0": 1.0, "1,3": -0.6}),
+     ({"kind": "cylinder", "k": 2, "m": 2}, {"1,1,0,0": 0.8, "0,0,1,0": -0.5})],
+    ids=["sphere4", "cylinder22"],
+)
+def test_moment_checks_build_no_rule_and_ignore_the_resolution(monkeypatch, bg_doc, single):
+    # the weighted law and the curvature identity integrate polynomials in closed form, and selfsimilar_scaling
+    # compares amplitudes (``single`` has one eigenvalue, 1/2), so no rule is built and the resolution changes no
+    # byte of their reports
     def refuse(rule):
         raise AssertionError(f"a quadrature rule was built on {rule.background.label()}")
 
     monkeypatch.setattr(backgrounds.QuadratureRule, "__post_init__", refuse)
     reports = []
     for resolution in (8, 24):
-        config = parse_config({
+        base = {"background": bg_doc, "time": {"a": -1.0, "b": -0.5, "nodes": 9}, "resolution": resolution}
+        moments = parse_config({
+            **base,
             "scenario_id": "moments",
-            "background": bg_doc,
             "random_mixture": {"seed": 4, "mu_cutoff": 1.5, "low": 0.5, "high": 1.0},
-            "time": {"a": -1.0, "b": -0.5, "nodes": 9},
-            "resolution": resolution,
             "checks": list(_MOMENT_CHECKS),
             "report_only": ["drift_bochner_verbatim"],
         })
-        out = scenario.run_scenario(config)
-        assert [r.status for r in out.reports] == ["pass", "pass", "fail"]
-        reports.append([json.dumps(r.to_dict(), default=np.ndarray.tolist) for r in out.reports])
+        scaling = parse_config({**base, "scenario_id": "scaling", "initial_modes": single,
+                                "checks": ["selfsimilar_scaling"]})
+        out = scenario.run_scenario(moments).reports + scenario.run_scenario(scaling).reports
+        assert [r.status for r in out] == ["pass", "pass", "fail", "pass"]
+        reports.append([json.dumps(r.to_dict(), default=np.ndarray.tolist) for r in out])
     assert reports[0] == reports[1]
 
 
