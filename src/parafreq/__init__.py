@@ -13,10 +13,8 @@ from .backgrounds import (
     Background,
     Cylinder,
     Plane,
-    QuadratureRule,
     Sphere,
     kappa,
-    quadrature,
     total_mass,
     unit_sphere_area,
 )
@@ -29,22 +27,10 @@ from .evolution import (
     ScalarOnU,
     TimeGrid,
     Trajectory,
-    evolve_exact,
     evolve_exact_trajectory,
     evolve_forced,
 )
-from .frequency import (
-    FrequencyTrace,
-    ZeroFieldError,
-    cauchy_schwarz_defect,
-    compute_D,
-    compute_D_quadrature,
-    compute_I,
-    compute_I_quadrature,
-    compute_N_raw,
-    compute_U,
-    trace_from_trajectory,
-)
+from .frequency import FrequencyTrace, trace_from_trajectory
 from .modes import (
     Mode,
     enumerate_modes,

@@ -175,10 +175,6 @@ class QuadratureRule:
     def mass(self) -> float:
         return float(np.sum(self.weights))
 
-    def integrate(self, values: np.ndarray) -> float:
-        """``sum(weights * values)`` as numpy's pairwise sum, not a BLAS dot, which splits long sums across threads."""
-        return float(np.add.reduce(self.weights * values))
-
     def require_background(self, bg: Background) -> None:
         """Refuse data that lives on another background than this rule."""
         if bg != self.background:

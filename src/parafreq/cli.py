@@ -144,12 +144,10 @@ def main(argv: list[str] | None = None) -> int:
     run_p = sub.add_parser("run", help="run scenario config file(s) or a directory of configs")
     run_p.add_argument("targets", nargs="+", help="config .json file(s) or directories")
     run_p.add_argument("--out", default="parafreq-out", help="output directory (default: parafreq-out)")
-    run_p.add_argument("--resolution", type=int, default=None, help="override quadrature resolution")
     run_p.add_argument("--quiet", action="store_true", help="print only failures and the summary line")
 
     suite_p = sub.add_parser("paper-suite", help="run the packaged scenario suite")
     suite_p.add_argument("--out", default="parafreq-out", help="output directory (default: parafreq-out)")
-    suite_p.add_argument("--resolution", type=int, default=None, help="override quadrature resolution")
     suite_p.add_argument("--quiet", action="store_true", help="print only failures and the summary line")
 
     args = parser.parse_args(argv)
@@ -158,8 +156,6 @@ def main(argv: list[str] | None = None) -> int:
             configs = [load_config(p) for p in _collect_paths(args.targets)]
         else:
             configs = _load_packaged_configs()
-        if args.resolution is not None:
-            configs = [c.with_resolution(args.resolution) for c in configs]
         summaries, errors = _execute(configs, Path(args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -240,17 +240,8 @@ def float_powers(bases: Sequence[float], exponents: Sequence[float]) -> np.ndarr
     return np.array([[b**e for b in bases] for e in exponents], dtype=float).reshape(len(exponents), len(bases)).T
 
 
-def evolve_exact(field: CoefficientField, t_target: float) -> CoefficientField:
-    """Closed-form evolution a_j -> a_j * ((-T)/(-t0))**mu_j; valid both directions."""
-    if not (math.isfinite(t_target) and t_target < 0.0):
-        raise ValueError(f"target time must be negative, got {t_target!r}")
-    ratio = (-t_target) / (-field.time)
-    amps = [a * ratio**m.mu for m, a in zip(field.modes, field.amplitudes.tolist())]
-    return CoefficientField(field.background, float(t_target), field.modes, amps)
-
-
 def evolve_exact_trajectory(field: CoefficientField, grid: TimeGrid) -> Trajectory:
-    """``evolve_exact`` at every grid node, as one (nodes, modes) array."""
+    """The closed form a_j -> a_j * ((-t)/(-t0))**mu_j at every grid node, as one (nodes, modes) array."""
     modes = field.modes
     mus = sorted({m.mu for m in modes})
     column = {mu: j for j, mu in enumerate(mus)}

@@ -9,9 +9,9 @@ time-invariant unit-scale measure):
     N_raw(t) = (-t) D / I           = -2 * (weighted mean of mu),
     U(t)     = (-t)^(1 + 2 kappa) D / I = (-t)^(2 kappa) N_raw.
 
-Both I and D also have an independent quadrature route (square resp.
-projected-gradient square summed against the rule weights); the two routes
-must agree and the test suite enforces that, so neither path may be deleted.
+``trace_from_trajectory`` is the package's one route to these.  The tests hold
+it to the per-snapshot formulas (bit for bit) and to quadrature routes for I
+and D (to 1e-8 relative), both in ``tests/oracles.py``, where they stay.
 The integrals of the curvature identity (``bochner_sides``) are closed-form
 moment sums over the polynomial u and its derivatives, with no rule.
 
@@ -29,60 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evolution
-from .backgrounds import Background, QuadratureRule, kappa, monomial_moments
-from .evolution import CoefficientField, Trajectory, float_powers
-from .modes import combine_on_rule, mode_function
+from .backgrounds import Background, kappa, monomial_moments
+from .evolution import Trajectory, float_powers
+from .modes import mode_function
 from .polynomials import AmbientPolynomial
-
-
-class ZeroFieldError(ValueError):
-    """Frequency quantities are undefined on the zero field."""
-
-
-def compute_I(field: CoefficientField) -> float:
-    return float(np.sum(field.amplitudes**2))
-
-
-def compute_D(field: CoefficientField) -> float:
-    mus = np.array([m.mu for m in field.modes], dtype=float)
-    return float(-(2.0 / (-field.time)) * np.sum(mus * field.amplitudes**2))
-
-
-def compute_N_raw(field: CoefficientField) -> float:
-    i_val = compute_I(field)
-    if i_val == 0.0:
-        raise ZeroFieldError("frequency undefined: zero field")
-    return (-field.time) * compute_D(field) / i_val
-
-
-def compute_U(field: CoefficientField, kappa_value: float | None = None) -> float:
-    """Frequency (-t)^(1 + 2 kappa) D / I; kappa defaults to the background constant."""
-    k = kappa(field.background) if kappa_value is None else float(kappa_value)
-    return (-field.time) ** (2.0 * k) * compute_N_raw(field)
-
-
-def cauchy_schwarz_defect(field: CoefficientField) -> float:
-    """I * int (L_t u)^2 dmu - (int u L_t u dmu)^2 >= 0, zero iff pure mode."""
-    amps = field.amplitudes
-    c = np.array([-m.mu / (-field.time) for m in field.modes], dtype=float)
-    sq = amps**2
-    return float(np.sum(sq) * np.sum(c**2 * sq) - np.sum(c * sq) ** 2)
-
-
-def compute_I_quadrature(field: CoefficientField, rule: QuadratureRule) -> float:
-    """Independent route: point values squared against the rule weights."""
-    rule.require_background(field.background)
-    values = combine_on_rule(rule, field.modes, field.amplitudes)
-    return rule.integrate(values**2)
-
-
-def compute_D_quadrature(field: CoefficientField, rule: QuadratureRule) -> float:
-    """Independent route: -2 int |grad u|^2 dmu_t via projected ambient gradients."""
-    rule.require_background(field.background)
-    grads = combine_on_rule(rule, field.modes, field.amplitudes, "gradients")
-    tangential = np.einsum("nij,nj->ni", rule.tangent_projector(), grads)
-    unit_scale = rule.integrate(np.sum(tangential**2, axis=1))
-    return -2.0 * unit_scale / (-field.time)
 
 
 Sides = tuple[tuple[float, float, float, float], ...]  # what bochner_sides returns
@@ -174,8 +124,8 @@ class FrequencyTrace:
 def trace_from_trajectory(traj: Trajectory, kappa_value: float | None = None) -> FrequencyTrace:
     """Tabulate the functionals along a trajectory as row reductions of its amplitudes.
 
-    Each row equals what ``compute_I``, ``compute_D``, ``compute_N_raw``,
-    ``compute_U`` and ``cauchy_schwarz_defect`` give on that node's snapshot.
+    Each row equals, bit for bit, what the per-snapshot oracles of
+    ``tests/oracles.py`` give on that node's field.
     The sums run over blocks of at most ``evolution._BLOCK_ENTRIES // modes``
     rows, so the temporaries stay one block in size however long the run.
     Zero-field nodes keep I = D = cs_defect = 0 but carry U = N_raw = nan;

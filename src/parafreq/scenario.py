@@ -5,7 +5,7 @@ coefficient field, a time grid, optional forcing, and the list of checks to
 run.  Configs are the reproducibility unit: ``parse_config`` builds the
 canonical document ``ScenarioConfig.document`` while it validates, the
 SHA-256 of that document goes into every emitted report, and a fixed config
-plus resolution yields byte-identical outputs.
+yields byte-identical outputs.
 
 The check names accepted in ``checks`` (and ``report_only`` and
 ``tolerances``) are the keys of the check table ``_VERIFIERS``, which is the
@@ -24,7 +24,7 @@ import math
 import numbers
 import os
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
@@ -115,11 +115,6 @@ class ScenarioConfig:
     rk_local_tol: float
     document: dict = field(repr=False, compare=False)
 
-    def with_resolution(self, resolution: Any) -> ScenarioConfig:
-        """This config at another quadrature resolution, checked like the config field."""
-        resolution = _parse_resolution(resolution)
-        return replace(self, resolution=resolution, document={**self.document, "resolution": resolution})
-
     def config_hash(self) -> str:
         doc = json.dumps(self.document, sort_keys=True, separators=(",", ":"))
         return sha256(doc.encode("utf-8")).hexdigest()
@@ -168,10 +163,6 @@ def _object(doc: Any, field: str, shape: str = "", keys: Any = None, tag: str = 
         if key not in keys:
             raise ConfigError(key if field == "<root>" else f"{field}.{key}", "unknown field")
     return doc
-
-
-def _parse_resolution(value: Any) -> int:
-    return _number(value, "resolution", integer=True, minimum=2)
 
 
 # config kind -> background class: the kind is the lower-case class name, the sizes are the dataclass fields
@@ -377,7 +368,7 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
     if doc.get("forcing") is not None:
         forcing, forcing_doc = _parse_forcing(bg, doc["forcing"])
 
-    resolution = _parse_resolution(doc.get("resolution", 24))
+    resolution = _number(doc.get("resolution", 24), "resolution", integer=True, minimum=2)
 
     checks = _check_names(doc.get("checks"), "checks", _VERIFIERS, "unknown check {!r}")
     if not checks:
@@ -536,9 +527,9 @@ def load_report_json(path: str | Path) -> tuple[dict, tuple[VerificationReport, 
         raise ValueError(f"{path}: 'reports' is not a list")
     reports = []
     for i, entry in enumerate(doc["reports"]):
-        try:  # an entry that is not an object raises TypeError, one without a field KeyError
+        try:  # not an object: TypeError; a field missing: KeyError; a verdict its columns contradict: ValueError
             reports.append(report_from_dict(entry))
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, ValueError) as err:
             raise ValueError(f"{path}: reports[{i}] is not a report ({type(err).__name__}: {err})") from None
     return doc, tuple(reports)
 

@@ -127,12 +127,25 @@ class VerificationReport:
 
 
 def report_from_dict(data: dict) -> VerificationReport:
-    """Inverse of ``VerificationReport.to_dict`` (exact float round-trip of every column); other keys are ignored."""
+    """Inverse of ``VerificationReport.to_dict`` (exact float round-trip of every column); other keys are ignored.
+
+    Refuses, with ValueError, an inapplicable report with a margin or a column, and any other whose ``min_margin``
+    (bit for bit: -0.0 is not 0.0) or ``status`` is not what ``_report`` derives from its columns and tolerance.
+    """
     columns = [
         (c["label"], np.concatenate([np.arange(0), *(np.arange(a, b) for a, b in c["runs"])]), c["margin"])
         for c in data["columns"]
     ]
-    return VerificationReport(**{**{f.name: data[f.name] for f in fields(VerificationReport)}, "columns": columns})
+    report = VerificationReport(**{**{f.name: data[f.name] for f in fields(VerificationReport)}, "columns": columns})
+    m, status = report.min_margin, report.status
+    if status == INAPPLICABLE:
+        made = m is None and not report.columns
+    else:
+        derived = _report(report.check_name, report.columns, report.tolerance)
+        made = isinstance(m, float) and (m.hex(), status) == (derived.min_margin.hex(), derived.status)
+    if not made:
+        raise ValueError(f"{report.check_name}: min_margin {m!r} and status {status!r} do not follow from its columns")
+    return report
 
 
 def _report(check_name: str, columns, tolerance: float, notes: tuple[str, ...] = ()) -> VerificationReport:

@@ -1,5 +1,11 @@
-"""Independent per-point routes that the tests hold the package's array paths to.
+"""Independent per-point and per-snapshot routes that the tests hold the package's array paths to.
 
+``compute_I``, ``compute_D``, ``compute_N_raw``, ``compute_U`` and
+``cauchy_schwarz_defect`` restate one row of ``frequency.trace_from_trajectory``
+on one snapshot, bit for bit, and ``evolve_exact`` one row of
+``evolution.evolve_exact_trajectory``; ``compute_I_quadrature`` and
+``compute_D_quadrature`` are the quadrature routes for I and D, summed by
+``integrate``, which the trace's I and D must meet to 1e-8 relative.
 ``geometry_at`` builds the closed-form geometry at one point, the oracle for
 ``QuadratureRule.tangent_projector``; ``bochner_sides_on_rule`` integrates the
 curvature identity's integrands, built per point on ``geometry_at``, over a
@@ -17,9 +23,73 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from parafreq.backgrounds import Background, QuadratureRule
+from parafreq.backgrounds import Background, QuadratureRule, kappa
 from parafreq.evolution import CoefficientField, ConstantRate, Forcing, Rate, ScalarOnU, Trajectory, _amplitudes_on
 from parafreq.modes import combine_on_rule
+
+
+def integrate(rule: QuadratureRule, values: np.ndarray) -> float:
+    """``sum(weights * values)`` as numpy's pairwise sum, not a BLAS dot, which splits long sums across threads."""
+    return float(np.add.reduce(rule.weights * values))
+
+
+class ZeroFieldError(ValueError):
+    """Frequency quantities are undefined on the zero field."""
+
+
+def compute_I(field: CoefficientField) -> float:
+    return float(np.sum(field.amplitudes**2))
+
+
+def compute_D(field: CoefficientField) -> float:
+    mus = np.array([m.mu for m in field.modes], dtype=float)
+    return float(-(2.0 / (-field.time)) * np.sum(mus * field.amplitudes**2))
+
+
+def compute_N_raw(field: CoefficientField) -> float:
+    i_val = compute_I(field)
+    if i_val == 0.0:
+        raise ZeroFieldError("frequency undefined: zero field")
+    return (-field.time) * compute_D(field) / i_val
+
+
+def compute_U(field: CoefficientField, kappa_value: float | None = None) -> float:
+    """Frequency (-t)^(1 + 2 kappa) D / I; kappa defaults to the background constant."""
+    k = kappa(field.background) if kappa_value is None else float(kappa_value)
+    return (-field.time) ** (2.0 * k) * compute_N_raw(field)
+
+
+def cauchy_schwarz_defect(field: CoefficientField) -> float:
+    """I * int (L_t u)^2 dmu - (int u L_t u dmu)^2 >= 0, zero iff pure mode."""
+    amps = field.amplitudes
+    c = np.array([-m.mu / (-field.time) for m in field.modes], dtype=float)
+    sq = amps**2
+    return float(np.sum(sq) * np.sum(c**2 * sq) - np.sum(c * sq) ** 2)
+
+
+def compute_I_quadrature(field: CoefficientField, rule: QuadratureRule) -> float:
+    """Independent route: point values squared against the rule weights."""
+    rule.require_background(field.background)
+    values = combine_on_rule(rule, field.modes, field.amplitudes)
+    return integrate(rule, values**2)
+
+
+def compute_D_quadrature(field: CoefficientField, rule: QuadratureRule) -> float:
+    """Independent route: -2 int |grad u|^2 dmu_t via projected ambient gradients."""
+    rule.require_background(field.background)
+    grads = combine_on_rule(rule, field.modes, field.amplitudes, "gradients")
+    tangential = np.einsum("nij,nj->ni", rule.tangent_projector(), grads)
+    unit_scale = integrate(rule, np.sum(tangential**2, axis=1))
+    return -2.0 * unit_scale / (-field.time)
+
+
+def evolve_exact(field: CoefficientField, t_target: float) -> CoefficientField:
+    """Closed-form evolution a_j -> a_j * ((-T)/(-t0))**mu_j; valid both directions."""
+    if not (math.isfinite(t_target) and t_target < 0.0):
+        raise ValueError(f"target time must be negative, got {t_target!r}")
+    ratio = (-t_target) / (-field.time)
+    amps = [a * ratio**m.mu for m, a in zip(field.modes, field.amplitudes.tolist())]
+    return CoefficientField(field.background, float(t_target), field.modes, amps)
 
 
 @dataclass(frozen=True)
@@ -126,7 +196,7 @@ def bochner_sides_on_rule(field: CoefficientField, rule: QuadratureRule) -> tupl
     hess_m = np.einsum("nij,njk,nkl->nil", proj, hbar, proj) + sff * nu_dot[:, None, None]
     lu = np.einsum("nii->n", hess_m) - 0.5 * np.einsum("ni,ni->n", x_tan, gbar)
     hess_ric, lu2, grad2, shape_q = (
-        rule.integrate(column)
+        integrate(rule, column)
         for column in (
             np.einsum("nij,nij->n", hess_m, hess_m) + np.einsum("nij,ni,nj->n", ric, grad, grad),
             lu * lu,

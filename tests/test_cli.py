@@ -105,21 +105,17 @@ def test_duplicate_scenario_ids_rejected(tmp_path):
     assert main(["run", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
 
 
-def test_resolution_override_changes_provenance(tmp_path):
-    cfg = _write(tmp_path, "ok.json", PASSING)
-    assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--resolution", "17"]) == 0
+def test_resolution_is_a_config_field_not_a_flag(tmp_path, capsys):
+    cfg = _write(tmp_path, "ok.json", dict(PASSING, resolution=17))
+    with pytest.raises(SystemExit) as info:
+        main(["run", str(cfg), "--out", str(tmp_path / "out"), "--resolution", "8"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --resolution 8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     doc = json.loads((tmp_path / "out" / "pass-one.report.json").read_text())
     assert doc["provenance"]["resolution"] == 17
     assert doc["provenance"]["config_hash"] == parse_config(dict(PASSING, resolution=17)).config_hash()
-
-
-@pytest.mark.parametrize("value", ["1", "0", "-3"])
-def test_resolution_override_follows_the_config_rule(tmp_path, capsys, value):
-    cfg = _write(tmp_path, "ok.json", PASSING)
-    assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--resolution", value]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "'resolution'" in err
-    assert not (tmp_path / "out").exists()
 
 
 def test_runtime_error_spares_the_rest_of_the_batch(tmp_path, capsys):

@@ -21,14 +21,13 @@ from parafreq import (
     Sphere,
     TimeGrid,
     enumerate_modes,
-    evolve_exact,
     evolve_exact_trajectory,
     evolve_forced,
     mode_from_index,
-    quadrature,
 )
+from parafreq.backgrounds import quadrature
 
-from oracles import field_at, forcing_bound_margin, rate_at, vector_rk4
+from oracles import evolve_exact, field_at, forcing_bound_margin, rate_at, vector_rk4
 
 
 def _field(bg, t, coeffs_by_index):

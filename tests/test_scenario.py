@@ -224,6 +224,13 @@ def test_kappa_validation():
     _expect_config_error(_doc(kappa=float("nan")), "kappa")
 
 
+def test_resolution_validation():
+    assert parse_config(_doc()).resolution == 24
+    assert parse_config(_doc(resolution=2.0)).resolution == 2
+    for bad in (1, 0, -3, 2.5, True, "8"):
+        _expect_config_error(_doc(resolution=bad), "resolution")
+
+
 def test_forcing_validation():
     doc = _doc(
         background={"kind": "plane", "n": 1},
@@ -598,6 +605,41 @@ def test_load_report_json_refuses_an_entry_without_columns(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=r"base.report.json: reports\[1\] is not a report \(KeyError: 'columns'\)"):
         load_report_json(path)
+
+
+def test_load_report_json_refuses_a_verdict_its_columns_contradict(tmp_path):
+    path = tmp_path / "mix.report.json"
+    checks = ["frequency_monotonicity", "harnack", "selfsimilar_scaling"]
+    emit_report_json(run_scenario(parse_config(_doc(initial_modes={"1,0": 1.0, "2,0": 0.5}, checks=checks))), path)
+    doc = json.loads(path.read_text())
+    monotone, harnack, scaling = doc["reports"]
+    assert (monotone["status"], harnack["status"], scaling["status"]) == ("pass", "pass", "inapplicable")
+    below = copy.deepcopy(monotone)
+    below["columns"][0]["margin"][3] = monotone["min_margin"] - 1e-3
+    column = {"label": "weighted-l2-residual", "runs": [[0, 1]], "margin": [0.0]}
+    edits = [
+        (0, below),  # one margin pushed below min_margin
+        (1, {**harnack, "status": "fail"}),  # a flipped status
+        (2, {**scaling, "min_margin": 0.0}),  # an inapplicable report with a margin
+        (2, {**scaling, "columns": [column]}),  # or with a column
+    ]
+    for i, entry in edits:
+        path.write_text(json.dumps({**doc, "reports": [entry if j == i else e for j, e in enumerate(doc["reports"])]}))
+        with pytest.raises(ValueError, match=rf"mix.report.json: reports\[{i}\] is not a report \(ValueError: "):
+            load_report_json(path)
+    path.write_text(json.dumps(doc))
+    assert [r.status for r in load_report_json(path)[1]] == ["pass", "pass", "inapplicable"]
+
+
+@pytest.mark.parametrize("margins", [[-0.0, 0.0], [0.0, -0.0]])
+def test_report_from_dict_takes_the_first_minimum_bit_for_bit(margins):
+    # Python's min keeps the first of equal values, so the sign of a zero min_margin is the first zero's
+    column = {"label": "increment", "runs": [[1, 3]], "margin": margins}
+    doc = {"check_name": "harnack", "columns": [column], "tolerance": 0.0, "status": "pass", "notes": []}
+    first, other = margins
+    assert math.copysign(1.0, report_from_dict({**doc, "min_margin": first}).min_margin) == math.copysign(1.0, first)
+    with pytest.raises(ValueError, match="do not follow from its columns"):
+        report_from_dict({**doc, "min_margin": other})
 
 
 def test_undecodable_config_is_a_document_error_naming_the_path(tmp_path):

@@ -27,13 +27,11 @@ from parafreq import (
     Sphere,
     TimeGrid,
     Trajectory,
-    compute_D,
     enumerate_modes,
     evolve_exact_trajectory,
     evolve_forced,
     mode_from_index,
     parse_config,
-    quadrature,
     standard_test_functions,
     trace_from_trajectory,
     verify_drift_bochner,
@@ -50,11 +48,12 @@ from parafreq import (
     verify_weighted_monotonicity,
 )
 from parafreq import backgrounds, evolution, frequency, scenario, verifiers
+from parafreq.backgrounds import quadrature
 from parafreq.cli import _load_packaged_configs
 from parafreq.modes import combine_on_rule, mode_function
 from parafreq.verifiers import report_from_dict
 
-from oracles import bochner_sides_on_rule, field_at, forcing_bound_margin, geometry_at, rate_at
+from oracles import bochner_sides_on_rule, compute_D, field_at, forcing_bound_margin, geometry_at, integrate, rate_at
 
 # the backgrounds of one or two dimensions, and plane(3)
 SIX = [Plane(1), Plane(2), Plane(3), Sphere(1), Sphere(2), Cylinder(1, 1)]
@@ -133,6 +132,19 @@ def test_harnack_plane_equality_on_pure_modes():
     rep = _checked(verify_harnack, _traj(Plane(1), {(2,): 1.0}))
     assert rep.status == "pass"
     assert abs(rep.min_margin) < 1e-12
+
+
+def test_harnack_fails_on_amplitudes_off_their_power():
+    # plane(1), mode "2" (mu = 1, kappa = 0) scaled as (-t)^(mu + delta): U(a) = -2 still, so the bound asks for
+    # log I(b) - log I(a) >= 2 ln(b/a) while the run has 2 (1 + delta) ln(b/a), a margin of 2 delta ln(1/2)
+    bg, delta = Plane(1), 0.1
+    grid = TimeGrid.uniform(-1.0, -0.5, 41)
+    traj = Trajectory(grid, bg, (mode_from_index(bg, (2,)),), ((-grid.as_array()) ** (1.0 + delta))[:, None])
+    rep = verify_harnack(Run(traj))
+    assert rep.status == "fail"
+    assert [(c.label, c.nodes.tolist()) for c in rep.columns] == [("log-bound-derivation", [40])]
+    assert rep.min_margin == pytest.approx(2.0 * delta * math.log(0.5), rel=1e-12)
+    assert rep.min_margin == pytest.approx(-0.138629436111989, rel=1e-12)
 
 
 def test_harnack_printed_variant_known_gap():
@@ -265,6 +277,25 @@ def test_equality_case_triggers_on_pure_mode():
     ]
 
 
+def test_equality_case_fails_on_a_flat_frequency_of_two_modes():
+    # plane(1), modes "0" and "2" held at amplitude 1: U = -(mu_0 + mu_2) = -1 at every node, so every pair is flat,
+    # yet the field is no eigenfunction.  With c = -mu/(-t), I = 2, sum c^2 a^2 = 1/t^2 and sum c a^2 = -1/(-t), the
+    # defect is 1/t^2, largest at t = -0.5: margin tol I^2 - 4 = 4e-9 - 4.  The fitted eigenvalue D/(2I) = -1/(2(-t))
+    # is U/(2(-t)) exactly, so that column holds.
+    bg = Plane(1)
+    grid = TimeGrid.uniform(-1.0, -0.5, 41)
+    traj = Trajectory(grid, bg, (mode_from_index(bg, (0,)), mode_from_index(bg, (2,))), np.ones((41, 2)))
+    rep = verify_equality_case(Run(traj))
+    assert rep.status == "fail"
+    defect, fit = rep.columns
+    assert (defect.label, fit.label) == ("defect-bound", "eigenvalue-fit")
+    assert defect.nodes.tolist() == fit.nodes.tolist() == list(range(41))
+    assert int(np.argmin(defect.margin)) == 40
+    assert rep.min_margin == defect.margin[40] == pytest.approx(1e-9 * 2.0**2 - 4.0, rel=1e-12)
+    assert rep.min_margin == pytest.approx(-3.999999996, rel=1e-12)
+    assert float(np.min(fit.margin)) >= 0.0
+
+
 def test_equality_case_vacuous_on_genuine_mixture():
     rep = _checked(verify_equality_case, _traj(Plane(1), {(1,): 1.0, (3,): 1.0}))
     assert rep.status == "pass"
@@ -318,9 +349,9 @@ def test_weighted_monotonicity_moments_equal_direct_route(bg):
             pts = s * rule.points
             # g(t) = integral f(s y) dmu(y), differentiated under the integral: g' = -(1/(2s)) integral grad f(s y).y
             radial = sum(rule.points[:, a] * poly.diff(a).eval(pts) for a in range(d))
-            slope.append(-rule.integrate(radial) / (2.0 * s))
+            slope.append(-integrate(rule, radial) / (2.0 * s))
             tr = sum(proj[:, a, b] * hess[a][b].eval(pts) for a in range(d) for b in range(d))
-            rhs.append(-rule.integrate(tr))
+            rhs.append(-integrate(rule, tr))
         direct = -np.abs(np.array(slope) - np.array(rhs))
         rep = verify_weighted_monotonicity(run, {name: poly})
         again = verify_weighted_monotonicity(_on_grid(bg, grid, resolution=16), {name: poly})
@@ -386,8 +417,8 @@ def test_bochner_verbatim_gap_equals_gradient_energy(bg, resolution, coeffs, t):
     for end, margin, note in zip((field_at(traj, 0), field_at(traj, -1)), column.margin, rep.notes):
         gbar = combine_on_rule(rule, end.modes, end.amplitudes, "gradients")
         tangential = np.einsum("nij,nj->ni", proj, gbar)
-        pairing = rule.integrate(np.einsum("nij,ni,nj->n", shape, tangential, tangential)) / end.time**2
-        gradient_term = rule.integrate(np.einsum("ni,ni->n", tangential, tangential)) / (2.0 * end.time**2)
+        pairing = integrate(rule, np.einsum("nij,ni,nj->n", shape, tangential, tangential)) / end.time**2
+        gradient_term = integrate(rule, np.einsum("ni,ni->n", tangential, tangential)) / (2.0 * end.time**2)
         assert -margin == pytest.approx(pairing, rel=1e-12)
         assert float(note.removeprefix(_VERBATIM_NOTE)) == pytest.approx(pairing, rel=1e-12)
         if isinstance(bg, Sphere):
@@ -584,7 +615,7 @@ def test_selfsimilar_scaling_fails_on_amplitudes_off_their_power(bg, indices):
     rule = quadrature(bg, 8)
     values = combine_on_rule(rule, modes, traj.amplitudes)  # (nodes, points)
     factors = r**mu
-    on_rule = [math.sqrt(rule.integrate((values[i] - factors[i] * values[0]) ** 2)) for i in range(len(r))]
+    on_rule = [math.sqrt(integrate(rule, (values[i] - factors[i] * values[0]) ** 2)) for i in range(len(r))]
     np.testing.assert_allclose(-rep.columns[0].margin, on_rule, rtol=1e-12, atol=0.0)
 
 
