@@ -160,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:  # a grid too large to allocate while configs load, too
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     code = _summarize(summaries, args.quiet)

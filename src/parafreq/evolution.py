@@ -68,6 +68,7 @@ class CoefficientField:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "time", float(self.time))  # a Python float, so float_powers takes libm pow of it
         if not (math.isfinite(self.time) and self.time < 0.0):
             raise ValueError(f"field time must be finite and negative, got {self.time!r}")
         if len(set(self.modes)) != len(self.modes):
@@ -87,38 +88,39 @@ class CoefficientField:
         return cls(background, float(time), modes, [float(coeffs[m]) for m in modes])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Strictly increasing nodes in (-inf, 0)."""
+    """Strictly increasing nodes in (-inf, 0), held as one read-only float64 array ``nodes``."""
 
-    nodes: tuple[float, ...]
+    nodes: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.nodes) < 2:
+        nodes = np.array(self.nodes, dtype=float)  # a copy, so freezing it leaves the caller's array writable
+        if nodes.ndim != 1:
+            raise ValueError(f"time grid nodes must be one-dimensional, got shape {nodes.shape}")
+        if len(nodes) < 2:
             raise ValueError("time grid needs at least two nodes")
-        for t in self.nodes:
-            if not (math.isfinite(t) and t < 0.0):
-                raise ValueError(f"grid node must be finite and negative, got {t!r}")
-        for t0, t1 in zip(self.nodes, self.nodes[1:]):
-            if not t1 > t0:
-                raise ValueError("grid nodes must be strictly increasing")
+        bad = np.flatnonzero(~(np.isfinite(nodes) & (nodes < 0.0)))
+        if len(bad):
+            raise ValueError(f"grid node must be finite and negative, got {float(nodes[bad[0]])!r}")
+        if not (np.diff(nodes) > 0.0).all():
+            raise ValueError("grid nodes must be strictly increasing")
+        nodes.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
 
     @classmethod
     def uniform(cls, a: float, b: float, count: int) -> "TimeGrid":
         if count < 2:
             raise ValueError("count must be >= 2")
-        return cls(tuple(np.linspace(a, b, count).tolist()))
+        return cls(np.linspace(a, b, count))
 
     @property
     def a(self) -> float:
-        return self.nodes[0]
+        return float(self.nodes[0])
 
     @property
     def b(self) -> float:
-        return self.nodes[-1]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.nodes, dtype=float)
+        return float(self.nodes[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +190,6 @@ class ModeMatrix:
                 if not math.isfinite(w):
                     raise ValueError("matrix values must be finite")
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=float)
-
 
 @dataclass(frozen=True)
 class Forcing:
@@ -206,9 +205,9 @@ class Forcing:
 class Trajectory:
     """Amplitudes of one field on the nodes of a grid.
 
-    ``amplitudes`` is a C-contiguous float array of shape (nodes, modes):
-    row i holds the field at ``grid.nodes[i]``, columns follow ``modes``.
-    A C-ordered float array is kept as given; any other is copied.
+    ``amplitudes`` is a C-contiguous float array of shape (nodes, modes): row i
+    holds the field at ``grid.nodes[i]``, entry i of the grid's one read-only
+    array, and columns follow ``modes``; a C-ordered float array is kept, any other copied.
     """
 
     grid: TimeGrid
@@ -245,7 +244,7 @@ def evolve_exact_trajectory(field: CoefficientField, grid: TimeGrid) -> Trajecto
     modes = field.modes
     mus = sorted({m.mu for m in modes})
     column = {mu: j for j, mu in enumerate(mus)}
-    powers = float_powers([(-t) / (-field.time) for t in grid.nodes], mus)
+    powers = float_powers([(-t) / (-field.time) for t in grid.nodes.tolist()], mus)
     amplitudes = np.take(powers, [column[m.mu] for m in modes], axis=1)
     amplitudes *= field.amplitudes  # in place: the one (nodes, modes) array, which Trajectory keeps
     return Trajectory(grid, field.background, modes, amplitudes)
@@ -312,9 +311,9 @@ def evolve_forced(field: CoefficientField, grid: TimeGrid, forcing: Forcing, *, 
     m, free = len(block), tuple(x for x in modes if x not in block)  # free modes keep the closed form
     mus, w = np.array([x.mu for x in block]), np.array(getattr(coupling, "matrix", ())).reshape(m, m)
 
-    nodes = grid.as_array()
+    nodes = grid.nodes
     # a sampled rate's kinks cut the pieces, on which C is linear; a plain sort, as np.union1d would import numpy.ma
-    on_grid = set(grid.nodes)
+    on_grid = set(nodes.tolist())
     kinks = [x for x in getattr(rate, "times", ()) if grid.a < x < grid.b and x not in on_grid]
     cuts = np.sort(np.concatenate([nodes, kinks]))
     at_nodes = np.searchsorted(cuts, nodes)
@@ -373,10 +372,10 @@ def forcing_margins(traj: Trajectory, rule: QuadratureRule) -> np.ndarray:
     and reduced on its own, so a margin is the same bit for bit in any run.
     """
     rule.require_background(traj.background)
-    coupling, t = traj.forcing.coupling, traj.grid.as_array()
+    coupling, t = traj.forcing.coupling, traj.grid.nodes
     c = traj.forcing.rate.values_at(t)
     # a stack of matrix-vector products, the same BLAS call as W @ a on one field
-    f_coeffs = c[:, None] * (coupling.as_array() @ _amplitudes_on(traj, coupling.modes)[:, :, None])[:, :, 0]
+    f_coeffs = c[:, None] * (np.array(coupling.matrix) @ _amplitudes_on(traj, coupling.modes)[:, :, None])[:, :, 0]
     out, proj = np.empty(len(t)), rule.tangent_projector()
     rows = max(1, _BLOCK_ENTRIES // rule.points.size)
     for lo in range(0, len(t), rows):

@@ -110,7 +110,7 @@ def bochner_sides(traj: Trajectory) -> Sides:
 
 @dataclass(frozen=True, eq=False)
 class FrequencyTrace:
-    """The functionals as columns, one entry per grid node."""
+    """The functionals as columns, one entry per grid node; ``t`` is the grid's ``nodes``."""
 
     kappa_used: float
     t: np.ndarray
@@ -125,14 +125,15 @@ def trace_from_trajectory(traj: Trajectory, kappa_value: float | None = None) ->
     """Tabulate the functionals along a trajectory as row reductions of its amplitudes.
 
     Each row equals, bit for bit, what the per-snapshot oracles of
-    ``tests/oracles.py`` give on that node's field.
+    ``tests/oracles.py`` give on that node's field.  The trace's ``t`` is the
+    grid's read-only ``nodes`` array itself, not a copy.
     The sums run over blocks of at most ``evolution._BLOCK_ENTRIES // modes``
     rows, so the temporaries stay one block in size however long the run.
     Zero-field nodes keep I = D = cs_defect = 0 but carry U = N_raw = nan;
     verifiers treat such trajectories as inapplicable rather than failing.
     """
     k = kappa(traj.background) if kappa_value is None else float(kappa_value)
-    t = traj.grid.as_array()
+    t = traj.grid.nodes
     mt = -t
     mus = np.array([m.mu for m in traj.modes], dtype=float)
     i_val, mu_sum, cross, c2_sum = (np.empty(len(t)) for _ in range(4))

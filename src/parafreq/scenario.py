@@ -100,7 +100,7 @@ _VERIFIERS = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description; ``document`` is its canonical plain-data form, the sole input to the hash."""
+    """Validated scenario; ``document``, its canonical plain-data form, is all the hash reads: compare by the hash."""
 
     scenario_id: str
     background: Background

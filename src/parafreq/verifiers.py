@@ -12,10 +12,12 @@ it.  Margin conventions:
 
 * Inequality checks report the raw slack of the bound, so the statement
   holds at a node iff its margin is nonnegative (up to tolerance).
-* Identity checks report ``-|residual|``, so the shared pass rule in
-  ``_report`` (no margin below minus the tolerance) applies to both kinds.
+* Identity checks report ``-|residual|``, so the one pass rule (no margin
+  below minus the tolerance) applies to both kinds.
 
-Reports carry a three-state verdict.  ``inapplicable`` is reserved for runs
+Reports carry a three-state verdict, which ``VerificationReport`` derives
+from its columns and tolerance; no verifier states it.  A report without
+columns is ``inapplicable``, which is reserved for runs
 the statement genuinely does not speak about (zero initial data, a forcing
 hypothesis that fails certification, a trajectory without a single active
 eigenvalue) or cannot decide (a ``general_harnack`` quadrature that does not
@@ -39,7 +41,7 @@ computed and reported side by side, never silently merged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
@@ -54,8 +56,6 @@ from .polynomials import AmbientPolynomial
 PASS = "pass"
 FAIL = "fail"
 INAPPLICABLE = "inapplicable"
-
-_STATUSES = (PASS, FAIL, INAPPLICABLE)
 
 _HARNACK_QUAD_TOL = 1e-10  # relative extrapolation gap below which general_harnack's quadrature stops
 _HARNACK_START_INTERVALS = 128  # trapezoid intervals per smooth piece before the first doubling
@@ -87,33 +87,46 @@ class VerificationReport:
     """Outcome of one check on one scenario: only what the check computed, not the run's identity.
 
     The evaluated nodes are ``columns``, one ``Column`` per label, built from
-    ``(label, nodes, margin)`` triples.  Every margin must be finite.
-    ``min_margin`` is ``None`` exactly when the report is inapplicable; else
-    it is the first smallest margin, taking the columns in order, and the
-    verdict is ``pass`` iff it is at least minus the tolerance.
+    ``(label, nodes, margin)`` triples; every margin must be finite, and the
+    columns, if any, must hold one.  The verdict is derived, never given:
+    without columns the report is ``inapplicable`` with ``min_margin`` None;
+    else ``min_margin`` is the first smallest margin in column order (-0.0 is
+    not 0.0) and ``status`` is ``pass`` iff it is at least minus the tolerance.
     """
 
     check_name: str
     columns: tuple[Column, ...]
     tolerance: float
-    min_margin: float | None
-    status: str
     notes: tuple[str, ...] = ()
+    min_margin: float | None = field(init=False)
+    status: str = field(init=False)
 
     def __post_init__(self) -> None:
         columns = tuple(Column(c[0], _frozen(c[1], np.int64), _frozen(c[2], float)) for c in self.columns)
         object.__setattr__(self, "columns", columns)
+        if isinstance(self.notes, str) or not all(isinstance(note, str) for note in self.notes):
+            raise TypeError(f"notes must be a sequence of strings, got {self.notes!r}")
         object.__setattr__(self, "notes", tuple(self.notes))
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
+        if not isinstance(self.check_name, str):
+            raise TypeError(f"check_name must be a string, got {self.check_name!r}")
+        if not self.tolerance >= 0.0:
+            raise ValueError(f"tolerance must be at least 0, got {self.tolerance!r}")
         for label, nodes, margin in columns:
+            if not isinstance(label, str):
+                raise TypeError(f"column label must be a string, got {label!r}")
             if len(nodes) != len(margin):
                 raise ValueError(f"column {label!r} has {len(nodes)} nodes but {len(margin)} margins")
             if not np.isfinite(margin).all():
                 i = int(np.argmin(np.isfinite(margin)))
                 raise ValueError(f"non-finite margin {float(margin[i])!r} at node {int(nodes[i])} ({label})")
-        if self.status != INAPPLICABLE and not any(len(c.margin) for c in columns):
+        margin = np.concatenate([np.empty(0), *(c.margin for c in columns)])
+        if columns and not len(margin):
             raise ValueError("applicable report requires at least one node")
+        # the first minimum, as Python's min picks it: np.min may return -0.0 for [0.0, -0.0]
+        min_margin = float(margin[np.argmin(margin)]) if columns else None
+        status = (PASS if min_margin >= -self.tolerance else FAIL) if columns else INAPPLICABLE
+        object.__setattr__(self, "min_margin", min_margin)
+        object.__setattr__(self, "status", status)
 
     @property
     def passed(self) -> bool:
@@ -129,37 +142,20 @@ class VerificationReport:
 def report_from_dict(data: dict) -> VerificationReport:
     """Inverse of ``VerificationReport.to_dict`` (exact float round-trip of every column); other keys are ignored.
 
-    Refuses, with ValueError, an inapplicable report with a margin or a column, and any other whose ``min_margin``
-    (bit for bit: -0.0 is not 0.0) or ``status`` is not what ``_report`` derives from its columns and tolerance.
+    The report is built from its check name, columns, tolerance and notes, which the constructor validates, and
+    the file's ``min_margin`` (bit for bit: -0.0 is not 0.0) and ``status`` must be the pair it derives from them.
     """
     columns = [
         (c["label"], np.concatenate([np.arange(0), *(np.arange(a, b) for a, b in c["runs"])]), c["margin"])
         for c in data["columns"]
     ]
-    report = VerificationReport(**{**{f.name: data[f.name] for f in fields(VerificationReport)}, "columns": columns})
-    m, status = report.min_margin, report.status
-    if status == INAPPLICABLE:
-        made = m is None and not report.columns
-    else:
-        derived = _report(report.check_name, report.columns, report.tolerance)
-        made = isinstance(m, float) and (m.hex(), status) == (derived.min_margin.hex(), derived.status)
-    if not made:
+    report = VerificationReport(data["check_name"], columns, data["tolerance"], data["notes"])
+    m, status = data["min_margin"], data["status"]
+    derived = report.min_margin
+    same = m is None if derived is None else isinstance(m, float) and m.hex() == derived.hex()
+    if not (same and status == report.status):
         raise ValueError(f"{report.check_name}: min_margin {m!r} and status {status!r} do not follow from its columns")
     return report
-
-
-def _report(check_name: str, columns, tolerance: float, notes: tuple[str, ...] = ()) -> VerificationReport:
-    """An applicable report from ``(label, nodes, margin)`` columns, nodes and margins anything ``np.array`` reads."""
-    columns = [(label, nodes, np.asarray(margin, dtype=float)) for label, nodes, margin in columns]
-    margin = np.concatenate([c[2] for c in columns])
-    # the first minimum, as Python's min picks it: np.min may return -0.0 for [0.0, -0.0]
-    min_margin = float(margin[np.argmin(margin)])
-    status = PASS if min_margin >= -tolerance else FAIL
-    return VerificationReport(check_name, columns, tolerance, min_margin, status, notes)
-
-
-def _inapplicable(check_name: str, reason: str, tolerance: float = 0.0):
-    return VerificationReport(check_name, (), tolerance, None, INAPPLICABLE, (reason,))
 
 
 def _at_last_node(run: Run, label: str, margin: float) -> list[tuple]:
@@ -231,10 +227,10 @@ def verify_frequency_monotonicity(run: Run, *, tolerance: float | None = None) -
     """
     trace = run.trace
     if _is_zero_run(trace):
-        return _inapplicable("frequency_monotonicity", _NO_FREQUENCY)
+        return VerificationReport("frequency_monotonicity", (), 0.0, (_NO_FREQUENCY,))
     u = trace.U
     tol = tolerance if tolerance is not None else 1e-9 * max(1.0, float(np.max(np.abs(u))))
-    return _report("frequency_monotonicity", [("increment", range(1, len(u)), np.diff(u))], tol)
+    return VerificationReport("frequency_monotonicity", [("increment", range(1, len(u)), np.diff(u))], tol)
 
 
 def verify_equality_case(run: Run, *, tolerance: float = 1e-9) -> VerificationReport:
@@ -256,15 +252,15 @@ def verify_equality_case(run: Run, *, tolerance: float = 1e-9) -> VerificationRe
     trace = run.trace
     k = trace.kappa_used
     if _is_zero_run(trace):
-        return _inapplicable("equality_case", _NO_FREQUENCY)
+        return VerificationReport("equality_case", (), 0.0, (_NO_FREQUENCY,))
     u = trace.U
     trigger = tolerance * max(1.0, float(np.max(np.abs(u))))
     # a nan difference counts as flat, so its nan margins are rejected instead of skipped
     flat = ~(np.abs(np.diff(u)) >= trigger)
     if not flat.any():
-        return _report(
+        return VerificationReport(
             "equality_case", _at_last_node(run, "no pair met the flatness trigger", 0.0), 0.0,
-            notes=("vacuous: frequency never flat within the trigger, so the implication holds trivially",),
+            ("vacuous: frequency never flat within the trigger, so the implication holds trivially",),
         )
     # every endpoint of a flat pair once, in node order: node i ends pair i - 1 or starts pair i
     j = np.flatnonzero(np.append(False, flat) | np.append(flat, False))
@@ -273,7 +269,8 @@ def verify_equality_case(run: Run, *, tolerance: float = 1e-9) -> VerificationRe
     c_fit = trace.D[j] / (2.0 * ij)
     c_ref = uj / (2.0 * float_powers((-tj).tolist(), [1.0 + 2.0 * k])[:, 0])
     c_margin = tolerance * np.maximum(1.0, np.abs(c_ref)) - np.abs(c_fit - c_ref)
-    return _report("equality_case", [("defect-bound", j, defect_margin), ("eigenvalue-fit", j, c_margin)], 0.0)
+    columns = [("defect-bound", j, defect_margin), ("eigenvalue-fit", j, c_margin)]
+    return VerificationReport("equality_case", columns, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +289,7 @@ def _harnack_bound(ta: float, tb: float, ua: float, k: float) -> float:
 
 
 def _degenerate_harnack(check_name: str, run: Run, tolerance: float, note: str):
-    return _report(check_name, _at_last_node(run, "degenerate", 0.0), tolerance, notes=(note,))
+    return VerificationReport(check_name, _at_last_node(run, "degenerate", 0.0), tolerance, (note,))
 
 
 _ZERO_DATA_NOTE = "zero data: both sides vanish and the bound degenerates to 0 >= 0"
@@ -326,9 +323,9 @@ def verify_harnack(run: Run, *, tolerance: float = 1e-9) -> VerificationReport:
     dlog = math.log(ib) - math.log(ia)
     margin = dlog - _harnack_bound(ta, tb, ua, k)
     if k > 0.0:
-        return _report("harnack", _at_last_node(run, "log-bound", margin), tolerance)
+        return VerificationReport("harnack", _at_last_node(run, "log-bound", margin), tolerance)
     notes = (f"printed-variant margin at the same endpoints: {dlog + ua - math.log(tb / ta):.17g}",)
-    return _report("harnack", _at_last_node(run, "log-bound-derivation", margin), tolerance, notes=notes)
+    return VerificationReport("harnack", _at_last_node(run, "log-bound-derivation", margin), tolerance, notes)
 
 
 def verify_harnack_printed(run: Run, *, tolerance: float = 1e-9) -> VerificationReport:
@@ -344,12 +341,12 @@ def verify_harnack_printed(run: Run, *, tolerance: float = 1e-9) -> Verification
     trace = run.trace
     if trace.kappa_used > 0.0:
         reason = "printed and derived forms coincide for positive curvature weight"
-        return _inapplicable("harnack_printed", reason, tolerance)
+        return VerificationReport("harnack_printed", (), tolerance, (reason,))
     if _is_zero_run(trace):
         return _degenerate_harnack("harnack_printed", run, tolerance, _ZERO_DATA_NOTE)
     ta, tb, ia, ib, ua = _harnack_endpoints(trace)
     margin = (math.log(ib) - math.log(ia)) + ua - math.log(tb / ta)
-    return _report("harnack_printed", _at_last_node(run, "log-bound-printed", margin), tolerance)
+    return VerificationReport("harnack_printed", _at_last_node(run, "log-bound-printed", margin), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +438,7 @@ def verify_weighted_monotonicity(
     funcs = standard_test_functions(bg) if functions is None else functions
     names = sorted(funcs)
     round_axes = range(n + 1 if n else 0)
-    scales = np.sqrt(-run.traj.grid.as_array())
+    scales = np.sqrt(-run.traj.grid.nodes)
     columns = []
     for name in names:
         f = funcs[name]
@@ -456,7 +453,7 @@ def verify_weighted_monotonicity(
         slope = -0.5 * _graded_sum({k - 2: k * moment for k, moment in g_moments.items() if k}, scales)
         residual = slope + _graded_sum(_graded_integrals(bg, parts), scales)
         columns.append((f"{name}:residual", range(len(scales)), -np.abs(residual)))
-    return _report("weighted_monotonicity", columns, tolerance, (f"test functions: {', '.join(names)}",))
+    return VerificationReport("weighted_monotonicity", columns, tolerance, (f"test functions: {', '.join(names)}",))
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +492,8 @@ def verify_drift_bochner(run: Run, *, tolerance: float = 1e-8) -> VerificationRe
             f"gradient energy at this time: {grad_energy:.17g}",
         )
     )
-    nodes = [0, len(run.traj.grid.nodes) - 1]
-    return _report("drift_bochner", [("integral-identity", nodes, margin)], tolerance, notes)
+    columns = [("integral-identity", [0, len(run.traj.grid.nodes) - 1], margin)]
+    return VerificationReport("drift_bochner", columns, tolerance, notes)
 
 
 def verify_drift_bochner_verbatim(run: Run, *, tolerance: float = 1e-8) -> VerificationReport:
@@ -513,8 +510,8 @@ def verify_drift_bochner_verbatim(run: Run, *, tolerance: float = 1e-8) -> Verif
     ends = run.sides
     margin = [-abs(lhs - rhs_a) for lhs, rhs_a, _, _ in ends]
     notes = tuple(f"expected residual from the missing pairing term: {pairing:.17g}" for _, _, pairing, _ in ends)
-    nodes = [0, len(run.traj.grid.nodes) - 1]
-    return _report("drift_bochner_verbatim", [("integral-identity-verbatim", nodes, margin)], tolerance, notes)
+    columns = [("integral-identity-verbatim", [0, len(run.traj.grid.nodes) - 1], margin)]
+    return VerificationReport("drift_bochner_verbatim", columns, tolerance, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -590,10 +587,10 @@ def verify_general_bounds(run: Run, *, tolerance: float | None = None) -> Verifi
     trace, traj = run.trace, run.traj
     k = trace.kappa_used
     if _is_zero_run(trace):
-        return _inapplicable("general_bounds", _NO_FREQUENCY)
+        return VerificationReport("general_bounds", (), 0.0, (_NO_FREQUENCY,))
     holds, notes = run.certificate
     if not holds:
-        return _inapplicable("general_bounds", notes[0])
+        return VerificationReport("general_bounds", (), 0.0, (notes[0],))
 
     t, u = trace.t, trace.U
     log_i = np.log(trace.I)
@@ -611,7 +608,7 @@ def verify_general_bounds(run: Run, *, tolerance: float | None = None) -> Verifi
     allow = max(_third_difference_allowance(log_i, t), _third_difference_allowance(u, t))
     base = tolerance if tolerance is not None else 1e-9 * max(1.0, float(np.max(np.abs(u))))
     notes = notes + (f"centered-difference allowance folded into tolerance: {allow:.6e}",)
-    return _report("general_bounds", columns, base + allow, notes=notes)
+    return VerificationReport("general_bounds", columns, base + allow, notes)
 
 
 def _forcing_excess(rate: Rate, ta: float, tb: float, ua: float, k: float):
@@ -686,7 +683,7 @@ def verify_general_harnack(run: Run, *, tolerance: float = 1e-8) -> Verification
         )
     holds, notes = run.certificate
     if not holds:
-        return _inapplicable("general_harnack", notes[0], tolerance)
+        return VerificationReport("general_harnack", (), tolerance, (notes[0],))
     ta, tb, ia, ib, ua = _harnack_endpoints(trace)
     excess, gap = 0.0, 0.0
     if traj.forcing is not None:
@@ -694,10 +691,11 @@ def verify_general_harnack(run: Run, *, tolerance: float = 1e-8) -> Verification
         work = f"{pieces} smooth piece(s) of {points} points each, last gap {gap:.3e}"
         if level is None:
             reason = f"quadrature of the bound did not converge: {work}"
-            return _inapplicable("general_harnack", reason, tolerance)
+            return VerificationReport("general_harnack", (), tolerance, (reason,))
         notes += (f"forcing excess by Romberg extrapolation at level {level} on {work}, added to the tolerance",)
     margin = (math.log(ib) - math.log(ia)) - _harnack_bound(ta, tb, ua, k) - excess
-    return _report("general_harnack", _at_last_node(run, "log-bound-integrated", margin), tolerance + gap, notes)
+    columns = _at_last_node(run, "log-bound-integrated", margin)
+    return VerificationReport("general_harnack", columns, tolerance + gap, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -714,9 +712,10 @@ def verify_eigenvalue_monotonicity(run: Run, *, tolerance: float = 1e-12) -> Ver
     the run's trace.
     """
     bg, k = run.traj.background, run.trace.kappa_used
-    mt = -run.traj.grid.as_array()
+    mt = -run.traj.grid.nodes
     q = float_powers(mt.tolist(), [1.0 + 2.0 * k])[:, 0] * (first_nonzero_eigenvalue(bg) / mt)  # lambda1 = mu_1/(-t)
-    return _report("eigenvalue_monotonicity", [("scaled-eigenvalue-drop", range(1, len(q)), q[:-1] - q[1:])], tolerance)
+    columns = [("scaled-eigenvalue-drop", range(1, len(q)), q[:-1] - q[1:])]
+    return VerificationReport("eigenvalue_monotonicity", columns, tolerance)
 
 
 def verify_selfsimilar_scaling(run: Run, *, tolerance: float | None = None) -> VerificationReport:
@@ -740,15 +739,15 @@ def verify_selfsimilar_scaling(run: Run, *, tolerance: float | None = None) -> V
     traj = run.traj
     first = traj.amplitudes[0]
     if not first.any():
-        return _inapplicable("selfsimilar_scaling", "zero initial data: no frequency to scale by")
+        return VerificationReport("selfsimilar_scaling", (), 0.0, ("zero initial data: no frequency to scale by",))
     amps = np.abs(first)
     active = [m for m, a in zip(traj.modes, amps) if a > 1e-13 * float(np.max(amps))]
     mus = sorted({m.mu for m in active})
     if len(mus) != 1:
         reason = f"multiple eigenvalues active ({mus}); frequency not constant"
-        return _inapplicable("selfsimilar_scaling", reason)
+        return VerificationReport("selfsimilar_scaling", (), 0.0, (reason,))
     mu = mus[0]
-    t = traj.grid.as_array()
+    t = traj.grid.nodes
     at_minus_one = np.flatnonzero(np.abs(t + 1.0) < 1e-12)
     ref_idx = int(at_minus_one[0]) if len(at_minus_one) else 0
     t_ref = float(t[ref_idx])
@@ -756,7 +755,7 @@ def verify_selfsimilar_scaling(run: Run, *, tolerance: float | None = None) -> V
     residuals = np.sqrt(np.add.reduce((traj.amplitudes - factors * traj.amplitudes[ref_idx]) ** 2, axis=1))
     tol = tolerance if tolerance is not None else 1e-10 * max(1.0, math.sqrt(run.trace.I[ref_idx]))
     notes = (f"single active eigenvalue mu={mu:.17g}; reference slice t={t_ref:.17g}",)
-    return _report("selfsimilar_scaling", [("weighted-l2-residual", range(len(t)), -residuals)], tol, notes=notes)
+    return VerificationReport("selfsimilar_scaling", [("weighted-l2-residual", range(len(t)), -residuals)], tol, notes)
 
 
 def verify_quadrature_mass(run: Run, *, tolerance: float = 1e-12) -> VerificationReport:
@@ -765,4 +764,4 @@ def verify_quadrature_mass(run: Run, *, tolerance: float = 1e-12) -> Verificatio
     mass = total_mass(rule.background)
     margin = -abs(rule.mass - mass)
     scale = max(1.0, mass)
-    return _report("quadrature_mass", [("mass", [0], [margin])], tolerance * scale)
+    return VerificationReport("quadrature_mass", [("mass", [0], [margin])], tolerance * scale)

@@ -235,7 +235,7 @@ def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: Quadra
         f_values = c * values
     else:
         coupling = forcing.coupling
-        f_coeffs = c * (coupling.as_array() @ _amplitudes_on(field, coupling.modes))
+        f_coeffs = c * (np.array(coupling.matrix, dtype=float) @ _amplitudes_on(field, coupling.modes))
         f_values = combine_on_rule(rule, coupling.modes, f_coeffs)
 
     return float(np.min(c * (grad_norm + np.abs(values)) - np.abs(f_values)))
@@ -257,7 +257,7 @@ def vector_rk4(traj: Trajectory, field: CoefficientField, forcing: Forcing, loca
     coupling = forcing.coupling
     scalar = isinstance(coupling, ScalarOnU)
     idx = [traj.modes.index(m) for m in (traj.modes if scalar else coupling.modes)]
-    w = np.eye(len(idx)) if scalar else coupling.as_array()
+    w = np.eye(len(idx)) if scalar else np.array(coupling.matrix, dtype=float)
 
     def rhs(t, a):
         out = -(mus / (-t)) * a

@@ -184,6 +184,23 @@ def test_rule_above_the_point_limit_is_that_scenarios_runtime_error(tmp_path, ca
     assert sorted(p.name for p in out.iterdir()) == [f"b-ok{s}" for s in (".plot.py", ".report.json", ".trace.csv")]
 
 
+def test_grid_that_cannot_be_allocated_while_loading_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    # a node count numpy cannot allocate ends the run with exit 2 and one stderr line, not a traceback and exit 1
+    # (the code of a counted failure); the grid builder is patched, so nothing is allocated
+    def cannot_allocate(a, b, count):
+        raise MemoryError(f"Unable to allocate an array with shape ({count},) and data type float64")
+
+    monkeypatch.setattr(scenario.TimeGrid, "uniform", cannot_allocate)
+    cfg = _write(tmp_path, "huge.json", dict(PASSING, time={"a": -1.0, "b": -0.5, "nodes": 10**12}))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "runtime error: Unable to allocate an array with shape (1000000000000,) and data type float64\n"
+    )
+    assert captured.out == "" and not out.exists()
+
+
 def test_unwritable_scenario_spares_the_rest_of_the_batch(tmp_path, capsys):
     # a directory in the way of a scenario's first file fails its write: that scenario's error alone
     _write(tmp_path, "a.json", dict(PASSING, scenario_id="a"))

@@ -1,6 +1,7 @@
 """Exact spectral evolution, the Taylor-stepped ModeMatrix block, and forcing couplings."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,35 @@ def test_field_is_a_read_only_row_of_its_trajectory():
         CoefficientField(bg, -1.0, traj.modes, [1.0, math.inf])
     with pytest.raises(ValueError, match="duplicate mode"):
         CoefficientField(bg, -1.0, traj.modes[:1] * 2, [1.0, 1.0])
+
+
+def test_time_grid_is_one_read_only_float64_array():
+    given_nodes = np.array([-1.0, -0.75, -0.5])
+    grid = TimeGrid(given_nodes)
+    assert isinstance(grid.nodes, np.ndarray) and grid.nodes.dtype == np.float64 and grid.nodes.ndim == 1
+    assert not grid.nodes.flags.writeable and given_nodes.flags.writeable  # the grid froze its own copy
+    with pytest.raises(ValueError):
+        grid.nodes[0] = -2.0
+    assert (grid.a, grid.b) == (-1.0, -0.5) and type(grid.a) is float and type(grid.b) is float
+    assert TimeGrid.uniform(-1.0, -0.5, 3).nodes.tobytes() == np.linspace(-1.0, -0.5, 3).tobytes()
+    for nodes, message in [
+        ((-1.0,), "time grid needs at least two nodes"),
+        ((-1.0, math.nan), "grid node must be finite and negative, got nan"),
+        ((-math.inf, -1.0), "grid node must be finite and negative, got -inf"),
+        ((-1.0, 0.0), "grid node must be finite and negative, got 0.0"),
+        ((-1.0, -0.5, -0.5), "grid nodes must be strictly increasing"),
+        (((-1.0, -0.5),), "time grid nodes must be one-dimensional"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TimeGrid(nodes)
+
+
+def test_field_time_is_a_python_float():
+    # float_powers takes libm pow of the time: a numpy scalar node must not reach it as one
+    traj = evolve_exact_trajectory(_field(Sphere(2), -1.0, {(1, 0): 1.0}), TimeGrid.uniform(-1.0, -0.5, 5))
+    assert type(traj.grid.nodes[2]) is np.float64
+    assert type(field_at(traj, 2).time) is float
+    assert type(CoefficientField(Plane(1), np.float32(-0.5), (), []).time) is float
 
 
 # ---------------------------------------------------------------------------

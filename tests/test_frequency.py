@@ -18,6 +18,7 @@ from parafreq import (
     Forcing,
     ModeMatrix,
     Plane,
+    Run,
     Sphere,
     TimeGrid,
     enumerate_modes,
@@ -292,6 +293,17 @@ def test_exact_run_and_trace_hold_one_amplitude_array():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * traj.amplitudes.nbytes, f"peak {peak / traj.amplitudes.nbytes:.2f}x the amplitudes"
+
+
+def test_trace_time_column_is_the_grid_array():
+    # one array holds the time grid: the trace's t is the trajectory's grid.nodes, not a copy of it
+    for forcing in (None, Forcing(ConstantRate(0.5), ModeMatrix((mode_from_index(Plane(1), (1,)),), ((0.3,),)))):
+        f0 = CoefficientField.from_dict(Plane(1), -1.0, {mode_from_index(Plane(1), (1,)): 1.0})
+        grid = TimeGrid.uniform(-1.0, -0.5, 11)
+        traj = evolve_exact_trajectory(f0, grid) if forcing is None else evolve_forced(f0, grid, forcing)
+        run = Run(traj)
+        assert run.traj.grid is grid and run.trace.t is grid.nodes
+        assert np.shares_memory(run.trace.t, run.traj.grid.nodes) and not run.trace.t.flags.writeable
 
 
 def test_trace_kappa_override_rescales_u():

@@ -5,8 +5,13 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -532,11 +537,11 @@ def test_report_writer_matches_json_dumps_on_edge_reports(tmp_path):
     out = run_scenario(parse_config(_doc()))
     odd = 'quote " backslash \\ bell \x07 tab \t newline \n ümlaut – snowman ☃'
     edge = (
-        VerificationReport("harnack_printed", (), 1e-9, None, "inapplicable", (odd,)),
+        VerificationReport("harnack_printed", (), 1e-9, (odd,)),
         VerificationReport(
             "frequency_monotonicity",
             [("", [0], [-0.0]), (odd, [3, 1], [5e-324, 1e16]), ("a:b", [], []), ("x\ny", [2], [0.0])],
-            0.0, -0.0, "pass", (odd, ""),
+            0.0, (odd, ""),
         ),
     )
     empty, odd_report = _assert_columns_round_trip(replace(out, reports=out.reports + edge), tmp_path / "e.json")[-2:]
@@ -631,6 +636,29 @@ def test_load_report_json_refuses_a_verdict_its_columns_contradict(tmp_path):
     assert [r.status for r in load_report_json(path)[1]] == ["pass", "pass", "inapplicable"]
 
 
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        (lambda entry: entry.update(notes="abc"), "TypeError: notes must be a sequence of strings, got 'abc'"),
+        (lambda entry: entry.update(check_name=5), "TypeError: check_name must be a string, got 5"),
+        (lambda entry: entry["columns"][0].update(label=7), "TypeError: column label must be a string, got 7"),
+        (lambda entry: entry.update(tolerance=-1.0), "ValueError: tolerance must be at least 0, got -1.0"),
+    ],
+    ids=["notes-a-string", "check-name-a-number", "label-a-number", "negative-tolerance"],
+)
+def test_load_report_json_refuses_what_it_would_coerce(tmp_path, edit, error):
+    # each hand-edited file would read back as a different report (notes "abc" as ('a', 'b', 'c')) or one no
+    # verifier makes, so the reader refuses it and names the file and the entry
+    path = tmp_path / "edited.report.json"
+    emit_report_json(run_scenario(parse_config(_doc(checks=["harnack", "frequency_monotonicity"]))), path)
+    doc = json.loads(path.read_text())
+    assert len(load_report_json(path)[1]) == 2
+    edit(doc["reports"][1])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"edited.report.json: reports[1] is not a report ({error})")):
+        load_report_json(path)
+
+
 @pytest.mark.parametrize("margins", [[-0.0, 0.0], [0.0, -0.0]])
 def test_report_from_dict_takes_the_first_minimum_bit_for_bit(margins):
     # Python's min keeps the first of equal values, so the sign of a zero min_margin is the first zero's
@@ -660,8 +688,7 @@ def test_non_finite_report_margin_raises_naming_node_and_label():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=r"at node 2 \(increment\)"):
             VerificationReport(
-                "frequency_monotonicity", [("increment", [1, 2], [0.0, bad]), ("other", [1], [0.0])],
-                0.0, 0.0, "pass",
+                "frequency_monotonicity", [("increment", [1, 2], [0.0, bad]), ("other", [1], [0.0])], 0.0
             )
         with pytest.raises(ValueError, match=r"non-finite margin .* at node 2 \(increment\)"):
             report_from_dict({**doc, "columns": [{**increment, "margin": [0.0, bad]}]})
@@ -683,6 +710,30 @@ def test_report_file_keeps_the_fields_the_benchmark_verdicts_read(tmp_path):
         for r in out.reports
     ]
     assert [r["status"] for r in read] == ["pass", "inapplicable"] and read[1]["min_margin"] is None
+
+
+@pytest.mark.parametrize("name", ["matrix-forced-bounds", "plane-mixture"])
+def test_traced_run_of_a_packaged_config_exits_zero(tmp_path, name):
+    # perfbench/tracer.py wraps package functions by name and reads their arguments (the grid's ``nodes`` among
+    # them), so a renamed function or attribute shows here as a nonzero exit or, on the unforced plane-mixture, as
+    # a lost amplitude count
+    package = Path(scenario.__file__).parent
+    path = package / "suite" / f"{name}.json"
+    root = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.json"
+    command = [sys.executable, str(root / "perfbench" / "tracer.py"), str(spans), "1", "--",
+               "run", str(path), "--out", str(tmp_path / "out"), "--quiet"]
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(spans.read_text())
+    assert doc["exit_code"] == 0
+    if name == "plane-mixture":
+        config = load_config(path)
+        assert config.forcing is None  # so the closed form evolves every mode
+        amplitudes = doc["counts"]["evolution.evolve_exact_trajectory.amplitudes"]
+        assert amplitudes == len(config.grid.nodes) * len(config.initial_modes) > 0
+        assert "evolution.evolve_exact_trajectory" in {span[1] for span in doc["spans"]}
 
 
 # per packaged scenario, the sha256 of its reports' columns: each check name, then per column its label, node

@@ -27,6 +27,7 @@ from parafreq import (
     Sphere,
     TimeGrid,
     Trajectory,
+    VerificationReport,
     enumerate_modes,
     evolve_exact_trajectory,
     evolve_forced,
@@ -96,7 +97,7 @@ def test_frequency_monotonicity_fails_on_the_backward_law():
     bg = Plane(1)
     modes = (mode_from_index(bg, (1,)), mode_from_index(bg, (3,)))
     grid = TimeGrid.uniform(-1.0, -0.1, 361)
-    t = grid.as_array()
+    t = grid.nodes
     traj = Trajectory(grid, bg, modes, np.column_stack([(-t) ** -0.5, (-t) ** -1.5]))
     rep = _checked(verify_frequency_monotonicity, traj)
     assert rep.status == "fail"
@@ -139,7 +140,7 @@ def test_harnack_fails_on_amplitudes_off_their_power():
     # log I(b) - log I(a) >= 2 ln(b/a) while the run has 2 (1 + delta) ln(b/a), a margin of 2 delta ln(1/2)
     bg, delta = Plane(1), 0.1
     grid = TimeGrid.uniform(-1.0, -0.5, 41)
-    traj = Trajectory(grid, bg, (mode_from_index(bg, (2,)),), ((-grid.as_array()) ** (1.0 + delta))[:, None])
+    traj = Trajectory(grid, bg, (mode_from_index(bg, (2,)),), ((-grid.nodes) ** (1.0 + delta))[:, None])
     rep = verify_harnack(Run(traj))
     assert rep.status == "fail"
     assert [(c.label, c.nodes.tolist()) for c in rep.columns] == [("log-bound-derivation", [40])]
@@ -334,7 +335,7 @@ def test_weighted_monotonicity_is_exact_on_a_coarse_grid(bg):
 def test_weighted_monotonicity_moments_equal_direct_route(bg):
     # direct route: grad f and every d_a d_b f evaluated at the dilated nodes s * y, one integral per time
     grid = TimeGrid.uniform(-1.0, -0.5, 201)
-    t = grid.as_array()
+    t = grid.nodes
     run = _on_grid(bg, grid, resolution=16)
     rule = run.rule
     d = bg.ambient_dim
@@ -604,7 +605,7 @@ def test_selfsimilar_scaling_fails_on_amplitudes_off_their_power(bg, indices):
     (mu,) = {m.mu for m in modes}
     delta, a_ref = 0.25, np.array([1.5, -0.4, 0.7][: len(modes)])
     grid = TimeGrid.uniform(-1.0, -0.5, 11)
-    r = -grid.as_array()  # t_ref = -1
+    r = -grid.nodes  # t_ref = -1
     traj = Trajectory(grid, bg, modes, np.outer(r ** (mu + delta), a_ref))
     rep = verify_selfsimilar_scaling(Run(traj))
     assert rep.status == "fail"
@@ -659,7 +660,7 @@ def test_report_roundtrip_preserves_inapplicable():
 def test_report_nodes_round_trip_through_runs(nodes, runs):
     # a column's nodes are written as the maximal [start, stop) runs of consecutive indices, in their order
     margins = [float(i) for i in range(len(nodes))]
-    rep = verifiers._report("x", [("a", nodes, margins), ("b", [2], [-1.0])], 0.0)
+    rep = VerificationReport("x", [("a", nodes, margins), ("b", [2], [-1.0])], 0.0)
     doc = rep.to_dict()
     assert [c["runs"] for c in doc["columns"]] == [runs, [[2, 3]]]
     clone = report_from_dict(json.loads(json.dumps(doc, default=np.ndarray.tolist)))
@@ -669,19 +670,43 @@ def test_report_nodes_round_trip_through_runs(nodes, runs):
 
 def test_node_checks_must_be_finite():
     with pytest.raises(ValueError):
-        verifiers._report("x", [("n", [0], [float("nan")])], 0.0)
+        VerificationReport("x", [("n", [0], [float("nan")])], 0.0)
     with pytest.raises(ValueError):
-        verifiers._report("x", [("n", [0], [float("inf")])], 0.0)
+        VerificationReport("x", [("n", [0], [float("inf")])], 0.0)
 
 
 def test_min_margin_is_the_first_minimum_with_its_sign():
     # a signed-zero flip would change the emitted bytes
     for margins in ([0.0, -0.0], [-0.0, 0.0], [1.0, 0.0, -0.0, 0.0]):
-        rep = verifiers._report("x", [("n", range(len(margins)), margins)], 0.0)
+        rep = VerificationReport("x", [("n", range(len(margins)), margins)], 0.0)
         assert math.copysign(1.0, rep.min_margin) == math.copysign(1.0, min(margins)), margins
         # the same margins one column per node: the columns are taken in order
-        rep = verifiers._report("x", [(f"n{i}", [0], [m]) for i, m in enumerate(margins)], 0.0)
+        rep = VerificationReport("x", [(f"n{i}", [0], [m]) for i, m in enumerate(margins)], 0.0)
         assert math.copysign(1.0, rep.min_margin) == math.copysign(1.0, min(margins)), margins
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    columns=st.lists(st.lists(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0]), max_size=4), max_size=4),
+    tolerance=st.sampled_from([0.0, 5e-324, 1.0]),
+)
+def test_verdict_is_derived_from_the_columns(columns, tolerance):
+    # the constructor takes no verdict: min_margin is Python's min over the margins in column order (the first
+    # of equal values, so -0.0 and 0.0 stay apart), pass iff it is at least -tolerance, inapplicable iff no column
+    triples = [(f"c{i}", range(len(margins)), margins) for i, margins in enumerate(columns)]
+    margins = [m for column in columns for m in column]
+    if columns and not margins:
+        with pytest.raises(ValueError, match="applicable report requires at least one node"):
+            VerificationReport("x", triples, tolerance)
+        return
+    rep = VerificationReport("x", triples, tolerance)
+    assert (rep.status == "inapplicable") == (not columns) == (rep.min_margin is None)
+    if columns:
+        assert rep.min_margin.hex() == min(margins).hex()
+        assert rep.status == ("pass" if min(margins) >= -tolerance else "fail")
+    assert report_from_dict(json.loads(json.dumps(rep.to_dict(), default=np.ndarray.tolist))).status == rep.status
+    with pytest.raises(TypeError):
+        VerificationReport("x", triples, tolerance, (), rep.min_margin, rep.status)
 
 
 def test_check_table_holds_bare_verifiers():
