@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -49,9 +49,10 @@ from .backgrounds import Background, QuadratureRule
 from .modes import Mode, combine_on_rule, mode_sort_key
 
 _MAX_STEPS = 1 << 20  # Taylor steps one ModeMatrix block may take, counted before anything is built
-# entries of one block: (rule points x ambient dim) x (grid rows) in forcing_margins, modes x (grid rows) in the
-# trace, (steps) x m^2 in a ModeMatrix block's maps; a block bounds the temporaries
-_BLOCK_ENTRIES = 1 << 15
+# entries of one block: (rule points x ambient dim) x (grid rows) in forcing_margins, modes x (grid rows) in
+# Trajectory.blocks, which the trace and the checks read, (steps) x m^2 in a ModeMatrix block's maps; a block
+# bounds the temporaries, 32 KiB of float64 each
+_BLOCK_ENTRIES = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,64 +204,113 @@ class Forcing:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Amplitudes of one field on the nodes of a grid.
+    """Amplitudes of one field on the nodes of a grid, held factored as a power table, columns and a scale.
 
-    ``amplitudes`` is a C-contiguous float array of shape (nodes, modes): row i
-    holds the field at ``grid.nodes[i]``, entry i of the grid's one read-only
-    array, and columns follow ``modes``; a C-ordered float array is kept, any other copied.
+    Row i, the field at ``grid.nodes[i]``, entry i of the grid's one read-only
+    array, is ``table[i, columns] * scale``: an unforced run's table is its
+    (nodes, distinct mu) powers, ``columns`` picks each mode's mu and ``scale``
+    holds the first node's amplitudes.  A forced run's table is its dense
+    (nodes, modes) array, with the default identity ``columns`` and unit
+    ``scale``, which multiplies exactly.  ``rows(part)`` builds one block of
+    rows and ``blocks()`` walks the run in blocks; ``amplitudes`` is the whole
+    (nodes, modes) array, built on first read.
     """
 
     grid: TimeGrid
     background: Background
     modes: tuple[Mode, ...]
-    amplitudes: np.ndarray
+    table: np.ndarray
+    columns: np.ndarray | None = None
+    scale: np.ndarray | None = None
     forcing: Forcing | None = None
 
     def __post_init__(self) -> None:
-        amps = np.ascontiguousarray(self.amplitudes, dtype=float)
-        if amps.shape != (len(self.grid.nodes), len(self.modes)):
+        k = len(self.modes)
+        # views, so freezing them leaves the caller's arrays writable
+        table = np.asarray(self.table, dtype=float).view()
+        columns = np.asarray(range(k) if self.columns is None else self.columns, dtype=np.intp).view()
+        scale = np.asarray(np.ones(k) if self.scale is None else self.scale, dtype=float).view()
+        if table.ndim != 2 or len(table) != len(self.grid.nodes) or columns.shape != (k,) or scale.shape != (k,):
             raise ValueError(
-                f"amplitudes must have shape (nodes, modes) = {(len(self.grid.nodes), len(self.modes))}, "
-                f"got {amps.shape}"
+                f"need a (nodes, columns) table with {len(self.grid.nodes)} rows and a column and a scale per mode "
+                f"({k}), got shapes {table.shape}, {columns.shape} and {scale.shape}"
             )
-        if not np.all(np.isfinite(amps)):
+        if k and not (0 <= columns.min() and columns.max() < table.shape[1]):
+            raise ValueError(f"mode columns must index the table's {table.shape[1]} columns")
+        # the largest |entry| of a mode is its column's largest |power| times |scale|, rounded: rounding is
+        # monotone, so every entry is finite exactly when that product is
+        with np.errstate(over="ignore", invalid="ignore"):
+            largest = np.maximum(table.max(axis=0), -table.min(axis=0))[columns] * np.abs(scale)
+        if not np.isfinite(largest).all():
             raise ValueError("non-finite amplitude in trajectory")
-        object.__setattr__(self, "amplitudes", amps)
+        for name, value in (("table", table), ("columns", columns), ("scale", scale)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def rows(self, part) -> np.ndarray:
+        """A new C-ordered (rows, modes) array of the rows ``part`` (a slice or a list of indices) selects."""
+        block = np.take(self.table[part], self.columns, axis=1)
+        block *= self.scale
+        return block
+
+    def blocks(self, width: int | None = None) -> Iterator[tuple[slice, np.ndarray]]:
+        """(part, rows(part)) over runs of at most ``_BLOCK_ENTRIES // width`` rows, ``width`` the mode count by
+        default: a caller that reduces each row alone gets the same bits as from the whole array at once."""
+        step = max(1, _BLOCK_ENTRIES // max(1, len(self.modes) if width is None else width))
+        for lo in range(0, len(self.grid.nodes), step):
+            part = slice(lo, lo + step)
+            yield part, self.rows(part)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The whole (nodes, modes) array, read-only, built on first read and kept; the package reads ``rows``."""
+        if "_dense" not in vars(self):
+            dense = self.rows(slice(None))
+            dense.setflags(write=False)
+            vars(self)["_dense"] = dense
+        return vars(self)["_dense"]
 
 
 def float_powers(bases: Sequence[float], exponents: Sequence[float]) -> np.ndarray:
     """(len(bases), len(exponents)) array of ``base ** exponent``.
 
-    The result is a transposed view, in F order: gather its columns with ``np.take(..., axis=1)``,
-    which returns C order, where fancy indexing would keep F order.
+    One preallocated (exponents, bases) array is filled a row per exponent, and the result is its transposed
+    view, in F order: gather its columns with ``np.take(..., axis=1)``, which returns C order, where fancy
+    indexing would keep F order.
     """
     # Python ** is libm pow; np.power can differ from it in the last ulp, which would change emitted bytes.
-    # one list per exponent: a few long comprehensions, not one short one per base
-    return np.array([[b**e for b in bases] for e in exponents], dtype=float).reshape(len(exponents), len(bases)).T
+    # one row per exponent: a few long comprehensions, not one short one per base
+    out = np.empty((len(exponents), len(bases)))
+    for row, e in zip(out, exponents):
+        row[:] = [b**e for b in bases]
+    return out.T
 
 
 def evolve_exact_trajectory(field: CoefficientField, grid: TimeGrid) -> Trajectory:
-    """The closed form a_j -> a_j * ((-t)/(-t0))**mu_j at every grid node, as one (nodes, modes) array."""
-    modes = field.modes
-    mus = sorted({m.mu for m in modes})
+    """The closed form a_j -> a_j * ((-t)/(-t0))**mu_j at every grid node, held factored.
+
+    The trajectory keeps the (nodes, distinct mu) table of ((-t)/(-t0))**mu, each mode's column in it and the
+    field's amplitudes as its scale, so no (nodes, modes) array exists until a block of rows is read.
+    """
+    mus = sorted({m.mu for m in field.modes})
     column = {mu: j for j, mu in enumerate(mus)}
     powers = float_powers([(-t) / (-field.time) for t in grid.nodes.tolist()], mus)
-    amplitudes = np.take(powers, [column[m.mu] for m in modes], axis=1)
-    amplitudes *= field.amplitudes  # in place: the one (nodes, modes) array, which Trajectory keeps
-    return Trajectory(grid, field.background, modes, amplitudes)
+    columns = [column[m.mu] for m in field.modes]
+    return Trajectory(grid, field.background, field.modes, powers, columns, field.amplitudes)
 
 
 # ---------------------------------------------------------------------------
 # stepped (forced) evolution
 
 
-def _amplitudes_on(field: CoefficientField | Trajectory, modes: Sequence[Mode]) -> np.ndarray:
-    """The amplitude on each of ``modes`` of a field, or of every row of a trajectory; 0 where it has none."""
-    position = {m: j for j, m in enumerate(field.modes)}
-    out = np.zeros(field.amplitudes.shape[:-1] + (len(modes),))
+def _amplitudes_on(have: Sequence[Mode], amplitudes: np.ndarray, modes: Sequence[Mode]) -> np.ndarray:
+    """The amplitude on each of ``modes`` of ``amplitudes`` over ``have``, a field's or a block of rows'; 0 where
+    ``have`` has no such mode."""
+    position = {m: j for j, m in enumerate(have)}
+    out = np.zeros(amplitudes.shape[:-1] + (len(modes),))
     for i, m in enumerate(modes):
         if m in position:
-            out[..., i] = field.amplitudes[..., position[m]]
+            out[..., i] = amplitudes[..., position[m]]
     return out
 
 
@@ -317,9 +367,10 @@ def evolve_forced(field: CoefficientField, grid: TimeGrid, forcing: Forcing, *, 
     kinks = [x for x in getattr(rate, "times", ()) if grid.a < x < grid.b and x not in on_grid]
     cuts = np.sort(np.concatenate([nodes, kinks]))
     at_nodes = np.searchsorted(cuts, nodes)
-    start = CoefficientField(field.background, grid.a, free, _amplitudes_on(field, free))
     amps = np.empty((len(nodes), len(modes)))
-    amps[:, [modes.index(x) for x in free]] = evolve_exact_trajectory(start, grid).amplitudes
+    if free:  # a block that holds every mode leaves no closed form to evaluate
+        start = CoefficientField(field.background, grid.a, free, _amplitudes_on(field.modes, field.amplitudes, free))
+        amps[:, [modes.index(x) for x in free]] = evolve_exact_trajectory(start, grid).rows(slice(None))
     # a stiff rate overflows; Trajectory refuses what is not finite, the step budget what cannot be stepped
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         c = rate.values_at(cuts)
@@ -345,7 +396,7 @@ def evolve_forced(field: CoefficientField, grid: TimeGrid, forcing: Forcing, *, 
             h, slope = np.diff(np.append(starts, tau[-1])), (np.diff(c) / np.diff(cuts))[piece]
             c_start = rate.values_at(-starts)
             states, per_batch = np.empty((len(cuts), m)), max(1, _BLOCK_ENTRIES // (m * m))
-            states[0] = state = _amplitudes_on(field, block)
+            states[0] = state = _amplitudes_on(field.modes, field.amplitudes, block)
             for lo in range(0, done[-1], per_batch):  # per_batch bounds the maps alive at once
                 part = slice(lo, lo + per_batch)
                 maps = _taylor_maps(mus, w, starts[part], h[part], c_start[part], slope[part], local_tol)
@@ -356,7 +407,7 @@ def evolve_forced(field: CoefficientField, grid: TimeGrid, forcing: Forcing, *, 
                 state, (first, last) = run[-1], np.searchsorted(done, [lo + 1, lo + len(maps) + 1])
                 states[first:last] = np.array(run)[done[first:last] - lo]
             amps[:, [modes.index(x) for x in block]] = states[at_nodes]
-    return Trajectory(grid, field.background, modes, amps, forcing=forcing)
+    return Trajectory(grid, field.background, modes, amps, forcing=forcing)  # dense: identity columns, unit scale
 
 
 def forcing_margins(traj: Trajectory, rule: QuadratureRule) -> np.ndarray:
@@ -367,23 +418,22 @@ def forcing_margins(traj: Trajectory, rule: QuadratureRule) -> np.ndarray:
     surface at each node's time, so the unit-scale tangential gradient
     carries a 1/sqrt(-t) factor.  A nonnegative margin certifies the forcing
     hypothesis at that node.  Values, gradients and the image ``a W^T`` come
-    from one ``combine_on_rule`` block per kind over the rows, in runs of at
-    most ``_BLOCK_ENTRIES // rule.points.size`` rows; each row is combined
-    and reduced on its own, so a margin is the same bit for bit in any run.
+    from one ``combine_on_rule`` block per kind over the rows of one
+    ``traj.blocks(rule.points.size)`` block; each row is combined and reduced
+    on its own, so a margin is the same bit for bit in any run.
     """
     rule.require_background(traj.background)
     coupling, t = traj.forcing.coupling, traj.grid.nodes
-    c = traj.forcing.rate.values_at(t)
-    # a stack of matrix-vector products, the same BLAS call as W @ a on one field
-    f_coeffs = c[:, None] * (np.array(coupling.matrix) @ _amplitudes_on(traj, coupling.modes)[:, :, None])[:, :, 0]
+    c, w = traj.forcing.rate.values_at(t), np.array(coupling.matrix)
     out, proj = np.empty(len(t)), rule.tangent_projector()
-    rows = max(1, _BLOCK_ENTRIES // rule.points.size)
-    for lo in range(0, len(t), rows):
-        part, cs = slice(lo, lo + rows), c[lo : lo + rows, None]
-        values = combine_on_rule(rule, traj.modes, traj.amplitudes[part])
-        ambient_grads = combine_on_rule(rule, traj.modes, traj.amplitudes[part], "gradients")
+    for part, amps in traj.blocks(rule.points.size):
+        cs = c[part, None]
+        # a stack of matrix-vector products, the same BLAS call as W @ a on one field
+        f_coeffs = cs * (w @ _amplitudes_on(traj.modes, amps, coupling.modes)[:, :, None])[:, :, 0]
+        values = combine_on_rule(rule, traj.modes, amps)
+        ambient_grads = combine_on_rule(rule, traj.modes, amps, "gradients")
         tangential = np.einsum("nij,rnj->rni", proj, ambient_grads)
         grad_norm = np.sqrt(np.sum(tangential**2, axis=2)) / np.sqrt(-t[part])[:, None]
-        f_values = combine_on_rule(rule, coupling.modes, f_coeffs[part])
+        f_values = combine_on_rule(rule, coupling.modes, f_coeffs)
         out[part] = np.min(cs * (grad_norm + np.abs(values)) - np.abs(f_values), axis=1)
     return out

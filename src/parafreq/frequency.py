@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import evolution
 from .backgrounds import Background, kappa, monomial_moments
 from .evolution import Trajectory, float_powers
 from .modes import mode_function
@@ -100,7 +99,7 @@ def bochner_sides(traj: Trajectory) -> Sides:
     """
     if not isinstance(traj, Trajectory):
         raise TypeError(f"bochner_sides needs a Trajectory (both ends of a run), got {type(traj).__name__}")
-    ends = zip((traj.grid.a, traj.grid.b), traj.amplitudes[[0, -1]])
+    ends = zip((traj.grid.a, traj.grid.b), traj.rows([0, -1]))
     return tuple(_end_sides(traj.background, traj.modes, row, t) for t, row in ends)
 
 
@@ -127,8 +126,10 @@ def trace_from_trajectory(traj: Trajectory, kappa_value: float | None = None) ->
     Each row equals, bit for bit, what the per-snapshot oracles of
     ``tests/oracles.py`` give on that node's field.  The trace's ``t`` is the
     grid's read-only ``nodes`` array itself, not a copy.
-    The sums run over blocks of at most ``evolution._BLOCK_ENTRIES // modes``
-    rows, so the temporaries stay one block in size however long the run.
+    The sums run over ``traj.blocks()``, of at most
+    ``evolution._BLOCK_ENTRIES // modes`` rows each, so no (nodes, modes)
+    array is built and the temporaries stay one block in size however long
+    the run.
     Zero-field nodes keep I = D = cs_defect = 0 but carry U = N_raw = nan;
     verifiers treat such trajectories as inapplicable rather than failing.
     """
@@ -137,10 +138,8 @@ def trace_from_trajectory(traj: Trajectory, kappa_value: float | None = None) ->
     mt = -t
     mus = np.array([m.mu for m in traj.modes], dtype=float)
     i_val, mu_sum, cross, c2_sum = (np.empty(len(t)) for _ in range(4))
-    rows = max(1, evolution._BLOCK_ENTRIES // max(1, len(mus)))
-    for lo in range(0, len(t), rows):  # each row sums alone, so the blocks change no bit
-        part = slice(lo, lo + rows)
-        sq = traj.amplitudes[part] ** 2
+    for part, amps in traj.blocks():  # each row sums alone, so the blocks change no bit
+        sq = amps**2
         c = -mus / mt[part, None]
         i_val[part] = np.sum(sq, axis=1)
         mu_sum[part] = np.sum(mus * sq, axis=1)

@@ -26,7 +26,7 @@ import os
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -472,23 +472,32 @@ def run_scenario(config: ScenarioConfig) -> RunOutput:
 # emitters
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
     # UTF-8 text under a UTF-8 name whatever the locale; bytes the locale could not decode go back out unchanged
     name = str(path).encode("utf-8", "surrogateescape")
     with open(name + b".tmp", "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
     os.replace(name + b".tmp", name)
 
 
-_CSV_ROW = ",".join(["%.17g"] * 6)
+_CSV_ROW = ",".join(["%.17g"] * 6) + "\n"
+_CSV_BLOCK = 256  # trace rows formatted and written at a time
+
+
+def _csv_chunks(columns: tuple[np.ndarray, ...]) -> Iterator[str]:
+    yield "t,I,D,U,N_raw,cs_defect\n"
+    for lo in range(0, len(columns[0]), _CSV_BLOCK):
+        yield "".join(map(_CSV_ROW.__mod__, zip(*(c[lo : lo + _CSV_BLOCK].tolist() for c in columns))))
 
 
 def emit_trace_csv(output: RunOutput, path: str | Path) -> None:
-    """Write the frequency trace; columns exactly t, I, D, U, N_raw, cs_defect."""
+    """Write the frequency trace; columns exactly t, I, D, U, N_raw, cs_defect.
+
+    Rows are formatted and written ``_CSV_BLOCK`` at a time into the ``.tmp`` file, which then replaces ``path``,
+    so the text of the whole file never exists at once.
+    """
     trace = output.trace
-    columns = (trace.t, trace.I, trace.D, trace.U, trace.N_raw, trace.cs_defect)
-    rows = map(_CSV_ROW.__mod__, zip(*(c.tolist() for c in columns)))
-    _atomic_write(Path(path), "\n".join(["t,I,D,U,N_raw,cs_defect", *rows]) + "\n")
+    _atomic_write(Path(path), _csv_chunks((trace.t, trace.I, trace.D, trace.U, trace.N_raw, trace.cs_defect)))
 
 
 # each report's nodes as one margin column per label over runs of grid indices; node i is t_i of the run's ``time``
@@ -514,7 +523,7 @@ def emit_report_json(output: RunOutput, path: str | Path) -> None:
         "time": config.document["time"],
         "reports": [{**r.to_dict(), **identity} for r in output.reports],
     }
-    _atomic_write(Path(path), json.dumps(doc, sort_keys=True, default=np.ndarray.tolist) + "\n")
+    _atomic_write(Path(path), (json.dumps(doc, sort_keys=True, default=np.ndarray.tolist), "\n"))
 
 
 def load_report_json(path: str | Path) -> tuple[dict, tuple[VerificationReport, ...]]:
@@ -578,4 +587,4 @@ def emit_plot_script(output: RunOutput, path: str | Path) -> None:
     """
     sid = output.config.scenario_id
     text = _PLOT_TEMPLATE.format(csv_name=f"{sid}.trace.csv", title=f"{sid} ({output.config.background.label()})")
-    _atomic_write(Path(path), text)
+    _atomic_write(Path(path), (text,))

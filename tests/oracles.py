@@ -15,7 +15,9 @@ hypothesis for one field, the oracle for ``evolution.forcing_margins``;
 ``rate_at`` is a rate's value at one time, the oracle for ``values_at``;
 ``vector_rk4`` steps a forced run by step-doubled vector RK4, the oracle for
 the Taylor transfer maps of ``evolution.evolve_forced``; ``field_at`` passes
-one row of a trajectory through as a field without copying it.
+one row of a trajectory through as a field without copying it;
+``dense_exact_amplitudes`` builds a closed-form run's whole amplitude array
+at once, the oracle for ``Trajectory.rows``.
 """
 
 import math
@@ -24,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from parafreq.backgrounds import Background, QuadratureRule, kappa
-from parafreq.evolution import CoefficientField, ConstantRate, Forcing, Rate, ScalarOnU, Trajectory, _amplitudes_on
+from parafreq.evolution import (
+    CoefficientField, ConstantRate, Forcing, Rate, ScalarOnU, TimeGrid, Trajectory, _amplitudes_on,
+)
 from parafreq.modes import combine_on_rule
 
 
@@ -235,7 +239,8 @@ def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: Quadra
         f_values = c * values
     else:
         coupling = forcing.coupling
-        f_coeffs = c * (np.array(coupling.matrix, dtype=float) @ _amplitudes_on(field, coupling.modes))
+        a = _amplitudes_on(field.modes, field.amplitudes, coupling.modes)
+        f_coeffs = c * (np.array(coupling.matrix, dtype=float) @ a)
         f_values = combine_on_rule(rule, coupling.modes, f_coeffs)
 
     return float(np.min(c * (grad_norm + np.abs(values)) - np.abs(f_values)))
@@ -244,6 +249,18 @@ def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: Quadra
 def field_at(traj: Trajectory, i: int) -> CoefficientField:
     """The field at grid node ``i`` of ``traj``: row ``i`` of its amplitudes, shared, not copied."""
     return CoefficientField(traj.background, traj.grid.nodes[i], traj.modes, traj.amplitudes[i])
+
+
+def dense_exact_amplitudes(field: CoefficientField, grid: TimeGrid) -> np.ndarray:
+    """The whole (nodes, modes) array of the closed form, as one gather and one product: ``np.take`` of the
+    columns of a (nodes, distinct mu) table of libm powers, then ``*=`` the field's amplitudes.  The oracle for
+    ``Trajectory.rows`` of ``evolution.evolve_exact_trajectory``, bit for bit."""
+    mus = sorted({m.mu for m in field.modes})
+    ratios = [(-t) / (-field.time) for t in grid.nodes.tolist()]
+    powers = np.array([[r**mu for r in ratios] for mu in mus], dtype=float).reshape(len(mus), len(ratios)).T
+    amplitudes = np.take(powers, [mus.index(m.mu) for m in field.modes], axis=1)
+    amplitudes *= field.amplitudes
+    return amplitudes
 
 
 def vector_rk4(traj: Trajectory, field: CoefficientField, forcing: Forcing, local_tol: float, doubling: bool = True):
@@ -278,7 +295,7 @@ def vector_rk4(traj: Trajectory, field: CoefficientField, forcing: Forcing, loca
         assert depth < 30
         return advance(mid, advance(t0, a, mid, depth + 1), t1, depth + 1)
 
-    rows = [_amplitudes_on(field, traj.modes)]
+    rows = [_amplitudes_on(field.modes, field.amplitudes, traj.modes)]
     for t0, t1 in zip(traj.grid.nodes, traj.grid.nodes[1:]):
         rows.append(advance(t0, rows[-1], t1) if doubling else step(t0, rows[-1], t1 - t0))
     return np.array(rows)

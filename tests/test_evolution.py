@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parafreq import evolution
@@ -371,10 +371,20 @@ def test_stiff_block_is_refused_by_its_step_budget(monkeypatch):
 
 
 _SPLIT_KINDS = ("unforced", "scalar-constant", "scalar-kinked", "matrix", "matrix-switched-off")
-# |run on [a, b] - run on [a, c] continued on [c, b]| / max |row| per kind: the closed forms differ by rounding
-# in a power or an exp, Taylor maps by their tail bound, 1e-13 per step, over a few steps (all read below 1e-15)
+# |run on [a, b] - run on [a, c] continued on [c, b]| per entry is at most _SPLIT_TOLERANCE[kind] * max |row| plus
+# _SPLIT_SUBNORMALS[kind] subnormal spacings 2^-1074.  The relative part: the closed forms differ by rounding in a
+# power or an exp, Taylor maps by their tail bound, 1e-13 per step, over a few steps (all read below 1e-15).  The
+# absolute part: a product that rounds into the subnormal range errs by up to half a spacing, whatever the relative
+# precision, and later factors scale that error.  Unforced: one product on the whole path and two on the split one,
+# the later factor at most 1, so 1.5 spacings.  Scalar: each path also multiplies by exp(int C) <= e^4 < 55 after the
+# power, so at most 1.5 * 55 + 1.5.  Matrix: each path takes at most 290 Taylor steps here (rho >= 0.5 / 14.5, 9.2
+# in log tau, 25 pieces), each rounding up to three products per entry, which the flow grows by at most
+# exp(C ||W|| span) <= e^12 < 1.7e5: 2 * 290 * 1.5 * 1.7e5 < 2^28.  2^28 spacings are 1.3e-315, so no row of normal
+# numbers is loosened.
 _SPLIT_TOLERANCE = {"unforced": 1e-14, "scalar-constant": 1e-14, "scalar-kinked": 1e-14, "matrix": 1e-12,
                     "matrix-switched-off": 1e-12}
+_SPLIT_SUBNORMALS = {"unforced": 2, "scalar-constant": 128, "scalar-kinked": 128, "matrix": 2**28,
+                     "matrix-switched-off": 2**28}
 
 
 @settings(max_examples=60, deadline=None)
@@ -384,19 +394,24 @@ _SPLIT_TOLERANCE = {"unforced": 1e-14, "scalar-constant": 1e-14, "scalar-kinked"
     a=st.floats(-2.0, -0.5),
     end=st.floats(1e-4, 0.9),
     count=st.integers(3, 25),
-    data=st.data(),
+    split=st.integers(1, 23),
+    amps=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+    level=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
+    size=st.integers(1, 3),
+    entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
 )
-def test_runs_compose_at_an_interior_node(kind, bg, a, end, count, data):
+# found: the whole run rounds 5e-324 * 0.5^1.5 to 0, the split run keeps 5e-324 at -0.75 and at -0.5
+@example(kind="unforced", bg=Plane(1), a=-1.0, end=0.5, count=3, split=1, amps=[0.0, 0.0, 0.0, 5e-324, 0.0],
+         level=(0.0, 0.0), size=1, entries=[0.0] * 9)
+def test_runs_compose_at_an_interior_node(kind, bg, a, end, count, split, amps, level, size, entries):
     # the flow from a to b is the flow from c to b after the flow from a to c, at every interior node c; where the
     # rate is 0 from a kink before c on, the flow after c is the unforced one, which a wrong sign on the block's
     # mu/(-t) term breaks
     modes = enumerate_modes(bg, 1.5)[:5]
     grid = TimeGrid.uniform(a, a * end, count)
-    k = data.draw(st.integers(1, count - 2), label="split node")
-    amps = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(modes), max_size=len(modes)), label="amplitudes")
-    field = CoefficientField(bg, a, modes, amps)
+    k = 1 + (split - 1) % (count - 2)  # the split node
+    field = CoefficientField(bg, a, modes, amps[: len(modes)])
     nodes = grid.nodes
-    level = data.draw(st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2), label="rate values")
     kink = nodes[k - 1] + 0.37 * (nodes[k] - nodes[k - 1])  # inside the step before c
     rate = {
         "scalar-constant": ConstantRate(level[0]),
@@ -409,8 +424,6 @@ def test_runs_compose_at_an_interior_node(kind, bg, a, end, count, data):
     elif kind.startswith("scalar"):
         forcing = Forcing(rate, ScalarOnU())
     else:
-        size = data.draw(st.integers(1, 3), label="block size")
-        entries = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=size * size, max_size=size * size), label="W")
         block = tuple(modes[-size:])
         forcing = Forcing(rate, ModeMatrix(block, tuple(tuple(entries[i * size : (i + 1) * size]) for i in range(size))))
 
@@ -421,12 +434,13 @@ def test_runs_compose_at_an_interior_node(kind, bg, a, end, count, data):
 
     whole = run(field, grid)
     first = run(field, TimeGrid(nodes[: k + 1]))
-    scale = np.max(np.abs(whole.amplitudes), axis=1, keepdims=True)
+    bound = _SPLIT_TOLERANCE[kind] * np.max(np.abs(whole.amplitudes), axis=1, keepdims=True)
+    bound += _SPLIT_SUBNORMALS[kind] * 2.0**-1074
     for forced in (True, False) if kind == "matrix-switched-off" else (True,):
         second = run(field_at(first, -1), TimeGrid(nodes[k:]), forced)
         assert first.modes == second.modes == whole.modes
         joined = np.concatenate([first.amplitudes, second.amplitudes[1:]])
-        assert np.all(np.abs(joined - whole.amplitudes) <= _SPLIT_TOLERANCE[kind] * scale), (kind, forced)
+        assert np.all(np.abs(joined - whole.amplitudes) <= bound), (kind, forced)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import struct
 import tracemalloc
 
@@ -40,6 +41,7 @@ from oracles import (
     compute_I_quadrature,
     compute_N_raw,
     compute_U,
+    dense_exact_amplitudes,
     evolve_exact,
     field_at,
 )
@@ -249,19 +251,27 @@ def test_trace_columns_equal_scalar_functionals_bit_for_bit(monkeypatch, make, b
 
 @pytest.mark.parametrize("make", [_mixture_trajectory, _zero_trajectory, _underflow_trajectory])
 def test_exact_trajectory_rows_equal_evolve_exact_bit_for_bit(monkeypatch, make):
-    handed = []
-
-    class Recording(evolution.Trajectory):
-        def __post_init__(self):
-            handed.append(self.amplitudes)
-            super().__post_init__()
-
-    monkeypatch.setattr(evolution, "Trajectory", Recording)
+    # the closed form stays factored: a (nodes, distinct mu) table, a column per mode and the first row's
+    # amplitudes; any block of rows it builds equals the dense gather-then-scale route row for row, bit for bit
     f0, traj = make()
-    # the array evolution built, C-ordered and owned: Trajectory copied nothing
-    assert traj.amplitudes is handed[0]
-    assert traj.amplitudes.flags["C_CONTIGUOUS"] and traj.amplitudes.flags["OWNDATA"]
-    assert traj.modes == f0.modes
+    dense = dense_exact_amplitudes(f0, traj.grid)
+    nodes = len(traj.grid.nodes)
+    assert traj.modes == f0.modes and traj.table.shape == (nodes, len({m.mu for m in f0.modes}))
+    assert traj.scale.tobytes() == f0.amplitudes.tobytes()
+    rng = random.Random(make.__name__)
+    for _ in range(5):
+        cuts = sorted({0, nodes, *rng.sample(range(1, nodes), min(nodes - 1, rng.randint(1, 6)))})
+        for lo, hi in zip(cuts, cuts[1:]):
+            block = traj.rows(slice(lo, hi))
+            assert block.flags["C_CONTIGUOUS"] and block.shape == (hi - lo, len(traj.modes))
+            assert block.tobytes() == dense[lo:hi].tobytes(), (lo, hi)
+    picked = rng.sample(range(nodes), 3)
+    assert traj.rows(picked).tobytes() == dense[picked].tobytes()
+    monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", 3 * max(1, len(traj.modes)))  # three rows a block
+    walked = list(traj.blocks())
+    assert [part.start for part, _ in walked] == list(range(0, nodes, 3))
+    assert np.concatenate([block for _, block in walked]).tobytes() == dense.tobytes()
+    assert traj.amplitudes.tobytes() == dense.tobytes() and not traj.amplitudes.flags.writeable
     for i, t in enumerate(traj.grid.nodes):
         ref = evolve_exact(f0, t)
         assert [_bits(a) for a in traj.amplitudes[i].tolist()] == [_bits(a) for a in ref.amplitudes.tolist()], i
@@ -271,11 +281,32 @@ def test_exact_trajectory_rows_equal_evolve_exact_bit_for_bit(monkeypatch, make)
         )
 
 
+def test_factored_trajectory_refuses_what_its_dense_rows_would_overflow():
+    # the largest |entry| of a mode is its column's largest |power| times |scale|: refused exactly when that
+    # product is not finite, decided without building the rows
+    bg = Plane(1)
+    grid = TimeGrid.uniform(-1.0, -0.5, 3)
+    modes = tuple(mode_from_index(bg, (j,)) for j in range(2))
+    table = np.array([[1.0, 0.5], [0.75, 2.0], [0.5, 1.0]])
+    big = np.finfo(float).max
+    traj = evolution.Trajectory(grid, bg, modes, table, [0, 0], [big, -big])
+    assert np.isfinite(traj.amplitudes).all()
+    for columns, scale in (([0, 1], [1.0, big]), ([1, 0], [big, 0.0]), ([0, 0], [math.nan, 1.0])):
+        with pytest.raises(ValueError, match="^non-finite amplitude in trajectory$"):
+            evolution.Trajectory(grid, bg, modes, table, columns, scale)
+    with pytest.raises(ValueError, match="^non-finite amplitude in trajectory$"):  # inf times 0 is nan
+        evolution.Trajectory(grid, bg, modes, np.array([[1.0, 0.5], [math.inf, 2.0], [0.5, 1.0]]), [0, 1], [0.0, 1.0])
+    with pytest.raises(ValueError, match="must index the table's 2 columns"):
+        evolution.Trajectory(grid, bg, modes, table, [0, 2], [1.0, 1.0])
+    with pytest.raises(ValueError, match="need a \\(nodes, columns\\) table with 3 rows"):
+        evolution.Trajectory(grid, bg, modes, table[:2])
+
+
 def test_exact_run_and_trace_hold_one_amplitude_array():
-    # a spectral benchmark mixture: 84 modes on 2,001 nodes, 1.28 MiB of amplitudes.  Measured peak 1.86x that
-    # size: the trajectory, one block of the trace's temporaries and its columns.  Gathering in F order and
-    # copying into C order peaks at 3.2x in evolution alone, a trace over the whole array adds 3.1x more;
-    # the bound 2.5x leaves 0.8 MiB of slack.
+    # a spectral benchmark mixture: 84 modes on 2,001 nodes, 1.28 MiB of amplitudes, which are never built: the
+    # trajectory keeps its (nodes, distinct mu) powers and the trace reads blocks of rows.  Measured peak 0.34x that
+    # size: the powers and the lists that fill them, one block of the trace's temporaries and its columns.  A dense
+    # (nodes, modes) array alone would be 1x; the bound 0.5x leaves 0.2 MiB of slack.
     config = parse_config({
         "scenario_id": "spectral-memory",
         "background": {"kind": "plane", "n": 3},
@@ -285,6 +316,7 @@ def test_exact_run_and_trace_hold_one_amplitude_array():
     })
     f0 = CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes))
     assert len(f0.modes) == 84
+    dense_bytes = len(config.grid.nodes) * len(f0.modes) * 8
     tracemalloc.start()
     try:
         traj = evolve_exact_trajectory(f0, config.grid)
@@ -292,7 +324,7 @@ def test_exact_run_and_trace_hold_one_amplitude_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * traj.amplitudes.nbytes, f"peak {peak / traj.amplitudes.nbytes:.2f}x the amplitudes"
+    assert peak < 0.5 * dense_bytes, f"peak {peak / dense_bytes:.2f}x the amplitudes"
 
 
 def test_trace_time_column_is_the_grid_array():

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from parafreq import (
     ConfigError,
+    Trajectory,
     VerificationReport,
     emit_plot_script,
     emit_report_json,
@@ -466,6 +467,25 @@ def test_emitters_roundtrip_and_are_deterministic(tmp_path):
     assert (tmp_path / "s2.report.json").read_bytes() == json_path.read_bytes()
 
 
+@pytest.mark.parametrize("block", [None, 7], ids=["default-block", "blocks-of-7-rows"])
+def test_trace_csv_streams_the_bytes_of_one_joined_string(monkeypatch, tmp_path, block):
+    # rows are written a block at a time; the file is the one string of every row joined, whatever the block, on a
+    # trace whose length is no multiple of it and with the nan frequency of zero rows
+    if block is not None:
+        monkeypatch.setattr(scenario, "_CSV_BLOCK", block)
+    nodes = 2 * scenario._CSV_BLOCK + 37
+    for initial in ({"1,0": 1.0, "2,3": -0.25}, {}):
+        out = run_scenario(parse_config(_doc(initial_modes=initial, time={"a": -1.0, "b": -0.5, "nodes": nodes})))
+        trace = out.trace
+        columns = (trace.t, trace.I, trace.D, trace.U, trace.N_raw, trace.cs_defect)
+        rows = [",".join(["%.17g"] * 6) % row for row in zip(*(c.tolist() for c in columns))]
+        path = tmp_path / "s.trace.csv"
+        emit_trace_csv(out, path)
+        assert path.read_bytes() == ("\n".join(["t,I,D,U,N_raw,cs_defect", *rows]) + "\n").encode()
+        assert len(rows) == nodes and ("nan" in rows[0]) == (not initial)
+        assert not (tmp_path / "s.trace.csv.tmp").exists()
+
+
 def test_load_config_uses_stem_as_fallback_id(tmp_path):
     doc = _doc()
     del doc["scenario_id"]
@@ -716,7 +736,7 @@ def test_report_file_keeps_the_fields_the_benchmark_verdicts_read(tmp_path):
 def test_traced_run_of_a_packaged_config_exits_zero(tmp_path, name):
     # perfbench/tracer.py wraps package functions by name and reads their arguments (the grid's ``nodes`` among
     # them), so a renamed function or attribute shows here as a nonzero exit or, on the unforced plane-mixture, as
-    # a lost amplitude count
+    # a lost amplitude count; matrix-forced-bounds steps every mode in its block, so no closed form is evaluated
     package = Path(scenario.__file__).parent
     path = package / "suite" / f"{name}.json"
     root = Path(__file__).resolve().parents[1]
@@ -728,12 +748,29 @@ def test_traced_run_of_a_packaged_config_exits_zero(tmp_path, name):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(spans.read_text())
     assert doc["exit_code"] == 0
+    config, names = load_config(path), {span[1] for span in doc["spans"]}
     if name == "plane-mixture":
-        config = load_config(path)
         assert config.forcing is None  # so the closed form evolves every mode
         amplitudes = doc["counts"]["evolution.evolve_exact_trajectory.amplitudes"]
         assert amplitudes == len(config.grid.nodes) * len(config.initial_modes) > 0
-        assert "evolution.evolve_exact_trajectory" in {span[1] for span in doc["spans"]}
+        assert "evolution.evolve_exact_trajectory" in names
+    else:
+        assert {m for m, _ in config.initial_modes} <= set(config.forcing.coupling.modes)
+        assert "evolution.evolve_forced" in names and "evolution.evolve_exact_trajectory" not in names
+        assert "evolution.evolve_exact_trajectory.amplitudes" not in doc["counts"]
+
+
+def test_no_packaged_run_reads_a_whole_amplitude_array(monkeypatch):
+    # every check of the suite reads a trajectory a block of rows at a time, so the (nodes, modes) array is never built
+    def refuse(traj):
+        raise AssertionError("Trajectory.amplitudes was read")
+
+    monkeypatch.setattr(Trajectory, "amplitudes", property(refuse))
+    configs = _load_packaged_configs()
+    checks = {name for config in configs for name in config.checks}
+    assert len(checks) == 12
+    for config in configs:
+        run_scenario(config)
 
 
 # per packaged scenario, the sha256 of its reports' columns: each check name, then per column its label, node

@@ -1064,6 +1064,28 @@ def test_weighted_monotonicity_holds_no_array_over_a_rule():
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
+def test_forcing_certificate_holds_one_block_of_rows(monkeypatch):
+    # matrix-forced-bounds: 1,801 nodes on a 24-point rule of plane(1).  Measured peak 0.32 MiB for the certificate,
+    # rule included, against 2.06 MiB when each block held 1,365 rows and the image a W^T was taken over the whole
+    # run at once.  Each row is combined and reduced alone, so blocks of one row give the same margins, bit for bit.
+    (config,) = [c for c in _load_packaged_configs() if c.scenario_id == "matrix-forced-bounds"]
+    field = CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes))
+    traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
+    expected = Run(traj, resolution=config.resolution).certificate  # fills the caches
+    run = Run(traj, resolution=config.resolution)
+    tracemalloc.start()
+    try:
+        holds, notes = run.certificate
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (holds, notes) == expected and holds
+    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+    margins = evolution.forcing_margins(traj, run.rule)
+    monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", 1)
+    assert evolution.forcing_margins(traj, run.rule).tobytes() == margins.tobytes()
+
+
 def test_pointwise_checks_refuse_data_of_another_background():
     # a run's own rule is of its background; what takes a rule apart from a run refuses one of another background
     rule = quadrature(Plane(2), 8)
