@@ -1,5 +1,9 @@
 """Command line front end: run scenario configs and the packaged suite.
 
+``paper-suite`` is ``run`` on the package's ``suite`` directory, through the
+same ``load_config``.  A batch writes each scenario's files as it finishes;
+its lines and summary print once, after the whole batch is written.
+
 Exit codes: 0 every counted check passed, 1 at least one counted check
 failed, 2 configuration or runtime error, 3 every executed check was
 inapplicable.  Checks a scenario lists under ``report_only`` are executed
@@ -9,7 +13,6 @@ and reported but never counted toward the exit code.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from importlib import resources
 from pathlib import Path
@@ -21,7 +24,6 @@ from .scenario import (
     emit_report_json,
     emit_trace_csv,
     load_config,
-    parse_config,
     run_scenario,
 )
 
@@ -48,24 +50,15 @@ def _collect_paths(targets: list[str]) -> list[Path]:
 
 
 def _load_packaged_configs() -> list[ScenarioConfig]:
-    suite = resources.files("parafreq.suite")
-    configs = []
-    for entry in sorted(suite.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            doc = json.loads(entry.read_text(encoding="utf-8"))
-            configs.append(parse_config(doc, fallback_id=entry.name[: -len(".json")]))
-    if not configs:
-        raise ConfigError("<suite>", "no packaged scenario configs found")
-    return configs
+    return [load_config(p) for p in _collect_paths([str(resources.files("parafreq.suite"))])]
 
 
-def _execute(configs: list[ScenarioConfig], out_dir: Path) -> tuple[list[tuple[str, list[tuple]]], int]:
-    """Run and emit each scenario in id order; returns their summaries and the number that raised.
+def _execute(configs: list[ScenarioConfig], out_dir: Path, quiet: bool) -> int:
+    """Run and emit each scenario in id order, then print its lines and the summary; returns the exit code.
 
-    A scenario that raises, in its run or while its files are written, is
-    reported on stderr and skipped, so the others still write their files.
-    An output is dropped once written; its summary keeps the id and per
-    report (check_name, status, min_margin, tolerance, report_only, notes).
+    A scenario that raises, in its run or while its files are written, is reported on stderr and skipped, so the
+    others still write their files.  Each report's line (failures alone when ``quiet``) is formatted as its
+    scenario finishes, and all of them print once the whole batch is written.
     """
     seen: set[str] = set()
     for config in configs:
@@ -73,8 +66,9 @@ def _execute(configs: list[ScenarioConfig], out_dir: Path) -> tuple[list[tuple[s
             raise ConfigError("scenario_id", f"duplicate scenario id {config.scenario_id!r} in batch")
         seen.add(config.scenario_id)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summaries: list[tuple[str, list[tuple]]] = []
-    errors = 0
+    lines: list[str] = []
+    counts = {"pass": 0, "fail": 0, "inapplicable": 0}
+    errors = counted_failures = 0
     for config in sorted(configs, key=lambda c: c.scenario_id):
         sid = config.scenario_id
         try:
@@ -87,42 +81,22 @@ def _execute(configs: list[ScenarioConfig], out_dir: Path) -> tuple[list[tuple[s
             print(f"runtime error in {sid}: {exc}", file=sys.stderr)
             errors += 1
             continue
-        summaries.append((sid, [
-            (r.check_name, r.status, r.min_margin, r.tolerance, r.check_name in config.report_only, r.notes)
-            for r in output.reports
-        ]))
-        del output
-    return summaries, errors
-
-
-def _summarize(summaries: list[tuple[str, list[tuple]]], quiet: bool) -> int:
-    lines: list[str] = []
-    counts = {"pass": 0, "fail": 0, "inapplicable": 0}
-    counted_failures = 0
-    for sid, reports in summaries:
-        for check_name, status, min_margin, tolerance, report_only, notes in reports:
-            counts[status] += 1
-            tag = " [report-only]" if report_only else ""
-            counted = status == "fail" and not tag
-            if counted:
-                counted_failures += 1
-            if quiet and status != "fail":
+        for r in output.reports:
+            counts[r.status] += 1
+            tag = " [report-only]" if r.check_name in config.report_only else ""
+            counted_failures += r.status == "fail" and not tag
+            if quiet and r.status != "fail":
                 continue
-            margin = "n/a" if min_margin is None else f"{min_margin:.6e}"
-            reason = f" ({notes[0]})" if status == "inapplicable" and notes else ""  # the reason is the first note
+            margin = "n/a" if r.min_margin is None else f"{r.min_margin:.6e}"
+            reason = f" ({r.notes[0]})" if r.status == "inapplicable" and r.notes else ""  # the first note says why
             lines.append(
-                f"{sid:32s} {check_name:26s} {status.upper():12s} "
-                f"min_margin={margin} tol={tolerance:.2e}{reason}{tag}"
+                f"{sid:32s} {r.check_name:26s} {r.status.upper():12s} "
+                f"min_margin={margin} tol={r.tolerance:.2e}{reason}{tag}"
             )
+        del output
     total = sum(counts.values())
-    if counted_failures:
-        code = EXIT_FAIL
-    elif counts["inapplicable"] == total:
-        code = EXIT_ALL_INAPPLICABLE
-    else:
-        code = EXIT_PASS
     lines.append(
-        f"{len(summaries)} scenario(s), {total} check(s): "
+        f"{len(configs) - errors} scenario(s), {total} check(s): "
         f"{counts['pass']} passed, {counts['fail']} failed "
         f"({counted_failures} counted), {counts['inapplicable']} inapplicable"
     )
@@ -131,7 +105,9 @@ def _summarize(summaries: list[tuple[str, list[tuple]]], quiet: bool) -> int:
         print(text)
     except UnicodeEncodeError:  # a locale that cannot spell some id; the files are written already
         print(text.encode("ascii", "backslashreplace").decode("ascii"))
-    return code
+    if errors or counted_failures:
+        return EXIT_ERROR if errors else EXIT_FAIL
+    return EXIT_ALL_INAPPLICABLE if counts["inapplicable"] == total else EXIT_PASS
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -156,15 +132,13 @@ def main(argv: list[str] | None = None) -> int:
             configs = [load_config(p) for p in _collect_paths(args.targets)]
         else:
             configs = _load_packaged_configs()
-        summaries, errors = _execute(configs, Path(args.out))
+        return _execute(configs, Path(args.out), args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (OSError, ValueError, MemoryError) as exc:  # a grid too large to allocate while configs load, too
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    code = _summarize(summaries, args.quiet)
-    return EXIT_ERROR if errors else code
 
 
 if __name__ == "__main__":

@@ -111,8 +111,6 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, a: float, b: float, count: int) -> "TimeGrid":
-        if count < 2:
-            raise ValueError("count must be >= 2")
         return cls(np.linspace(a, b, count))
 
     @property
@@ -168,6 +166,13 @@ class SampledRate:
 Rate = ConstantRate | SampledRate
 
 
+def _rate_cuts(rate: Rate, nodes: np.ndarray) -> np.ndarray:
+    """The increasing ``nodes`` with the rate's kinks strictly between their ends sorted in: C is linear between."""
+    on_grid = set(nodes.tolist())
+    kinks = [x for x in getattr(rate, "times", ()) if nodes[0] < x < nodes[-1] and x not in on_grid]
+    return np.sort(np.concatenate([nodes, kinks]))  # a plain sort, as np.union1d would import numpy.ma
+
+
 @dataclass(frozen=True)
 class ScalarOnU:
     """Forcing proportional to the solution: f = C(t) u."""
@@ -212,8 +217,7 @@ class Trajectory:
     holds the first node's amplitudes.  A forced run's table is its dense
     (nodes, modes) array, with the default identity ``columns`` and unit
     ``scale``, which multiplies exactly.  ``rows(part)`` builds one block of
-    rows and ``blocks()`` walks the run in blocks; ``amplitudes`` is the whole
-    (nodes, modes) array, built on first read.
+    rows and ``blocks()`` walks the run in blocks.
     """
 
     grid: TimeGrid
@@ -260,15 +264,6 @@ class Trajectory:
         for lo in range(0, len(self.grid.nodes), step):
             part = slice(lo, lo + step)
             yield part, self.rows(part)
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """The whole (nodes, modes) array, read-only, built on first read and kept; the package reads ``rows``."""
-        if "_dense" not in vars(self):
-            dense = self.rows(slice(None))
-            dense.setflags(write=False)
-            vars(self)["_dense"] = dense
-        return vars(self)["_dense"]
 
 
 def float_powers(bases: Sequence[float], exponents: Sequence[float]) -> np.ndarray:
@@ -362,10 +357,7 @@ def evolve_forced(field: CoefficientField, grid: TimeGrid, forcing: Forcing, *, 
     mus, w = np.array([x.mu for x in block]), np.array(getattr(coupling, "matrix", ())).reshape(m, m)
 
     nodes = grid.nodes
-    # a sampled rate's kinks cut the pieces, on which C is linear; a plain sort, as np.union1d would import numpy.ma
-    on_grid = set(nodes.tolist())
-    kinks = [x for x in getattr(rate, "times", ()) if grid.a < x < grid.b and x not in on_grid]
-    cuts = np.sort(np.concatenate([nodes, kinks]))
+    cuts = _rate_cuts(rate, nodes)  # the pieces, on each of which C is linear
     at_nodes = np.searchsorted(cuts, nodes)
     amps = np.empty((len(nodes), len(modes)))
     if free:  # a block that holds every mode leaves no closed form to evaluate

@@ -423,7 +423,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
     p = Path(path)
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON text is UTF-8
+    # JSON text is UTF-8; a nesting too deep for the decoder and an integer too long for int() are refused too
+    except (ValueError, RecursionError) as exc:
         raise ConfigError("<document>", f"invalid JSON in {p}: {exc}") from exc
     return parse_config(doc, fallback_id=os.fsencode(p.stem).decode("utf-8", "surrogateescape"))  # names are UTF-8
 

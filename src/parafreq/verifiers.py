@@ -48,7 +48,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .backgrounds import Background, QuadratureRule, monomial_moments, quadrature, total_mass
-from .evolution import Rate, ScalarOnU, Trajectory, float_powers, forcing_margins
+from .evolution import Rate, ScalarOnU, Trajectory, _rate_cuts, float_powers, forcing_margins
 from .frequency import FrequencyTrace, Sides, bochner_sides, trace_from_trajectory
 from .modes import first_nonzero_eigenvalue
 from .polynomials import AmbientPolynomial
@@ -288,6 +288,11 @@ def _harnack_bound(ta: float, tb: float, ua: float, k: float) -> float:
     return -ua * math.log(tb / ta)  # (-tb)/(-ta), both negative
 
 
+def _printed_harnack_margin(ta: float, tb: float, ia: float, ib: float, ua: float) -> float:
+    """Log-space slack of the printed zero-weight bound I(b) >= I(a) e^(-U(a)) (b/a)."""
+    return (math.log(ib) - math.log(ia)) + ua - math.log(tb / ta)
+
+
 def _degenerate_harnack(check_name: str, run: Run, tolerance: float, note: str):
     return VerificationReport(check_name, _at_last_node(run, "degenerate", 0.0), tolerance, (note,))
 
@@ -319,12 +324,11 @@ def verify_harnack(run: Run, *, tolerance: float = 1e-9) -> VerificationReport:
     k = trace.kappa_used
     if _is_zero_run(trace):
         return _degenerate_harnack("harnack", run, tolerance, _ZERO_DATA_NOTE)
-    ta, tb, ia, ib, ua = _harnack_endpoints(trace)
-    dlog = math.log(ib) - math.log(ia)
-    margin = dlog - _harnack_bound(ta, tb, ua, k)
+    ta, tb, ia, ib, ua = ends = _harnack_endpoints(trace)
+    margin = (math.log(ib) - math.log(ia)) - _harnack_bound(ta, tb, ua, k)
     if k > 0.0:
         return VerificationReport("harnack", _at_last_node(run, "log-bound", margin), tolerance)
-    notes = (f"printed-variant margin at the same endpoints: {dlog + ua - math.log(tb / ta):.17g}",)
+    notes = (f"printed-variant margin at the same endpoints: {_printed_harnack_margin(*ends):.17g}",)
     return VerificationReport("harnack", _at_last_node(run, "log-bound-derivation", margin), tolerance, notes)
 
 
@@ -344,8 +348,7 @@ def verify_harnack_printed(run: Run, *, tolerance: float = 1e-9) -> Verification
         return VerificationReport("harnack_printed", (), tolerance, (reason,))
     if _is_zero_run(trace):
         return _degenerate_harnack("harnack_printed", run, tolerance, _ZERO_DATA_NOTE)
-    ta, tb, ia, ib, ua = _harnack_endpoints(trace)
-    margin = (math.log(ib) - math.log(ia)) + ua - math.log(tb / ta)
+    margin = _printed_harnack_margin(*_harnack_endpoints(trace))
     return VerificationReport("harnack_printed", _at_last_node(run, "log-bound-printed", margin), tolerance)
 
 
@@ -619,7 +622,7 @@ def _forcing_excess(rate: Rate, ta: float, tb: float, ua: float, k: float):
     its new midpoints.  The level is None when ``_HARNACK_MAX_POINTS`` stopped the refinement.
     """
     ma = (-ta) ** (1.0 + 2.0 * k)
-    cuts = np.array([ta, *(x for x in getattr(rate, "times", ()) if ta < x < tb), tb])
+    cuts = _rate_cuts(rate, np.array([ta, tb]))
     length, c = np.diff(cuts), rate.values_at(cuts)
     steps = length * (c[:-1] ** 2 + c[:-1] * c[1:] + c[1:] ** 2) / 3.0
     p0, c0, g0 = cuts[:-1, None], c[:-1, None], np.concatenate([[0.0], np.cumsum(steps[:-1])])[:, None]

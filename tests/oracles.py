@@ -247,8 +247,8 @@ def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: Quadra
 
 
 def field_at(traj: Trajectory, i: int) -> CoefficientField:
-    """The field at grid node ``i`` of ``traj``: row ``i`` of its amplitudes, shared, not copied."""
-    return CoefficientField(traj.background, traj.grid.nodes[i], traj.modes, traj.amplitudes[i])
+    """The field at grid node ``i`` of ``traj``: row ``i`` of its amplitudes, built alone."""
+    return CoefficientField(traj.background, traj.grid.nodes[i], traj.modes, traj.rows([i])[0])
 
 
 def dense_exact_amplitudes(field: CoefficientField, grid: TimeGrid) -> np.ndarray:

@@ -80,6 +80,21 @@ def test_time_span_too_narrow_for_its_nodes_exits_two_naming_the_field(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    ('{"scenario_id": "long", "resolution": ' + "9" * 5_000 + "}", "integer string conversion"),
+], ids=["nested-too-deep", "integer-too-long"])
+def test_json_the_decoder_cannot_read_is_a_config_error_naming_the_path(tmp_path, capsys, text, problem):
+    # the decoder raises RecursionError on too deep a nesting, and ValueError on an integer longer than
+    # sys.get_int_max_str_digits(); neither is a check failure (exit 1) or a runtime error
+    cfg = tmp_path / "unreadable.json"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config field '<document>': invalid JSON in {cfg}: "), err
+    assert problem in err and not (tmp_path / "out").exists()
+
+
 def test_missing_path_exits_two(tmp_path):
     assert main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "out")]) == 2
 
@@ -247,6 +262,19 @@ def test_paper_suite_runs_green(tmp_path, capsys):
     assert all("[report-only]" in l for l in fail_lines)
     assert any("harnack_printed" in l for l in fail_lines)
     assert any("drift_bochner_verbatim" in l for l in fail_lines)
+
+
+def test_paper_suite_is_run_on_the_packaged_directory_byte_for_byte(tmp_path, capsys):
+    # one loader: paper-suite reads its configs through the same load_config as run, so the two print the same
+    # lines and write the same files
+    suite = Path(scenario.__file__).parent / "suite"
+    outputs = {}
+    for name, args in (("paper-suite", ["paper-suite"]), ("run", ["run", str(suite)])):
+        out = tmp_path / name
+        assert main([*args, "--out", str(out)]) == 0
+        outputs[name] = capsys.readouterr().out, {f.name: f.read_bytes() for f in out.iterdir()}
+    assert outputs["paper-suite"] == outputs["run"]
+    assert len(outputs["run"][1]) == 3 * len(list(suite.glob("*.json"))) == 54
 
 
 def test_module_invocation_without_subcommand_is_usage_error():

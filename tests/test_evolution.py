@@ -89,7 +89,7 @@ def test_zero_field_stays_zero():
     f0 = CoefficientField.from_dict(bg, -1.0, {})
     assert not f0.amplitudes.any()
     traj = evolve_exact_trajectory(f0, TimeGrid.uniform(-1.0, -0.5, 5))
-    assert not traj.amplitudes.any()
+    assert not traj.rows(slice(None)).any()
 
 
 def test_field_is_a_read_only_row_of_its_trajectory():
@@ -97,10 +97,13 @@ def test_field_is_a_read_only_row_of_its_trajectory():
     traj = evolve_exact_trajectory(_field(bg, -1.0, {(1, 0): 1.0, (2, 3): 0.4}), TimeGrid.uniform(-1.0, -0.5, 5))
     field = field_at(traj, 2)
     assert field.modes == traj.modes and field.time == traj.grid.nodes[2]
-    assert np.shares_memory(field.amplitudes, traj.amplitudes)
-    assert field.amplitudes.tobytes() == traj.amplitudes[2].tobytes()
+    row = traj.rows([2])[0]
+    assert field.amplitudes.tobytes() == row.tobytes()
     with pytest.raises(ValueError):
         field.amplitudes[0] = 0.0
+    # a field of a row shares it and leaves it writable
+    shared = CoefficientField(bg, traj.grid.nodes[2], traj.modes, row)
+    assert np.shares_memory(shared.amplitudes, row) and row.flags.writeable
     with pytest.raises(ValueError, match="one amplitude per mode"):
         CoefficientField(bg, -1.0, traj.modes, [1.0])
     with pytest.raises(ValueError, match="non-finite amplitude"):
@@ -152,7 +155,7 @@ def test_rk_with_zero_rate_matches_exact():
         traj = evolve_forced(f0, grid, forcing, local_tol=1e-12)
         exact = evolve_exact_trajectory(f0, grid)
         assert traj.grid.b == grid.b and traj.modes == exact.modes
-        assert traj.amplitudes.tobytes() == exact.amplitudes.tobytes()
+        assert traj.rows(slice(None)).tobytes() == exact.rows(slice(None)).tobytes()
 
 
 def test_scalar_rate_closed_form():
@@ -167,6 +170,26 @@ def test_scalar_rate_closed_form():
     ref = evolve_exact(f0, t)
     for (m, a), (_, b) in zip(_pairs(field_at(traj, -1)), _pairs(ref)):
         assert a == pytest.approx(b * factor, rel=1e-9)
+
+
+@pytest.mark.parametrize("rate, inside", [
+    (SampledRate((-0.875, -0.7, -0.625), (0.2, 0.5, 0.1)), [-0.875, -0.7, -0.625]),  # two on nodes, one between
+    (SampledRate((-2.0, -1.5, -0.25, -0.1), (0.2, 0.5, 0.1, 0.3)), []),  # all outside the window
+    (SampledRate((-1.0, -0.8, -0.5), (0.2, 0.5, 0.1)), [-0.8]),  # at both ends and one between
+    (ConstantRate(0.3), []),
+], ids=["on-nodes", "outside", "at-both-ends", "constant"])
+def test_rate_cuts_equal_both_former_expressions_bit_for_bit(rate, inside):
+    # the references: the grid cut at the kinks off its nodes (the stepped pieces) and [a, b] cut at the kinks
+    # strictly inside it (the general_harnack quadrature), as each caller wrote them for itself
+    grid = TimeGrid.uniform(-1.0, -0.5, 5)
+    nodes, ta, tb = grid.nodes, grid.a, grid.b
+    on_grid = set(nodes.tolist())
+    kinks = [x for x in getattr(rate, "times", ()) if grid.a < x < grid.b and x not in on_grid]
+    stepped = np.sort(np.concatenate([nodes, kinks]))
+    integrated = np.array([ta, *(x for x in getattr(rate, "times", ()) if ta < x < tb), tb])
+    assert evolution._rate_cuts(rate, nodes).tobytes() == stepped.tobytes()
+    assert evolution._rate_cuts(rate, np.array([ta, tb])).tobytes() == integrated.tobytes()
+    assert stepped.tolist() == sorted(on_grid | set(inside)) and integrated.tolist() == [ta, *inside, tb]
 
 
 def test_sampled_rate_matches_constant_rate():
@@ -219,7 +242,7 @@ def test_scalar_coupling_matches_the_closed_form_flow(bg, coeffs, rate, grid, lo
     traj = evolve_forced(f0, grid, forcing, local_tol=local_tol)
     rk4 = isinstance(rate, ConstantRate)
     ref = vector_rk4(traj, f0, forcing, local_tol) if rk4 else _scalar_flow(f0, rate, traj)
-    assert np.max(np.abs(traj.amplitudes - ref) / np.abs(ref)) <= 1e-12
+    assert np.max(np.abs(traj.rows(slice(None)) - ref) / np.abs(ref)) <= 1e-12
 
 
 def test_scalar_coupling_builds_no_step_map(monkeypatch):
@@ -232,7 +255,7 @@ def test_scalar_coupling_builds_no_step_map(monkeypatch):
     rate = SampledRate((-0.9, -0.6), (0.2, 1.3))
     traj = evolve_forced(f0, TimeGrid.uniform(-1.0, -0.5, 11), Forcing(rate, ScalarOnU()), local_tol=1e-12)
     ref = _scalar_flow(f0, rate, traj)
-    assert np.max(np.abs(traj.amplitudes - ref) / np.abs(ref)) <= 1e-14
+    assert np.max(np.abs(traj.rows(slice(None)) - ref) / np.abs(ref)) <= 1e-14
 
 
 def _record_steps(monkeypatch):
@@ -277,7 +300,7 @@ def test_mode_matrix_splits_a_coarse_grid_like_an_independent_rk4(monkeypatch):
     unsplit = vector_rk4(traj, f0, forcing, 1e-15, doubling=False)
     scale = np.max(np.abs(ref), axis=1)
     assert np.max(np.abs(unsplit - ref).max(axis=1) / scale) > 1e-8
-    assert np.max(np.abs(traj.amplitudes - ref).max(axis=1) / scale) <= 1e-12
+    assert np.max(np.abs(traj.rows(slice(None)) - ref).max(axis=1) / scale) <= 1e-12
 
 
 def test_uncoupled_modes_and_small_map_batches_keep_the_stepped_flow(monkeypatch):
@@ -294,7 +317,7 @@ def test_uncoupled_modes_and_small_map_batches_keep_the_stepped_flow(monkeypatch
     traj = evolve_forced(f0, grid, forcing, local_tol=1e-12)
     assert [len(b) for b in batches] == [3, 3, 3, 3, 2]
     ref = vector_rk4(traj, f0, forcing, 1e-15)
-    assert np.max(np.abs(traj.amplitudes - ref).max(axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-12
+    assert np.max(np.abs(traj.rows(slice(None)) - ref).max(axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -329,12 +352,12 @@ def test_mode_matrix_nilpotent_closed_form():
     grid = TimeGrid.uniform(-1.0, -0.1, 361)
     traj = _triangular_run(grid, 0.5, 0.4, 0.2, 1.0)
     assert traj.modes == tuple(mode_from_index(Plane(1), idx) for idx in ((1,), (3,)))
-    assert np.max(np.abs(traj.amplitudes - _triangular_flow(grid, 0.5, 0.4, 0.2, 1.0))) <= 1e-14
+    assert np.max(np.abs(traj.rows(slice(None)) - _triangular_flow(grid, 0.5, 0.4, 0.2, 1.0))) <= 1e-14
     # the packaged matrix-forced-bounds run is the same flow from a1 = 0 on 1,801 nodes, at its rk_local_tol
     (config,) = [c for c in _load_packaged_configs() if c.scenario_id == "matrix-forced-bounds"]
     field = CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes))
     traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
-    assert np.max(np.abs(traj.amplitudes - _triangular_flow(config.grid, 0.5, 0.4, 0.0, 1.0))) <= 1e-14
+    assert np.max(np.abs(traj.rows(slice(None)) - _triangular_flow(config.grid, 0.5, 0.4, 0.0, 1.0))) <= 1e-14
 
 
 def test_forced_run_reaches_a_grid_near_zero(monkeypatch):
@@ -344,7 +367,7 @@ def test_forced_run_reaches_a_grid_near_zero(monkeypatch):
     grid = TimeGrid.uniform(-1.0, -1e-6, 11)
     traj = _triangular_run(grid, 0.5, 0.4, 0.2, 1.0)
     assert traj.grid.b == -1e-6
-    assert np.max(np.abs(traj.amplitudes - _triangular_flow(grid, 0.5, 0.4, 0.2, 1.0))) <= 1e-15
+    assert np.max(np.abs(traj.rows(slice(None)) - _triangular_flow(grid, 0.5, 0.4, 0.2, 1.0))) <= 1e-15
     assert 10 < len(batches[0]) <= 10 + 2 * 2.5 * math.log(1e6) + 1
 
 
@@ -434,13 +457,13 @@ def test_runs_compose_at_an_interior_node(kind, bg, a, end, count, split, amps, 
 
     whole = run(field, grid)
     first = run(field, TimeGrid(nodes[: k + 1]))
-    bound = _SPLIT_TOLERANCE[kind] * np.max(np.abs(whole.amplitudes), axis=1, keepdims=True)
+    bound = _SPLIT_TOLERANCE[kind] * np.max(np.abs(whole.rows(slice(None))), axis=1, keepdims=True)
     bound += _SPLIT_SUBNORMALS[kind] * 2.0**-1074
     for forced in (True, False) if kind == "matrix-switched-off" else (True,):
         second = run(field_at(first, -1), TimeGrid(nodes[k:]), forced)
         assert first.modes == second.modes == whole.modes
-        joined = np.concatenate([first.amplitudes, second.amplitudes[1:]])
-        assert np.all(np.abs(joined - whole.amplitudes) <= bound), (kind, forced)
+        joined = np.concatenate([first.rows(slice(None)), second.rows(slice(1, None))])
+        assert np.all(np.abs(joined - whole.rows(slice(None))) <= bound), (kind, forced)
 
 
 # ---------------------------------------------------------------------------

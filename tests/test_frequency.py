@@ -229,7 +229,7 @@ def test_trace_columns_equal_scalar_functionals_bit_for_bit(monkeypatch, make, b
     if block is not None:
         monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", block)
     _, traj = make()
-    assert traj.amplitudes.flags["C_CONTIGUOUS"]
+    assert traj.rows(slice(None)).flags["C_CONTIGUOUS"]
     trace = trace_from_trajectory(traj)
     zero_rows = 0
     for i, t in enumerate(traj.grid.nodes):
@@ -271,10 +271,13 @@ def test_exact_trajectory_rows_equal_evolve_exact_bit_for_bit(monkeypatch, make)
     walked = list(traj.blocks())
     assert [part.start for part, _ in walked] == list(range(0, nodes, 3))
     assert np.concatenate([block for _, block in walked]).tobytes() == dense.tobytes()
-    assert traj.amplitudes.tobytes() == dense.tobytes() and not traj.amplitudes.flags.writeable
+    whole = traj.rows(slice(None))
+    assert whole.tobytes() == dense.tobytes()
+    whole[...] = 1.0  # a new array: writing to it leaves the trajectory as it was
+    assert traj.rows(slice(None)).tobytes() == dense.tobytes()
     for i, t in enumerate(traj.grid.nodes):
         ref = evolve_exact(f0, t)
-        assert [_bits(a) for a in traj.amplitudes[i].tolist()] == [_bits(a) for a in ref.amplitudes.tolist()], i
+        assert [_bits(a) for a in dense[i].tolist()] == [_bits(a) for a in ref.amplitudes.tolist()], i
         got = field_at(traj, i)
         assert (got.background, got.time, got.modes, got.amplitudes.tolist()) == (
             ref.background, ref.time, ref.modes, ref.amplitudes.tolist()
@@ -290,7 +293,7 @@ def test_factored_trajectory_refuses_what_its_dense_rows_would_overflow():
     table = np.array([[1.0, 0.5], [0.75, 2.0], [0.5, 1.0]])
     big = np.finfo(float).max
     traj = evolution.Trajectory(grid, bg, modes, table, [0, 0], [big, -big])
-    assert np.isfinite(traj.amplitudes).all()
+    assert np.isfinite(traj.rows(slice(None))).all()
     for columns, scale in (([0, 1], [1.0, big]), ([1, 0], [big, 0.0]), ([0, 0], [math.nan, 1.0])):
         with pytest.raises(ValueError, match="^non-finite amplitude in trajectory$"):
             evolution.Trajectory(grid, bg, modes, table, columns, scale)

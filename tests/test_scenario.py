@@ -25,6 +25,7 @@ from parafreq import (
     emit_plot_script,
     emit_report_json,
     emit_trace_csv,
+    evolution,
     load_config,
     load_report_json,
     parse_config,
@@ -761,14 +762,21 @@ def test_traced_run_of_a_packaged_config_exits_zero(tmp_path, name):
 
 
 def test_no_packaged_run_reads_a_whole_amplitude_array(monkeypatch):
-    # every check of the suite reads a trajectory a block of rows at a time, so the (nodes, modes) array is never built
-    def refuse(traj):
-        raise AssertionError("Trajectory.amplitudes was read")
+    # every check of an unforced packaged run reads its trajectory a block of rows at a time, so the (nodes, modes)
+    # array is never built: with blocks of 8 entries, no read of Trajectory.rows may take more rows than a block
+    entries, read = 8, Trajectory.rows
+    monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", entries)
 
-    monkeypatch.setattr(Trajectory, "amplitudes", property(refuse))
-    configs = _load_packaged_configs()
-    checks = {name for config in configs for name in config.checks}
-    assert len(checks) == 12
+    def one_block(traj, part):
+        count, limit = len(np.arange(len(traj.grid.nodes))[part]), max(1, entries // max(1, len(traj.modes)))
+        assert count <= limit, f"{count} rows of {len(traj.modes)} modes read at once, above a block of {limit}"
+        return read(traj, part)
+
+    monkeypatch.setattr(Trajectory, "rows", one_block)
+    configs = [config for config in _load_packaged_configs() if config.forcing is None]
+    # every check they make meets a run longer than one block
+    longer = [config for config in configs if len(config.grid.nodes) > entries // max(1, len(config.initial_modes))]
+    assert len({name for config in longer for name in config.checks}) == 11
     for config in configs:
         run_scenario(config)
 

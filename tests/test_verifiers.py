@@ -155,6 +155,18 @@ def test_harnack_printed_variant_known_gap():
     assert rep.min_margin == pytest.approx(-(2.0 + math.log(2.0)), abs=1e-12)
 
 
+def test_harnack_note_carries_the_printed_checks_margin_bit_for_bit():
+    # at kappa = 0 verify_harnack notes the printed variant's margin with %.17g, which reads back to the very float
+    # verify_harnack_printed reports: one helper computes both
+    (config,) = [c for c in _load_packaged_configs() if c.scenario_id == "plane-caloric-cubic"]
+    output = scenario.run_scenario(config)
+    derived, printed = (r for r in output.reports if r.check_name in ("harnack", "harnack_printed"))
+    assert output.trace.kappa_used == 0.0 and printed.status == "fail"
+    (note,) = derived.notes
+    value = float(note.removeprefix("printed-variant margin at the same endpoints: "))
+    assert value.hex() == printed.min_margin.hex() == printed.columns[0].margin[0].hex()
+
+
 def test_harnack_printed_inapplicable_for_positive_kappa():
     rep = _checked(verify_harnack_printed, _traj(Sphere(2), {(1, 0): 1.0}))
     assert rep.status == "inapplicable"
@@ -614,7 +626,7 @@ def test_selfsimilar_scaling_fails_on_amplitudes_off_their_power(bg, indices):
     assert rep.min_margin == pytest.approx(predicted, rel=1e-12)
     # the point route: the residual field squared, of degree at most 4, on a rule exact to degree 15
     rule = quadrature(bg, 8)
-    values = combine_on_rule(rule, modes, traj.amplitudes)  # (nodes, points)
+    values = combine_on_rule(rule, modes, traj.rows(slice(None)))  # (nodes, points)
     factors = r**mu
     on_rule = [math.sqrt(integrate(rule, (values[i] - factors[i] * values[0]) ** 2)) for i in range(len(r))]
     np.testing.assert_allclose(-rep.columns[0].margin, on_rule, rtol=1e-12, atol=0.0)
@@ -742,7 +754,8 @@ def test_mode_columns_reused_across_times_equal_per_call_combinations(bg, coeffs
     traj = _traj(bg, coeffs, nodes=5)
     rule = quadrature(bg, 10)
     kinds = ("values", "gradients", "hessians")
-    blocks = {kind: combine_on_rule(rule, traj.modes, traj.amplitudes, kind) for kind in kinds}  # every row at once
+    every_row = traj.rows(slice(None))
+    blocks = {kind: combine_on_rule(rule, traj.modes, every_row, kind) for kind in kinds}  # every row at once
     for i in range(len(traj.grid.nodes)):
         field = field_at(traj, i)
         for kind in kinds:
