@@ -21,8 +21,8 @@ from .backgrounds import (
 from .evolution import (
     CoefficientField,
     ConstantRate,
+    Drift,
     Forcing,
-    ModeMatrix,
     SampledRate,
     ScalarOnU,
     TimeGrid,

@@ -30,8 +30,7 @@ geometry, quadrature); what it costs follows from its shape alone.
 * ``Cylinder(k, m)`` -- (k, m): S^k_{sqrt(2k)} x R^m.
 
 Every polynomial integrates in closed form by ``monomial_moments``.  Each
-``QuadratureRule`` keeps its nodes and weights and builds the tangent
-projector at the nodes a caller asks for.  The curvature bound
+``QuadratureRule`` keeps its nodes and weights.  The curvature bound
 sup <H, A> = kappa / (-t) reduces at unit scale to n / r^2 on a round
 factor: 0 on planes and 1/2 on spheres and cylinders.
 """
@@ -154,8 +153,7 @@ class QuadratureRule:
 
     ``sum(weights * f(points))`` approximates the dmu integral of f; the
     weights absorb the Gaussian density, so the weight sum equals the total
-    mass (exactly 1 on planes).  The rule keeps only its points and weights:
-    ``tangent_projector()`` builds the projector at its points on each call.
+    mass (exactly 1 on planes).  The rule keeps only its points and weights.
     """
 
     background: Background
@@ -174,21 +172,6 @@ class QuadratureRule:
     @property
     def mass(self) -> float:
         return float(np.sum(self.weights))
-
-    def require_background(self, bg: Background) -> None:
-        """Refuse data that lives on another background than this rule."""
-        if bg != self.background:
-            raise ValueError("quadrature rule background does not match the field")
-
-    def tangent_projector(self) -> np.ndarray:
-        """The (N, d, d) tangent projector I - nu nu^T at the points, built on each call; views on planes."""
-        pts, n = self.points, self.background.sphere_n
-        count, d = pts.shape
-        if not n:
-            return np.broadcast_to(np.eye(d), (count, d, d))
-        nu = np.zeros((count, d))
-        nu[:, : n + 1] = pts[:, : n + 1] / self.background.radius
-        return np.eye(d) - nu[:, :, None] * nu[:, None, :]
 
 
 def _gauss_gaussian_1d(resolution: int) -> tuple[np.ndarray, np.ndarray]:

@@ -23,18 +23,21 @@ is performed only through this closed form.  (Fields here are finite mode
 sums, so the representation is definitional and no growth-class caveats about
 non-uniqueness of backward heat flow arise.)
 
-Forced runs solve a' = A(t) a, A = C(t) W - diag(mu/(-t)), with W = I for
-f = C(t) u and a bounded constant matrix on a fixed mode list for f = C(t) W a;
-both keep |f| <= C(t)(|grad u| + |u|) wherever the certified margin below is
-nonnegative.  Off a ModeMatrix's modes A is diagonal, so each mode keeps the
-closed form above, times exp(int_{t0}^t C) under f = C(t) u (a trapezoid over
-the grid nodes and a sampled rate's kinks, exact on each linear piece): a
-ScalarOnU run steps nothing.  A block solves tau a_tau = (diag mu - C tau W) a
-in tau = -t, whose only singular point is tau = 0.  Between grid nodes and rate
-kinks C is linear, and each step's transfer map is the Taylor series of that
-system at the step's start, summed until a majorant of its tail is at most the
-tolerance; steps are cut short enough that the majorant shrinks geometrically,
-so a grid may end at any t < 0.
+Forced runs solve a' = A(t) a, A = C(t) W - diag(mu/(-t)), C >= 0, in two
+closed forms, so nothing is stepped.  Under f = C(t) u (``ScalarOnU``) W = I
+and each mode keeps the law above times exp(G), G(t) = int_{t0}^t C, a
+trapezoid over the grid nodes and a sampled rate's kinks, exact on each linear
+piece.  Under f = C(t) du/dx_1 along the first flat axis (``Drift``)
+W = N / sqrt(-t): d/dy phi_n = sqrt(n/2) phi_{n-1} on a normalized Hermite
+factor, so N lowers that axis's degree and is nilpotent.  N lowers mu by 1/2,
+so conjugating by the unforced law, b_j = a_j ((-t)/(-t0))^(-mu_j), leaves
+b' = C(t) N b / sqrt(-t0), and
+
+    a(t) = sum_k G(t)^k / k! * (unforced run of (N / sqrt(-t0))^k a(t0)),
+
+a finite sum over the modes of the field and every mode below them on that
+axis.  Both forcings meet |f| <= C(t)(|grad u| + |u|) identically:
+|C u| <= C |u| and |C du/dx_1| <= C |grad u|.
 """
 
 from __future__ import annotations
@@ -45,12 +48,10 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .backgrounds import Background, QuadratureRule
-from .modes import Mode, combine_on_rule, mode_sort_key
+from .backgrounds import Background
+from .modes import Mode, mode_from_index, mode_sort_key
 
-_MAX_STEPS = 1 << 20  # Taylor steps one ModeMatrix block may take, counted before anything is built
-# entries of one block: (rule points x ambient dim) x (grid rows) in forcing_margins, modes x (grid rows) in
-# Trajectory.blocks, which the trace and the checks read, (steps) x m^2 in a ModeMatrix block's maps; a block
+# entries of one block of Trajectory.blocks, which the trace and the checks read: modes x (grid rows); a block
 # bounds the temporaries, 32 KiB of float64 each
 _BLOCK_ENTRIES = 1 << 12
 
@@ -179,28 +180,19 @@ class ScalarOnU:
 
 
 @dataclass(frozen=True)
-class ModeMatrix:
-    """Forcing through a fixed bounded matrix on a mode list: f-coeffs = C(t) W a."""
+class Drift:
+    """Forcing along the first flat axis: f = C(t) du/dx_1.
 
-    modes: tuple[Mode, ...]
-    matrix: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        k = len(self.modes)
-        if len(self.matrix) != k or any(len(row) != k for row in self.matrix):
-            raise ValueError(f"matrix must be {k}x{k} over the mode list")
-        if len(set(self.modes)) != k:
-            raise ValueError("duplicate modes in coupling list")
-        for row in self.matrix:
-            for w in row:
-                if not math.isfinite(w):
-                    raise ValueError("matrix values must be finite")
+    Any constant unit drift across the flat factor is this one after a
+    rotation or reflection of that factor, which leaves the measure and the
+    operator unchanged, so the drift has no direction to set.
+    """
 
 
 @dataclass(frozen=True)
 class Forcing:
     rate: Rate
-    coupling: ScalarOnU | ModeMatrix
+    coupling: ScalarOnU | Drift
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +208,9 @@ class Trajectory:
     (nodes, distinct mu) powers, ``columns`` picks each mode's mu and ``scale``
     holds the first node's amplitudes.  A forced run's table is its dense
     (nodes, modes) array, with the default identity ``columns`` and unit
-    ``scale``, which multiplies exactly.  ``rows(part)`` builds one block of
-    rows and ``blocks()`` walks the run in blocks.
+    ``scale``, which multiplies exactly: its rows are sums of unforced runs
+    (see ``evolve_forced``), which keep no factored form.  ``rows(part)``
+    builds one block of rows and ``blocks()`` walks the run in blocks.
     """
 
     grid: TimeGrid
@@ -257,10 +250,10 @@ class Trajectory:
         block *= self.scale
         return block
 
-    def blocks(self, width: int | None = None) -> Iterator[tuple[slice, np.ndarray]]:
-        """(part, rows(part)) over runs of at most ``_BLOCK_ENTRIES // width`` rows, ``width`` the mode count by
-        default: a caller that reduces each row alone gets the same bits as from the whole array at once."""
-        step = max(1, _BLOCK_ENTRIES // max(1, len(self.modes) if width is None else width))
+    def blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """(part, rows(part)) over runs of at most ``_BLOCK_ENTRIES // modes`` rows: a caller that reduces each row
+        alone gets the same bits as from the whole array at once."""
+        step = max(1, _BLOCK_ENTRIES // max(1, len(self.modes)))
         for lo in range(0, len(self.grid.nodes), step):
             part = slice(lo, lo + step)
             yield part, self.rows(part)
@@ -295,7 +288,7 @@ def evolve_exact_trajectory(field: CoefficientField, grid: TimeGrid) -> Trajecto
 
 
 # ---------------------------------------------------------------------------
-# stepped (forced) evolution
+# forced evolution
 
 
 def _amplitudes_on(have: Sequence[Mode], amplitudes: np.ndarray, modes: Sequence[Mode]) -> np.ndarray:
@@ -309,123 +302,48 @@ def _amplitudes_on(have: Sequence[Mode], amplitudes: np.ndarray, modes: Sequence
     return out
 
 
-def _taylor_maps(
-    mus: np.ndarray, w: np.ndarray, tau: np.ndarray, h: np.ndarray, c: np.ndarray, s: np.ndarray, tol: float
-) -> np.ndarray:
-    """(steps, m, m): per step the map of tau a_tau = (diag mu - C tau W) a from ``tau`` to ``tau + h``.
-
-    On the step C = c - s (tau' - tau), s = dC/dt.  The map is the sum of the Taylor terms B_0 = I and
-    B_{j+1} = r/(j+1) [(diag mu - c tau W - j) B_j - (c - s tau) h W B_{j-1} + s h^2 W B_{j-2}], r = h/tau.
-    The majorant e_j >= ||B_j||_inf takes the same recursion in norms, with g = ||diag mu - c tau W||_inf.
-    Each later term is at most gamma = |r| max(1, (g + p + J)/(J + 1)) times the largest of the three before
-    it, p = ||W||_inf (|(c - s tau) h| + |s| h^2), so once gamma < 1 the tail after term J is at most
-    3 gamma max(e_J, e_{J-1}, e_{J-2}) / (1 - gamma); terms are added until that is at most ``tol`` on every step.
-    """
-    r, ct, alpha, beta = h / tau, c * tau, (c - s * tau) * h, s * h * h
-    wn = np.abs(w).sum(axis=1).max()
-    g = np.abs(np.diag(mus) - ct[:, None, None] * w).sum(axis=2).max(axis=1)
-    lag1, lag2 = wn * np.abs(alpha), wn * np.abs(beta)  # the majorant's weights on e_{j-1} and e_{j-2}
-    term = np.broadcast_to(np.eye(len(mus)), (len(tau), len(mus), len(mus)))
-    phi, wb, e = term.copy(), [0.0, 0.0, w @ term], [0.0, 0.0, np.ones(len(tau))]  # W B and e at j - 2, j - 1, j
-    r3, ct, alpha, beta = (x[:, None, None] for x in (r, ct, alpha, beta))
-    j = 0
-    while True:
-        term = r3 / (j + 1) * ((mus[:, None] - j) * term - ct * wb[2] - alpha * wb[1] + beta * wb[0])
-        phi += term
-        e_next = np.abs(r) / (j + 1) * ((g + j) * e[2] + lag1 * e[1] + lag2 * e[0])
-        wb, e, j = [wb[1], wb[2], w @ term], [e[1], e[2], e_next], j + 1
-        gamma = np.abs(r) * np.maximum(1.0, (g + lag1 + lag2 + j) / (j + 1))
-        if np.all((gamma < 1.0) & (3.0 * gamma * np.maximum(np.maximum(e[0], e[1]), e[2]) <= tol * (1.0 - gamma))):
-            return phi
-
-
-def evolve_forced(field: CoefficientField, grid: TimeGrid, forcing: Forcing, *, local_tol: float = 1e-8) -> Trajectory:
+def evolve_forced(field: CoefficientField, grid: TimeGrid, forcing: Forcing) -> Trajectory:
     """Trajectory of the forced system over the grid (forward only), from the field on its first node.
 
-    ``local_tol`` bounds the tail of every Taylor step of a ModeMatrix block, the only modes stepped, in the
-    max-row-sum norm of its map; a block that needs more than ``_MAX_STEPS`` steps is refused.
+    Row i is exp(G_i) times the unforced row under ``ScalarOnU`` and sum_k G_i^k / k! times row i of the unforced
+    run of c_k under a ``Drift``, with G_i = int_{t0}^{t_i} C, c_0 the field's amplitudes and
+    c_k = N c_(k-1) / sqrt(-t0): (N c)_n = sqrt((n + 1)/2) c_(n+1) in the first flat axis's degree n.  A drift
+    run's modes are the field's and every mode below them on that axis.
     """
     if field.time != grid.a:
         raise ValueError(f"field time {field.time!r} must equal grid start {grid.a!r}")
-    if not (local_tol > 0.0 and math.isfinite(local_tol)):
-        raise ValueError("local_tol must be positive")
+    bg, drift = field.background, isinstance(forcing.coupling, Drift)
+    if drift and not bg.flat_m:
+        raise ValueError(f"a drift runs along a flat axis, and {bg.label()} has none")
+    axis = 2 if bg.sphere_n else 0  # the first flat axis's place in a mode index
 
-    coupling, rate = forcing.coupling, forcing.rate
-    block = getattr(coupling, "modes", ())  # coupled through W; W = I under ScalarOnU couples no two modes
-    modes = tuple(sorted({*field.modes, *block}, key=mode_sort_key))
-    m, free = len(block), tuple(x for x in modes if x not in block)  # free modes keep the closed form
-    mus, w = np.array([x.mu for x in block]), np.array(getattr(coupling, "matrix", ())).reshape(m, m)
+    def at_degree(index: tuple[int, ...], n: int) -> tuple[int, ...]:
+        return index[:axis] + (n,) + index[axis + 1 :]
 
-    nodes = grid.nodes
-    cuts = _rate_cuts(rate, nodes)  # the pieces, on each of which C is linear
-    at_nodes = np.searchsorted(cuts, nodes)
-    amps = np.empty((len(nodes), len(modes)))
-    if free:  # a block that holds every mode leaves no closed form to evaluate
-        start = CoefficientField(field.background, grid.a, free, _amplitudes_on(field.modes, field.amplitudes, free))
-        amps[:, [modes.index(x) for x in free]] = evolve_exact_trajectory(start, grid).rows(slice(None))
-    # a stiff rate overflows; Trajectory refuses what is not finite, the step budget what cannot be stepped
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c = rate.values_at(cuts)
-        if isinstance(coupling, ScalarOnU):
-            integral = np.concatenate([[0.0], np.cumsum(0.5 * (c[1:] + c[:-1]) * np.diff(cuts))])
-            amps *= np.exp(integral[at_nodes])[:, None]
-        elif block:
-            # each piece in steps of one ratio tau'/tau = 1 - rho with rho (max mu + tau C ||W|| + 1) <= 1/2, tau
-            # and C their largest on the piece: every step then has |h| (max mu + tau c ||W|| + 1) / tau <= 1/2
-            tau, c_max = -cuts, np.maximum(c[1:], c[:-1])
-            rho = 0.5 / (mus.max() + 1.0 + tau[:-1] * c_max * np.abs(w).sum(axis=1).max())
-            per_piece = np.maximum(1.0, np.ceil(np.log(tau[1:] / tau[:-1]) / np.log1p(-rho)))
-            if not per_piece.sum() <= _MAX_STEPS:  # a NaN count too
-                worst = int(np.argmax(per_piece))
-                raise ValueError(
-                    f"the ModeMatrix block needs {per_piece.sum():.4g} Taylor steps, above the budget of {_MAX_STEPS}; "
-                    f"{per_piece[worst]:.4g} of them from t = {float(cuts[worst])!r} to {float(cuts[worst + 1])!r}"
-                )
-            counts = per_piece.astype(np.int64)
-            piece, done = np.repeat(np.arange(len(counts)), counts), np.concatenate([[0], np.cumsum(counts)])
-            place = np.arange(done[-1]) - done[:-1][piece]
-            starts = tau[:-1][piece] * ((tau[1:] / tau[:-1]) ** (1.0 / per_piece))[piece] ** place
-            h, slope = np.diff(np.append(starts, tau[-1])), (np.diff(c) / np.diff(cuts))[piece]
-            c_start = rate.values_at(-starts)
-            states, per_batch = np.empty((len(cuts), m)), max(1, _BLOCK_ENTRIES // (m * m))
-            states[0] = state = _amplitudes_on(field.modes, field.amplitudes, block)
-            for lo in range(0, done[-1], per_batch):  # per_batch bounds the maps alive at once
-                part = slice(lo, lo + per_batch)
-                maps = _taylor_maps(mus, w, starts[part], h[part], c_start[part], slope[part], local_tol)
-                run = [state]
-                for phi in maps:
-                    run.append(phi.dot(run[-1]))
-                # the cuts this batch reaches: those whose step count lies in (lo, lo + len(maps)]
-                state, (first, last) = run[-1], np.searchsorted(done, [lo + 1, lo + len(maps) + 1])
-                states[first:last] = np.array(run)[done[first:last] - lo]
-            amps[:, [modes.index(x) for x in block]] = states[at_nodes]
-    return Trajectory(grid, field.background, modes, amps, forcing=forcing)  # dense: identity columns, unit scale
+    below = (mode_from_index(bg, at_degree(m.index, n)) for m in field.modes if drift for n in range(m.index[axis]))
+    modes = tuple(sorted({*field.modes, *below}, key=mode_sort_key))
 
+    def unforced(amplitudes: np.ndarray) -> np.ndarray:
+        return evolve_exact_trajectory(CoefficientField(bg, grid.a, modes, amplitudes), grid).rows(slice(None))
 
-def forcing_margins(traj: Trajectory, rule: QuadratureRule) -> np.ndarray:
-    """Certified pointwise margin min [ C(t)(|grad u| + |u|) - |f| ] over the rule's nodes, at every grid node.
-
-    The run's forcing is a ``ModeMatrix``; a ``ScalarOnU`` one holds
-    identically and needs no sampling.  Gradients are taken on the flowing
-    surface at each node's time, so the unit-scale tangential gradient
-    carries a 1/sqrt(-t) factor.  A nonnegative margin certifies the forcing
-    hypothesis at that node.  Values, gradients and the image ``a W^T`` come
-    from one ``combine_on_rule`` block per kind over the rows of one
-    ``traj.blocks(rule.points.size)`` block; each row is combined and reduced
-    on its own, so a margin is the same bit for bit in any run.
-    """
-    rule.require_background(traj.background)
-    coupling, t = traj.forcing.coupling, traj.grid.nodes
-    c, w = traj.forcing.rate.values_at(t), np.array(coupling.matrix)
-    out, proj = np.empty(len(t)), rule.tangent_projector()
-    for part, amps in traj.blocks(rule.points.size):
-        cs = c[part, None]
-        # a stack of matrix-vector products, the same BLAS call as W @ a on one field
-        f_coeffs = cs * (w @ _amplitudes_on(traj.modes, amps, coupling.modes)[:, :, None])[:, :, 0]
-        values = combine_on_rule(rule, traj.modes, amps)
-        ambient_grads = combine_on_rule(rule, traj.modes, amps, "gradients")
-        tangential = np.einsum("nij,rnj->rni", proj, ambient_grads)
-        grad_norm = np.sqrt(np.sum(tangential**2, axis=2)) / np.sqrt(-t[part])[:, None]
-        f_values = combine_on_rule(rule, coupling.modes, f_coeffs)
-        out[part] = np.min(cs * (grad_norm + np.abs(values)) - np.abs(f_values), axis=1)
-    return out
+    coeffs = _amplitudes_on(field.modes, field.amplitudes, modes)
+    amps, nodes = unforced(coeffs), grid.nodes
+    cuts = _rate_cuts(forcing.rate, nodes)  # the pieces, on each of which C is linear
+    # a stiff rate overflows; Trajectory refuses what is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = forcing.rate.values_at(cuts)
+        g = np.concatenate([[0.0], np.cumsum(0.5 * (c[1:] + c[:-1]) * np.diff(cuts))])[np.searchsorted(cuts, nodes)]
+        if not drift:
+            amps *= np.exp(g)[:, None]
+        else:
+            position = {m.index: j for j, m in enumerate(modes)}
+            upper = [j for j, m in enumerate(modes) if m.index[axis]]
+            lower = [position[at_degree(modes[j].index, modes[j].index[axis] - 1)] for j in upper]
+            lowering = np.sqrt([modes[j].index[axis] / 2.0 for j in upper]) / math.sqrt(-grid.a)
+            weight = np.ones(len(nodes))
+            for k in range(1, 1 + max((m.index[axis] for m in modes), default=0)):
+                lowered = np.zeros(len(modes))
+                lowered[lower] = lowering * coeffs[upper]
+                coeffs, weight = lowered, weight * g / k
+                amps += weight[:, None] * unforced(coeffs)
+    return Trajectory(grid, bg, modes, amps, forcing=forcing)  # dense: identity columns, unit scale

@@ -36,14 +36,11 @@ norms, and is re-verified against quadrature in the test suite.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
-import numpy as np
-
-from .backgrounds import Background, QuadratureRule, total_mass, unit_sphere_area
+from .backgrounds import Background, total_mass, unit_sphere_area
 from .polynomials import AmbientPolynomial
 
 
@@ -85,15 +82,15 @@ def _bounded_multi_indices(dims: int, max_sum: int) -> Iterator[tuple[int, ...]]
             yield (head,) + tail
 
 
-def _round_harmonics(n: int, mu_cutoff: float) -> Iterator[tuple[tuple[int, ...], float]]:
-    """(degree, label) and eigenvalue of each harmonic on S^n with mu <= cutoff; for n = 0 the empty index once."""
+def _round_degrees(n: int, mu_cutoff: float) -> Iterator[tuple[int, float, int]]:
+    """(k, mu_k, multiplicity) of each harmonic degree k = 0, 1, ... on S^n with mu_k <= cutoff; for n = 0 the one
+    degree 0, of eigenvalue 0 and one (empty) harmonic."""
     if not n:
-        yield (), 0.0
+        yield 0, 0.0, 1
         return
     k = 0
     while (mu := sphere_degree_eigenvalue(n, k)) <= mu_cutoff + 1e-12:
-        for j in range(sphere_multiplicity(n, k)):
-            yield (k, j), mu
+        yield k, mu, sphere_multiplicity(n, k)
         k += 1
 
 
@@ -108,15 +105,30 @@ def mode_from_index(bg: Background, index: tuple[int, ...]) -> Mode:
     return Mode(idx, mu_round + sum(idx[head:]) / 2.0)
 
 
+def mode_counts(bg: Background, mu_cutoff: float) -> Iterator[int]:
+    """The number of modes with mu <= cutoff of each round degree k = 0, 1, ... in turn, none enumerated.
+
+    Degree k's harmonics, of eigenvalue mu_k, each take every multiset of axial degrees summing to at most
+    B = floor(2 (cutoff - mu_k)), C(B + m, m) of them on m axes.  Without a round factor there is one degree, and
+    on a sphere the degrees run as long as mu_k <= cutoff: a caller that bounds the total stops early.
+    """
+    if mu_cutoff < 0:
+        return
+    for _, mu_round, size in _round_degrees(bg.sphere_n, mu_cutoff):
+        axial_budget = int(math.floor(2.0 * (mu_cutoff - mu_round) + 1e-12))
+        yield size * math.comb(axial_budget + bg.flat_m, bg.flat_m)
+
+
 def enumerate_modes(bg: Background, mu_cutoff: float) -> tuple[Mode, ...]:
     """All modes with mu <= cutoff, sorted by (mu, index): each round harmonic times the axial degrees left."""
     if mu_cutoff < 0:
         return ()
     modes: list[Mode] = []
-    for head, mu_round in _round_harmonics(bg.sphere_n, mu_cutoff):
+    for k, mu_round, size in _round_degrees(bg.sphere_n, mu_cutoff):
         axial_budget = int(math.floor(2.0 * (mu_cutoff - mu_round) + 1e-12))
-        for axial in _bounded_multi_indices(bg.flat_m, axial_budget):
-            modes.append(Mode(head + axial, mu_round + sum(axial) / 2.0))
+        for head in [(k, j) for j in range(size)] if bg.sphere_n else [()]:
+            for axial in _bounded_multi_indices(bg.flat_m, axial_budget):
+                modes.append(Mode(head + axial, mu_round + sum(axial) / 2.0))
     modes.sort(key=mode_sort_key)
     return tuple(modes)
 
@@ -234,58 +246,3 @@ def mode_function(bg: Background, mode: Mode) -> AmbientPolynomial:
         axial = axial * hermite_polynomial(deg, dim=d, axis=axis)
         norm_sq *= hermite_norm_squared(deg)
     return _round_harmonic(bg, mode.index[:head]) * axial.scale(1.0 / math.sqrt(norm_sq))
-
-
-@functools.lru_cache(maxsize=4096)
-def _derivatives(bg: Background, mode: Mode, rank: int) -> tuple[tuple[tuple[int, ...], AmbientPolynomial], ...]:
-    """(axes, polynomial) of each distinct rank-``rank`` partial of a mode (cached).
-
-    Rank 0 is the mode itself, rank 1 its gradient and rank 2 the upper triangle of its Hessian.
-    """
-    poly = mode_function(bg, mode)
-    return tuple(
-        (axes, functools.reduce(AmbientPolynomial.diff, axes, poly))
-        for axes in itertools.combinations_with_replacement(range(poly.dim), rank)
-    )
-
-
-# ---------------------------------------------------------------------------
-# evaluation
-
-# kind -> tensor rank of its per-mode column
-_RANKS = {"values": 0, "gradients": 1, "hessians": 2}
-
-
-def _column(bg: Background, mode: Mode, rank: int, pts: np.ndarray) -> np.ndarray:
-    """The mode's value (N,), ambient gradient (N, d) or ambient Hessian (N, d, d) at (N, d) points."""
-    out = np.empty(pts.shape[:1] + pts.shape[1:] * rank)
-    for axes, poly in _derivatives(bg, mode, rank):
-        out[(slice(None), *axes)] = out[(slice(None), *axes[::-1])] = poly.eval(pts)
-    return out
-
-
-def combine_on_rule(
-    rule: QuadratureRule, modes: Sequence[Mode], amplitudes: np.ndarray, kind: str = "values"
-) -> np.ndarray:
-    """sum_j a_j * column_j at the rule's nodes, in ``mode_sort_key`` order, skipping zero amplitudes.
-
-    ``amplitudes`` is aligned with ``modes`` on its last axis: one row of a
-    trajectory gives one combination, a (rows, modes) block one per row, with
-    every element summed in the same order as its row alone.  ``kind`` is
-    values (N,), ambient gradients (N, d) or ambient Hessians (N, d, d);
-    project gradients to get surface gradients.  Each mode's column is
-    evaluated, added and freed, so a caller that needs one kind at several
-    times passes them as one block.
-    """
-    rank = _RANKS[kind]
-    pts, amps = rule.points, np.asarray(amplitudes, dtype=float)
-    if amps.shape[-1:] != (len(modes),):
-        raise ValueError(f"need one amplitude per mode ({len(modes)}) on the last axis, got shape {amps.shape}")
-    lead = amps.shape[:-1]
-    out = np.zeros(lead + pts.shape[:1] + pts.shape[1:] * rank)
-    term = np.empty_like(out)  # built in place: a block's temporaries are as large as the result
-    used = amps.any(axis=tuple(range(len(lead)))).tolist()
-    for j in sorted((j for j in range(len(modes)) if used[j]), key=lambda j: mode_sort_key(modes[j])):
-        column = _column(rule.background, modes[j], rank, pts)
-        out += np.multiply(amps[..., j].reshape(lead + (1,) * column.ndim), column, out=term)
-    return out

@@ -24,6 +24,7 @@ import math
 import numbers
 import os
 import re
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -43,8 +44,8 @@ from .backgrounds import Background, Cylinder, Plane, Sphere, kappa
 from .evolution import (
     CoefficientField,
     ConstantRate,
+    Drift,
     Forcing,
-    ModeMatrix,
     SampledRate,
     ScalarOnU,
     TimeGrid,
@@ -52,7 +53,7 @@ from .evolution import (
     evolve_forced,
 )
 from .frequency import FrequencyTrace
-from .modes import Mode, enumerate_modes, mode_from_index, mode_sort_key
+from .modes import Mode, enumerate_modes, mode_counts, mode_from_index, mode_sort_key
 from .verifiers import (
     Run,
     VerificationReport,
@@ -112,7 +113,6 @@ class ScenarioConfig:
     checks: tuple[str, ...]
     report_only: frozenset[str]
     tolerances: tuple[tuple[str, float], ...]
-    rk_local_tol: float
     document: dict = field(repr=False, compare=False)
 
     def config_hash(self) -> str:
@@ -157,7 +157,7 @@ def _object(doc: Any, field: str, shape: str = "", keys: Any = None, tag: str = 
     if tag:
         value = doc.get(tag)
         if not (isinstance(value, str) and value in keys):
-            raise ConfigError(f"{field}.{tag}", f"unknown {tag} {value!r}")
+            raise ConfigError(f"{field}.{tag}", f"unknown {tag} {value!r}; known: {', '.join(map(repr, keys))}")
         keys = (tag, *keys[value])
     for key in doc if keys is not None else ():
         if key not in keys:
@@ -221,26 +221,16 @@ def _parse_rate(doc: Any) -> tuple[ConstantRate | SampledRate, dict]:
     return rate, {"type": "sampled", "times": list(times), "values": list(values)}
 
 
+# config coupling -> its class
+_COUPLINGS = {"scalar_on_u": ScalarOnU, "drift": Drift}
+
+
 def _parse_forcing(bg: Background, doc: Any) -> tuple[Forcing, dict]:
-    couplings = {"scalar_on_u": ["rate"], "mode_matrix": ["rate", "modes", "matrix"]}
-    doc = _object(doc, "forcing", "{rate, coupling}", couplings, "coupling")
+    doc = _object(doc, "forcing", "{rate, coupling}", {name: ["rate"] for name in _COUPLINGS}, "coupling")
     rate, rate_doc = _parse_rate(doc.get("rate"))
-    if doc["coupling"] == "scalar_on_u":
-        return Forcing(rate, ScalarOnU()), {"coupling": "scalar_on_u", "rate": rate_doc}
-    if "modes" not in doc or "matrix" not in doc:
-        raise ConfigError("forcing", "mode_matrix coupling needs 'modes' and 'matrix'")
-    if not isinstance(doc["matrix"], (list, tuple)):
-        raise ConfigError("forcing.matrix", "must be a list of rows")
-    if not isinstance(doc["modes"], (list, tuple)):
-        raise ConfigError("forcing.modes", "must be a list of multi-index keys")
-    modes = tuple(_parse_mode(bg, key, "forcing.modes") for key in doc["modes"])
-    matrix = tuple(_numbers(row, "forcing.matrix") for row in doc["matrix"])
-    try:
-        forcing = Forcing(rate, ModeMatrix(modes, matrix))
-    except ValueError as exc:
-        raise ConfigError("forcing.matrix", str(exc)) from exc
-    matrix_doc = {"modes": [_mode_key(m) for m in modes], "matrix": [list(row) for row in matrix]}
-    return forcing, {"coupling": "mode_matrix", **matrix_doc, "rate": rate_doc}
+    if doc["coupling"] == "drift" and not bg.flat_m:
+        raise ConfigError("forcing.coupling", f"a drift runs along a flat axis, and {bg.label()} has none")
+    return Forcing(rate, _COUPLINGS[doc["coupling"]]()), {"coupling": doc["coupling"], "rate": rate_doc}
 
 
 def _check_names(doc: Any, field: str, allowed: Any, unknown: str) -> list[str]:
@@ -258,6 +248,8 @@ def _check_names(doc: Any, field: str, allowed: Any, unknown: str) -> list[str]:
 
 
 _M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_MAX_MIXTURE_MODES = 1 << 16  # modes a random mixture may draw, counted before any is enumerated
+_LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max)  # the normal float range, in logs
 
 
 def _mixture_amplitudes(seed: int, low: float, high: float) -> Iterator[float]:
@@ -317,7 +309,7 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
     """
     doc = _object(doc, "<root>", keys=(
         "scenario_id", "background", "initial_modes", "time", "kappa", "forcing",
-        "resolution", "checks", "report_only", "tolerances", "rk_local_tol", "random_mixture",
+        "resolution", "checks", "report_only", "tolerances", "random_mixture",
     ))
 
     scenario_id = _parse_scenario_id(doc.get("scenario_id", fallback_id))
@@ -355,6 +347,13 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
         if not (0.0 <= low <= high):
             raise ConfigError("random_mixture", f"need 0 <= low <= high, got low={low}, high={high}")
         mixture = {"seed": float(seed), "mu_cutoff": mu_cutoff, "low": low, "high": high}
+        for total in itertools.accumulate(mode_counts(bg, mu_cutoff)):  # counted, then enumerated
+            if total > _MAX_MIXTURE_MODES:
+                raise ConfigError(
+                    "random_mixture.mu_cutoff",
+                    f"{mu_cutoff!r} asks for at least {total} modes on {bg.label()}, above the budget of "
+                    f"{_MAX_MIXTURE_MODES}",
+                )
         for mode, amp in zip(enumerate_modes(bg, mu_cutoff), _mixture_amplitudes(seed, low, high)):
             coeffs[mode] = coeffs.get(mode, 0.0) + amp
 
@@ -363,6 +362,14 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
         kappa_value = kappa(bg)
     else:
         kappa_value = _number(kappa_doc, "kappa", minimum=0.0)
+    # the trace weighs by (-t)^(2 kappa) and squares mu/(-t): decided by logs, the first is a normal float at both
+    # ends of the grid and the second finite at its end, where it is largest
+    for t in (a, b):
+        if not _LOG_TINY < kappa_value * (2.0 * math.log(-t)) < _LOG_HUGE:
+            raise ConfigError("kappa", f"(-t)^(2 kappa) leaves the normal floats at t={t!r} for kappa={kappa_value!r}")
+    mu_max = max((m.mu for m in coeffs), default=0.0)
+    if mu_max > 0.0 and not 2.0 * (math.log(mu_max) - math.log(-b)) < _LOG_HUGE:
+        raise ConfigError("time", f"(mu/(-t))^2 overflows at t={b!r} for mu={mu_max!r}")
 
     forcing, forcing_doc = None, None
     if doc.get("forcing") is not None:
@@ -383,10 +390,6 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
             raise ConfigError("tolerances", not_requested.format(name))
         tolerances.append((name, _number(value, f"tolerances.{name}", minimum=0.0)))
 
-    rk_local_tol = _number(doc.get("rk_local_tol", 1e-8), "rk_local_tol")
-    if not (0.0 < rk_local_tol < 1.0):
-        raise ConfigError("rk_local_tol", f"must be in (0, 1), got {rk_local_tol}")
-
     initial_modes = tuple(sorted(coeffs.items(), key=lambda kv: mode_sort_key(kv[0])))
     document = {
         "scenario_id": scenario_id,
@@ -399,7 +402,6 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
         "checks": sorted(checks),
         "report_only": sorted(report_only),
         "tolerances": dict(tolerances),
-        "rk_local_tol": rk_local_tol,
         "random_mixture": mixture,
     }
     return ScenarioConfig(
@@ -413,7 +415,6 @@ def parse_config(doc: Mapping, *, fallback_id: str = "") -> ScenarioConfig:
         checks=tuple(checks),
         report_only=frozenset(report_only),
         tolerances=tuple(sorted(tolerances)),
-        rk_local_tol=rk_local_tol,
         document=document,
     )
 
@@ -458,7 +459,7 @@ def run_scenario(config: ScenarioConfig) -> RunOutput:
     if config.forcing is None:
         traj = evolve_exact_trajectory(field, config.grid)
     else:
-        traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
+        traj = evolve_forced(field, config.grid, config.forcing)
     run = Run(traj, config.kappa_value, config.resolution)
     trace = run.trace  # the output holds it, whatever the checks read
     # each check passes its configured tolerance, if any

@@ -6,9 +6,8 @@ and wraps them in a ``VerificationReport`` as one column per label: the
 label, the grid indices of its nodes and its margins there.
 Every verifier takes one ``Run``: a trajectory with the kappa of its
 frequency trace and the resolution of its quadrature rule.  The run builds
-its trace, rule, curvature-identity sides and forcing certificate on first
-read and keeps them, so the checks of one run share each and none rebuilds
-it.  Margin conventions:
+its trace, rule and curvature-identity sides on first read and keeps them, so
+the checks of one run share each and none rebuilds it.  Margin conventions:
 
 * Inequality checks report the raw slack of the bound, so the statement
   holds at a node iff its margin is nonnegative (up to tolerance).
@@ -18,10 +17,10 @@ it.  Margin conventions:
 Reports carry a three-state verdict, which ``VerificationReport`` derives
 from its columns and tolerance; no verifier states it.  A report without
 columns is ``inapplicable``, which is reserved for runs
-the statement genuinely does not speak about (zero initial data, a forcing
-hypothesis that fails certification, a trajectory without a single active
-eigenvalue) or cannot decide (a ``general_harnack`` quadrature that does not
-converge); it is never a euphemism for failure.
+the statement genuinely does not speak about (zero initial data, a
+trajectory without a single active eigenvalue) or cannot decide (a
+``general_harnack`` quadrature that does not converge); it is never a
+euphemism for failure.
 
 ``verify_weighted_monotonicity`` differentiates its weighted integrals
 exactly, as polynomials in sqrt(-t), and ``verify_frequency_monotonicity``
@@ -48,7 +47,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .backgrounds import Background, QuadratureRule, monomial_moments, quadrature, total_mass
-from .evolution import Rate, ScalarOnU, Trajectory, _rate_cuts, float_powers, forcing_margins
+from .evolution import Drift, Rate, ScalarOnU, Trajectory, _rate_cuts, float_powers
 from .frequency import FrequencyTrace, Sides, bochner_sides, trace_from_trajectory
 from .modes import first_nonzero_eigenvalue
 from .polynomials import AmbientPolynomial
@@ -176,7 +175,7 @@ class Run:
 
     ``kappa_value`` weights the frequency trace (the background's own value
     when None); ``resolution`` is that of the quadrature rule, which only
-    ``quadrature_mass`` and a ``ModeMatrix`` forcing certificate read.
+    ``quadrature_mass`` reads.
     """
 
     traj: Trajectory
@@ -198,10 +197,6 @@ class Run:
     @cached_property
     def sides(self) -> Sides:
         return bochner_sides(self.traj)
-
-    @cached_property
-    def certificate(self) -> Certificate:
-        return forcing_certificate(self)
 
 
 def _centered_slopes(values: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -533,41 +528,22 @@ def _third_difference_allowance(values: np.ndarray, t: np.ndarray) -> float:
     return 2.0 * float(np.max(d3)) / (6.0 * h_min)
 
 
-Certificate = tuple[bool, tuple[str, ...]]  # what forcing_certificate returns: (holds, notes)
+# why each coupling meets the forcing hypothesis |f| <= C(t)(|grad u| + |u|), which the general bounds assume; the
+# general checks of a forced run note it
+_HYPOTHESIS_NOTES = {
+    ScalarOnU: (
+        "forcing hypothesis holds identically: for f = C u with C >= 0 the margin C(|grad u| + |u|) - |f| is "
+        "C |grad u| >= 0 everywhere"
+    ),
+    Drift: (
+        "forcing hypothesis holds identically: for f = C du/dx_1 with C >= 0 the margin C(|grad u| + |u|) - |f| is "
+        "C(|grad u| - |du/dx_1| + |u|) >= 0 everywhere"
+    ),
+}
 
 
-_SCALAR_ON_U_NOTE = (
-    "forcing hypothesis holds identically: for f = C u with C >= 0 the margin C(|grad u| + |u|) - |f| is "
-    "C |grad u| >= 0 everywhere"
-)
-
-
-def forcing_certificate(run: Run) -> Certificate:
-    """Certify |f| <= C(t)(|grad u| + |u|) for the run's forcing: whether it holds, and the note saying so.
-
-    A run without forcing holds with no note.  A ``ScalarOnU`` forcing holds
-    identically, since C >= 0 leaves the margin C |grad u| >= 0, in floating
-    point too because rounding is monotone; it reads no rule.  A
-    ``ModeMatrix`` forcing is certified at every grid node but in space only
-    at the points of the run's rule; the note gives the node count and the
-    worst (t, margin), or names the first time it fails.
-    """
-    traj = run.traj
-    if traj.forcing is None:
-        return True, ()
-    if isinstance(traj.forcing.coupling, ScalarOnU):
-        return True, (_SCALAR_ON_U_NOTE,)
-    margins, t = forcing_margins(traj, run.rule), traj.grid.nodes
-    failed = np.flatnonzero(margins < -1e-12)
-    if len(failed):
-        i = int(failed[0])
-        return False, (f"forcing hypothesis fails at t={t[i]:.17g} (pointwise margin {margins[i]:.6e})",)
-    i = int(np.argmin(margins))
-    note = (
-        f"forcing hypothesis certified at all {len(t)} grid nodes, on the quadrature points; "
-        f"worst pointwise margin {margins[i]:.6e} at t={t[i]:.17g}"
-    )
-    return True, (note,)
+def _hypothesis_notes(traj: Trajectory) -> tuple[str, ...]:
+    return () if traj.forcing is None else (_HYPOTHESIS_NOTES[type(traj.forcing.coupling)],)
 
 
 def verify_general_bounds(run: Run, *, tolerance: float | None = None) -> VerificationReport:
@@ -578,11 +554,9 @@ def verify_general_bounds(run: Run, *, tolerance: float | None = None) -> Verifi
         (log I)'(t) - [(1 + C/2) (-t)^(-1-2 kappa) U(t) - 3 C(t)]
         U'(t) - C(t)^2 (U(t) - 2 (-t)^(1+2 kappa))
 
-    with derivatives by centered differences.  Before any margin is trusted,
-    the run's certificate of the forcing hypothesis |f| <= C(t)(|grad u| + |u|)
-    is read (see ``forcing_certificate``); if it fails the report is
-    inapplicable and names the offending time, because the bounds assume the
-    hypothesis and say nothing without it.
+    with derivatives by centered differences.  Both couplings meet the forcing
+    hypothesis |f| <= C(t)(|grad u| + |u|) identically, and a note on a forced
+    run says why (see ``_HYPOTHESIS_NOTES``).
 
     The tolerance folds in a discretization allowance estimated from third
     differences of the same data; raw margins are reported unmodified.
@@ -591,9 +565,7 @@ def verify_general_bounds(run: Run, *, tolerance: float | None = None) -> Verifi
     k = trace.kappa_used
     if _is_zero_run(trace):
         return VerificationReport("general_bounds", (), 0.0, (_NO_FREQUENCY,))
-    holds, notes = run.certificate
-    if not holds:
-        return VerificationReport("general_bounds", (), 0.0, (notes[0],))
+    notes = _hypothesis_notes(traj)
 
     t, u = trace.t, trace.U
     log_i = np.log(trace.I)
@@ -674,8 +646,8 @@ def verify_general_harnack(run: Run, *, tolerance: float = 1e-8) -> Verification
     nothing is integrated, so the margin is ``verify_harnack``'s bit for bit.
     Zero data passes through the degenerate 0 >= 0 branch: that is the
     backward-uniqueness statement itself.  The bound assumes the forcing
-    hypothesis and reads the run's certificate of it, as
-    ``verify_general_bounds`` does.
+    hypothesis, which holds identically and is noted as in
+    ``verify_general_bounds``.
     """
     trace, traj = run.trace, run.traj
     k = trace.kappa_used
@@ -684,9 +656,7 @@ def verify_general_harnack(run: Run, *, tolerance: float = 1e-8) -> Verification
             "general_harnack", run, tolerance,
             "zero data: the bound degenerates to 0 >= 0 (vanishing at b forces vanishing throughout)",
         )
-    holds, notes = run.certificate
-    if not holds:
-        return VerificationReport("general_harnack", (), tolerance, (notes[0],))
+    notes = _hypothesis_notes(traj)
     ta, tb, ia, ib, ua = _harnack_endpoints(trace)
     excess, gap = 0.0, 0.0
     if traj.forcing is not None:

@@ -6,30 +6,102 @@ on one snapshot, bit for bit, and ``evolve_exact`` one row of
 ``evolution.evolve_exact_trajectory``; ``compute_I_quadrature`` and
 ``compute_D_quadrature`` are the quadrature routes for I and D, summed by
 ``integrate``, which the trace's I and D must meet to 1e-8 relative.
-``geometry_at`` builds the closed-form geometry at one point, the oracle for
-``QuadratureRule.tangent_projector``; ``bochner_sides_on_rule`` integrates the
-curvature identity's integrands, built per point on ``geometry_at``, over a
-rule, the oracle for the closed-form moment sums of
-``frequency.bochner_sides``; ``forcing_bound_margin`` certifies the forcing
-hypothesis for one field, the oracle for ``evolution.forcing_margins``;
-``rate_at`` is a rate's value at one time, the oracle for ``values_at``;
-``vector_rk4`` steps a forced run by step-doubled vector RK4, the oracle for
-the Taylor transfer maps of ``evolution.evolve_forced``; ``field_at`` passes
-one row of a trajectory through as a field without copying it;
-``dense_exact_amplitudes`` builds a closed-form run's whole amplitude array
-at once, the oracle for ``Trajectory.rows``.
+``combine_on_rule`` evaluates a combination of modes, its gradients or its
+Hessians at a rule's points, and ``tangent_projector`` the projector there,
+whose per-point oracle is ``geometry_at``, the closed-form geometry at one
+point; ``bochner_sides_on_rule`` integrates the curvature identity's
+integrands, built per point on ``geometry_at``, over a rule, the oracle for
+the closed-form moment sums of ``frequency.bochner_sides``;
+``forcing_bound_margin`` is the forcing hypothesis's pointwise margin for one
+field at a rule's points; ``rate_at`` is a rate's value at one time, the
+oracle for ``values_at``; ``vector_rk4`` steps a forced run by step-doubled
+vector RK4, the oracle for the closed forms of ``evolution.evolve_forced``;
+``field_at`` passes one row of a trajectory through as a field without
+copying it; ``dense_exact_amplitudes`` builds a closed-form run's whole
+amplitude array at once, the oracle for ``Trajectory.rows``.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from parafreq.backgrounds import Background, QuadratureRule, kappa
 from parafreq.evolution import (
-    CoefficientField, ConstantRate, Forcing, Rate, ScalarOnU, TimeGrid, Trajectory, _amplitudes_on,
+    CoefficientField, ConstantRate, Drift, Forcing, Rate, TimeGrid, Trajectory, _amplitudes_on,
 )
-from parafreq.modes import combine_on_rule
+from parafreq.modes import Mode, mode_function, mode_sort_key
+from parafreq.polynomials import AmbientPolynomial
+
+
+def require_background(rule: QuadratureRule, bg: Background) -> None:
+    """Refuse data that lives on another background than ``rule``."""
+    if bg != rule.background:
+        raise ValueError("quadrature rule background does not match the field")
+
+
+def tangent_projector(rule: QuadratureRule) -> np.ndarray:
+    """The (N, d, d) tangent projector I - nu nu^T at the rule's points; views on planes."""
+    pts, n = rule.points, rule.background.sphere_n
+    count, d = pts.shape
+    if not n:
+        return np.broadcast_to(np.eye(d), (count, d, d))
+    nu = np.zeros((count, d))
+    nu[:, : n + 1] = pts[:, : n + 1] / rule.background.radius
+    return np.eye(d) - nu[:, :, None] * nu[:, None, :]
+
+
+@functools.lru_cache(maxsize=4096)
+def _derivatives(bg: Background, mode: Mode, rank: int) -> tuple[tuple[tuple[int, ...], AmbientPolynomial], ...]:
+    """(axes, polynomial) of each distinct rank-``rank`` partial of a mode (cached).
+
+    Rank 0 is the mode itself, rank 1 its gradient and rank 2 the upper triangle of its Hessian.
+    """
+    poly = mode_function(bg, mode)
+    return tuple(
+        (axes, functools.reduce(AmbientPolynomial.diff, axes, poly))
+        for axes in itertools.combinations_with_replacement(range(poly.dim), rank)
+    )
+
+
+# kind -> tensor rank of its per-mode column
+_RANKS = {"values": 0, "gradients": 1, "hessians": 2}
+
+
+def _column(bg: Background, mode: Mode, rank: int, pts: np.ndarray) -> np.ndarray:
+    """The mode's value (N,), ambient gradient (N, d) or ambient Hessian (N, d, d) at (N, d) points."""
+    out = np.empty(pts.shape[:1] + pts.shape[1:] * rank)
+    for axes, poly in _derivatives(bg, mode, rank):
+        out[(slice(None), *axes)] = out[(slice(None), *axes[::-1])] = poly.eval(pts)
+    return out
+
+
+def combine_on_rule(
+    rule: QuadratureRule, modes: Sequence[Mode], amplitudes: np.ndarray, kind: str = "values"
+) -> np.ndarray:
+    """sum_j a_j * column_j at the rule's nodes, in ``mode_sort_key`` order, skipping zero amplitudes.
+
+    ``amplitudes`` is aligned with ``modes`` on its last axis: one row of a
+    trajectory gives one combination, a (rows, modes) block one per row, with
+    every element summed in the same order as its row alone.  ``kind`` is
+    values (N,), ambient gradients (N, d) or ambient Hessians (N, d, d);
+    project gradients to get surface gradients.
+    """
+    rank = _RANKS[kind]
+    pts, amps = rule.points, np.asarray(amplitudes, dtype=float)
+    if amps.shape[-1:] != (len(modes),):
+        raise ValueError(f"need one amplitude per mode ({len(modes)}) on the last axis, got shape {amps.shape}")
+    lead = amps.shape[:-1]
+    out = np.zeros(lead + pts.shape[:1] + pts.shape[1:] * rank)
+    term = np.empty_like(out)
+    used = amps.any(axis=tuple(range(len(lead)))).tolist()
+    for j in sorted((j for j in range(len(modes)) if used[j]), key=lambda j: mode_sort_key(modes[j])):
+        column = _column(rule.background, modes[j], rank, pts)
+        out += np.multiply(amps[..., j].reshape(lead + (1,) * column.ndim), column, out=term)
+    return out
 
 
 def integrate(rule: QuadratureRule, values: np.ndarray) -> float:
@@ -73,16 +145,16 @@ def cauchy_schwarz_defect(field: CoefficientField) -> float:
 
 def compute_I_quadrature(field: CoefficientField, rule: QuadratureRule) -> float:
     """Independent route: point values squared against the rule weights."""
-    rule.require_background(field.background)
+    require_background(rule, field.background)
     values = combine_on_rule(rule, field.modes, field.amplitudes)
     return integrate(rule, values**2)
 
 
 def compute_D_quadrature(field: CoefficientField, rule: QuadratureRule) -> float:
     """Independent route: -2 int |grad u|^2 dmu_t via projected ambient gradients."""
-    rule.require_background(field.background)
+    require_background(rule, field.background)
     grads = combine_on_rule(rule, field.modes, field.amplitudes, "gradients")
-    tangential = np.einsum("nij,nj->ni", rule.tangent_projector(), grads)
+    tangential = np.einsum("nij,nj->ni", tangent_projector(rule), grads)
     unit_scale = integrate(rule, np.sum(tangential**2, axis=1))
     return -2.0 * unit_scale / (-field.time)
 
@@ -135,7 +207,7 @@ def _require_on_surface(actual: float, expected: float, what: str) -> None:
 def geometry_at(bg: Background, point: np.ndarray) -> GeometryData:
     """Closed-form geometry of the unit-scale background S^k x R^m at ``point``.
 
-    The per-point oracle for ``QuadratureRule.tangent_projector`` and the
+    The per-point oracle for ``tangent_projector`` and the
     curvature forms of ``frequency.bochner_sides``: the round factor
     takes the first k + 1 coordinates, and the axes the last m.
     """
@@ -189,7 +261,7 @@ def bochner_sides_on_rule(field: CoefficientField, rule: QuadratureRule) -> tupl
     Hess_M u = P Hess u P + sff (nu . grad u) and Lu = tr Hess_M u - x_tan . grad u / 2.  The weights reduce each,
     and every side carries the (-t)^(-2) of x = sqrt(-t) y.
     """
-    rule.require_background(field.background)
+    require_background(rule, field.background)
     geometry = [geometry_at(rule.background, p) for p in rule.points]
     names = ("tangent_projector", "sff", "ric", "shape_pairing", "x_tan")
     proj, sff, ric, shape, x_tan = (np.stack([getattr(g, name) for g in geometry]) for name in names)
@@ -220,29 +292,24 @@ def rate_at(rate: Rate, t: float) -> float:
 
 
 def forcing_bound_margin(field: CoefficientField, forcing: Forcing, rule: QuadratureRule) -> float:
-    """Certified pointwise margin min [ C(t)(|grad u| + |u|) - |f| ] over the rule's nodes, for one field.
+    """Pointwise margin min [ C(t)(|grad u| + |u|) - |f| ] over the rule's nodes, for one field.
 
     Gradients are taken on the flowing surface at the field's time, so the
     unit-scale tangential gradient carries a 1/sqrt(-t) factor; the tangent
-    projector comes from ``geometry_at`` at each node.
+    projector comes from ``geometry_at`` at each node.  A drift's f is C times
+    the derivative along the first flat axis, ambient coordinate d - m.
     """
-    rule.require_background(field.background)
-    t = field.time
+    require_background(rule, field.background)
+    t, bg = field.time, field.background
     c = rate_at(forcing.rate, t)
     values = combine_on_rule(rule, field.modes, field.amplitudes)
-    ambient_grads = combine_on_rule(rule, field.modes, field.amplitudes, "gradients")
-    proj = np.stack([geometry_at(rule.background, p).tangent_projector for p in rule.points])
-    tangential = np.einsum("nij,nj->ni", proj, ambient_grads)
-    grad_norm = np.sqrt(np.sum(tangential**2, axis=1)) / math.sqrt(-t)
-
-    if isinstance(forcing.coupling, ScalarOnU):
-        f_values = c * values
+    ambient_grads = combine_on_rule(rule, field.modes, field.amplitudes, "gradients") / math.sqrt(-t)
+    proj = np.stack([geometry_at(bg, p).tangent_projector for p in rule.points])
+    grad_norm = np.sqrt(np.sum(np.einsum("nij,nj->ni", proj, ambient_grads) ** 2, axis=1))
+    if isinstance(forcing.coupling, Drift):
+        f_values = c * ambient_grads[:, bg.ambient_dim - bg.flat_m]
     else:
-        coupling = forcing.coupling
-        a = _amplitudes_on(field.modes, field.amplitudes, coupling.modes)
-        f_coeffs = c * (np.array(coupling.matrix, dtype=float) @ a)
-        f_values = combine_on_rule(rule, coupling.modes, f_coeffs)
-
+        f_values = c * values
     return float(np.min(c * (grad_norm + np.abs(values)) - np.abs(f_values)))
 
 
@@ -263,23 +330,33 @@ def dense_exact_amplitudes(field: CoefficientField, grid: TimeGrid) -> np.ndarra
     return amplitudes
 
 
+def drift_matrix(modes: Sequence[Mode], axis: int) -> np.ndarray:
+    """N over ``modes``: d/dy phi_n = sqrt(n/2) phi_(n-1) in the degree n at ``axis`` of a mode index, so column j
+    holds sqrt(n/2) in the row of mode j lowered by one there, where ``modes`` has it."""
+    out = np.zeros((len(modes), len(modes)))
+    for j, m in enumerate(modes):
+        for i, low in enumerate(modes):
+            if m.index[axis] and low.index == m.index[:axis] + (m.index[axis] - 1,) + m.index[axis + 1 :]:
+                out[i, j] = math.sqrt(m.index[axis] / 2.0)
+    return out
+
+
 def vector_rk4(traj: Trajectory, field: CoefficientField, forcing: Forcing, local_tol: float, doubling: bool = True):
     """(nodes, modes): per-interval vector RK4 of a' = -mu a/(-t) + C(t) W a on the modes of ``traj``.
 
-    W = I on all of them under ScalarOnU.  Each grid interval is one RK4 step without ``doubling``; with it,
-    an interval is accepted when max|full - halved| / (15 (1 + max|halved|)) <= ``local_tol`` and otherwise
-    split into its halves, recursively.
+    W = I under ScalarOnU and N / sqrt(-t) under a Drift, N the ``drift_matrix`` of the first flat axis.  Each grid
+    interval is one RK4 step without ``doubling``; with it, an interval is accepted when
+    max|full - halved| / (15 (1 + max|halved|)) <= ``local_tol`` and otherwise split into its halves, recursively.
     """
     mus = np.array([m.mu for m in traj.modes])
-    coupling = forcing.coupling
-    scalar = isinstance(coupling, ScalarOnU)
-    idx = [traj.modes.index(m) for m in (traj.modes if scalar else coupling.modes)]
-    w = np.eye(len(idx)) if scalar else np.array(coupling.matrix, dtype=float)
+    if isinstance(forcing.coupling, Drift):
+        n_matrix = drift_matrix(traj.modes, 2 if traj.background.sphere_n else 0)
+    else:
+        n_matrix = None
 
     def rhs(t, a):
-        out = -(mus / (-t)) * a
-        out[idx] += rate_at(forcing.rate, t) * (w @ a[idx])
-        return out
+        coupled = a if n_matrix is None else (n_matrix @ a) / math.sqrt(-t)
+        return -(mus / (-t)) * a + rate_at(forcing.rate, t) * coupled
 
     def step(t, a, h):
         k1 = rhs(t, a)

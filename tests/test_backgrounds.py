@@ -23,9 +23,9 @@ from parafreq import (
 )
 from parafreq import backgrounds
 from parafreq.backgrounds import QuadratureRule, quadrature
-from parafreq.modes import combine_on_rule
+from parafreq.modes import mode_counts
 
-from oracles import geometry_at, integrate
+from oracles import combine_on_rule, geometry_at, integrate, tangent_projector
 
 ALL_BACKGROUNDS = [Plane(1), Plane(2), Plane(3), Sphere(1), Sphere(2), Cylinder(1, 1)]
 # round factors S^k, k >= 3, and the cylinders S^2 x R and S^1 x R^2, built by the same recursion as the six above
@@ -149,6 +149,15 @@ def test_mode_enumeration_is_sorted_and_cut():
         assert mus == sorted(mus)
         assert all(mu <= 1.5 for mu in mus)
         assert modes[0].mu == 0.0
+
+
+def test_mode_count_in_closed_form_equals_the_enumeration():
+    # S^k x R^m for k <= 4 and m <= 3 (k = 0 a plane, m = 0 a sphere), at cutoffs on and between the eigenvalues
+    shapes = [*map(Plane, (1, 2, 3)), *map(Sphere, (1, 2, 3, 4))]
+    shapes += [Cylinder(k, m) for k in (1, 2, 3, 4) for m in (1, 2, 3)]
+    for bg in shapes:
+        for cutoff in (0.0, 0.4, 0.5, 1.0, 1.25, 4 / 3, 2.0, 2.25, 2.75, 3.5, 4.0):
+            assert sum(mode_counts(bg, cutoff)) == len(enumerate_modes(bg, cutoff)), (bg.label(), cutoff)
 
 
 def test_eigenvalues_come_in_half_integer_steps():
@@ -295,7 +304,7 @@ def test_cylinder_geometry_splits():
 @pytest.mark.parametrize("bg", sorted(ALL_BACKGROUNDS, key=lambda b: b.label()) + HIGHER, ids=lambda b: b.label())
 def test_rule_geometry_arrays_equal_the_per_point_oracle(bg):
     rule = quadrature(bg, 6)
-    whole, oracle = rule.tangent_projector(), [geometry_at(bg, p).tangent_projector for p in rule.points]
+    whole, oracle = tangent_projector(rule), [geometry_at(bg, p).tangent_projector for p in rule.points]
     for part in (slice(None), slice(5, 17)):
         array, expected = whole[part], np.stack(oracle[part])
         assert array.shape == expected.shape and array.dtype == expected.dtype, part
@@ -348,15 +357,15 @@ def test_capability_declaration_gates_every_consumer(bg):
         "initial_modes": {",".join(map(str, mode.index)): 1.0},
         "time": {"a": -1.0, "b": -0.5, "nodes": 5},
     }
-    # spectral checks, every check that integrates over the surface, and either forcing: a mode-matrix one is
-    # certified on the rule
+    # spectral checks, every check that integrates over the surface, and either forcing: a drift wherever the shape
+    # has a flat axis
     parse_config(dict(base, checks=["frequency_monotonicity", "harnack", "eigenvalue_monotonicity"]))
     rule_checks = ("weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass", "drift_bochner", "drift_bochner_verbatim")
     assert parse_config(dict(base, checks=list(rule_checks))).checks == rule_checks
     rate = {"type": "constant", "c0": 0.1}
     scalar = {"rate": rate, "coupling": "scalar_on_u"}
-    matrix = {"rate": rate, "coupling": "mode_matrix", "modes": list(base["initial_modes"]), "matrix": [[0.1]]}
-    for forcing in (scalar, matrix):
+    drift = {"rate": rate, "coupling": "drift"}
+    for forcing in (scalar, drift) if bg.flat_m else (scalar,):
         parse_config(dict(base, checks=["general_bounds"], forcing=forcing))
 
 

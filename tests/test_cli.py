@@ -134,15 +134,12 @@ def test_resolution_is_a_config_field_not_a_flag(tmp_path, capsys):
 
 
 def test_runtime_error_spares_the_rest_of_the_batch(tmp_path, capsys):
-    # a mode_matrix block this stiff needs more Taylor steps than the budget allows
+    # a rate this stiff grows the run past the float range: exp(int C) overflows
     broken = dict(
         PASSING,
         scenario_id="late-forced",
         time={"a": -1.0, "b": -1e-4, "nodes": 21},
-        forcing={
-            "rate": {"type": "constant", "c0": 1e12}, "coupling": "mode_matrix",
-            "modes": ["1", "2"], "matrix": [[0.0, 0.4], [0.0, 0.0]],
-        },
+        forcing={"rate": {"type": "constant", "c0": 1e12}, "coupling": "scalar_on_u"},
         checks=["frequency_monotonicity"],
     )
     _write(tmp_path, "a.json", dict(PASSING, scenario_id="a"))
@@ -151,7 +148,7 @@ def test_runtime_error_spares_the_rest_of_the_batch(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", str(tmp_path), "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert "runtime error in late-forced: the ModeMatrix block needs" in captured.err
+    assert "runtime error in late-forced: non-finite amplitude in trajectory" in captured.err
     assert "2 scenario(s)" in captured.out
     assert sorted(p.name for p in out.iterdir()) == [
         f"{sid}{suffix}" for sid in ("a", "c") for suffix in (".plot.py", ".report.json", ".trace.csv")
@@ -159,8 +156,8 @@ def test_runtime_error_spares_the_rest_of_the_batch(tmp_path, capsys):
 
 
 def test_overflowing_scenario_spares_the_rest_of_the_batch(tmp_path, capsys):
-    # (-t)^(2 kappa) at t = -2 overflows the frequency trace: that scenario's runtime error, not the batch's
-    _write(tmp_path, "a.json", dict(PASSING, scenario_id="a", kappa=1000, time={"a": -2.0, "b": -0.5, "nodes": 21}))
+    # squaring an amplitude of 1e160 overflows the frequency trace: that scenario's runtime error, not the batch's
+    _write(tmp_path, "a.json", dict(PASSING, scenario_id="a", initial_modes={"2": 1e160}))
     _write(tmp_path, "b.json", dict(PASSING, scenario_id="b"))
     out = tmp_path / "out"
     assert main(["run", str(tmp_path / "a.json"), str(tmp_path / "b.json"), "--out", str(out)]) == 2
@@ -168,6 +165,47 @@ def test_overflowing_scenario_spares_the_rest_of_the_batch(tmp_path, capsys):
     assert "runtime error in a:" in captured.err
     assert "1 scenario(s)" in captured.out
     assert sorted(p.name for p in out.iterdir()) == [f"b{suffix}" for suffix in (".plot.py", ".report.json", ".trace.csv")]
+
+
+def test_inputs_that_would_leave_the_float_range_exit_two_naming_their_field(tmp_path, capsys):
+    # the probes: an unbounded mode count, kappa 1e300 and a grid ending at -1e-301 are refused while loading, with
+    # one config error line each and no numpy warning
+    mixture = {"seed": 1, "mu_cutoff": 60, "low": 0.2, "high": 1.0}
+    probes = {
+        "modes": (
+            {"background": {"kind": "plane", "n": 6}, "initial_modes": {}, "random_mixture": mixture},
+            "random_mixture.mu_cutoff",
+        ),
+        "kappa": ({"kappa": 1e300}, "kappa"),
+        "tiny": ({"time": {"a": -1e-300, "b": -1e-301, "nodes": 21}}, "time"),
+    }
+    for name, (overrides, field) in probes.items():
+        path = _write(tmp_path, f"{name}.json", dict(PASSING, scenario_id=name, **overrides))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config field '{field}': ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_drift_config_passes_both_general_checks_and_the_retired_couplings_exit_two(tmp_path, capsys):
+    # plane-drift-bounds exercises the |grad u| half of the forcing hypothesis, which a drift meets identically
+    config = Path(__file__).parent / "configs" / "plane-drift-bounds.json"
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("1 scenario(s), 2 check(s): 2 passed, 0 failed")
+    doc = json.loads((tmp_path / "out" / "plane-drift-bounds.report.json").read_text())
+    reports = doc["reports"]
+    assert [(r["check_name"], r["status"]) for r in reports] == [("general_bounds", "pass"), ("general_harnack", "pass")]
+    assert [round(r["min_margin"], 3) for r in reports] == [1.518, 2.089]
+    assert all(r["notes"][0].startswith("forcing hypothesis holds identically: for f = C du/dx_1") for r in reports)
+    # the mode-matrix coupling is refused with no alias, and so is a drift on a shape without a flat axis
+    drift = json.loads(config.read_text())
+    for name, forcing, background in (
+        ("matrix", dict(drift["forcing"], coupling="mode_matrix", modes=["1,0"], matrix=[[0.1]]), drift["background"]),
+        ("round", drift["forcing"], {"kind": "sphere", "n": 2}),
+    ):
+        doc = dict(drift, scenario_id=name, forcing=forcing, background=background, initial_modes={"1,0": 1.0})
+        assert main(["run", str(_write(tmp_path, f"{name}.json", doc)), "--out", str(tmp_path / name)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config field 'forcing.coupling': ")
 
 
 def test_scenario_that_cannot_allocate_spares_the_rest_of_the_batch(tmp_path, capsys, monkeypatch):
@@ -274,7 +312,7 @@ def test_paper_suite_is_run_on_the_packaged_directory_byte_for_byte(tmp_path, ca
         assert main([*args, "--out", str(out)]) == 0
         outputs[name] = capsys.readouterr().out, {f.name: f.read_bytes() for f in out.iterdir()}
     assert outputs["paper-suite"] == outputs["run"]
-    assert len(outputs["run"][1]) == 3 * len(list(suite.glob("*.json"))) == 54
+    assert len(outputs["run"][1]) == 3 * len(list(suite.glob("*.json"))) == 51
 
 
 def test_module_invocation_without_subcommand_is_usage_error():
@@ -301,13 +339,13 @@ def test_cli_subprocess_run_and_exit_code(tmp_path):
 def test_forced_run_leaves_numpy_ma_unimported(tmp_path):
     # numpy's set routines (np.union1d, np.unique) import numpy.ma, 13 ms and 1 MiB a process, and fractions and decimal
     # cost 0.3 MiB and about 5 ms; in a subprocess, as pytest plugins may have imported them already.  A sampled rate
-    # puts kinks on and between the grid nodes, and a pointwise sphere(2) run builds harmonics, a rule and geometry.
+    # puts kinks on and between the grid nodes of a drift, and a pointwise sphere(2) run builds harmonics, a rule and
+    # geometry.
     forced = dict(
         PASSING,
         scenario_id="kinked-forced",
         forcing={
-            "rate": {"type": "sampled", "times": [-0.9, -0.777, -0.6], "values": [0.5, 0.1, 0.3]},
-            "coupling": "mode_matrix", "modes": ["1", "2"], "matrix": [[0.0, 0.4], [0.0, 0.0]],
+            "rate": {"type": "sampled", "times": [-0.9, -0.777, -0.6], "values": [0.5, 0.1, 0.3]}, "coupling": "drift",
         },
         checks=["general_bounds", "general_harnack"],
     )
@@ -326,13 +364,20 @@ def test_forced_run_leaves_numpy_ma_unimported(tmp_path):
         initial_modes={},
         random_mixture={"seed": 2**70 + 3, "mu_cutoff": 2.0, "low": 0.2, "high": 1.0},
     )
-    _write(tmp_path, "forced.json", forced)
+    forced_path = _write(tmp_path, "forced.json", forced)
     _write(tmp_path, "pointwise.json", pointwise)
     _write(tmp_path, "mixture.json", mixture)
-    # hashlib maps OpenSSL's libcrypto, 3.4 MiB resident, for the config hash that the interpreter's own SHA-256 gives
-    modules = "('numpy.ma', 'fractions', 'decimal', 'numpy.random', 'secrets', 'hashlib', '_hashlib', 'ssl')"
+    # hashlib maps OpenSSL's libcrypto, 3.4 MiB resident, for the config hash that the interpreter's own SHA-256 gives;
+    # the last, numpy.polynomial, comes with a quadrature rule, so a forced run whose checks read no rule never
+    # imports it: nothing samples the forcing
+    modules = "('numpy.ma', 'fractions', 'decimal', 'numpy.random', 'secrets', 'hashlib', '_hashlib', 'ssl', " \
+              "'numpy.polynomial')"
     script = f"import sys; from parafreq.cli import main; main(sys.argv[1:]); print([m in sys.modules for m in {modules}])"
-    for args, ran in ((["run", str(tmp_path)], "3 scenario(s)"), (["paper-suite"], "18 scenario(s)")):
+    for args, ran, rule_read in (
+        (["run", str(tmp_path)], "3 scenario(s)", True),
+        (["paper-suite"], "17 scenario(s)", True),
+        (["run", str(forced_path)], "1 scenario(s)", False),
+    ):
         proc = subprocess.run(
             [sys.executable, "-c", script, *args, "--out", str(tmp_path / "out"), "--quiet"],
             capture_output=True,
@@ -340,7 +385,7 @@ def test_forced_run_leaves_numpy_ma_unimported(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert ran in proc.stdout
-        assert proc.stdout.splitlines()[-1] == str([False] * 8), proc.stdout
+        assert proc.stdout.splitlines()[-1] == str([False] * 8 + [rule_read]), proc.stdout
 
 
 def test_non_utf8_locale_writes_the_utf8_mode_files(tmp_path):

@@ -1,21 +1,20 @@
-"""Exact spectral evolution, the Taylor-stepped ModeMatrix block, and forcing couplings."""
+"""Exact spectral evolution and the closed forms of the forced runs."""
 
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from parafreq import evolution
-from parafreq.cli import _load_packaged_configs
 from parafreq import (
     CoefficientField,
     ConstantRate,
     Cylinder,
+    Drift,
     Forcing,
-    ModeMatrix,
     Plane,
     SampledRate,
     ScalarOnU,
@@ -25,10 +24,11 @@ from parafreq import (
     evolve_exact_trajectory,
     evolve_forced,
     mode_from_index,
+    mode_function,
 )
-from parafreq.backgrounds import quadrature
+from parafreq.backgrounds import monomial_moments, quadrature
 
-from oracles import evolve_exact, field_at, forcing_bound_margin, rate_at, vector_rk4
+from oracles import drift_matrix, evolve_exact, field_at, forcing_bound_margin, rate_at, vector_rk4
 
 
 def _field(bg, t, coeffs_by_index):
@@ -142,20 +142,23 @@ def test_field_time_is_a_python_float():
 
 
 # ---------------------------------------------------------------------------
-# stepped solver against exact oracles
+# forced runs against exact oracles
 
 
 def test_rk_with_zero_rate_matches_exact():
-    # exp(0) = 1 scales the closed form by nothing, so the forced run is the unforced one bit for bit, on a grid
-    # ending near 0 too
-    bg = Plane(1)
-    f0 = _field(bg, -1.0, {(1,): 1.0, (2,): 0.3, (4,): -0.1})
-    forcing = Forcing(ConstantRate(0.0), ScalarOnU())
-    for grid in (TimeGrid.uniform(-1.0, -0.1, 181), TimeGrid.uniform(-1.0, -1e-5, 11)):
-        traj = evolve_forced(f0, grid, forcing, local_tol=1e-12)
-        exact = evolve_exact_trajectory(f0, grid)
-        assert traj.grid.b == grid.b and traj.modes == exact.modes
-        assert traj.rows(slice(None)).tobytes() == exact.rows(slice(None)).tobytes()
+    # exp(0) = 1 scales the closed form by nothing, and G = 0 leaves a drift only its first term, so a forced run at
+    # C = 0 is the unforced one bit for bit, on a grid ending near 0 too; a drift's lower modes stay 0
+    for bg, coeffs in ((Plane(1), {(1,): 1.0, (2,): 0.3, (4,): -0.1}), (Cylinder(1, 2), {(1, 1, 2, 1): 0.7})):
+        f0 = _field(bg, -1.0, coeffs)
+        for grid in (TimeGrid.uniform(-1.0, -0.1, 181), TimeGrid.uniform(-1.0, -1e-5, 11)):
+            exact = evolve_exact_trajectory(f0, grid).rows(slice(None))
+            for coupling in (ScalarOnU(), Drift()):
+                traj = evolve_forced(f0, grid, Forcing(ConstantRate(0.0), coupling))
+                assert traj.grid.b == grid.b and set(f0.modes) <= set(traj.modes)
+                rows = traj.rows(slice(None))
+                own = [traj.modes.index(m) for m in f0.modes]
+                assert rows[:, own].tobytes() == exact.tobytes(), (bg.label(), coupling)
+                assert not np.delete(rows, own, axis=1).any()
 
 
 def test_scalar_rate_closed_form():
@@ -164,7 +167,7 @@ def test_scalar_rate_closed_form():
     c0 = 0.8
     f0 = _field(bg, -1.0, {(1, 0): 1.0, (2, 1): -0.5})
     grid = TimeGrid.uniform(-1.0, -0.2, 161)
-    traj = evolve_forced(f0, grid, Forcing(ConstantRate(c0), ScalarOnU()), local_tol=1e-12)
+    traj = evolve_forced(f0, grid, Forcing(ConstantRate(c0), ScalarOnU()))
     t = grid.nodes[-1]
     factor = math.exp(c0 * (t - (-1.0)))
     ref = evolve_exact(f0, t)
@@ -179,7 +182,7 @@ def test_scalar_rate_closed_form():
     (ConstantRate(0.3), []),
 ], ids=["on-nodes", "outside", "at-both-ends", "constant"])
 def test_rate_cuts_equal_both_former_expressions_bit_for_bit(rate, inside):
-    # the references: the grid cut at the kinks off its nodes (the stepped pieces) and [a, b] cut at the kinks
+    # the references: the grid cut at the kinks off its nodes (a forced run's pieces) and [a, b] cut at the kinks
     # strictly inside it (the general_harnack quadrature), as each caller wrote them for itself
     grid = TimeGrid.uniform(-1.0, -0.5, 5)
     nodes, ta, tb = grid.nodes, grid.a, grid.b
@@ -196,10 +199,10 @@ def test_sampled_rate_matches_constant_rate():
     bg = Plane(1)
     f0 = _field(bg, -1.0, {(2,): 1.0})
     grid = TimeGrid.uniform(-1.0, -0.5, 41)
-    const = evolve_forced(f0, grid, Forcing(ConstantRate(0.3), ScalarOnU()), local_tol=1e-11)
+    const = evolve_forced(f0, grid, Forcing(ConstantRate(0.3), ScalarOnU()))
     ts = np.linspace(-1.0, -0.4, 25)
     sampled = SampledRate(tuple(ts), tuple(0.3 for _ in ts))
-    samp = evolve_forced(f0, grid, Forcing(sampled, ScalarOnU()), local_tol=1e-11)
+    samp = evolve_forced(f0, grid, Forcing(sampled, ScalarOnU()))
     for i in range(len(grid.nodes)):
         for (_, a), (_, b) in zip(_pairs(field_at(const, i)), _pairs(field_at(samp, i))):
             assert a == pytest.approx(b, rel=1e-12)
@@ -239,85 +242,129 @@ def test_scalar_coupling_matches_the_closed_form_flow(bg, coeffs, rate, grid, lo
     # integral of C taken piece by piece, since RK4 loses order unless a step ends on each kink
     f0 = _field(bg, grid.a, coeffs)
     forcing = Forcing(rate, ScalarOnU())
-    traj = evolve_forced(f0, grid, forcing, local_tol=local_tol)
+    traj = evolve_forced(f0, grid, forcing)
     rk4 = isinstance(rate, ConstantRate)
     ref = vector_rk4(traj, f0, forcing, local_tol) if rk4 else _scalar_flow(f0, rate, traj)
     assert np.max(np.abs(traj.rows(slice(None)) - ref) / np.abs(ref)) <= 1e-12
 
 
-def test_scalar_coupling_builds_no_step_map(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a ScalarOnU run built a Taylor map")
+def _count_unforced_runs(monkeypatch):
+    """The modes of each unforced run ``evolve_forced`` evaluates, in order."""
+    runs, exact = [], evolution.evolve_exact_trajectory
 
-    monkeypatch.setattr(evolution, "_taylor_maps", refuse)
-    bg = Sphere(2)
-    f0 = _field(bg, -1.0, {(1, 0): 1.0, (2, 1): -0.5})
+    def counted(field, grid):
+        runs.append(field.modes)
+        return exact(field, grid)
+
+    monkeypatch.setattr(evolution, "evolve_exact_trajectory", counted)
+    return runs
+
+
+def test_scalar_coupling_builds_no_step_map(monkeypatch):
+    # nothing is stepped: a scalar run is one unforced run scaled per row, which meets its flow to 1e-14
+    runs = _count_unforced_runs(monkeypatch)
+    f0 = _field(Sphere(2), -1.0, {(1, 0): 1.0, (2, 1): -0.5})
     rate = SampledRate((-0.9, -0.6), (0.2, 1.3))
-    traj = evolve_forced(f0, TimeGrid.uniform(-1.0, -0.5, 11), Forcing(rate, ScalarOnU()), local_tol=1e-12)
+    traj = evolve_forced(f0, TimeGrid.uniform(-1.0, -0.5, 11), Forcing(rate, ScalarOnU()))
+    assert runs == [f0.modes]
     ref = _scalar_flow(f0, rate, traj)
     assert np.max(np.abs(traj.rows(slice(None)) - ref) / np.abs(ref)) <= 1e-14
 
 
-def _record_steps(monkeypatch):
-    """Each batch of Taylor steps ``evolve_forced`` builds, as the list of its step start times t = -tau."""
-    batches, built = [], evolution._taylor_maps
-
-    def record(mus, w, tau, h, c, s, tol):
-        batches.append((-tau).tolist())
-        return built(mus, w, tau, h, c, s, tol)
-
-    monkeypatch.setattr(evolution, "_taylor_maps", record)
-    return batches
+def test_drift_is_one_unforced_run_per_power_of_its_matrix(monkeypatch):
+    # N^k a(t0) for k up to the highest degree on the first flat axis (2 here), each an unforced run over the field's
+    # modes and every mode below them on that axis
+    runs = _count_unforced_runs(monkeypatch)
+    bg = Cylinder(1, 1)
+    f0 = _field(bg, -1.0, {(1, 0, 0): 1.0, (2, 1, 2): -0.5})
+    rate = SampledRate((-0.9, -0.6), (0.2, 1.3))
+    traj = evolve_forced(f0, TimeGrid.uniform(-1.0, -0.5, 11), Forcing(rate, Drift()))
+    assert [m.index for m in traj.modes] == [(1, 0, 0), (2, 1, 0), (2, 1, 1), (2, 1, 2)]
+    assert runs == [traj.modes] * 3
 
 
 def test_rate_kinks_cut_the_pieces_once(monkeypatch):
-    # a kink on a grid node adds no piece, one between two nodes adds one, and kinks outside the grid none;
-    # every piece is short enough for one Taylor step
-    batches = _record_steps(monkeypatch)
+    # G = int C is a trapezoid over pieces on each of which C is linear: a kink on a grid node adds no piece, one
+    # between two nodes adds one, and kinks outside the grid none
+    pieces, cut = [], evolution._rate_cuts
+
+    def record(rate, nodes):
+        pieces.append(cut(rate, nodes).tolist())
+        return pieces[-1]
+
+    monkeypatch.setattr(evolution, "_rate_cuts", lambda rate, nodes: np.array(record(rate, nodes)))
     bg = Plane(1)
     grid = TimeGrid.uniform(-1.0, -0.5, 11)
-    coupling = ModeMatrix((mode_from_index(bg, (1,)), mode_from_index(bg, (3,))), ((0.0, 0.4), (0.0, 0.0)))
     rate = SampledRate((-1.2, grid.nodes[4], -0.777, -0.3), (0.5, 0.1, 0.3, 0.2))
-    evolve_forced(_field(bg, -1.0, {(3,): 1.0}), grid, Forcing(rate, coupling))
-    assert batches[0] + [grid.b] == sorted([*grid.nodes, -0.777])
+    f0 = _field(bg, -1.0, {(3,): 1.0})
+    for coupling in (ScalarOnU(), Drift()):
+        traj = evolve_forced(f0, grid, Forcing(rate, coupling))
+        assert pieces.pop() == sorted([*grid.nodes, -0.777])
+        ref = vector_rk4(traj, f0, traj.forcing, 1e-15)
+        assert np.max(np.abs(traj.rows(slice(None)) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_mode_matrix_splits_a_coarse_grid_like_an_independent_rk4(monkeypatch):
-    # five nodes on [-1, -0.1]: near the end mu/(-t) reaches 15 and one RK4 step per interval is far off; the
-    # Taylor steps keep h/tau at or below 1/(2 (max mu + tau c ||W|| + 1)), so each interval takes several
-    batches = _record_steps(monkeypatch)
-    bg = Plane(1)
-    m1, m3 = mode_from_index(bg, (1,)), mode_from_index(bg, (3,))
-    forcing = Forcing(ConstantRate(0.5), ModeMatrix((m1, m3), ((0.0, 0.4), (0.0, 0.0))))
-    f0 = _field(bg, -1.0, {(1,): 0.2, (3,): 1.0})
-    grid = TimeGrid.uniform(-1.0, -0.1, 5)
-    traj = evolve_forced(f0, grid, forcing, local_tol=1e-12)
-    starts = np.array(batches[0])
-    assert len(batches) == 1 and set(grid.nodes[:-1]) <= set(batches[0])
-    assert np.all(np.diff(starts) / -starts[:-1] <= 0.5 / (1.5 + 1.0))
-    # the oracle's own error at local tolerance 1e-15 is a few 1e-13
-    ref = vector_rk4(traj, f0, forcing, 1e-15)
-    unsplit = vector_rk4(traj, f0, forcing, 1e-15, doubling=False)
+_DRIFT_CASES = [
+    (Plane(1), {(3,): 1.0, (1,): -0.3}),
+    (Plane(2), {(2, 1): 1.0, (0, 1): -0.5}),
+    (Plane(3), {(2, 1, 1): 1.0, (0, 2, 0): 0.4}),
+    (Cylinder(1, 1), {(1, 0, 2): 1.0, (0, 0, 1): 0.4}),
+    (Cylinder(1, 2), {(1, 1, 2, 1): 1.0, (2, 1, 1, 0): -0.6}),
+]
+
+
+@pytest.mark.parametrize("bg, coeffs", _DRIFT_CASES, ids=[bg.label() for bg, _ in _DRIFT_CASES])
+@pytest.mark.parametrize(
+    "rate, grid",
+    [
+        (ConstantRate(0.7), TimeGrid.uniform(-1.0, -0.5, 11)),
+        # every kink inside a grid interval
+        (SampledRate((-0.93, -0.777, -0.6), (0.5, 1.0, 0.3)), TimeGrid.uniform(-1.0, -0.5, 11)),
+        # five nodes on [-1, -0.1]: near the end mu/(-t) reaches 15, and one RK4 step per interval is far off
+        (ConstantRate(0.5), TimeGrid.uniform(-1.0, -0.1, 5)),
+    ],
+    ids=["constant", "kinked", "coarse"],
+)
+def test_drift_matches_an_independent_rk4(bg, coeffs, rate, grid):
+    # W = N / sqrt(-t) on the run's modes, N from the oracle's own index arithmetic; the oracle's own error at
+    # local tolerance 1e-16, relative to rows that fall to 1e-2 on the coarse grid, is below 4e-13
+    f0 = _field(bg, grid.a, coeffs)
+    forcing = Forcing(rate, Drift())
+    traj = evolve_forced(f0, grid, forcing)
+    ref = vector_rk4(traj, f0, forcing, 1e-16)
     scale = np.max(np.abs(ref), axis=1)
-    assert np.max(np.abs(unsplit - ref).max(axis=1) / scale) > 1e-8
     assert np.max(np.abs(traj.rows(slice(None)) - ref).max(axis=1) / scale) <= 1e-12
+    if grid.b == -0.1:
+        unsplit = vector_rk4(traj, f0, forcing, 1e-16, doubling=False)
+        assert np.max(np.abs(unsplit - ref).max(axis=1) / scale) > 1e-8
 
 
-def test_uncoupled_modes_and_small_map_batches_keep_the_stepped_flow(monkeypatch):
-    # mode 2 sits outside the coupled block, so it keeps the closed form; a tiny entry budget builds the block's
-    # maps three steps at a time, so batches end inside the first interval, which takes four steps, and between
-    # the fine intervals after it
-    monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", 12)
-    batches = _record_steps(monkeypatch)
-    bg = Plane(1)
-    m1, m3 = mode_from_index(bg, (1,)), mode_from_index(bg, (3,))
-    f0 = _field(bg, -1.0, {(1,): 0.2, (2,): -0.7, (3,): 1.0})
-    grid = TimeGrid((-1.0, *np.linspace(-0.5, -0.45, 11).tolist()))
-    forcing = Forcing(ConstantRate(0.5), ModeMatrix((m1, m3), ((0.0, 0.4), (0.0, 0.0))))
-    traj = evolve_forced(f0, grid, forcing, local_tol=1e-12)
-    assert [len(b) for b in batches] == [3, 3, 3, 3, 2]
-    ref = vector_rk4(traj, f0, forcing, 1e-15)
-    assert np.max(np.abs(traj.rows(slice(None)) - ref).max(axis=1) / np.max(np.abs(ref), axis=1)) <= 1e-12
+def test_drift_lowering_coefficients_are_the_derivative_integrals():
+    # <phi_i, d/dy_1 phi_j> in L^2(dmu), from the mode polynomials and closed-form moments, is sqrt(n/2) where mode i
+    # is mode j lowered by one on the first flat axis (degree n there), and 0 elsewhere
+    for bg in (Plane(2), Cylinder(1, 1)):
+        modes = enumerate_modes(bg, 2.0)
+        axis, first_flat = (2 if bg.sphere_n else 0), bg.ambient_dim - bg.flat_m
+        expected = drift_matrix(modes, axis)
+        assert np.count_nonzero(expected) > 5
+        for i, low in enumerate(modes):
+            for j, high in enumerate(modes):
+                product = mode_function(bg, low) * mode_function(bg, high).diff(first_flat)
+                exps = np.array(list(product.terms), dtype=np.int64).reshape(-1, bg.ambient_dim)
+                integral = float(np.dot(list(product.terms.values()), monomial_moments(bg, exps)))
+                assert integral == pytest.approx(expected[i, j], abs=1e-13), (low.index, high.index)
+
+
+def test_modes_the_drift_cannot_lower_keep_the_closed_form():
+    # a cylinder mode of flat degree 0 has nothing below it and no mode above it in the field, so N never reaches
+    # it: each term after the first adds 0 to it, and it keeps the unforced amplitude bit for bit
+    bg = Cylinder(1, 1)
+    f0 = _field(bg, -1.0, {(1, 1, 0): 0.8, (2, 0, 2): -0.4})
+    grid = TimeGrid.uniform(-1.0, -0.5, 21)
+    traj = evolve_forced(f0, grid, Forcing(ConstantRate(0.9), Drift()))
+    exact = evolve_exact_trajectory(f0, grid).rows(slice(None))
+    untouched = traj.modes.index(mode_from_index(bg, (1, 1, 0)))
+    assert traj.rows(slice(None))[:, untouched].tobytes() == exact[:, 0].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -331,83 +378,65 @@ def test_rate_values_at_equals_pointwise_calls(rate):
     assert rate.values_at(ts).tobytes() == expected.tobytes()
 
 
-def _triangular_flow(grid, c0, w, a1_0, a3_0):
-    """(nodes, 2): the closed form of the one-way coupling (3,) -> (1,) on the line with weight w at rate c0:
-    a3 = A (-t)^{3/2} and a1 = (-t)^{1/2} (a1(t0) / (-t0)^{1/2} + c0 w A (t0^2 - t^2) / 2), A = a3(t0) / (-t0)^{3/2}."""
-    t0, amp = grid.a, a3_0 / (-grid.a) ** 1.5
+def _nilpotent_flow(grid, c0, a2_0, a0_0):
+    """(nodes, 3): the drift's closed form on the line from degrees 2 and 0 at rate c0, with G = c0 (t - t0) and
+    r = (-t)/(-t0): a2 = A r, a1 = G A r^{1/2} / sqrt(-t0) and a0 = B + G^2 A / (2 sqrt(2) (-t0))."""
+    t0 = grid.a
     return np.array([
-        [(-t) ** 0.5 * (a1_0 / (-t0) ** 0.5 + c0 * w * amp * (t0 * t0 - t * t) / 2.0), amp * (-t) ** 1.5]
+        [a0_0 + (c0 * (t - t0)) ** 2 * a2_0 / (2.0 * math.sqrt(2.0) * -t0),
+         c0 * (t - t0) * a2_0 * math.sqrt(t / t0) / math.sqrt(-t0), a2_0 * (t / t0)]
         for t in grid.nodes
     ])
 
 
-def _triangular_run(grid, c0, w, a1_0, a3_0):
-    bg = Plane(1)
-    m1, m3 = mode_from_index(bg, (1,)), mode_from_index(bg, (3,))
-    forcing = Forcing(ConstantRate(c0), ModeMatrix((m1, m3), ((0.0, w), (0.0, 0.0))))
-    return evolve_forced(_field(bg, grid.a, {(1,): a1_0, (3,): a3_0}), grid, forcing, local_tol=1e-12)
+def _nilpotent_run(grid, c0, a2_0, a0_0):
+    return evolve_forced(_field(Plane(1), grid.a, {(2,): a2_0, (0,): a0_0}), grid, Forcing(ConstantRate(c0), Drift()))
 
 
-def test_mode_matrix_nilpotent_closed_form():
+def test_drift_nilpotent_closed_form():
     grid = TimeGrid.uniform(-1.0, -0.1, 361)
-    traj = _triangular_run(grid, 0.5, 0.4, 0.2, 1.0)
-    assert traj.modes == tuple(mode_from_index(Plane(1), idx) for idx in ((1,), (3,)))
-    assert np.max(np.abs(traj.rows(slice(None)) - _triangular_flow(grid, 0.5, 0.4, 0.2, 1.0))) <= 1e-14
-    # the packaged matrix-forced-bounds run is the same flow from a1 = 0 on 1,801 nodes, at its rk_local_tol
-    (config,) = [c for c in _load_packaged_configs() if c.scenario_id == "matrix-forced-bounds"]
-    field = CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes))
-    traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
-    assert np.max(np.abs(traj.rows(slice(None)) - _triangular_flow(config.grid, 0.5, 0.4, 0.0, 1.0))) <= 1e-14
+    traj = _nilpotent_run(grid, 0.5, 1.0, 0.2)
+    assert traj.modes == tuple(mode_from_index(Plane(1), (n,)) for n in range(3))
+    assert np.max(np.abs(traj.rows(slice(None)) - _nilpotent_flow(grid, 0.5, 1.0, 0.2))) <= 1e-15
 
 
-def test_forced_run_reaches_a_grid_near_zero(monkeypatch):
-    # the series converges for |h| < tau, so no end-time floor: a grid ending at t = -1e-6 runs in at most one step
-    # per interval plus 2 (max mu + 1) ln(tau_a / tau_b) = 69, and matches the closed form
-    batches = _record_steps(monkeypatch)
+def test_forced_run_reaches_a_grid_near_zero():
+    # the closed forms take no step, so no end-time floor: a grid ending at t = -1e-6 matches the flow
     grid = TimeGrid.uniform(-1.0, -1e-6, 11)
-    traj = _triangular_run(grid, 0.5, 0.4, 0.2, 1.0)
+    traj = _nilpotent_run(grid, 0.5, 1.0, 0.2)
     assert traj.grid.b == -1e-6
-    assert np.max(np.abs(traj.rows(slice(None)) - _triangular_flow(grid, 0.5, 0.4, 0.2, 1.0))) <= 1e-15
-    assert 10 < len(batches[0]) <= 10 + 2 * 2.5 * math.log(1e6) + 1
+    assert np.max(np.abs(traj.rows(slice(None)) - _nilpotent_flow(grid, 0.5, 1.0, 0.2))) <= 1e-15
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_stiff_block_is_refused_by_its_step_budget(monkeypatch):
-    # a rate this stiff needs about 1e12 or 1e300 steps; they are counted and refused before any map is built
-    def refuse(*args):
-        raise AssertionError("a refused block built a Taylor map")
-
-    monkeypatch.setattr(evolution, "_taylor_maps", refuse)
-    bg = Plane(1)
-    m1 = mode_from_index(bg, (1,))
-    f0 = _field(bg, -1.0, {(1,): 1.0})
+def test_stiff_rate_is_refused_as_non_finite():
+    # exp(int C) under f = C u, and G^2 of a drift from degree 2, overflow; the run is refused, with no warning
+    f0 = _field(Plane(1), -1.0, {(1,): 1.0, (2,): 0.5})
     grid = TimeGrid.uniform(-1.0, -0.5, 3)
-    for c0, count in ((1e12, r"1\.184e\+12"), (1e300, r"1\.184e\+300")):
-        with pytest.raises(ValueError, match=(
-            f"^the ModeMatrix block needs {count} Taylor steps, above the budget of {evolution._MAX_STEPS}; "
-            r"[0-9.e+]+ of them from t = -0.75 to -0.5$"
-        )):
-            evolve_forced(f0, grid, Forcing(ConstantRate(c0), ModeMatrix((m1,), ((1.0,),))), local_tol=1e-10)
-    # the closed form steps nothing: exp(int C) overflows and the run is refused
-    with pytest.raises(ValueError, match="^non-finite amplitude in trajectory$"):
-        evolve_forced(f0, grid, Forcing(ConstantRate(1e12), ScalarOnU()), local_tol=1e-10)
+    for c0, coupling in ((1e12, ScalarOnU()), (1e300, Drift())):
+        with pytest.raises(ValueError, match="^non-finite amplitude in trajectory$"):
+            evolve_forced(f0, grid, Forcing(ConstantRate(c0), coupling))
 
 
-_SPLIT_KINDS = ("unforced", "scalar-constant", "scalar-kinked", "matrix", "matrix-switched-off")
+def test_drift_refuses_a_background_without_a_flat_axis():
+    f0 = _field(Sphere(2), -1.0, {(1, 0): 1.0})
+    with pytest.raises(ValueError, match=r"^a drift runs along a flat axis, and sphere\(n=2\) has none$"):
+        evolve_forced(f0, TimeGrid.uniform(-1.0, -0.5, 3), Forcing(ConstantRate(0.5), Drift()))
+
+
+_SPLIT_KINDS = ("unforced", "scalar-constant", "scalar-kinked", "drift", "drift-switched-off")
 # |run on [a, b] - run on [a, c] continued on [c, b]| per entry is at most _SPLIT_TOLERANCE[kind] * max |row| plus
 # _SPLIT_SUBNORMALS[kind] subnormal spacings 2^-1074.  The relative part: the closed forms differ by rounding in a
-# power or an exp, Taylor maps by their tail bound, 1e-13 per step, over a few steps (all read below 1e-15).  The
-# absolute part: a product that rounds into the subnormal range errs by up to half a spacing, whatever the relative
-# precision, and later factors scale that error.  Unforced: one product on the whole path and two on the split one,
-# the later factor at most 1, so 1.5 spacings.  Scalar: each path also multiplies by exp(int C) <= e^4 < 55 after the
-# power, so at most 1.5 * 55 + 1.5.  Matrix: each path takes at most 290 Taylor steps here (rho >= 0.5 / 14.5, 9.2
-# in log tau, 25 pieces), each rounding up to three products per entry, which the flow grows by at most
-# exp(C ||W|| span) <= e^12 < 1.7e5: 2 * 290 * 1.5 * 1.7e5 < 2^28.  2^28 spacings are 1.3e-315, so no row of normal
-# numbers is loosened.
-_SPLIT_TOLERANCE = {"unforced": 1e-14, "scalar-constant": 1e-14, "scalar-kinked": 1e-14, "matrix": 1e-12,
-                    "matrix-switched-off": 1e-12}
-_SPLIT_SUBNORMALS = {"unforced": 2, "scalar-constant": 128, "scalar-kinked": 128, "matrix": 2**28,
-                     "matrix-switched-off": 2**28}
+# power, an exp or the terms of a drift's sum.  The absolute part: a product that rounds into the subnormal range
+# errs by up to half a spacing, whatever the relative precision, and later factors scale that error.  Unforced: one
+# product on the whole path and two on the split one, the later factor at most 1, so 1.5 spacings.  Scalar: each
+# path also multiplies by exp(int C) <= e^4 < 55 after the power, so at most 1.5 * 55 + 1.5.  Drift: each term scales
+# a power's product by G^k/k! (N / sqrt(-t0))^k, and G <= 2 (t - t0) <= 2 (-t0) with entries of N at most
+# sqrt(3/2), so the scales sum to at most exp(2 sqrt(2) sqrt(3/2)) < 34 per path: 2 * 1.5 * 34 < 128.
+_SPLIT_TOLERANCE = {"unforced": 1e-14, "scalar-constant": 1e-14, "scalar-kinked": 1e-14, "drift": 1e-13,
+                    "drift-switched-off": 1e-13}
+_SPLIT_SUBNORMALS = {"unforced": 2, "scalar-constant": 128, "scalar-kinked": 128, "drift": 128,
+                     "drift-switched-off": 128}
 
 
 @settings(max_examples=60, deadline=None)
@@ -420,16 +449,14 @@ _SPLIT_SUBNORMALS = {"unforced": 2, "scalar-constant": 128, "scalar-kinked": 128
     split=st.integers(1, 23),
     amps=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
     level=st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
-    size=st.integers(1, 3),
-    entries=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
 )
 # found: the whole run rounds 5e-324 * 0.5^1.5 to 0, the split run keeps 5e-324 at -0.75 and at -0.5
 @example(kind="unforced", bg=Plane(1), a=-1.0, end=0.5, count=3, split=1, amps=[0.0, 0.0, 0.0, 5e-324, 0.0],
-         level=(0.0, 0.0), size=1, entries=[0.0] * 9)
-def test_runs_compose_at_an_interior_node(kind, bg, a, end, count, split, amps, level, size, entries):
+         level=(0.0, 0.0))
+def test_runs_compose_at_an_interior_node(kind, bg, a, end, count, split, amps, level):
     # the flow from a to b is the flow from c to b after the flow from a to c, at every interior node c; where the
-    # rate is 0 from a kink before c on, the flow after c is the unforced one, which a wrong sign on the block's
-    # mu/(-t) term breaks
+    # rate is 0 from a kink before c on, the flow after c is the unforced one, which a drift that kept acting breaks
+    assume(bg.flat_m or not kind.startswith("drift"))
     modes = enumerate_modes(bg, 1.5)[:5]
     grid = TimeGrid.uniform(a, a * end, count)
     k = 1 + (split - 1) % (count - 2)  # the split node
@@ -439,27 +466,24 @@ def test_runs_compose_at_an_interior_node(kind, bg, a, end, count, split, amps, 
     rate = {
         "scalar-constant": ConstantRate(level[0]),
         "scalar-kinked": SampledRate((kink - 1.0, kink, kink + 1.0), (level[0], level[1], level[0])),
-        "matrix": ConstantRate(level[0]),
-        "matrix-switched-off": SampledRate((a, kink), (level[0], 0.0)),
+        "drift": ConstantRate(level[0]),
+        "drift-switched-off": SampledRate((a, kink), (level[0], 0.0)),
     }.get(kind)
     if kind == "unforced":
         forcing = None
-    elif kind.startswith("scalar"):
-        forcing = Forcing(rate, ScalarOnU())
     else:
-        block = tuple(modes[-size:])
-        forcing = Forcing(rate, ModeMatrix(block, tuple(tuple(entries[i * size : (i + 1) * size]) for i in range(size))))
+        forcing = Forcing(rate, ScalarOnU() if kind.startswith("scalar") else Drift())
 
     def run(start, part, forced=True):
         if forcing is None or not forced:
             return evolve_exact_trajectory(start, part)
-        return evolve_forced(start, part, forcing, local_tol=1e-13)
+        return evolve_forced(start, part, forcing)
 
     whole = run(field, grid)
     first = run(field, TimeGrid(nodes[: k + 1]))
     bound = _SPLIT_TOLERANCE[kind] * np.max(np.abs(whole.rows(slice(None))), axis=1, keepdims=True)
     bound += _SPLIT_SUBNORMALS[kind] * 2.0**-1074
-    for forced in (True, False) if kind == "matrix-switched-off" else (True,):
+    for forced in (True, False) if kind == "drift-switched-off" else (True,):
         second = run(field_at(first, -1), TimeGrid(nodes[k:]), forced)
         assert first.modes == second.modes == whole.modes
         joined = np.concatenate([first.rows(slice(None)), second.rows(slice(1, None))])
@@ -467,79 +491,17 @@ def test_runs_compose_at_an_interior_node(kind, bg, a, end, count, split, amps, 
 
 
 # ---------------------------------------------------------------------------
-# forcing hypothesis certificate
+# the forcing hypothesis, pointwise
 
 
 def test_scalar_coupling_margin_sign():
+    # |c0 u| <= c0 (|grad u| + |u|) holds pointwise with equality where grad u = 0, and |c0 du/dx_1| <= c0 |grad u|
+    # with equality where u varies along x_1 alone
     bg = Plane(1)
     rule = quadrature(bg, 32)
     f = _field(bg, -1.0, {(2,): 1.0})
-    # |c0*u| <= c0*(|grad u| + |u|) holds pointwise with equality where grad u = 0
-    assert forcing_bound_margin(f, Forcing(ConstantRate(0.7), ScalarOnU()), rule) >= 0.0
-
-
-def test_matrix_coupling_margin_brackets_threshold():
-    # coupling (3,) -> (1,) with unit source amplitude: certificate flips
-    # between w = 1.0 and w = 1.03 (interior crossing near 1.015)
-    bg = Plane(1)
-    rule = quadrature(bg, 32)
-    f = _field(bg, -1.0, {(3,): 1.0})
-    m1, m3 = mode_from_index(bg, (1,)), mode_from_index(bg, (3,))
-
-    def margin(w):
-        forcing = Forcing(ConstantRate(0.5), ModeMatrix((m1, m3), ((0.0, w), (0.0, 0.0))))
-        return forcing_bound_margin(f, forcing, rule)
-
-    assert margin(0.4) > 0.3
-    assert margin(1.0) > 0.0
-    assert margin(1.03) < 0.0
-
-
-def test_low_to_high_coupling_never_certifiable():
-    # sending (1,) into (3,) asks |f| ~ |y^3 - c y| to be bounded by the
-    # gradient and value of a degree-1 source; fails for any nonzero weight
-    bg = Plane(1)
-    rule = quadrature(bg, 32)
-    f = _field(bg, -1.0, {(1,): 1.0})
-    m1, m3 = mode_from_index(bg, (1,)), mode_from_index(bg, (3,))
-    for w in (0.05, 0.2, 1.0):
-        forcing = Forcing(ConstantRate(0.5), ModeMatrix((m3, m1), ((0.0, w), (0.0, 0.0))))
-        assert forcing_bound_margin(f, forcing, rule) < 0.0
-
-
-@pytest.mark.parametrize("batch", [None, 50], ids=["one-block", "blocks-of-a-few-rows"])
-def test_forcing_margins_equal_the_per_field_margin_bit_for_bit(monkeypatch, batch):
-    # the run's block against forcing_bound_margin at each node, for both rate kinds and for couplings that do and
-    # do not reach the field's own modes; a small batch cuts the block into runs of 2 rows on plane(1) and of
-    # 1 row elsewhere
-    if batch is not None:
-        monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", batch)
-    p1, s2, c11 = Plane(1), Sphere(2), Cylinder(1, 1)
-    sampled = SampledRate((-1.0, -0.7, -0.5), (0.5, 0.1, 0.3))
-    cases = [
-        (p1, 24, {(1,): 1.0, (2,): -0.4}, Forcing(ConstantRate(0.7), ModeMatrix(
-            (mode_from_index(p1, (1,)), mode_from_index(p1, (2,))), ((0.7, 0.2), (0.0, 0.5))
-        ))),
-        (p1, 24, {(3,): 1.0}, Forcing(sampled, ModeMatrix(
-            (mode_from_index(p1, (1,)), mode_from_index(p1, (3,))), ((0.0, 0.4), (0.0, 0.0))
-        ))),
-        (s2, 8, {(1, 0): 1.0, (2, 3): 0.5}, Forcing(ConstantRate(0.2), ModeMatrix(
-            (mode_from_index(s2, (1, 0)), mode_from_index(s2, (1, 1))), ((0.0, 0.1), (0.1, 0.0))
-        ))),
-        (c11, 6, {(1, 0, 0): 1.0, (0, 0, 2): -0.4}, Forcing(sampled, ModeMatrix(
-            (mode_from_index(c11, (1, 0, 0)), mode_from_index(c11, (0, 0, 2))), ((0.3, 0.0), (0.1, 0.2))
-        ))),
-    ]
-    for bg, resolution, coeffs, forcing in cases:
-        rule = quadrature(bg, resolution)
-        traj = evolve_forced(_field(bg, -1.0, coeffs), TimeGrid.uniform(-1.0, -0.5, 7), forcing)
-        margins = evolution.forcing_margins(traj, rule)
-        per_field = [forcing_bound_margin(field_at(traj, i), forcing, rule) for i in range(len(traj.grid.nodes))]
-        assert margins.tobytes() == np.array(per_field).tobytes(), bg.label()
-
-
-def test_mode_matrix_rejects_shape_mismatch():
-    bg = Plane(1)
-    m1 = mode_from_index(bg, (1,))
-    with pytest.raises(ValueError):
-        ModeMatrix((m1,), ((0.0, 1.0),))
+    for coupling in (ScalarOnU(), Drift()):
+        assert forcing_bound_margin(f, Forcing(ConstantRate(0.7), coupling), rule) >= 0.0
+    c11 = Cylinder(1, 1)
+    f = _field(c11, -0.5, {(1, 0, 1): 1.0, (0, 0, 3): -0.6})
+    assert forcing_bound_margin(f, Forcing(ConstantRate(0.7), Drift()), quadrature(c11, 12)) >= 0.0

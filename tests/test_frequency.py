@@ -16,8 +16,8 @@ from parafreq import (
     CoefficientField,
     ConstantRate,
     Cylinder,
+    Drift,
     Forcing,
-    ModeMatrix,
     Plane,
     Run,
     Sphere,
@@ -196,12 +196,11 @@ def _mixture_trajectory():
 
 
 def _forced_trajectory():
-    bg = Sphere(2)
-    f0 = _field(bg, -1.0, {(1, 0): 1.0, (2, 1): -0.5, (3, 2): 0.25})
-    modes = tuple(mode_from_index(bg, idx) for idx in [(1, 0), (2, 1), (3, 2)])
-    coupling = ModeMatrix(modes, ((0.0, 0.3, 0.1), (-0.2, 0.0, 0.4), (0.5, -0.1, 0.0)))
+    # a drift on cylinder(1, 1) adds the modes below the field's on the flat axis: 7 modes of 5 distinct mu
+    bg = Cylinder(1, 1)
+    f0 = _field(bg, -1.0, {(1, 0, 0): 1.0, (2, 1, 1): -0.5, (1, 1, 3): 0.25})
     grid = TimeGrid.uniform(-1.0, -0.2, 81)
-    return f0, evolve_forced(f0, grid, Forcing(ConstantRate(0.6), coupling), local_tol=1e-10)
+    return f0, evolve_forced(f0, grid, Forcing(ConstantRate(0.6), Drift()))
 
 
 def _zero_trajectory():
@@ -332,7 +331,7 @@ def test_exact_run_and_trace_hold_one_amplitude_array():
 
 def test_trace_time_column_is_the_grid_array():
     # one array holds the time grid: the trace's t is the trajectory's grid.nodes, not a copy of it
-    for forcing in (None, Forcing(ConstantRate(0.5), ModeMatrix((mode_from_index(Plane(1), (1,)),), ((0.3,),)))):
+    for forcing in (None, Forcing(ConstantRate(0.5), Drift())):
         f0 = CoefficientField.from_dict(Plane(1), -1.0, {mode_from_index(Plane(1), (1,)): 1.0})
         grid = TimeGrid.uniform(-1.0, -0.5, 11)
         traj = evolve_exact_trajectory(f0, grid) if forcing is None else evolve_forced(f0, grid, forcing)

@@ -12,8 +12,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 # ``parafreq.__all__``, sorted: a name enters or leaves the public API only together with this tuple and the README
 PUBLIC_NAMES = (
-    "AmbientPolynomial", "Background", "CoefficientField", "ConfigError", "ConstantRate", "Cylinder", "Forcing",
-    "FrequencyTrace", "Mode", "ModeMatrix", "Plane", "Run", "SampledRate", "ScalarOnU", "ScenarioConfig", "Sphere",
+    "AmbientPolynomial", "Background", "CoefficientField", "ConfigError", "ConstantRate", "Cylinder", "Drift",
+    "Forcing", "FrequencyTrace", "Mode", "Plane", "Run", "SampledRate", "ScalarOnU", "ScenarioConfig", "Sphere",
     "TimeGrid", "Trajectory", "VerificationReport", "__version__", "emit_plot_script", "emit_report_json",
     "emit_trace_csv", "enumerate_modes", "evolve_exact_trajectory", "evolve_forced", "first_nonzero_eigenvalue",
     "kappa", "load_config", "load_report_json", "mode_from_index", "mode_function", "mode_sort_key", "parse_config",

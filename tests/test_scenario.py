@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from parafreq import (
     ConfigError,
+    Drift,
     Trajectory,
     VerificationReport,
     emit_plot_script,
@@ -203,7 +204,7 @@ _RULE_CHECKS = ["weighted_monotonicity", "selfsimilar_scaling", "quadrature_mass
 
 
 @pytest.mark.parametrize("bg_doc", HIGHER, ids=lambda doc: "-".join(str(v) for v in doc.values()))
-def test_every_rule_reader_and_a_matrix_forcing_run_on_higher_round_factors(bg_doc):
+def test_every_rule_reader_and_a_forced_run_on_higher_round_factors(bg_doc):
     mode = "2,1" + ",0" * bg_doc.get("m", 0)
     doc = _doc(background=bg_doc, initial_modes={mode: 1.0}, time={"a": -1.0, "b": -0.5, "nodes": 5},
                resolution=4, checks=_RULE_CHECKS, report_only=["drift_bochner_verbatim"])
@@ -215,12 +216,13 @@ def test_every_rule_reader_and_a_matrix_forcing_run_on_higher_round_factors(bg_d
     pairings = [float(note.rsplit(": ", 1)[1]) for note in verbatim.notes]
     assert verbatim.status == "fail" and min(pairings) > 0.1
     assert verbatim.columns[0].margin.tolist() == pytest.approx([-p for p in pairings], rel=1e-12)
-    # a mode-matrix forcing is certified on the rule's points
-    forcing = {"rate": {"type": "constant", "c0": 0.2}, "coupling": "mode_matrix", "modes": [mode], "matrix": [[0.1]]}
+    # a drift where the shape has a flat axis, else a scalar forcing, meets the hypothesis identically
+    coupling = "drift" if "m" in bg_doc else "scalar_on_u"
+    forcing = {"rate": {"type": "constant", "c0": 0.2}, "coupling": coupling}
     general = ["general_bounds", "general_harnack"]
     out = run_scenario(parse_config(dict(doc, forcing=forcing, checks=general, report_only=[])))
     assert [(r.check_name, r.status) for r in out.reports] == [(name, "pass") for name in general]
-    assert all(r.notes[0].startswith("forcing hypothesis certified at all 5 grid nodes") for r in out.reports)
+    assert all(r.notes[0].startswith("forcing hypothesis holds identically") for r in out.reports)
 
 
 def test_kappa_validation():
@@ -250,22 +252,73 @@ def test_forcing_validation():
     _expect_config_error(
         _doc(forcing={"rate": {"type": "constant", "c0": 0.1}, "coupling": "bogus"}), "forcing"
     )
-    matrix = {"rate": {"type": "constant", "c0": 0.1}, "coupling": "mode_matrix", "matrix": [[0.0]]}
-    for modes in (["1_0"], [" +1"], [1], "1"):
-        _expect_config_error(dict(doc, forcing=dict(matrix, modes=modes)), "forcing.modes")
-    assert parse_config(dict(doc, forcing=dict(matrix, modes=["1"]))).forcing.coupling.modes[0].index == (1,)
+    assert parse_config(dict(doc, forcing=dict(doc["forcing"], coupling="drift"))).forcing.coupling == Drift()
+    # the mode-matrix coupling is gone, with no alias: its refusal names both couplings there are
+    matrix = {"rate": {"type": "constant", "c0": 0.1}, "coupling": "mode_matrix", "modes": ["1"], "matrix": [[0.0]]}
+    with pytest.raises(ConfigError, match="unknown coupling 'mode_matrix'; known: 'scalar_on_u', 'drift'") as err:
+        parse_config(dict(doc, forcing=matrix))
+    assert err.value.field == "forcing.coupling"
+    # so is its step tolerance
+    with pytest.raises(ConfigError, match="unknown field") as err:
+        parse_config(dict(doc, rk_local_tol=1e-8))
+    assert err.value.field == "rk_local_tol"
 
 
 def test_scalar_forcing_runs_both_general_checks_off_the_pointwise_set():
-    # sphere(3): a scalar forcing holds identically and reads no rule; a mode-matrix one is certified on the rule
+    # sphere(3): a scalar forcing holds identically and reads no rule; a drift needs a flat axis, which it lacks
     general = ["general_bounds", "general_harnack"]
     scalar = {"rate": {"type": "sampled", "times": [-1.0, -0.5], "values": [0.5, 0.2]}, "coupling": "scalar_on_u"}
     doc = _doc(background={"kind": "sphere", "n": 3}, initial_modes={"1,0": 1.0, "2,0": -0.3}, checks=general)
     out = run_scenario(parse_config(dict(doc, forcing=scalar)))
     assert [(r.check_name, r.status) for r in out.reports] == [(name, "pass") for name in general]
     assert all(r.notes[0].startswith("forcing hypothesis holds identically") for r in out.reports)
-    matrix = dict(scalar, coupling="mode_matrix", modes=["1,0"], matrix=[[0.1]])
-    assert parse_config(dict(doc, forcing=matrix)).forcing.coupling.modes[0].index == (1, 0)
+    with pytest.raises(ConfigError, match="a drift runs along a flat axis, and sphere\\(n=3\\) has none") as err:
+        parse_config(dict(doc, forcing=dict(scalar, coupling="drift")))
+    assert err.value.field == "forcing.coupling"
+
+
+def test_a_mixture_above_the_mode_budget_is_refused_before_any_mode_is_enumerated(monkeypatch):
+    # plane(6) at cutoff 60 asks for C(126, 6), about 4.7e9 modes; counted in closed form, it is refused at once, and
+    # so is a cutoff of 1e300 on a sphere, whose degrees the count stops reading at the first total above the budget
+    def refuse(*args):
+        raise AssertionError("a refused mixture enumerated its modes")
+
+    monkeypatch.setattr(scenario, "enumerate_modes", refuse)
+    mixture = {"seed": 1, "mu_cutoff": 60, "low": 0.2, "high": 1.0}
+    for bg_doc, cutoff, count in (({"kind": "plane", "n": 6}, 60, math.comb(126, 6)), (BASE["background"], 1e300, 0)):
+        doc = _doc(background=bg_doc, initial_modes={}, random_mixture=dict(mixture, mu_cutoff=cutoff))
+        with pytest.raises(ConfigError, match=f"above the budget of {scenario._MAX_MIXTURE_MODES}$") as err:
+            parse_config(doc)
+        assert err.value.field == "random_mixture.mu_cutoff"
+        if count:
+            assert f"asks for at least {count} modes on plane(n=6)" in str(err.value)
+    # at the budget's edge: plane(1) at cutoff 4.5 has 10 modes and at 5, 11
+    monkeypatch.undo()
+    monkeypatch.setattr(scenario, "_MAX_MIXTURE_MODES", 10)
+    def line(cutoff):
+        return _doc(background={"kind": "plane", "n": 1}, initial_modes={}, random_mixture=dict(mixture, mu_cutoff=cutoff))
+
+    assert len(parse_config(line(4.5)).initial_modes) == 10
+    with pytest.raises(ConfigError, match="5.0 asks for at least 11 modes on plane"):
+        parse_config(line(5))
+
+
+@pytest.mark.filterwarnings("error")
+def test_powers_outside_the_float_range_are_refused_naming_their_field():
+    # (-t)^(2 kappa) at kappa 1e300 underflows to 0 at every node after t = -1, where it would pass every increment
+    # at 0; squaring mu/(-t) overflows on a grid that ends at -1e-301.  Both are decided by logs before any run
+    line = {"kind": "plane", "n": 1}
+    for overrides, field in (
+        ({"kappa": 1e300}, "kappa"),
+        ({"kappa": 400, "time": {"a": -4.0, "b": -2.0, "nodes": 5}}, "kappa"),  # 4^800 overflows
+        ({"time": {"a": -1e-300, "b": -1e-301, "nodes": 5}}, "time"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            parse_config(_doc(background=line, initial_modes={"2": 1.0}, **overrides))
+        assert err.value.field == field, err.value
+    # inside the range both parse: the constant mode alone takes no mu/(-t), and kappa 250 keeps 4^500 finite
+    parse_config(_doc(background=line, initial_modes={"0": 1.0}, time={"a": -1e-300, "b": -1e-301, "nodes": 5}))
+    parse_config(_doc(background=line, initial_modes={"2": 1.0}, kappa=250, time={"a": -4.0, "b": -2.0, "nodes": 5}))
 
 
 def test_random_mixture_is_seed_deterministic():
@@ -360,24 +413,23 @@ def test_hash_sees_material_fields():
 
 # the hashes of the packaged configs, which reports already emitted carry
 PACKAGED_HASHES = {
-    "cylinder-mixture": "3b0a4482cc4979fbfb9f54f04dcf1f0dcf034791994d5b9b1a725757673475fe",
-    "eigenvalue-window-cylinder": "31f927ece704c925c401004b56a26ac2c1f76189cada44a7730e8c83272a5e93",
-    "eigenvalue-window-plane": "d68c7bc9574a7fe3677948fd3d944fef515d925584a313b87e055872b95cc52e",
-    "eigenvalue-window-sphere": "69a82b72b9d1c34d6d962c213077caf7e50feb427d3995b1049dab0409a3bf00",
-    "matrix-forced-bounds": "acc751eee465029cb1127a5fcf49b4f4500578d619b9c525eaa7ecbe84fddc91",
-    "plane-bochner": "555aea7fc0d2d5359b9e82edbfde6824cdc4cb08eab7ba7f0be28d04e73ab857",
-    "plane-caloric-cubic": "56e85e13ec1b68c033478f0a61e5cdd27e8cead28668f109a1930457ea0f4171",
-    "plane-mixture": "26416a0960de12c5f4bbd15880bcba1a0cbcd519a1a23b5b77e498d4209c01b5",
-    "plane-weighted-identity": "a9bb80326470363f88779e2ff2de652cd89c236f64475b41fa485c4bc38f6fcd",
-    "plane-zero-data": "a75221e4c7449e4dc65b13b20fef85c5fae3f6ed64bc91d317ab792a1f2546ab",
-    "plane2-caloric": "d858d57495a399b018c319cd6455450dc04c0b4c6539356076e0d4f78669e396",
-    "scalar-forced-bounds": "05346dff0fbe8921d3f5a2a28f497ade4ea2cb44aadd66ad9db04a8fdb3e29cb",
-    "scalar-forced-zero": "98ab8752aafc8fe37b344512e6459102f7e3de0af31cea40cfb138c2a5438184",
-    "sphere-bochner": "b4b82a10fad15d57ea84c32d0caec929a7ec01aafd01b9195335aeb19de851f5",
-    "sphere-golden-fundamental": "64ff86740bcf97e83b4356a971ab937407c9fd5e2dfdffa8708fc50245209d55",
-    "sphere-high-dim-spectrum": "bd23948d7f81ba7444d9ba210e2582d110e8c605ec9bb4f0ca9b822ee9f5415a",
-    "sphere-mixture": "88218170c8c6b8589c98f2cfefbfe9bafeb0af48bf9b4ac65ed0697ce7b10d59",
-    "sphere-weighted-identity": "739f2be3790cdec7de5a3b8cf08aa8f02d3747c43234927cb7b83cf80421866e",
+    "cylinder-mixture": "d8eeace0ed88b401076d0d0675123e343c322c58e4d063f4c9c8fa1497452cc8",
+    "eigenvalue-window-cylinder": "0378aec392ca1e8b257ed45851dd8cd543669803971c91b278bcba5621d2ee08",
+    "eigenvalue-window-plane": "379ad1ec5e14e829d99028fb7bc48978de17aada05635303bc7708f6d8af5ad8",
+    "eigenvalue-window-sphere": "94aff6cbbf0ad6c83d4dfa83589dee93facfefc28f7073cc3d79709579be31af",
+    "plane-bochner": "50184eaa00889616cb98d56a86355fd33f44ea252fec070a379e7cf127a57276",
+    "plane-caloric-cubic": "e9155699b8ef6b7060a3ed083818ad8abbeee19c275c7c6cee2ea1d4301ca24b",
+    "plane-mixture": "d6c63fe962f2db86fee4bd5140e7111804ff72945a79f61f524fdc076acbdc11",
+    "plane-weighted-identity": "495066e0e2124a4464ab04381692d3e5890047409ea5942c96ed9e2f9fde820e",
+    "plane-zero-data": "2c910b82351d52f5de93763b3b82713fa54fc92f9f18a9c9baab1fb6618be066",
+    "plane2-caloric": "6555685efb65663886904d5e1802b048acb149472b95276ae56d761561c68427",
+    "scalar-forced-bounds": "d9992043e33e6f0db1f8a34ce4f4c79c8ab752249bce3350826315d2a579b5ab",
+    "scalar-forced-zero": "a16714f07ed10e698b958e923dcb23992cc32655206af05589347eebeef79488",
+    "sphere-bochner": "6462a8fc39273c88b97e9ad4f8870871c2bbef3aea6df951d7585c2255b68a0b",
+    "sphere-golden-fundamental": "cbc398bd76a6ee6ab30c95c277cffa343db3d33134a53b5e82153f02a3b3dd3d",
+    "sphere-high-dim-spectrum": "733eb0aceb42966937d5bb670437572d6910147402fcf7f7d241927d2c3c6ab3",
+    "sphere-mixture": "9abd3b31c4e847c040bd976e43417e7d9a1f88cd65b4fcc68fed5196b6435155",
+    "sphere-weighted-identity": "01ba6b3c9ca33b650b83ee12956b703e4e94cd5466349b9905743e1d492239f5",
 }
 
 
@@ -733,11 +785,11 @@ def test_report_file_keeps_the_fields_the_benchmark_verdicts_read(tmp_path):
     assert [r["status"] for r in read] == ["pass", "inapplicable"] and read[1]["min_margin"] is None
 
 
-@pytest.mark.parametrize("name", ["matrix-forced-bounds", "plane-mixture"])
+@pytest.mark.parametrize("name", ["scalar-forced-bounds", "plane-mixture"])
 def test_traced_run_of_a_packaged_config_exits_zero(tmp_path, name):
     # perfbench/tracer.py wraps package functions by name and reads their arguments (the grid's ``nodes`` among
-    # them), so a renamed function or attribute shows here as a nonzero exit or, on the unforced plane-mixture, as
-    # a lost amplitude count; matrix-forced-bounds steps every mode in its block, so no closed form is evaluated
+    # them), so a renamed function or attribute shows here as a nonzero exit or as a lost amplitude count; the
+    # forced scalar-forced-bounds evaluates its one unforced run inside evolve_forced
     package = Path(scenario.__file__).parent
     path = package / "suite" / f"{name}.json"
     root = Path(__file__).resolve().parents[1]
@@ -750,15 +802,11 @@ def test_traced_run_of_a_packaged_config_exits_zero(tmp_path, name):
     doc = json.loads(spans.read_text())
     assert doc["exit_code"] == 0
     config, names = load_config(path), {span[1] for span in doc["spans"]}
-    if name == "plane-mixture":
-        assert config.forcing is None  # so the closed form evolves every mode
-        amplitudes = doc["counts"]["evolution.evolve_exact_trajectory.amplitudes"]
-        assert amplitudes == len(config.grid.nodes) * len(config.initial_modes) > 0
-        assert "evolution.evolve_exact_trajectory" in names
-    else:
-        assert {m for m, _ in config.initial_modes} <= set(config.forcing.coupling.modes)
-        assert "evolution.evolve_forced" in names and "evolution.evolve_exact_trajectory" not in names
-        assert "evolution.evolve_exact_trajectory.amplitudes" not in doc["counts"]
+    assert (config.forcing is None) == (name == "plane-mixture")
+    amplitudes = doc["counts"]["evolution.evolve_exact_trajectory.amplitudes"]
+    assert amplitudes == len(config.grid.nodes) * len(config.initial_modes) > 0
+    assert "evolution.evolve_exact_trajectory" in names
+    assert ("evolution.evolve_forced" in names) == (config.forcing is not None)
 
 
 def test_no_packaged_run_reads_a_whole_amplitude_array(monkeypatch):
@@ -791,7 +839,6 @@ SUITE_COLUMN_DIGESTS = {
     "eigenvalue-window-cylinder": "23602b2a239e37f4de50596bbc4d9f52430b4b5d899202516984ed3005d76113",
     "eigenvalue-window-plane": "273620e756b347969e7702c2312d5ec2c0aa6b98d7af51990a4d4ffe9ebdd563",
     "eigenvalue-window-sphere": "23602b2a239e37f4de50596bbc4d9f52430b4b5d899202516984ed3005d76113",
-    "matrix-forced-bounds": "ed901d15c49e96a2f9d681af77787186d84cb1d6390b29431db271386313f17c",
     "plane-bochner": "70737d4295015054935fc1e79aed670fca8e644f70ddc821dbe9db90de964df1",
     "plane-caloric-cubic": "6476f5c9355cd3a9d4c6c0d65b938992fdb3b1ca4215a2c2aea2a90c615e34b4",
     "plane-mixture": "5a6a616d38716b438905dedc5a0d6f62ed61f86184a3995182db5f30c7b232da",

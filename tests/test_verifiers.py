@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,8 @@ from parafreq import (
     CoefficientField,
     ConstantRate,
     Cylinder,
+    Drift,
     Forcing,
-    ModeMatrix,
     Plane,
     Run,
     SampledRate,
@@ -31,6 +32,7 @@ from parafreq import (
     enumerate_modes,
     evolve_exact_trajectory,
     evolve_forced,
+    load_config,
     mode_from_index,
     parse_config,
     standard_test_functions,
@@ -48,13 +50,13 @@ from parafreq import (
     verify_selfsimilar_scaling,
     verify_weighted_monotonicity,
 )
-from parafreq import backgrounds, evolution, frequency, scenario, verifiers
+from parafreq import backgrounds, frequency, scenario, verifiers
 from parafreq.backgrounds import quadrature
 from parafreq.cli import _load_packaged_configs
-from parafreq.modes import combine_on_rule, mode_function
+from parafreq.modes import mode_function
 from parafreq.verifiers import report_from_dict
 
-from oracles import bochner_sides_on_rule, compute_D, field_at, forcing_bound_margin, geometry_at, integrate, rate_at
+from oracles import bochner_sides_on_rule, combine_on_rule, compute_D, field_at, geometry_at, integrate, rate_at
 
 # the backgrounds of one or two dimensions, and plane(3)
 SIX = [Plane(1), Plane(2), Plane(3), Sphere(1), Sphere(2), Cylinder(1, 1)]
@@ -200,7 +202,7 @@ def test_general_harnack_vanishes_on_a_zero_rate_forced_run():
     bg = Plane(1)
     field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, (2,)): 1.0})
     forcing = Forcing(ConstantRate(0.0), ScalarOnU())
-    traj = evolve_forced(field, TimeGrid.uniform(-1.0, -0.5, 201), forcing, local_tol=1e-12)
+    traj = evolve_forced(field, TimeGrid.uniform(-1.0, -0.5, 201), forcing)
     rep = _checked(verify_general_harnack, traj)
     assert rep.status == "pass"
     assert abs(rep.min_margin) <= 1e-12
@@ -244,11 +246,19 @@ def _harnack_excess(traj, report):
     return excess, int(re.search(r"of (\d+) points each", note).group(1)), trace
 
 
-@pytest.mark.parametrize("scenario_id", ["matrix-forced-bounds", "scalar-forced-bounds", "scalar-forced-zero"])
-def test_general_harnack_romberg_matches_a_fine_trapezoid_on_forced_suite_runs(scenario_id):
+def _forced_config(scenario_id):
+    """A packaged forced scenario, or the drift one the tests keep under ``configs``."""
+    if scenario_id == "plane-drift-bounds":
+        return load_config(Path(__file__).parent / "configs" / "plane-drift-bounds.json")
     (config,) = [c for c in _load_packaged_configs() if c.scenario_id == scenario_id]
+    return config
+
+
+@pytest.mark.parametrize("scenario_id", ["plane-drift-bounds", "scalar-forced-bounds", "scalar-forced-zero"])
+def test_general_harnack_romberg_matches_a_fine_trapezoid_on_forced_suite_runs(scenario_id):
+    config = _forced_config(scenario_id)
     field = CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes))
-    traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
+    traj = evolve_forced(field, config.grid, config.forcing)
     rep = verify_general_harnack(Run(traj, resolution=config.resolution))
     assert rep.status == "pass"
     excess, points, trace = _harnack_excess(traj, rep)
@@ -263,7 +273,7 @@ def test_general_harnack_splits_a_sampled_rate_at_its_kinks():
     bg = Plane(1)
     rate = SampledRate((-1.0, -0.8, -0.65, -0.5, -0.3, -0.1), (0.2, 0.6, 0.3, 0.5, 0.1, 0.4))
     field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, (1,)): 1.0, mode_from_index(bg, (3,)): 0.4})
-    traj = evolve_forced(field, TimeGrid.uniform(-1.0, -0.2, 161), Forcing(rate, ScalarOnU()), local_tol=1e-12)
+    traj = evolve_forced(field, TimeGrid.uniform(-1.0, -0.2, 161), Forcing(rate, ScalarOnU()))
     rep = _checked(verify_general_harnack, traj)
     assert rep.status == "pass"
     excess, points, trace = _harnack_excess(traj, rep)
@@ -516,7 +526,7 @@ def test_general_bounds_scalar_rate_matches_analytic_minimum():
     c0 = 1.0
     field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, (1,)): 1.0})
     grid = TimeGrid.uniform(-1.0, -0.5, 161)
-    traj = evolve_forced(field, grid, Forcing(ConstantRate(c0), ScalarOnU()), local_tol=1e-12)
+    traj = evolve_forced(field, grid, Forcing(ConstantRate(c0), ScalarOnU()))
     rep = verify_general_bounds(Run(traj, 0.0))
     assert rep.status == "pass"
     expected = c0 * c0 * (2.0 * 0.5 + 2.0 * (-grid.nodes[-2]))
@@ -525,60 +535,39 @@ def test_general_bounds_scalar_rate_matches_analytic_minimum():
 
 @pytest.mark.parametrize("bg", [Plane(1), Sphere(3)], ids=lambda b: b.label())
 def test_a_scalar_forcing_holds_identically_without_a_rule(monkeypatch, bg):
-    # f = C u with C >= 0 leaves the margin C |grad u| >= 0, so the certificate samples nothing; sphere(3) has no rule
+    # f = C u with C >= 0 leaves the margin C |grad u| >= 0, so nothing samples it; sphere(3) has no rule
     rules = _counted(monkeypatch, "quadrature")
     modes = [m for m in enumerate_modes(bg, 2.0) if m.mu > 0.0][:2]
     field = CoefficientField.from_dict(bg, -1.0, {modes[0]: 1.0, modes[1]: -0.4})
     rate = SampledRate((-1.0, -0.7, -0.5), (0.5, 0.1, 0.3))
-    run = Run(evolve_forced(field, TimeGrid.uniform(-1.0, -0.5, 81), Forcing(rate, ScalarOnU()), local_tol=1e-11))
-    assert run.certificate == (True, (verifiers._SCALAR_ON_U_NOTE,))
+    run = Run(evolve_forced(field, TimeGrid.uniform(-1.0, -0.5, 81), Forcing(rate, ScalarOnU())))
     for verify in (verify_general_bounds, verify_general_harnack):
         rep = verify(run)
         assert rep.status == "pass", verify.__name__
-        assert rep.notes[0] == verifiers._SCALAR_ON_U_NOTE
+        assert rep.notes[0] == verifiers._HYPOTHESIS_NOTES[ScalarOnU]
     assert not rules
 
 
-def test_general_bounds_inapplicable_when_hypothesis_fails():
-    # low-to-high coupling: no constant certifies |f| <= C(|grad u| + |u|)
+def test_general_checks_fail_on_a_drift_judged_at_rate_zero():
+    # a counterfeit: a drift run at C = 1 judged as if C were 0, where the bounds are the heat equation's; the drift
+    # moves mass into the lower mode faster than heat flow allows.  At its true rate both checks pass, with the note
+    # that the hypothesis holds identically
     bg = Plane(1)
-    m1, m3 = mode_from_index(bg, (1,)), mode_from_index(bg, (3,))
-    field = CoefficientField.from_dict(bg, -1.0, {m1: 1.0})
-    forcing = Forcing(ConstantRate(0.5), ModeMatrix((m3, m1), ((0.0, 1.0), (0.0, 0.0))))
-    grid = TimeGrid.uniform(-1.0, -0.5, 81)
-    run = Run(evolve_forced(field, grid, forcing, local_tol=1e-10), 0.0)
-    rep = verify_general_bounds(run)
-    assert rep.status == "inapplicable"
-    assert rep.min_margin is None
-    assert any("hypothesis fails" in n for n in rep.notes)
-    # the integrated bound assumes the same hypothesis, so it is inapplicable too, at the same offending time
-    harnack = verify_general_harnack(run)
-    assert harnack.status == "inapplicable"
-    assert harnack.min_margin is None
-    assert harnack.notes == rep.notes
-    assert harnack.notes[0].startswith(f"forcing hypothesis fails at t={grid.nodes[0]:.17g} ")
-
-
-def test_general_checks_inapplicable_when_the_hypothesis_fails_between_sparse_samples():
-    # a counterfeit run: (1,) -> (3,) coupling is certifiable only where mode (1,) is absent, and it is absent at
-    # every 10th of 81 nodes, the 9 that a certificate sampled at evenly spaced nodes would see; at node 5 the
-    # field is mode (1,) alone, which no constant certifies
-    bg = Plane(1)
-    m1, m3 = mode_from_index(bg, (1,)), mode_from_index(bg, (3,))
-    forcing = Forcing(ConstantRate(0.5), ModeMatrix((m3, m1), ((0.0, 1.0), (0.0, 0.0))))
-    grid = TimeGrid.uniform(-1.0, -0.5, 81)
-    amplitudes = np.tile([0.0, 1.0], (81, 1))  # columns (m1, m3)
-    amplitudes[5] = [1.0, 0.0]
-    traj = Trajectory(grid, bg, (m1, m3), amplitudes, forcing=forcing)
-    run = Run(traj, 0.0)
-    sparse = np.round(np.linspace(0, 80, 9)).astype(int)
-    assert 5 not in sparse
-    assert min(forcing_bound_margin(field_at(traj, int(i)), forcing, run.rule) for i in sparse) >= 0.0
-    expected = f"forcing hypothesis fails at t={grid.nodes[5]:.17g} "
-    for verify in (verify_general_bounds, verify_general_harnack):
-        rep = verify(run)
-        assert rep.status == "inapplicable", verify.__name__
-        assert rep.notes[0].startswith(expected), rep.notes
+    field = CoefficientField.from_dict(bg, -1.0, {mode_from_index(bg, (2,)): 1.0, mode_from_index(bg, (1,)): -0.3})
+    traj = evolve_forced(field, TimeGrid.uniform(-1.0, -0.5, 2001), Forcing(ConstantRate(1.0), Drift()))
+    at_zero = Run(replace(traj, forcing=Forcing(ConstantRate(0.0), Drift())))
+    bounds, harnack = verify_general_bounds(at_zero), verify_general_harnack(at_zero)
+    assert (bounds.status, harnack.status) == ("fail", "fail")
+    mass = next(c for c in bounds.columns if c.label == "mass-growth")
+    assert bounds.min_margin == mass.margin.min() == pytest.approx(-0.5502, abs=1e-4)
+    assert harnack.min_margin == pytest.approx(-0.06529, abs=1e-5)
+    true_rate = Run(traj)
+    bounds, harnack = verify_general_bounds(true_rate), verify_general_harnack(true_rate)
+    assert (bounds.status, harnack.status) == ("pass", "pass")
+    assert bounds.min_margin == pytest.approx(3.376, abs=1e-3) and harnack.min_margin == pytest.approx(3.463, abs=1e-3)
+    assert bounds.notes[0] == harnack.notes[0] == verifiers._HYPOTHESIS_NOTES[Drift]
+    # the heat equation's own statement does not cover a drift run, and fails on this one
+    assert verify_frequency_monotonicity(true_rate).status == "fail"
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +774,8 @@ def test_no_package_code_calls_the_per_point_geometry():
 
     modules = {name: m for name, m in sys.modules.items() if name == "parafreq" or name.startswith("parafreq.")}
     assert "parafreq.verifiers" in modules and "parafreq.evolution" in modules
-    oracles = ("geometry_at", "GeometryData", "forcing_bound_margin", "bochner_sides_on_rule")
+    oracles = ("geometry_at", "GeometryData", "forcing_bound_margin", "bochner_sides_on_rule", "combine_on_rule",
+               "tangent_projector", "require_background")
     for name, module in modules.items():
         assert not [o for o in oracles if hasattr(module, o)], name
     for source in Path(parafreq.__file__).parent.glob("*.py"):
@@ -793,7 +783,7 @@ def test_no_package_code_calls_the_per_point_geometry():
 
 
 # ---------------------------------------------------------------------------
-# one run per scenario: its trace, rule, curvature sides and forcing certificate are each built once, when read
+# one run per scenario: its trace, rule and curvature sides are each built once, when read
 
 _TRACE_CHECKS = (
     "frequency_monotonicity", "equality_case", "harnack", "harnack_printed", "general_bounds", "general_harnack",
@@ -801,19 +791,13 @@ _TRACE_CHECKS = (
 
 
 def _shared_trace_config(initial_modes):
-    # plane(1) has kappa 0, so harnack_printed is applicable; the mode-matrix forcing certifies
+    # plane(1) has kappa 0, so harnack_printed is applicable; the drift meets the hypothesis identically
     return parse_config({
         "scenario_id": "shared-trace",
         "background": {"kind": "plane", "n": 1},
         "initial_modes": initial_modes,
-        "forcing": {
-            "rate": {"type": "sampled", "times": [-1.0, -0.5], "values": [0.5, 0.2]},
-            "coupling": "mode_matrix",
-            "modes": ["1", "3"],
-            "matrix": [[0.0, 0.4], [0.0, 0.0]],
-        },
+        "forcing": {"rate": {"type": "sampled", "times": [-1.0, -0.5], "values": [0.5, 0.2]}, "coupling": "drift"},
         "time": {"a": -1.0, "b": -0.5, "nodes": 81},
-        "rk_local_tol": 1e-11,
         "resolution": 8,
         "checks": list(_TRACE_CHECKS),
     })
@@ -826,7 +810,7 @@ def _fresh_run(config, traj=None):
         if config.forcing is None:
             traj = evolve_exact_trajectory(field, config.grid)
         else:
-            traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
+            traj = evolve_forced(field, config.grid, config.forcing)
     return Run(traj, config.kappa_value, config.resolution)
 
 
@@ -899,10 +883,6 @@ def _counted(monkeypatch, name, home=verifiers):
 
 
 _SCALAR_FORCING = {"rate": {"type": "constant", "c0": 0.2}, "coupling": "scalar_on_u"}
-_MATRIX_FORCING = {
-    "rate": {"type": "constant", "c0": 0.2}, "coupling": "mode_matrix",
-    "modes": ["1,0", "1,1"], "matrix": [[0.0, 0.1], [0.1, 0.0]],
-}
 
 
 def test_run_scenario_builds_one_trace(monkeypatch):
@@ -922,9 +902,8 @@ def test_run_scenario_builds_one_rule_and_only_when_a_check_reads_it(monkeypatch
         (_rule_config(("selfsimilar_scaling",)), 0),
         (_rule_config(_MOMENT_CHECKS), 0),
         (_rule_config(_RULE_CHECKS + spectral), 1),
-        (_shared_trace_config({"3": 1.0}), 1),  # general_bounds certifies a mode-matrix forcing on the rule
-        (_rule_config(("general_harnack",), forcing=_MATRIX_FORCING), 1),  # general_harnack alone too
-        (_rule_config(spectral, forcing=_SCALAR_FORCING), 0),  # a scalar forcing holds without one
+        (_shared_trace_config({"3": 1.0}), 0),  # a drift holds without a rule
+        (_rule_config(spectral, forcing=_SCALAR_FORCING), 0),  # a scalar forcing too
         (_rule_config(spectral), 0),
         (_rule_config(spectral, initial_modes={}), 0),
     ):
@@ -959,17 +938,17 @@ def test_run_scenario_builds_one_rule_and_only_when_a_check_reads_it(monkeypatch
 def test_run_scenario_meets_the_rule_once_per_field(monkeypatch):
     # each part of the run is built at most once, and only when a check reads it (the trace always: the output
     # holds it); every report equals its check alone on a fresh run of the same trajectory
-    parts = ("trace_from_trajectory", "quadrature", "bochner_sides", "forcing_certificate")
+    parts = ("trace_from_trajectory", "quadrature", "bochner_sides")
     calls = [_counted(monkeypatch, name) for name in parts]
     bochner, general = ["drift_bochner", "drift_bochner_verbatim"], ["general_bounds", "general_harnack"]
     for config, counts in (
-        (_rule_config(bochner), (1, 0, 1, 0)),
-        (_rule_config(bochner[1:]), (1, 0, 1, 0)),
-        (_shared_trace_config({"3": 1.0, "2": -0.3}), (1, 1, 0, 1)),  # a mode-matrix forcing, sampled on the rule
-        (_shared_trace_config({}), (1, 0, 0, 0)),  # zero data: the general checks never reach the certificate
-        (_rule_config(bochner + general, forcing=_SCALAR_FORCING), (1, 0, 1, 1)),
-        (_rule_config(general, forcing=_SCALAR_FORCING), (1, 0, 0, 1)),  # a scalar forcing holds without a rule
-        (_rule_config(["frequency_monotonicity", "harnack", "eigenvalue_monotonicity"]), (1, 0, 0, 0)),
+        (_rule_config(bochner), (1, 0, 1)),
+        (_rule_config(bochner[1:]), (1, 0, 1)),
+        (_shared_trace_config({"3": 1.0, "2": -0.3}), (1, 0, 0)),  # a drift holds without a rule
+        (_shared_trace_config({}), (1, 0, 0)),
+        (_rule_config(bochner + general, forcing=_SCALAR_FORCING), (1, 0, 1)),
+        (_rule_config(general, forcing=_SCALAR_FORCING), (1, 0, 0)),  # a scalar forcing too
+        (_rule_config(["frequency_monotonicity", "harnack", "eigenvalue_monotonicity"]), (1, 0, 0)),
     ):
         for counted in calls:
             counted.clear()
@@ -1077,40 +1056,9 @@ def test_weighted_monotonicity_holds_no_array_over_a_rule():
     assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
-def test_forcing_certificate_holds_one_block_of_rows(monkeypatch):
-    # matrix-forced-bounds: 1,801 nodes on a 24-point rule of plane(1).  Measured peak 0.32 MiB for the certificate,
-    # rule included, against 2.06 MiB when each block held 1,365 rows and the image a W^T was taken over the whole
-    # run at once.  Each row is combined and reduced alone, so blocks of one row give the same margins, bit for bit.
-    (config,) = [c for c in _load_packaged_configs() if c.scenario_id == "matrix-forced-bounds"]
-    field = CoefficientField.from_dict(config.background, config.grid.a, dict(config.initial_modes))
-    traj = evolve_forced(field, config.grid, config.forcing, local_tol=config.rk_local_tol)
-    expected = Run(traj, resolution=config.resolution).certificate  # fills the caches
-    run = Run(traj, resolution=config.resolution)
-    tracemalloc.start()
-    try:
-        holds, notes = run.certificate
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (holds, notes) == expected and holds
-    assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
-    margins = evolution.forcing_margins(traj, run.rule)
-    monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", 1)
-    assert evolution.forcing_margins(traj, run.rule).tobytes() == margins.tobytes()
-
-
 def test_pointwise_checks_refuse_data_of_another_background():
-    # a run's own rule is of its background; what takes a rule apart from a run refuses one of another background
-    rule = quadrature(Plane(2), 8)
+    # a run's own rule is of its background; a test function of another background's dimension is refused
     s2 = Sphere(2)
-    m10, m11 = mode_from_index(s2, (1, 0)), mode_from_index(s2, (1, 1))
-    forced = evolve_forced(
-        CoefficientField.from_dict(s2, -1.0, {m10: 1.0}),
-        TimeGrid.uniform(-1.0, -0.5, 5),
-        Forcing(ConstantRate(0.2), ModeMatrix((m10, m11), ((0.0, 0.1), (0.1, 0.0)))),
-    )
-    with pytest.raises(ValueError, match="quadrature rule background does not match the field"):
-        evolution.forcing_margins(forced, rule)
     plane_run = Run(_traj(Plane(2), {}, nodes=5), resolution=8)
     with pytest.raises(ValueError, match="test function 'x1_sq' has dim 3, background needs 2"):
         verify_weighted_monotonicity(plane_run, {"x1_sq": standard_test_functions(s2)["x1_sq"]})
