@@ -37,6 +37,7 @@ factor: 0 on planes and 1/2 on spheres and cylinders.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -166,31 +167,63 @@ class QuadratureRule:
             raise ValueError("points must be (N, d), weights (N,)")
         if self.points.shape[0] != self.weights.shape[0]:
             raise ValueError("points/weights length mismatch")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("quadrature weights must be positive")
+        if not (np.all(self.weights > 0.0) and np.all(np.isfinite(self.points))):  # a NaN weight is not > 0
+            raise ValueError("quadrature weights must be positive and points finite")
 
     @property
     def mass(self) -> float:
         return float(np.sum(self.weights))
 
 
+def _gauss_rule(off: np.ndarray, mass: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only Gauss rule of the Jacobi matrix J, zero diagonal and off-diagonal ``off``, for total ``mass``.
+
+    Sturm counts (negative LDL^T pivots of J - x I, -0.0 negative) cut all eigenvalue brackets in 16 until each holds
+    one and is narrow; Newton on the orthonormal recurrence, derivative by complex step, refines them inside.  The
+    weights are Christoffel's, mass / sum_(k<N) p_k(x)^2.  O(N) memory per section, no dense matrix.
+    """
+    size, radius, rows, cuts = len(off) + 1, 2.0 * off.max(initial=0.0), np.arange(len(off) + 1), np.arange(1, 16) / 16
+    lo, hi, tol = np.full(size, -radius), np.full(size, radius), 4.0 * np.finfo(float).eps * radius
+    with np.errstate(all="ignore"):
+        while np.any(hi[:-1] > lo[1:]) or np.any(hi - lo > radius / 1024):  # eigenvalue i lies in (lo_i, hi_i]
+            x = lo[:, None] + (hi - lo)[:, None] * cuts
+            shift, pivot, count = -x, np.inf, 0
+            for b in [0.0, *(off**2).tolist()]:
+                pivot = shift - b / pivot
+                count += np.signbit(pivot)
+            cut, grid = np.sum(count <= rows[:, None], axis=1), np.column_stack([lo, x, hi])
+            lo, hi = grid[rows, cut], grid[rows, cut + 1]
+        x, step, positive_below = 0.5 * (lo + hi), np.inf, (size - rows) % 2 == 0  # p_N's sign below eigenvalue i
+        for _ in range(64):
+            last = np.all(np.abs(step) <= tol)  # a pass after steps below tol takes the weights and stops
+            z, prev, cur, back, total = x + 1e-30j, 0.0, np.ones(size, complex), 0.0, np.ones(size)
+            for b in off.tolist():
+                prev, cur, back = cur, (z * cur - back * prev) / b, b
+                if last:
+                    total += cur.real**2
+            if last:
+                break
+            q = z * cur - back * prev  # Im p(x + ih) = h p'(x)
+            step, up = 1e-30 * q.real / q.imag, np.signbit(q.real) != positive_below
+            lo, hi, x = np.where(up, x, lo), np.where(up, hi, x), x - step
+            x = np.where((lo - tol <= x) & (x <= hi + tol), x, 0.5 * (lo + hi))  # may round past an end root
+    weights = mass / total
+    x.flags.writeable = weights.flags.writeable = False
+    return x, weights
+
+
+@functools.cache
 def _gauss_gaussian_1d(resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights for int f(y) (4 pi)^(-1/2) e^(-y^2/4) dy, exact to degree 2*res - 1."""
-    x, w = np.polynomial.hermite.hermgauss(resolution)
-    return 2.0 * x, w / math.sqrt(math.pi)
+    return _gauss_rule(np.sqrt(2.0 * np.arange(1, resolution)), 1.0)
 
 
+@functools.cache
 def _polar_rule(p: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights for the polar cosine of S^p, weight (1 - u^2)^((p - 2)/2) on [-1, 1].
-
-    Gauss-Legendre for p = 2; else Golub-Welsch, the eigenpairs of the symmetric Jacobi matrix.
-    """
-    if p == 2:
-        return np.polynomial.legendre.leggauss(resolution)
+    """Gauss nodes and weights for the polar cosine of S^p, of weight (1 - u^2)^((p - 2)/2): Legendre at p = 2."""
     a, j = (p - 2) / 2.0, np.arange(1, resolution)
     off = np.sqrt(j * (j + 2.0 * a) / ((2.0 * j + 2.0 * a) ** 2 - 1.0))
-    u, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    return u, math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5) * vectors[0] ** 2
+    return _gauss_rule(off, math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5))
 
 
 def _round_rule(bg: Background, resolution: int) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +273,8 @@ def quadrature(bg: Background, resolution: int) -> QuadratureRule:
     cosine of each S^p, p = 2..k, of weight (1 - u^2)^((p-2)/2): Gauss-Legendre
     on S^2.  So S^k x R^m has 2N * N^(k-1) * N^m points for N = resolution,
     and the rule is exact for every polynomial of degree up to 2N - 1.  A rule
-    above ``_MAX_RULE_POINTS`` points is refused before anything is built.
+    above ``_MAX_RULE_POINTS`` points is refused before anything is built, and one
+    whose smallest weight is not a normal float before its tensor product is.
     """
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1, got {resolution}")
@@ -252,7 +286,13 @@ def quadrature(bg: Background, resolution: int) -> QuadratureRule:
         )
 
     pts, wts = _round_rule(bg, resolution)
-    y, w = _gauss_gaussian_1d(resolution)
+    # a Gauss rule's smallest weight falls as it grows, and 512 nodes leave the normal floats: longer axes go unbuilt
+    for nodes in dict.fromkeys((min(resolution, 512), resolution)) if bg.flat_m else ():
+        y, w = _gauss_gaussian_1d(nodes)
+        smallest = math.prod([wts.min(), *[w.min()] * bg.flat_m])  # in the order the tensor product multiplies
+        if not smallest >= np.finfo(float).smallest_normal:
+            raise ValueError(f"resolution {resolution} takes quadrature weights down to {smallest:.3g} on "
+                             f"{bg.label()}, below the normal floats; state a smaller resolution")
     for _ in range(bg.flat_m):
         pts, wts = _tensor_product(pts, wts, y[:, None], w)
     return QuadratureRule(bg, resolution, pts, wts)

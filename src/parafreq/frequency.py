@@ -138,17 +138,17 @@ def trace_from_trajectory(traj: Trajectory, kappa_value: float | None = None) ->
     mt = -t
     mus = np.array([m.mu for m in traj.modes], dtype=float)
     i_val, mu_sum, cross, c2_sum = (np.empty(len(t)) for _ in range(4))
-    for part, amps in traj.blocks():  # each row sums alone, so the blocks change no bit
-        sq = amps**2
-        c = -mus / mt[part, None]
-        i_val[part] = np.sum(sq, axis=1)
-        mu_sum[part] = np.sum(mus * sq, axis=1)
-        cross[part] = np.sum(c * sq, axis=1)
-        c2_sum[part] = np.sum(c**2 * sq, axis=1)
-    d_val = -(2.0 / mt) * mu_sum
-    cs = i_val * c2_sum - float_powers(cross.tolist(), [2.0])[:, 0]
-    zero = i_val == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # an overflowing amplitude leaves inf or nan, which the reports refuse
+        for part, amps in traj.blocks():  # each row sums alone, so the blocks change no bit
+            sq = amps**2
+            c = -mus / mt[part, None]
+            i_val[part] = np.sum(sq, axis=1)
+            mu_sum[part] = np.sum(mus * sq, axis=1)
+            cross[part] = np.sum(c * sq, axis=1)
+            c2_sum[part] = np.sum(c**2 * sq, axis=1)
+        d_val = -(2.0 / mt) * mu_sum
+        cs = i_val * c2_sum - float_powers(cross.tolist(), [2.0])[:, 0]
+        zero = i_val == 0.0
         n_raw = np.where(zero, math.nan, mt * d_val / i_val)
     u_val = float_powers(mt.tolist(), [2.0 * k])[:, 0] * n_raw
     return FrequencyTrace(

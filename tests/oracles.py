@@ -19,6 +19,9 @@ vector RK4, the oracle for the closed forms of ``evolution.evolve_forced``;
 ``field_at`` passes one row of a trajectory through as a field without
 copying it; ``dense_exact_amplitudes`` builds a closed-form run's whole
 amplitude array at once, the oracle for ``Trajectory.rows``.
+``gauss_gaussian_1d`` and ``polar_rule`` build a rule's 1-D Gauss factors the
+dense way, by numpy's ``hermgauss`` and ``leggauss`` and Golub-Welsch
+``eigh``: the referee for ``backgrounds._gauss_rule``, which uses no matrix.
 """
 
 import functools
@@ -376,3 +379,22 @@ def vector_rk4(traj: Trajectory, field: CoefficientField, forcing: Forcing, loca
     for t0, t1 in zip(traj.grid.nodes, traj.grid.nodes[1:]):
         rows.append(advance(t0, rows[-1], t1) if doubling else step(t0, rows[-1], t1 - t0))
     return np.array(rows)
+
+
+def gauss_gaussian_1d(resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes/weights for int f(y) (4 pi)^(-1/2) e^(-y^2/4) dy, exact to degree 2*res - 1."""
+    x, w = np.polynomial.hermite.hermgauss(resolution)
+    return 2.0 * x, w / math.sqrt(math.pi)
+
+
+def polar_rule(p: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights for the polar cosine of S^p, weight (1 - u^2)^((p - 2)/2) on [-1, 1].
+
+    Gauss-Legendre for p = 2; else Golub-Welsch, the eigenpairs of the symmetric Jacobi matrix.
+    """
+    if p == 2:
+        return np.polynomial.legendre.leggauss(resolution)
+    a, j = (p - 2) / 2.0, np.arange(1, resolution)
+    off = np.sqrt(j * (j + 2.0 * a) / ((2.0 * j + 2.0 * a) ** 2 - 1.0))
+    u, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return u, math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5) * vectors[0] ** 2

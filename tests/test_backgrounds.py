@@ -25,7 +25,7 @@ from parafreq import backgrounds
 from parafreq.backgrounds import QuadratureRule, quadrature
 from parafreq.modes import mode_counts
 
-from oracles import combine_on_rule, geometry_at, integrate, tangent_projector
+from oracles import combine_on_rule, gauss_gaussian_1d, geometry_at, integrate, polar_rule, tangent_projector
 
 ALL_BACKGROUNDS = [Plane(1), Plane(2), Plane(3), Sphere(1), Sphere(2), Cylinder(1, 1)]
 # round factors S^k, k >= 3, and the cylinders S^2 x R and S^1 x R^2, built by the same recursion as the six above
@@ -62,6 +62,55 @@ def test_quadrature_mass_stable_across_resolutions():
     for bg in [Plane(1), Sphere(2), Cylinder(1, 1)]:
         masses = [quadrature(bg, r).mass for r in (8, 16, 32)]
         assert max(masses) - min(masses) < 1e-13 * max(1.0, masses[0])
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 4, 5, 6], ids=lambda p: "hermite" if p is None else f"polar-S{p}")
+def test_gauss_factors_meet_the_dense_referee_and_their_closed_form_moments(p):
+    # each 1-D factor for N = 1..64 against numpy's dense route: nodes to 4 ulps of the largest; weights to the
+    # referee's own error, 1.9e-12 relative at worst (Legendre N = 60); the weight sum to 8 ulps of the mass; and
+    # every even moment u^(2k), k < N, to 1e-13 relative of its closed form: 2^k (2k - 1)!! on the Hermite axis,
+    # Gamma(k + 1/2) Gamma(a + 1) / Gamma(k + a + 3/2) for the polar cosine of S^p, a = (p - 2) / 2
+    eps = np.finfo(float).eps
+    if p is None:
+        build, referee, mass = backgrounds._gauss_gaussian_1d, gauss_gaussian_1d, 1.0
+        moment = lambda k: 2.0**k * math.prod(range(1, 2 * k, 2))
+    else:
+        a = (p - 2) / 2.0
+        build, referee = (lambda n: backgrounds._polar_rule(p, n)), (lambda n: polar_rule(p, n))
+        mass = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
+        moment = lambda k: math.gamma(k + 0.5) * math.gamma(a + 1.0) / math.gamma(k + a + 1.5)
+    for n in range(1, 65):
+        (x, w), (ref_x, ref_w) = build(n), referee(n)
+        assert np.max(np.abs(x - ref_x)) <= 4.0 * eps * np.max(np.abs(ref_x)), n
+        assert np.max(np.abs(w - ref_w) / ref_w) <= 4e-12, n
+        assert abs(np.sum(w) - mass) <= 8.0 * np.spacing(mass), n
+        k = np.arange(n)
+        exact = np.array([moment(int(j)) for j in k])
+        assert np.max(np.abs(x ** (2 * k[:, None]) @ w - exact) / exact) <= 1e-13, n
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_resolution_whose_weights_leave_the_normal_floats_is_refused_before_the_product(monkeypatch):
+    # the Hermite weights leave the normal floats between N = 369 and 370 on plane(1), and their squares between
+    # 189 and 190 on plane(2); the point budget alone admits up to 2^20 and 1024
+    tiny = np.finfo(float).smallest_normal
+    for bg, accepted in ((Plane(1), 369), (Plane(2), 189)):
+        assert quadrature(bg, accepted).weights.min() >= tiny
+        with pytest.raises(ValueError, match=(
+            rf"^resolution {accepted + 1} takes quadrature weights down to \S+ on {re.escape(bg.label())}, below "
+            r"the normal floats; state a smaller resolution$"
+        )):
+            quadrature(bg, accepted + 1)
+    # a longer axis is refused from the 512-node one, whose smallest weight bounds every longer one's, unbuilt
+    built = []
+    monkeypatch.setattr(backgrounds, "_gauss_rule", lambda off, mass: built.append(len(off) + 1) or (
+        np.zeros(len(off) + 1), np.zeros(len(off) + 1)))
+    backgrounds._gauss_gaussian_1d.cache_clear()
+    for bg, resolution in ((Plane(1), 1 << 20), (Plane(2), 1024), (Cylinder(1, 1), 700)):
+        with pytest.raises(ValueError, match=rf"^resolution {resolution} takes quadrature weights down to 0 "):
+            quadrature(bg, resolution)
+    backgrounds._gauss_gaussian_1d.cache_clear()
+    assert built == [512]
 
 
 def test_unit_sphere_area_low_dims():
@@ -198,31 +247,33 @@ _CLOSED_FORMS = {
 }
 
 
-# SHA-256 of the repr of each pinned kind of _CLOSED_FORMS: no closed form may move by a bit
+# SHA-256 of the repr of each pinned kind of _CLOSED_FORMS: no closed form may move by a bit.  The "rules" pins of
+# every background with a Gauss factor were retaken when the factors came from the three-term recurrence, with
+# Christoffel weights, in place of numpy's rescaled hermgauss and leggauss.
 CLOSED_FORM_DIGESTS = {
     "cylinder(k=1,m=1)": {
         "scalars": "9f0c2957d435941d232b8319034eb99a64429f3d65cbd6c4280a36b2f59ff79f",
         "modes": "5f2ba6ca58d08a79e1939b23395b601f95e1cd54e7bcb8afd2cf33a5c26a1f0a",
         "polynomials": "9a16137241df772fa5ab7d5a1aa8a797c5accce086f49e23756e8d9b0c2e84d0",
-        "rules": "2424dc932984a35b3f0f11e9b70c025e585193cef755e34e5aa7395b35b3d5b3",
+        "rules": "dd3c43d3b5b3c54f6ef148492f22596cff36d04e7296201c2a757fb55d345ee0",
     },
     "plane(n=1)": {
         "scalars": "adb66d97aec19f159da6887c55f110027b3d92145f8fe95167be6865ade4b9b1",
         "modes": "3051c9e06b0f899a8538256624455a71f4db314e6c389c312957da7084af4893",
         "polynomials": "fce8ae03c5ea041dbe9468191a491f7a74fde451cd7019d452d7b1afb96fef6a",
-        "rules": "cd9c9507da546f6f19923a4d8f2caad300e464812d64d6401160a0f4fe5f5c72",
+        "rules": "c26805bbb56a846719159db3c9d38cf1b6ffc715d6980fb0f591a4efee883b59",
     },
     "plane(n=2)": {
         "scalars": "adb66d97aec19f159da6887c55f110027b3d92145f8fe95167be6865ade4b9b1",
         "modes": "d1ee1529383c19abcd04cbb6291817f6c77206a3b11561f9b1665b9b64b90551",
         "polynomials": "295e9d07cff0b92d62a2ca61dbfdd9085b3cc0c6c4ae003bb0aba844199e7e49",
-        "rules": "144b6aaa962c9968c0df5644ca933f16af4e1e3c6c7fe4d0f1c397d9f9bcc15c",
+        "rules": "14e0bfa8b21c63efe6d7826ac81535fed62649ccd053ef2181b20109ce7ee6c3",
     },
     "plane(n=3)": {
         "scalars": "adb66d97aec19f159da6887c55f110027b3d92145f8fe95167be6865ade4b9b1",
         "modes": "9eb1c6301d0c8f43ff6155e1ce53120f5ec0f182a397163e415adc57fed1e6f8",
         "polynomials": "e619b99689592e9a9f51f61b0c4c61886be950808f7453bffe454143edc6a247",
-        "rules": "5445003cd91b413855319e6e640e892765d91febbee25ed949e15b324283386e",
+        "rules": "81ba5a0fdf2e83a0db6f5488d22a7cf2829346c8561dcf8aac337277e96b43b9",
     },
     "sphere(n=1)": {
         "scalars": "9f0c2957d435941d232b8319034eb99a64429f3d65cbd6c4280a36b2f59ff79f",
@@ -234,7 +285,7 @@ CLOSED_FORM_DIGESTS = {
         "scalars": "d8b716b094f74b878f9231a90bca0399f63506d0887299a4256333490a9eefc7",
         "modes": "be3fda2bec5c2dac852775f57a1ba17857f6c0e2d6be1f633a4829fb09795013",
         "polynomials": "9ce9649d613c66668f446cf30d85f6e1482955a365d09c2761a1ead6ab7b75ca",
-        "rules": "f94982854e399569e45ee3655448bbe50cfa81d556e625270c4f7dfd873a14bc",
+        "rules": "5083bb9c8bb53656fb8ec7ba8c2b87712ab4e93905387efb04614b7dfb7c97cd",
     },
     "plane(n=4)": {
         "scalars": "adb66d97aec19f159da6887c55f110027b3d92145f8fe95167be6865ade4b9b1",
@@ -314,10 +365,15 @@ def test_rule_geometry_arrays_equal_the_per_point_oracle(bg):
 
 @pytest.mark.parametrize("bg", [Plane(4), Sphere(3), Cylinder(2, 1)], ids=lambda b: b.label())
 def test_rule_built_directly_on_any_background_is_checked(bg):
-    # no background is refused; the rule's own shape and weight checks still apply
+    # no background is refused; the rule's own shape, weight and point checks still apply, and a NaN weight is not
+    # positive
     points = np.zeros((2, bg.ambient_dim))
     assert QuadratureRule(bg, 1, points, np.ones(2)).mass == 2.0
-    for bad_points, bad_weights in ((points[0], np.ones(2)), (points, np.ones(3)), (points, np.array([1.0, 0.0]))):
+    nan, infinite = np.array([math.nan, math.nan]), np.full_like(points, math.inf)
+    for bad_points, bad_weights in (
+        (points[0], np.ones(2)), (points, np.ones(3)), (points, np.array([1.0, 0.0])), (points, nan),
+        (infinite, np.ones(2)),
+    ):
         with pytest.raises(ValueError):
             QuadratureRule(bg, 1, bad_points, bad_weights)
 

@@ -9,9 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from parafreq import parse_config, scenario
+from parafreq import backgrounds, parse_config, scenario
 from parafreq.cli import main
 
 PASSING = {
@@ -155,14 +156,16 @@ def test_runtime_error_spares_the_rest_of_the_batch(tmp_path, capsys):
     ]
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflowing_scenario_spares_the_rest_of_the_batch(tmp_path, capsys):
-    # squaring an amplitude of 1e160 overflows the frequency trace: that scenario's runtime error, not the batch's
+    # squaring an amplitude of 1e160 overflows the frequency trace: that scenario's runtime error, not the batch's,
+    # and its one line on stderr, with no numpy warning before it
     _write(tmp_path, "a.json", dict(PASSING, scenario_id="a", initial_modes={"2": 1e160}))
     _write(tmp_path, "b.json", dict(PASSING, scenario_id="b"))
     out = tmp_path / "out"
     assert main(["run", str(tmp_path / "a.json"), str(tmp_path / "b.json"), "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert "runtime error in a:" in captured.err
+    assert captured.err == "runtime error in a: non-finite margin nan at node 1 (increment)\n"
     assert "1 scenario(s)" in captured.out
     assert sorted(p.name for p in out.iterdir()) == [f"b{suffix}" for suffix in (".plot.py", ".report.json", ".trace.csv")]
 
@@ -290,7 +293,15 @@ def test_quiet_prints_only_failures_and_summary(tmp_path, capsys):
     assert "1 scenario(s)" in lines[0]
 
 
-def test_paper_suite_runs_green(tmp_path, capsys):
+def test_paper_suite_runs_green(tmp_path, capsys, monkeypatch):
+    # with no LAPACK eigensolver: the rules' Gauss factors come from the three-term recurrence, built afresh here
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK eigensolver was called")
+
+    for name in ("eigh", "eigvalsh", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    backgrounds._gauss_gaussian_1d.cache_clear()
+    backgrounds._polar_rule.cache_clear()
     code = main(["paper-suite", "--out", str(tmp_path / "suite"), "--quiet"])
     assert code == 0
     text = capsys.readouterr().out
@@ -368,15 +379,15 @@ def test_forced_run_leaves_numpy_ma_unimported(tmp_path):
     _write(tmp_path, "pointwise.json", pointwise)
     _write(tmp_path, "mixture.json", mixture)
     # hashlib maps OpenSSL's libcrypto, 3.4 MiB resident, for the config hash that the interpreter's own SHA-256 gives;
-    # the last, numpy.polynomial, comes with a quadrature rule, so a forced run whose checks read no rule never
-    # imports it: nothing samples the forcing
+    # numpy.polynomial, whose Gauss rules call LAPACK, is never imported, even by a run that reads a rule: its Gauss
+    # factors come from the three-term recurrence
     modules = "('numpy.ma', 'fractions', 'decimal', 'numpy.random', 'secrets', 'hashlib', '_hashlib', 'ssl', " \
               "'numpy.polynomial')"
     script = f"import sys; from parafreq.cli import main; main(sys.argv[1:]); print([m in sys.modules for m in {modules}])"
-    for args, ran, rule_read in (
-        (["run", str(tmp_path)], "3 scenario(s)", True),
-        (["paper-suite"], "17 scenario(s)", True),
-        (["run", str(forced_path)], "1 scenario(s)", False),
+    for args, ran in (
+        (["run", str(tmp_path)], "3 scenario(s)"),
+        (["paper-suite"], "17 scenario(s)"),
+        (["run", str(forced_path)], "1 scenario(s)"),
     ):
         proc = subprocess.run(
             [sys.executable, "-c", script, *args, "--out", str(tmp_path / "out"), "--quiet"],
@@ -385,7 +396,7 @@ def test_forced_run_leaves_numpy_ma_unimported(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert ran in proc.stdout
-        assert proc.stdout.splitlines()[-1] == str([False] * 8 + [rule_read]), proc.stdout
+        assert proc.stdout.splitlines()[-1] == str([False] * 9), proc.stdout
 
 
 def test_non_utf8_locale_writes_the_utf8_mode_files(tmp_path):
